@@ -2,20 +2,33 @@
 //
 // Usage:
 //
-//	jsbench -experiment fig5 [-sizes 200,400,600,800] [-maxnodes 13] [-seed 1] [-metricsout fig5.json]
+//	jsbench -experiment NAME [-seed 1] [-out result.json]
+//	jsbench -experiment all
 //
-// It prints the Figure 5 table (execution time of the master/slave
-// matrix multiplication by node count, for each problem size, day and
-// night) and a PASS/FAIL report of the paper's qualitative claims.
-// With -metricsout, it also writes each run's full metrics snapshot
-// (counters, gauges, sim-time histograms) to the named JSON file; the
-// output is deterministic for a fixed seed.
+// NAME is an experiment registered in experiments.Registry (jsbench -h
+// lists them).  Every experiment runs the same way: banner, run, text
+// report, JSON artifact, PASS/FAIL claims; the exit status is 1 when a
+// claim fails.  An experiment with a committed artifact writes
+// BENCH_<name>.json unless -out names another file; the output is
+// byte-deterministic for a fixed seed.
+//
+// -experiment all runs every entry at the pinned seed 1 and rewrites
+// every committed artifact in place, so
+//
+//	go run ./cmd/jsbench -experiment all && git diff --exit-code -- 'BENCH_*.json'
+//
+// answers "is the evidence current?".
+//
+// fig5 also reads -sizes, -maxnodes (as does mandel), -chaos and
+// -metricsout (each run's full metrics snapshot); slo reads -flightout
+// (the flight recorder's preserved dumps).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"strconv"
 	"strings"
 
@@ -23,353 +36,117 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "fig5", "experiment to run (fig5, mandel, automigrate, recovery, recover, replica, shard, slo, serve, place, wire)")
-	sizes := flag.String("sizes", "200,400,600,800", "comma-separated problem sizes")
-	maxNodes := flag.Int("maxnodes", 13, "sweep node counts 1..maxnodes")
+	var names []string
+	for _, e := range experiments.Registry {
+		names = append(names, e.Name)
+	}
+	list := strings.Join(names, ", ")
+
+	experiment := flag.String("experiment", "fig5", "experiment to run: "+list+", or all")
+	sizes := flag.String("sizes", "200,400,600,800", "comma-separated problem sizes (fig5)")
+	maxNodes := flag.Int("maxnodes", 13, "sweep node counts 1..maxnodes (fig5, mandel)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	metricsOut := flag.String("metricsout", "", "write per-run metrics snapshots to this JSON file (fig5 only)")
-	chaosPlan := flag.String("chaos", "", `fault-injection plan for fig5, e.g. "loss:*:0.02" or "crashes:20s+5s"`)
-	out := flag.String("out", "", "write the experiment result as JSON to this file (replica only)")
-	flightOut := flag.String("flightout", "", "write the flight recorder's preserved dumps to this JSON file (slo only)")
+	metricsOut := flag.String("metricsout", "", "write per-run metrics snapshots to this JSON file (fig5)")
+	chaosPlan := flag.String("chaos", "", `fault-injection plan, e.g. "loss:*:0.02" or "crashes:20s+5s" (fig5)`)
+	out := flag.String("out", "", "write the result JSON here instead of the experiment's BENCH_<name>.json (not with all)")
+	flightOut := flag.String("flightout", "", "write the flight recorder's preserved dumps to this JSON file (slo)")
 	flag.Parse()
 
-	switch *experiment {
-	case "fig5":
-		runFig5(*sizes, *maxNodes, *seed, *metricsOut, *chaosPlan)
-	case "mandel":
-		runMandel(*maxNodes, *seed)
-	case "automigrate":
-		runE3(*seed)
-	case "recovery":
-		runRecovery(*seed)
-	case "recover":
-		runRecover(*seed, *out)
-	case "replica":
-		runReplica(*seed, *out)
-	case "shard":
-		runShard(*seed, *out)
-	case "slo":
-		runSlo(*seed, *out, *flightOut)
-	case "serve":
-		runServe(*seed, *out)
-	case "place":
-		runPlace(*seed, *out)
-	case "wire":
-		runWire(*seed, *out)
-	default:
-		fmt.Fprintf(os.Stderr, "jsbench: unknown experiment %q\n", *experiment)
-		os.Exit(2)
+	p := experiments.Params{
+		Seed: *seed, MaxNodes: *maxNodes, Chaos: *chaosPlan,
+		MetricsOut: *metricsOut, FlightOut: *flightOut,
 	}
-}
-
-func runRecovery(seed int64) {
-	fmt.Println("Recovery — checkpoint-based crash recovery overhead")
-	fmt.Println("(the OAS extension the paper defers to future work, §5.1/§7)")
-	fmt.Println()
-	cfg := experiments.RecoveryConfig{Seed: seed}
-	r := experiments.Recovery(cfg)
-	experiments.WriteRecovery(os.Stdout, cfg, r)
-	if !r.Correct {
-		fmt.Fprintln(os.Stderr, "jsbench: recovered run produced a WRONG product")
-		os.Exit(1)
-	}
-}
-
-func runRecover(seed int64, out string) {
-	fmt.Println("Recover — durable log-structured object store (internal/wal)")
-	fmt.Println("(group commit, incremental checkpoints, crash-consistent replay; DESIGN.md §13)")
-	fmt.Println()
-	cfg := experiments.RecoverConfig{Seed: seed}
-	res := experiments.Recover(cfg)
-	experiments.WriteRecover(os.Stdout, res)
-	if out == "" {
-		out = "BENCH_recover.json"
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := experiments.WriteRecoverJSON(f, res); err != nil {
-		fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-		os.Exit(1)
-	}
-	f.Close()
-	fmt.Printf("result written to %s\n", out)
-	fmt.Println()
-	lines, ok := experiments.RecoverReportLines(res)
-	fmt.Println("Subsystem claims:")
-	for _, l := range lines {
-		fmt.Println("  " + l)
-	}
-	if !ok {
-		os.Exit(1)
-	}
-}
-
-func runReplica(seed int64, out string) {
-	fmt.Println("Replica — locality-aware read replication (internal/replica)")
-	fmt.Println("(read throughput by replica count; strong-mode crash availability)")
-	fmt.Println()
-	cfg := experiments.ReplicaConfig{Seed: seed}
-	res := experiments.Replica(cfg)
-	experiments.WriteReplica(os.Stdout, res)
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteReplicaJSON(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("result written to %s\n", out)
-	}
-	fmt.Println()
-	lines, ok := experiments.ReplicaReport(res)
-	fmt.Println("Subsystem claims:")
-	for _, l := range lines {
-		fmt.Println("  " + l)
-	}
-	if !ok {
-		os.Exit(1)
-	}
-}
-
-func runShard(seed int64, out string) {
-	fmt.Println("Shard — consistent-hash key-space partitioning (internal/shard)")
-	fmt.Println("(write throughput by shard count; batched control-plane RMI)")
-	fmt.Println()
-	cfg := experiments.ShardConfig{Seed: seed}
-	res := experiments.Shard(cfg)
-	experiments.WriteShard(os.Stdout, res)
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteShardJSON(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("result written to %s\n", out)
-	}
-	fmt.Println()
-	lines, ok := experiments.ShardReport(res)
-	fmt.Println("Subsystem claims:")
-	for _, l := range lines {
-		fmt.Println("  " + l)
-	}
-	if !ok {
-		os.Exit(1)
-	}
-}
-
-func runSlo(seed int64, out, flightOut string) {
-	fmt.Println("SLO — request-level objectives, critical-path tracing, heat telemetry")
-	fmt.Println("(Observability v2: internal/slo, internal/trace, internal/heat, internal/flight)")
-	fmt.Println()
-	cfg := experiments.SloConfig{Seed: seed}
-	res := experiments.Slo(cfg)
-	experiments.WriteSlo(os.Stdout, res)
-	if out == "" {
-		out = "BENCH_slo.json"
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := experiments.WriteSloJSON(f, res); err != nil {
-		fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-		os.Exit(1)
-	}
-	f.Close()
-	fmt.Printf("result written to %s\n", out)
-	if flightOut != "" {
-		f, err := os.Create(flightOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteSloFlightJSON(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("flight dumps written to %s\n", flightOut)
-	}
-	fmt.Println()
-	lines, ok := experiments.SloReportLines(res)
-	fmt.Println("Subsystem claims:")
-	for _, l := range lines {
-		fmt.Println("  " + l)
-	}
-	if !ok {
-		os.Exit(1)
-	}
-}
-
-func runServe(seed int64, out string) {
-	fmt.Println("Serve — open-loop overload with admission control and load shedding")
-	fmt.Println("(baseline vs shed replay of one seeded heavy-tailed arrival stream)")
-	fmt.Println()
-	cfg := experiments.ServeConfig{Seed: seed}
-	res := experiments.Serve(cfg)
-	experiments.WriteServe(os.Stdout, res)
-	if out == "" {
-		out = "BENCH_serve.json"
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := experiments.WriteServeJSON(f, res); err != nil {
-		fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-		os.Exit(1)
-	}
-	f.Close()
-	fmt.Printf("result written to %s\n", out)
-	fmt.Println()
-	lines, ok := experiments.ServeReportLines(res)
-	fmt.Println("Subsystem claims:")
-	for _, l := range lines {
-		fmt.Println("  " + l)
-	}
-	if !ok {
-		os.Exit(1)
-	}
-}
-
-func runPlace(seed int64, out string) {
-	fmt.Println("Place — static placement oracle (cmd/jsplace + internal/analysis/affinity)")
-	fmt.Println("(each placed workload twin-run: load-only vs committed co-location hints)")
-	fmt.Println()
-	cfg := experiments.PlaceConfig{Seed: seed}
-	res := experiments.Place(cfg)
-	experiments.WritePlace(os.Stdout, res)
-	if out == "" {
-		out = "BENCH_place.json"
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := experiments.WritePlaceJSON(f, res); err != nil {
-		fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-		os.Exit(1)
-	}
-	f.Close()
-	fmt.Printf("result written to %s\n", out)
-	fmt.Println()
-	lines, ok := experiments.PlaceReportLines(res)
-	fmt.Println("Subsystem claims:")
-	for _, l := range lines {
-		fmt.Println("  " + l)
-	}
-	if !ok {
-		os.Exit(1)
-	}
-}
-
-func runWire(seed int64, out string) {
-	fmt.Println("Wire — zero-alloc schema-aware codec vs the gob baseline")
-	fmt.Println("(pooled binary wire path on the RMI hot path; DESIGN.md §15)")
-	fmt.Println()
-	cfg := experiments.WireConfig{Seed: seed}
-	res := experiments.Wire(cfg)
-	experiments.WriteWire(os.Stdout, res)
-	fmt.Println()
-	experiments.WriteWireSpeed(os.Stdout, experiments.MeasureWireSpeed())
-	if out == "" {
-		out = "BENCH_wire.json"
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := experiments.WriteWireJSON(f, res); err != nil {
-		fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-		os.Exit(1)
-	}
-	f.Close()
-	fmt.Printf("result written to %s\n", out)
-	fmt.Println()
-	lines, ok := experiments.WireReportLines(res)
-	fmt.Println("Subsystem claims:")
-	for _, l := range lines {
-		fmt.Println("  " + l)
-	}
-	if !ok {
-		os.Exit(1)
-	}
-}
-
-func runE3(seed int64) {
-	fmt.Println("E3 — automatic object migration under owner contention")
-	fmt.Println("(a workstation owner returns mid-run and seizes 90% of the CPU)")
-	fmt.Println()
-	cfg := experiments.E3Config{Seed: seed}
-	off, on := experiments.E3(cfg)
-	fmt.Printf("  automatic migration OFF: %7.2fs  (worker crawls behind the owner)\n", off.Elapsed.Seconds())
-	fmt.Printf("  automatic migration ON:  %7.2fs  (worker evacuated: %v)\n", on.Elapsed.Seconds(), on.Migrated)
-	fmt.Printf("  benefit: %.1fx\n", float64(off.Elapsed)/float64(on.Elapsed))
-}
-
-func runMandel(maxNodes int, seed int64) {
-	fmt.Printf("E2 — compute-bound Mandelbrot on the simulated cluster\n")
-	fmt.Printf("(contrast with Figure 5: tiny messages, so scaling holds on)\n\n")
-	pts := experiments.Mandel(maxNodes, seed)
-	experiments.WriteMandel(os.Stdout, pts)
-}
-
-func runFig5(sizeList string, maxNodes int, seed int64, metricsOut, chaosPlan string) {
-	var sizes []int
-	for _, s := range strings.Split(sizeList, ",") {
+	for _, s := range strings.Split(*sizes, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || n <= 0 {
 			fmt.Fprintf(os.Stderr, "jsbench: bad size %q\n", s)
 			os.Exit(2)
 		}
-		sizes = append(sizes, n)
+		p.Sizes = append(p.Sizes, n)
 	}
-	fmt.Printf("Figure 5 — JavaSymphony matrix multiplication on the simulated\n")
-	fmt.Printf("13-workstation heterogeneous cluster (virtual execution times)\n")
-	if chaosPlan != "" {
-		fmt.Printf("under fault injection: %s\n", chaosPlan)
-	}
-	fmt.Println()
-	pts := experiments.Figure5(experiments.Figure5Config{
-		Sizes: sizes, MaxNodes: maxNodes, Seed: seed, Chaos: chaosPlan,
-	})
-	experiments.WriteFigure5(os.Stdout, pts)
-	fmt.Println()
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
+
+	if *experiment == "all" {
+		if *seed != 1 || *out != "" {
+			fmt.Fprintln(os.Stderr, "jsbench: -experiment all rewrites the committed seed-1 artifacts; it takes neither -seed nor -out")
+			os.Exit(2)
+		}
+		if !runAll() {
 			os.Exit(1)
 		}
-		if err := experiments.WriteFigure5Metrics(f, pts); err != nil {
-			fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
-			os.Exit(1)
+		return
+	}
+	for _, e := range experiments.Registry {
+		if e.Name == *experiment {
+			if !run(e, p, *out) {
+				os.Exit(1)
+			}
+			return
 		}
-		f.Close()
-		fmt.Printf("metrics snapshots written to %s\n\n", metricsOut)
 	}
-	lines, ok := experiments.ShapeReport(pts)
-	fmt.Println("Shape checks against the paper's claims:")
-	for _, l := range lines {
-		fmt.Println("  " + l)
+	fmt.Fprintf(os.Stderr, "jsbench: unknown experiment %q (have %s, all)\n", *experiment, list)
+	os.Exit(2)
+}
+
+// runAll reruns this command once per registered experiment, each in a
+// process of its own.  encoding/gob numbers types process-wide in
+// first-use order and a larger id encodes longer, so inside one process
+// an experiment's encoded sizes — and the virtual times costed from
+// them — depend on what ran before it.  The committed artifacts are
+// what a fresh process produces.
+func runAll() bool {
+	ok := true
+	for _, e := range experiments.Registry {
+		// A repeated flag's last value wins, so the entry's name goes last.
+		cmd := exec.Command(os.Args[0], append(os.Args[1:], "-experiment="+e.Name)...)
+		cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
+		if err := cmd.Run(); err != nil {
+			fmt.Fprintf(os.Stderr, "jsbench: %s: %v\n", e.Name, err)
+			ok = false
+		}
 	}
-	if !ok {
+	return ok
+}
+
+// run drives one experiment and reports whether all of its claims held.
+func run(e experiments.Entry, p experiments.Params, out string) bool {
+	fmt.Println(e.Banner)
+	fmt.Println()
+	res := e.Run(p)
+	res.WriteText(os.Stdout)
+	fmt.Println()
+	lines, ok := res.Claims()
+
+	if out == "" {
+		out = e.Artifact
+	}
+	switch {
+	case out == "":
+	case !ok && out == e.Artifact:
+		// A result that fails its claims is not evidence: leave the
+		// committed artifact as it was.  An explicit -out still gets it.
+		fmt.Printf("claims failed: %s left untouched\n\n", out)
+	default:
+		write(out, "result", res)
+	}
+	if s, has := res.(experiments.SideOutput); has {
+		if path, what, v := s.SideOutput(p); path != "" {
+			write(path, what, v)
+		}
+	}
+	if len(lines) > 0 {
+		fmt.Println("Claims:")
+		for _, l := range lines {
+			fmt.Println("  " + l)
+		}
+		fmt.Println()
+	}
+	return ok
+}
+
+func write(path, what string, v any) {
+	if err := experiments.WriteArtifact(path, v); err != nil {
+		fmt.Fprintf(os.Stderr, "jsbench: %v\n", err)
 		os.Exit(1)
 	}
+	fmt.Printf("%s written to %s\n\n", what, path)
 }

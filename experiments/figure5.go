@@ -18,7 +18,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -78,13 +77,7 @@ func RunFigure5Point(profile jsymphony.LoadProfile, n, nodes int, seed int64) Fi
 func runFigure5Point(profile jsymphony.LoadProfile, n, nodes int, seed int64, spec *jsymphony.ChaosSpec) Figure5Point {
 	env := jsymphony.NewSimEnv(jsymphony.PaperCluster(), profile, seed, jsymphony.EnvOptions{})
 	if spec != nil {
-		env.SetRMIPolicy(jsymphony.RMIPolicy{
-			AttemptTimeout: 500 * time.Millisecond,
-			Retries:        4,
-			Backoff:        50 * time.Millisecond,
-			BackoffMax:     500 * time.Millisecond,
-			Multiplier:     2,
-		})
+		env.SetRMIPolicy(retryPolicy(4))
 		if _, err := env.InstallChaos(spec, seed); err != nil {
 			panic(fmt.Sprintf("experiments: fig5 chaos: %v", err))
 		}
@@ -135,9 +128,19 @@ func Figure5(cfg Figure5Config) []Figure5Point {
 	return out
 }
 
-// WriteFigure5 renders the sweep as the table behind Figure 5: one row
+// Figure5Result is a sweep and the fault-injection plan it ran under.
+type Figure5Result struct {
+	Chaos  string
+	Points []Figure5Point
+}
+
+// WriteText renders the sweep as the table behind Figure 5: one row
 // per node count, one column per (profile, N) series.
-func WriteFigure5(w io.Writer, pts []Figure5Point) {
+func (res Figure5Result) WriteText(w io.Writer) {
+	pts := res.Points
+	if res.Chaos != "" {
+		fmt.Fprintf(w, "under fault injection: %s\n\n", res.Chaos)
+	}
 	series := map[string][]Figure5Point{}
 	var order []string
 	maxNodes := 0
@@ -173,11 +176,11 @@ func WriteFigure5(w io.Writer, pts []Figure5Point) {
 	tw.Flush()
 }
 
-// WriteFigure5Metrics emits the sweep's per-cell metrics snapshots as a
-// JSON array, one element per run.  The encoding is deterministic:
-// rerunning the sweep with the same configuration produces byte-identical
-// output.
-func WriteFigure5Metrics(w io.Writer, pts []Figure5Point) error {
+// SideOutput offers the sweep's per-cell metrics snapshots as a JSON
+// array, one element per run, for -metricsout.  The encoding is
+// deterministic: rerunning the sweep with the same configuration
+// produces byte-identical output.
+func (res Figure5Result) SideOutput(p Params) (path, what string, v any) {
 	type cell struct {
 		Profile   string           `json:"profile"`
 		N         int              `json:"n"`
@@ -185,21 +188,20 @@ func WriteFigure5Metrics(w io.Writer, pts []Figure5Point) error {
 		ElapsedUS int64            `json:"elapsed_us"`
 		Metrics   metrics.Snapshot `json:"metrics"`
 	}
-	cells := make([]cell, len(pts))
-	for i, pt := range pts {
+	cells := make([]cell, len(res.Points))
+	for i, pt := range res.Points {
 		cells[i] = cell{
 			Profile: pt.Profile, N: pt.N, Nodes: pt.Nodes,
 			ElapsedUS: pt.Elapsed.Microseconds(), Metrics: pt.Metrics,
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(cells)
+	return p.MetricsOut, "metrics snapshots", cells
 }
 
-// ShapeReport checks the paper's qualitative claims against a sweep and
+// Claims checks the paper's qualitative claims against the sweep and
 // returns one line per claim ("PASS"/"FAIL"), plus an overall flag.
-func ShapeReport(pts []Figure5Point) (lines []string, ok bool) {
+func (res Figure5Result) Claims() ([]string, bool) {
+	pts := res.Points
 	byKey := map[string]time.Duration{}
 	sizes := map[int]bool{}
 	maxNodes := 0
@@ -214,15 +216,8 @@ func ShapeReport(pts []Figure5Point) (lines []string, ok bool) {
 		d, ok := byKey[fmt.Sprintf("%s/%d/%d", profile, n, nodes)]
 		return d, ok
 	}
-	ok = true
-	check := func(cond bool, format string, args ...any) {
-		verdict := "PASS"
-		if !cond {
-			verdict = "FAIL"
-			ok = false
-		}
-		lines = append(lines, fmt.Sprintf("%s  %s", verdict, fmt.Sprintf(format, args...)))
-	}
+	var cl claims
+	check := cl.check
 
 	var largest int
 	for n := range sizes {
@@ -323,5 +318,5 @@ func ShapeReport(pts []Figure5Point) (lines []string, ok bool) {
 				small, spSmall, big, spBig)
 		}
 	}
-	return lines, ok
+	return cl.result()
 }

@@ -13,14 +13,14 @@ func TestFigure5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
-	pts := Figure5(Figure5Config{Sizes: []int{200, 800}, MaxNodes: 13, Seed: 1})
-	lines, ok := ShapeReport(pts)
+	res := Figure5Result{Points: Figure5(Figure5Config{Sizes: []int{200, 800}, MaxNodes: 13, Seed: 1})}
+	lines, ok := res.Claims()
 	for _, l := range lines {
 		t.Log(l)
 	}
 	if !ok {
 		var b strings.Builder
-		WriteFigure5(&b, pts)
+		res.WriteText(&b)
 		t.Fatalf("Figure 5 shape check failed:\n%s", b.String())
 	}
 }
@@ -44,7 +44,7 @@ func TestWriteFigure5Format(t *testing.T) {
 		{Profile: "day", N: 200, Nodes: 2, Elapsed: 3e9},
 	}
 	var b strings.Builder
-	WriteFigure5(&b, pts)
+	Figure5Result{Points: pts}.WriteText(&b)
 	out := b.String()
 	for _, want := range []string{"nodes", "night N=200", "day N=200", "2.00s", "3.00s"} {
 		if !strings.Contains(out, want) {
@@ -74,13 +74,14 @@ func TestFigure5MetricsDeterminism(t *testing.T) {
 	if len(a.Metrics.Counters) == 0 || len(a.Metrics.Histograms) == 0 {
 		t.Fatalf("snapshot suspiciously empty: %+v", a.Metrics)
 	}
-	var mb strings.Builder
-	if err := WriteFigure5Metrics(&mb, []Figure5Point{a}); err != nil {
-		t.Fatal(err)
+	path, _, cells := Figure5Result{Points: []Figure5Point{a}}.SideOutput(Params{MetricsOut: "m.json"})
+	mb, err := encodeArtifact(cells)
+	if err != nil || path != "m.json" {
+		t.Fatalf("metrics side output: path %q, err %v", path, err)
 	}
 	for _, want := range []string{`"profile": "night"`, `"nodes": 4`, `"js_rmi_calls_total`} {
-		if !strings.Contains(mb.String(), want) {
-			t.Fatalf("metrics export missing %q:\n%.2000s", want, mb.String())
+		if !strings.Contains(string(mb), want) {
+			t.Fatalf("metrics export missing %q:\n%.2000s", want, mb)
 		}
 	}
 }

@@ -39,12 +39,15 @@ func RunMandelPoint(profile jsymphony.LoadProfile, nodes int, seed int64) Mandel
 	return pt
 }
 
+// MandelSweep is the extension experiment's result.
+type MandelSweep []MandelPoint
+
 // Mandel sweeps node counts 1..maxNodes under night and day load.
-func Mandel(maxNodes int, seed int64) []MandelPoint {
+func Mandel(maxNodes int, seed int64) MandelSweep {
 	if maxNodes <= 0 {
 		maxNodes = 13
 	}
-	var out []MandelPoint
+	var out MandelSweep
 	for _, profile := range []jsymphony.LoadProfile{jsymphony.Night, jsymphony.Day} {
 		for nodes := 1; nodes <= maxNodes; nodes++ {
 			out = append(out, RunMandelPoint(profile, nodes, seed))
@@ -53,8 +56,11 @@ func Mandel(maxNodes int, seed int64) []MandelPoint {
 	return out
 }
 
-// WriteMandel renders the sweep with per-point speedups.
-func WriteMandel(w io.Writer, pts []MandelPoint) {
+// Claims: the sweep is a contrast to read against Figure 5, not a gate.
+func (pts MandelSweep) Claims() ([]string, bool) { return nil, true }
+
+// WriteText renders the sweep with per-point speedups.
+func (pts MandelSweep) WriteText(w io.Writer) {
 	base := map[string]time.Duration{}
 	for _, pt := range pts {
 		if pt.Nodes == 1 {

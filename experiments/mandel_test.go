@@ -38,7 +38,7 @@ func TestWriteMandelFormat(t *testing.T) {
 		{Profile: "day", Nodes: 2, Elapsed: 4e9},
 	}
 	var b strings.Builder
-	WriteMandel(&b, pts)
+	MandelSweep(pts).WriteText(&b)
 	out := b.String()
 	for _, want := range []string{"nodes", "night", "speedup", "2.00"} {
 		if !strings.Contains(out, want) {

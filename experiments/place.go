@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -89,8 +88,7 @@ func placeHints(workload string) *jsymphony.PlacementHints {
 // the invocation counters back.  verified reports whether the run
 // produced the independently computed reference answer.
 func runPlaceCell(cfg PlaceConfig, workload string, hinted bool) (run PlaceRun, verified bool) {
-	machines := jsymphony.UniformCluster(jsymphony.Ultra10_300, cfg.Nodes)
-	env := jsymphony.NewSimEnv(machines, jsymphony.IdleProfile, cfg.Seed, jsymphony.EnvOptions{})
+	env := idleCluster(cfg.Nodes, cfg.Seed)
 	env.RunMain("", func(js *jsymphony.JS) {
 		js.Sleep(500 * time.Millisecond) // let the first NAS reports land
 		if hinted {
@@ -160,8 +158,8 @@ func Place(cfg PlaceConfig) PlaceResult {
 	return res
 }
 
-// WritePlace renders the experiment for the terminal.
-func WritePlace(w io.Writer, res PlaceResult) {
+// WriteText renders the experiment for the terminal.
+func (res PlaceResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "Remote RMIs, load-only vs hinted (seed %d, %d nodes)\n",
 		res.Config.Seed, res.Config.Nodes)
 	fmt.Fprintf(w, "  %-8s %12s %12s %9s %7s %7s %7s\n",
@@ -173,24 +171,10 @@ func WritePlace(w io.Writer, res PlaceResult) {
 	}
 }
 
-// WritePlaceJSON writes the result as deterministic JSON (virtual times
-// and counters only, so a fixed seed reproduces it byte for byte).
-func WritePlaceJSON(w io.Writer, res PlaceResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// PlaceReportLines evaluates the oracle's headline claims.
-func PlaceReportLines(res PlaceResult) (lines []string, ok bool) {
-	ok = true
-	check := func(pass bool, format string, args ...any) {
-		mark := "PASS"
-		if !pass {
-			mark, ok = "FAIL", false
-		}
-		lines = append(lines, fmt.Sprintf("%s %s", mark, fmt.Sprintf(format, args...)))
-	}
+// Claims evaluates the oracle's headline claims.
+func (res PlaceResult) Claims() ([]string, bool) {
+	var cl claims
+	check := cl.check
 	for _, pt := range res.Points {
 		check(pt.Verified, "%s: both runs produced the reference answer", pt.Workload)
 		check(pt.Hinted.RemoteInvokes < pt.Baseline.RemoteInvokes,
@@ -202,5 +186,5 @@ func PlaceReportLines(res PlaceResult) (lines []string, ok bool) {
 		check(pt.Baseline.HintHits == 0 && pt.Baseline.HintSeeds == 0,
 			"%s: the baseline run never consulted hints", pt.Workload)
 	}
-	return lines, ok
+	return cl.result()
 }

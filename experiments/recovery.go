@@ -51,6 +51,7 @@ func (c RecoveryConfig) withDefaults() RecoveryConfig {
 
 // RecoveryResult is the experiment's outcome.
 type RecoveryResult struct {
+	Config    RecoveryConfig
 	Baseline  time.Duration // undisturbed run
 	WithCrash time.Duration // run with one worker crashed at CrashAt
 	Recovered int           // objects re-materialized from checkpoints
@@ -70,17 +71,8 @@ func Recovery(cfg RecoveryConfig) RecoveryResult {
 	want := matmul.Multiply(A, B, cfg.N)
 
 	run := func(spec *jsymphony.ChaosSpec) (time.Duration, int, []float32) {
-		machines := jsymphony.UniformCluster(jsymphony.Ultra10_300, cfg.Nodes)
-		env := jsymphony.NewSimEnv(machines, jsymphony.IdleProfile, cfg.Seed, jsymphony.EnvOptions{})
-		// Retries make sync invocations ride out the crash window until
-		// detection and recovery repoint the handle.
-		env.SetRMIPolicy(jsymphony.RMIPolicy{
-			AttemptTimeout: 500 * time.Millisecond,
-			Retries:        4,
-			Backoff:        50 * time.Millisecond,
-			BackoffMax:     500 * time.Millisecond,
-			Multiplier:     2,
-		})
+		env := idleCluster(cfg.Nodes, cfg.Seed)
+		env.SetRMIPolicy(retryPolicy(4))
 		if spec != nil {
 			if _, err := env.InstallChaos(spec, cfg.Seed); err != nil {
 				panic(fmt.Sprintf("experiments: recovery: %v", err))
@@ -106,6 +98,7 @@ func Recovery(cfg RecoveryConfig) RecoveryResult {
 
 	correct := equalF32(crashedC, want) && equalF32(baseC, want)
 	return RecoveryResult{
+		Config:    cfg,
 		Baseline:  base,
 		WithCrash: crashed,
 		Recovered: recovered,
@@ -127,9 +120,9 @@ func equalF32(a, b []float32) bool {
 	return true
 }
 
-// WriteRecovery renders the result.
-func WriteRecovery(w io.Writer, cfg RecoveryConfig, r RecoveryResult) {
-	cfg = cfg.withDefaults()
+// WriteText renders the result.
+func (r RecoveryResult) WriteText(w io.Writer) {
+	cfg := r.Config
 	fmt.Fprintf(w, "matmul N=%d on %d uniform nodes, checkpoints every %v, %s crashed at t=%v\n\n",
 		cfg.N, cfg.Nodes, cfg.Checkpoint, r.Victim, cfg.CrashAt)
 	fmt.Fprintf(w, "  undisturbed run:    %8.2fs\n", r.Baseline.Seconds())
@@ -137,4 +130,11 @@ func WriteRecovery(w io.Writer, cfg RecoveryConfig, r RecoveryResult) {
 	fmt.Fprintf(w, "  objects recovered:  %d\n", r.Recovered)
 	fmt.Fprintf(w, "  result correct:     %v\n", r.Correct)
 	fmt.Fprintf(w, "  recovery overhead:  %+.1f%%\n", r.Overhead*100)
+}
+
+// Claims holds recovery to finishing *right*, not just finishing.
+func (r RecoveryResult) Claims() ([]string, bool) {
+	var cl claims
+	cl.check(r.Correct, "both runs' products match the sequential reference")
+	return cl.result()
 }

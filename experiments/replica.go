@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -91,8 +90,7 @@ type ReplicaResult struct {
 // store is pinned to node01 so the baseline is genuinely remote for all
 // but one reader (node00 hosts the application and the directory).
 func runReplicaPoint(cfg ReplicaConfig, n int, mode jsymphony.ReplicaMode) ReplicaPoint {
-	machines := jsymphony.UniformCluster(jsymphony.Ultra10_300, cfg.Nodes)
-	env := jsymphony.NewSimEnv(machines, jsymphony.IdleProfile, cfg.Seed, jsymphony.EnvOptions{})
+	env := idleCluster(cfg.Nodes, cfg.Seed)
 	pt := ReplicaPoint{N: n, Mode: "none"}
 	if n > 0 {
 		pt.Mode = string(mode)
@@ -156,23 +154,14 @@ func runReplicaPoint(cfg ReplicaConfig, n int, mode jsymphony.ReplicaMode) Repli
 
 // runReplicaAvailability runs part B on a fresh cluster.
 func runReplicaAvailability(cfg ReplicaConfig) ReplicaAvailability {
-	machines := jsymphony.UniformCluster(jsymphony.Ultra10_300, cfg.Nodes)
-	env := jsymphony.NewSimEnv(machines, jsymphony.IdleProfile, cfg.Seed, jsymphony.EnvOptions{})
-	env.SetRMIPolicy(jsymphony.RMIPolicy{
-		AttemptTimeout: 500 * time.Millisecond,
-		Retries:        4,
-		Backoff:        50 * time.Millisecond,
-		BackoffMax:     500 * time.Millisecond,
-		Multiplier:     2,
-	})
+	env := idleCluster(cfg.Nodes, cfg.Seed)
+	env.SetRMIPolicy(retryPolicy(4))
 	inj, err := env.InstallChaos(&jsymphony.ChaosSpec{}, cfg.Seed)
 	must(err)
 	res := ReplicaAvailability{Victim: "node01"}
 	env.RunMain("", func(js *jsymphony.JS) {
 		js.Sleep(500 * time.Millisecond)
-		cb := js.NewCodebase()
-		must(cb.Add(kv.StoreClass))
-		must(cb.LoadNodes(env.Nodes()...))
+		loadStore(js, env)
 		home, err := js.NewNamedNode(res.Victim)
 		must(err)
 		store, err := js.NewObject(kv.StoreClass, home, nil)
@@ -238,8 +227,8 @@ func Replica(cfg ReplicaConfig) ReplicaResult {
 	return res
 }
 
-// WriteReplica renders the experiment for the terminal.
-func WriteReplica(w io.Writer, res ReplicaResult) {
+// WriteText renders the experiment for the terminal.
+func (res ReplicaResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "Part A — read throughput, %d readers x %d reads (virtual time)\n",
 		res.Config.Nodes, res.Config.ReadsEach)
 	fmt.Fprintf(w, "  %-4s %-9s %10s %12s %9s\n", "N", "MODE", "ELAPSED", "READS/S", "HIT%")
@@ -255,24 +244,10 @@ func WriteReplica(w io.Writer, res ReplicaResult) {
 		a.Acked, a.Final, a.LostWrites, a.Promotions, a.PromotionUs)
 }
 
-// WriteReplicaJSON writes the result as deterministic JSON (virtual
-// times only, so a fixed seed reproduces it byte for byte).
-func WriteReplicaJSON(w io.Writer, res ReplicaResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// ReplicaReport evaluates the subsystem's headline claims.
-func ReplicaReport(res ReplicaResult) (lines []string, ok bool) {
-	ok = true
-	check := func(pass bool, format string, args ...any) {
-		mark := "PASS"
-		if !pass {
-			mark, ok = "FAIL", false
-		}
-		lines = append(lines, fmt.Sprintf("%s %s", mark, fmt.Sprintf(format, args...)))
-	}
+// Claims evaluates the subsystem's headline claims.
+func (res ReplicaResult) Claims() ([]string, bool) {
+	var cl claims
+	check := cl.check
 	check(res.SpeedupAtMax >= 2,
 		"N=4 read replicas deliver >= 2x single-copy throughput (got %.2fx)", res.SpeedupAtMax)
 	var hit4 float64
@@ -290,11 +265,5 @@ func ReplicaReport(res ReplicaResult) (lines []string, ok bool) {
 		res.Availability.Promotions)
 	check(res.Availability.NewPrimary != "" && res.Availability.NewPrimary != res.Availability.Victim,
 		"the handle points away from the dead node (now %s)", res.Availability.NewPrimary)
-	return lines, ok
-}
-
-func must(err error) {
-	if err != nil {
-		panic(fmt.Sprintf("experiments: replica: %v", err))
-	}
+	return cl.result()
 }

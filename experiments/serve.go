@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -211,8 +210,7 @@ func serveRun(cfg ServeConfig, arrivals []loadgen.Arrival, shed bool) ServeRun {
 	}
 	run := ServeRun{Name: name}
 
-	machines := jsymphony.UniformCluster(jsymphony.Ultra10_300, cfg.Nodes)
-	env := jsymphony.NewSimEnv(machines, jsymphony.IdleProfile, cfg.Seed, jsymphony.EnvOptions{})
+	env := idleCluster(cfg.Nodes, cfg.Seed)
 	for _, cl := range cfg.Classes {
 		must(env.DeclareSLO(jsymphony.SLO{
 			Class: cl.Name, Target: cl.Target, Percentile: cl.Percentile,
@@ -228,9 +226,7 @@ func serveRun(cfg ServeConfig, arrivals []loadgen.Arrival, shed bool) ServeRun {
 
 	env.RunMain("", func(js *jsymphony.JS) {
 		js.Sleep(500 * time.Millisecond)
-		cb := js.NewCodebase()
-		must(cb.Add(kv.StoreClass))
-		must(cb.LoadNodes(env.Nodes()...))
+		loadStore(js, env)
 
 		g, err := js.NewShardGroup("kv", kv.StoreClass, jsymphony.ShardSpec{
 			Shards: cfg.Shards,
@@ -290,20 +286,7 @@ func serveRun(cfg ServeConfig, arrivals []loadgen.Arrival, shed bool) ServeRun {
 
 	run.Report = env.SLOReport()
 
-	bd := jsymphony.AggregateCritPath(env.Spans(), func(s *jsymphony.Span) bool {
-		return s.Class != ""
-	})
-	run.Breakdown = SloBreakdown{
-		Requests:     bd.Requests,
-		TotalUs:      bd.Total.Microseconds(),
-		AttributedUs: bd.Attributed.Microseconds(),
-		Coverage:     bd.Coverage,
-		ByKindUs:     make(map[string]int64, len(bd.ByKind)),
-		Dominant:     bd.Dominant,
-	}
-	for kind, d := range bd.ByKind {
-		run.Breakdown.ByKindUs[kind] = d.Microseconds()
-	}
+	run.Breakdown = classifiedBreakdown(env)
 
 	// Outcome taxonomy: a shed and a timeout are disjoint by contract —
 	// a request typed as both would be double-counted, so tally it
@@ -446,8 +429,8 @@ func classOf(r jsymphony.SLOReport, class string) (p50, p99 time.Duration, count
 	return 0, 0, 0, 0, 0, false, false
 }
 
-// WriteServe renders the experiment for the terminal.
-func WriteServe(w io.Writer, res ServeResult) {
+// WriteText renders the experiment for the terminal.
+func (res ServeResult) WriteText(w io.Writer) {
 	cfg := res.Config
 	fmt.Fprintf(w, "Open-loop serve: %d arrivals, %d clients in %d classes, peak %.0f req/s\n",
 		res.Arrivals, cfg.Clients, len(cfg.Classes), res.PeakRate)
@@ -510,23 +493,10 @@ func WriteServe(w io.Writer, res ServeResult) {
 	}
 }
 
-// WriteServeJSON writes the result as deterministic JSON.
-func WriteServeJSON(w io.Writer, res ServeResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// ServeReportLines evaluates the subsystem's headline claims.
-func ServeReportLines(res ServeResult) (lines []string, ok bool) {
-	ok = true
-	check := func(pass bool, format string, args ...any) {
-		mark := "PASS"
-		if !pass {
-			mark, ok = "FAIL", false
-		}
-		lines = append(lines, fmt.Sprintf("%s %s", mark, fmt.Sprintf(format, args...)))
-	}
+// Claims evaluates the subsystem's headline claims.
+func (res ServeResult) Claims() ([]string, bool) {
+	var cl claims
+	check := cl.check
 	cfg := res.Config
 	top := cfg.Classes[0]
 
@@ -570,5 +540,5 @@ func ServeReportLines(res ServeResult) (lines []string, ok bool) {
 	check(res.Shed.Breakdown.Coverage >= 0.95,
 		"critical path still attributes >= 95%% of classified latency with shedding active (got %.1f%%)",
 		100*res.Shed.Breakdown.Coverage)
-	return lines, ok
+	return cl.result()
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -106,14 +105,11 @@ func shardKey(i int) string { return fmt.Sprintf("k%03d", i) }
 // runShardPoint measures one shard count on a fresh cluster: create the
 // group, push all keyed writes concurrently, then read every key back.
 func runShardPoint(cfg ShardConfig, s int) ShardPoint {
-	machines := jsymphony.UniformCluster(jsymphony.Ultra10_300, cfg.Nodes)
-	env := jsymphony.NewSimEnv(machines, jsymphony.IdleProfile, cfg.Seed, jsymphony.EnvOptions{})
+	env := idleCluster(cfg.Nodes, cfg.Seed)
 	pt := ShardPoint{Shards: s}
 	env.RunMain("", func(js *jsymphony.JS) {
 		js.Sleep(500 * time.Millisecond)
-		cb := js.NewCodebase()
-		must(cb.Add(kv.StoreClass))
-		must(cb.LoadNodes(env.Nodes()...))
+		loadStore(js, env)
 
 		g, err := js.NewShardGroup("kv", kv.StoreClass, jsymphony.ShardSpec{
 			Shards:     s,
@@ -152,14 +148,11 @@ func runShardPoint(cfg ShardConfig, s int) ShardPoint {
 // runShardAuthBatch runs part B on a fresh cluster: many replicated
 // objects on one primary node, renewer left to tick for a fixed window.
 func runShardAuthBatch(cfg ShardConfig) ShardAuthBatch {
-	machines := jsymphony.UniformCluster(jsymphony.Ultra10_300, cfg.Nodes)
-	env := jsymphony.NewSimEnv(machines, jsymphony.IdleProfile, cfg.Seed, jsymphony.EnvOptions{})
+	env := idleCluster(cfg.Nodes, cfg.Seed)
 	res := ShardAuthBatch{Objects: cfg.AuthObjects}
 	env.RunMain("", func(js *jsymphony.JS) {
 		js.Sleep(500 * time.Millisecond)
-		cb := js.NewCodebase()
-		must(cb.Add(kv.StoreClass))
-		must(cb.LoadNodes(env.Nodes()...))
+		loadStore(js, env)
 		home, err := js.NewNamedNode("node01")
 		must(err)
 		for i := 0; i < cfg.AuthObjects; i++ {
@@ -186,14 +179,11 @@ func runShardAuthBatch(cfg ShardConfig) ShardAuthBatch {
 // sharded store with a modeled read cost, hammered by identical
 // concurrent reads.
 func runShardCoalesce(cfg ShardConfig) ShardCoalesce {
-	machines := jsymphony.UniformCluster(jsymphony.Ultra10_300, cfg.Nodes)
-	env := jsymphony.NewSimEnv(machines, jsymphony.IdleProfile, cfg.Seed, jsymphony.EnvOptions{})
+	env := idleCluster(cfg.Nodes, cfg.Seed)
 	res := ShardCoalesce{Readers: cfg.Readers}
 	env.RunMain("", func(js *jsymphony.JS) {
 		js.Sleep(500 * time.Millisecond)
-		cb := js.NewCodebase()
-		must(cb.Add(kv.StoreClass))
-		must(cb.LoadNodes(env.Nodes()...))
+		loadStore(js, env)
 		g, err := js.NewShardGroup("hotkv", kv.StoreClass, jsymphony.ShardSpec{
 			Shards:     2,
 			InitMethod: "InitRW",
@@ -247,8 +237,8 @@ func Shard(cfg ShardConfig) ShardResult {
 	return res
 }
 
-// WriteShard renders the experiment for the terminal.
-func WriteShard(w io.Writer, res ShardResult) {
+// WriteText renders the experiment for the terminal.
+func (res ShardResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "Part A — write throughput, %d keyed Puts (virtual time)\n", res.Config.Keys)
 	fmt.Fprintf(w, "  %-7s %10s %12s %-6s\n", "SHARDS", "ELAPSED", "WRITES/S", "EXACT")
 	for _, pt := range res.Points {
@@ -266,24 +256,10 @@ func WriteShard(w io.Writer, res ShardResult) {
 		c.Readers, c.Coalesced)
 }
 
-// WriteShardJSON writes the result as deterministic JSON (virtual times
-// only, so a fixed seed reproduces it byte for byte).
-func WriteShardJSON(w io.Writer, res ShardResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// ShardReport evaluates the subsystem's headline claims.
-func ShardReport(res ShardResult) (lines []string, ok bool) {
-	ok = true
-	check := func(pass bool, format string, args ...any) {
-		mark := "PASS"
-		if !pass {
-			mark, ok = "FAIL", false
-		}
-		lines = append(lines, fmt.Sprintf("%s %s", mark, fmt.Sprintf(format, args...)))
-	}
+// Claims evaluates the subsystem's headline claims.
+func (res ShardResult) Claims() ([]string, bool) {
+	var cl claims
+	check := cl.check
 	check(res.SpeedupAtMax >= 3,
 		"S=4 shards deliver >= 3x single-shard write throughput (got %.2fx)", res.SpeedupAtMax)
 	for _, pt := range res.Points {
@@ -295,5 +271,5 @@ func ShardReport(res ShardResult) (lines []string, ok bool) {
 	check(res.Coalesce.Coalesced > 0,
 		"concurrent identical reads coalesce on the router (%d of %d joined an in-flight call)",
 		res.Coalesce.Coalesced, res.Coalesce.Readers)
-	return lines, ok
+	return cl.result()
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -98,23 +97,42 @@ type SloBreakdown struct {
 	Dominant     string           `json:"dominant"`
 }
 
+// classifiedBreakdown decomposes every classified request env traced.
+func classifiedBreakdown(env *jsymphony.Env) SloBreakdown {
+	bd := jsymphony.AggregateCritPath(env.Spans(), func(s *jsymphony.Span) bool {
+		return s.Class != ""
+	})
+	out := SloBreakdown{
+		Requests:     bd.Requests,
+		TotalUs:      bd.Total.Microseconds(),
+		AttributedUs: bd.Attributed.Microseconds(),
+		Coverage:     bd.Coverage,
+		ByKindUs:     make(map[string]int64, len(bd.ByKind)),
+		Dominant:     bd.Dominant,
+	}
+	for kind, d := range bd.ByKind {
+		out.ByKindUs[kind] = d.Microseconds()
+	}
+	return out
+}
+
 // SloResult is the whole experiment.
 type SloResult struct {
-	Config      SloConfig           `json:"config"`
-	Report      jsymphony.SLOReport `json:"report"`
-	Breakdown   SloBreakdown        `json:"breakdown"`
+	Config      SloConfig             `json:"config"`
+	Report      jsymphony.SLOReport   `json:"report"`
+	Breakdown   SloBreakdown          `json:"breakdown"`
 	Heat        []jsymphony.ShardHeat `json:"heat"`
-	HotKey      string              `json:"hot_key"`
-	HotKeyCount int64               `json:"hot_key_count"`
-	HotKeyTop   bool                `json:"hot_key_top"` // globally hottest entry
-	Dumps       int                 `json:"dumps"`       // flight dumps preserved
-	DumpReasons []string            `json:"dump_reasons"`
-	Exact       bool                `json:"exact"` // hot key read back its last write
+	HotKey      string                `json:"hot_key"`
+	HotKeyCount int64                 `json:"hot_key_count"`
+	HotKeyTop   bool                  `json:"hot_key_top"` // globally hottest entry
+	Dumps       int                   `json:"dumps"`       // flight dumps preserved
+	DumpReasons []string              `json:"dump_reasons"`
+	Exact       bool                  `json:"exact"` // hot key read back its last write
 
 	// Flight carries the preserved dumps themselves (events, spans,
 	// metrics, SLO state at trigger time).  They are a debugging
 	// artifact, not part of the benchmark result, so they are excluded
-	// from the JSON artifact and written separately (WriteSloFlightJSON).
+	// from the JSON artifact and written separately (SideOutput).
 	Flight []jsymphony.FlightDump `json:"-"`
 }
 
@@ -127,8 +145,7 @@ func Slo(cfg SloConfig) SloResult {
 	cfg = cfg.withDefaults()
 	res := SloResult{Config: cfg, HotKey: sloHotKey}
 
-	machines := jsymphony.UniformCluster(jsymphony.Ultra10_300, cfg.Nodes)
-	env := jsymphony.NewSimEnv(machines, jsymphony.IdleProfile, cfg.Seed, jsymphony.EnvOptions{})
+	env := idleCluster(cfg.Nodes, cfg.Seed)
 
 	// A mid-run slowdown on one worker: the owner returns and takes 60%
 	// of the CPU for a second.  The injected fault is what pins the
@@ -148,9 +165,7 @@ func Slo(cfg SloConfig) SloResult {
 
 	env.RunMain("", func(js *jsymphony.JS) {
 		js.Sleep(500 * time.Millisecond)
-		cb := js.NewCodebase()
-		must(cb.Add(kv.StoreClass))
-		must(cb.LoadNodes(env.Nodes()...))
+		loadStore(js, env)
 
 		g, err := js.NewShardGroup("kv", kv.StoreClass, jsymphony.ShardSpec{
 			Shards: cfg.Shards,
@@ -205,20 +220,7 @@ func Slo(cfg SloConfig) SloResult {
 
 	res.Report = env.SLOReport()
 
-	bd := jsymphony.AggregateCritPath(env.Spans(), func(s *jsymphony.Span) bool {
-		return s.Class != ""
-	})
-	res.Breakdown = SloBreakdown{
-		Requests:     bd.Requests,
-		TotalUs:      bd.Total.Microseconds(),
-		AttributedUs: bd.Attributed.Microseconds(),
-		Coverage:     bd.Coverage,
-		ByKindUs:     make(map[string]int64, len(bd.ByKind)),
-		Dominant:     bd.Dominant,
-	}
-	for kind, d := range bd.ByKind {
-		res.Breakdown.ByKindUs[kind] = d.Microseconds()
-	}
+	res.Breakdown = classifiedBreakdown(env)
 
 	// The planted hot key must be the globally hottest sketch entry.
 	for _, sh := range res.Heat {
@@ -247,8 +249,8 @@ func Slo(cfg SloConfig) SloResult {
 	return res
 }
 
-// WriteSlo renders the experiment for the terminal.
-func WriteSlo(w io.Writer, res SloResult) {
+// WriteText renders the experiment for the terminal.
+func (res SloResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "SLO attainment (%d ops, %d shards, virtual time)\n",
 		res.Config.Ops, res.Config.Shards)
 	for _, line := range strings.Split(strings.TrimRight(res.Report.Format(), "\n"), "\n") {
@@ -285,36 +287,20 @@ func WriteSlo(w io.Writer, res SloResult) {
 	}
 }
 
-// WriteSloJSON writes the result as deterministic JSON (virtual times
-// only; map keys are sorted by the encoder).
-func WriteSloJSON(w io.Writer, res SloResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
+// SideOutput offers the preserved flight dumps (the full observability
+// snapshots taken at each trigger) for -flightout.
+func (res SloResult) SideOutput(p Params) (path, what string, v any) {
+	dumps := res.Flight
+	if dumps == nil {
+		dumps = []jsymphony.FlightDump{} // encode as [], not null
+	}
+	return p.FlightOut, "flight dumps", dumps
 }
 
-// WriteSloFlightJSON writes the preserved flight dumps (the full
-// observability snapshots taken at each trigger) as deterministic JSON.
-func WriteSloFlightJSON(w io.Writer, res SloResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if res.Flight == nil {
-		_, err := io.WriteString(w, "[]\n")
-		return err
-	}
-	return enc.Encode(res.Flight)
-}
-
-// SloReportLines evaluates the subsystem's headline claims.
-func SloReportLines(res SloResult) (lines []string, ok bool) {
-	ok = true
-	check := func(pass bool, format string, args ...any) {
-		mark := "PASS"
-		if !pass {
-			mark, ok = "FAIL", false
-		}
-		lines = append(lines, fmt.Sprintf("%s %s", mark, fmt.Sprintf(format, args...)))
-	}
+// Claims evaluates the subsystem's headline claims.
+func (res SloResult) Claims() ([]string, bool) {
+	var cl claims
+	check := cl.check
 	var readCount, writeCount int64
 	for _, c := range res.Report.Classes {
 		switch c.Class {
@@ -344,5 +330,5 @@ func SloReportLines(res SloResult) (lines []string, ok bool) {
 	check(breachDump,
 		"SLO burn-rate breach preserved a flight dump (%d dump(s) total)", res.Dumps)
 	check(res.Exact, "hot key read back its last written value")
-	return lines, ok
+	return cl.result()
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -77,6 +76,10 @@ type WireResult struct {
 	Config WireConfig
 	Codec  []CodecStat
 	E2E    []WireE2E
+
+	// Speed is the wall-clock section (MeasureWireSpeed): real time, so
+	// it is rendered on the terminal but excluded from the artifact.
+	Speed []WireSpeed `json:"-"`
 }
 
 // wirePayloads are the representative bodies the microbenchmarks
@@ -158,7 +161,7 @@ func runWireE2E(cfg WireConfig, workload string) WireE2E {
 		defer rmi.SetGobOnly(prev)
 		switch workload {
 		case "kv":
-			env := jsymphony.NewSimEnv(jsymphony.UniformCluster(jsymphony.Ultra10_300, 8), jsymphony.IdleProfile, cfg.Seed, jsymphony.EnvOptions{})
+			env := idleCluster(8, cfg.Seed)
 			env.RunMain("", func(js *jsymphony.JS) {
 				kcfg := kv.FleetConfig{Nodes: 8, Readers: 8, ReadsPerReader: 64}
 				start := js.Now()
@@ -266,8 +269,8 @@ func MeasureWireSpeed() []WireSpeed {
 	return out
 }
 
-// WriteWire renders the experiment for the terminal.
-func WriteWire(w io.Writer, res WireResult) {
+// WriteText renders the experiment for the terminal.
+func (res WireResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "Codec microbenchmarks (seed-free; allocations per op)\n")
 	fmt.Fprintf(w, "  %-14s %10s %10s %9s %9s %9s %9s\n",
 		"PAYLOAD", "WIRE-B", "GOB-B", "W-ENC-A", "G-ENC-A", "W-DEC-A", "G-DEC-A")
@@ -284,36 +287,20 @@ func WriteWire(w io.Writer, res WireResult) {
 			e.Workload, e.GobElapsedUs, e.WireElapsedUs, e.SpeedupPct,
 			e.GobBytesOut, e.WireBytesOut, e.BytesCutPct, e.Verified)
 	}
-}
-
-// WriteWireSpeed renders the wall-clock section (never committed).
-func WriteWireSpeed(w io.Writer, speeds []WireSpeed) {
-	fmt.Fprintf(w, "Wall-clock encode+decode (this machine, not committed)\n")
+	if res.Speed == nil {
+		return
+	}
+	fmt.Fprintf(w, "\nWall-clock encode+decode (this machine, not committed)\n")
 	fmt.Fprintf(w, "  %-14s %10s %10s %9s\n", "PAYLOAD", "WIRE-NS", "GOB-NS", "SPEEDUP")
-	for _, s := range speeds {
+	for _, s := range res.Speed {
 		fmt.Fprintf(w, "  %-14s %10.0f %10.0f %8.1fx\n", s.Payload, s.WireNs, s.GobNs, s.Speedup)
 	}
 }
 
-// WriteWireJSON writes the deterministic sections as JSON: a fixed
-// seed reproduces the file byte for byte.
-func WriteWireJSON(w io.Writer, res WireResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// WireReportLines evaluates the headline claims on the deterministic
-// sections.
-func WireReportLines(res WireResult) (lines []string, ok bool) {
-	ok = true
-	check := func(pass bool, format string, args ...any) {
-		mark := "PASS"
-		if !pass {
-			mark, ok = "FAIL", false
-		}
-		lines = append(lines, fmt.Sprintf("%s %s", mark, fmt.Sprintf(format, args...)))
-	}
+// Claims evaluates the headline claims on the deterministic sections.
+func (res WireResult) Claims() ([]string, bool) {
+	var cl claims
+	check := cl.check
 	for _, c := range res.Codec {
 		check(c.GobEncAllocs >= 5*c.WireEncAllocs || c.WireEncAllocs == 0,
 			"%s: wire encode allocates >=5x less than gob (%.1f vs %.1f allocs/op)",
@@ -331,5 +318,5 @@ func WireReportLines(res WireResult) (lines []string, ok bool) {
 			"%s: wire run put fewer bytes on the wire (%d vs %d, %.2f%%)",
 			e.Workload, e.WireBytesOut, e.GobBytesOut, e.BytesCutPct)
 	}
-	return lines, ok
+	return cl.result()
 }

@@ -6,13 +6,12 @@ import (
 
 	"jsymphony/internal/sched"
 	"jsymphony/internal/simnet"
-	"jsymphony/internal/vclock"
 )
 
 func TestCallPaddedChargesWire(t *testing.T) {
 	// A padded call must cost transmission time for the pad on the
 	// simulated fabric even though no real bytes exist.
-	c := vclock.New()
+	c := heldClock()
 	s := sched.Virtual(c)
 	fab := simnet.New(c, simnet.UniformCluster(simnet.Ultra10_300, 2), simnet.Idle, 1)
 	net := NewFab(fab, DefaultCost)
@@ -42,7 +41,7 @@ func TestCallPaddedChargesWire(t *testing.T) {
 		}
 		padded = s.Now() - t0
 	})
-	c.Run()
+	runHeld(c)
 	if padded < plain+90*time.Millisecond {
 		t.Fatalf("pad not charged: plain=%v padded=%v", plain, padded)
 	}

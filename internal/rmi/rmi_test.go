@@ -45,26 +45,26 @@ func worlds(t *testing.T, nodes int) []*world {
 	}
 	// In-memory transport, virtual time.
 	{
-		c := vclock.New()
+		c := heldClock()
 		s := sched.Virtual(c)
 		ws = append(ws, &world{
 			name:  "mem-virtual",
 			s:     s,
 			net:   NewMem(s, 100*time.Microsecond),
-			join:  c.Run,
+			join:  func() { runHeld(c) },
 			spawn: s.Spawn,
 		})
 	}
 	// Simulated fabric, virtual time.
 	{
-		c := vclock.New()
+		c := heldClock()
 		s := sched.Virtual(c)
 		fab := simnet.New(c, simnet.UniformCluster(simnet.Ultra10_300, nodes), simnet.Idle, 1)
 		ws = append(ws, &world{
 			name:  "fab-virtual",
 			s:     s,
 			net:   NewFab(fab, DefaultCost),
-			join:  c.Run,
+			join:  func() { runHeld(c) },
 			spawn: s.Spawn,
 		})
 	}
@@ -84,6 +84,24 @@ func worlds(t *testing.T, nodes int) []*world {
 		})
 	}
 	return ws
+}
+
+// heldClock returns a clock whose run token is reserved for the test
+// goroutine: stations started and callers spawned during setup queue
+// instead of starting, so a dispatcher cannot block on its empty inbox
+// (tripping the deadlock detector on a transient) before the caller
+// that will feed it is registered.
+func heldClock() *vclock.Clock {
+	c := vclock.New()
+	c.Hold()
+	return c
+}
+
+// runHeld releases a held clock — the queued procs start in spawn
+// order — and waits for every one to retire.
+func runHeld(c *vclock.Clock) {
+	c.Adopt("root").Done()
+	c.Run()
 }
 
 // nodeNames matches simnet.UniformCluster naming.
@@ -525,11 +543,11 @@ func TestTCPRequiresReal(t *testing.T) {
 func TestFabCallCostsVirtualTime(t *testing.T) {
 	// On the simulated fabric a call must consume virtual time: CPU
 	// marshalling cost + NIC + latency, both ways.
-	c := vclock.New()
+	c := heldClock()
 	s := sched.Virtual(c)
 	fab := simnet.New(c, simnet.UniformCluster(simnet.Ultra10_300, 2), simnet.Idle, 1)
 	net := NewFab(fab, DefaultCost)
-	w := &world{name: "fab", s: s, net: net, join: c.Run, spawn: s.Spawn}
+	w := &world{name: "fab", s: s, net: net, join: func() { runHeld(c) }, spawn: s.Spawn}
 	names := nodeNames(2)
 	a := newStation(t, w, names[0])
 	b := newStation(t, w, names[1])

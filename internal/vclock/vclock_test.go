@@ -9,6 +9,23 @@ import (
 	"time"
 )
 
+// newHeld returns a clock whose run token is reserved for the test
+// goroutine, so actors spawned during setup queue instead of starting:
+// an early one can neither block (tripping the deadlock detector on a
+// transient) nor advance time before a later one is registered.
+func newHeld() *Clock {
+	c := New()
+	c.Hold()
+	return c
+}
+
+// runHeld releases a held clock — the queued actors start in spawn order —
+// and waits for every actor to retire.
+func runHeld(c *Clock) {
+	c.Adopt("root").Done()
+	c.Run()
+}
+
 func TestSingleActorSleep(t *testing.T) {
 	c := New()
 	var end Time
@@ -27,7 +44,7 @@ func TestSingleActorSleep(t *testing.T) {
 }
 
 func TestTwoActorsInterleave(t *testing.T) {
-	c := New()
+	c := newHeld()
 	var mu sync.Mutex
 	var order []string
 	log := func(a *Actor, tag string) {
@@ -45,7 +62,7 @@ func TestTwoActorsInterleave(t *testing.T) {
 		a.Sleep(10 * time.Millisecond)
 		log(a, "fast@20")
 	})
-	c.Run()
+	runHeld(c)
 	want := []string{"fast@10", "fast@20", "slow@30"}
 	if len(order) != 3 {
 		t.Fatalf("order = %v", order)
@@ -173,7 +190,7 @@ func TestParallelMaxProperty(t *testing.T) {
 		if len(raw) > 8 {
 			raw = raw[:8]
 		}
-		c := New()
+		c := newHeld()
 		var max time.Duration
 		for i, durs := range raw {
 			var total time.Duration
@@ -191,7 +208,7 @@ func TestParallelMaxProperty(t *testing.T) {
 				}
 			})
 		}
-		c.Run()
+		runHeld(c)
 		return c.Now() == Time(max)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -201,7 +218,7 @@ func TestParallelMaxProperty(t *testing.T) {
 
 // Property: virtual time never goes backwards as observed by any actor.
 func TestMonotonicTime(t *testing.T) {
-	c := New()
+	c := newHeld()
 	var mu sync.Mutex
 	bad := false
 	for i := 0; i < 10; i++ {
@@ -221,7 +238,7 @@ func TestMonotonicTime(t *testing.T) {
 			}
 		})
 	}
-	c.Run()
+	runHeld(c)
 	if bad {
 		t.Fatal("observed time going backwards")
 	}
@@ -231,7 +248,7 @@ func TestMonotonicTime(t *testing.T) {
 // the same per-event timestamps across runs.
 func TestDeterminism(t *testing.T) {
 	run := func() (Time, []Time) {
-		c := New()
+		c := newHeld()
 		var mu sync.Mutex
 		var stamps []Time
 		box := NewMailbox(c, "box")
@@ -255,7 +272,7 @@ func TestDeterminism(t *testing.T) {
 				mu.Unlock()
 			}
 		})
-		c.Run()
+		runHeld(c)
 		return c.Now(), stamps
 	}
 	t1, s1 := run()
@@ -277,7 +294,7 @@ func TestDeterminism(t *testing.T) {
 // actor executes user code at any real-time moment, even when many are
 // runnable at the same virtual instant.
 func TestSerializedExecution(t *testing.T) {
-	c := New()
+	c := newHeld()
 	var running atomic.Int32
 	for i := 0; i < 8; i++ {
 		c.Spawn("worker", func(a *Actor) {
@@ -292,7 +309,7 @@ func TestSerializedExecution(t *testing.T) {
 			}
 		})
 	}
-	c.Run()
+	runHeld(c)
 }
 
 // TestHoldDeterministicOrder checks that with Hold covering the spawn
@@ -343,7 +360,7 @@ func BenchmarkSleepWake(b *testing.B) {
 }
 
 func BenchmarkPingPong(b *testing.B) {
-	c := New()
+	c := newHeld() // the Adopt below takes over the hold
 	ping := NewMailbox(c, "ping")
 	pong := NewMailbox(c, "pong")
 	n := b.N
