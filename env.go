@@ -156,21 +156,7 @@ func (e *Env) WALStatus() []WALStats { return e.w.WALStatus() }
 // application on the given home node ("" = the first node), runs fn,
 // unregisters, and shuts the simulation down.  This is the virtual-time
 // analogue of a JavaSymphony main program (paper Fig. 6).
-func (e *Env) RunMain(home string, fn func(js *JS)) {
-	e.w.RunMain(func(p sched.Proc) {
-		p.Sleep(settleTime(e))
-		if home == "" {
-			home = e.w.Nodes()[0]
-		}
-		app, err := e.w.Register(home)
-		if err != nil {
-			panic(err)
-		}
-		js := &JS{env: e, app: app, p: p}
-		defer app.Unregister(p)
-		fn(js)
-	})
-}
+func (e *Env) RunMain(home string, fn func(js *JS)) { e.runMain(home, fn, true) }
 
 // RunMainDurable is RunMain without the final Unregister: on a
 // durability-enabled environment the application's persisted objects
@@ -178,7 +164,10 @@ func (e *Env) RunMain(home string, fn func(js *JS)) {
 // tombstone them.  A later environment over the same stable media
 // replays them with JS.RecoverDurable — the whole-cluster-restart path
 // of DESIGN.md §13.
-func (e *Env) RunMainDurable(home string, fn func(js *JS)) {
+func (e *Env) RunMainDurable(home string, fn func(js *JS)) { e.runMain(home, fn, false) }
+
+// runMain is the body of both; unregister is the whole difference.
+func (e *Env) runMain(home string, fn func(js *JS), unregister bool) {
 	e.w.RunMain(func(p sched.Proc) {
 		p.Sleep(settleTime(e))
 		if home == "" {
@@ -187,6 +176,9 @@ func (e *Env) RunMainDurable(home string, fn func(js *JS)) {
 		app, err := e.w.Register(home)
 		if err != nil {
 			panic(err)
+		}
+		if unregister {
+			defer app.Unregister(p)
 		}
 		fn(&JS{env: e, app: app, p: p})
 	})

@@ -23,12 +23,10 @@ import (
 	"sync"
 	"time"
 
-	"jsymphony/internal/heat"
 	"jsymphony/internal/metrics"
 	"jsymphony/internal/replica"
 	"jsymphony/internal/rmi"
 	"jsymphony/internal/sched"
-	"jsymphony/internal/shard"
 	"jsymphony/internal/trace"
 	"jsymphony/internal/wal"
 )
@@ -112,15 +110,6 @@ type durableReq struct {
 	Reads []string // methods that do not mutate state
 }
 
-// durableInstallReq installs a recovered durable object on a node
-// ("durableInstall" pub method).
-type durableInstallReq struct {
-	Ref    Ref
-	State  []byte
-	DurVer uint64
-	Reads  []string
-}
-
 // ---------------------------------------------------------------------
 // runtime side
 
@@ -150,31 +139,30 @@ func (rt *Runtime) durLoop(p sched.Proc) {
 	}
 }
 
-// durFlush performs one group commit: snapshot the pending tail, pay
-// the disk for it, mark it synced, wake the waiters.
-func (rt *Runtime) durFlush(p sched.Proc) {
+// durFlush performs one commit: snapshot the pending tail, pay the disk
+// for it, mark it synced, and tell the writers parked on it how it went.
+// It reports whether the batch reached stable storage.
+func (rt *Runtime) durFlush(p sched.Proc) bool {
 	d := rt.dur
 	d.mu.Lock()
 	t, ok := d.log.Flush()
 	waiters := d.waiters
 	d.waiters = nil
 	d.mu.Unlock()
-	if !ok {
-		for _, q := range waiters {
-			q.Put(false, 0)
+	synced := false
+	if ok {
+		rt.durChargeDisk(p, t.Bytes)
+		d.mu.Lock()
+		synced = d.log.Sync(t)
+		d.mu.Unlock()
+		if synced {
+			rt.noteFlush(t)
 		}
-		return
-	}
-	rt.durChargeDisk(p, t.Bytes)
-	d.mu.Lock()
-	synced := d.log.Sync(t)
-	d.mu.Unlock()
-	if synced {
-		rt.noteFlush(t)
 	}
 	for _, q := range waiters {
 		q.Put(synced, 0)
 	}
+	return synced
 }
 
 // durMaybeCheckpoint folds the synced log prefix into the base image
@@ -228,22 +216,13 @@ func (rt *Runtime) durAppend(p sched.Proc, rec wal.Record, wait bool) (time.Dura
 	}
 	watch := sched.StartWatch(rt.world.s)
 	if rt.world.durOpts.CommitInterval < 0 {
-		// fsync-per-write baseline: flush and sync just this write.
+		// fsync-per-write baseline: commit just this write.
 		d.mu.Lock()
 		d.log.Append(rec)
-		t, ok := d.log.Flush()
 		d.mu.Unlock()
-		if !ok {
+		if !rt.durFlush(p) {
 			return 0, errDurabilityLost
 		}
-		rt.durChargeDisk(p, t.Bytes)
-		d.mu.Lock()
-		synced := d.log.Sync(t)
-		d.mu.Unlock()
-		if !synced {
-			return 0, errDurabilityLost
-		}
-		rt.noteFlush(t)
 		return watch.Elapsed(), nil
 	}
 	// Group commit: park on the daemon's next flush.
@@ -293,12 +272,8 @@ func (rt *Runtime) durCrash() {
 	d.mu.Lock()
 	d.log.DropPending()
 	d.media.Crash()
-	waiters := d.waiters
-	d.waiters = nil
 	d.mu.Unlock()
-	for _, q := range waiters {
-		q.Put(false, 0)
-	}
+	rt.durFailWaiters()
 }
 
 // durRepair re-reads the media after a crash, truncating the torn tail
@@ -317,7 +292,7 @@ func (rt *Runtime) durRepair() {
 }
 
 // durFailWaiters releases writers parked on a group commit that will
-// never happen (world shutdown).
+// never happen (node crash, world shutdown).
 func (rt *Runtime) durFailWaiters() {
 	d := rt.dur
 	if d == nil {
@@ -346,62 +321,19 @@ func (rt *Runtime) makeDurable(req durableReq) error {
 		return errors.New(errObjMoved)
 	}
 	h.durable = true
-	h.durReads = make(map[string]bool, len(req.Reads))
-	for _, m := range req.Reads {
-		h.durReads[m] = true
-	}
+	h.durReads = methodSet(req.Reads)
 	if h.durVer == 0 {
 		h.durVer = 1
 	}
-	inst := h.instance
-	ver := h.durVer
-	ref := h.ref
 	rt.mu.Unlock()
-	state, err := rmi.Marshal(inst)
-	if err != nil {
-		return fmt.Errorf("oas: serialize for durability: %w", err)
-	}
-	_, err = rt.durAppend(nil, wal.Record{
-		Kind: wal.KindUpdate, Key: durObjKey(ref.App, ref.ID), Ver: ver, Data: state,
-	}, false)
+	_, err := rt.durLogState(nil, h, false)
 	return err
 }
 
-// durableInstall handles the "durableInstall" pub method: materialize a
-// recovered durable object from its replayed WAL state.
-func (rt *Runtime) durableInstall(req durableInstallReq) error {
-	inst, err := rt.store.New(req.Ref.Class)
-	if err != nil {
-		return err
-	}
-	if err := rmi.Unmarshal(req.State, inst); err != nil {
-		return fmt.Errorf("oas: deserialize durable object: %w", err)
-	}
-	rt.bind(inst)
-	reads := make(map[string]bool, len(req.Reads))
-	for _, m := range req.Reads {
-		reads[m] = true
-	}
-	key := objKey{req.Ref.App, req.Ref.ID}
-	rt.mu.Lock()
-	rt.hosted[key] = &hostedObj{
-		ref: req.Ref, instance: inst,
-		durable: true, durReads: reads, durVer: req.DurVer,
-	}
-	rt.mu.Unlock()
-	rt.updateObjectGauge()
-	// Re-log the installed state so this node's WAL carries the object
-	// from now on even if the original media is later lost.
-	_, err = rt.durAppend(nil, wal.Record{
-		Kind: wal.KindUpdate, Key: durObjKey(req.Ref.App, req.Ref.ID),
-		Ver: req.DurVer, Data: req.State,
-	}, false)
-	return err
-}
-
-// durLogState logs the object's post-invocation state and waits for it
-// to reach stable storage; returns the durability stall for the span.
-func (rt *Runtime) durLogState(p sched.Proc, h *hostedObj) (time.Duration, error) {
+// durLogState logs the object's current state; with wait it blocks until
+// the record is on stable storage and returns the durability stall for
+// the span (see durAppend).
+func (rt *Runtime) durLogState(p sched.Proc, h *hostedObj, wait bool) (time.Duration, error) {
 	rt.mu.Lock()
 	inst := h.instance
 	ver := h.durVer
@@ -413,7 +345,7 @@ func (rt *Runtime) durLogState(p sched.Proc, h *hostedObj) (time.Duration, error
 	}
 	return rt.durAppend(p, wal.Record{
 		Kind: wal.KindUpdate, Key: durObjKey(ref.App, ref.ID), Ver: ver, Data: state,
-	}, true)
+	}, wait)
 }
 
 // sortedMethods returns the map's keys sorted, for deterministic wire
@@ -425,6 +357,15 @@ func sortedMethods(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// methodSet is sortedMethods' inverse: the lookup form of a method list.
+func methodSet(methods []string) map[string]bool {
+	set := make(map[string]bool, len(methods))
+	for _, m := range methods {
+		set[m] = true
+	}
+	return set
 }
 
 // ---------------------------------------------------------------------
@@ -690,59 +631,6 @@ func (a *App) hasDurable() bool {
 	return false
 }
 
-// recoverDurableEntry re-materializes one durable object from the
-// replayed WAL after its host died: unlike checkpoint restore, the
-// recovered state includes every write whose ack the WAL covered.
-func (a *App) recoverDurableEntry(p sched.Proc, e *objEntry, deadNode string, snap func() *walSnapshot) bool {
-	a.mu.Lock()
-	durable := e.durable
-	ref := e.ref
-	comp := e.comp
-	constr := e.constr
-	reads := append([]string(nil), e.durReads...)
-	replicated := e.pol != nil
-	a.mu.Unlock()
-	if !durable {
-		return false
-	}
-	s := snap()
-	if s == nil {
-		return false
-	}
-	ent, ok := s.entries[durObjKey(ref.App, ref.ID)]
-	if !ok {
-		return false
-	}
-	candidates := a.liveCandidates(p, comp, constr, deadNode)
-	if len(candidates) == 0 {
-		candidates = a.liveCandidates(p, nil, constr, deadNode)
-	}
-	for _, node := range candidates {
-		body := rmi.MustMarshal(durableInstallReq{
-			Ref: ref, State: ent.Data, DurVer: ent.Ver, Reads: reads,
-		})
-		if _, err := a.rt.st.Call(p, node, PubService, "durableInstall", body, 30*time.Second); err != nil {
-			continue
-		}
-		a.mu.Lock()
-		e.location = node
-		a.mu.Unlock()
-		if replicated {
-			// The restored copy is a lone primary; rebuild its set from it.
-			a.mu.Lock()
-			e.replicas = nil
-			a.mu.Unlock()
-			_ = a.materializeReplicas(p, e, []string{deadNode})
-			a.publishRSet(p, e)
-		}
-		a.rt.ForgetLocation(ref)
-		a.world.emit(trace.Event{Kind: trace.ObjRecovered, Node: node, App: ref.App, Obj: ref.ID, Detail: "wal replay from " + deadNode})
-		a.world.reg.Counter("js_wal_recoveries_total").Inc()
-		return true
-	}
-	return false
-}
-
 // DurableRecovery reports one application's whole-cluster restore: the
 // re-materialized objects keyed by their *original* ids, the restored
 // shard groups, and what the WAL had no state for — plain objects by
@@ -780,11 +668,7 @@ func (a *App) RecoverDurable(p sched.Proc) ([]DurableRecovery, error) {
 		if err := rmi.Unmarshal(snap.entries[k].Data, &man); err != nil {
 			continue
 		}
-		rec, err := a.restoreManifest(p, man, snap)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
+		out = append(out, a.restoreManifest(p, man, snap))
 	}
 	a.writeDurManifest(p)
 	return out, nil
@@ -792,79 +676,51 @@ func (a *App) RecoverDurable(p sched.Proc) ([]DurableRecovery, error) {
 
 // restoreManifest re-materializes one application manifest into this
 // app: plain objects first, then shard groups over their recorded
-// member shards.
-func (a *App) restoreManifest(p sched.Proc, man durManifest, snap *walSnapshot) (DurableRecovery, error) {
+// member shards (which the plain pass therefore skips).
+func (a *App) restoreManifest(p sched.Proc, man durManifest, snap *walSnapshot) DurableRecovery {
 	rec := DurableRecovery{App: man.App, Objects: make(map[uint64]*Object)}
-	// Shard members are restored by their groups; skip them in the plain
-	// pass.
-	inGroup := make(map[uint64]bool)
 	for _, or := range man.Objects {
 		if or.Group != "" {
-			inGroup[or.ID] = true
-		}
-	}
-	for _, or := range man.Objects {
-		if inGroup[or.ID] {
 			continue
 		}
-		ent, ok := snap.entries[durObjKey(man.App, or.ID)]
-		if !ok {
+		if obj, err := a.restoreDurObj(p, man.App, or, snap); err != nil {
 			rec.Lost = append(rec.Lost, or.ID)
-			continue
+		} else {
+			rec.Objects[or.ID] = obj
 		}
-		obj, err := a.restoreDurObj(p, man.App, or, ent)
-		if err != nil {
-			rec.Lost = append(rec.Lost, or.ID)
-			continue
-		}
-		rec.Objects[or.ID] = obj
 	}
 	for _, gr := range man.Groups {
 		g, lost, err := a.restoreDurGroup(p, man.App, gr, man.Objects, snap)
 		rec.LostShards = append(rec.LostShards, lost...)
-		if err != nil {
-			continue
+		if err == nil {
+			rec.Groups = append(rec.Groups, g)
 		}
-		rec.Groups = append(rec.Groups, g)
 	}
-	return rec, nil
+	return rec
 }
 
-// restoreDurObj re-materializes one plain durable object from its
-// logged state under a fresh handle, re-creating its replica set when
-// the manifest recorded a policy.
-func (a *App) restoreDurObj(p sched.Proc, oldApp string, or durObjRec, ent wal.Entry) (*Object, error) {
+// restoreDurObj re-materializes one durable object from its logged
+// state under a fresh handle, re-creating its replica set when the
+// manifest recorded a policy.
+func (a *App) restoreDurObj(p sched.Proc, oldApp string, or durObjRec, snap *walSnapshot) (*Object, error) {
+	ent, ok := snap.entries[durObjKey(oldApp, or.ID)]
+	if !ok {
+		return nil, fmt.Errorf("oas: the WAL has no state for %s/%d", oldApp, or.ID)
+	}
 	node := a.durPlacement(p, or.Node)
 	if node == "" {
 		return nil, fmt.Errorf("oas: no live node to restore %s/%d", oldApp, or.ID)
 	}
-	a.mu.Lock()
-	a.seq++
-	id := a.seq
-	a.mu.Unlock()
-	ref := Ref{App: a.id, ID: id, Class: or.Class, Origin: a.rt.Node()}
-	body := rmi.MustMarshal(durableInstallReq{
-		Ref: ref, State: ent.Data, DurVer: ent.Ver, Reads: or.Reads,
-	})
-	if _, err := a.rt.st.Call(p, node, PubService, "durableInstall", body, 30*time.Second); err != nil {
-		return nil, err
+	ref := a.newRef(or.Class)
+	img := walImage(ref, ent, or.Reads)
+	obj, err := a.adopt(p, ref, img, []string{node},
+		objEntry{durable: true, durReads: append([]string(nil), or.Reads...)}, or.Replica)
+	if err != nil {
+		return obj, err
 	}
-	e := &objEntry{
-		ref: ref, location: node, durable: true,
-		durReads: append([]string(nil), or.Reads...),
-	}
-	a.mu.Lock()
-	a.objs[id] = e
-	a.mu.Unlock()
-	obj := &Object{app: a, id: id}
-	if or.Replica != nil {
-		if err := a.Replicate(p, id, *or.Replica); err != nil {
-			return obj, fmt.Errorf("oas: restored %s/%d but could not re-materialize its replica set: %w", oldApp, or.ID, err)
-		}
-	}
-	a.world.emit(trace.Event{Kind: trace.ObjRecovered, Node: node, App: a.id, Obj: id,
+	a.world.emit(trace.Event{Kind: trace.ObjRecovered, Node: node, App: a.id, Obj: ref.ID,
 		Detail: fmt.Sprintf("wal restore of %s/%d", oldApp, or.ID)})
-	a.world.reg.Counter("js_wal_recoveries_total").Inc()
+	a.world.reg.Counter(img.counter).Inc()
 	return obj, nil
 }
 
@@ -886,21 +742,13 @@ func (a *App) durPlacement(p sched.Proc, recorded string) string {
 // restoreDurGroup re-materializes one durable shard group: each
 // recorded ring member is restored as a shard object under its original
 // member *name*, so consistent-hash key ownership is identical to the
-// pre-crash group.
+// pre-crash group.  Members the WAL has no state for are reported lost
+// and the group comes up over the survivors.
 func (a *App) restoreDurGroup(p sched.Proc, oldApp string, gr durGroupRec, objRecs []durObjRec, snap *walSnapshot) (*ShardGroup, []string, error) {
 	var lost []string
-	spec := gr.Spec.withDefaults()
-	g := &ShardGroup{
-		app: a, name: gr.Name, class: gr.Class, spec: spec,
-		ring:    shard.New(spec.Vnodes),
-		shards:  make(map[string]*Object),
-		reads:   make(map[string]bool, len(spec.Reads)),
-		flights: make(map[string]*flight),
-		heat:    make(map[string]*heat.Sketch),
-	}
-	for _, m := range spec.Reads {
-		g.reads[m] = true
-	}
+	g := newShardGroup(a, gr.Name, gr.Class, gr.Spec.withDefaults())
+	g.durable = true
+	g.durReads = append([]string(nil), g.spec.Reads...)
 	// Index the manifest's members of this group by shard name.
 	byShard := make(map[string]durObjRec)
 	for _, or := range objRecs {
@@ -908,43 +756,16 @@ func (a *App) restoreDurGroup(p sched.Proc, oldApp string, gr durGroupRec, objRe
 			byShard[or.Shard] = or
 		}
 	}
-	maxIdx := -1
-	for _, sname := range gr.Shards {
-		or, ok := byShard[sname]
-		if !ok {
-			lost = append(lost, sname)
-			continue
+	g, err := g.assemble(p, gr.Shards, func(i int) (*Object, error) {
+		if or, ok := byShard[gr.Shards[i]]; ok {
+			if obj, err := a.restoreDurObj(p, oldApp, or, snap); err == nil {
+				return obj, nil
+			}
 		}
-		ent, entOK := snap.entries[durObjKey(oldApp, or.ID)]
-		if !entOK {
-			lost = append(lost, sname)
-			continue
-		}
-		obj, err := a.restoreDurObj(p, oldApp, or, ent)
-		if err != nil {
-			lost = append(lost, sname)
-			continue
-		}
-		g.ring.Add(sname)
-		g.shards[sname] = obj
-		g.heat[sname] = heat.New(heat.DefaultCapacity)
-		if i := shardIndex(gr.Name, sname); i >= maxIdx {
-			maxIdx = i
-		}
-	}
-	if len(g.shards) == 0 {
-		return nil, lost, fmt.Errorf("oas: no shard of %s survived in the WAL", gr.Name)
-	}
-	g.seq = maxIdx + 1
-	g.durable = true
-	g.durReads = append([]string(nil), spec.Reads...)
-	a.mu.Lock()
-	a.shardGroups[gr.Name] = g
-	a.mu.Unlock()
-	a.world.reg.Gauge(metrics.Label("js_shard_shards", "group", gr.Name)).Set(float64(len(g.shards)))
-	a.world.emit(trace.Event{Kind: trace.ShardGroupCreated, Node: a.Home(), App: a.id,
-		Detail: fmt.Sprintf("%s: %d shards restored from WAL", gr.Name, len(g.shards))})
-	return g, lost, nil
+		lost = append(lost, gr.Shards[i])
+		return nil, nil
+	}, trace.ShardGroupCreated, "restored from WAL")
+	return g, lost, err
 }
 
 // shardIndex parses the numeric suffix of a "group#N" shard name; -1

@@ -88,6 +88,15 @@ func min(a, b int) int {
 	return b
 }
 
+// newRef allocates the next handle of this application for class.
+func (a *App) newRef(class string) Ref {
+	a.mu.Lock()
+	a.seq++
+	id := a.seq
+	a.mu.Unlock()
+	return Ref{App: a.id, ID: id, Class: class, Origin: a.rt.Node()}
+}
+
 // entry returns the table row for an object handle.
 func (a *App) entry(id uint64) (*objEntry, error) {
 	a.mu.Lock()
@@ -484,34 +493,13 @@ func (a *App) Load(p sched.Proc, key string, comp virtarch.Component, constr *pa
 	if err != nil {
 		return nil, err
 	}
-	a.mu.Lock()
-	a.seq++
-	id := a.seq
-	a.mu.Unlock()
-	ref := Ref{App: a.id, ID: id, Class: rec.Class, Origin: a.rt.Node()}
-	var lastErr error
-	for _, node := range candidates {
-		body := rmi.MustMarshal(loadReq{Ref: ref, Key: key})
-		if _, err := a.rt.st.Call(p, node, PubService, "load", body, 10*time.Second); err != nil {
-			lastErr = err
-			continue
-		}
-		a.mu.Lock()
-		a.objs[id] = &objEntry{ref: ref, location: node, comp: comp, constr: constr}
-		a.mu.Unlock()
-		obj := &Object{app: a, id: id}
-		// A replicated object restores as a replicated object: silently
-		// degrading it to a single copy would change its availability
-		// story.  The object is usable even when re-materializing the set
-		// fails, so the handle is returned alongside the error.
-		if rec.Replica != nil {
-			if err := a.Replicate(p, id, *rec.Replica); err != nil {
-				return obj, fmt.Errorf("core: loaded %q but could not re-materialize its replica set: %w", key, err)
-			}
-		}
-		return obj, nil
+	ref := a.newRef(rec.Class)
+	obj, err := a.adopt(p, ref, storedImage(ref, key, 10*time.Second), candidates,
+		objEntry{comp: comp, constr: constr}, rec.Replica)
+	if err != nil {
+		return obj, fmt.Errorf("core: load %q: %w", key, err)
 	}
-	return nil, fmt.Errorf("core: could not load %q anywhere: %w", key, lastErr)
+	return obj, nil
 }
 
 // Objects returns handles of all live objects of the application.

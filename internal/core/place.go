@@ -144,20 +144,18 @@ func (a *App) createOn(p sched.Proc, class string, comp virtarch.Component, cons
 		a.mu.Unlock()
 		return nil, errors.New("core: application is unregistered")
 	}
-	a.seq++
-	id := a.seq
 	a.mu.Unlock()
 
-	ref := Ref{App: a.id, ID: id, Class: class, Origin: a.rt.Node()}
+	ref := a.newRef(class)
 	var lastErr error
 	for _, node := range candidates {
 		body := rmi.MustMarshal(createReq{Ref: ref})
 		_, err := a.rt.st.Call(p, node, PubService, "create", body, 10*time.Second)
 		if err == nil {
 			a.mu.Lock()
-			a.objs[id] = &objEntry{ref: ref, location: node, comp: comp, constr: constr}
+			a.objs[ref.ID] = &objEntry{ref: ref, location: node, comp: comp, constr: constr}
 			a.mu.Unlock()
-			return &Object{app: a, id: id}, nil
+			return &Object{app: a, id: ref.ID}, nil
 		}
 		lastErr = err
 		// A node without the class loaded is skipped — the next

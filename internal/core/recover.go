@@ -1,16 +1,21 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
+	"jsymphony/internal/metrics"
 	"jsymphony/internal/nas"
 	"jsymphony/internal/params"
+	"jsymphony/internal/replica"
 	"jsymphony/internal/rmi"
 	"jsymphony/internal/sched"
 	"jsymphony/internal/trace"
 	"jsymphony/internal/virtarch"
+	"jsymphony/internal/wal"
 )
 
 // Failure recovery implements the paper's announced OAS extension (§5.1:
@@ -98,9 +103,56 @@ func (a *App) checkpointAll(p sched.Proc) {
 	}
 }
 
+// image is one restorable copy of an object's state, wherever it is
+// kept: the PubOA method that installs it, that method's request, and
+// the installing caller's RMI budget (which decides virtual time under
+// faults, so each caller keeps its own).  The two stores differ only
+// here: a checkpoint or stored object is installed by "load" (the host
+// reads the shared Storage itself, the App ships no state), a WAL entry
+// by "migrateIn" carrying the replayed bytes.
+type image struct {
+	method  string
+	body    []byte
+	timeout time.Duration
+	via     string // re-home trace detail prefix ("" or "wal replay ")
+	counter string // recoveries counter a re-home from this image bumps
+}
+
+// storedImage is the image of the record under key on external Storage.
+func storedImage(ref Ref, key string, timeout time.Duration) image {
+	return image{
+		method: "load", body: rmi.MustMarshal(loadReq{Ref: ref, Key: key}),
+		timeout: timeout, counter: "js_core_recoveries_total",
+	}
+}
+
+// walImage is the image of a replayed WAL entry: every write whose ack
+// the log covered, installed durable at the logged version.
+func walImage(ref Ref, ent wal.Entry, reads []string) image {
+	return image{
+		method: "migrateIn",
+		body: rmi.MustMarshal(migrateInReq{
+			Ref: ref, State: ent.Data, Durable: true, DurReads: reads, DurVer: ent.Ver,
+		}),
+		timeout: 30 * time.Second, via: "wal replay ", counter: "js_wal_recoveries_total",
+	}
+}
+
+// objLost is the trace kind of an object a failure took for good; the
+// detail is the loss cause.
+const objLost trace.Kind = "obj.lost"
+
+// Loss causes, the label values of js_core_recovery_lost_total.
+const (
+	lostNoImage    = "no_image"     // never checkpointed, nothing in the WAL
+	lostStoreError = "store_error"  // the store holding the image failed
+	lostNoLiveNode = "no_live_node" // an image exists, no live node took it
+)
+
 // RecoverFrom re-materializes every object of this application that was
 // hosted on the failed node.  It returns the handles that were
-// recovered and those that could not be (no checkpoint).
+// recovered and those that could not be; every loss is also traced and
+// counted by cause.
 func (a *App) RecoverFrom(p sched.Proc, deadNode string) (recovered, lost []Ref) {
 	a.mu.Lock()
 	// One recovery pass per dead node at a time: the detector and an
@@ -131,44 +183,14 @@ func (a *App) RecoverFrom(p sched.Proc, deadNode string) (recovered, lost []Ref)
 	// Durable objects replay from the dead node's WAL.  The replay scan
 	// is shared across all this pass's victims and built lazily, so a
 	// failure that killed no durable object costs no disk reads.
-	var snapCache *walSnapshot
-	snapBuilt := false
-	snapFn := func() *walSnapshot {
-		if !snapBuilt {
-			snapBuilt = true
-			snapCache = a.world.walReplayAll(p, a.rt)
-		}
-		return snapCache
-	}
+	walSnap := sync.OnceValue(func() *walSnapshot { return a.world.walReplayAll(p, a.rt) })
 
 	for _, e := range victims {
 		// A replicated object promotes a surviving replica — availability
-		// restored from live state, no checkpoint round trip, no lost
-		// strong-mode writes.  Checkpoint restore is the fallback when the
+		// restored from live state, no image round trip, no lost
+		// strong-mode writes.  Restoring an image is the fallback when the
 		// whole set died.
-		if a.promoteEntry(p, e, deadNode) {
-			recovered = append(recovered, e.ref)
-			continue
-		}
-		// A durable object replays its last logged state — every acked
-		// write present, unlike the periodic checkpoint below.
-		if a.world.durOpts != nil && a.recoverDurableEntry(p, e, deadNode, snapFn) {
-			recovered = append(recovered, e.ref)
-			continue
-		}
-		if a.recoverEntry(p, e, deadNode) {
-			a.mu.Lock()
-			replicated := e.pol != nil
-			a.mu.Unlock()
-			if replicated {
-				// The restored copy is a lone primary with a fresh update
-				// counter; rebuild its set from it.
-				a.mu.Lock()
-				e.replicas = nil
-				a.mu.Unlock()
-				_ = a.materializeReplicas(p, e, []string{deadNode})
-				a.publishRSet(p, e)
-			}
+		if a.promoteEntry(p, e, deadNode) || a.rehome(p, e, deadNode, walSnap) {
 			recovered = append(recovered, e.ref)
 		} else {
 			lost = append(lost, e.ref)
@@ -180,33 +202,107 @@ func (a *App) RecoverFrom(p sched.Proc, deadNode string) (recovered, lost []Ref)
 	return recovered, lost
 }
 
-// recoverEntry restores one object from its checkpoint.
-func (a *App) recoverEntry(p sched.Proc, e *objEntry, deadNode string) bool {
-	key := ckptKey(e.ref)
-	if _, err := a.world.storage.Get(key); err != nil {
-		return false // never checkpointed
+// images lists the restorable copies of e's state, best first: a
+// durable object's last logged state (every acked write), then the
+// periodic checkpoint (everything up to the last pass).  With none,
+// cause says why.
+func (a *App) images(e *objEntry, walSnap func() *walSnapshot) (imgs []image, cause string) {
+	a.mu.Lock()
+	ref, durable := e.ref, e.durable
+	reads := append([]string(nil), e.durReads...)
+	a.mu.Unlock()
+	if durable {
+		if s := walSnap(); s != nil {
+			if ent, ok := s.entries[durObjKey(ref.App, ref.ID)]; ok {
+				imgs = append(imgs, walImage(ref, ent, reads))
+			}
+		}
 	}
-	// Preferred candidates honor the original placement; if that leaves
-	// nothing live (the object was pinned to the dead node, or its
-	// component died with it), any satisfying node will do — partial
-	// recovery beats none.
-	candidates := a.liveCandidates(p, e.comp, e.constr, deadNode)
-	if len(candidates) == 0 {
-		candidates = a.liveCandidates(p, nil, e.constr, deadNode)
+	key := ckptKey(ref)
+	switch _, err := a.world.storage.Get(key); {
+	case err == nil:
+		imgs = append(imgs, storedImage(ref, key, 30*time.Second))
+	case !errors.Is(err, ErrNotFound):
+		return imgs, lostStoreError
 	}
+	return imgs, lostNoImage
+}
+
+// install offers img to each candidate in turn and returns the first
+// node that accepts it.
+func (a *App) install(p sched.Proc, img image, candidates []string) (string, error) {
+	err := errors.New("no candidate node")
 	for _, node := range candidates {
-		body := rmi.MustMarshal(loadReq{Ref: e.ref, Key: key})
-		if _, err := a.rt.st.Call(p, node, PubService, "load", body, 30*time.Second); err != nil {
+		if _, err = a.rt.st.Call(p, node, PubService, img.method, img.body, img.timeout); err == nil {
+			return node, nil
+		}
+	}
+	return "", err
+}
+
+// rehome restores one object of a dead node from an image, under the
+// same handle: the one re-home path of checkpoint and WAL recovery, and
+// the one place a loss is reported.
+func (a *App) rehome(p sched.Proc, e *objEntry, deadNode string, walSnap func() *walSnapshot) bool {
+	imgs, cause := a.images(e, walSnap)
+	for _, img := range imgs {
+		// Preferred candidates honor the original placement; if that leaves
+		// nothing live (the object was pinned to the dead node, or its
+		// component died with it), any satisfying node will do — partial
+		// recovery beats none.
+		candidates := a.liveCandidates(p, e.comp, e.constr, deadNode)
+		if len(candidates) == 0 {
+			candidates = a.liveCandidates(p, nil, e.constr, deadNode)
+		}
+		node, err := a.install(p, img, candidates)
+		if err != nil {
+			cause = lostNoLiveNode
 			continue
 		}
 		a.mu.Lock()
 		e.location = node
+		replicated := e.pol != nil
+		e.replicas = nil
 		a.mu.Unlock()
-		a.world.emit(trace.Event{Kind: trace.ObjRecovered, Node: node, App: e.ref.App, Obj: e.ref.ID, Detail: "from " + deadNode})
-		a.world.reg.Counter("js_core_recoveries_total").Inc()
+		if replicated {
+			// The restored copy is a lone primary with a fresh update
+			// counter; rebuild its set from it.
+			_ = a.materializeReplicas(p, e, []string{deadNode})
+			a.publishRSet(p, e)
+		}
+		a.rt.ForgetLocation(e.ref) // home-node caches point at the dead node
+		a.world.emit(trace.Event{Kind: trace.ObjRecovered, Node: node, App: e.ref.App, Obj: e.ref.ID, Detail: img.via + "from " + deadNode})
+		a.world.reg.Counter(img.counter).Inc()
 		return true
 	}
+	a.world.emit(trace.Event{Kind: objLost, Node: deadNode, App: e.ref.App, Obj: e.ref.ID, Detail: cause})
+	a.world.reg.Counter(metrics.Label("js_core_recovery_lost_total", "cause", cause)).Inc()
 	return false
+}
+
+// adopt installs an image under a fresh handle of this application — the
+// one path behind Load and the WAL's whole-cluster restore.  entry
+// carries what the caller knows about the object beyond ref and
+// location.  A replicated object restores as a replicated object:
+// silently degrading it to a single copy would change its availability
+// story.  The object is usable even when re-materializing the set
+// fails, so the handle is returned alongside the error.
+func (a *App) adopt(p sched.Proc, ref Ref, img image, candidates []string, entry objEntry, pol *replica.Policy) (*Object, error) {
+	node, err := a.install(p, img, candidates)
+	if err != nil {
+		return nil, fmt.Errorf("core: no node took the image of %s/%d: %w", ref.App, ref.ID, err)
+	}
+	entry.ref, entry.location = ref, node
+	a.mu.Lock()
+	a.objs[ref.ID] = &entry
+	a.mu.Unlock()
+	obj := &Object{app: a, id: ref.ID}
+	if pol != nil {
+		if err := a.Replicate(p, ref.ID, *pol); err != nil {
+			return obj, fmt.Errorf("core: restored %s/%d but could not re-materialize its replica set: %w", ref.App, ref.ID, err)
+		}
+	}
+	return obj, nil
 }
 
 // liveCandidates returns placement candidates minus the dead node and
@@ -235,15 +331,24 @@ func (a *App) liveCandidates(p sched.Proc, comp virtarch.Component, constr *para
 	return out
 }
 
+// onNodeFailed starts a recovery pass for a failed node when this
+// application has anything a failure can take: checkpointed objects,
+// replica sets (promotion, healing — exactly what replication buys,
+// even with checkpoint recovery off) or durable objects (WAL replay).
+func (a *App) onNodeFailed(node string) {
+	if a.RecoveryEnabled() || a.hasReplicas() || a.hasDurable() {
+		a.world.s.Spawn("oas.recover:"+a.id, func(p sched.Proc) {
+			a.RecoverFrom(p, node)
+		})
+	}
+}
+
 // armRecovery wraps an architecture notify callback so node failures
-// trigger recovery when it is enabled.
+// trigger recovery.
 func (a *App) armRecovery(notify func(nas.Event)) func(nas.Event) {
 	return func(e nas.Event) {
-		if e.Kind == nas.EventNodeFailed && (a.RecoveryEnabled() || a.hasReplicas() || a.hasDurable()) {
-			node := e.Node
-			a.world.s.Spawn("oas.recover:"+a.id, func(p sched.Proc) {
-				a.RecoverFrom(p, node)
-			})
+		if e.Kind == nas.EventNodeFailed {
+			a.onNodeFailed(e.Node)
 		}
 		if notify != nil {
 			notify(e)

@@ -120,17 +120,11 @@ func (rt *Runtime) replicaConfigure(req replicaConfigureReq) error {
 	rs.lease = req.Lease
 	rs.authUntil = req.AuthUntil
 	rs.minSync = req.MinSync
-	rs.reads = make(map[string]bool, len(req.Reads))
-	for _, m := range req.Reads {
-		rs.reads[m] = true
-	}
+	rs.reads = methodSet(req.Reads)
 	if h.durable {
 		// Promotion path: the new primary inherits the policy's read set
 		// as its durable-read exclusions, so reads never stall on fsync.
-		h.durReads = make(map[string]bool, len(req.Reads))
-		for _, m := range req.Reads {
-			h.durReads[m] = true
-		}
+		h.durReads = methodSet(req.Reads)
 	}
 	return nil
 }
@@ -190,14 +184,10 @@ func (rs *replState) authorityLapsed(now time.Duration) bool {
 // re-seeds after migration, where the primary's counter restarts.
 func (rt *Runtime) replicaApply(p sched.Proc, req replicaUpdateReq) error {
 	key := objKey{req.Ref.App, req.Ref.ID}
-	inst, err := rt.store.New(req.Ref.Class)
+	inst, err := rt.materialize(req.Ref.Class, req.State)
 	if err != nil {
-		return err // class not loaded here: the AppOA picks someone else
+		return err // e.g. class not loaded here: the AppOA picks someone else
 	}
-	if err := rmi.Unmarshal(req.State, inst); err != nil {
-		return fmt.Errorf("oas: deserialize replica update: %w", err)
-	}
-	rt.bind(inst)
 	now := rt.world.s.Now()
 	rt.mu.Lock()
 	h, ok := rt.hosted[key]
@@ -408,14 +398,9 @@ func (rt *Runtime) renewLease(p sched.Proc, h *hostedObj) error {
 	}
 	var inst any
 	if resp.Version != curVersion {
-		inst, err = rt.store.New(ref.Class)
-		if err != nil {
+		if inst, err = rt.materialize(ref.Class, resp.State); err != nil {
 			return err
 		}
-		if err := rmi.Unmarshal(resp.State, inst); err != nil {
-			return err
-		}
-		rt.bind(inst)
 	}
 	rt.mu.Lock()
 	if inst != nil {
@@ -519,14 +504,10 @@ func (rt *Runtime) propagate(p sched.Proc, h *hostedObj, rs *replState, cause ui
 // (against the repaired or promoted set) re-executes it exactly once in
 // a lineage that can actually keep it.  Called with the fan lock held.
 func (rt *Runtime) rollbackWrite(h *hostedObj, rs *replState, undo []byte) error {
-	inst, err := rt.store.New(h.ref.Class)
+	inst, err := rt.materialize(h.ref.Class, undo)
 	if err != nil {
 		return err
 	}
-	if err := rmi.Unmarshal(undo, inst); err != nil {
-		return err
-	}
-	rt.bind(inst)
 	rt.mu.Lock()
 	h.instance = inst
 	rs.version--

@@ -281,12 +281,6 @@ func (rt *Runtime) handlePub(p sched.Proc, from, method string, body []byte) ([]
 			return nil, err
 		}
 		return nil, rt.makeDurable(req)
-	case "durableInstall":
-		var req durableInstallReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, rt.durableInstall(req)
 	case "replicaAuthRenew":
 		var req replicaAuthRenewReq
 		if err := rmi.Unmarshal(body, &req); err != nil {
@@ -543,7 +537,7 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 			h.durVer++
 			rt.mu.Unlock()
 		}
-		stall, derr := rt.durLogState(p, h)
+		stall, derr := rt.durLogState(p, h, true)
 		if derr != nil {
 			// The write never reached stable storage (crash mid-commit).
 			// Deflect instead of acking: the caller's retry lands on the
@@ -632,33 +626,43 @@ func (rt *Runtime) migrateOut(p sched.Proc, req migrateOutReq) error {
 	return nil
 }
 
-// migrateIn implements pa2's side: re-instantiate from serialized state.
+// materialize turns a serialized image back into a bound instance of
+// class on this node: every path that receives object bytes (migration,
+// load, WAL replay, replica seed and update, lease renewal, write
+// rollback) comes through here.
+func (rt *Runtime) materialize(class string, state []byte) (any, error) {
+	inst, err := rt.store.New(class)
+	if err != nil {
+		return nil, err
+	}
+	if err := rmi.Unmarshal(state, inst); err != nil {
+		return nil, fmt.Errorf("oas: deserialize %s image: %w", class, err)
+	}
+	rt.bind(inst)
+	return inst, nil
+}
+
+// migrateIn is the PubOA's one install: pa2's side of a migration, and
+// equally the landing of a stored, checkpointed or WAL-replayed image.
 func (rt *Runtime) migrateIn(req migrateInReq) error {
-	inst, err := rt.store.New(req.Ref.Class)
+	inst, err := rt.materialize(req.Ref.Class, req.State)
 	if err != nil {
 		return err
 	}
-	if err := rmi.Unmarshal(req.State, inst); err != nil {
-		return fmt.Errorf("oas: deserialize migrated object: %w", err)
-	}
-	rt.bind(inst)
 	key := objKey{req.Ref.App, req.Ref.ID}
 	ho := &hostedObj{ref: req.Ref, instance: inst}
 	if req.Durable {
 		ho.durable = true
-		ho.durReads = make(map[string]bool, len(req.DurReads))
-		for _, m := range req.DurReads {
-			ho.durReads[m] = true
-		}
+		ho.durReads = methodSet(req.DurReads)
 		ho.durVer = req.DurVer
 	}
 	rt.mu.Lock()
 	rt.hosted[key] = ho
 	rt.mu.Unlock()
 	rt.updateObjectGauge()
-	if req.Durable && rt.dur != nil {
+	if req.Durable {
 		// Log the arrived state so this node's WAL owns the object from
-		// the handover version on.
+		// the handover version on, even if the source media is later lost.
 		_, _ = rt.durAppend(nil, wal.Record{
 			Kind: wal.KindUpdate, Key: durObjKey(key.app, key.id), Ver: req.DurVer, Data: req.State,
 		}, false)

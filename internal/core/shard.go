@@ -142,23 +142,6 @@ func (a *App) NewShardGroup(p sched.Proc, name, class string, spec ShardSpec) (*
 	if name == "" {
 		return nil, errors.New("core: shard group needs a name")
 	}
-	a.mu.Lock()
-	if _, dup := a.shardGroups[name]; dup {
-		a.mu.Unlock()
-		return nil, fmt.Errorf("core: shard group %q already exists", name)
-	}
-	a.mu.Unlock()
-	g := &ShardGroup{
-		app: a, name: name, class: class, spec: spec,
-		ring:    shard.New(spec.Vnodes),
-		shards:  make(map[string]*Object),
-		reads:   make(map[string]bool, len(spec.Reads)),
-		flights: make(map[string]*flight),
-		heat:    make(map[string]*heat.Sketch),
-	}
-	for _, m := range spec.Reads {
-		g.reads[m] = true
-	}
 	// Spread the shard primaries over distinct nodes: write throughput
 	// scales with the number of executing hosts, not the shard count.
 	eff := a.world.DefaultConstraints()
@@ -175,65 +158,139 @@ func (a *App) NewShardGroup(p sched.Proc, name, class string, spec ShardSpec) (*
 			return nil, fmt.Errorf("core: no nodes for shard group %s: %w", name, err)
 		}
 	}
-	for i := 0; i < spec.Shards; i++ {
-		if _, err := g.addShard(p, homes[i%len(homes)]); err != nil {
-			return nil, err
+	g := newShardGroup(a, name, class, spec)
+	members := make([]string, spec.Shards)
+	for i := range members {
+		members[i] = fmt.Sprintf("%s#%d", name, i)
+	}
+	return g.assemble(p, members, func(i int) (*Object, error) {
+		return g.makeShard(p, homes[i%len(homes)])
+	}, trace.ShardGroupCreated, fmt.Sprintf("of %s over %d nodes", class, len(homes)))
+}
+
+// newShardGroup returns an empty, unregistered group; spec has its
+// defaults filled.
+func newShardGroup(a *App, name, class string, spec ShardSpec) *ShardGroup {
+	return &ShardGroup{
+		app: a, name: name, class: class, spec: spec,
+		ring:    shard.New(spec.Vnodes),
+		shards:  make(map[string]*Object),
+		reads:   methodSet(spec.Reads),
+		flights: make(map[string]*flight),
+		heat:    make(map[string]*heat.Sketch),
+	}
+}
+
+// assemble is how every shard group comes to exist, new, loaded from
+// Storage or restored from the WAL: it puts the named members on the
+// ring — member names, not placements, own the keys, so a restore under
+// the stored names reproduces key ownership exactly — with the object
+// member(i) yields for members[i], then registers the group and reports
+// it as "<name>: <n> shards <how>".  A nil object skips the member (the
+// caller accounts for it).  An error fails the whole group and frees
+// the members already materialized, since no group will own them.
+func (g *ShardGroup) assemble(p sched.Proc, members []string, member func(i int) (*Object, error), kind trace.Kind, how string) (*ShardGroup, error) {
+	a := g.app
+	a.mu.Lock()
+	_, dup := a.shardGroups[g.name]
+	a.mu.Unlock()
+	if dup {
+		return nil, fmt.Errorf("core: shard group %q already exists", g.name)
+	}
+	for i, sname := range members {
+		obj, err := member(i)
+		if err != nil {
+			// Best effort, like any free: a dead host has nothing left to drop.
+			if obj != nil {
+				_ = obj.Free(p) // Load hands back a usable object beside a replica-set error
+			}
+			for _, done := range g.ring.Members() {
+				_ = g.shards[done].Free(p)
+			}
+			return nil, fmt.Errorf("core: shard %s: %w", sname, err)
+		}
+		if obj == nil {
+			continue
+		}
+		g.attach(sname, obj)
+		// Future Grow calls must not reuse a member's name.
+		if idx := shardIndex(g.name, sname); idx >= g.seq {
+			g.seq = idx + 1
 		}
 	}
+	if len(g.shards) == 0 {
+		return nil, fmt.Errorf("core: shard group %s has no members", g.name)
+	}
 	a.mu.Lock()
-	a.shardGroups[name] = g
+	a.shardGroups[g.name] = g
 	a.mu.Unlock()
-	a.world.reg.Gauge(metrics.Label("js_shard_shards", "group", name)).Set(float64(spec.Shards))
-	a.world.emit(trace.Event{Kind: trace.ShardGroupCreated, Node: a.Home(), App: a.id,
-		Detail: fmt.Sprintf("%s: %d shards of %s over %d nodes", name, spec.Shards, class, len(homes))})
+	a.world.reg.Gauge(metrics.Label("js_shard_shards", "group", g.name)).Set(float64(len(g.shards)))
+	a.world.emit(trace.Event{Kind: kind, Node: a.Home(), App: a.id,
+		Detail: fmt.Sprintf("%s: %d shards %s", g.name, len(g.shards), how)})
 	return g, nil
 }
 
-// addShard creates, initializes, and replicates one shard pinned to
-// node ("" lets JRS pick), then adds it to the ring.  Caller must not
-// hold g.mu.
-func (g *ShardGroup) addShard(p sched.Proc, node string) (string, error) {
+// attach puts one member on the ring.
+func (g *ShardGroup) attach(sname string, obj *Object) {
+	g.mu.Lock()
+	g.shards[sname] = obj
+	g.ring.Add(sname)
+	g.heat[sname] = heat.New(heat.DefaultCapacity)
+	g.mu.Unlock()
+}
+
+// makeShard creates, initializes, and replicates one shard object pinned
+// to node ("" lets JRS pick).
+func (g *ShardGroup) makeShard(p sched.Proc, node string) (*Object, error) {
 	a := g.app
 	var comp virtarch.Component
 	if node != "" {
 		vn, err := virtarch.NewNamedNode(a.Allocator(p), node)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		comp = vn
 	}
 	obj, err := a.NewObject(p, g.class, comp, nil)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if g.spec.InitMethod != "" {
 		if _, err := obj.SInvoke(p, g.spec.InitMethod, g.spec.InitArgs...); err != nil {
 			_ = obj.Free(p)
-			return "", fmt.Errorf("core: init shard of %s: %w", g.name, err)
+			return nil, fmt.Errorf("core: init shard of %s: %w", g.name, err)
 		}
 	}
 	if g.spec.Replication != nil {
 		if err := obj.Replicate(p, *g.spec.Replication); err != nil {
 			_ = obj.Free(p)
-			return "", fmt.Errorf("core: replicate shard of %s: %w", g.name, err)
+			return nil, fmt.Errorf("core: replicate shard of %s: %w", g.name, err)
 		}
+	}
+	return obj, nil
+}
+
+// addShard grows the group by one shard on node under the next free
+// member name.  Caller must not hold g.mu.
+func (g *ShardGroup) addShard(p sched.Proc, node string) (string, error) {
+	obj, err := g.makeShard(p, node)
+	if err != nil {
+		return "", err
 	}
 	g.mu.Lock()
 	sname := fmt.Sprintf("%s#%d", g.name, g.seq)
 	g.seq++
-	g.shards[sname] = obj
-	g.ring.Add(sname)
-	g.heat[sname] = heat.New(heat.DefaultCapacity)
 	durable := g.durable
 	durReads := g.durReads
 	g.mu.Unlock()
+	g.attach(sname, obj)
 	if durable {
 		// A shard grown into a persisted group inherits its durability, so
 		// the whole key space stays crash-consistent.
-		if err := a.persistDurable(p, obj.id, durReads); err != nil {
+		if err := g.app.persistDurable(p, obj.id, durReads); err != nil {
 			return sname, fmt.Errorf("core: persist grown shard of %s: %w", g.name, err)
 		}
-		a.writeDurManifest(p)
+		g.app.writeDurManifest(p)
 	}
 	return sname, nil
 }
@@ -633,46 +690,12 @@ func (a *App) LoadShardGroup(p sched.Proc, key string) (*ShardGroup, error) {
 	if len(gr.ShardKeys) != len(gr.Members) {
 		return nil, fmt.Errorf("core: stored group %q: %d members but %d shard keys", key, len(gr.Members), len(gr.ShardKeys))
 	}
-	a.mu.Lock()
-	if _, dup := a.shardGroups[gr.Name]; dup {
-		a.mu.Unlock()
-		return nil, fmt.Errorf("core: shard group %q already exists", gr.Name)
-	}
-	a.mu.Unlock()
-	spec := ShardSpec{
+	g := newShardGroup(a, gr.Name, gr.Class, ShardSpec{
 		Shards: len(gr.Members), Vnodes: gr.Vnodes,
 		Replication: gr.Replication, Reads: gr.Reads,
 		KeysMethod: gr.KeysMethod, ExtractMethod: gr.ExtractMethod, InstallMethod: gr.InstallMethod,
-	}.withDefaults()
-	g := &ShardGroup{
-		app: a, name: gr.Name, class: gr.Class, spec: spec,
-		ring:    shard.New(spec.Vnodes),
-		shards:  make(map[string]*Object),
-		reads:   make(map[string]bool, len(spec.Reads)),
-		flights: make(map[string]*flight),
-		heat:    make(map[string]*heat.Sketch),
-	}
-	for _, m := range spec.Reads {
-		g.reads[m] = true
-	}
-	for i, m := range gr.Members {
-		obj, err := a.Load(p, gr.ShardKeys[i], nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: load shard %s: %w", m, err)
-		}
-		g.shards[m] = obj
-		g.ring.Add(m)
-		g.heat[m] = heat.New(heat.DefaultCapacity)
-		// Future Grow calls must not reuse a restored member's name.
-		if idx := shardIndex(gr.Name, m); idx >= g.seq {
-			g.seq = idx + 1
-		}
-	}
-	a.mu.Lock()
-	a.shardGroups[gr.Name] = g
-	a.mu.Unlock()
-	a.world.reg.Gauge(metrics.Label("js_shard_shards", "group", gr.Name)).Set(float64(len(gr.Members)))
-	a.world.emit(trace.Event{Kind: trace.ObjLoaded, Node: a.Home(), App: a.id,
-		Detail: fmt.Sprintf("group %s: %d shards restored from %q", gr.Name, len(gr.Members), key)})
-	return g, nil
+	}.withDefaults())
+	return g.assemble(p, gr.Members, func(i int) (*Object, error) {
+		return a.Load(p, gr.ShardKeys[i], nil, nil)
+	}, trace.ObjLoaded, fmt.Sprintf("restored from %q", key))
 }

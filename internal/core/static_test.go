@@ -138,27 +138,3 @@ func TestRecoveryAfterNodeFailure(t *testing.T) {
 		}
 	})
 }
-
-func TestRecoveryWithoutCheckpointLosesObject(t *testing.T) {
-	w := NewSimWorld(simSpecs(), simProfile(), 1, Options{NAS: testNAS(), Registry: testRegistry()})
-	w.RunMain(func(p sched.Proc) {
-		p.Sleep(500 * time.Millisecond)
-		a, _ := w.Register(w.Nodes()[0])
-		defer a.Unregister(p)
-		cb := a.NewCodebase()
-		cb.Add("Counter")
-		cb.LoadNodes(p, w.Nodes()...)
-
-		node, _ := virtarch.NewNamedNode(a.Allocator(p), w.Nodes()[1])
-		obj, err := a.NewObject(p, "Counter", node, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, _ := obj.Ref()
-		// No checkpointing ran: RecoverFrom must report the loss.
-		recovered, lost := a.RecoverFrom(p, w.Nodes()[1])
-		if len(recovered) != 0 || len(lost) != 1 || lost[0] != ref {
-			t.Fatalf("recovered=%v lost=%v", recovered, lost)
-		}
-	})
-}

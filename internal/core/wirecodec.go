@@ -33,7 +33,8 @@ const (
 	tagReplicaRenewReq  byte = 0x26
 	tagReplicaRenewResp byte = 0x27
 	tagDurableReq       byte = 0x30
-	tagDurableInstall   byte = 0x31
+	// 0x31 is retired, never to be reused: it tagged the WAL's private
+	// install request; WAL installs travel as migrateInReq.
 )
 
 // refValueID is Ref's id in the any-value registry: refs ride method
@@ -417,23 +418,6 @@ func (q *durableReq) DecodeFrom(b []byte) error {
 	d.Tag(tagDurableReq)
 	q.App = d.String()
 	q.ID = d.Uvarint()
-	q.Reads = d.Strings()
-	return d.Finish()
-}
-
-func (q durableInstallReq) AppendTo(buf []byte) []byte {
-	buf = q.Ref.AppendWire(append(buf, tagDurableInstall))
-	buf = wire.AppendBytes(buf, q.State)
-	buf = wire.AppendUvarint(buf, q.DurVer)
-	return wire.AppendStrings(buf, q.Reads)
-}
-
-func (q *durableInstallReq) DecodeFrom(b []byte) error {
-	d := wire.NewDec(b)
-	d.Tag(tagDurableInstall)
-	q.Ref.DecodeWire(&d)
-	q.State = d.Bytes()
-	q.DurVer = d.Uvarint()
 	q.Reads = d.Strings()
 	return d.Finish()
 }

@@ -767,16 +767,7 @@ func (w *World) onLiveness(e nas.Event) {
 		apps := append([]*App(nil), w.apps...)
 		w.mu.Unlock()
 		for _, a := range apps {
-			// Replicated objects are repaired (promotion, set healing) even
-			// when checkpoint recovery is off: availability through replicas
-			// is exactly what replication buys.  Durable objects likewise:
-			// their WAL replay is the recovery path.
-			if a.RecoveryEnabled() || a.hasReplicas() || a.hasDurable() {
-				app, node := a, e.Node
-				w.s.Spawn("oas.recover:"+app.id, func(p sched.Proc) {
-					app.RecoverFrom(p, node)
-				})
-			}
+			a.onNodeFailed(e.Node)
 		}
 	case nas.EventNodeRecovered:
 		w.emit(trace.Event{Kind: trace.NodeRecovered, Node: e.Node, Detail: "detector"})
