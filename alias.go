@@ -230,8 +230,6 @@ type (
 	ShardHeat = core.ShardHeat
 	// HeatEntry is one tracked key with its count upper bound.
 	HeatEntry = heat.Entry
-	// FlightOptions bounds the flight recorder's rings.
-	FlightOptions = flight.Options
 	// FlightDump is one preserved observability snapshot.
 	FlightDump = flight.Dump
 	// FlightRecorder keeps bounded dumps taken on chaos faults and
@@ -246,12 +244,6 @@ const (
 	// SLOClassWrite is keyed writes to shard primaries.
 	SLOClassWrite = core.ClassWrite
 )
-
-// AnalyzeCritPath decomposes the request rooted at the given span id
-// into attributed latency segments.
-func AnalyzeCritPath(spans []Span, root uint64) (CritPath, error) {
-	return trace.AnalyzeCritPath(spans, root)
-}
 
 // AggregateCritPath analyzes every retained root span accepted by keep
 // (nil keeps all) and sums segment time by kind.

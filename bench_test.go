@@ -248,7 +248,8 @@ func BenchmarkCodebase(b *testing.B) {
 
 // BenchmarkTransport (ablation A5) compares real round trips over the
 // in-memory and TCP-loopback transports (real time: ns/op is the
-// result).
+// result; the in-memory figure includes its fixed 200µs one-way
+// latency).
 func BenchmarkTransport(b *testing.B) {
 	for _, kind := range []string{"mem", "tcp"} {
 		kind := kind
@@ -256,7 +257,7 @@ func BenchmarkTransport(b *testing.B) {
 			var env *jsymphony.Env
 			names := []string{"bench-a", "bench-b"}
 			if kind == "mem" {
-				env = jsymphony.NewLocalEnv(names, jsymphony.EnvOptions{MemLatency: -1})
+				env = jsymphony.NewLocalEnv(names, jsymphony.EnvOptions{})
 			} else {
 				env = jsymphony.NewTCPEnv(names, jsymphony.EnvOptions{})
 			}

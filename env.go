@@ -6,7 +6,6 @@ import (
 	"jsymphony/internal/chaos"
 	"jsymphony/internal/core"
 	"jsymphony/internal/sched"
-	"jsymphony/internal/simnet"
 )
 
 // Env is one running JRS installation — the deployment an application
@@ -27,10 +26,6 @@ type EnvOptions struct {
 	// Default installs JS-Shell default constraints applied to all
 	// automatic placement and migration decisions.
 	Default *Constraints
-	// MemLatency is the in-memory transport's one-way latency
-	// (0 = a default 200µs; negative = genuinely instant delivery,
-	// bypassing timers).
-	MemLatency time.Duration
 	// Durability enables the per-node write-ahead log on simulated
 	// environments: objects marked Persist survive node crashes and
 	// whole-cluster restarts via log replay (DESIGN.md §13).  nil keeps
@@ -44,7 +39,6 @@ func (o EnvOptions) coreOptions() core.Options {
 		Storage:    o.Storage,
 		Cost:       o.Cost,
 		Default:    o.Default,
-		MemLatency: o.MemLatency,
 		Durability: o.Durability,
 	}
 }
@@ -54,12 +48,6 @@ func (o EnvOptions) coreOptions() core.Options {
 // load traces, making runs reproducible.
 func NewSimEnv(machines []MachineSpec, profile LoadProfile, seed int64, opt EnvOptions) *Env {
 	return &Env{w: core.NewSimWorld(machines, profile, seed, opt.coreOptions())}
-}
-
-// NewPaperEnv builds the paper's Section 6 testbed: the 13-workstation
-// heterogeneous cluster under the chosen day/night profile.
-func NewPaperEnv(profile LoadProfile, seed int64) *Env {
-	return NewSimEnv(simnet.PaperCluster(), profile, seed, EnvOptions{})
 }
 
 // NewLocalEnv builds a real-time environment whose nodes communicate
@@ -96,9 +84,7 @@ func (e *Env) Spans() []Span { return e.w.Spans().Spans() }
 // ArmFlightRecorder installs (or returns the already-armed) flight
 // recorder: bounded observability dumps are preserved automatically on
 // every injected chaos fault and SLO burn-rate breach.
-func (e *Env) ArmFlightRecorder(opt FlightOptions) *FlightRecorder {
-	return e.w.ArmFlightRecorder(opt)
-}
+func (e *Env) ArmFlightRecorder() *FlightRecorder { return e.w.ArmFlightRecorder() }
 
 // FlightRecorder returns the armed recorder, or nil.
 func (e *Env) FlightRecorder() *FlightRecorder { return e.w.FlightRecorder() }

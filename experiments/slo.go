@@ -155,7 +155,7 @@ func Slo(cfg SloConfig) SloResult {
 	_, err = env.InstallChaos(spec, cfg.Seed)
 	must(err)
 
-	env.ArmFlightRecorder(jsymphony.FlightOptions{})
+	env.ArmFlightRecorder()
 	must(env.DeclareSLO(jsymphony.SLO{
 		Class: jsymphony.SLOClassRead, Target: cfg.ReadTarget, Percentile: 99,
 	}))

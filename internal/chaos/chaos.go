@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"jsymphony/internal/metrics"
 	"jsymphony/internal/sched"
 	"jsymphony/internal/simnet"
 	"jsymphony/internal/trace"
@@ -36,12 +35,11 @@ type Target interface {
 
 // Config assembles an Injector.
 type Config struct {
-	Sched   sched.Sched
-	Target  Target
-	Spec    *Spec
-	Seed    int64
-	Emit    func(trace.Event)  // optional: fault/heal trace events
-	Metrics *metrics.Registry  // optional: js_chaos_faults_total{kind}
+	Sched  sched.Sched
+	Target Target
+	Spec   *Spec
+	Seed   int64
+	Emit   func(trace.Event) // optional: fault/heal trace events
 }
 
 // Injector drives a Spec against a Target on the virtual clock.  All
@@ -281,9 +279,6 @@ func (inj *Injector) apply(f Fault) error {
 	}
 	inj.mu.Unlock()
 
-	if inj.cfg.Metrics != nil {
-		inj.cfg.Metrics.Counter(metrics.Label("js_chaos_faults_total", "kind", string(f.Kind))).Inc()
-	}
 	if inj.cfg.Emit != nil {
 		kind := trace.ChaosFault
 		if f.healing() {
@@ -304,13 +299,6 @@ func linkKey(a, b string) [2]string {
 		a, b = b, a
 	}
 	return [2]string{a, b}
-}
-
-// Injected reports how many faults (including heals) have been applied.
-func (inj *Injector) Injected() int {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.injected
 }
 
 // Plan renders the spec's schedule — the shell's "chaos plan".

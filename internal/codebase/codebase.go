@@ -125,28 +125,6 @@ func (s *Store) Load(names ...string) (newBytes int64, err error) {
 	return newBytes, nil
 }
 
-// Unload removes the named classes (JSCodebase.free on the remote side).
-func (s *Store) Unload(names ...string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, n := range names {
-		if !s.loaded[n] {
-			continue
-		}
-		if c, ok := s.registry.Lookup(n); ok {
-			s.bytes -= int64(c.Size)
-		}
-		delete(s.loaded, n)
-	}
-}
-
-// Loaded reports whether the class is available on this node.
-func (s *Store) Loaded(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loaded[name]
-}
-
 // Bytes reports the modeled byte-code footprint of this node.
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()

@@ -84,14 +84,6 @@ func TestStoreLoadAccounting(t *testing.T) {
 	if got := s.Classes(); len(got) != 2 || got[0] != "Tiny" {
 		t.Fatalf("Classes = %v", got)
 	}
-	s.Unload("Tiny")
-	if s.Bytes() != 2048 || s.Loaded("Tiny") {
-		t.Fatalf("after unload: bytes=%d loaded=%v", s.Bytes(), s.Loaded("Tiny"))
-	}
-	s.Unload("Tiny") // idempotent
-	if s.Bytes() != 2048 {
-		t.Fatalf("double unload changed bytes: %d", s.Bytes())
-	}
 }
 
 func TestStoreLoadUnknownClass(t *testing.T) {
@@ -180,13 +172,6 @@ func TestInvokeNilArgument(t *testing.T) {
 	// Set takes a string: nil must be rejected.
 	if _, err := Invoke(w, "Set", []any{nil}); err == nil {
 		t.Fatal("nil for string parameter accepted")
-	}
-}
-
-func TestHasMethod(t *testing.T) {
-	w := &widget{}
-	if !HasMethod(w, "Bump") || HasMethod(w, "Nope") || HasMethod(nil, "X") {
-		t.Fatal("HasMethod wrong")
 	}
 }
 

@@ -40,14 +40,6 @@ func Invoke(obj any, method string, args []any) (any, error) {
 	return splitResults(method, out)
 }
 
-// HasMethod reports whether obj exposes the named exported method.
-func HasMethod(obj any, method string) bool {
-	if obj == nil {
-		return false
-	}
-	return reflect.ValueOf(obj).MethodByName(method).IsValid()
-}
-
 // buildArgs converts args to the method's parameter types.
 func buildArgs(mt reflect.Type, method string, args []any) ([]reflect.Value, error) {
 	want := mt.NumIn()

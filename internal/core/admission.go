@@ -34,32 +34,30 @@ type AdmissionPolicy struct {
 	// classes not listed here (including the implicit "read"/"write")
 	// bypass admission entirely.
 	Classes []string
-	// Threshold escalates shedding: when any surviving class's burn
-	// rate reaches it, the lowest surviving class is shed (default 1.0
-	// — the error budget is being spent exactly as fast as it accrues).
-	Threshold float64
-	// Recover de-escalates: when every surviving class burns below it,
-	// the highest shed class is re-admitted (default Threshold/2; must
-	// be < Threshold so the controller has hysteresis).
-	Recover float64
 	// Hold is the minimum dwell before a re-admission (default 250ms of
 	// scheduler time).  The controller is deliberately asymmetric —
 	// fast attack, slow release: escalation takes effect on the very
-	// next request once a surviving class's burn crosses Threshold,
-	// because every request admitted past that point deepens the
-	// backlog the protected classes queue behind; re-admission waits
-	// out Hold so one good window cannot flap the level.
+	// next request once a surviving class's burn crosses
+	// admitThreshold, because every request admitted past that point
+	// deepens the backlog the protected classes queue behind;
+	// re-admission waits out Hold so one good window cannot flap the
+	// level.
 	Hold time.Duration
 }
 
+const (
+	// admitThreshold escalates shedding: when any surviving class's
+	// burn rate reaches it, the lowest surviving class is shed (1.0 —
+	// the error budget is being spent exactly as fast as it accrues).
+	admitThreshold = 1.0
+	// admitRecover de-escalates: when every surviving class burns below
+	// it, the highest shed class is re-admitted.  Below admitThreshold
+	// so the controller has hysteresis.
+	admitRecover = admitThreshold / 2
+)
+
 // withDefaults fills unset fields.
 func (p AdmissionPolicy) withDefaults() AdmissionPolicy {
-	if p.Threshold <= 0 {
-		p.Threshold = 1
-	}
-	if p.Recover <= 0 {
-		p.Recover = p.Threshold / 2
-	}
 	if p.Hold <= 0 {
 		p.Hold = 250 * time.Millisecond
 	}
@@ -80,9 +78,6 @@ func (p AdmissionPolicy) validate() error {
 			return fmt.Errorf("core: duplicate admission class %q", c)
 		}
 		seen[c] = true
-	}
-	if p.Recover >= p.Threshold {
-		return fmt.Errorf("core: admission Recover (%.2f) must be below Threshold (%.2f)", p.Recover, p.Threshold)
 	}
 	return nil
 }
@@ -185,9 +180,9 @@ func (g *ShardGroup) admit(class, method string) error {
 	}
 	prev := adm.level
 	switch {
-	case maxBurn >= adm.pol.Threshold && adm.level < len(adm.pol.Classes)-1:
+	case maxBurn >= admitThreshold && adm.level < len(adm.pol.Classes)-1:
 		adm.level++ // fast attack: every admit past the threshold deepens the backlog
-	case maxBurn < adm.pol.Recover && adm.level > 0 && now-adm.since >= adm.pol.Hold:
+	case maxBurn < admitRecover && adm.level > 0 && now-adm.since >= adm.pol.Hold:
 		adm.level-- // slow release: one good window must not flap the level
 	}
 	if adm.level != prev {

@@ -88,7 +88,6 @@ func (a *App) autoMigrateOnce(p sched.Proc) {
 		sort.Strings(names)
 		a.world.emit(trace.Event{Kind: trace.AutoMigrateDecision, Node: a.rt.Node(), App: a.id,
 			Detail: "evacuating " + strings.Join(names, ",")})
-		a.world.reg.Counter("js_core_automigrate_decisions_total").Inc()
 		a.evacuate(p, va, constr, violated)
 	}
 }
@@ -141,8 +140,9 @@ func (a *App) evacuate(p sched.Proc, va *appVA, constr *params.Constraints, viol
 		for _, n := range e.replicas {
 			avoid[n] = true
 		}
+		src := e.location
 		a.mu.Unlock()
-		dest, ok := a.findRefuge(p, va.domain, e.location, constr, violated, avoid)
+		dest, ok := a.findRefuge(p, va.domain, src, constr, violated, avoid)
 		if !ok {
 			continue // nowhere satisfies; better to stay than thrash
 		}

@@ -502,8 +502,8 @@ func TestWorldBasics(t *testing.T) {
 		NAS:      testNAS(),
 		Registry: testRegistry(),
 	})
-	if len(w.Nodes()) != 3 || w.DirNode() != w.Nodes()[0] {
-		t.Fatalf("world shape wrong: %v dir=%s", w.Nodes(), w.DirNode())
+	if len(w.Nodes()) != 3 || w.dirNode != w.Nodes()[0] {
+		t.Fatalf("world shape wrong: %v dir=%s", w.Nodes(), w.dirNode)
 	}
 	if _, ok := w.Runtime("ghost"); ok {
 		t.Fatal("runtime for unknown node")
@@ -579,8 +579,8 @@ func TestCodebaseAccounting(t *testing.T) {
 		if after-before < 1<<20 {
 			t.Fatalf("jar transfer not accounted: %d bytes", after-before)
 		}
-		if !w.MustRuntime(target).Store().Loaded("Heavy") {
-			t.Fatal("class not loaded on target")
+		if _, err := w.MustRuntime(target).Store().New("Heavy"); err != nil {
+			t.Fatalf("class not loaded on target: %v", err)
 		}
 		cb.Free()
 		if err := cb.Add("Counter"); err == nil {

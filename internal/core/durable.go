@@ -45,19 +45,17 @@ type DurabilityOptions struct {
 	// DefaultCommitInterval; negative disables group commit and syncs
 	// every durable write individually (the fsync-per-write baseline).
 	CommitInterval time.Duration
-	// CheckpointBytes triggers an incremental checkpoint once the log
-	// exceeds this many bytes.  Zero takes DefaultCheckpointBytes.
-	CheckpointBytes int
-	// CheckpointAge triggers a checkpoint once this much scheduler time
-	// has passed since the last one.  Zero takes DefaultCheckpointAge.
-	CheckpointAge time.Duration
 }
 
-// Defaults for DurabilityOptions.
+// DefaultCommitInterval is the group-commit window when none is set.
+const DefaultCommitInterval = 10 * time.Millisecond
+
+// An incremental checkpoint folds the log once it exceeds
+// checkpointBytes or once checkpointAge of scheduler time has passed
+// since the last one.
 const (
-	DefaultCommitInterval  = 10 * time.Millisecond
-	DefaultCheckpointBytes = 256 << 10
-	DefaultCheckpointAge   = 5 * time.Second
+	checkpointBytes = 256 << 10
+	checkpointAge   = 5 * time.Second
 )
 
 func (d DurabilityOptions) withDefaults() DurabilityOptions {
@@ -66,12 +64,6 @@ func (d DurabilityOptions) withDefaults() DurabilityOptions {
 	}
 	if d.CommitInterval == 0 {
 		d.CommitInterval = DefaultCommitInterval
-	}
-	if d.CheckpointBytes == 0 {
-		d.CheckpointBytes = DefaultCheckpointBytes
-	}
-	if d.CheckpointAge == 0 {
-		d.CheckpointAge = DefaultCheckpointAge
 	}
 	return d
 }
@@ -169,13 +161,12 @@ func (rt *Runtime) durFlush(p sched.Proc) bool {
 // when the log has outgrown the size or age watermark.
 func (rt *Runtime) durMaybeCheckpoint(p sched.Proc) {
 	d := rt.dur
-	opts := rt.world.durOpts
 	st := d.media.Stats()
 	now := rt.world.s.Now()
 	d.mu.Lock()
 	last := d.lastCkpt
 	d.mu.Unlock()
-	if st.LogBytes < opts.CheckpointBytes && now-last < opts.CheckpointAge {
+	if st.LogBytes < checkpointBytes && now-last < checkpointAge {
 		return
 	}
 	d.mu.Lock()
@@ -462,6 +453,13 @@ type durGroupRec struct {
 	Class  string
 	Spec   ShardSpec
 	Shards []string
+	// The ring and handoff parameters the group was built with (fixed:
+	// shard.DefaultVnodes and the handoff constants), as GroupRecord
+	// keeps them.
+	Vnodes        int
+	KeysMethod    string
+	ExtractMethod string
+	InstallMethod string
 }
 
 // persistDurable sends the "durable" marker to the object's host and
@@ -563,7 +561,8 @@ func (a *App) buildDurManifest() durManifest {
 	for _, g := range groups {
 		g.mu.Lock()
 		if g.durable {
-			rec := durGroupRec{Name: g.name, Class: g.class, Spec: g.spec}
+			rec := durGroupRec{Name: g.name, Class: g.class, Spec: g.spec, Vnodes: g.ring.Vnodes(),
+				KeysMethod: keysMethod, ExtractMethod: extractMethod, InstallMethod: installMethod}
 			for _, sname := range g.ring.Members() {
 				rec.Shards = append(rec.Shards, sname)
 				if obj := g.shards[sname]; obj != nil {
@@ -712,15 +711,13 @@ func (a *App) restoreDurObj(p sched.Proc, oldApp string, or durObjRec, snap *wal
 		return nil, fmt.Errorf("oas: no live node to restore %s/%d", oldApp, or.ID)
 	}
 	ref := a.newRef(or.Class)
-	img := walImage(ref, ent, or.Reads)
-	obj, err := a.adopt(p, ref, img, []string{node},
+	obj, err := a.adopt(p, ref, walImage(ref, ent, or.Reads), []string{node},
 		objEntry{durable: true, durReads: append([]string(nil), or.Reads...)}, or.Replica)
 	if err != nil {
 		return obj, err
 	}
 	a.world.emit(trace.Event{Kind: trace.ObjRecovered, Node: node, App: a.id, Obj: ref.ID,
 		Detail: fmt.Sprintf("wal restore of %s/%d", oldApp, or.ID)})
-	a.world.reg.Counter(img.counter).Inc()
 	return obj, nil
 }
 

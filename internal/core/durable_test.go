@@ -66,15 +66,21 @@ func durWorldOn(t *testing.T, machines []simnet.MachineSpec, d DurabilityOptions
 // from the home node so recovery never lands on the directory.
 func durCounter(t *testing.T, a *App, p sched.Proc, node string) *Object {
 	t.Helper()
+	return durObject(t, a, p, "Counter", node, "Get", "Where")
+}
+
+// durObject is durCounter for any loaded class.
+func durObject(t *testing.T, a *App, p sched.Proc, class, node string, reads ...string) *Object {
+	t.Helper()
 	vn, err := virtarch.NewNamedNode(a.Allocator(p), node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := a.NewObject(p, "Counter", vn, constraintNotNode(a.world.Nodes()[0]))
+	obj, err := a.NewObject(p, class, vn, constraintNotNode(a.world.Nodes()[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obj.Persist(p, "Get", "Where"); err != nil {
+	if err := obj.Persist(p, reads...); err != nil {
 		t.Fatal(err)
 	}
 	return obj
@@ -140,9 +146,7 @@ func TestDurableCrashRecoversAllAckedWrites(t *testing.T) {
 // appends, group-commit batch size, checkpoint volume, replay duration
 // — moves under a write-checkpoint-crash-replay cycle.
 func TestWALMetrics(t *testing.T) {
-	// A tiny byte watermark so the workload crosses it and the commit
-	// daemon folds the log at least once before the crash.
-	durWorld(t, DurabilityOptions{CheckpointBytes: 256}, 21, func(w *World, a *App, inj *chaos.Injector, p sched.Proc) {
+	durWorld(t, DurabilityOptions{}, 21, func(w *World, a *App, inj *chaos.Injector, p sched.Proc) {
 		victim := w.Nodes()[1]
 		obj := durCounter(t, a, p, victim)
 		for i := 0; i < 20; i++ {
@@ -150,7 +154,20 @@ func TestWALMetrics(t *testing.T) {
 				t.Fatalf("add: %v", err)
 			}
 		}
+		// Every durable write logs the object's whole state, so a table
+		// of long keys crosses the byte watermark within a few dozen puts
+		// and the commit daemon folds the log at least once before the
+		// crash — long before the age watermark could.
+		tbl := durObject(t, a, p, "Table", victim, "Get", "Len")
+		for i := 0; i < 60; i++ {
+			if _, err := tbl.SInvoke(p, "Put", fmt.Sprintf("%0200d", i), i); err != nil {
+				t.Fatalf("put: %v", err)
+			}
+		}
 		p.Sleep(300 * time.Millisecond) // let the daemon reach the checkpoint watermark
+		if now := w.Sched().Now(); now >= checkpointAge {
+			t.Fatalf("writes took until %v: the age watermark (%v) may have folded the log, not the byte one", now, checkpointAge)
+		}
 
 		reg := w.Metrics()
 		var appends, flushes, flushBytes, ckpts, ckptBytes int64
@@ -168,7 +185,7 @@ func TestWALMetrics(t *testing.T) {
 			t.Errorf("flushes = %d, flush bytes = %d, want both > 0", flushes, flushBytes)
 		}
 		if ckpts < 1 || ckptBytes < 1 {
-			t.Errorf("checkpoints = %d, checkpoint bytes = %d, want both > 0 at a 256-byte watermark", ckpts, ckptBytes)
+			t.Errorf("checkpoints = %d, checkpoint bytes = %d, want both > 0 past the byte watermark", ckpts, ckptBytes)
 		}
 		batch := reg.Histogram("js_wal_batch_records", nil)
 		if batch.Count() < 1 || batch.Sum() < batch.Count() {

@@ -111,6 +111,19 @@ func (a *App) entry(id uint64) (*objEntry, error) {
 	return e, nil
 }
 
+// locate returns the object's handle and current host, read together
+// under the table lock: migration, re-homing and promotion rewrite the
+// location while other sessions of the application keep invoking.
+func (a *App) locate(id uint64) (Ref, string, error) {
+	e, err := a.entry(id)
+	if err != nil {
+		return Ref{}, "", err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return e.ref, e.location, nil
+}
+
 // Ref returns the object's first-order handle for passing to other
 // objects and applications.
 func (o *Object) Ref() (Ref, error) {
@@ -132,11 +145,8 @@ func (o *Object) Class() string {
 
 // NodeName returns the node currently hosting the object.
 func (o *Object) NodeName() (string, error) {
-	e, err := o.app.entry(o.id)
-	if err != nil {
-		return "", err
-	}
-	return e.location, nil
+	_, loc, err := o.app.locate(o.id)
+	return loc, err
 }
 
 // Node returns the hosting node as an architecture component, for
@@ -175,20 +185,20 @@ func (o *Object) AInvoke(p sched.Proc, method string, args ...any) (*Handle, err
 // one-sided call racing a migration of the target may be dropped, just
 // as the paper's oinvoke gives the caller nothing to detect it with.
 func (o *Object) OInvoke(p sched.Proc, method string, args ...any) error {
-	e, err := o.app.entry(o.id)
+	ref, loc, err := o.app.locate(o.id)
 	if err != nil {
 		return err
 	}
-	sr := o.app.rt.beginSpan(0, trace.SpanOneway, e.ref, method)
-	req := invokeReq{App: e.ref.App, ID: e.ref.ID, Method: method, Args: args, Span: sr.span.ID}
+	sr := o.app.rt.beginSpan(0, trace.SpanOneway, ref, method)
+	req := invokeReq{App: ref.App, ID: ref.ID, Method: method, Args: args, Span: sr.span.ID}
 	body, err := rmi.Marshal(req)
 	if err != nil {
 		return err
 	}
-	err = o.app.rt.st.Post(p, e.location, PubService, "invoke", body)
+	err = o.app.rt.st.Post(p, loc, PubService, "invoke", body)
 	// A one-sided span has no service/wire decomposition: the caller only
 	// observes the local post.
-	sr.finish(e.location, 0, 0, err)
+	sr.finish(loc, 0, 0, err)
 	return err
 }
 
@@ -299,10 +309,11 @@ func (a *App) freeEntry(p sched.Proc, e *objEntry) error {
 	}
 	e.freed = true
 	wasDurable := e.durable
+	ref, loc := e.ref, e.location
 	a.mu.Unlock()
 	a.dropReplicas(p, e)
-	body := rmi.MustMarshal(freeReq{App: e.ref.App, ID: e.ref.ID})
-	_, err := a.rt.st.Call(p, e.location, PubService, "free", body, 10*time.Second)
+	body := rmi.MustMarshal(freeReq{App: ref.App, ID: ref.ID})
+	_, err := a.rt.st.Call(p, loc, PubService, "free", body, 10*time.Second)
 	if wasDurable {
 		// The host wrote the tombstone; the manifest must stop listing the
 		// object too, or a cluster restart would try to resurrect it.
@@ -435,7 +446,6 @@ func (a *App) migrateEntry(p sched.Proc, e *objEntry, dest string) error {
 	// The quiescence wait inside migrateOut is bounded by the longest
 	// in-flight method, so the timeout mirrors invokeTimeout.
 	body := rmi.MustMarshal(migrateOutReq{App: ref.App, ID: ref.ID, Dest: dest})
-	watch := sched.StartWatch(a.world.s)
 	if _, err := a.rt.st.Call(p, src, PubService, "migrateOut", body, invokeTimeout); err != nil {
 		return err
 	}
@@ -457,20 +467,18 @@ func (a *App) migrateEntry(p sched.Proc, e *objEntry, dest string) error {
 		a.writeDurManifest(p)
 	}
 	a.world.emit(trace.Event{Kind: trace.ObjMigrated, Node: dest, App: ref.App, Obj: ref.ID, Detail: src + " -> " + dest})
-	a.world.reg.Counter("js_core_migrations_total").Inc()
-	a.world.reg.Histogram("js_core_migration_us", nil).ObserveDuration(watch.Elapsed())
 	return nil
 }
 
 // Store saves the object to external storage under key ("" lets JRS
 // generate one) and returns the key (§4.7).
 func (o *Object) Store(p sched.Proc, key string) (string, error) {
-	e, err := o.app.entry(o.id)
+	ref, loc, err := o.app.locate(o.id)
 	if err != nil {
 		return "", err
 	}
-	body := rmi.MustMarshal(storeReq{App: e.ref.App, ID: e.ref.ID, Key: key})
-	resp, err := o.app.rt.st.Call(p, e.location, PubService, "store", body, time.Minute)
+	body := rmi.MustMarshal(storeReq{App: ref.App, ID: ref.ID, Key: key})
+	resp, err := o.app.rt.st.Call(p, loc, PubService, "store", body, time.Minute)
 	if err != nil {
 		return "", err
 	}

@@ -238,7 +238,7 @@ func TestAdmissionShedsAndRecovers(t *testing.T) {
 		// Burn bronze's budget: a batch of failed requests lands in the
 		// engine's live window.
 		for i := 0; i < 30; i++ {
-			w.SLOEngine().Record("bronze", time.Second, true)
+			w.slo.Record("bronze", time.Second, true)
 		}
 		// Fast attack: the very next bronze admit sees the burn, sheds.
 		_, err = g.InvokeClass(p, "bronze", "k1", "Put", "k1", 1)
@@ -307,7 +307,6 @@ func TestAdmissionPolicyValidation(t *testing.T) {
 			{Classes: []string{"solo"}},   // nothing to shed
 			{Classes: []string{"a", ""}},  // empty name
 			{Classes: []string{"a", "a"}}, // duplicate
-			{Classes: []string{"a", "b"}, Threshold: 1, Recover: 2}, // recover above threshold
 		}
 		for i, pol := range bad {
 			if err := g.SetAdmission(pol); err == nil {

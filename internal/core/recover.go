@@ -115,14 +115,13 @@ type image struct {
 	body    []byte
 	timeout time.Duration
 	via     string // re-home trace detail prefix ("" or "wal replay ")
-	counter string // recoveries counter a re-home from this image bumps
 }
 
 // storedImage is the image of the record under key on external Storage.
 func storedImage(ref Ref, key string, timeout time.Duration) image {
 	return image{
 		method: "load", body: rmi.MustMarshal(loadReq{Ref: ref, Key: key}),
-		timeout: timeout, counter: "js_core_recoveries_total",
+		timeout: timeout,
 	}
 }
 
@@ -134,7 +133,7 @@ func walImage(ref Ref, ent wal.Entry, reads []string) image {
 		body: rmi.MustMarshal(migrateInReq{
 			Ref: ref, State: ent.Data, Durable: true, DurReads: reads, DurVer: ent.Ver,
 		}),
-		timeout: 30 * time.Second, via: "wal replay ", counter: "js_wal_recoveries_total",
+		timeout: 30 * time.Second, via: "wal replay ",
 	}
 }
 
@@ -272,7 +271,6 @@ func (a *App) rehome(p sched.Proc, e *objEntry, deadNode string, walSnap func() 
 		}
 		a.rt.ForgetLocation(e.ref) // home-node caches point at the dead node
 		a.world.emit(trace.Event{Kind: trace.ObjRecovered, Node: node, App: e.ref.App, Obj: e.ref.ID, Detail: img.via + "from " + deadNode})
-		a.world.reg.Counter(img.counter).Inc()
 		return true
 	}
 	a.world.emit(trace.Event{Kind: objLost, Node: deadNode, App: e.ref.App, Obj: e.ref.ID, Detail: cause})

@@ -202,13 +202,11 @@ func (rt *Runtime) replicaApply(p sched.Proc, req replicaUpdateReq) error {
 		// This node hosts the primary (e.g. it was just promoted); a
 		// straggling update from the old primary must not clobber it.
 		rt.mu.Unlock()
-		rt.world.reg.Counter("js_replica_update_skips_total").Inc()
 		return nil
 	}
 	if !req.Force && req.Version <= rs.version && rs.asOf != 0 {
 		// Duplicate or reordered propagation: keep the newer state.
 		rt.mu.Unlock()
-		rt.world.reg.Counter("js_replica_update_skips_total").Inc()
 		return nil
 	}
 	h.instance = inst
@@ -228,7 +226,6 @@ func (rt *Runtime) replicaApply(p sched.Proc, req replicaUpdateReq) error {
 	}
 	rt.mu.Unlock()
 	rt.updateObjectGauge()
-	rt.world.reg.Counter(metrics.Label("js_replica_applies_total", "node", rt.Node())).Inc()
 	if req.Durable && rt.dur != nil {
 		// Log before the RMI reply leaves: a synchronous propagation of a
 		// durable write acks only once this copy is on stable storage, so
@@ -320,7 +317,6 @@ func (rt *Runtime) replicaRenew(p sched.Proc, key objKey) (replicaRenewResp, err
 	if err != nil {
 		return replicaRenewResp{}, fmt.Errorf("oas: serialize for lease renewal: %w", err)
 	}
-	rt.world.reg.Counter("js_replica_lease_renewals_total").Inc()
 	return replicaRenewResp{State: state, Version: version, AsOf: rt.world.s.Now(), Lease: lease}, nil
 }
 
@@ -349,7 +345,6 @@ func (rt *Runtime) invokeAtReplica(p sched.Proc, h *hostedObj, req invokeReq) (i
 		watch := sched.StartWatch(rt.world.s)
 		err := rt.renewLease(p, h)
 		leaseWait = watch.Elapsed()
-		rt.world.reg.Histogram(metrics.Label("js_replica_lease_wait_us", "node", rt.Node()), nil).ObserveDuration(leaseWait)
 		if err != nil {
 			return invokeResp{}, errors.New(errReplicaStale)
 		}
@@ -465,7 +460,6 @@ func (rt *Runtime) propagate(p sched.Proc, h *hostedObj, rs *replState, cause ui
 	}
 	rt.mu.Unlock()
 	body := rmi.MustMarshal(req)
-	updates := rt.world.reg.Counter(metrics.Label("js_replica_updates_total", "mode", string(mode)))
 	for _, peer := range peers {
 		start := rt.world.s.Now()
 		sp := trace.Span{
@@ -493,7 +487,6 @@ func (rt *Runtime) propagate(p sched.Proc, h *hostedObj, rs *replState, cause ui
 		sp.Wire = rt.world.s.Now() - start
 		rt.world.observeSpan(sp)
 		delivered++
-		updates.Inc()
 	}
 	return delivered, syncDelivered
 }
@@ -532,5 +525,4 @@ func (rt *Runtime) dropPeer(h *hostedObj, rs *replState, peer string, cause erro
 	rt.mu.Unlock()
 	rt.world.emit(trace.Event{Kind: trace.ReplicaDropped, Node: peer,
 		App: h.ref.App, Obj: h.ref.ID, Detail: "unreachable from " + rt.Node() + ": " + cause.Error()})
-	rt.world.reg.Counter("js_replica_drops_total").Inc()
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"jsymphony/internal/metrics"
 	"jsymphony/internal/nas"
 	"jsymphony/internal/replica"
 	"jsymphony/internal/rmi"
@@ -610,7 +609,7 @@ func (a *App) siteOf(node string) string {
 
 // publishRSet mirrors the entry's current set into the installation
 // directory, where the shell's "replicas" command (and foreign tooling)
-// reads it; it also refreshes the per-app replicated-objects gauge.
+// reads it.
 func (a *App) publishRSet(p sched.Proc, e *objEntry) {
 	a.mu.Lock()
 	set := e.rset()
@@ -624,23 +623,9 @@ func (a *App) publishRSet(p sched.Proc, e *objEntry) {
 		Key: refKey(ref.App, ref.ID), Primary: set.Primary,
 		Replicas: set.Replicas, Mode: string(set.Mode), Lease: set.Lease,
 	})
-	a.updateReplicaGauge()
 }
 
 // unpublishRSet removes the entry from the directory registry.
 func (a *App) unpublishRSet(p sched.Proc, ref Ref) {
 	_ = nas.DelReplicaSet(p, a.rt.st, a.world.dirNode, refKey(ref.App, ref.ID))
-	a.updateReplicaGauge()
-}
-
-func (a *App) updateReplicaGauge() {
-	a.mu.Lock()
-	n := 0
-	for _, e := range a.objs {
-		if !e.freed && e.pol != nil && len(e.replicas) > 0 {
-			n++
-		}
-	}
-	a.mu.Unlock()
-	a.world.reg.Gauge(metrics.Label("js_replica_sets", "app", a.id)).Set(float64(n))
 }

@@ -345,7 +345,6 @@ func (rt *Runtime) create(ref Ref) error {
 	rt.mu.Unlock()
 	rt.updateObjectGauge()
 	rt.world.emit(trace.Event{Kind: trace.ObjCreated, Node: rt.Node(), App: ref.App, Obj: ref.ID, Detail: ref.Class})
-	rt.world.reg.Counter(metrics.Label("js_core_objects_created_total", "node", rt.Node())).Inc()
 	return nil
 }
 

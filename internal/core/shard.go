@@ -41,9 +41,6 @@ const (
 type ShardSpec struct {
 	// Shards is the initial shard count (>= 1).
 	Shards int
-	// Vnodes is the per-shard virtual-node count on the hash ring
-	// (shard.DefaultVnodes when 0).
-	Vnodes int
 	// Replication, when non-nil, replicates every shard under this
 	// policy: reads route to the nearest replica, a shard's primary
 	// crash promotes a survivor — the group inherits all of PR 3.
@@ -56,28 +53,19 @@ type ShardSpec struct {
 	// right after creation (before replication), with InitArgs.
 	InitArgs   []any
 	InitMethod string
-	// Handoff protocol methods the shard class must implement for
-	// rebalance.  Defaults: Keys() []string, Extract(keys []string) T,
-	// Install(data T) for any wire-registered T.
-	KeysMethod    string
-	ExtractMethod string
-	InstallMethod string
 }
+
+// Handoff protocol methods the shard class must implement for
+// rebalance: Keys() []string, Extract(keys []string) T, Install(data T)
+// for any wire-registered T.
+const (
+	keysMethod    = "Keys"
+	extractMethod = "Extract"
+	installMethod = "Install"
+)
 
 // withDefaults fills unset fields.
 func (s ShardSpec) withDefaults() ShardSpec {
-	if s.Vnodes <= 0 {
-		s.Vnodes = shard.DefaultVnodes
-	}
-	if s.KeysMethod == "" {
-		s.KeysMethod = "Keys"
-	}
-	if s.ExtractMethod == "" {
-		s.ExtractMethod = "Extract"
-	}
-	if s.InstallMethod == "" {
-		s.InstallMethod = "Install"
-	}
 	if s.Replication != nil && len(s.Reads) == 0 {
 		s.Reads = s.Replication.Reads
 	}
@@ -104,16 +92,17 @@ type ShardGroup struct {
 	class string
 	spec  ShardSpec
 
-	mu       sync.Mutex
-	ring     *shard.Ring
-	shards   map[string]*Object // shard name -> object handle
-	seq      int                // next shard index (names survive removals)
-	reads    map[string]bool
-	flights  map[string]*flight      // in-flight coalescible reads
-	heat     map[string]*heat.Sketch // shard name -> per-key heat sketch
-	adm      *admission              // nil until SetAdmission
-	durable  bool                    // every shard is WAL-backed (Persist)
-	durReads []string                // durable-read exclusions for new shards
+	mu         sync.Mutex
+	ring       *shard.Ring
+	shards     map[string]*Object // shard name -> object handle
+	seq        int                // next shard index (names survive removals)
+	reads      map[string]bool
+	flights    map[string]*flight      // in-flight coalescible reads
+	heat       map[string]*heat.Sketch // shard name -> per-key heat sketch
+	heatSeries map[string]bool         // js_shard_key_heat series the last PublishHeat left alive
+	adm        *admission              // nil until SetAdmission
+	durable    bool                    // every shard is WAL-backed (Persist)
+	durReads   []string                // durable-read exclusions for new shards
 }
 
 // flight is one in-flight coalescible read: the leader performs the
@@ -173,7 +162,7 @@ func (a *App) NewShardGroup(p sched.Proc, name, class string, spec ShardSpec) (*
 func newShardGroup(a *App, name, class string, spec ShardSpec) *ShardGroup {
 	return &ShardGroup{
 		app: a, name: name, class: class, spec: spec,
-		ring:    shard.New(spec.Vnodes),
+		ring:    shard.New(shard.DefaultVnodes),
 		shards:  make(map[string]*Object),
 		reads:   methodSet(spec.Reads),
 		flights: make(map[string]*flight),
@@ -388,7 +377,7 @@ func (g *ShardGroup) coalesce(p sched.Proc, owner string, obj *Object, method st
 			return nil, errors.New("core: shard group shut down mid-flight")
 		}
 		r := v.(flightResult)
-		g.app.world.observeRequest(class, watch.Elapsed(), r.err != nil)
+		g.app.world.slo.Record(class, watch.Elapsed(), r.err != nil)
 		return r.res, r.err
 	}
 	f := &flight{}
@@ -441,7 +430,7 @@ func (g *ShardGroup) Grow(p sched.Proc, node string) (string, error) {
 		if src == nil {
 			continue
 		}
-		keysAny, err := g.app.invokeObject(p, src.id, g.spec.KeysMethod, nil, trace.SpanSync, old, "")
+		keysAny, err := g.app.invokeObject(p, src.id, keysMethod, nil, trace.SpanSync, old, "")
 		if err != nil {
 			return sname, fmt.Errorf("core: handoff keys from %s: %w", old, err)
 		}
@@ -455,11 +444,11 @@ func (g *ShardGroup) Grow(p sched.Proc, node string) (string, error) {
 		if len(leaving) == 0 {
 			continue
 		}
-		data, err := g.app.invokeObject(p, src.id, g.spec.ExtractMethod, []any{leaving}, trace.SpanSync, old, "")
+		data, err := g.app.invokeObject(p, src.id, extractMethod, []any{leaving}, trace.SpanSync, old, "")
 		if err != nil {
 			return sname, fmt.Errorf("core: handoff extract from %s: %w", old, err)
 		}
-		if _, err := g.app.invokeObject(p, newObj.id, g.spec.InstallMethod, []any{data}, trace.SpanSync, sname, ""); err != nil {
+		if _, err := g.app.invokeObject(p, newObj.id, installMethod, []any{data}, trace.SpanSync, sname, ""); err != nil {
 			return sname, fmt.Errorf("core: handoff install into %s: %w", sname, err)
 		}
 		moved += len(leaving)
@@ -539,14 +528,28 @@ func (g *ShardGroup) Heat(k int) []ShardHeat {
 }
 
 // PublishHeat exports each shard's k hottest keys as
-// js_shard_key_heat{group,shard,key} gauges.  Counts are upper bounds
-// (space-saving semantics); hostile key bytes survive the label
-// round-trip because labels are Go-quoted in the registry.
+// js_shard_key_heat{group,shard,key} gauges, and retires the series of
+// keys the previous call exported that have since left the top-k — at
+// most k series per shard stay alive however the heat shifts.  Counts
+// are upper bounds (space-saving semantics); hostile key bytes survive
+// the label round-trip because labels are Go-quoted in the registry.
 func (g *ShardGroup) PublishHeat(k int) {
+	reg := g.app.world.reg
+	live := make(map[string]bool)
 	for _, sh := range g.Heat(k) {
 		for _, e := range sh.Keys {
-			g.app.world.reg.Gauge(metrics.Label("js_shard_key_heat",
-				"group", g.name, "shard", sh.Shard, "key", e.Key)).Set(float64(e.Count))
+			name := metrics.Label("js_shard_key_heat", "group", g.name, "shard", sh.Shard, "key", e.Key)
+			reg.Gauge(name).Set(float64(e.Count))
+			live[name] = true
+		}
+	}
+	g.mu.Lock()
+	stale := g.heatSeries
+	g.heatSeries = live
+	g.mu.Unlock()
+	for name := range stale {
+		if !live[name] {
+			reg.DropGauge(name)
 		}
 	}
 }
@@ -648,9 +651,9 @@ func (g *ShardGroup) Store(p sched.Proc, key string) (string, error) {
 	gr := &GroupRecord{
 		Name: g.name, Class: g.class, Vnodes: vnodes,
 		Reads:         g.spec.Reads,
-		KeysMethod:    g.spec.KeysMethod,
-		ExtractMethod: g.spec.ExtractMethod,
-		InstallMethod: g.spec.InstallMethod,
+		KeysMethod:    keysMethod,
+		ExtractMethod: extractMethod,
+		InstallMethod: installMethod,
 		Replication:   g.spec.Replication,
 		Members:       members,
 	}
@@ -691,9 +694,7 @@ func (a *App) LoadShardGroup(p sched.Proc, key string) (*ShardGroup, error) {
 		return nil, fmt.Errorf("core: stored group %q: %d members but %d shard keys", key, len(gr.Members), len(gr.ShardKeys))
 	}
 	g := newShardGroup(a, gr.Name, gr.Class, ShardSpec{
-		Shards: len(gr.Members), Vnodes: gr.Vnodes,
-		Replication: gr.Replication, Reads: gr.Reads,
-		KeysMethod: gr.KeysMethod, ExtractMethod: gr.ExtractMethod, InstallMethod: gr.InstallMethod,
+		Shards: len(gr.Members), Replication: gr.Replication, Reads: gr.Reads,
 	}.withDefaults())
 	return g.assemble(p, gr.Members, func(i int) (*Object, error) {
 		return a.Load(p, gr.ShardKeys[i], nil, nil)

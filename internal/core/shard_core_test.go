@@ -122,6 +122,51 @@ func TestShardGroupRoutesAndPartitions(t *testing.T) {
 	})
 }
 
+// TestPublishHeatRetiresCooledKeys: across publishes over a shifting key
+// distribution the exported js_shard_key_heat series stay at the current
+// top-k — a key that cooled off must not keep exporting its old count.
+func TestPublishHeatRetiresCooledKeys(t *testing.T) {
+	simWorld(t, func(w *World, a *App, p sched.Proc) {
+		loadTable(t, a, p)
+		g, err := a.NewShardGroup(p, "tbl", "Table", ShardSpec{Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		touch := func(key string, n int) {
+			for i := 0; i < n; i++ {
+				if _, err := g.Invoke(p, key, "Put", key, i); err != nil {
+					t.Fatalf("put %s: %v", key, err)
+				}
+			}
+		}
+		series := func() []string {
+			var names []string
+			for _, gs := range w.Metrics().Snapshot().Gauges {
+				if strings.HasPrefix(gs.Name, "js_shard_key_heat{") {
+					names = append(names, gs.Name)
+				}
+			}
+			return names
+		}
+		name := func(key string) string {
+			return metrics.Label("js_shard_key_heat", "group", "tbl", "shard", "tbl#0", "key", key)
+		}
+		touch("a", 5)
+		touch("b", 4)
+		g.PublishHeat(2)
+		if got := series(); len(got) != 2 || got[0] != name("a") || got[1] != name("b") {
+			t.Fatalf("first publish exported %v", got)
+		}
+		// The heat shifts: c and d overtake b.
+		touch("c", 9)
+		touch("d", 8)
+		g.PublishHeat(2)
+		if got := series(); len(got) != 2 || got[0] != name("c") || got[1] != name("d") {
+			t.Fatalf("second publish left %v alive, want only c and d", got)
+		}
+	})
+}
+
 func TestShardGroupGrowMovesOnlyFairShare(t *testing.T) {
 	simWorld(t, func(w *World, a *App, p sched.Proc) {
 		loadTable(t, a, p)

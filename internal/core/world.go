@@ -26,12 +26,11 @@ import (
 
 // Options tune a World.  The zero value gives sensible defaults.
 type Options struct {
-	NAS        nas.Config          // network agent timing
-	Storage    Storage             // persistent-object store (default in-memory)
-	Registry   *codebase.Registry  // class registry (default codebase.Default)
-	Cost       rmi.CostModel       // simulated RMI CPU cost (default rmi.DefaultCost)
-	MemLatency time.Duration       // in-memory transport latency (default 200µs)
-	Default    *params.Constraints // JS-Shell default constraints for automatic decisions
+	NAS      nas.Config          // network agent timing
+	Storage  Storage             // persistent-object store (default in-memory)
+	Registry *codebase.Registry  // class registry (default codebase.Default)
+	Cost     rmi.CostModel       // simulated RMI CPU cost (default rmi.DefaultCost)
+	Default  *params.Constraints // JS-Shell default constraints for automatic decisions
 	// Durability enables the per-node write-ahead log (internal/wal):
 	// objects marked durable survive node crashes and whole-cluster
 	// restarts via log replay.  nil keeps durability off.
@@ -48,14 +47,11 @@ func (o Options) withDefaults() Options {
 	if o.Cost == (rmi.CostModel{}) {
 		o.Cost = rmi.DefaultCost
 	}
-	switch {
-	case o.MemLatency < 0:
-		o.MemLatency = 0 // negative = genuinely instant delivery
-	case o.MemLatency == 0:
-		o.MemLatency = 200 * time.Microsecond
-	}
 	return o
 }
+
+// memLatency is the in-memory transport's one-way latency.
+const memLatency = 200 * time.Microsecond
 
 // World is one JRS installation: a scheduler, a transport, and a runtime
 // (station + agent + PubOA) per node, plus the directory the JS-Shell
@@ -71,10 +67,9 @@ type World struct {
 	dirNode  string
 	dir      *nas.Directory
 
-	synth  map[string]*nas.SynthSampler // real-time worlds only
-	tracer *trace.Log
-	spans  *trace.SpanLog
-	reg    *metrics.Registry
+	tracer  *trace.Log
+	spans   *trace.SpanLog
+	reg     *metrics.Registry
 	router  *replica.Router // nearest-replica read routing
 	slo     *slo.Engine     // per-class latency objectives
 	durOpts *DurabilityOptions
@@ -147,11 +142,9 @@ func NewLocalWorld(nodeNames []string, opt Options) *World {
 	opt = opt.withDefaults()
 	s := sched.Real()
 	w := newWorld(s, opt)
-	net := rmi.NewMem(s, opt.MemLatency)
+	net := rmi.NewMem(s, memLatency)
 	for i, name := range nodeNames {
-		sp := synthSampler(name, i)
-		w.synth[name] = sp
-		w.addNode(net, name, nil, sp)
+		w.addNode(net, name, nil, synthSampler(name, i))
 	}
 	return w
 }
@@ -164,17 +157,9 @@ func NewTCPWorld(nodeNames []string, opt Options) *World {
 	w := newWorld(s, opt)
 	net := rmi.NewTCP(s)
 	for i, name := range nodeNames {
-		sp := synthSampler(name, i)
-		w.synth[name] = sp
-		w.addNode(net, name, nil, sp)
+		w.addNode(net, name, nil, synthSampler(name, i))
 	}
 	return w
-}
-
-// SynthSampler returns the synthetic sampler of a real-time world's
-// node, letting tests and demos steer node metrics (nil for sim worlds).
-func (w *World) SynthSampler(node string) *nas.SynthSampler {
-	return w.synth[node]
 }
 
 // synthSampler fabricates plausible static metrics for real-time worlds.
@@ -201,7 +186,6 @@ func newWorld(s sched.Sched, opt Options) *World {
 		registry: opt.Registry,
 		nasCfg:   opt.NAS,
 		runtimes: make(map[string]*Runtime),
-		synth:    make(map[string]*nas.SynthSampler),
 		defaults: opt.Default,
 		tracer:   trace.NewLog(trace.DefaultDepth),
 		spans:    trace.NewSpanLog(trace.DefaultSpanDepth),
@@ -345,9 +329,6 @@ func (w *World) Fabric() *simnet.Fabric { return w.fab }
 // Directory returns the installation directory.
 func (w *World) Directory() *nas.Directory { return w.dir }
 
-// DirNode returns the node hosting the directory.
-func (w *World) DirNode() string { return w.dirNode }
-
 // Storage returns the persistent-object store.
 func (w *World) Storage() Storage { return w.storage }
 
@@ -405,16 +386,15 @@ func (w *World) replicaMetric() replica.Metric {
 	return m
 }
 
-// noteRead records where a successful declared read was served and how
-// stale the state was, feeding the replica-hit ratio and the staleness
-// distribution the shell's metrics command shows.
+// noteRead records where a successful declared read was served, feeding
+// the replica-hit ratio the shell's metrics command shows (the span
+// carries how stale the state was).
 func (w *World) noteRead(read bool, resp invokeResp) {
 	if !read {
 		return
 	}
 	if resp.Replica {
 		w.reg.Counter("js_replica_read_hits_total").Inc()
-		w.reg.Histogram("js_replica_staleness_us", nil).ObserveDuration(resp.Staleness)
 	} else {
 		w.reg.Counter("js_replica_read_primary_total").Inc()
 	}
@@ -448,26 +428,8 @@ func (w *World) observeSpan(sp trace.Span) {
 	if sp.Kind == trace.SpanRetry || sp.Kind == trace.SpanPropagate {
 		return
 	}
-	w.observeRequest(sp.Class, sp.Total(), sp.Err != "")
+	w.slo.Record(sp.Class, sp.Total(), sp.Err != "")
 }
-
-// observeRequest feeds one finished classified request to the SLO
-// engine and the per-class exporter metrics.  Coalesced shard reads use
-// it directly: a follower is a finished request with no span of its own.
-func (w *World) observeRequest(class string, latency time.Duration, failed bool) {
-	if class == "" {
-		return
-	}
-	miss := w.slo.Record(class, latency, failed)
-	w.reg.Counter(metrics.Label("js_slo_requests_total", "class", class)).Inc()
-	w.reg.Histogram(metrics.Label("js_slo_latency_us", "class", class), nil).ObserveDuration(latency)
-	if miss {
-		w.reg.Counter(metrics.Label("js_slo_misses_total", "class", class)).Inc()
-	}
-}
-
-// SLOEngine returns the installation's objective engine.
-func (w *World) SLOEngine() *slo.Engine { return w.slo }
 
 // DeclareSLO installs one request-class latency objective.
 func (w *World) DeclareSLO(s slo.SLO) error { return w.slo.Declare(s) }
@@ -476,20 +438,19 @@ func (w *World) DeclareSLO(s slo.SLO) error { return w.slo.Declare(s) }
 func (w *World) SLOReport() slo.Report { return w.slo.Report() }
 
 // onSLOBreach reacts to a class burning its error budget past the
-// engine's threshold: trace it, count it, and trip the flight recorder.
+// engine's threshold: trace it and trip the flight recorder.
 // The engine invokes this outside its lock, so the dump may read the
 // SLO report back.
 func (w *World) onSLOBreach(class string, burn float64) {
 	w.emit(trace.Event{Kind: trace.SLOBreach, Node: w.dirNode,
 		Detail: fmt.Sprintf("class %s burn %.1f", class, burn)})
-	w.reg.Counter(metrics.Label("js_slo_breaches_total", "class", class)).Inc()
 	w.triggerFlightDump(fmt.Sprintf("slo: class %s burn %.1f", class, burn))
 }
 
 // ArmFlightRecorder installs the incident flight recorder (idempotent;
 // the first call wins).  Once armed, chaos faults and SLO burn-rate
 // breaches capture dumps automatically; Trigger captures one on demand.
-func (w *World) ArmFlightRecorder(opt flightrec.Options) *flightrec.Recorder {
+func (w *World) ArmFlightRecorder() *flightrec.Recorder {
 	w.flightMu.Lock()
 	defer w.flightMu.Unlock()
 	if w.flightRec == nil {
@@ -499,7 +460,7 @@ func (w *World) ArmFlightRecorder(opt flightrec.Options) *flightrec.Recorder {
 			Spans:   w.spans.Spans,
 			Metrics: w.reg.Snapshot,
 			SLO:     w.slo.Report,
-		}, opt)
+		})
 	}
 	return w.flightRec
 }
@@ -582,13 +543,6 @@ func (w *World) SetDefaultConstraints(c *params.Constraints) {
 	w.mu.Lock()
 	w.defaults = c
 	w.mu.Unlock()
-}
-
-// AutoMigrationPeriod returns the period (0 = automatic migration off).
-func (w *World) AutoMigrationPeriod() time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.autoPeriod
 }
 
 // SetAutoMigration enables (period > 0) or disables (0) automatic object
@@ -715,12 +669,11 @@ func (w *World) InstallChaos(spec *chaos.Spec, seed int64) (*chaos.Injector, err
 		return nil, errors.New("core: chaos requires a simulated world")
 	}
 	inj := chaos.New(chaos.Config{
-		Sched:   w.s,
-		Target:  chaosTarget{w},
-		Spec:    spec,
-		Seed:    seed,
-		Emit:    w.emit,
-		Metrics: w.reg,
+		Sched:  w.s,
+		Target: chaosTarget{w},
+		Spec:   spec,
+		Seed:   seed,
+		Emit:   w.emit,
 	})
 	w.mu.Lock()
 	if w.chaosInj != nil {
@@ -762,7 +715,6 @@ func (w *World) onLiveness(e nas.Event) {
 	switch e.Kind {
 	case nas.EventNodeFailed:
 		w.emit(trace.Event{Kind: trace.NodeFailed, Node: e.Node, Detail: "detector"})
-		w.reg.Counter("js_core_node_failures_total").Inc()
 		w.mu.Lock()
 		apps := append([]*App(nil), w.apps...)
 		w.mu.Unlock()
@@ -771,7 +723,6 @@ func (w *World) onLiveness(e nas.Event) {
 		}
 	case nas.EventNodeRecovered:
 		w.emit(trace.Event{Kind: trace.NodeRecovered, Node: e.Node, Detail: "detector"})
-		w.reg.Counter("js_core_node_recoveries_total").Inc()
 		w.mu.Lock()
 		apps := append([]*App(nil), w.apps...)
 		w.mu.Unlock()

@@ -7,14 +7,12 @@
 //
 // The recorder holds no state of its own between dumps: it reads
 // through the Sources closures at trigger time, truncates to the most
-// recent MaxSpans/MaxEvents, and files the dump in the ring.  All
+// recent maxSpans/maxEvents, and files the dump in the ring.  All
 // content comes from scheduler-time-deterministic substrates, so dumps
 // from identically-seeded runs are byte-identical.
 package flight
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 
@@ -44,39 +42,25 @@ type Sources struct {
 	SLO     func() slo.Report
 }
 
-// Options tune a Recorder.  The zero value gives sensible defaults.
-type Options struct {
-	Dumps     int // dump ring depth (default 8)
-	MaxEvents int // most recent events kept per dump (default 256)
-	MaxSpans  int // most recent spans kept per dump (default 256)
-}
-
-func (o Options) withDefaults() Options {
-	if o.Dumps <= 0 {
-		o.Dumps = 8
-	}
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = 256
-	}
-	if o.MaxSpans <= 0 {
-		o.MaxSpans = 256
-	}
-	return o
-}
+// The rings are bounded; no installation sets other depths.
+const (
+	maxDumps  = 8   // dump ring depth
+	maxEvents = 256 // most recent events kept per dump
+	maxSpans  = 256 // most recent spans kept per dump
+)
 
 // Recorder captures dumps into a bounded ring.
 type Recorder struct {
 	src Sources
-	opt Options
 
 	mu    sync.Mutex
 	seq   int
-	dumps []Dump // oldest first, len <= opt.Dumps
+	dumps []Dump // oldest first, len <= maxDumps
 }
 
 // New returns a recorder reading through src.
-func New(src Sources, opt Options) *Recorder {
-	return &Recorder{src: src, opt: opt.withDefaults()}
+func New(src Sources) *Recorder {
+	return &Recorder{src: src}
 }
 
 // Trigger captures one dump and files it.
@@ -86,10 +70,10 @@ func (r *Recorder) Trigger(reason string) Dump {
 		d.AtUs = r.src.Now().Microseconds()
 	}
 	if r.src.Events != nil {
-		d.Events = tail(r.src.Events(), r.opt.MaxEvents)
+		d.Events = tail(r.src.Events(), maxEvents)
 	}
 	if r.src.Spans != nil {
-		d.Spans = tail(r.src.Spans(), r.opt.MaxSpans)
+		d.Spans = tail(r.src.Spans(), maxSpans)
 	}
 	if r.src.Metrics != nil {
 		d.Metrics = r.src.Metrics()
@@ -101,8 +85,8 @@ func (r *Recorder) Trigger(reason string) Dump {
 	r.seq++
 	d.Seq = r.seq
 	r.dumps = append(r.dumps, d)
-	if len(r.dumps) > r.opt.Dumps {
-		r.dumps = append(r.dumps[:0], r.dumps[len(r.dumps)-r.opt.Dumps:]...)
+	if len(r.dumps) > maxDumps {
+		r.dumps = append(r.dumps[:0], r.dumps[len(r.dumps)-maxDumps:]...)
 	}
 	r.mu.Unlock()
 	return d
@@ -128,16 +112,4 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.seq
-}
-
-// WriteJSON writes the retained dumps as indented JSON, oldest first.
-// Output is byte-stable for a deterministic run.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	dumps := r.Dumps()
-	if dumps == nil {
-		dumps = []Dump{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(dumps)
 }

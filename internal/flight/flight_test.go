@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -36,16 +37,16 @@ func testSources(now *time.Duration, nEvents, nSpans int) Sources {
 // TestTriggerTruncates: dumps keep only the most recent events/spans.
 func TestTriggerTruncates(t *testing.T) {
 	now := 3 * time.Second
-	r := New(testSources(&now, 10, 10), Options{MaxEvents: 4, MaxSpans: 3})
+	r := New(testSources(&now, maxEvents+6, maxSpans+7))
 	d := r.Trigger("chaos: node crash")
 	if d.Seq != 1 || d.AtUs != 3_000_000 || d.Reason != "chaos: node crash" {
 		t.Fatalf("dump header = %+v", d)
 	}
-	if len(d.Events) != 4 || d.Events[0].Seq != 7 {
-		t.Fatalf("events = %+v", d.Events)
+	if len(d.Events) != maxEvents || d.Events[0].Seq != 7 {
+		t.Fatalf("%d events, first seq %d", len(d.Events), d.Events[0].Seq)
 	}
-	if len(d.Spans) != 3 || d.Spans[0].ID != 8 {
-		t.Fatalf("spans = %+v", d.Spans)
+	if len(d.Spans) != maxSpans || d.Spans[0].ID != 8 {
+		t.Fatalf("%d spans, first id %d", len(d.Spans), d.Spans[0].ID)
 	}
 }
 
@@ -53,43 +54,37 @@ func TestTriggerTruncates(t *testing.T) {
 // trigger count keeps climbing.
 func TestRingBound(t *testing.T) {
 	now := time.Duration(0)
-	r := New(testSources(&now, 0, 0), Options{Dumps: 2})
-	for i := 0; i < 5; i++ {
+	r := New(testSources(&now, 0, 0))
+	for i := 0; i < maxDumps+3; i++ {
 		r.Trigger(fmt.Sprintf("r%d", i))
 	}
 	dumps := r.Dumps()
-	if len(dumps) != 2 || dumps[0].Seq != 4 || dumps[1].Seq != 5 {
+	if len(dumps) != maxDumps || dumps[0].Seq != 4 || dumps[maxDumps-1].Seq != maxDumps+3 {
 		t.Fatalf("dumps = %+v", dumps)
 	}
-	if r.Len() != 5 {
+	if r.Len() != maxDumps+3 {
 		t.Fatalf("len = %d", r.Len())
 	}
 }
 
 // TestWriteJSONDeterministic: identical recorder state serializes
-// byte-identically, and an empty recorder writes an empty array.
+// byte-identically (the experiments' artifact writer encodes Dumps).
 func TestWriteJSONDeterministic(t *testing.T) {
 	build := func() *Recorder {
 		now := 7 * time.Millisecond
-		r := New(testSources(&now, 2, 2), Options{})
+		r := New(testSources(&now, 2, 2))
 		r.Trigger("breach: read burn 4.0")
 		return r
 	}
-	var a, b bytes.Buffer
-	if err := build().WriteJSON(&a); err != nil {
+	a, err := json.Marshal(build().Dumps())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := build().WriteJSON(&b); err != nil {
+	b, err := json.Marshal(build().Dumps())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.String() != b.String() {
-		t.Fatalf("twin serializations differ:\n%s\nvs\n%s", a.String(), b.String())
-	}
-	var empty bytes.Buffer
-	if err := New(Sources{}, Options{}).WriteJSON(&empty); err != nil {
-		t.Fatal(err)
-	}
-	if empty.String() != "[]\n" {
-		t.Fatalf("empty recorder wrote %q", empty.String())
+	if !bytes.Equal(a, b) {
+		t.Fatalf("twin serializations differ:\n%s\nvs\n%s", a, b)
 	}
 }

@@ -90,8 +90,3 @@ func (s *Sketch) TopK(k int) []Entry {
 	}
 	return out
 }
-
-// Reset clears the sketch.
-func (s *Sketch) Reset() {
-	s.entries = make(map[string]*Entry, s.cap)
-}

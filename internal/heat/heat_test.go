@@ -93,13 +93,3 @@ func TestHotKeySurvives(t *testing.T) {
 		t.Fatalf("hot count undercounted: %+v", top[0])
 	}
 }
-
-// TestReset clears state.
-func TestReset(t *testing.T) {
-	s := New(0)
-	s.Touch("x")
-	s.Reset()
-	if s.Len() != 0 || len(s.TopK(0)) != 0 {
-		t.Fatal("reset did not clear")
-	}
-}

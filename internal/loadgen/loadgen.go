@@ -222,18 +222,3 @@ func Generate(cfg Config) ([]Arrival, error) {
 	}
 	return out, nil
 }
-
-// ZipfShare returns the theoretical popularity share of the rank-th
-// most popular key (rank 0 = hottest) under the generator's Zipf
-// parameters — P(k) ∝ (v+k)^(-s) over k in [0, keys).  Property tests
-// compare measured key frequencies against it.
-func ZipfShare(s, v float64, keys uint64, rank uint64) float64 {
-	var norm float64
-	for k := uint64(0); k < keys; k++ {
-		norm += math.Pow(v+float64(k), -s)
-	}
-	if norm == 0 {
-		return 0
-	}
-	return math.Pow(v+float64(rank), -s) / norm
-}

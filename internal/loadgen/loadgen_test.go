@@ -74,7 +74,13 @@ func TestArrivalsMonotonic(t *testing.T) {
 // the top keys must be popularity-ordered.
 func TestZipfSkewWithinTolerance(t *testing.T) {
 	cfg := testConfig(0, 20000)
-	want := ZipfShare(1.1, 1, cfg.Keys, 0)
+	// Theoretical share of the hottest key: P(k) ∝ (1+k)^-1.1 over the
+	// key space.
+	var norm float64
+	for k := uint64(0); k < cfg.Keys; k++ {
+		norm += math.Pow(1+float64(k), -1.1)
+	}
+	want := 1 / norm
 	for _, seed := range []int64{1, 2, 3, 7, 11} {
 		cfg.Seed = seed
 		arr, err := Generate(cfg)

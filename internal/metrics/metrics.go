@@ -283,6 +283,15 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// DropGauge retires the named gauge: it leaves the registry and every
+// later snapshot.  A publisher of per-key series calls it for keys that
+// fell out of what it exports, so label cardinality stays bounded.
+func (r *Registry) DropGauge(name string) {
+	r.mu.Lock()
+	delete(r.gauges, name)
+	r.mu.Unlock()
+}
+
 // Histogram returns (registering if needed) the named histogram.  The
 // bounds apply only on first registration; nil bounds default to
 // LatencyBuckets.

@@ -153,13 +153,6 @@ func (a *Agent) Latest() params.Snapshot {
 	return a.latest.Clone()
 }
 
-// HistorySeries returns the retained time series of a numeric parameter.
-func (a *Agent) HistorySeries(id params.ID) ([]time.Duration, []float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.history.Series(id)
-}
-
 // HistoryFormat renders one parameter's history for shell display.
 func (a *Agent) HistoryFormat(id params.ID) string {
 	a.mu.Lock()

@@ -31,10 +31,9 @@ type Directory struct {
 }
 
 // SetMetrics points the directory at a metrics registry.  Each agent
-// report refreshes js_nas_sampler_staleness_us{node} (gap since the
-// node's previous report — the age its parameters had just before being
-// replaced) and feeds the cluster-wide js_nas_report_gap_us histogram;
-// js_nas_reports_total counts reports.
+// report feeds the cluster-wide js_nas_report_gap_us histogram with the
+// gap since the node's previous report — the age its parameters had
+// just before being replaced.
 func (d *Directory) SetMetrics(reg *metrics.Registry) {
 	d.mu.Lock()
 	d.reg = reg
@@ -131,8 +130,6 @@ func (d *Directory) handle(p sched.Proc, from, method string, body []byte) ([]by
 		}
 		d.delRSet(key)
 		return nil, nil
-	case "rsetList":
-		return rmi.MustMarshal(d.ReplicaSets()), nil
 	}
 	return nil, fmt.Errorf("nas: directory has no method %q", method)
 }
@@ -146,12 +143,7 @@ func (d *Directory) report(node string, snap params.Snapshot, now time.Duration)
 		e = &dirEntry{}
 		d.entries[node] = e
 	} else if d.reg != nil {
-		gap := now - e.seen
-		d.reg.Gauge(metrics.Label("js_nas_sampler_staleness_us", "node", node)).Set(float64(gap.Microseconds()))
-		d.reg.Histogram("js_nas_report_gap_us", nil).ObserveDuration(gap)
-	}
-	if d.reg != nil {
-		d.reg.Counter("js_nas_reports_total").Inc()
+		d.reg.Histogram("js_nas_report_gap_us", nil).ObserveDuration(now - e.seen)
 	}
 	e.snap = snap
 	e.seen = now
@@ -349,13 +341,6 @@ func SelectNodes(p sched.Proc, st *rmi.Station, dirNode string, opts SelectOpts)
 		return nil, err
 	}
 	return resp.Nodes, nil
-}
-
-// Select allocates (and reserves) n nodes; it is SelectNodes shorthand.
-func Select(p sched.Proc, st *rmi.Station, dirNode string, n int, name string, constr *params.Constraints, exclude []string, spread bool) ([]string, error) {
-	return SelectNodes(p, st, dirNode, SelectOpts{
-		N: n, Name: name, Constr: constr, Exclude: exclude, Spread: spread, Reserve: true,
-	})
 }
 
 // ReleaseNodes is the client-side release call.

@@ -96,7 +96,9 @@ func TestAgentAccumulatesHistory(t *testing.T) {
 	w.run(func(p sched.Proc) {
 		p.Sleep(1200 * time.Millisecond) // several monitor periods
 		ag := w.agents[w.names[1]]
-		at, vals := ag.HistorySeries(params.Idle)
+		ag.mu.Lock()
+		at, vals := ag.history.Series(params.Idle)
+		ag.mu.Unlock()
 		if len(vals) < 3 {
 			t.Fatalf("history has %d samples after 1.2s at 200ms period", len(vals))
 		}

@@ -154,7 +154,7 @@ func TestSelectFastestFirst(t *testing.T) {
 	w.run(func(p sched.Proc) {
 		p.Sleep(time.Second)
 		st := w.stations[w.names[3]] // allocate from a non-directory node
-		got, err := Select(p, st, w.names[0], 3, "", nil, nil, false)
+		got, err := SelectNodes(p, st, w.names[0], SelectOpts{N: 3, Reserve: true})
 		if err != nil {
 			t.Fatalf("select: %v", err)
 		}
@@ -177,7 +177,7 @@ func TestSelectHonorsConstraints(t *testing.T) {
 		constr := params.NewConstraints().
 			MustSet(params.NodeName, "!=", "milena").
 			MustSet(params.PeakBandwd, ">=", 100)
-		got, err := Select(p, st, w.names[0], 6, "", constr, nil, false)
+		got, err := SelectNodes(p, st, w.names[0], SelectOpts{N: 6, Constr: constr, Reserve: true})
 		if err != nil {
 			t.Fatalf("select: %v", err)
 		}
@@ -192,7 +192,7 @@ func TestSelectHonorsConstraints(t *testing.T) {
 		}
 		// Only 7 Ultras exist and milena is one of them: requesting 7
 		// non-milena fast nodes must fail.
-		if _, err := Select(p, st, w.names[0], 7, "", constr, nil, false); err == nil {
+		if _, err := SelectNodes(p, st, w.names[0], SelectOpts{N: 7, Constr: constr, Reserve: true}); err == nil {
 			t.Error("over-allocation succeeded")
 		}
 	})
@@ -203,11 +203,11 @@ func TestSelectByName(t *testing.T) {
 	w.run(func(p sched.Proc) {
 		p.Sleep(time.Second)
 		st := w.stations[w.names[0]]
-		got, err := Select(p, st, w.names[0], 1, "rachel", nil, nil, false)
+		got, err := SelectNodes(p, st, w.names[0], SelectOpts{N: 1, Name: "rachel", Reserve: true})
 		if err != nil || len(got) != 1 || got[0] != "rachel" {
 			t.Fatalf("select by name = %v, %v", got, err)
 		}
-		if _, err := Select(p, st, w.names[0], 1, "ghost", nil, nil, false); err == nil {
+		if _, err := SelectNodes(p, st, w.names[0], SelectOpts{N: 1, Name: "ghost", Reserve: true}); err == nil {
 			t.Error("select of unknown host succeeded")
 		}
 	})
@@ -218,11 +218,11 @@ func TestSelectExcludeAndSpread(t *testing.T) {
 	w.run(func(p sched.Proc) {
 		p.Sleep(time.Second)
 		st := w.stations[w.names[0]]
-		a, err := Select(p, st, w.names[0], 2, "", nil, nil, true)
+		a, err := SelectNodes(p, st, w.names[0], SelectOpts{N: 2, Spread: true, Reserve: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Select(p, st, w.names[0], 2, "", nil, nil, true)
+		b, err := SelectNodes(p, st, w.names[0], SelectOpts{N: 2, Spread: true, Reserve: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestSelectExcludeAndSpread(t *testing.T) {
 			}
 		}
 		// Exclusion is absolute.
-		c, err := Select(p, st, w.names[0], 1, "", nil, []string{w.names[0], w.names[1], w.names[2]}, false)
+		c, err := SelectNodes(p, st, w.names[0], SelectOpts{N: 1, Exclude: []string{w.names[0], w.names[1], w.names[2]}, Reserve: true})
 		if err != nil || c[0] != w.names[3] {
 			t.Fatalf("exclude: got %v, %v", c, err)
 		}
@@ -475,7 +475,6 @@ func TestRealTimeSmoke(t *testing.T) {
 	names := []string{"alpha", "beta", "gamma"}
 	stations := make(map[string]*rmi.Station)
 	agents := make(map[string]*Agent)
-	samplers := make(map[string]*SynthSampler)
 	var dir *Directory
 	for i, n := range names {
 		ep, err := net.Attach(n)
@@ -492,8 +491,7 @@ func TestRealTimeSmoke(t *testing.T) {
 			params.Idle:       params.Float(float64(50 + 10*i)),
 			params.PeakMFlops: params.Float(float64(100 * (i + 1))),
 		}
-		samplers[n] = NewSynthSampler(snap)
-		agents[n] = NewAgent(st, samplers[n], cfg, "alpha")
+		agents[n] = NewAgent(st, NewSynthSampler(snap), cfg, "alpha")
 	}
 	for _, st := range stations {
 		st.Start()
@@ -522,12 +520,12 @@ func TestRealTimeSmoke(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	p := sched.RealProc(s)
-	got, err := Select(p, stations["beta"], "alpha", 1, "", nil, nil, false)
+	got, err := SelectNodes(p, stations["beta"], "alpha", SelectOpts{N: 1, Reserve: true})
 	if err != nil || got[0] != "gamma" { // highest peak × idle
 		t.Fatalf("select = %v, %v", got, err)
 	}
 	// Silence gamma; the directory must notice.
-	samplers["gamma"].SetAlive(false)
+	agents["gamma"].Stop()
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		dead := dir.DeadNodes(s.Now())
@@ -546,9 +544,12 @@ func TestSimSamplerFullCatalog(t *testing.T) {
 	fab := simnet.New(clk, simnet.PaperCluster(), simnet.Day, 3)
 	s := SimSampler{M: fab.Machine(0)}
 	snap := s.Sample(time.Second)
-	for _, in := range params.All() {
-		if _, ok := snap.Get(in.ID); !ok {
-			t.Errorf("parameter %s missing from SimSampler output", in.ID)
+	if len(snap) != params.Count() {
+		t.Errorf("SimSampler reports %d parameters, the catalog has %d", len(snap), params.Count())
+	}
+	for _, id := range snap.IDs() {
+		if !params.IsValid(id) {
+			t.Errorf("SimSampler reports %s, which is not in the catalog", id)
 		}
 	}
 	if v, _ := snap.Get(params.Idle); v.Num < 0 || v.Num > 100 {
@@ -556,13 +557,8 @@ func TestSimSamplerFullCatalog(t *testing.T) {
 	}
 }
 
-func TestSynthSamplerUpdate(t *testing.T) {
-	sp := NewSynthSampler(params.Snapshot{params.Idle: params.Float(10)})
-	sp.Update(func(s params.Snapshot) { s.SetFloat(params.Idle, 90) })
-	if v, _ := sp.Sample(0).Get(params.Idle); v.Num != 90 {
-		t.Fatalf("update lost: %v", v)
-	}
-	// Sample returns copies.
+func TestSynthSamplerSampleCopies(t *testing.T) {
+	sp := NewSynthSampler(params.Snapshot{params.Idle: params.Float(90)})
 	sp.Sample(0).SetFloat(params.Idle, 0)
 	if v, _ := sp.Sample(0).Get(params.Idle); v.Num != 90 {
 		t.Fatal("Sample returned shared snapshot")

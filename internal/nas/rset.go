@@ -63,16 +63,3 @@ func DelReplicaSet(p sched.Proc, st *rmi.Station, dirNode string, key string) er
 	_, err := st.Call(p, dirNode, DirService, "rsetDel", rmi.MustMarshal(key), 5*time.Second)
 	return err
 }
-
-// ListReplicaSets fetches the registered sets from any node's station.
-func ListReplicaSets(p sched.Proc, st *rmi.Station, dirNode string) ([]RSetInfo, error) {
-	body, err := st.Call(p, dirNode, DirService, "rsetList", nil, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	var out []RSetInfo
-	if err := rmi.Unmarshal(body, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -9,7 +9,6 @@ package nas
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"jsymphony/internal/params"
@@ -133,42 +132,19 @@ func itoa(i int) string {
 	return string(b[p:])
 }
 
-// SynthSampler is a hand-controlled sampler for real-time tests.
+// SynthSampler reports a fixed snapshot: the sampler of real-time
+// worlds, whose nodes have no simulated machine to measure.
 type SynthSampler struct {
-	mu    sync.Mutex
-	snap  params.Snapshot
-	alive bool
+	snap params.Snapshot
 }
 
-// NewSynthSampler starts alive with a copy of snap.
+// NewSynthSampler reports a copy of snap, always alive.
 func NewSynthSampler(snap params.Snapshot) *SynthSampler {
-	return &SynthSampler{snap: snap.Clone(), alive: true}
+	return &SynthSampler{snap: snap.Clone()}
 }
 
 // Sample implements Sampler.
-func (s *SynthSampler) Sample(now time.Duration) params.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snap.Clone()
-}
+func (s *SynthSampler) Sample(now time.Duration) params.Snapshot { return s.snap.Clone() }
 
 // Alive implements Sampler.
-func (s *SynthSampler) Alive() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.alive
-}
-
-// SetAlive flips the node's liveness.
-func (s *SynthSampler) SetAlive(a bool) {
-	s.mu.Lock()
-	s.alive = a
-	s.mu.Unlock()
-}
-
-// Update overwrites parameters in the synthetic snapshot.
-func (s *SynthSampler) Update(fn func(params.Snapshot)) {
-	s.mu.Lock()
-	fn(s.snap)
-	s.mu.Unlock()
-}
+func (s *SynthSampler) Alive() bool { return true }

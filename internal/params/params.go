@@ -166,30 +166,6 @@ var byID = func() map[ID]Info {
 	return m
 }()
 
-// Lookup returns the catalog entry for id.
-func Lookup(id ID) (Info, bool) {
-	in, ok := byID[id]
-	return in, ok
-}
-
-// MustLookup is Lookup for parameters known to exist; it panics on unknown
-// ids and is intended for package-internal tables.
-func MustLookup(id ID) Info {
-	in, ok := byID[id]
-	if !ok {
-		panic(fmt.Sprintf("params: unknown parameter %q", id))
-	}
-	return in
-}
-
-// All returns the full catalog in stable order.  The returned slice is a
-// copy; callers may reorder it freely.
-func All() []Info {
-	out := make([]Info, len(catalog))
-	copy(out, catalog)
-	return out
-}
-
 // Count reports the catalog size ("close to 40" in the paper; this
 // implementation ships 49).
 func Count() int { return len(catalog) }

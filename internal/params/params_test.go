@@ -9,14 +9,14 @@ func TestCatalogSize(t *testing.T) {
 	if Count() < 40 {
 		t.Fatalf("catalog has %d parameters, want >= 40", Count())
 	}
-	if Count() != len(All()) {
-		t.Fatalf("Count()=%d disagrees with len(All())=%d", Count(), len(All()))
+	if Count() != len(byID) {
+		t.Fatalf("Count()=%d disagrees with the %d distinct ids", Count(), len(byID))
 	}
 }
 
 func TestCatalogUniqueAndValid(t *testing.T) {
 	seen := make(map[ID]bool)
-	for _, in := range All() {
+	for _, in := range catalog {
 		if seen[in.ID] {
 			t.Errorf("duplicate catalog id %q", in.ID)
 		}
@@ -24,34 +24,25 @@ func TestCatalogUniqueAndValid(t *testing.T) {
 		if !IsValid(in.ID) {
 			t.Errorf("IsValid(%q) = false for cataloged id", in.ID)
 		}
-		got, ok := Lookup(in.ID)
+		got, ok := byID[in.ID]
 		if !ok || got != in {
-			t.Errorf("Lookup(%q) = %+v, %v; want %+v, true", in.ID, got, ok, in)
+			t.Errorf("byID[%q] = %+v, %v; want %+v, true", in.ID, got, ok, in)
 		}
 	}
 }
 
 func TestLookupUnknown(t *testing.T) {
-	if _, ok := Lookup("no.such.parameter"); ok {
-		t.Fatal("Lookup of unknown id succeeded")
+	if _, ok := byID["no.such.parameter"]; ok {
+		t.Fatal("lookup of unknown id succeeded")
 	}
 	if IsValid("no.such.parameter") {
 		t.Fatal("IsValid accepted unknown id")
 	}
 }
 
-func TestMustLookupPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustLookup of unknown id did not panic")
-		}
-	}()
-	MustLookup("bogus")
-}
-
 func TestStaticDynamicSplit(t *testing.T) {
 	var static, dynamic int
-	for _, in := range All() {
+	for _, in := range catalog {
 		switch in.Class {
 		case Static:
 			static++
@@ -65,19 +56,19 @@ func TestStaticDynamicSplit(t *testing.T) {
 		t.Fatalf("catalog must contain both classes: static=%d dynamic=%d", static, dynamic)
 	}
 	// Spot checks from the paper's examples.
-	if MustLookup(NodeName).Class != Static {
+	if byID[NodeName].Class != Static {
 		t.Error("node.name must be static")
 	}
-	if MustLookup(CPUSysLoad).Class != Dynamic {
+	if byID[CPUSysLoad].Class != Dynamic {
 		t.Error("cpu.sys must be dynamic")
 	}
-	if MustLookup(Idle).Class != Dynamic {
+	if byID[Idle].Class != Dynamic {
 		t.Error("cpu.idle must be dynamic")
 	}
 }
 
 func TestStringParamsHaveNoUnit(t *testing.T) {
-	for _, in := range All() {
+	for _, in := range catalog {
 		if in.Kind == String && in.Unit != "" {
 			t.Errorf("string parameter %q has unit %q", in.ID, in.Unit)
 		}

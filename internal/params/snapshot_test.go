@@ -154,7 +154,7 @@ func BenchmarkAverage13Nodes(b *testing.B) {
 	snaps := make([]Snapshot, 13)
 	for i := range snaps {
 		s := make(Snapshot, Count())
-		for _, in := range All() {
+		for _, in := range catalog {
 			if in.Kind == Number {
 				s.SetFloat(in.ID, float64(i))
 			} else {

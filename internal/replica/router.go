@@ -82,10 +82,3 @@ func (r *Router) Pick(key, origin string, candidates []string, avoid map[string]
 	r.mu.Unlock()
 	return live[int(turn%uint64(n))].name, true
 }
-
-// Forget drops the rotation state of key (object freed).
-func (r *Router) Forget(key string) {
-	r.mu.Lock()
-	delete(r.rr, key)
-	r.mu.Unlock()
-}

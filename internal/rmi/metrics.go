@@ -6,22 +6,13 @@ import (
 	"jsymphony/internal/metrics"
 )
 
-// stationMetrics caches the station's instruments so the hot call path
+// stationMetrics caches the station's histograms so the hot call path
 // never rebuilds labeled names.  Per-peer link instruments are resolved
 // once per peer and memoized.
 type stationMetrics struct {
 	reg *metrics.Registry
 
 	callLatency *metrics.Histogram // js_rmi_call_latency_us{node}
-	timeouts    *metrics.Counter   // js_rmi_timeouts_total{node}
-	sheds       *metrics.Counter   // js_rmi_sheds_total{node}
-	retries     *metrics.Counter   // js_rmi_retries_total{node}
-	dups        *metrics.Counter   // js_rmi_dup_requests_total{node}
-	calls       *metrics.Counter   // js_rmi_calls_total{node}
-	oneway      *metrics.Counter   // js_rmi_oneway_total{node}
-	served      *metrics.Counter   // js_rmi_served_total{node}
-	bytesOut    *metrics.Counter   // js_rmi_bytes_out_total{node}
-	bytesIn     *metrics.Counter   // js_rmi_bytes_in_total{node}
 
 	links sync.Map // peer string -> *linkMetrics
 	node  string
@@ -31,23 +22,6 @@ type stationMetrics struct {
 type linkMetrics struct {
 	latency *metrics.Histogram // js_rmi_link_latency_us{node,peer}
 	bytes   *metrics.Histogram // js_rmi_link_bytes{node,peer}
-}
-
-func newStationMetrics(reg *metrics.Registry, node string) *stationMetrics {
-	return &stationMetrics{
-		reg:         reg,
-		node:        node,
-		callLatency: reg.Histogram(metrics.Label("js_rmi_call_latency_us", "node", node), nil),
-		timeouts:    reg.Counter(metrics.Label("js_rmi_timeouts_total", "node", node)),
-		sheds:       reg.Counter(metrics.Label("js_rmi_sheds_total", "node", node)),
-		retries:     reg.Counter(metrics.Label("js_rmi_retries_total", "node", node)),
-		dups:        reg.Counter(metrics.Label("js_rmi_dup_requests_total", "node", node)),
-		calls:       reg.Counter(metrics.Label("js_rmi_calls_total", "node", node)),
-		oneway:      reg.Counter(metrics.Label("js_rmi_oneway_total", "node", node)),
-		served:      reg.Counter(metrics.Label("js_rmi_served_total", "node", node)),
-		bytesOut:    reg.Counter(metrics.Label("js_rmi_bytes_out_total", "node", node)),
-		bytesIn:     reg.Counter(metrics.Label("js_rmi_bytes_in_total", "node", node)),
-	}
 }
 
 // link returns (memoizing) the instruments for the node→peer link.
@@ -66,13 +40,23 @@ func (m *stationMetrics) link(peer string) *linkMetrics {
 	return actual.(*linkMetrics)
 }
 
-// SetMetrics points the station at a registry.  Call before Start; a nil
-// registry (the default) disables metric recording.
+// SetMetrics points the station at a registry: the exported wire
+// counters become the registry's instruments and the latency and link
+// histograms start recording.  Call before Start; a nil registry (the
+// default) records nothing outside the station.
 func (st *Station) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	st.metrics = newStationMetrics(reg, st.Node())
+	node := st.Node()
+	st.calls = reg.Counter(metrics.Label("js_rmi_calls_total", "node", node))
+	st.retries = reg.Counter(metrics.Label("js_rmi_retries_total", "node", node))
+	st.bytesOut = reg.Counter(metrics.Label("js_rmi_bytes_out_total", "node", node))
+	st.metrics = &stationMetrics{
+		reg:         reg,
+		node:        node,
+		callLatency: reg.Histogram(metrics.Label("js_rmi_call_latency_us", "node", node), nil),
+	}
 }
 
 // SetTimeoutHook installs a callback invoked whenever a synchronous call

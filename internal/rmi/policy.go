@@ -31,11 +31,6 @@ type Policy struct {
 	// Multiplier grows the backoff between attempts (values <= 1 keep it
 	// constant).
 	Multiplier float64
-	// DedupTTL bounds how long the receiver remembers a (sender, ID)
-	// pair in its idempotency table (0 = 30s).  It only needs to exceed
-	// the longest plausible retry window: a retry arriving after its
-	// entry expired would re-execute.
-	DedupTTL time.Duration
 }
 
 // next returns the backoff following cur.
@@ -78,12 +73,14 @@ func (st *Station) Closed() bool {
 // can plausibly be in retry windows at once.
 const dedupMax = 2048
 
-// dedupTTLDefault is the retention window when Policy.DedupTTL is unset:
+// dedupTTL bounds how long the receiver remembers a (sender, ID) pair:
 // entries older than this are garbage-collected even while the table is
 // under dedupMax, so a long-lived station under steady idempotent
 // traffic holds only the entries from recent retry windows instead of
-// the last 2048 calls forever.
-const dedupTTLDefault = 30 * time.Second
+// the last 2048 calls forever.  It only needs to exceed the longest
+// plausible retry window: a retry arriving after its entry expired
+// would re-execute.
+const dedupTTL = 30 * time.Second
 
 // dedupKey identifies one idempotent request: correlation IDs are
 // per-sender, so the pair is unique.
@@ -127,17 +124,13 @@ func (st *Station) dedupCheck(msg *Message) (cached *Message, dup bool) {
 	return nil, false
 }
 
-// dedupGC expires entries older than the policy TTL.  The order slice is
+// dedupGC expires entries older than dedupTTL.  The order slice is
 // insertion-ordered and entry timestamps never decrease, so expiry only
 // ever consumes a prefix.
 func (st *Station) dedupGC(now time.Duration) {
-	ttl := st.policy.DedupTTL
-	if ttl <= 0 {
-		ttl = dedupTTLDefault
-	}
 	for st.dedupHead < len(st.dedupOrder) {
 		e := st.dedup[st.dedupOrder[st.dedupHead]]
-		if e != nil && now-e.at < ttl {
+		if e != nil && now-e.at < dedupTTL {
 			break
 		}
 		st.dedupDropHead()

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"jsymphony/internal/metrics"
 	"jsymphony/internal/sched"
 )
 
@@ -160,7 +161,20 @@ type Station struct {
 	dedupOrder []dedupKey
 	dedupHead  int
 
-	stats       Stats
+	// Wire counters, each kept once; Stats snapshots them.  calls,
+	// retries and bytesOut are also exported: SetMetrics points them at
+	// the registry's instruments.
+	calls    *metrics.Counter // synchronous/async requests sent
+	retries  *metrics.Counter // request re-sends under a retry policy
+	bytesOut *metrics.Counter
+	bytesIn  metrics.Counter
+	oneway   metrics.Counter // one-way messages sent
+	served   metrics.Counter // requests served (incl. one-way)
+	timeouts metrics.Counter // call attempts that timed out
+	sheds    metrics.Counter // calls refused by the callee under overload
+	dups     metrics.Counter // duplicate idempotent requests suppressed
+	stale    metrics.Counter // responses that arrived after their call gave up
+
 	metrics     *stationMetrics                  // nil unless SetMetrics was called
 	timeoutHook func(to, service, method string) // nil unless SetTimeoutHook was called
 	retryHook   func(to, service, method string) // nil unless SetRetryHook was called
@@ -174,6 +188,9 @@ func NewStation(s sched.Sched, ep Endpoint) *Station {
 		ep:       ep,
 		services: make(map[string]Handler),
 		pending:  make(map[uint64]sched.Queue),
+		calls:    new(metrics.Counter),
+		retries:  new(metrics.Counter),
+		bytesOut: new(metrics.Counter),
 	}
 }
 
@@ -184,7 +201,20 @@ func (st *Station) Node() string { return st.ep.Node() }
 func (st *Station) Sched() sched.Sched { return st.s }
 
 // Stats returns a snapshot of the station's wire statistics.
-func (st *Station) Stats() StatsSnapshot { return st.stats.snapshot() }
+func (st *Station) Stats() StatsSnapshot {
+	return StatsSnapshot{
+		CallsSent:  st.calls.Value(),
+		OneWaySent: st.oneway.Value(),
+		Served:     st.served.Value(),
+		Timeouts:   st.timeouts.Value(),
+		Sheds:      st.sheds.Value(),
+		Retries:    st.retries.Value(),
+		Dups:       st.dups.Value(),
+		Stale:      st.stale.Value(),
+		BytesOut:   st.bytesOut.Value(),
+		BytesIn:    st.bytesIn.Value(),
+	}
+}
 
 // Register installs h as the handler for the named service.  Services
 // may be registered at any time (applications attach their object agents
@@ -250,39 +280,24 @@ func (st *Station) dispatch(p sched.Proc) {
 		}
 		switch msg.Kind {
 		case KindRequest, KindOneWay:
-			st.stats.bytesIn.Add(int64(msg.wireSize()))
-			if m := st.metrics; m != nil {
-				m.bytesIn.Add(int64(msg.wireSize()))
-			}
+			st.bytesIn.Add(int64(msg.wireSize()))
 			if msg.Kind == KindRequest && msg.Idem {
 				if cached, dup := st.dedupCheck(msg); dup {
-					st.stats.dups.Add(1)
-					if m := st.metrics; m != nil {
-						m.dups.Inc()
-					}
+					st.dups.Inc()
 					if cached != nil {
 						// The handler already ran; re-send its response
 						// instead of executing a second time.
-						st.stats.bytesOut.Add(int64(cached.wireSize()))
-						if m := st.metrics; m != nil {
-							m.bytesOut.Add(int64(cached.wireSize()))
-						}
+						st.bytesOut.Add(int64(cached.wireSize()))
 						_ = st.ep.Send(p, cached.To, cached)
 					}
 					// In-flight duplicate: the original execution answers.
 					continue
 				}
 			}
-			st.stats.served.Add(1)
-			if m := st.metrics; m != nil {
-				m.served.Inc()
-			}
+			st.served.Inc()
 			st.serve(msg)
 		case KindResponse:
-			st.stats.bytesIn.Add(int64(msg.wireSize()))
-			if m := st.metrics; m != nil {
-				m.bytesIn.Add(int64(msg.wireSize()))
-			}
+			st.bytesIn.Add(int64(msg.wireSize()))
 			st.mu.Lock()
 			q, ok := st.pending[msg.ID]
 			if ok {
@@ -290,7 +305,7 @@ func (st *Station) dispatch(p sched.Proc) {
 			}
 			st.mu.Unlock()
 			if !ok {
-				st.stats.stale.Add(1)
+				st.stale.Inc()
 				continue
 			}
 			q.Put(msg, 0)
@@ -331,10 +346,7 @@ func (st *Station) serve(msg *Message) {
 		if msg.Idem {
 			st.dedupStore(msg, resp)
 		}
-		st.stats.bytesOut.Add(int64(resp.wireSize()))
-		if m := st.metrics; m != nil {
-			m.bytesOut.Add(int64(resp.wireSize()))
-		}
+		st.bytesOut.Add(int64(resp.wireSize()))
 		// Best effort: the caller times out if the response is lost.
 		_ = st.ep.Send(p, msg.From, resp)
 	})
@@ -379,11 +391,8 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 		Pad:     pad,
 		Idem:    pol.Retries > 0,
 	}
-	st.stats.calls.Add(1)
+	st.calls.Inc()
 	begin := st.s.Now()
-	if m := st.metrics; m != nil {
-		m.calls.Inc()
-	}
 
 	attempts := pol.Retries + 1
 	per := timeout
@@ -399,9 +408,8 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 	var v any
 	var ok bool
 	for attempt := 0; attempt < attempts; attempt++ {
-		st.stats.bytesOut.Add(int64(msg.wireSize()))
+		st.bytesOut.Add(int64(msg.wireSize()))
 		if m := st.metrics; m != nil {
-			m.bytesOut.Add(int64(msg.wireSize()))
 			m.link(to).bytes.Observe(int64(msg.wireSize()))
 		}
 		if err := st.ep.Send(p, to, msg); err != nil {
@@ -427,10 +435,7 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 		if closed && !stillPending {
 			return nil, ErrClosed
 		}
-		st.stats.timeouts.Add(1)
-		if m := st.metrics; m != nil {
-			m.timeouts.Inc()
-		}
+		st.timeouts.Inc()
 		if attempt == attempts-1 || st.s.Now() >= deadline {
 			break
 		}
@@ -447,10 +452,7 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 		if st.s.Now() >= deadline {
 			break
 		}
-		st.stats.retries.Add(1)
-		if m := st.metrics; m != nil {
-			m.retries.Inc()
-		}
+		st.retries.Inc()
 		if hook := st.retryHook; hook != nil {
 			hook(to, service, method)
 		}
@@ -484,10 +486,7 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 		// apart from timeouts so the two failure modes never alias in
 		// the stats, and return without consuming retry budget.
 		if strings.HasPrefix(resp.Err, ErrOverload.Error()) {
-			st.stats.sheds.Add(1)
-			if m := st.metrics; m != nil {
-				m.sheds.Inc()
-			}
+			st.sheds.Inc()
 		}
 		return nil, &RemoteError{Node: to, Msg: resp.Err}
 	}
@@ -514,11 +513,9 @@ func (st *Station) Post(p sched.Proc, to, service, method string, body []byte) e
 		Method:  method,
 		Body:    body,
 	}
-	st.stats.oneway.Add(1)
-	st.stats.bytesOut.Add(int64(msg.wireSize()))
+	st.oneway.Inc()
+	st.bytesOut.Add(int64(msg.wireSize()))
 	if m := st.metrics; m != nil {
-		m.oneway.Inc()
-		m.bytesOut.Add(int64(msg.wireSize()))
 		m.link(to).bytes.Observe(int64(msg.wireSize()))
 	}
 	return st.ep.Send(p, to, msg)

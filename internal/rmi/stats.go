@@ -1,22 +1,5 @@
 package rmi
 
-import "sync/atomic"
-
-// Stats accumulates a station's wire counters.  All fields are updated
-// atomically; read them through snapshot.
-type Stats struct {
-	calls    atomic.Int64 // synchronous/async requests sent
-	oneway   atomic.Int64 // one-way messages sent
-	served   atomic.Int64 // requests served (incl. one-way)
-	timeouts atomic.Int64 // call attempts that timed out
-	sheds    atomic.Int64 // calls refused by the callee under overload
-	retries  atomic.Int64 // request re-sends under a retry policy
-	dups     atomic.Int64 // duplicate idempotent requests suppressed
-	stale    atomic.Int64 // responses that arrived after their call gave up
-	bytesOut atomic.Int64
-	bytesIn  atomic.Int64
-}
-
 // StatsSnapshot is a consistent-enough copy of a station's counters.
 type StatsSnapshot struct {
 	CallsSent  int64 // requests sent expecting a response
@@ -29,21 +12,6 @@ type StatsSnapshot struct {
 	Stale      int64 // late responses dropped
 	BytesOut   int64 // estimated bytes transmitted
 	BytesIn    int64 // estimated bytes received
-}
-
-func (s *Stats) snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		CallsSent:  s.calls.Load(),
-		OneWaySent: s.oneway.Load(),
-		Served:     s.served.Load(),
-		Timeouts:   s.timeouts.Load(),
-		Sheds:      s.sheds.Load(),
-		Retries:    s.retries.Load(),
-		Dups:       s.dups.Load(),
-		Stale:      s.stale.Load(),
-		BytesOut:   s.bytesOut.Load(),
-		BytesIn:    s.bytesIn.Load(),
-	}
 }
 
 // Add merges o into s (for aggregating across stations).

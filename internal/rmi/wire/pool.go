@@ -79,10 +79,6 @@ func (pl *Pool) Put(b []byte) {
 	pl.p.Put(bp)
 }
 
-// HighWater reports the arena's learned high-water mark (for tests and
-// status output).
-func (pl *Pool) HighWater() int { return int(pl.hw.Load()) }
-
 // ptrPool recycles the *[]byte boxes themselves so Get/Put do not
 // allocate a header per cycle.
 var ptrPool = sync.Pool{New: func() any { return new([]byte) }}

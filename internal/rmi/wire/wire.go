@@ -340,7 +340,3 @@ func (d *Dec) Strings() []string {
 	}
 	return out
 }
-
-// Sub reads a length-prefixed sub-buffer (for nested encodings that
-// are framed, like registered value payloads).  Aliases the input.
-func (d *Dec) Sub() []byte { return d.Bytes() }

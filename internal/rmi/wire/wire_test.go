@@ -144,12 +144,12 @@ func TestPoolHighWater(t *testing.T) {
 	b := p.Get()
 	b = append(b, make([]byte, 4096)...)
 	p.Put(b)
-	if hw := p.HighWater(); hw != 4096 {
+	if hw := int(p.hw.Load()); hw != 4096 {
 		t.Fatalf("high water = %d, want 4096", hw)
 	}
 	// A smaller buffer must not lower the mark.
 	p.Put(make([]byte, 16, 32))
-	if hw := p.HighWater(); hw != 4096 {
+	if hw := int(p.hw.Load()); hw != 4096 {
 		t.Fatalf("high water = %d after small put, want 4096", hw)
 	}
 	// New buffers come out presized to the mark.
@@ -188,7 +188,7 @@ func TestPoolGiantDoesNotPoisonHighWater(t *testing.T) {
 	p := NewPool()
 	giant := make([]byte, 8<<20)
 	p.Put(giant)
-	if hw := p.HighWater(); hw > poolMaxRetap {
+	if hw := int(p.hw.Load()); hw > poolMaxRetap {
 		t.Fatalf("high water = %d after %d-byte put, want <= %d", hw, len(giant), poolMaxRetap)
 	}
 	if b := p.Get(); cap(b) > poolMaxRetap {

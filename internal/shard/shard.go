@@ -132,18 +132,6 @@ func (r *Ring) Clone() *Ring {
 	return c
 }
 
-// Moved returns, in input order, the keys whose owner differs between
-// before and after — the handoff set of a rebalance.
-func Moved(before, after *Ring, keys []string) []string {
-	var out []string
-	for _, k := range keys {
-		if before.Owner(k) != after.Owner(k) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // vnodeKey is the stable string hashed for one virtual node.
 func vnodeKey(member string, v int) string {
 	return fmt.Sprintf("%s#%d", member, v)

@@ -27,7 +27,6 @@ type Fabric struct {
 	partitions map[[2]string]bool
 	linkPol    map[[2]string]LinkPolicy
 	chaosCtr   uint64
-	reg        *metrics.Registry // for wire-fault counters; set by Instrument
 }
 
 // LinkPolicy describes wire-level faults on a link: each message is
@@ -41,19 +40,15 @@ type LinkPolicy struct {
 }
 
 // Instrument points every machine at a metrics registry: each Snapshot
-// refreshes the per-node js_simnet_util and js_simnet_background_load
-// gauges, so "top"-style views see what the monitoring agents see.
+// refreshes the per-node js_simnet_util gauge, so "top"-style views see
+// what the monitoring agents see.
 func (f *Fabric) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	f.chaosMu.Lock()
-	f.reg = reg
-	f.chaosMu.Unlock()
 	for _, m := range f.all {
 		m.mu.Lock()
 		m.utilGauge = reg.Gauge(metrics.Label("js_simnet_util", "node", m.spec.Name))
-		m.loadGauge = reg.Gauge(metrics.Label("js_simnet_background_load", "node", m.spec.Name))
 		m.mu.Unlock()
 	}
 }
@@ -161,13 +156,6 @@ func (f *Fabric) SetPartitioned(a, b string, on bool) {
 	}
 }
 
-// Partitioned reports whether the a–b link is currently cut.
-func (f *Fabric) Partitioned(a, b string) bool {
-	f.chaosMu.Lock()
-	defer f.chaosMu.Unlock()
-	return f.partitions[pairKey(a, b)]
-}
-
 // SetLinkPolicy installs wire faults on the a–b link; ("*", "*") sets
 // the default policy for links with no specific one (a specific policy
 // fully overrides the default, it does not merge).  A zero LinkPolicy
@@ -190,21 +178,12 @@ func (f *Fabric) draw() float64 {
 	return unit(splitmix64(uint64(f.seed) + f.chaosCtr*0x9e3779b97f4a7c15))
 }
 
-// wireCounter bumps a js_simnet_* wire-fault counter.  Caller holds
-// chaosMu.
-func (f *Fabric) wireCounter(name, src string) {
-	if f.reg != nil {
-		f.reg.Counter(metrics.Label(name, "node", src)).Inc()
-	}
-}
-
 // linkFate decides what the chaos layer does to one message from src to
 // dst: drop it, duplicate it, and/or delay it by jitter.
 func (f *Fabric) linkFate(src, dst string) (drop, dup bool, jitter time.Duration) {
 	f.chaosMu.Lock()
 	defer f.chaosMu.Unlock()
 	if len(f.partitions) > 0 && f.partitions[pairKey(src, dst)] {
-		f.wireCounter("js_simnet_wire_drops_total", src)
 		return true, false, 0
 	}
 	pol, ok := f.linkPol[pairKey(src, dst)]
@@ -215,11 +194,9 @@ func (f *Fabric) linkFate(src, dst string) (drop, dup bool, jitter time.Duration
 		return false, false, 0
 	}
 	if pol.Loss > 0 && f.draw() < pol.Loss {
-		f.wireCounter("js_simnet_wire_drops_total", src)
 		return true, false, 0
 	}
 	if pol.Dup > 0 && f.draw() < pol.Dup {
-		f.wireCounter("js_simnet_wire_dups_total", src)
 		dup = true
 	}
 	if pol.Reorder > 0 {
@@ -243,7 +220,6 @@ type Machine struct {
 	alive     bool
 	extra     float64        // injected owner load (failure/contention studies)
 	utilGauge *metrics.Gauge // set by Fabric.Instrument; nil otherwise
-	loadGauge *metrics.Gauge
 }
 
 // Spec returns the machine's hardware description.
@@ -466,7 +442,7 @@ func (m *Machine) Snapshot(t vclock.Time) SnapshotData {
 	m.mu.Lock()
 	sharers := m.active
 	alive := m.alive
-	utilGauge, loadGauge := m.utilGauge, m.loadGauge
+	utilGauge := m.utilGauge
 	m.mu.Unlock()
 	// JavaSymphony computations count toward utilization too.
 	util := load + float64(sharers)*(1-load)
@@ -475,7 +451,6 @@ func (m *Machine) Snapshot(t vclock.Time) SnapshotData {
 	}
 	if utilGauge != nil {
 		utilGauge.Set(util)
-		loadGauge.Set(load)
 	}
 	return SnapshotData{
 		Alive:    alive,

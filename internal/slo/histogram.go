@@ -85,14 +85,6 @@ func (h *Histogram) Sum() int64 { return h.sum }
 // Max returns the largest observed value (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }
 
-// Min returns the smallest observed value (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Quantile returns the q-quantile (0 < q <= 1) as the upper bound of
 // the bucket the rank lands in, clamped to the exact observed extremes
 // — so an empty histogram reports 0, a single-sample histogram reports
@@ -125,24 +117,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		v = h.min
 	}
 	return v
-}
-
-// CountAbove returns how many observations exceeded the threshold.
-// Bucketed observations straddling the threshold's bucket count as
-// above only if the whole bucket is above, so the answer matches the
-// exact count whenever the threshold is a bucket bound (targets are
-// checked per-observation in the engine; this is for reporting).
-func (h *Histogram) CountAbove(threshold int64) int64 {
-	var above int64
-	for idx, n := range h.counts {
-		if n == 0 {
-			continue
-		}
-		if bucketUpper(idx) > threshold {
-			above += n
-		}
-	}
-	return above
 }
 
 // Merge folds another histogram into this one.

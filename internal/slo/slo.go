@@ -44,42 +44,26 @@ func (s SLO) Validate() error {
 	return nil
 }
 
-// Options tune an Engine.  The zero value gives sensible defaults.
+// The burn-rate window is fixed: no installation sets another.
+const (
+	// window is the rolling burn-rate window in scheduler time, rolled
+	// over windowBuckets sub-buckets.
+	window        = 5 * time.Second
+	windowBuckets = 5
+	// burnThreshold is the burn rate at which OnBreach fires: the budget
+	// is being spent at twice the sustainable rate.
+	burnThreshold = 2.0
+	// minCount is the minimum number of requests in the window before a
+	// breach can fire, so a single early miss cannot page.
+	minCount = 20
+)
+
+// Options configure an Engine.
 type Options struct {
-	// Window is the rolling burn-rate window (default 5s of scheduler
-	// time).
-	Window time.Duration
-	// Buckets is the number of sub-buckets the window rolls over
-	// (default 5).
-	Buckets int
-	// BurnThreshold is the burn rate at which OnBreach fires
-	// (default 2: the budget is being spent at twice the sustainable
-	// rate).
-	BurnThreshold float64
-	// MinCount is the minimum number of requests in the window before
-	// a breach can fire (default 20), so a single early miss cannot
-	// page.
-	MinCount int64
 	// OnBreach, when set, is called (outside the engine lock) when a
-	// class's window burn rate crosses BurnThreshold, at most once per
+	// class's window burn rate crosses burnThreshold, at most once per
 	// window per class.
 	OnBreach func(class string, burn float64)
-}
-
-func (o Options) withDefaults() Options {
-	if o.Window <= 0 {
-		o.Window = 5 * time.Second
-	}
-	if o.Buckets <= 0 {
-		o.Buckets = 5
-	}
-	if o.BurnThreshold <= 0 {
-		o.BurnThreshold = 2
-	}
-	if o.MinCount <= 0 {
-		o.MinCount = 20
-	}
-	return o
 }
 
 // burnBucket is one sub-window of miss accounting.
@@ -90,7 +74,7 @@ type burnBucket struct {
 
 // classState is the accounting of one request class.
 type classState struct {
-	slo      SLO  // zero Target when the class is tracked but undeclared
+	slo      SLO // zero Target when the class is tracked but undeclared
 	declared bool
 	hist     Histogram
 	total    int64
@@ -112,7 +96,7 @@ type Engine struct {
 
 // NewEngine returns an engine reading scheduler time from now.
 func NewEngine(now func() time.Duration, opt Options) *Engine {
-	return &Engine{now: now, opt: opt.withDefaults(), classes: make(map[string]*classState)}
+	return &Engine{now: now, opt: opt, classes: make(map[string]*classState)}
 }
 
 // Declare installs (or replaces) one class objective.
@@ -168,13 +152,13 @@ func (e *Engine) Record(class string, latency time.Duration, failed bool) bool {
 			b.missed++
 		}
 		burn = e.burnLocked(cs, now)
-		if burn >= e.opt.BurnThreshold && e.windowTotal(cs, now) >= e.opt.MinCount {
-			if !cs.fired || now-cs.lastFire >= e.opt.Window {
+		if burn >= burnThreshold && e.windowTotal(cs, now) >= minCount {
+			if !cs.fired || now-cs.lastFire >= window {
 				cs.fired = true
 				cs.lastFire = now
 				breach = e.opt.OnBreach
 			}
-		} else if burn < e.opt.BurnThreshold {
+		} else if burn < burnThreshold {
 			cs.fired = false
 		}
 	}
@@ -188,12 +172,12 @@ func (e *Engine) Record(class string, latency time.Duration, failed bool) bool {
 // bucket returns the live sub-window bucket for now, rolling expired
 // ones off.  Caller holds e.mu.
 func (e *Engine) bucket(cs *classState, now time.Duration) *burnBucket {
-	step := e.opt.Window / time.Duration(e.opt.Buckets)
+	step := window / windowBuckets
 	start := now - now%step
 	// Drop buckets that left the window.
 	keep := cs.buckets[:0]
 	for i := range cs.buckets {
-		if cs.buckets[i].start > now-e.opt.Window {
+		if cs.buckets[i].start > now-window {
 			keep = append(keep, cs.buckets[i])
 		}
 	}
@@ -210,7 +194,7 @@ func (e *Engine) bucket(cs *classState, now time.Duration) *burnBucket {
 func (e *Engine) windowTotal(cs *classState, now time.Duration) int64 {
 	var total int64
 	for i := range cs.buckets {
-		if cs.buckets[i].start > now-e.opt.Window {
+		if cs.buckets[i].start > now-window {
 			total += cs.buckets[i].total
 		}
 	}
@@ -225,7 +209,7 @@ func (e *Engine) burnLocked(cs *classState, now time.Duration) float64 {
 	}
 	var total, missed int64
 	for i := range cs.buckets {
-		if cs.buckets[i].start > now-e.opt.Window {
+		if cs.buckets[i].start > now-window {
 			total += cs.buckets[i].total
 			missed += cs.buckets[i].missed
 		}

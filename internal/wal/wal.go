@@ -376,22 +376,6 @@ func (l *Log) Append(r Record) {
 	l.m.mu.Unlock()
 }
 
-// Pending reports the buffered record count.
-func (l *Log) Pending() int { return len(l.pend) }
-
-// PendingBytes estimates the framed size of the buffered records plus
-// the Begin/Commit envelope, for disk-cost accounting before Flush.
-func (l *Log) PendingBytes() int {
-	if len(l.pend) == 0 {
-		return 0
-	}
-	n := FrameSize(Record{Kind: KindBegin}) + FrameSize(Record{Kind: KindCommit})
-	for _, r := range l.pend {
-		n += FrameSize(r)
-	}
-	return n
-}
-
 // DropPending discards the buffered records (crash path).
 func (l *Log) DropPending() { l.pend = l.pend[:0] }
 

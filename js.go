@@ -414,15 +414,6 @@ func (js *JS) NewShardGroup(name, class string, spec ShardSpec) (*ShardGroup, er
 	return &ShardGroup{g: g, js: js}, nil
 }
 
-// ShardGroupByName resolves an already-created group in this session.
-func (js *JS) ShardGroupByName(name string) (*ShardGroup, bool) {
-	g, ok := js.app.ShardGroup(name)
-	if !ok {
-		return nil, false
-	}
-	return &ShardGroup{g: g, js: js}, true
-}
-
 // ShardGroups lists the application's shard groups sorted by name.
 func (js *JS) ShardGroups() []ShardGroupInfo { return js.app.ShardGroups() }
 

@@ -289,6 +289,74 @@ func TestLocalEnvMatmulExact(t *testing.T) {
 	}
 }
 
+// TestLocalEnvMigrateWhileInvoking: in a real-time world the sessions of
+// one application are plain goroutines, so a spawned mover migrating an
+// object while the main session posts to it and asks where it lives must
+// be ordered by the AppOA's table lock.  `go test -race` is the
+// assertion (the CI race job runs it; sim worlds are serialized by the
+// run token and never showed the race).
+func TestLocalEnvMigrateWhileInvoking(t *testing.T) {
+	env := jsymphony.NewLocalEnv([]string{"m0", "m1", "m2"}, testEnvOpts())
+	env.Start()
+	defer env.Shutdown()
+	js, err := env.Attach("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer js.Unregister()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := js.NewNamedNode("m2"); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("agents never reported")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	cb := js.NewCodebase()
+	cb.Add("test.Accum")
+	if err := cb.LoadNodes(env.Nodes()...); err != nil {
+		t.Fatal(err)
+	}
+	node, _ := js.NewNamedNode("m1")
+	obj, err := js.NewObject("test.Accum", node, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	js.Spawn("mover", func(w *jsymphony.JS) {
+		defer close(done)
+		for i := 0; i < 10; i++ {
+			dst, err := w.NewNamedNode([]string{"m2", "m1"}[i%2])
+			if err != nil {
+				t.Errorf("mover node: %v", err)
+				return
+			}
+			if err := obj.With(w).Migrate(dst, nil); err != nil {
+				t.Errorf("migrate %d: %v", i, err)
+				return
+			}
+		}
+	})
+	for moving := true; moving; {
+		// A one-sided call racing a migration may be dropped (§4.5); only
+		// the table read must be safe.
+		_ = obj.OInvoke("Get")
+		if _, err := obj.NodeName(); err != nil {
+			t.Fatalf("NodeName during migration: %v", err)
+		}
+		select {
+		case <-done:
+			moving = false
+		default:
+		}
+	}
+	if host, err := obj.SInvoke("Host"); err != nil || host.(string) != "m1" {
+		t.Fatalf("host after 10 moves = %v, %v", host, err)
+	}
+}
+
 func TestSpawnConcurrency(t *testing.T) {
 	env := jsymphony.NewSimEnv(jsymphony.UniformCluster(jsymphony.Ultra10_300, 3),
 		jsymphony.IdleProfile, 1, testEnvOpts())
