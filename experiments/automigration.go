@@ -44,7 +44,8 @@ type E3Result struct {
 	Migrated      bool // did the victim worker end up elsewhere?
 }
 
-// E3Config parameterizes the experiment.
+// E3Config parameterizes the experiment.  Fields are used as given:
+// start from defaultE3Config, the values the registry runs.
 type E3Config struct {
 	Workers    int           // worker objects (and cluster nodes)
 	Rounds     int           // iterations per worker
@@ -53,28 +54,19 @@ type E3Config struct {
 	Seed       int64
 }
 
-func (c E3Config) withDefaults() E3Config {
-	if c.Workers <= 0 {
-		c.Workers = 4
+// defaultE3Config is the experiment as the registry runs it.
+func defaultE3Config(seed int64) E3Config {
+	return E3Config{
+		Workers:    4,
+		Rounds:     30,
+		RoundFlops: 5e6, // 200 ms on an idle Ultra 10/300
+		HogAfter:   1 * time.Second,
+		Seed:       seed,
 	}
-	if c.Rounds <= 0 {
-		c.Rounds = 30
-	}
-	if c.RoundFlops <= 0 {
-		c.RoundFlops = 5e6 // 200 ms on an idle Ultra 10/300
-	}
-	if c.HogAfter <= 0 {
-		c.HogAfter = 1 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
 }
 
 // RunE3Condition runs one condition on a fresh uniform cluster.
 func RunE3Condition(auto bool, cfg E3Config) E3Result {
-	cfg = cfg.withDefaults()
 	env := idleCluster(cfg.Workers+1, cfg.Seed)
 	var res E3Result
 	res.AutoMigration = auto

@@ -6,7 +6,8 @@ func TestE3AutoMigrationPaysOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment skipped in -short mode")
 	}
-	cfg := E3Config{Workers: 3, Rounds: 25, RoundFlops: 5e6, Seed: 1}
+	cfg := defaultE3Config(1)
+	cfg.Workers, cfg.Rounds = 3, 25
 	off, on := E3(cfg)
 	if off.Migrated {
 		t.Error("worker moved with automatic migration disabled")

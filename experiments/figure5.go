@@ -42,11 +42,12 @@ type Figure5Point struct {
 	Metrics metrics.Snapshot
 }
 
-// Figure5Config parameterizes the sweep.
+// Figure5Config parameterizes the sweep.  Fields are used as given:
+// start from defaultFigure5Config, the values the registry runs.
 type Figure5Config struct {
-	Sizes    []int // problem sizes (default 200, 400, 600, 800)
-	MaxNodes int   // node counts 1..MaxNodes (default 13, the paper's cluster)
-	Seed     int64 // simulation seed (default 1)
+	Sizes    []int // problem sizes
+	MaxNodes int   // node counts 1..MaxNodes (the paper's cluster has 13)
+	Seed     int64 // simulation seed
 
 	// Chaos, when non-empty, is a fault-injection plan (chaos DSL, see
 	// jsymphony.ParseChaos) installed on every run of the sweep — e.g.
@@ -55,17 +56,10 @@ type Figure5Config struct {
 	Chaos string
 }
 
-func (c Figure5Config) withDefaults() Figure5Config {
-	if len(c.Sizes) == 0 {
-		c.Sizes = []int{200, 400, 600, 800}
-	}
-	if c.MaxNodes <= 0 {
-		c.MaxNodes = 13
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+// defaultFigure5Config is the paper's sweep: four problem sizes on 1..13
+// nodes.
+func defaultFigure5Config(seed int64) Figure5Config {
+	return Figure5Config{Sizes: []int{200, 400, 600, 800}, MaxNodes: 13, Seed: seed}
 }
 
 // Figure5Point runs one cell on a fresh paper cluster — one experiment
@@ -108,7 +102,6 @@ func runFigure5Point(profile jsymphony.LoadProfile, n, nodes int, seed int64, sp
 
 // Figure5 runs the full sweep: every size × node count × {day, night}.
 func Figure5(cfg Figure5Config) []Figure5Point {
-	cfg = cfg.withDefaults()
 	var spec *jsymphony.ChaosSpec
 	if cfg.Chaos != "" {
 		var err error

@@ -87,7 +87,7 @@ func TestFigure5MetricsDeterminism(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Figure5Config{}.withDefaults()
+	c := defaultFigure5Config(1)
 	if len(c.Sizes) != 4 || c.MaxNodes != 13 || c.Seed != 1 {
 		t.Fatalf("defaults = %+v", c)
 	}

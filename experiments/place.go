@@ -20,20 +20,16 @@ import (
 // the remote-RMI counter.  Correctness is verified both times: hints
 // change where objects live, never what they compute.
 
-// PlaceConfig parameterizes the experiment.
+// PlaceConfig parameterizes the experiment.  Fields are used as given:
+// start from defaultPlaceConfig, the values the registry runs.
 type PlaceConfig struct {
-	Seed  int64 // simulation seed (default 1)
-	Nodes int   // uniform cluster size (default 8, the committed hints' fanout)
+	Seed  int64 // simulation seed
+	Nodes int   // uniform cluster size (the committed hints' fanout)
 }
 
-func (c PlaceConfig) withDefaults() PlaceConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 8
-	}
-	return c
+// defaultPlaceConfig is the experiment as committed in BENCH_place.json.
+func defaultPlaceConfig(seed int64) PlaceConfig {
+	return PlaceConfig{Seed: seed, Nodes: 8}
 }
 
 // PlaceRun is one measured execution of one workload.
@@ -141,7 +137,6 @@ func runPlaceCell(cfg PlaceConfig, workload string, hinted bool) (run PlaceRun, 
 // Place runs the full experiment: each placed workload, baseline then
 // hinted, on identical clusters.
 func Place(cfg PlaceConfig) PlaceResult {
-	cfg = cfg.withDefaults()
 	res := PlaceResult{Config: cfg}
 	for _, workload := range []string{"matmul", "jacobi", "kv"} {
 		pt := PlacePoint{Workload: workload}

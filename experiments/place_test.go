@@ -9,7 +9,7 @@ func TestPlaceAcrossSeeds(t *testing.T) {
 		t.Skip("full twin-run sweep in -short mode")
 	}
 	for _, seed := range []int64{2, 3} {
-		res := Place(PlaceConfig{Seed: seed})
+		res := Place(defaultPlaceConfig(seed))
 		for _, pt := range res.Points {
 			if !pt.Verified {
 				t.Errorf("seed %d: %s run diverged from the reference", seed, pt.Workload)

@@ -33,42 +33,32 @@ import (
 //     under group commit and once with a private fsync per write; the
 //     coalesced run must touch the simulated disk far less often.
 
-// RecoverConfig parameterizes the experiment.
+// RecoverConfig parameterizes the experiment.  Fields are used as given:
+// start from defaultRecoverConfig, the values the registry runs.
 type RecoverConfig struct {
-	Seed    int64 // simulation + WAL media seed (default 1)
-	Nodes   int   // uniform cluster size (default 6)
-	Objects int   // persistent plain objects in the crash scenario (default 1000)
+	Seed    int64 // simulation + WAL media seed
+	Nodes   int   // uniform cluster size
+	Objects int   // persistent plain objects in the crash scenario
 
-	Replicated int // MinSync=1 replicated counters riding along (default 32)
-	PostWrites int // restart: acked writes after the baseline snapshot (default 25)
+	Replicated int // MinSync=1 replicated counters riding along
+	PostWrites int // restart: acked writes after the baseline snapshot
 
-	Writers int // groupcommit: concurrent writers on one node (default 24)
-	Rounds  int // groupcommit: write rounds (default 6)
+	Writers int // groupcommit: concurrent writers on one node
+	Rounds  int // groupcommit: write rounds
 }
 
-func (c RecoverConfig) withDefaults() RecoverConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
+// defaultRecoverConfig is the experiment as committed in
+// BENCH_recover.json.
+func defaultRecoverConfig(seed int64) RecoverConfig {
+	return RecoverConfig{
+		Seed:       seed,
+		Nodes:      6,
+		Objects:    1000,
+		Replicated: 32,
+		PostWrites: 25,
+		Writers:    24,
+		Rounds:     6,
 	}
-	if c.Nodes <= 0 {
-		c.Nodes = 6
-	}
-	if c.Objects <= 0 {
-		c.Objects = 1000
-	}
-	if c.Replicated <= 0 {
-		c.Replicated = 32
-	}
-	if c.PostWrites <= 0 {
-		c.PostWrites = 25
-	}
-	if c.Writers <= 0 {
-		c.Writers = 24
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 6
-	}
-	return c
 }
 
 // RecoverCrash is the chaos-crash scenario's outcome.
@@ -127,7 +117,6 @@ func recoverNAS() jsymphony.NASConfig {
 
 // Recover runs all three scenarios.
 func Recover(cfg RecoverConfig) RecoverResult {
-	cfg = cfg.withDefaults()
 	return RecoverResult{
 		Config:      cfg,
 		Crash:       recoverCrash(cfg),

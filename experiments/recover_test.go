@@ -10,7 +10,7 @@ import "testing"
 // identical ring, and group commit flushes the simulated disk >= 5x
 // less often than fsync-per-write.
 func TestRecoverClaims(t *testing.T) {
-	res := Recover(RecoverConfig{})
+	res := Recover(defaultRecoverConfig(1))
 	lines, ok := res.Claims()
 	for _, l := range lines {
 		t.Log(l)

@@ -21,32 +21,25 @@ import (
 // sequential reference: recovery must not just finish, it must finish
 // *right*.
 
-// RecoveryConfig parameterizes the experiment.
+// RecoveryConfig parameterizes the experiment.  Fields are used as given:
+// start from defaultRecoveryConfig, the values the registry runs.
 type RecoveryConfig struct {
-	Seed       int64         // simulation and workload seed (default 1)
-	N          int           // problem size (default 384, exact arithmetic)
-	Nodes      int           // cluster size; every node hosts a slave (default 4)
-	Checkpoint time.Duration // checkpoint period (default 250ms)
-	CrashAt    time.Duration // when the victim dies, mid-run (default 1.5s)
+	Seed       int64         // simulation and workload seed
+	N          int           // problem size (exact arithmetic)
+	Nodes      int           // cluster size; every node hosts a slave
+	Checkpoint time.Duration // checkpoint period
+	CrashAt    time.Duration // when the victim dies, mid-run
 }
 
-func (c RecoveryConfig) withDefaults() RecoveryConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
+// defaultRecoveryConfig is the experiment as the registry runs it.
+func defaultRecoveryConfig(seed int64) RecoveryConfig {
+	return RecoveryConfig{
+		Seed:       seed,
+		N:          384,
+		Nodes:      4,
+		Checkpoint: 250 * time.Millisecond,
+		CrashAt:    1500 * time.Millisecond,
 	}
-	if c.N <= 0 {
-		c.N = 384
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 4
-	}
-	if c.Checkpoint <= 0 {
-		c.Checkpoint = 250 * time.Millisecond
-	}
-	if c.CrashAt <= 0 {
-		c.CrashAt = 1500 * time.Millisecond
-	}
-	return c
 }
 
 // RecoveryResult is the experiment's outcome.
@@ -65,7 +58,6 @@ type RecoveryResult struct {
 // crash always kills live work (node00 additionally hosts the master
 // and the directory, and is therefore not a fair victim).
 func Recovery(cfg RecoveryConfig) RecoveryResult {
-	cfg = cfg.withDefaults()
 	wl := matmul.Config{N: cfg.N, Nodes: cfg.Nodes, Model: false, Seed: cfg.Seed}
 	A, B := matmul.Operands(wl)
 	want := matmul.Multiply(A, B, cfg.N)

@@ -55,7 +55,14 @@ var Registry = []Entry{
 		Banner: "Figure 5 — JavaSymphony matrix multiplication on the simulated\n" +
 			"13-workstation heterogeneous cluster (virtual execution times)",
 		Run: func(p Params) Result {
-			cfg := Figure5Config{Sizes: p.Sizes, MaxNodes: p.MaxNodes, Seed: p.Seed, Chaos: p.Chaos}
+			cfg := defaultFigure5Config(p.Seed)
+			cfg.Chaos = p.Chaos
+			if len(p.Sizes) > 0 {
+				cfg.Sizes = p.Sizes
+			}
+			if p.MaxNodes > 0 {
+				cfg.MaxNodes = p.MaxNodes
+			}
 			return Figure5Result{Chaos: p.Chaos, Points: Figure5(cfg)}
 		},
 	},
@@ -70,7 +77,7 @@ var Registry = []Entry{
 		Banner: "E3 — automatic object migration under owner contention\n" +
 			"(a workstation owner returns mid-run and seizes 90% of the CPU)",
 		Run: func(p Params) Result {
-			off, on := E3(E3Config{Seed: p.Seed})
+			off, on := E3(defaultE3Config(p.Seed))
 			return E3Pair{Off: off, On: on}
 		},
 	},
@@ -78,43 +85,43 @@ var Registry = []Entry{
 		Name: "recovery",
 		Banner: "Recovery — checkpoint-based crash recovery overhead\n" +
 			"(the OAS extension the paper defers to future work, §5.1/§7)",
-		Run: func(p Params) Result { return Recovery(RecoveryConfig{Seed: p.Seed}) },
+		Run: func(p Params) Result { return Recovery(defaultRecoveryConfig(p.Seed)) },
 	},
 	{
 		Name: "recover", Artifact: "BENCH_recover.json",
 		Banner: "Recover — durable log-structured object store (internal/wal)\n" +
 			"(group commit, incremental checkpoints, crash-consistent replay; DESIGN.md §13)",
-		Run: func(p Params) Result { return Recover(RecoverConfig{Seed: p.Seed}) },
+		Run: func(p Params) Result { return Recover(defaultRecoverConfig(p.Seed)) },
 	},
 	{
 		Name: "replica", Artifact: "BENCH_replica.json",
 		Banner: "Replica — locality-aware read replication (internal/replica)\n" +
 			"(read throughput by replica count; strong-mode crash availability)",
-		Run: func(p Params) Result { return Replica(ReplicaConfig{Seed: p.Seed}) },
+		Run: func(p Params) Result { return Replica(defaultReplicaConfig(p.Seed)) },
 	},
 	{
 		Name: "shard", Artifact: "BENCH_shard.json",
 		Banner: "Shard — consistent-hash key-space partitioning (internal/shard)\n" +
 			"(write throughput by shard count; batched control-plane RMI)",
-		Run: func(p Params) Result { return Shard(ShardConfig{Seed: p.Seed}) },
+		Run: func(p Params) Result { return Shard(defaultShardConfig(p.Seed)) },
 	},
 	{
 		Name: "slo", Artifact: "BENCH_slo.json",
 		Banner: "SLO — request-level objectives, critical-path tracing, heat telemetry\n" +
 			"(Observability v2: internal/slo, internal/trace, internal/heat, internal/flight)",
-		Run: func(p Params) Result { return Slo(SloConfig{Seed: p.Seed}) },
+		Run: func(p Params) Result { return Slo(defaultSloConfig(p.Seed)) },
 	},
 	{
 		Name: "serve", Artifact: "BENCH_serve.json",
 		Banner: "Serve — open-loop overload with admission control and load shedding\n" +
 			"(baseline vs shed replay of one seeded heavy-tailed arrival stream)",
-		Run: func(p Params) Result { return Serve(ServeConfig{Seed: p.Seed}) },
+		Run: func(p Params) Result { return Serve(defaultServeConfig(p.Seed)) },
 	},
 	{
 		Name: "place", Artifact: "BENCH_place.json",
 		Banner: "Place — static placement oracle (cmd/jsplace + internal/analysis/affinity)\n" +
 			"(each placed workload twin-run: load-only vs committed co-location hints)",
-		Run: func(p Params) Result { return Place(PlaceConfig{Seed: p.Seed}) },
+		Run: func(p Params) Result { return Place(defaultPlaceConfig(p.Seed)) },
 	},
 	{
 		Name: "wire", Artifact: "BENCH_wire.json",

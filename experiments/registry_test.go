@@ -13,8 +13,16 @@ import (
 // slow and the reduced one exercises the same code; entries not listed
 // run through Entry.Run at full scale.
 var reduced = map[string]func(seed int64) Result{
-	"serve":   func(seed int64) Result { return Serve(ServeConfig{Seed: seed, Ops: 400, Ramp: time.Second}) },
-	"recover": func(seed int64) Result { return Recover(RecoverConfig{Seed: seed, Objects: 120, Replicated: 8}) },
+	"serve": func(seed int64) Result {
+		cfg := defaultServeConfig(seed)
+		cfg.Ops, cfg.Ramp = 400, time.Second
+		return Serve(cfg)
+	},
+	"recover": func(seed int64) Result {
+		cfg := defaultRecoverConfig(seed)
+		cfg.Objects, cfg.Replicated = 120, 8
+		return Recover(cfg)
+	},
 }
 
 // TestRegistry holds every entry to the registry's contract, and every
@@ -23,6 +31,8 @@ var reduced = map[string]func(seed int64) Result{
 // latency, quantile, counter and timestamp derives from the virtual
 // clock, nothing from the host — and another seed renders different
 // JSON, so neither the generators nor the simulation ignore the seed.
+// The entries run in parallel, so the twin comparison also fails if two
+// experiments share mutable state.
 func TestRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range Registry {
@@ -43,6 +53,9 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("%s: committed artifact missing: %v", e.Name, err)
 		}
 		t.Run(e.Name, func(t *testing.T) {
+			if e.Name != "wire" { // wire flips the process-global rmi.SetGobOnly: serial
+				t.Parallel()
+			}
 			run := reduced[e.Name]
 			if run == nil {
 				if testing.Short() && (e.Name == "place" || e.Name == "wire") {

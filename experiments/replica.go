@@ -24,37 +24,29 @@ import (
 //     increment must still be in the final value — strong mode loses no
 //     acked writes.
 
-// ReplicaConfig parameterizes the experiment.
+// ReplicaConfig parameterizes the experiment.  Fields are used as given:
+// start from defaultReplicaConfig, the values the registry runs.
 type ReplicaConfig struct {
-	Seed      int64   // simulation seed (default 1)
-	Nodes     int     // uniform cluster size (default 6)
-	ReadsEach int     // reads each reader performs (default 40)
-	ReadFlops float64 // modeled CPU per read (default 2e6: service-bound)
+	Seed      int64   // simulation seed
+	Nodes     int     // uniform cluster size
+	ReadsEach int     // reads each reader performs
+	ReadFlops float64 // modeled CPU per read (service-bound)
 
-	Writes     int // part B: increments to push through the crash (default 30)
-	CrashAfter int // part B: crash the primary after this many acks (default 10)
+	Writes     int // part B: increments to push through the crash
+	CrashAfter int // part B: crash the primary after this many acks
 }
 
-func (c ReplicaConfig) withDefaults() ReplicaConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
+// defaultReplicaConfig is the experiment as committed in
+// BENCH_replica.json.
+func defaultReplicaConfig(seed int64) ReplicaConfig {
+	return ReplicaConfig{
+		Seed:       seed,
+		Nodes:      6,
+		ReadsEach:  40,
+		ReadFlops:  2e6,
+		Writes:     30,
+		CrashAfter: 10,
 	}
-	if c.Nodes <= 0 {
-		c.Nodes = 6
-	}
-	if c.ReadsEach <= 0 {
-		c.ReadsEach = 40
-	}
-	if c.ReadFlops <= 0 {
-		c.ReadFlops = 2e6
-	}
-	if c.Writes <= 0 {
-		c.Writes = 30
-	}
-	if c.CrashAfter <= 0 {
-		c.CrashAfter = 10
-	}
-	return c
 }
 
 // ReplicaPoint is one cell of the part-A throughput sweep.
@@ -203,7 +195,6 @@ func runReplicaAvailability(cfg ReplicaConfig) ReplicaAvailability {
 // Replica runs the full experiment: the throughput sweep over replica
 // counts and modes, then the crash-availability run.
 func Replica(cfg ReplicaConfig) ReplicaResult {
-	cfg = cfg.withDefaults()
 	res := ReplicaResult{Config: cfg}
 	res.Points = append(res.Points,
 		runReplicaPoint(cfg, 0, jsymphony.ReplicaStrong),

@@ -43,94 +43,67 @@ type ServeClass struct {
 	Percentile float64       // declared percentile (e.g. 99 or 95)
 }
 
-// ServeConfig parameterizes the experiment.
+// ServeConfig parameterizes the experiment.  Fields are used as given:
+// start from defaultServeConfig, the values the registry runs.
 type ServeConfig struct {
-	Seed   int64  // simulation + stream seed (default 1)
-	Nodes  int    // uniform cluster size (default 6)
-	Shards int    // shard count (default 3)
-	Keys   uint64 // Zipf key-space size (default 64)
+	Seed   int64  // simulation + stream seed
+	Nodes  int    // uniform cluster size
+	Shards int    // shard count
+	Keys   uint64 // Zipf key-space size
 
-	Clients uint64  // simulated client population (default 3,000,000)
-	Rate    float64 // peak offered arrival rate, req/s (default 140)
-	Ops     int     // arrivals generated (default 1200)
+	Clients uint64  // simulated client population
+	Rate    float64 // peak offered arrival rate, req/s
+	Ops     int     // arrivals generated
 
-	Ramp     time.Duration // night period before demand jumps to peak (default 2s)
-	RampMult float64       // night demand as a fraction of peak (default 0.3)
+	Ramp     time.Duration // night period before demand jumps to peak
+	RampMult float64       // night demand as a fraction of peak
 
-	QueueBound int           // per-object in-flight bound in the shed run (default 5)
-	Hold       time.Duration // admission re-admission dwell (default 1s)
-	ReadFlops  float64       // modeled CPU per read (default 2e5)
-	WriteFlops float64       // modeled CPU per write (default 2e6)
+	QueueBound int           // per-object in-flight bound in the shed run
+	Hold       time.Duration // admission re-admission dwell
+	ReadFlops  float64       // modeled CPU per read
+	WriteFlops float64       // modeled CPU per write
 
-	Bucket  time.Duration // curve bucket width (default 1s)
+	Bucket  time.Duration // curve bucket width
 	Classes []ServeClass  // priority order, most important first
 }
 
-func (c ServeConfig) withDefaults() ServeConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 6
-	}
-	if c.Shards <= 0 {
-		c.Shards = 3
-	}
-	if c.Keys == 0 {
-		c.Keys = 64
-	}
-	if c.Clients == 0 {
-		c.Clients = 3_000_000
-	}
-	if c.Rate <= 0 {
-		c.Rate = 140
-	}
-	if c.Ops <= 0 {
-		c.Ops = 1200
-	}
-	if c.Ramp <= 0 {
-		c.Ramp = 2 * time.Second
-	}
-	if c.RampMult <= 0 {
-		c.RampMult = 0.3
-	}
-	if c.QueueBound == 0 {
+// defaultServeConfig is the experiment as committed in BENCH_serve.json.
+func defaultServeConfig(seed int64) ServeConfig {
+	return ServeConfig{
+		Seed:     seed,
+		Nodes:    6,
+		Shards:   3,
+		Keys:     64,
+		Clients:  3_000_000,
+		Rate:     140,
+		Ops:      1200,
+		Ramp:     2 * time.Second,
+		RampMult: 0.3,
 		// Calibrated to gold's objective: with ~80ms writes fair-sharing
 		// the hot shard, depth 5 caps a gold request's in-flight wait
 		// near the 400ms target.  Deeper bounds stop shedding gold only
 		// to miss it by latency instead.
-		c.QueueBound = 5
-	}
-	if c.Hold <= 0 {
+		QueueBound: 5,
 		// Longer than the controller's 250ms default: under *sustained*
 		// overload every re-admission floods the mailboxes with traffic
 		// the class-blind bound then sheds — some of it gold — so probing
 		// for recovery once a second keeps the flap damage off the top
 		// class at any seed.
-		c.Hold = time.Second
-	}
-	if c.ReadFlops <= 0 {
-		c.ReadFlops = 2e5
-	}
-	if c.WriteFlops <= 0 {
-		c.WriteFlops = 2e6
-	}
-	if c.Bucket <= 0 {
-		c.Bucket = time.Second
-	}
-	if len(c.Classes) == 0 {
+		Hold:       time.Second,
+		ReadFlops:  2e5,
+		WriteFlops: 2e6,
+		Bucket:     time.Second,
 		// Shedding can only protect classes whose aggregate demand fits
 		// the capacity that remains: gold+silver here offer ~30% of peak
 		// (~60% of write capacity), so once bronze is shed the survivors
 		// have real headroom.  A protected set sized at or above capacity
 		// is unservable no matter how good the controller is.
-		c.Classes = []ServeClass{
+		Classes: []ServeClass{
 			{Name: "gold", Share: 0.10, Reads: 0.25, Target: 400 * time.Millisecond, Percentile: 99},
 			{Name: "silver", Share: 0.20, Reads: 0.25, Target: 750 * time.Millisecond, Percentile: 95},
 			{Name: "bronze", Share: 0.70, Reads: 0.25, Target: 150 * time.Millisecond, Percentile: 95},
-		}
+		},
 	}
-	return c
 }
 
 // classNames returns the declared classes in priority order.
@@ -388,7 +361,6 @@ func serveCurve(cfg ServeConfig, arrivals []loadgen.Arrival, samples []serveSamp
 
 // Serve runs the full experiment: one generated stream, two replays.
 func Serve(cfg ServeConfig) ServeResult {
-	cfg = cfg.withDefaults()
 	classes := make([]loadgen.Class, len(cfg.Classes))
 	for i, cl := range cfg.Classes {
 		classes[i] = loadgen.Class{Name: cl.Name, Share: cl.Share, Reads: cl.Reads}

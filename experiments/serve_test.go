@@ -9,7 +9,7 @@ import "testing"
 // counted as timeouts, and critical-path attribution survives
 // shedding.
 func TestServeClaims(t *testing.T) {
-	res := Serve(ServeConfig{})
+	res := Serve(defaultServeConfig(1))
 	lines, ok := res.Claims()
 	for _, l := range lines {
 		t.Log(l)

@@ -30,42 +30,31 @@ import (
 //     key collapse onto a single in-flight upstream RMI on the shard
 //     router (singleflight); every follower is one saved call.
 
-// ShardConfig parameterizes the experiment.
+// ShardConfig parameterizes the experiment.  Fields are used as given:
+// start from defaultShardConfig, the values the registry runs.
 type ShardConfig struct {
-	Seed       int64   // simulation seed (default 1)
-	Nodes      int     // uniform cluster size (default 6)
-	Keys       int     // distinct keys written in part A (default 96)
-	WriteFlops float64 // modeled CPU per write (default 2e6: primary-bound)
+	Seed       int64   // simulation seed
+	Nodes      int     // uniform cluster size
+	Keys       int     // distinct keys written in part A
+	WriteFlops float64 // modeled CPU per write (primary-bound)
 
-	AuthObjects int           // part B: replicated objects on one node (default 32)
-	AuthWindow  time.Duration // part B: how long the renewer runs (default 2s)
+	AuthObjects int           // part B: replicated objects on one node
+	AuthWindow  time.Duration // part B: how long the renewer runs
 
-	Readers int // part C: concurrent readers of the hot key (default 12)
+	Readers int // part C: concurrent readers of the hot key
 }
 
-func (c ShardConfig) withDefaults() ShardConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
+// defaultShardConfig is the experiment as committed in BENCH_shard.json.
+func defaultShardConfig(seed int64) ShardConfig {
+	return ShardConfig{
+		Seed:        seed,
+		Nodes:       6,
+		Keys:        96,
+		WriteFlops:  2e6,
+		AuthObjects: 32,
+		AuthWindow:  2 * time.Second,
+		Readers:     12,
 	}
-	if c.Nodes <= 0 {
-		c.Nodes = 6
-	}
-	if c.Keys <= 0 {
-		c.Keys = 96
-	}
-	if c.WriteFlops <= 0 {
-		c.WriteFlops = 2e6
-	}
-	if c.AuthObjects <= 0 {
-		c.AuthObjects = 32
-	}
-	if c.AuthWindow <= 0 {
-		c.AuthWindow = 2 * time.Second
-	}
-	if c.Readers <= 0 {
-		c.Readers = 12
-	}
-	return c
 }
 
 // ShardPoint is one cell of the part-A write-throughput sweep.
@@ -213,7 +202,6 @@ func runShardCoalesce(cfg ShardConfig) ShardCoalesce {
 // Shard runs the full experiment: the write-throughput sweep over shard
 // counts, the batched-renewer window, and the coalescing run.
 func Shard(cfg ShardConfig) ShardResult {
-	cfg = cfg.withDefaults()
 	res := ShardResult{Config: cfg}
 	res.Points = append(res.Points,
 		runShardPoint(cfg, 1),

@@ -32,58 +32,39 @@ import (
 // Everything is virtual-time only, so a fixed seed reproduces the JSON
 // artifact byte for byte.
 
-// SloConfig parameterizes the experiment.
+// SloConfig parameterizes the experiment.  Fields are used as given:
+// start from defaultSloConfig, the values the registry runs.
 type SloConfig struct {
-	Seed     int64 // simulation seed (default 1)
-	Nodes    int   // uniform cluster size (default 6)
-	Shards   int   // shard count (default 3)
-	Keys     int   // distinct cold keys in the Zipf tail (default 48)
-	Ops      int   // keyed operations issued (default 360)
-	Batch    int   // concurrent ops per batch (default 6)
-	HotEvery int   // every n-th op hits the planted hot key (default 3)
+	Seed     int64 // simulation seed
+	Nodes    int   // uniform cluster size
+	Shards   int   // shard count
+	Keys     int   // distinct cold keys in the Zipf tail
+	Ops      int   // keyed operations issued
+	Batch    int   // concurrent ops per batch
+	HotEvery int   // every n-th op hits the planted hot key
 
-	ReadTarget  time.Duration // declared read p99 objective (default 80ms)
-	WriteTarget time.Duration // declared write p99 objective (default 40ms)
+	ReadTarget  time.Duration // declared read p99 objective
+	WriteTarget time.Duration // declared write p99 objective
 
-	ReadFlops  float64 // modeled CPU per read (default 5e5)
-	WriteFlops float64 // modeled CPU per write (default 1e6)
+	ReadFlops  float64 // modeled CPU per read
+	WriteFlops float64 // modeled CPU per write
 }
 
-func (c SloConfig) withDefaults() SloConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
+// defaultSloConfig is the experiment as committed in BENCH_slo.json.
+func defaultSloConfig(seed int64) SloConfig {
+	return SloConfig{
+		Seed:        seed,
+		Nodes:       6,
+		Shards:      3,
+		Keys:        48,
+		Ops:         360,
+		Batch:       6,
+		HotEvery:    3,
+		ReadTarget:  80 * time.Millisecond,
+		WriteTarget: 40 * time.Millisecond,
+		ReadFlops:   5e5,
+		WriteFlops:  1e6,
 	}
-	if c.Nodes <= 0 {
-		c.Nodes = 6
-	}
-	if c.Shards <= 0 {
-		c.Shards = 3
-	}
-	if c.Keys <= 1 {
-		c.Keys = 48
-	}
-	if c.Ops <= 0 {
-		c.Ops = 360
-	}
-	if c.Batch <= 0 {
-		c.Batch = 6
-	}
-	if c.HotEvery <= 0 {
-		c.HotEvery = 3
-	}
-	if c.ReadTarget <= 0 {
-		c.ReadTarget = 80 * time.Millisecond
-	}
-	if c.WriteTarget <= 0 {
-		c.WriteTarget = 40 * time.Millisecond
-	}
-	if c.ReadFlops <= 0 {
-		c.ReadFlops = 5e5
-	}
-	if c.WriteFlops <= 0 {
-		c.WriteFlops = 1e6
-	}
-	return c
 }
 
 // SloBreakdown is the aggregate critical-path decomposition over every
@@ -142,7 +123,6 @@ func sloColdKey(i uint64) string { return fmt.Sprintf("k%03d", i) }
 
 // Slo runs the full experiment.
 func Slo(cfg SloConfig) SloResult {
-	cfg = cfg.withDefaults()
 	res := SloResult{Config: cfg, HotKey: sloHotKey}
 
 	env := idleCluster(cfg.Nodes, cfg.Seed)

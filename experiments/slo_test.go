@@ -10,7 +10,7 @@ import (
 // attribution, hot-key identification, and flight dumps from both the
 // chaos fault and the SLO burn-rate breach.
 func TestSloClaims(t *testing.T) {
-	res := Slo(SloConfig{Seed: 1})
+	res := Slo(defaultSloConfig(1))
 	lines, ok := res.Claims()
 	for _, l := range lines {
 		t.Log(l)
@@ -29,7 +29,7 @@ func TestSloHotKeyAcrossSeeds(t *testing.T) {
 		t.Skip("seed sweep in -short mode")
 	}
 	for _, seed := range []int64{1, 2, 3, 7} {
-		res := Slo(SloConfig{Seed: seed})
+		res := Slo(defaultSloConfig(seed))
 		if !res.HotKeyTop {
 			t.Errorf("seed %d: planted hot key not hottest (count %d):\n%+v",
 				seed, res.HotKeyCount, res.Heat)

@@ -38,14 +38,7 @@ import (
 
 // WireConfig parameterizes the experiment.
 type WireConfig struct {
-	Seed int64 // simulation seed (default 1)
-}
-
-func (c WireConfig) withDefaults() WireConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+	Seed int64 // simulation seed
 }
 
 // CodecStat compares the two codecs on one representative payload.
@@ -218,7 +211,6 @@ func sumCounterPrefix(env *jsymphony.Env, prefix string) int64 {
 
 // Wire runs the full experiment.
 func Wire(cfg WireConfig) WireResult {
-	cfg = cfg.withDefaults()
 	res := WireResult{Config: cfg}
 	for _, p := range wirePayloads() {
 		res.Codec = append(res.Codec, measureCodec(p.Name, p.V, p.New))

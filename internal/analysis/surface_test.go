@@ -41,16 +41,9 @@ var keptUncalled = func() map[string]string {
 		"internal/core.App.LoadShardGroup":    "restore half of ShardGroup.Store (§4.7 for groups); TestRestoreConformance holds it to the other restore paths",
 		"internal/core.Runtime.Instance":      "observation hook: the chaos determinism tests compare hosted state across twin runs",
 		"internal/metrics.Snapshot.WriteJSON": "documented exporter (README, DESIGN.md §5); the twin-run tests compare its bytes",
-		"internal/rmi.MemNetwork.SetLossRate": "fault-injection hook of the retry and dedup tests",
 		"internal/rmi.Station.DedupSize":      "observation hook: the dedup tests watch the idempotency table shrink",
 		"internal/vclock.Clock.Actors":        "observation hook of the kernel's own tests",
 		"internal/vclock.Mailbox.InFlight":    "observation hook of the kernel's own tests",
-
-		// Found by this test after ISSUE 21's audit; each is pinned by a
-		// test of the tier-1 floor.  Debt, recorded so it cannot grow.
-		"internal/metrics.HistSnap.Merge": "no caller yet; TestMergeDifferentLayouts pins it (next audit: delete both)",
-		"internal/params.Snapshot.Merge":  "no caller yet; TestSnapshotMerge pins it (next audit: delete both)",
-		"internal/slo.Histogram.Merge":    "no caller yet; TestHistogramMerge pins it (next audit: delete both)",
 	}
 	// The paper's §4.2 virtual-architecture API, listed there by name:
 	// add/free/count at every level, and whether a component was freed.

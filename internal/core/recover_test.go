@@ -255,7 +255,7 @@ func TestRMIPolicyTimeoutTyped(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt := w.MustRuntime(w.Nodes()[0])
-		_, err := rt.Station().Call(p, victim, PubService, "objects", nil, 2*time.Second)
+		_, err := rt.Station().Call(p, victim, PubService, "loadCodebase", rmi.MustMarshal(codebaseReq{}), 2*time.Second)
 		if !errors.Is(err, rmi.ErrTimeout) {
 			t.Fatalf("call into crashed node = %v, want rmi.ErrTimeout", err)
 		}

@@ -261,8 +261,6 @@ func (rt *Runtime) handlePub(p sched.Proc, from, method string, body []byte) ([]
 			})
 		}
 		return nil, err
-	case "objects":
-		return rmi.MustMarshal(rt.Objects()), nil
 	case "replicaConfigure":
 		var req replicaConfigureReq
 		if err := rmi.Unmarshal(body, &req); err != nil {
@@ -281,12 +279,6 @@ func (rt *Runtime) handlePub(p sched.Proc, from, method string, body []byte) ([]
 			return nil, err
 		}
 		return nil, rt.makeDurable(req)
-	case "replicaAuthRenew":
-		var req replicaAuthRenewReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, rt.replicaAuthRenew(req)
 	case "replicaAuthBatch":
 		var b rmi.Batch
 		if err := rmi.Unmarshal(body, &b); err != nil {

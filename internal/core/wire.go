@@ -29,7 +29,8 @@ const PubService = "oas.pub"
 
 // Ref is a first-order object handle (paper §5.2: "object handles
 // (first-order objects) can be passed to methods of other objects").  It
-// is gob-serializable and identifies the object globally.
+// identifies the object globally and crosses the wire as a registered
+// tagged value (wirecodec.go), inside arguments and results alike.
 type Ref struct {
 	App    string // owning application id ("app:<node>:<n>")
 	ID     uint64 // object sequence number within the application

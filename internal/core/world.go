@@ -117,12 +117,6 @@ type World struct {
 func NewSimWorld(specs []simnet.MachineSpec, profile simnet.LoadProfile, seed int64, opt Options) *World {
 	opt = opt.withDefaults()
 	clk := vclock.New()
-	// Reserve the run token for this constructing goroutine: agents and
-	// stations spawned during setup queue in spawn order and only begin
-	// running once RunMain adopts the main proc.  This makes the whole
-	// simulation — including metrics snapshots — a deterministic function
-	// of (specs, profile, seed).
-	clk.Hold()
 	s := sched.Virtual(clk)
 	fab := simnet.New(clk, specs, profile, seed)
 	w := newWorld(s, opt)

@@ -152,43 +152,3 @@ func TestQuantileEdgeCases(t *testing.T) {
 		t.Fatalf("quantiles = %d %d %d", p50, p99, p999)
 	}
 }
-
-// TestMergeDifferentLayouts covers merging snapshots with different
-// bucket layouts: counts land at their source upper bounds in the
-// union layout, totals add up, quantiles stay sane.
-func TestMergeDifferentLayouts(t *testing.T) {
-	a := HistSnap{Name: "m", Bounds: []int64{10, 100}, Counts: []int64{5, 3, 2}, Count: 10, Sum: 500}
-	b := HistSnap{Bounds: []int64{50, 100, 1000}, Counts: []int64{4, 0, 5, 1}, Count: 10, Sum: 2500}
-	m := a.Merge(b)
-	if m.Name != "m" {
-		t.Fatalf("name = %q", m.Name)
-	}
-	wantBounds := []int64{10, 50, 100, 1000}
-	if len(m.Bounds) != len(wantBounds) {
-		t.Fatalf("bounds = %v", m.Bounds)
-	}
-	for i, bd := range wantBounds {
-		if m.Bounds[i] != bd {
-			t.Fatalf("bounds = %v, want %v", m.Bounds, wantBounds)
-		}
-	}
-	// a: 5@le10, 3@le100, 2@+Inf; b: 4@le50, 5@le1000, 1@+Inf.
-	wantCounts := []int64{5, 4, 3, 5, 3}
-	for i, n := range wantCounts {
-		if m.Counts[i] != n {
-			t.Fatalf("counts = %v, want %v", m.Counts, wantCounts)
-		}
-	}
-	if m.Count != 20 || m.Sum != 3000 {
-		t.Fatalf("count=%d sum=%d", m.Count, m.Sum)
-	}
-	if got := m.Quantile(0.5); got != 100 {
-		t.Fatalf("merged p50 = %d", got)
-	}
-
-	// Merging with an empty snapshot is the identity on content.
-	id := a.Merge(HistSnap{})
-	if id.Count != a.Count || id.Sum != a.Sum || len(id.Bounds) != len(a.Bounds) {
-		t.Fatalf("identity merge = %+v", id)
-	}
-}

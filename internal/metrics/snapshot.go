@@ -183,50 +183,6 @@ func (h HistSnap) Quantile(q float64) int64 {
 	return h.Sum / h.Count
 }
 
-// Merge combines another snapshot into this one, returning the union.
-// The layouts need not match: the merged histogram uses the union of
-// both bound sets, and every source bucket's count lands in the union
-// bucket sharing its upper bound (each source bound is in the union,
-// so no count crosses a bound it was below).  Overflow counts stay in
-// overflow.
-func (h HistSnap) Merge(o HistSnap) HistSnap {
-	bounds := make([]int64, 0, len(h.Bounds)+len(o.Bounds))
-	bounds = append(bounds, h.Bounds...)
-	bounds = append(bounds, o.Bounds...)
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	uniq := bounds[:0]
-	for i, b := range bounds {
-		if i == 0 || b != uniq[len(uniq)-1] {
-			uniq = append(uniq, b)
-		}
-	}
-	bounds = uniq
-	idx := make(map[int64]int, len(bounds))
-	for i, b := range bounds {
-		idx[b] = i
-	}
-	counts := make([]int64, len(bounds)+1)
-	add := func(src HistSnap) {
-		for i, n := range src.Counts {
-			if i < len(src.Bounds) {
-				counts[idx[src.Bounds[i]]] += n
-			} else {
-				counts[len(bounds)] += n
-			}
-		}
-	}
-	add(h)
-	add(o)
-	name := h.Name
-	if name == "" {
-		name = o.Name
-	}
-	return HistSnap{
-		Name: name, Bounds: bounds, Counts: counts,
-		Count: h.Count + o.Count, Sum: h.Sum + o.Sum,
-	}
-}
-
 // joinLabels appends extra to a label body.
 func joinLabels(body, extra string) string {
 	if body == "" {

@@ -38,12 +38,7 @@ func testConfig() Config {
 
 func bootSim(t *testing.T, specs []simnet.MachineSpec, profile simnet.LoadProfile) *simWorld {
 	t.Helper()
-	// Held until run adopts the main proc: the stations and agents
-	// started below queue in spawn order instead of racing this
-	// goroutine, so no dispatcher blocks on an empty inbox (and trips
-	// the deadlock detector) before the rest of the world exists.
 	clk := vclock.New()
-	clk.Hold()
 	s := sched.Virtual(clk)
 	fab := simnet.New(clk, specs, profile, 1)
 	net := rmi.NewFab(fab, rmi.DefaultCost)
@@ -580,7 +575,6 @@ func BenchmarkHierarchyRoundVirtual(b *testing.B) {
 	// Cost of one full monitoring round on the 13-node paper cluster
 	// (wall-clock cost of simulating it, not virtual time).
 	clk := vclock.New()
-	clk.Hold() // until AdoptVirtual below; see bootSim
 	s := sched.Virtual(clk)
 	fab := simnet.New(clk, simnet.PaperCluster(), simnet.Idle, 1)
 	net := rmi.NewFab(fab, rmi.DefaultCost)

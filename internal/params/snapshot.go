@@ -36,13 +36,6 @@ func (s Snapshot) SetFloat(id ID, f float64) { s[id] = Float(f) }
 // SetText stores a string parameter.
 func (s Snapshot) SetText(id ID, str string) { s[id] = Text(str) }
 
-// Merge copies every entry of o into s, overwriting duplicates.
-func (s Snapshot) Merge(o Snapshot) {
-	for k, v := range o {
-		s[k] = v
-	}
-}
-
 // IDs returns the present parameter ids in sorted order.
 func (s Snapshot) IDs() []ID {
 	out := make([]ID, 0, len(s))

@@ -32,15 +32,6 @@ func TestSnapshotClone(t *testing.T) {
 	}
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	a := Snapshot{Idle: Float(10), NodeName: Text("a")}
-	b := Snapshot{Idle: Float(99), AvailMem: Float(128)}
-	a.Merge(b)
-	if a[Idle].Num != 99 || a[AvailMem].Num != 128 || a[NodeName].Str != "a" {
-		t.Fatalf("Merge result wrong: %v", a)
-	}
-}
-
 func TestSnapshotIDsSorted(t *testing.T) {
 	s := Snapshot{Idle: Float(1), AvailMem: Float(2), NodeName: Text("n")}
 	ids := s.IDs()

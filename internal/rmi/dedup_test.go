@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"jsymphony/internal/sched"
+	"jsymphony/internal/simnet"
 )
 
 // soloStation runs fn against a station whose dedup table can be driven
@@ -14,15 +15,14 @@ import (
 // dedupTTL by sleeping for free.
 func soloStation(t *testing.T, fn func(st *Station, p sched.Proc)) {
 	t.Helper()
-	c := heldClock()
-	s := sched.Virtual(c)
-	ep, _ := NewMem(s, 0).Attach("n")
-	st := NewStation(s, ep)
-	s.Spawn("driver", func(p sched.Proc) {
+	w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 1))
+	ep, _ := w.net.Attach(nodeNames(1)[0])
+	st := NewStation(w.s, ep)
+	w.spawn("driver", func(p sched.Proc) {
 		defer st.Close()
 		fn(st, p)
 	})
-	runHeld(c)
+	w.join()
 }
 
 func idemMsg(from string, id uint64) *Message {
@@ -112,30 +112,16 @@ func TestDedupStoreAfterExpiry(t *testing.T) {
 // order slice was advanced with order = order[1:], which pins the whole
 // backing array, and entries were never aged out below the cap.
 func TestDedupBoundedUnderLoss(t *testing.T) {
-	c := heldClock()
-	s := sched.Virtual(c)
-	net := NewMem(s, 0)
-	epA, _ := net.Attach("a")
-	epB, _ := net.Attach("b")
-	a, b := NewStation(s, epA), NewStation(s, epB)
-	served := 0
-	b.Register("echo", func(p sched.Proc, from, method string, body []byte) ([]byte, error) {
-		served++
-		return body, nil
-	})
-	a.SetPolicy(Policy{
-		AttemptTimeout: 20 * time.Millisecond,
-		Retries:        10,
-		Backoff:        2 * time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
-		Multiplier:     2,
-	})
-	a.Start()
-	b.Start()
-	net.SetLossRate(0.3)
-	s.Spawn("caller", func(p sched.Proc) {
-		defer a.Close()
-		defer b.Close()
+	lossPair(t, func(p sched.Proc, w *lossWorld) {
+		a, b := w.a, w.b
+		a.SetPolicy(Policy{
+			AttemptTimeout: 20 * time.Millisecond,
+			Retries:        10,
+			Backoff:        2 * time.Millisecond,
+			BackoffMax:     20 * time.Millisecond,
+			Multiplier:     2,
+		})
+		w.setLoss(0.3)
 		// One call every 200ms: the sequence spans two dedupTTL windows,
 		// and the TTL far exceeds the caller's whole retry window
 		// (~0.4s with the policy above), so no late retry re-executes.
@@ -151,8 +137,11 @@ func TestDedupBoundedUnderLoss(t *testing.T) {
 			}
 			p.Sleep(200 * time.Millisecond)
 		}
-		if served != calls {
-			t.Errorf("handler ran %d times for %d calls — dedup broke under GC", served, calls)
+		if w.served != calls {
+			t.Errorf("handler ran %d times for %d calls — dedup broke under GC", w.served, calls)
+		}
+		if w.dropped() == 0 {
+			t.Error("the link policy dropped nothing at 30% loss")
 		}
 		if peak >= calls {
 			t.Errorf("dedup table grew to %d entries over %d calls — TTL never pruned", peak, calls)
@@ -172,5 +161,4 @@ func TestDedupBoundedUnderLoss(t *testing.T) {
 			t.Errorf("order backing array cap %d vs peak live %d — prefix never reclaimed", orderCap, peak)
 		}
 	})
-	runHeld(c)
 }

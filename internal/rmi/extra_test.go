@@ -11,10 +11,8 @@ import (
 func TestCallPaddedChargesWire(t *testing.T) {
 	// A padded call must cost transmission time for the pad on the
 	// simulated fabric even though no real bytes exist.
-	c := heldClock()
-	s := sched.Virtual(c)
-	fab := simnet.New(c, simnet.UniformCluster(simnet.Ultra10_300, 2), simnet.Idle, 1)
-	net := NewFab(fab, DefaultCost)
+	w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 2))
+	s, net := w.s, w.net
 	names := nodeNames(2)
 	epA, _ := net.Attach(names[0])
 	epB, _ := net.Attach(names[1])
@@ -41,7 +39,7 @@ func TestCallPaddedChargesWire(t *testing.T) {
 		}
 		padded = s.Now() - t0
 	})
-	runHeld(c)
+	w.join()
 	if padded < plain+90*time.Millisecond {
 		t.Fatalf("pad not charged: plain=%v padded=%v", plain, padded)
 	}

@@ -10,50 +10,20 @@ import (
 
 // MemNetwork is an in-process transport: every endpoint's queue lives in
 // one registry and Send is a direct enqueue with a fixed configurable
-// latency.  It works under both real and virtual schedulers and is the
-// default substrate for functional tests and single-machine runs.
-//
-// For fault-injection tests, SetLossRate makes the network drop a
-// deterministic pseudo-random fraction of messages.
+// latency.  It is the substrate of real-time single-machine runs
+// (NewLocalEnv) and never loses a message: loss, duplication and
+// reordering are injected on the simulated fabric (simnet.LinkPolicy).
 type MemNetwork struct {
 	s       sched.Sched
 	latency time.Duration
 
-	mu      sync.Mutex
-	eps     map[string]*memEndpoint
-	lossNum uint64 // drop when splitmix(counter) % 1000 < lossNum
-	counter uint64
+	mu  sync.Mutex
+	eps map[string]*memEndpoint
 }
 
 // NewMem returns an in-process network with the given one-way latency.
 func NewMem(s sched.Sched, latency time.Duration) *MemNetwork {
 	return &MemNetwork{s: s, latency: latency, eps: make(map[string]*memEndpoint)}
-}
-
-// SetLossRate makes the network drop approximately rate (0..1) of all
-// messages, deterministically from the message counter.  Callers observe
-// drops as timeouts, exactly like a lossy wire.
-func (n *MemNetwork) SetLossRate(rate float64) {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	n.mu.Lock()
-	n.lossNum = uint64(rate * 1000)
-	n.mu.Unlock()
-}
-
-// drop decides one message's fate.  Caller holds the lock.
-func (n *MemNetwork) drop() bool {
-	if n.lossNum == 0 {
-		return false
-	}
-	n.counter++
-	x := n.counter * 0x9e3779b97f4a7c15
-	x ^= x >> 29
-	return x%1000 < n.lossNum
 }
 
 // Attach implements Network.
@@ -84,13 +54,9 @@ func (ep *memEndpoint) Queue() sched.Queue { return ep.queue }
 func (ep *memEndpoint) Send(p sched.Proc, to string, msg *Message) error {
 	ep.net.mu.Lock()
 	dst, ok := ep.net.eps[to]
-	lost := ep.net.drop()
 	ep.net.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoRoute, to)
-	}
-	if lost {
-		return nil // vanished on the wire; the caller times out
 	}
 	dst.queue.Put(msg, ep.net.latency)
 	return nil

@@ -3,130 +3,120 @@ package rmi
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"jsymphony/internal/sched"
+	"jsymphony/internal/simnet"
 )
 
-// lossPair builds two connected stations over a lossy in-process
-// network, with an execution counter on b's echo service.
-func lossPair(t *testing.T) (net *MemNetwork, a, b *Station, served *atomic.Int64) {
+// lossPair runs fn on a proc of the fabric cell with two connected
+// stations, "a" and "b"; b's echo service counts its executions.  Loss is
+// injected where chaos and every experiment inject it: the fabric's link
+// policy, seeded and in virtual time.
+func lossPair(t *testing.T, fn func(p sched.Proc, w *lossWorld)) {
 	t.Helper()
-	s := sched.Real()
-	net = NewMem(s, 0)
-	epA, _ := net.Attach("a")
-	epB, _ := net.Attach("b")
-	a = NewStation(s, epA)
-	b = NewStation(s, epB)
-	served = new(atomic.Int64)
-	b.Register("echo", func(p sched.Proc, from, method string, body []byte) ([]byte, error) {
-		served.Add(1)
+	ma, mb := simnet.Ultra10_300, simnet.Ultra10_300
+	ma.Name, mb.Name = "a", "b"
+	w := &lossWorld{world: fabWorld([]simnet.MachineSpec{ma, mb})}
+	epA, _ := w.net.Attach("a")
+	epB, _ := w.net.Attach("b")
+	w.a, w.b = NewStation(w.s, epA), NewStation(w.s, epB)
+	w.b.Register("echo", func(p sched.Proc, from, method string, body []byte) ([]byte, error) {
+		w.served++
 		return body, nil
 	})
-	a.Start()
-	b.Start()
-	t.Cleanup(func() { a.Close(); b.Close() })
-	return net, a, b, served
+	w.a.Start()
+	w.b.Start()
+	w.spawn("caller", func(p sched.Proc) {
+		defer w.a.Close()
+		defer w.b.Close()
+		fn(p, w)
+	})
+	w.join()
 }
 
-func TestLossRateDropsSomeCalls(t *testing.T) {
-	net, a, _, _ := lossPair(t)
-	net.SetLossRate(0.4)
-	p := sched.RealProc(a.s)
-	okCount, timeouts := 0, 0
-	for i := 0; i < 60; i++ {
-		_, err := a.Call(p, "b", "echo", "m", nil, 30*time.Millisecond)
-		switch {
-		case err == nil:
-			okCount++
-		case errors.Is(err, ErrTimeout):
-			timeouts++
-		default:
-			t.Fatalf("unexpected error: %v", err)
-		}
-	}
-	if okCount == 0 {
-		t.Fatal("every call lost at 40% loss")
-	}
-	if timeouts == 0 {
-		t.Fatal("no call lost at 40% loss")
-	}
-
-	// Loss off: everything goes through again.
-	net.SetLossRate(0)
-	for i := 0; i < 10; i++ {
-		if _, err := a.Call(p, "b", "echo", "m", nil, time.Second); err != nil {
-			t.Fatalf("call with loss disabled: %v", err)
-		}
-	}
+type lossWorld struct {
+	*world
+	a, b   *Station
+	served int // written under the run token
 }
 
-func TestLossRateClamped(t *testing.T) {
-	net, a, _, _ := lossPair(t)
-	net.SetLossRate(-1) // clamps to 0
-	net.SetLossRate(2)  // clamps to 1: every message drops
-	p := sched.RealProc(a.s)
-	if _, err := a.Call(p, "b", "echo", "m", nil, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("call at 100%% loss: %v", err)
-	}
+// setLoss makes every link drop the given fraction of its messages.
+func (w *lossWorld) setLoss(rate float64) {
+	w.fab.SetLinkPolicy("*", "*", simnet.LinkPolicy{Loss: rate})
+}
+
+// dropped is the number of bytes the two stations sent that neither
+// received: what the link policy took off the wire.  Tests of recovery
+// from loss assert it is non-zero, so a fabric that silently stopped
+// losing messages cannot make them pass.
+func (w *lossWorld) dropped() int64 {
+	st := w.a.Stats().Add(w.b.Stats())
+	return st.BytesOut - st.BytesIn
 }
 
 // TestTimeoutIsTyped pins the satellite fix: a sync-call timeout is the
 // typed ErrTimeout, recognizable with errors.Is even through further
 // wrapping, and the message names the call.
 func TestTimeoutIsTyped(t *testing.T) {
-	net, a, _, _ := lossPair(t)
-	net.SetLossRate(1)
-	p := sched.RealProc(a.s)
-	_, err := a.Call(p, "b", "echo", "m", nil, 15*time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", err)
-	}
-	wrapped := fmt.Errorf("invoking object: %w", err)
-	if !errors.Is(wrapped, ErrTimeout) {
-		t.Fatalf("ErrTimeout lost through wrapping: %v", wrapped)
-	}
-	for _, frag := range []string{"echo", "on b"} {
-		if !containsStr(err.Error(), frag) {
-			t.Fatalf("timeout error %q does not mention %q", err, frag)
+	lossPair(t, func(p sched.Proc, w *lossWorld) {
+		w.setLoss(1)
+		_, err := w.a.Call(p, "b", "echo", "m", nil, 15*time.Millisecond)
+		if !errors.Is(err, ErrTimeout) {
+			t.Errorf("want ErrTimeout, got %v", err)
+			return
 		}
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
+		wrapped := fmt.Errorf("invoking object: %w", err)
+		if !errors.Is(wrapped, ErrTimeout) {
+			t.Errorf("ErrTimeout lost through wrapping: %v", wrapped)
+			return
 		}
-	}
-	return false
+		for _, frag := range []string{"echo", "on b"} {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("timeout error %q does not mention %q", err, frag)
+				return
+			}
+		}
+		if w.dropped() == 0 {
+			t.Error("the link policy dropped nothing at 100% loss")
+		}
+	})
 }
 
 // TestZeroPolicySingleAttempt: the zero Policy is the historical
 // behavior — one attempt, no retries, and requests are not marked
 // idempotent (so the receiver keeps no dedup state).
 func TestZeroPolicySingleAttempt(t *testing.T) {
-	net, a, b, served := lossPair(t)
-	p := sched.RealProc(a.s)
-	if _, err := a.Call(p, "b", "echo", "m", nil, time.Second); err != nil {
-		t.Fatalf("clean call: %v", err)
-	}
-	net.SetLossRate(1)
-	if _, err := a.Call(p, "b", "echo", "m", nil, 15*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("lossy call: %v", err)
-	}
-	st := a.Stats()
-	if st.Retries != 0 {
-		t.Fatalf("zero policy retried: %+v", st)
-	}
-	if bs := b.Stats(); bs.Dups != 0 {
-		t.Fatalf("zero policy produced dedup hits: %+v", bs)
-	}
-	if served.Load() != 1 {
-		t.Fatalf("handler ran %d times, want 1", served.Load())
-	}
+	lossPair(t, func(p sched.Proc, w *lossWorld) {
+		if _, err := w.a.Call(p, "b", "echo", "m", nil, time.Second); err != nil {
+			t.Errorf("clean call: %v", err)
+			return
+		}
+		w.setLoss(1)
+		if _, err := w.a.Call(p, "b", "echo", "m", nil, 15*time.Millisecond); !errors.Is(err, ErrTimeout) {
+			t.Errorf("lossy call: %v", err)
+			return
+		}
+		st := w.a.Stats()
+		if st.Retries != 0 {
+			t.Errorf("zero policy retried: %+v", st)
+			return
+		}
+		if bs := w.b.Stats(); bs.Dups != 0 {
+			t.Errorf("zero policy produced dedup hits: %+v", bs)
+			return
+		}
+		if w.served != 1 {
+			t.Errorf("handler ran %d times, want 1", w.served)
+			return
+		}
+		if w.dropped() == 0 {
+			t.Error("the link policy dropped nothing at 100% loss")
+		}
+	})
 }
 
 // TestRetryRecoversFromLoss: with a retry policy, every call survives
@@ -134,32 +124,39 @@ func TestZeroPolicySingleAttempt(t *testing.T) {
 // receiver's (sender, ID) dedup turns at-least-once resends into
 // exactly-once execution even when responses (not requests) are lost.
 func TestRetryRecoversFromLoss(t *testing.T) {
-	net, a, _, served := lossPair(t)
-	a.SetPolicy(Policy{
-		AttemptTimeout: 20 * time.Millisecond,
-		Retries:        10,
-		Backoff:        2 * time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
-		Multiplier:     2,
+	lossPair(t, func(p sched.Proc, w *lossWorld) {
+		w.a.SetPolicy(Policy{
+			AttemptTimeout: 20 * time.Millisecond,
+			Retries:        10,
+			Backoff:        2 * time.Millisecond,
+			BackoffMax:     20 * time.Millisecond,
+			Multiplier:     2,
+		})
+		w.setLoss(0.2)
+		const calls = 40
+		for i := 0; i < calls; i++ {
+			body, err := w.a.Call(p, "b", "echo", fmt.Sprintf("m%d", i), []byte{byte(i)}, 2*time.Second)
+			if err != nil {
+				t.Errorf("call %d under 20%% loss: %v", i, err)
+				return
+			}
+			if len(body) != 1 || body[0] != byte(i) {
+				t.Errorf("call %d: wrong body %v", i, body)
+				return
+			}
+		}
+		if w.served != calls {
+			t.Errorf("handler ran %d times for %d calls — dedup failed", w.served, calls)
+			return
+		}
+		if st := w.a.Stats(); st.Retries == 0 {
+			t.Error("no retries recorded under 20% loss")
+			return
+		}
+		if w.dropped() == 0 {
+			t.Error("the link policy dropped nothing at 20% loss")
+		}
 	})
-	net.SetLossRate(0.2)
-	p := sched.RealProc(a.s)
-	const calls = 40
-	for i := 0; i < calls; i++ {
-		body, err := a.Call(p, "b", "echo", fmt.Sprintf("m%d", i), []byte{byte(i)}, 2*time.Second)
-		if err != nil {
-			t.Fatalf("call %d under 20%% loss: %v", i, err)
-		}
-		if len(body) != 1 || body[0] != byte(i) {
-			t.Fatalf("call %d: wrong body %v", i, body)
-		}
-	}
-	if served.Load() != calls {
-		t.Fatalf("handler ran %d times for %d calls — dedup failed", served.Load(), calls)
-	}
-	if st := a.Stats(); st.Retries == 0 {
-		t.Fatal("no retries recorded under 20% loss")
-	}
 }
 
 // TestDedupInFlight: resends arriving while the original execution is
@@ -208,16 +205,21 @@ func TestDedupInFlight(t *testing.T) {
 
 // TestRetryHookFires: the per-retry hook observes each resend.
 func TestRetryHookFires(t *testing.T) {
-	net, a, _, _ := lossPair(t)
-	var hooks atomic.Int64
-	a.SetRetryHook(func(to, service, method string) { hooks.Add(1) })
-	a.SetPolicy(Policy{AttemptTimeout: 10 * time.Millisecond, Retries: 3, Backoff: 2 * time.Millisecond})
-	net.SetLossRate(1)
-	p := sched.RealProc(a.s)
-	if _, err := a.Call(p, "b", "echo", "m", nil, time.Second); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("call at 100%% loss: %v", err)
-	}
-	if hooks.Load() != 3 {
-		t.Fatalf("retry hook fired %d times, want 3", hooks.Load())
-	}
+	lossPair(t, func(p sched.Proc, w *lossWorld) {
+		hooks := 0
+		w.a.SetRetryHook(func(to, service, method string) { hooks++ })
+		w.a.SetPolicy(Policy{AttemptTimeout: 10 * time.Millisecond, Retries: 3, Backoff: 2 * time.Millisecond})
+		w.setLoss(1)
+		if _, err := w.a.Call(p, "b", "echo", "m", nil, time.Second); !errors.Is(err, ErrTimeout) {
+			t.Errorf("call at 100%% loss: %v", err)
+			return
+		}
+		if hooks != 3 {
+			t.Errorf("retry hook fired %d times, want 3", hooks)
+			return
+		}
+		if w.dropped() == 0 {
+			t.Error("the link policy dropped nothing at 100% loss")
+		}
+	})
 }

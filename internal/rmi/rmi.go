@@ -6,12 +6,15 @@
 // and one-sided invocation on top by dedicating a thread per outstanding
 // call.  This package reproduces that layer from scratch:
 //
-//   - Message: the wire unit (request / response / one-way), gob-encoded
-//     bodies.
-//   - Network / Endpoint: pluggable transports — in-memory (real or
-//     virtual time), the simulated fabric of internal/simnet (virtual
-//     time, with CPU serialization costs and NIC/link delays), and real
-//     TCP over loopback.
+//   - Message: the wire unit (request / response / one-way); bodies are
+//     what Marshal produces — a one-byte format tag, then the pooled
+//     binary codec of internal/rmi/wire or, for unregistered user types,
+//     a gob capsule.
+//   - Network / Endpoint: pluggable transports, one per way of running —
+//     in-memory (real time, NewLocalEnv), the simulated fabric of
+//     internal/simnet (virtual time, with CPU serialization costs,
+//     NIC/link delays and every wire fault: simnet.LinkPolicy;
+//     NewSimEnv), and real TCP over loopback (real time, NewTCPEnv).
 //   - Station: the per-node protocol engine — service registration,
 //     reflection-free dispatch to handler functions, request/response
 //     matching, timeouts, and wire statistics.
@@ -52,7 +55,7 @@ type Message struct {
 	ID      uint64 // request/response correlation
 	Service string // target service ("puboa", "nas", ...)
 	Method  string // target method within the service
-	Body    []byte // gob-encoded payload
+	Body    []byte // payload as Marshal encodes it (format tag first)
 	Pad     int    // modeled payload bytes not materialized in Body
 	Err     string // non-empty on error responses
 	Idem    bool   // request may be retried; receiver must dedup by (From, ID)

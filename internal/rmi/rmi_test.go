@@ -18,90 +18,53 @@ type world struct {
 	name  string
 	s     sched.Sched
 	net   Network
+	fab   *simnet.Fabric // fabric cell only: where wire faults are injected
 	join  func()
 	spawn func(string, func(sched.Proc))
 }
 
-// worlds builds the transport/scheduler combinations the protocol suite
-// must pass on.  Node names must come from nodeNames(n).
+// worlds builds the transport/scheduler cells the protocol suite must
+// pass on: the three an Env constructor builds.  Node names must come
+// from nodeNames(n).
 func worlds(t *testing.T, nodes int) []*world {
 	t.Helper()
-	var ws []*world
-
-	// In-memory transport, real time.
-	{
-		s := sched.Real()
-		var wg sync.WaitGroup
-		ws = append(ws, &world{
-			name: "mem-real",
-			s:    s,
-			net:  NewMem(s, 100*time.Microsecond),
-			join: wg.Wait,
-			spawn: func(name string, fn func(sched.Proc)) {
-				wg.Add(1)
-				s.Spawn(name, func(p sched.Proc) { defer wg.Done(); fn(p) })
-			},
-		})
+	return []*world{
+		fabWorld(simnet.UniformCluster(simnet.Ultra10_300, nodes)),                                    // NewSimEnv
+		realWorld("mem-real", func(s sched.Sched) Network { return NewMem(s, 100*time.Microsecond) }), // NewLocalEnv
+		realWorld("tcp-real", func(s sched.Sched) Network { return NewTCP(s) }),                       // NewTCPEnv
 	}
-	// In-memory transport, virtual time.
-	{
-		c := heldClock()
-		s := sched.Virtual(c)
-		ws = append(ws, &world{
-			name:  "mem-virtual",
-			s:     s,
-			net:   NewMem(s, 100*time.Microsecond),
-			join:  func() { runHeld(c) },
-			spawn: s.Spawn,
-		})
-	}
-	// Simulated fabric, virtual time.
-	{
-		c := heldClock()
-		s := sched.Virtual(c)
-		fab := simnet.New(c, simnet.UniformCluster(simnet.Ultra10_300, nodes), simnet.Idle, 1)
-		ws = append(ws, &world{
-			name:  "fab-virtual",
-			s:     s,
-			net:   NewFab(fab, DefaultCost),
-			join:  func() { runHeld(c) },
-			spawn: s.Spawn,
-		})
-	}
-	// Real TCP over loopback.
-	{
-		s := sched.Real()
-		var wg sync.WaitGroup
-		ws = append(ws, &world{
-			name: "tcp-real",
-			s:    s,
-			net:  NewTCP(s),
-			join: wg.Wait,
-			spawn: func(name string, fn func(sched.Proc)) {
-				wg.Add(1)
-				s.Spawn(name, func(p sched.Proc) { defer wg.Done(); fn(p) })
-			},
-		})
-	}
-	return ws
 }
 
-// heldClock returns a clock whose run token is reserved for the test
-// goroutine: stations started and callers spawned during setup queue
-// instead of starting, so a dispatcher cannot block on its empty inbox
-// (tripping the deadlock detector on a transient) before the caller
-// that will feed it is registered.
-func heldClock() *vclock.Clock {
+// fabWorld is the simulated fabric under virtual time.  Stations started
+// and callers spawned before join queue in spawn order (vclock.New).
+func fabWorld(specs []simnet.MachineSpec) *world {
 	c := vclock.New()
-	c.Hold()
-	return c
+	s := sched.Virtual(c)
+	fab := simnet.New(c, specs, simnet.Idle, 1)
+	return &world{
+		name:  "fab-virtual",
+		s:     s,
+		net:   NewFab(fab, DefaultCost),
+		fab:   fab,
+		join:  c.Run,
+		spawn: s.Spawn,
+	}
 }
 
-// runHeld releases a held clock — the queued procs start in spawn
-// order — and waits for every one to retire.
-func runHeld(c *vclock.Clock) {
-	c.Adopt("root").Done()
-	c.Run()
+// realWorld is a real-time cell over the transport mk builds.
+func realWorld(name string, mk func(sched.Sched) Network) *world {
+	s := sched.Real()
+	wg := new(sync.WaitGroup)
+	return &world{
+		name: name,
+		s:    s,
+		net:  mk(s),
+		join: wg.Wait,
+		spawn: func(name string, fn func(sched.Proc)) {
+			wg.Add(1)
+			s.Spawn(name, func(p sched.Proc) { defer wg.Done(); fn(p) })
+		},
+	}
 }
 
 // nodeNames matches simnet.UniformCluster naming.
@@ -400,7 +363,7 @@ func TestSelfCall(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	w := worlds(t, 2)[1] // mem-virtual: deterministic
+	w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 2)) // deterministic
 	names := nodeNames(2)
 	a := newStation(t, w, names[0])
 	b := newStation(t, w, names[1])
@@ -543,11 +506,8 @@ func TestTCPRequiresReal(t *testing.T) {
 func TestFabCallCostsVirtualTime(t *testing.T) {
 	// On the simulated fabric a call must consume virtual time: CPU
 	// marshalling cost + NIC + latency, both ways.
-	c := heldClock()
-	s := sched.Virtual(c)
-	fab := simnet.New(c, simnet.UniformCluster(simnet.Ultra10_300, 2), simnet.Idle, 1)
-	net := NewFab(fab, DefaultCost)
-	w := &world{name: "fab", s: s, net: net, join: func() { runHeld(c) }, spawn: s.Spawn}
+	w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 2))
+	s := w.s
 	names := nodeNames(2)
 	a := newStation(t, w, names[0])
 	b := newStation(t, w, names[1])

@@ -64,11 +64,6 @@ type anyBox struct{ V any }
 // ---------------------------------------------------------------------
 // Registered wire types inside any values
 
-type valueCodecEntry struct {
-	id  byte
-	typ reflect.Type
-}
-
 var (
 	valueCodecByType = map[reflect.Type]byte{}
 	valueCodecByID   [256]reflect.Type

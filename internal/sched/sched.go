@@ -2,10 +2,12 @@
 // entire JavaSymphony runtime stack — the RMI protocol, the network and
 // object agent systems — is written once and runs in two worlds:
 //
-//   - real time: plain goroutines, channels and the wall clock, used for
-//     functional tests and for deployments over the TCP transport;
-//   - virtual time: vclock actors and mailboxes, used to reproduce the
-//     paper's 13-workstation evaluation deterministically.
+//   - real time: plain goroutines, channels and the wall clock, under
+//     the in-memory and TCP transports (NewLocalEnv, NewTCPEnv);
+//   - virtual time: vclock actors and mailboxes, under the simulated
+//     fabric (NewSimEnv), used to reproduce the paper's 13-workstation
+//     evaluation deterministically.  Procs spawned before the first
+//     AdoptVirtual (or Clock.Run) queue and first run in spawn order.
 //
 // A Proc is a schedulable context (goroutine or vclock actor); a Queue is
 // an unbounded FIFO with optional delayed delivery (the hook transports

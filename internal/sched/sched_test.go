@@ -26,17 +26,9 @@ func harness(t *testing.T, body func(t *testing.T, s Sched, spawn func(string, f
 		body(t, s, spawn, wg.Wait)
 	})
 	t.Run("virtual", func(t *testing.T) {
-		// The body spawns from this non-actor goroutine, so the clock is
-		// held until join: otherwise an early proc can block on an empty
-		// queue before a later one is registered, and the deadlock
-		// detector fires on the transient.
 		c := vclock.New()
-		c.Hold()
 		s := Virtual(c)
-		body(t, s, s.Spawn, func() {
-			c.Adopt("root").Done()
-			c.Run()
-		})
+		body(t, s, s.Spawn, c.Run)
 	})
 }
 

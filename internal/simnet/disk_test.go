@@ -46,7 +46,7 @@ func TestDiskSerializesOnOneArm(t *testing.T) {
 	// Two concurrent operations queue behind the single disk arm the way
 	// back-to-back sends queue behind the NIC: the second caller waits
 	// for the first operation plus its own.
-	c := heldClock()
+	c := vclock.New()
 	f := New(c, UniformCluster(Ultra10_300, 1), Idle, 7)
 	m := f.Machine(0)
 	op := DefaultDiskSeek + 50*time.Millisecond // 1 MB
@@ -58,7 +58,7 @@ func TestDiskSerializesOnOneArm(t *testing.T) {
 			ends[i] = a.Now()
 		})
 	}
-	runHeld(c)
+	c.Run()
 	last := ends[0]
 	if ends[1] > last {
 		last = ends[1]

@@ -13,23 +13,6 @@ func newIdleFabric(specs []MachineSpec) *Fabric {
 	return New(vclock.New(), specs, Idle, 1)
 }
 
-// heldClock returns a clock whose run token is reserved for the test
-// goroutine, so actors spawned during setup queue instead of starting:
-// an early one can neither block (tripping the deadlock detector on a
-// transient) nor advance time before a later one is registered.
-func heldClock() *vclock.Clock {
-	c := vclock.New()
-	c.Hold()
-	return c
-}
-
-// runHeld releases a held clock — the queued actors start in spawn
-// order — and waits for every actor to retire.
-func runHeld(c *vclock.Clock) {
-	c.Adopt("root").Done()
-	c.Run()
-}
-
 func TestPaperClusterInventory(t *testing.T) {
 	specs := PaperCluster()
 	if len(specs) != 13 {
@@ -154,7 +137,7 @@ func TestComputeExactOnIdleMachine(t *testing.T) {
 func TestComputeProcessorSharing(t *testing.T) {
 	// Two equal computations started together on one machine should each
 	// take ~2x the solo time.
-	c := heldClock()
+	c := vclock.New()
 	f := New(c, UniformCluster(Ultra10_300, 1), Idle, 7)
 	m := f.Machine(0)
 	work := Ultra10_300.MFlops * 1e6 / 10 // 100ms solo
@@ -166,7 +149,7 @@ func TestComputeProcessorSharing(t *testing.T) {
 			ends[i] = a.Now()
 		})
 	}
-	runHeld(c)
+	c.Run()
 	for i, e := range ends {
 		got := time.Duration(e).Seconds()
 		if math.Abs(got-0.2) > 0.03 { // quantum granularity slack
@@ -176,7 +159,7 @@ func TestComputeProcessorSharing(t *testing.T) {
 }
 
 func TestComputeFasterMachineWins(t *testing.T) {
-	c := heldClock()
+	c := vclock.New()
 	specs := []MachineSpec{Ultra10_440, Sparc10_40}
 	specs[0].Name, specs[1].Name = "fast", "slow"
 	f := New(c, specs, Idle, 7)
@@ -189,7 +172,7 @@ func TestComputeFasterMachineWins(t *testing.T) {
 		f.Machine(1).Compute(a, 1e8)
 		tSlow = a.Now()
 	})
-	runHeld(c)
+	c.Run()
 	ratio := float64(tSlow) / float64(tFast)
 	want := Ultra10_440.MFlops / Sparc10_40.MFlops
 	if math.Abs(ratio-want) > 0.1*want {
@@ -260,7 +243,7 @@ func TestLoadDeterministic(t *testing.T) {
 }
 
 func TestSendDelivery(t *testing.T) {
-	c := heldClock()
+	c := vclock.New()
 	f := New(c, UniformCluster(Ultra10_300, 2), Idle, 7)
 	src, dst := f.Machine(0), f.Machine(1)
 	var at vclock.Time
@@ -274,7 +257,7 @@ func TestSendDelivery(t *testing.T) {
 	c.Spawn("send", func(a *vclock.Actor) {
 		src.Send(dst, 125000, "msg") // 1 Mbit over 100 Mbit/s = 10ms
 	})
-	runHeld(c)
+	c.Run()
 	want := 10*time.Millisecond + f.Latency(src, dst)
 	if got := time.Duration(at); got != want {
 		t.Fatalf("delivered at %v, want %v", got, want)
@@ -284,7 +267,7 @@ func TestSendDelivery(t *testing.T) {
 func TestSendNICQueueing(t *testing.T) {
 	// Two back-to-back sends from one NIC serialize: the second message
 	// arrives one transmission time after the first.
-	c := heldClock()
+	c := vclock.New()
 	f := New(c, UniformCluster(Ultra10_300, 3), Idle, 7)
 	src, d1, d2 := f.Machine(0), f.Machine(1), f.Machine(2)
 	var at1, at2 vclock.Time
@@ -300,14 +283,14 @@ func TestSendNICQueueing(t *testing.T) {
 		src.Send(d1, 125000, 1) // 10ms tx
 		src.Send(d2, 125000, 2) // must queue behind the first
 	})
-	runHeld(c)
+	c.Run()
 	if at2-at1 != vclock.Time(10*time.Millisecond) {
 		t.Fatalf("NIC queueing gap = %v, want 10ms", time.Duration(at2-at1))
 	}
 }
 
 func TestSendToDeadMachineDropped(t *testing.T) {
-	c := heldClock()
+	c := vclock.New()
 	f := New(c, UniformCluster(Ultra10_300, 2), Idle, 7)
 	src, dst := f.Machine(0), f.Machine(1)
 	dst.Kill()
@@ -322,7 +305,7 @@ func TestSendToDeadMachineDropped(t *testing.T) {
 		src.Send(dst, 100, "lost")
 		a.Sleep(100 * time.Millisecond)
 	})
-	runHeld(c)
+	c.Run()
 	if ok {
 		t.Fatal("message delivered to dead machine")
 	}

@@ -42,7 +42,7 @@ func TestWANLatencyAndBandwidth(t *testing.T) {
 }
 
 func TestWANTransferTiming(t *testing.T) {
-	c := heldClock()
+	c := vclock.New()
 	f := New(c, WideAreaCluster(1), Idle, 1)
 	src, _ := f.ByName("vienna00")
 	dst, _ := f.ByName("linz00")
@@ -54,7 +54,7 @@ func TestWANTransferTiming(t *testing.T) {
 	c.Spawn("send", func(a *vclock.Actor) {
 		src.Send(dst, 25_000, "wan") // 200 kbit over 2 Mbit/s = 100 ms
 	})
-	runHeld(c)
+	c.Run()
 	want := 100*time.Millisecond + WANLatency
 	if got := time.Duration(at); got != want {
 		t.Fatalf("WAN delivery at %v, want %v", got, want)

@@ -118,26 +118,3 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	return v
 }
-
-// Merge folds another histogram into this one.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if len(o.counts) > len(h.counts) {
-		grown := make([]int64, len(o.counts))
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	for idx, n := range o.counts {
-		h.counts[idx] += n
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-}

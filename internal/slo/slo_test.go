@@ -66,29 +66,6 @@ func TestHistogramRelativeError(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge checks merging preserves count/sum/extremes and
-// order independence.
-func TestHistogramMerge(t *testing.T) {
-	var a, b, all Histogram
-	for v := int64(0); v < 1000; v++ {
-		all.Observe(v * 7)
-		if v%2 == 0 {
-			a.Observe(v * 7)
-		} else {
-			b.Observe(v * 7)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != all.Count() || a.Sum() != all.Sum() || a.min != all.min || a.Max() != all.Max() {
-		t.Fatalf("merge mismatch: %d/%d %d/%d", a.Count(), all.Count(), a.Sum(), all.Sum())
-	}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if a.Quantile(q) != all.Quantile(q) {
-			t.Fatalf("merged quantile(%v) = %d, want %d", q, a.Quantile(q), all.Quantile(q))
-		}
-	}
-}
-
 // fakeClock is a manual scheduler clock for engine tests.
 type fakeClock struct{ now time.Duration }
 

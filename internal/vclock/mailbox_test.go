@@ -6,7 +6,7 @@ import (
 )
 
 func TestMailboxLatency(t *testing.T) {
-	c := newHeld()
+	c := New()
 	box := NewMailbox(c, "box")
 	var recvAt Time
 	c.Spawn("recv", func(a *Actor) {
@@ -20,14 +20,14 @@ func TestMailboxLatency(t *testing.T) {
 		a.Sleep(5 * time.Millisecond)
 		box.Put("hello", 3*time.Millisecond)
 	})
-	runHeld(c)
+	c.Run()
 	if recvAt != Time(8*time.Millisecond) {
 		t.Fatalf("received at %v, want 8ms", time.Duration(recvAt))
 	}
 }
 
 func TestMailboxOrdering(t *testing.T) {
-	c := newHeld()
+	c := New()
 	box := NewMailbox(c, "box")
 	var got []int
 	c.Spawn("send", func(a *Actor) {
@@ -42,7 +42,7 @@ func TestMailboxOrdering(t *testing.T) {
 			got = append(got, v.(int))
 		}
 	})
-	runHeld(c)
+	c.Run()
 	for i, want := range []int{1, 2, 3} {
 		if got[i] != want {
 			t.Fatalf("got %v, want [1 2 3]", got)
@@ -51,7 +51,7 @@ func TestMailboxOrdering(t *testing.T) {
 }
 
 func TestMailboxTieBreakByPutOrder(t *testing.T) {
-	c := newHeld()
+	c := New()
 	box := NewMailbox(c, "box")
 	var got []int
 	c.Spawn("send", func(a *Actor) {
@@ -65,7 +65,7 @@ func TestMailboxTieBreakByPutOrder(t *testing.T) {
 			got = append(got, v.(int))
 		}
 	})
-	runHeld(c)
+	c.Run()
 	for i := 0; i < 5; i++ {
 		if got[i] != i {
 			t.Fatalf("same-instant messages reordered: %v", got)
@@ -74,7 +74,7 @@ func TestMailboxTieBreakByPutOrder(t *testing.T) {
 }
 
 func TestGetTimeoutExpires(t *testing.T) {
-	c := newHeld()
+	c := New()
 	box := NewMailbox(c, "box")
 	var ok bool
 	var at Time
@@ -86,7 +86,7 @@ func TestGetTimeoutExpires(t *testing.T) {
 	c.Spawn("other", func(a *Actor) {
 		a.Sleep(20 * time.Millisecond)
 	})
-	runHeld(c)
+	c.Run()
 	if ok {
 		t.Fatal("GetTimeout returned ok on empty mailbox")
 	}
@@ -96,7 +96,7 @@ func TestGetTimeoutExpires(t *testing.T) {
 }
 
 func TestGetTimeoutReceives(t *testing.T) {
-	c := newHeld()
+	c := New()
 	box := NewMailbox(c, "box")
 	var got any
 	var ok bool
@@ -106,7 +106,7 @@ func TestGetTimeoutReceives(t *testing.T) {
 	c.Spawn("send", func(a *Actor) {
 		box.Put(99, 4*time.Millisecond)
 	})
-	runHeld(c)
+	c.Run()
 	if !ok || got.(int) != 99 {
 		t.Fatalf("GetTimeout = %v, %v", got, ok)
 	}
@@ -118,7 +118,7 @@ func TestGetTimeoutReceives(t *testing.T) {
 func TestGetTimeoutDeliveryAtDeadline(t *testing.T) {
 	// Delivery and timeout at the same instant: the delivery wins because
 	// Get checks the ready queue before the deadline.
-	c := newHeld()
+	c := New()
 	box := NewMailbox(c, "box")
 	var ok bool
 	c.Spawn("recv", func(a *Actor) {
@@ -127,14 +127,14 @@ func TestGetTimeoutDeliveryAtDeadline(t *testing.T) {
 	c.Spawn("send", func(a *Actor) {
 		box.Put(1, 5*time.Millisecond)
 	})
-	runHeld(c)
+	c.Run()
 	if !ok {
 		t.Fatal("message delivered exactly at deadline was lost")
 	}
 }
 
 func TestMailboxClose(t *testing.T) {
-	c := newHeld()
+	c := New()
 	box := NewMailbox(c, "box")
 	var results []bool
 	c.Spawn("recv", func(a *Actor) {
@@ -151,7 +151,7 @@ func TestMailboxClose(t *testing.T) {
 		a.Sleep(2 * time.Millisecond)
 		box.Close()
 	})
-	runHeld(c)
+	c.Run()
 	if len(results) != 2 || !results[0] || results[1] {
 		t.Fatalf("results = %v, want [true false]", results)
 	}
@@ -159,7 +159,7 @@ func TestMailboxClose(t *testing.T) {
 
 func TestMailboxCloseDrainsInFlight(t *testing.T) {
 	// Messages already in flight at Close time must still be delivered.
-	c := newHeld()
+	c := New()
 	box := NewMailbox(c, "box")
 	var vals []int
 	c.Spawn("send", func(a *Actor) {
@@ -176,7 +176,7 @@ func TestMailboxCloseDrainsInFlight(t *testing.T) {
 			vals = append(vals, v.(int))
 		}
 	})
-	runHeld(c)
+	c.Run()
 	if len(vals) != 2 || vals[0] != 1 || vals[1] != 2 {
 		t.Fatalf("vals = %v, want [1 2]", vals)
 	}
@@ -214,7 +214,7 @@ func TestLenAndInFlight(t *testing.T) {
 
 func TestMultipleReceivers(t *testing.T) {
 	// Each message goes to exactly one receiver.
-	c := newHeld()
+	c := New()
 	box := NewMailbox(c, "box")
 	const n = 20
 	counts := make(chan int, 4)
@@ -239,7 +239,7 @@ func TestMultipleReceivers(t *testing.T) {
 		a.Sleep(time.Second)
 		box.Close()
 	})
-	runHeld(c)
+	c.Run()
 	close(counts)
 	total := 0
 	for g := range counts {
@@ -268,7 +268,7 @@ func TestPingPongTiming(t *testing.T) {
 	// exactly 2*N*L of virtual time.
 	const n = 10
 	const lat = time.Millisecond
-	c := newHeld()
+	c := New()
 	ping := NewMailbox(c, "ping")
 	pong := NewMailbox(c, "pong")
 	c.Spawn("b", func(a *Actor) {
@@ -283,7 +283,7 @@ func TestPingPongTiming(t *testing.T) {
 			a.Get(pong)
 		}
 	})
-	runHeld(c)
+	c.Run()
 	if c.Now() != Time(2*n*lat) {
 		t.Fatalf("final time %v, want %v", time.Duration(c.Now()), 2*n*lat)
 	}

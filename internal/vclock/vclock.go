@@ -32,11 +32,11 @@
 // ties would differ from run to run, and simulations would diverge by
 // microseconds between identically-seeded executions.  With it, a
 // simulation is a deterministic function of its inputs — byte-identical
-// metrics snapshots across runs — provided the setup phase is covered
-// too: a constructor that spawns actors from a non-actor goroutine
-// should call Hold first, so no actor runs (and no event order is
-// decided) until the driving goroutine calls Adopt and enters the
-// simulation itself.
+// metrics snapshots across runs.  The setup phase is covered too: a
+// clock is born with its run token reserved for the goroutine that made
+// it, so actors spawned during setup queue in spawn order and none runs
+// (and no event order is decided) until that goroutine calls Adopt and
+// enters the simulation itself, or calls Run and waits for it.
 package vclock
 
 import (
@@ -91,7 +91,7 @@ type Clock struct {
 	now      Time
 	seq      uint64
 	runnable int
-	held     bool     // run token reserved by a setup goroutine (Hold)
+	held     bool     // run token reserved for the setup goroutine, until Adopt or Run
 	cur      *Actor   // actor currently holding the run token
 	runq     []*Actor // runnable actors awaiting the run token, FIFO
 	actors   map[*Actor]struct{}
@@ -101,9 +101,15 @@ type Clock struct {
 	deadMsg  string // diagnostic captured when the deadlock was detected
 }
 
-// New returns a clock at virtual time zero with no actors.
+// New returns a clock at virtual time zero with no actors.  Its run token
+// is reserved for the calling (non-actor) goroutine: actors spawned before
+// that goroutine calls Adopt or Run are queued and do not start running.
+// The order in which actors first run — and with it every event tie-break
+// in the simulation — is therefore a function of the spawn order, not of
+// the Go scheduler, and an early actor cannot block on a mailbox before
+// the actor that will feed it is registered.
 func New() *Clock {
-	return &Clock{actors: make(map[*Actor]struct{})}
+	return &Clock{held: true, actors: make(map[*Actor]struct{})}
 }
 
 // Now returns the current virtual time.
@@ -140,13 +146,9 @@ func (a *Actor) Clock() *Clock { return a.c }
 // Now returns the current virtual time.
 func (a *Actor) Now() Time { return a.c.Now() }
 
-// Hold reserves the run token for the calling (non-actor) goroutine:
-// actors spawned while the hold is in place are queued and do not start
-// running until the holder calls Adopt and becomes an actor itself.
-// Construction code uses this so that the order in which actors first
-// run — and with it every event tie-break in the simulation — is a
-// deterministic function of the spawn order, not of the Go scheduler.
-// Hold must be called before any actor is spawned.
+// Hold restates the reservation every clock is born with (see New); on a
+// fresh clock it changes nothing.  Its one remaining caller is the
+// benchmark harness, and it leaves with the next benchmark PR.
 func (c *Clock) Hold() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -154,9 +156,9 @@ func (c *Clock) Hold() {
 }
 
 // Adopt enrolls the calling goroutine as an actor.  The caller must call
-// Done when it leaves the simulation.  If the clock is held, the hold is
-// converted into this actor's run token; otherwise the caller may block
-// until the token reaches it.
+// Done when it leaves the simulation.  If the run token is still reserved
+// (see New), the reservation is converted into this actor's run token;
+// otherwise the caller may block until the token reaches it.
 func (c *Clock) Adopt(name string) *Actor {
 	a := &Actor{c: c, name: name, wake: make(chan struct{}, 1), state: "running"}
 	c.mu.Lock()
@@ -242,8 +244,13 @@ func (a *Actor) Done() {
 
 // Run blocks the calling (non-actor) goroutine until every actor has
 // retired.  It is the usual way for a test or main function to wait for a
-// simulation to finish.
+// simulation to finish.  If nobody adopted the run token reserved by New,
+// Run releases it first: the queued actors start in spawn order.
 func (c *Clock) Run() {
+	c.mu.Lock()
+	c.held = false
+	c.dispatchLocked()
+	c.mu.Unlock()
 	c.wg.Wait()
 }
 

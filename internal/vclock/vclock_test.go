@@ -9,23 +9,6 @@ import (
 	"time"
 )
 
-// newHeld returns a clock whose run token is reserved for the test
-// goroutine, so actors spawned during setup queue instead of starting:
-// an early one can neither block (tripping the deadlock detector on a
-// transient) nor advance time before a later one is registered.
-func newHeld() *Clock {
-	c := New()
-	c.Hold()
-	return c
-}
-
-// runHeld releases a held clock — the queued actors start in spawn order —
-// and waits for every actor to retire.
-func runHeld(c *Clock) {
-	c.Adopt("root").Done()
-	c.Run()
-}
-
 func TestSingleActorSleep(t *testing.T) {
 	c := New()
 	var end Time
@@ -44,7 +27,7 @@ func TestSingleActorSleep(t *testing.T) {
 }
 
 func TestTwoActorsInterleave(t *testing.T) {
-	c := newHeld()
+	c := New()
 	var mu sync.Mutex
 	var order []string
 	log := func(a *Actor, tag string) {
@@ -62,7 +45,7 @@ func TestTwoActorsInterleave(t *testing.T) {
 		a.Sleep(10 * time.Millisecond)
 		log(a, "fast@20")
 	})
-	runHeld(c)
+	c.Run()
 	want := []string{"fast@10", "fast@20", "slow@30"}
 	if len(order) != 3 {
 		t.Fatalf("order = %v", order)
@@ -190,7 +173,7 @@ func TestParallelMaxProperty(t *testing.T) {
 		if len(raw) > 8 {
 			raw = raw[:8]
 		}
-		c := newHeld()
+		c := New()
 		var max time.Duration
 		for i, durs := range raw {
 			var total time.Duration
@@ -208,7 +191,7 @@ func TestParallelMaxProperty(t *testing.T) {
 				}
 			})
 		}
-		runHeld(c)
+		c.Run()
 		return c.Now() == Time(max)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -218,7 +201,7 @@ func TestParallelMaxProperty(t *testing.T) {
 
 // Property: virtual time never goes backwards as observed by any actor.
 func TestMonotonicTime(t *testing.T) {
-	c := newHeld()
+	c := New()
 	var mu sync.Mutex
 	bad := false
 	for i := 0; i < 10; i++ {
@@ -238,7 +221,7 @@ func TestMonotonicTime(t *testing.T) {
 			}
 		})
 	}
-	runHeld(c)
+	c.Run()
 	if bad {
 		t.Fatal("observed time going backwards")
 	}
@@ -248,7 +231,7 @@ func TestMonotonicTime(t *testing.T) {
 // the same per-event timestamps across runs.
 func TestDeterminism(t *testing.T) {
 	run := func() (Time, []Time) {
-		c := newHeld()
+		c := New()
 		var mu sync.Mutex
 		var stamps []Time
 		box := NewMailbox(c, "box")
@@ -272,7 +255,7 @@ func TestDeterminism(t *testing.T) {
 				mu.Unlock()
 			}
 		})
-		runHeld(c)
+		c.Run()
 		return c.Now(), stamps
 	}
 	t1, s1 := run()
@@ -294,7 +277,7 @@ func TestDeterminism(t *testing.T) {
 // actor executes user code at any real-time moment, even when many are
 // runnable at the same virtual instant.
 func TestSerializedExecution(t *testing.T) {
-	c := newHeld()
+	c := New()
 	var running atomic.Int32
 	for i := 0; i < 8; i++ {
 		c.Spawn("worker", func(a *Actor) {
@@ -309,16 +292,16 @@ func TestSerializedExecution(t *testing.T) {
 			}
 		})
 	}
-	runHeld(c)
+	c.Run()
 }
 
-// TestHoldDeterministicOrder checks that with Hold covering the spawn
-// phase, the complete execution order of same-instant actors is a pure
-// function of spawn order — run twice, compare the full interleaving.
+// TestHoldDeterministicOrder checks that with the run token reserved
+// through the spawn phase, the complete execution order of same-instant
+// actors is a pure function of spawn order — run twice, compare the full
+// interleaving.
 func TestHoldDeterministicOrder(t *testing.T) {
 	run := func() []int {
 		c := New()
-		c.Hold()
 		var mu sync.Mutex
 		var order []int
 		for i := 0; i < 6; i++ {
@@ -349,6 +332,36 @@ func TestHoldDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestSpawnBeforeRun is the plainest way to use a clock — spawn from a
+// non-actor goroutine, then Run — with the setup made slow on purpose.
+// The receiver is spawned first and would block on its empty mailbox with
+// no event pending; if it could start before its sender is registered the
+// kernel would declare a deadlock.  A clock is born held, so it cannot.
+func TestSpawnBeforeRun(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		c := New()
+		box := NewMailbox(c, "box")
+		var order []string // written only under the run token
+		var got any
+		c.Spawn("receiver", func(a *Actor) {
+			order = append(order, "receiver")
+			got, _ = a.Get(box)
+		})
+		time.Sleep(time.Millisecond) // setup may be arbitrarily slow
+		c.Spawn("sender", func(a *Actor) {
+			order = append(order, "sender")
+			box.Put(i, time.Microsecond)
+		})
+		c.Run()
+		if got != i {
+			t.Fatalf("clock %d: receiver got %v", i, got)
+		}
+		if len(order) != 2 || order[0] != "receiver" || order[1] != "sender" {
+			t.Fatalf("clock %d: first-run order %v, want spawn order", i, order)
+		}
+	}
+}
+
 func BenchmarkSleepWake(b *testing.B) {
 	c := New()
 	a := c.Adopt("bench")
@@ -360,7 +373,7 @@ func BenchmarkSleepWake(b *testing.B) {
 }
 
 func BenchmarkPingPong(b *testing.B) {
-	c := newHeld() // the Adopt below takes over the hold
+	c := New()
 	ping := NewMailbox(c, "ping")
 	pong := NewMailbox(c, "pong")
 	n := b.N
