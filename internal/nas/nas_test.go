@@ -2,6 +2,7 @@ package nas
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -613,4 +614,32 @@ func BenchmarkHierarchyRoundVirtual(b *testing.B) {
 	done()
 	clk.Run()
 	_ = fmt.Sprint()
+}
+
+// TestMessagesRoundTrip: every NAS body and the snapshot inside it come
+// back DeepEqual through rmi.Marshal/Unmarshal.
+func TestMessagesRoundTrip(t *testing.T) {
+	snap := params.Snapshot{"idle": params.Float(50), "name": params.Text("milena"), "cpus": params.Int(4)}
+	for _, in := range []any{
+		snap,
+		reportMsg{Node: "n1", Snap: snap},
+		aggMsg{Component: "cluster0", Snap: snap, OK: true},
+		selectReq{N: 2, Constr: params.Wire{{Param: "idle", Op: params.GE, Want: params.Float(50)}},
+			Exclude: []string{"n0"}, Name: "n3", Among: []string{"n3", "n4"}, SpreadOver: true, NoReserve: true},
+		selectResp{Nodes: []string{"n3", "n4"}},
+		listResp{Nodes: []string{"n1"}, Snaps: []params.Snapshot{snap}},
+		RSetInfo{Key: "app/1", Primary: "n1", Replicas: []string{"n2"}, Mode: "strong", Lease: time.Second},
+	} {
+		body, err := rmi.Marshal(in)
+		if err != nil {
+			t.Fatalf("%T: %v", in, err)
+		}
+		out := reflect.New(reflect.TypeOf(in))
+		if err := rmi.Unmarshal(body, out.Interface()); err != nil {
+			t.Fatalf("%T: %v", in, err)
+		}
+		if !reflect.DeepEqual(in, out.Elem().Interface()) {
+			t.Errorf("%T round trip:\n in  %+v\n out %+v", in, in, out.Elem().Interface())
+		}
+	}
 }
