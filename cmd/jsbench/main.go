@@ -12,8 +12,8 @@
 // BENCH_<name>.json unless -out names another file; the output is
 // byte-deterministic for a fixed seed.
 //
-// -experiment all runs every entry at the pinned seed 1 and rewrites
-// every committed artifact in place, so
+// -experiment all runs every entry in turn, in this one process, at the
+// pinned seed 1 and rewrites every committed artifact in place, so
 //
 //	go run ./cmd/jsbench -experiment all && git diff --exit-code -- 'BENCH_*.json'
 //
@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"strconv"
 	"strings"
 
@@ -70,7 +69,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "jsbench: -experiment all rewrites the committed seed-1 artifacts; it takes neither -seed nor -out")
 			os.Exit(2)
 		}
-		if !runAll() {
+		ok := true
+		for _, e := range experiments.Registry {
+			ok = run(e, p, "") && ok
+		}
+		if !ok {
 			os.Exit(1)
 		}
 		return
@@ -85,26 +88,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "jsbench: unknown experiment %q (have %s, all)\n", *experiment, list)
 	os.Exit(2)
-}
-
-// runAll reruns this command once per registered experiment, each in a
-// process of its own.  encoding/gob numbers types process-wide in
-// first-use order and a larger id encodes longer, so inside one process
-// an experiment's encoded sizes — and the virtual times costed from
-// them — depend on what ran before it.  The committed artifacts are
-// what a fresh process produces.
-func runAll() bool {
-	ok := true
-	for _, e := range experiments.Registry {
-		// A repeated flag's last value wins, so the entry's name goes last.
-		cmd := exec.Command(os.Args[0], append(os.Args[1:], "-experiment="+e.Name)...)
-		cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
-		if err := cmd.Run(); err != nil {
-			fmt.Fprintf(os.Stderr, "jsbench: %s: %v\n", e.Name, err)
-			ok = false
-		}
-	}
-	return ok
 }
 
 // run drives one experiment and reports whether all of its claims held.

@@ -6,9 +6,9 @@
 //	go run ./cmd/jsvet ./...
 //
 // exits 0 when the build graph is clean, 1 with file:line:col
-// diagnostics otherwise, and 2 when packages fail to load.  The six
+// diagnostics otherwise, and 2 when packages fail to load.  The five
 // invariants (see DESIGN.md §9): walltime, globalrand, mapiter,
-// locksend, errcmp, gobwire; plus the directive checker validating every
+// locksend, errcmp; plus the directive checker validating every
 // //jsvet:allow waiver.  Test files are not analyzed — _test.go code
 // drives the real scheduler legitimately; the determinism surface is
 // the non-test build graph that runs under simulation.
@@ -24,7 +24,6 @@ import (
 	"jsymphony/internal/analysis"
 	"jsymphony/internal/analysis/errcmp"
 	"jsymphony/internal/analysis/globalrand"
-	"jsymphony/internal/analysis/gobwire"
 	"jsymphony/internal/analysis/loader"
 	"jsymphony/internal/analysis/locksend"
 	"jsymphony/internal/analysis/mapiter"
@@ -38,7 +37,6 @@ var suite = []*analysis.Analyzer{
 	mapiter.Analyzer,
 	locksend.Analyzer,
 	errcmp.Analyzer,
-	gobwire.Analyzer,
 }
 
 func main() {

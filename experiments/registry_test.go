@@ -53,7 +53,9 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("%s: committed artifact missing: %v", e.Name, err)
 		}
 		t.Run(e.Name, func(t *testing.T) {
-			if e.Name != "wire" { // wire flips the process-global rmi.SetGobOnly: serial
+			// wire stays serial: testing.AllocsPerRun reads the process-wide
+			// malloc count, which a parallel neighbour pollutes.
+			if e.Name != "wire" {
 				t.Parallel()
 			}
 			run := reduced[e.Name]

@@ -46,9 +46,11 @@ func NewRegistry() *Registry {
 }
 
 // Register adds a class definition.  The factory must return a pointer to
-// a fresh zero value; the instance type is also registered with the gob
-// codec so objects of the class can migrate and persist.  Registering a
-// name twice panics: class identity must be stable across an application.
+// a fresh zero value; the instance type is also registered with the rmi
+// codec (rmi.RegisterType), which derives its layout so objects of the
+// class can migrate, persist, and cross inside []any values.  Registering
+// a name twice panics: class identity must be stable across an
+// application.
 func (r *Registry) Register(name string, size int, factory func() any) {
 	if factory == nil {
 		panic("codebase: nil factory for class " + name)

@@ -154,8 +154,8 @@ func TestInvokeErrors(t *testing.T) {
 }
 
 func TestInvokeNumericConversion(t *testing.T) {
-	// gob decodes small integers as int64; Invoke must convert to the
-	// parameter type.
+	// A caller's argument may be another integer width than the
+	// parameter; Invoke must convert to the parameter type.
 	w := &widget{}
 	got, err := Invoke(w, "Bump", []any{int64(3)})
 	if err != nil || got.(int) != 3 {

@@ -11,7 +11,7 @@ import (
 // JavaSymphony methods are addressed by name and receive their parameters
 // as an array of objects.
 //
-// Supported method shapes (T is any gob-encodable type):
+// Supported method shapes (T is any type the rmi codec encodes):
 //
 //	func (o *C) M(args...) T
 //	func (o *C) M(args...) (T, error)
@@ -20,8 +20,11 @@ import (
 //
 // The result is the single non-error return value (nil if none).  A
 // returned non-nil error is propagated.  Argument values are converted to
-// the parameter types when assignable or numerically convertible, which
-// absorbs gob's integer-width normalization.
+// the parameter types when assignable or numerically convertible: a call
+// site passes its arguments as []any, where an untyped constant becomes
+// an int or a float64 whatever the parameter's width, and the codec
+// keeps that type exactly, so SInvoke(p, "Add", 1) arrives as an int
+// even when Add takes an int64.
 func Invoke(obj any, method string, args []any) (any, error) {
 	if obj == nil {
 		return nil, errors.New("codebase: invoke on nil object")

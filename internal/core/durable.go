@@ -542,7 +542,7 @@ func (g *ShardGroup) Persist(p sched.Proc, reads ...string) error {
 }
 
 // buildDurManifest snapshots the app's durable catalog.  Slices are
-// sorted so the gob encoding is deterministic.
+// sorted so the encoding is deterministic.
 func (a *App) buildDurManifest() durManifest {
 	man := durManifest{App: a.id}
 	type owner struct{ group, shard string }

@@ -29,7 +29,7 @@ func TestExplicitMigrationToNode(t *testing.T) {
 		if loc, _ := obj.NodeName(); loc != dst {
 			t.Fatalf("object on %s after migration, want %s", loc, dst)
 		}
-		// State survived the move (§4.6 + gob serialization).
+		// State survived the move (§4.6 + layout serialization).
 		got, err := obj.SInvoke(p, "Get")
 		if err != nil || got.(int) != 42 {
 			t.Fatalf("state after migration = %v, %v", got, err)

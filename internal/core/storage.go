@@ -21,17 +21,14 @@ var ErrNotFound = errors.New("core: stored object not found")
 // PersistRecord is one stored object (paper §4.7): its class and
 // serialized state, retrievable under a unique string key.  Replica is
 // non-nil when the object was replicated at store time: App.Load uses
-// it to re-materialize the replica set on restore.  (The field is a
-// gob-compatible extension — records written before it exists decode
-// with Replica == nil.)
+// it to re-materialize the replica set on restore.
 type PersistRecord struct {
 	Class   string
 	State   []byte
 	Replica *replica.Policy
 	// Group is non-nil when the record is a shard-group manifest written
 	// by ShardGroup.Store: it carries the ring membership and per-member
-	// state keys that App.LoadShardGroup restores.  Like Replica, it is a
-	// gob-compatible extension — older records decode with Group == nil.
+	// state keys that App.LoadShardGroup restores.
 	Group *GroupRecord
 }
 
@@ -116,8 +113,12 @@ func (m *MemStorage) Keys() ([]string, error) {
 
 // FileStorage persists records as files in a directory, one file per
 // key — real external storage for real deployments.  Records go through
-// rmi.Marshal, so each file starts with a format tag and old files keep
-// decoding if the record encoding evolves.
+// rmi.Marshal, so each file starts with a format tag.  Contract: a file
+// in a format this codec does not define fails Get with rmi.ErrCodec
+// instead of decoding — in particular a .jsobj written by the retired
+// gob codec (unknown format tag 0x47).  A record's layout carries no
+// field names, so a record written before PersistRecord gained a field
+// fails the same way.
 type FileStorage struct {
 	dir string
 	mu  sync.Mutex

@@ -6,9 +6,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"jsymphony/internal/replica"
+	"jsymphony/internal/rmi"
 	"jsymphony/internal/sched"
 )
 
@@ -117,11 +119,19 @@ func TestFileStorageErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt record: decode error, NOT ErrNotFound.
-	if err := os.WriteFile(filepath.Join(dir, "bad.jsobj"), []byte("not gob"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "bad.jsobj"), []byte("not a record"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fs.Get("bad"); err == nil || errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get(corrupt) = %v, want a decode error distinct from ErrNotFound", err)
+	}
+	// A record written by the retired gob codec (format tag 0x47) is
+	// ErrCodec, never decoded (the FileStorage contract).
+	if err := os.WriteFile(filepath.Join(dir, "old.jsobj"), []byte{0x47, 0x2a, 0xff, 0x81}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Get("old"); !errors.Is(err, rmi.ErrCodec) || !strings.Contains(err.Error(), "0x47") {
+		t.Fatalf("Get(gob-era record) = %v, want rmi.ErrCodec for format tag 0x47", err)
 	}
 	// Directory gone: Put, Keys, and Get all surface I/O errors; the Get
 	// error is a miss (the file does not exist).

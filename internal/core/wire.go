@@ -19,9 +19,7 @@ package core
 import (
 	"time"
 
-	"jsymphony/internal/params"
 	"jsymphony/internal/replica"
-	"jsymphony/internal/rmi"
 )
 
 // PubService is the RMI service name of every node's public object agent.
@@ -237,19 +235,3 @@ const (
 	errObjUnknown   = "oas: no such object"
 	errReplicaStale = "oas: replica lease expired"
 )
-
-func init() {
-	// Basic method parameter/result types every application may use.
-	for _, v := range []any{
-		int(0), int8(0), int16(0), int32(0), int64(0),
-		uint(0), uint8(0), uint16(0), uint32(0), uint64(0),
-		float32(0), float64(0), false, "", time.Duration(0),
-		[]int(nil), []int64(nil), []float32(nil), []float64(nil),
-		[]string(nil), []byte(nil), []any(nil),
-		map[string]string(nil), map[string]float64(nil), map[string]int(nil),
-		Ref{}, []Ref(nil),
-		params.Snapshot(nil),
-	} {
-		rmi.RegisterType(v)
-	}
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"jsymphony/internal/params"
 	"jsymphony/internal/replica"
 	"jsymphony/internal/rmi"
 	"jsymphony/internal/rmi/wire"
@@ -37,13 +38,13 @@ const (
 	// install request; WAL installs travel as migrateInReq.
 )
 
-// refValueID is Ref's id in the any-value registry: refs ride method
-// argument vectors (handles are first-order values, paper §5.2), so
-// they get the schema-aware path inside []any too.
-const refValueID byte = 0x01
-
+// Handles are first-order values (paper §5.2): a Ref rides method
+// argument vectors under its registered name, through its hand-written
+// schema.  A []Ref and a params.Snapshot may cross as arguments too.
 func init() {
-	rmi.RegisterValueCodec(refValueID, Ref{})
+	for _, v := range []any{Ref{}, []Ref(nil), params.Snapshot(nil)} {
+		rmi.RegisterType(v)
+	}
 }
 
 // ---------------------------------------------------------------------

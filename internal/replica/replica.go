@@ -156,7 +156,7 @@ func (p Policy) String() string {
 // Set is the materialized replica set of one object: where the primary
 // and the replicas currently live, plus the routing-relevant slice of
 // the policy.  Sets cross the wire (directory registration, locate
-// responses), so all fields are exported and gob-friendly.
+// responses), so all fields are exported.
 type Set struct {
 	Primary  string        // node hosting the writable copy
 	Replicas []string      // nodes hosting read replicas (sorted)

@@ -22,16 +22,17 @@ import (
 // header per item; this one encodes each item once and allocates
 // nothing beyond the buffer it fills.
 //
-// The fields are exported only so the gob fallback (SetGobOnly
-// baselines) can carry the envelope; treat them as internal.
+// The fields are exported only because the wire experiment's gob
+// reference (experiments/wire.go) encodes a Batch, and gob sees exported
+// fields only; treat them as internal.
 type Batch struct {
 	Count int    // number of items
 	Buf   []byte // uvarint length-prefixed item encodings, back to back
 	offs  []int  // lazily built start offset of each item's prefix
 }
 
-// Append encodes v (wire fast path or gob fallback, exactly like a
-// message body) and adds it to the batch.
+// Append encodes v exactly like a message body (Marshal) and adds it to
+// the batch.
 func (b *Batch) Append(v any) error {
 	item, err := Marshal(v)
 	if err != nil {

@@ -87,36 +87,3 @@ func BenchmarkWireEncodeArgs(b *testing.B) {
 		MustMarshal(args)
 	}
 }
-
-func BenchmarkGobEncodeMessage(b *testing.B) {
-	msg := benchMessage()
-	prev := SetGobOnly(true)
-	defer SetGobOnly(prev)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MustMarshal(msg)
-	}
-}
-
-func BenchmarkGobDecodeMessage(b *testing.B) {
-	prev := SetGobOnly(true)
-	enc := MustMarshal(benchMessage())
-	SetGobOnly(prev)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var out Message
-		if err := Unmarshal(enc, &out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGobEncodeArgs(b *testing.B) {
-	args := benchArgs()
-	prev := SetGobOnly(true)
-	defer SetGobOnly(prev)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MustMarshal(args)
-	}
-}

@@ -111,8 +111,18 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(seedVals)
 	f.Add([]byte{FormatWire, 0x01})
 	f.Add([]byte{FormatValue, 0xff})
-	f.Add([]byte{FormatGob, 0x00})
 	f.Add([]byte{})
+	// Layout bodies in the shapes the disk and the wire carry: nested
+	// record slices with nil and non-nil pointers (a WAL manifest and its
+	// shard-group records; FuzzCoreWireDecode decodes the real ones), a
+	// record with its optional parts unset, and a registered task inside
+	// a []any argument vector.
+	seedDeep, _ := Marshal(deepValue())
+	f.Add(seedDeep)
+	seedSparse, _ := Marshal(layoutDeep{Names: []string{"only"}})
+	f.Add(seedSparse)
+	seedTask, _ := Marshal([]any{layoutTask{Row0: 4, Rows: 2, A: []float32{1, 2, 3, 4}}, 7})
+	f.Add(seedTask)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(what string, err error) {
 			if err == nil {
@@ -131,6 +141,8 @@ func FuzzWireDecode(f *testing.F) {
 		check("values", Unmarshal(data, &vals))
 		var v any
 		check("value", Unmarshal(data, &v))
+		var deep layoutDeep
+		check("layout", Unmarshal(data, &deep))
 
 		// Every prefix of a valid encoding must also fail cleanly.
 		if len(data) > 0 {

@@ -8,8 +8,8 @@
 //
 //   - Message: the wire unit (request / response / one-way); bodies are
 //     what Marshal produces — a one-byte format tag, then the pooled
-//     binary codec of internal/rmi/wire or, for unregistered user types,
-//     a gob capsule.
+//     binary codec of internal/rmi/wire: a hand-written schema, a tagged
+//     value, or a type's derived layout (layout.go).
 //   - Network / Endpoint: pluggable transports, one per way of running —
 //     in-memory (real time, NewLocalEnv), the simulated fabric of
 //     internal/simnet (virtual time, with CPU serialization costs,

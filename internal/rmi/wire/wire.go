@@ -5,12 +5,12 @@
 // Every RMI in the system — invokes, retries, replica propagation,
 // authority-renewal batches, WAL-bound state captures — used to funnel
 // through encoding/gob with a fresh encoder and bytes.Buffer per
-// message.  gob is the right tool for *user* payloads (arbitrary
-// registered types, the paper's Java-serialization role), but the ~20
-// internal protocol structs have fixed, known layouts; paying
-// reflection, type streams, and a dozen allocations per message for
-// them is pure ceiling.  This package gives those structs a
-// schema-aware encoding:
+// message.  The ~20 internal protocol structs have fixed, known
+// layouts; paying reflection, type streams, and a dozen allocations per
+// message for them was pure ceiling.  This package gives those structs
+// a schema-aware encoding, and its primitives carry every other type
+// too, through the layouts package rmi derives by reflection (the
+// paper's Java-serialization role):
 //
 //   - Encoder / Decoder / Codec: a protocol struct appends itself onto
 //     a caller-supplied buffer (AppendTo) and reconstructs itself from

@@ -38,7 +38,7 @@ func init() {
 
 // Store is the replicable, shardable table.  All state is exported so
 // the object survives migration, persistence, replica seeding, and
-// shard handoff (gob).
+// shard handoff (the codec carries exported fields only).
 type Store struct {
 	Data       map[string]int
 	ReadFlops  float64 // modeled CPU per Get/Sum (0 = free reads)

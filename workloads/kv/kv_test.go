@@ -24,7 +24,8 @@ func TestStoreLocalLifecycle(t *testing.T) {
 	if got := s.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
-	// Put on a zero Store (post-gob replica instance) must not panic.
+	// Put on a zero Store (a decoded replica instance: an empty map
+	// decodes as nil) must not panic.
 	z := &Store{}
 	z.Put(ctx, "x", 1)
 	if z.Add(ctx, "x", 1) != 2 {

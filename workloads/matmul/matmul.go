@@ -389,7 +389,7 @@ func Multiply(A, B []float32, n int) []float32 {
 }
 
 func init() {
-	// Wire types crossing RMI must be gob-registered.
+	// Values crossing RMI inside []any must be registered.
 	jsymphony.RegisterWireType(Task{})
 	jsymphony.RegisterWireType(Result{})
 }
