@@ -27,8 +27,9 @@ const PubService = "oas.pub"
 
 // Ref is a first-order object handle (paper §5.2: "object handles
 // (first-order objects) can be passed to methods of other objects").  It
-// identifies the object globally and crosses the wire as a registered
-// tagged value (wirecodec.go), inside arguments and results alike.
+// identifies the object globally and crosses the wire under its struct
+// tag, inside arguments and results as a registered tagged value, and
+// inside other bodies as its bare fields (wirecodec.go).
 type Ref struct {
 	App    string // owning application id ("app:<node>:<n>")
 	ID     uint64 // object sequence number within the application

@@ -22,14 +22,20 @@ import (
 // header per item; this one encodes each item once and allocates
 // nothing beyond the buffer it fills.
 //
-// The fields are exported only because the wire experiment's gob
-// reference (experiments/wire.go) encodes a Batch, and gob sees exported
-// fields only; treat them as internal.
+// A Batch crosses the wire as its exported fields under its struct
+// tag, and the wire experiment's gob reference (experiments/wire.go)
+// encodes them too; treat them as internal.  A received envelope is
+// validated by its first Decode; decode into a zero Batch.
 type Batch struct {
-	Count int    // number of items
+	Count uint   // number of items
 	Buf   []byte // uvarint length-prefixed item encodings, back to back
 	offs  []int  // lazily built start offset of each item's prefix
 }
+
+// tagBatch is Batch's struct tag (DESIGN.md §15).
+const tagBatch byte = 0x02
+
+func init() { RegisterWire(tagBatch, Batch{}) }
 
 // Append encodes v exactly like a message body (Marshal) and adds it to
 // the batch.
@@ -53,16 +59,20 @@ func (b *Batch) MustAppend(v any) {
 }
 
 // Len returns the number of batched items.
-func (b *Batch) Len() int { return b.Count }
+func (b *Batch) Len() int { return int(b.Count) }
 
-// index scans the buffer once and memoizes each item's offset.
+// index scans the buffer once, checking that it holds exactly Count
+// items, and memoizes each item's offset.
 func (b *Batch) index() error {
 	if b.offs != nil || b.Count == 0 {
 		return nil
 	}
+	if b.Count > uint(len(b.Buf)) { // each item costs at least its length byte
+		return fmt.Errorf("rmi: batch: %w: count %d exceeds %d payload bytes", wire.ErrTruncated, b.Count, len(b.Buf))
+	}
 	offs := make([]int, 0, b.Count)
 	d := wire.NewDec(b.Buf)
-	for i := 0; i < b.Count; i++ {
+	for i := 0; i < int(b.Count); i++ {
 		offs = append(offs, len(b.Buf)-d.Remaining())
 		d.Bytes()
 		if err := d.Err(); err != nil {
@@ -76,7 +86,9 @@ func (b *Batch) index() error {
 	return nil
 }
 
-// Decode unmarshals item i into v (a pointer).
+// Decode unmarshals item i into v (a pointer).  The first Decode of a
+// received envelope validates all of it: a corrupt one fails every
+// Decode with a typed error.
 func (b *Batch) Decode(i int, v any) error {
 	if err := b.index(); err != nil {
 		return err
@@ -90,32 +102,4 @@ func (b *Batch) Decode(i int, v any) error {
 		return err
 	}
 	return Unmarshal(item, v)
-}
-
-// AppendTo implements wire.Encoder (value receiver: envelopes cross
-// Marshal by value).
-func (b Batch) AppendTo(buf []byte) []byte {
-	buf = append(buf, tagBatch)
-	buf = wire.AppendUvarint(buf, uint64(b.Count))
-	return wire.AppendBytes(buf, b.Buf)
-}
-
-// DecodeFrom implements wire.Decoder.  The item buffer is validated
-// eagerly — a corrupt envelope fails here with a typed error, not at
-// the first Decode.
-func (b *Batch) DecodeFrom(data []byte) error {
-	d := wire.NewDec(data)
-	d.Tag(tagBatch)
-	n := d.Uvarint()
-	buf := d.BytesCopy()
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	if n > uint64(len(buf)) {
-		return fmt.Errorf("%w: batch count %d exceeds %d payload bytes", wire.ErrTruncated, n, len(buf))
-	}
-	b.Count = int(n)
-	b.Buf = buf
-	b.offs = nil
-	return b.index()
 }

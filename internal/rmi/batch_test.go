@@ -1,6 +1,11 @@
 package rmi
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"jsymphony/internal/rmi/wire"
+)
 
 func TestBatchRoundTrip(t *testing.T) {
 	type grant struct {
@@ -40,5 +45,30 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	if err := decoded.Decode(0, new(int)); err == nil {
 		t.Fatal("decoding a struct item into *int should fail")
+	}
+}
+
+// TestBatchValidatesLazily: a corrupt envelope decodes, and every Decode
+// of it then fails with a typed error, before any allocation its count
+// could provoke.
+func TestBatchValidatesLazily(t *testing.T) {
+	var good Batch
+	good.MustAppend("a")
+	good.MustAppend("b")
+	for name, b := range map[string]Batch{
+		"count past the items": {Count: 3, Buf: good.Buf},
+		"huge count":           {Count: 1 << 60, Buf: good.Buf},
+		"trailing bytes":       {Count: 1, Buf: good.Buf},
+		"cut item":             {Count: 2, Buf: good.Buf[:len(good.Buf)-1]},
+	} {
+		var got Batch
+		if err := Unmarshal(MustMarshal(b), &got); err != nil {
+			t.Fatalf("%s: envelope: %v", name, err)
+		}
+		var s string
+		err := got.Decode(0, &s)
+		if !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: Decode(0) = %v, want a typed error", name, err)
+		}
 	}
 }

@@ -1,9 +1,15 @@
 package rmi
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"reflect"
 	"testing"
 	"time"
 
+	"jsymphony/internal/rmi/wire"
 	"jsymphony/internal/sched"
 	"jsymphony/internal/simnet"
 )
@@ -105,5 +111,42 @@ func TestCloseIsIdempotentAndStopsDispatch(t *testing.T) {
 	// Post after close fails cleanly.
 	if err := st.Post(sched.RealProc(s), "solo", "x", "y", nil); err == nil {
 		t.Fatal("post after close succeeded")
+	}
+}
+
+// TestReadFrameChecks: a TCP frame decodes into the message it framed,
+// and a frame whose kind is out of range, overflows Kind's byte or
+// carries another struct's tag fails as corrupt.
+func TestReadFrameChecks(t *testing.T) {
+	frame := func(body []byte) *bufio.Reader {
+		return bufio.NewReader(bytes.NewReader(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)))
+	}
+	in := Message{From: "a", To: "b", Kind: KindOneWay, ID: 3, Body: []byte("x")}
+	body := msgWire.encode(nil, reflect.ValueOf(in))
+	if got, err := readFrame(frame(body)); err != nil || !reflect.DeepEqual(*got, in) {
+		t.Fatalf("valid frame: %+v, %v", got, err)
+	}
+	const kindAt = 5 // tag, "a", "b"
+	for name, bad := range map[string][]byte{
+		"kind 0":      append(append(body[:kindAt:kindAt], 0), body[kindAt+1:]...),
+		"kind 300":    append(append(body[:kindAt:kindAt], 0xac, 0x02), body[kindAt+1:]...),
+		"batch tag":   append([]byte{tagBatch}, body[1:]...),
+		"no such tag": append([]byte{0x7f}, body[1:]...),
+	} {
+		if _, err := readFrame(frame(bad)); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: %v, want wire.ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestWireBodyTarget: a wire body decodes only into the struct its tag
+// names, and an unknown tag is corrupt input.
+func TestWireBodyTarget(t *testing.T) {
+	body := MustMarshal(&Message{Kind: KindRequest})
+	if err := Unmarshal(body, new(Batch)); !errors.Is(err, ErrCodec) || !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("message body into a Batch: %v, want ErrCodec and wire.ErrCorrupt", err)
+	}
+	if err := Unmarshal([]byte{FormatWire, 0x7f}, new(Message)); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("unknown struct tag: %v, want wire.ErrCorrupt", err)
 	}
 }

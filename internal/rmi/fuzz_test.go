@@ -136,7 +136,12 @@ func FuzzWireDecode(f *testing.F) {
 		var m Message
 		check("message", Unmarshal(data, &m))
 		var batch Batch
-		check("batch", Unmarshal(data, &batch))
+		if err := Unmarshal(data, &batch); err != nil {
+			check("batch", err)
+		} else if batch.Len() > 0 {
+			var item any
+			check("batch item", batch.Decode(0, &item))
+		}
 		var vals []any
 		check("values", Unmarshal(data, &vals))
 		var v any

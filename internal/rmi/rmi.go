@@ -8,8 +8,9 @@
 //
 //   - Message: the wire unit (request / response / one-way); bodies are
 //     what Marshal produces — a one-byte format tag, then the pooled
-//     binary codec of internal/rmi/wire: a hand-written schema, a tagged
-//     value, or a type's derived layout (layout.go).
+//     binary codec of internal/rmi/wire: a registered protocol struct's
+//     tag and layout, a tagged value, or a type's named layout
+//     (layout.go).
 //   - Network / Endpoint: pluggable transports, one per way of running —
 //     in-memory (real time, NewLocalEnv), the simulated fabric of
 //     internal/simnet (virtual time, with CPU serialization costs,
@@ -60,6 +61,12 @@ type Message struct {
 	Err     string // non-empty on error responses
 	Idem    bool   // request may be retried; receiver must dedup by (From, ID)
 }
+
+// tagMessage is Message's struct tag (DESIGN.md §15); msgWire frames
+// messages on the TCP transport.
+const tagMessage byte = 0x01
+
+var msgWire = registerWire(tagMessage, Message{})
 
 // wireSize estimates the on-the-wire size of m for transports that model
 // transmission cost and for statistics.  Pad lets a caller model a large

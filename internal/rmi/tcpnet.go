@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 
 	"jsymphony/internal/rmi/wire"
@@ -84,14 +85,17 @@ type tcpConn struct {
 func (c *tcpConn) writeFrame(msg *Message) error {
 	buf := wire.Buffers.Get()
 	buf = append(buf, 0, 0, 0, 0) // length placeholder
-	buf = msg.AppendTo(buf)
+	buf = msgWire.encode(buf, reflect.ValueOf(msg).Elem())
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
 	_, err := c.c.Write(buf)
 	wire.Buffers.Put(buf)
 	return err
 }
 
-// readFrame reads one frame and decodes it into a fresh message.
+// readFrame reads one frame and decodes it into a fresh message: the
+// one place a Message comes from outside bytes, so the one place its
+// Kind is checked.  The frame is the message's own, and Body aliases
+// it.
 func readFrame(r *bufio.Reader) (*Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -106,8 +110,11 @@ func readFrame(r *bufio.Reader) (*Message, error) {
 		return nil, err
 	}
 	msg := new(Message)
-	if err := msg.DecodeFrom(frame); err != nil {
+	if err := msgWire.decode(frame, reflect.ValueOf(msg).Elem()); err != nil {
 		return nil, err
+	}
+	if msg.Kind < KindRequest || msg.Kind > KindOneWay {
+		return nil, fmt.Errorf("%w: message kind %d", wire.ErrCorrupt, msg.Kind)
 	}
 	return msg, nil
 }

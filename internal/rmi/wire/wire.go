@@ -1,22 +1,18 @@
-// Package wire is the hand-written binary encoding of the internal RMI
-// protocol — the zero-allocation replacement for reflection-driven gob
-// on the hot path (ROADMAP "Zero-alloc wire path").
+// Package wire holds the binary primitives of the RMI codec — the
+// zero-allocation replacement for reflection-driven gob (ROADMAP
+// "Zero-alloc wire path").
 //
 // Every RMI in the system — invokes, retries, replica propagation,
 // authority-renewal batches, WAL-bound state captures — used to funnel
 // through encoding/gob with a fresh encoder and bytes.Buffer per
-// message.  The ~20 internal protocol structs have fixed, known
-// layouts; paying reflection, type streams, and a dozen allocations per
-// message for them was pure ceiling.  This package gives those structs
-// a schema-aware encoding, and its primitives carry every other type
-// too, through the layouts package rmi derives by reflection (the
-// paper's Java-serialization role):
+// message.  Package rmi now derives one layout per type by reflection
+// (the paper's Java-serialization role) and writes it with this
+// package's primitives, protocol structs and user types alike:
 //
-//   - Encoder / Decoder / Codec: a protocol struct appends itself onto
-//     a caller-supplied buffer (AppendTo) and reconstructs itself from
-//     one (DecodeFrom).  Encoding is append-only — no intermediate
-//     writer, no reflection, one allocation (or zero, with a pooled
-//     buffer) per message.
+//   - Append functions: each appends one value onto a caller-supplied
+//     buffer and returns it.  Encoding is append-only — no intermediate
+//     writer, one allocation (or zero, with a pooled buffer) per
+//     message.
 //   - Dec: a bounds-checked cursor with a sticky error.  Truncated
 //     input yields ErrTruncated, structurally invalid input yields
 //     ErrCorrupt — typed errors, never a panic, the same contract the
@@ -28,10 +24,10 @@
 // zigzag varints, durations are zigzag varints of nanoseconds, floats
 // are fixed 8-byte little-endian IEEE 754 bit patterns, strings and
 // byte slices are length-prefixed, bools are one byte (0/1), slices
-// are a count followed by the elements.  Every top-level struct
-// encoding begins with a one-byte struct tag from the registry in
-// DESIGN.md §15; a layout change retires the tag and allocates a new
-// one (tags are never reused with a different layout).
+// are a count followed by the elements.  A protocol struct's body
+// begins with a one-byte struct tag from the registry in DESIGN.md
+// §15; a layout change retires the tag and allocates a new one (tags
+// are never reused with a different layout).
 //
 // Determinism: an encoding is a pure function of the value — no maps
 // are iterated unsorted, no time or randomness is consulted — so the
@@ -57,31 +53,6 @@ var (
 	// tag, an over-long varint, an impossible count, trailing bytes.
 	ErrCorrupt = errors.New("wire: corrupt input")
 )
-
-// Encoder is the encode half of a protocol struct: it appends the
-// struct's wire encoding to buf and returns the extended buffer.
-// AppendTo must not retain buf and must be a pure function of the
-// receiver.
-type Encoder interface {
-	AppendTo(buf []byte) []byte
-}
-
-// Decoder is the decode half: it reconstructs the receiver from buf.
-// The implementation must consume buf exactly (trailing bytes are
-// ErrCorrupt), must never panic on arbitrary input, and may alias
-// buf's backing array in []byte fields — callers that recycle buf
-// must copy first.
-type Decoder interface {
-	DecodeFrom(buf []byte) error
-}
-
-// Codec is a self-describing protocol struct: *T implements both
-// halves (AppendTo on the value or pointer receiver, DecodeFrom on the
-// pointer receiver).
-type Codec interface {
-	Encoder
-	Decoder
-}
 
 // ---------------------------------------------------------------------
 // Append primitives (encode side)
@@ -198,15 +169,6 @@ func (d *Dec) Byte() byte {
 	b := d.buf[d.off]
 	d.off++
 	return b
-}
-
-// Tag reads one byte and fails with ErrCorrupt unless it equals want —
-// the struct-tag check at the head of every DecodeFrom.
-func (d *Dec) Tag(want byte) {
-	got := d.Byte()
-	if d.err == nil && got != want {
-		d.Fail(fmt.Errorf("%w: struct tag 0x%02x, want 0x%02x", ErrCorrupt, got, want))
-	}
 }
 
 // Uvarint reads an unsigned LEB128 integer.

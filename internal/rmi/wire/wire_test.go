@@ -114,16 +114,11 @@ func TestDecTrailingBytes(t *testing.T) {
 	}
 }
 
-func TestDecBadBoolAndTag(t *testing.T) {
+func TestDecBadBool(t *testing.T) {
 	d := NewDec([]byte{2})
 	d.Bool()
 	if err := d.Finish(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bool: err = %v, want ErrCorrupt", err)
-	}
-	d = NewDec([]byte{0x10})
-	d.Tag(0x11)
-	if err := d.Finish(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("tag: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -66,7 +66,7 @@ type Span struct {
 	Kind   SpanKind
 	// Class is the request class for SLO accounting ("read", "write",
 	// ...); "" for unclassified internal traffic.
-	Class     string
+	Class      string
 	Start      time.Duration // scheduler time the operation began
 	Queue      time.Duration
 	Retry      time.Duration
