@@ -16,6 +16,12 @@ func (w *widget) Set(s string)             { w.S = s }
 func (w *widget) Fail() error              { return errTest }
 func (w *widget) Both(x int) (int, error)  { return x * 2, nil }
 func (w *widget) Sum(a, b float64) float64 { return a + b }
+func (w *widget) Count() int               { return w.N }
+
+// lead stands in for a host's leading value (core passes its *Ctx).
+type lead struct{ base int }
+
+func (w *widget) Offset(l *lead, by int) int { return l.base + by }
 
 var errTest = &strErr{"kaput"}
 
@@ -129,6 +135,16 @@ func TestInvokeBasics(t *testing.T) {
 	if err != nil || got != nil || w.S != "y" {
 		t.Fatalf("Set: got=%v err=%v S=%q", got, err, w.S)
 	}
+	// A method whose first parameter takes the leading value receives it.
+	got, err = Invoke(w, "Offset", []any{&lead{base: 40}, 2})
+	if err != nil || got.(int) != 42 {
+		t.Fatalf("Offset = %v, %v", got, err)
+	}
+	// A method without one is unaffected.
+	got, err = Invoke(w, "Bump", []any{1})
+	if err != nil || got.(int) != 6 {
+		t.Fatalf("Bump after Offset = %v, %v", got, err)
+	}
 }
 
 func TestInvokeErrors(t *testing.T) {
@@ -139,17 +155,43 @@ func TestInvokeErrors(t *testing.T) {
 	if got, err := Invoke(w, "Both", []any{21}); err != nil || got.(int) != 42 {
 		t.Fatalf("Both = %v, %v", got, err)
 	}
-	if _, err := Invoke(w, "NoSuch", nil); err == nil {
-		t.Fatal("missing method accepted")
-	}
 	if _, err := Invoke(w, "Bump", []any{"str"}); err == nil {
 		t.Fatal("type mismatch accepted")
 	}
-	if _, err := Invoke(w, "Bump", []any{1, 2}); err == nil {
-		t.Fatal("arity mismatch accepted")
+	// The unknown-method and arity errors read the same with or without
+	// a leading value; the leading value counts as a parameter.
+	for _, c := range []struct {
+		method string
+		args   []any
+		want   string
+	}{
+		{"NoSuch", nil, `codebase: *codebase.widget has no method "NoSuch"`},
+		{"Bump", []any{1, 2}, `codebase: method "Bump" takes 1 parameters, got 2`},
+		{"Offset", []any{&lead{}}, `codebase: method "Offset" takes 2 parameters, got 1`},
+	} {
+		if _, err := Invoke(w, c.method, c.args); err == nil || err.Error() != c.want {
+			t.Fatalf("%s%v: err = %v, want %q", c.method, c.args, err, c.want)
+		}
 	}
 	if _, err := Invoke(nil, "Bump", nil); err == nil {
 		t.Fatal("nil object accepted")
+	}
+}
+
+// TestInvokeAllocCeiling bounds what one no-argument invocation costs
+// once its method has been resolved.
+func TestInvokeAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w := &widget{}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := Invoke(w, "Count", nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("Invoke(Count) = %.1f allocs, want <= 3", allocs)
 	}
 }
 
