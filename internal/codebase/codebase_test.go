@@ -136,14 +136,18 @@ func TestInvokeBasics(t *testing.T) {
 		t.Fatalf("Set: got=%v err=%v S=%q", got, err, w.S)
 	}
 	// A method whose first parameter takes the leading value receives it.
-	got, err = Invoke(w, "Offset", []any{&lead{base: 40}, 2})
+	mk := func() *lead { return &lead{base: 40} }
+	got, err = InvokeLead(w, "Offset", []any{2}, mk)
 	if err != nil || got.(int) != 42 {
 		t.Fatalf("Offset = %v, %v", got, err)
 	}
-	// A method without one is unaffected.
-	got, err = Invoke(w, "Bump", []any{1})
+	// A method without one is unaffected, and the value is never built.
+	got, err = InvokeLead(w, "Bump", []any{1}, func() *lead {
+		t.Fatal("leading value built for Bump")
+		return nil
+	})
 	if err != nil || got.(int) != 6 {
-		t.Fatalf("Bump after Offset = %v, %v", got, err)
+		t.Fatalf("Bump = %v, %v", got, err)
 	}
 }
 
@@ -158,11 +162,13 @@ func TestInvokeErrors(t *testing.T) {
 	if _, err := Invoke(w, "Bump", []any{"str"}); err == nil {
 		t.Fatal("type mismatch accepted")
 	}
-	// The unknown-method and arity errors read the same with or without
-	// a leading value; the leading value counts as a parameter.
+	// The unknown-method and arity errors read the same whether the
+	// caller passes a leading value in args or has InvokeLead supply it:
+	// the leading value counts as a parameter.
+	mk := func() *lead { return &lead{} }
 	for _, c := range []struct {
 		method string
-		args   []any
+		args   []any // InvokeLead passes the same args without a leading *lead
 		want   string
 	}{
 		{"NoSuch", nil, `codebase: *codebase.widget has no method "NoSuch"`},
@@ -170,7 +176,16 @@ func TestInvokeErrors(t *testing.T) {
 		{"Offset", []any{&lead{}}, `codebase: method "Offset" takes 2 parameters, got 1`},
 	} {
 		if _, err := Invoke(w, c.method, c.args); err == nil || err.Error() != c.want {
-			t.Fatalf("%s%v: err = %v, want %q", c.method, c.args, err, c.want)
+			t.Fatalf("Invoke %s%v: err = %v, want %q", c.method, c.args, err, c.want)
+		}
+		args := c.args
+		if len(args) > 0 {
+			if _, ok := args[0].(*lead); ok {
+				args = args[1:]
+			}
+		}
+		if _, err := InvokeLead(w, c.method, args, mk); err == nil || err.Error() != c.want {
+			t.Fatalf("InvokeLead %s%v: err = %v, want %q", c.method, args, err, c.want)
 		}
 	}
 	if _, err := Invoke(nil, "Bump", nil); err == nil {

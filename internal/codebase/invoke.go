@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 )
 
 // Invoke calls the named exported method on obj with args, playing the
@@ -26,42 +27,55 @@ import (
 // keeps that type exactly, so SInvoke(p, "Add", 1) arrives as an int
 // even when Add takes an int64.
 func Invoke(obj any, method string, args []any) (any, error) {
+	return InvokeLead[noLead](obj, method, args, nil)
+}
+
+// noLead is Invoke's leading type: no method outside this package can
+// take it, so Invoke never supplies a leading value.
+type noLead struct{}
+
+// InvokeLead is Invoke for a host that hands methods a leading value of
+// type L (core passes its *Ctx): a method whose first parameter has type
+// L receives lead() there, and args fill the parameters after it.  lead
+// runs only for such methods.
+func InvokeLead[L any](obj any, method string, args []any, lead func() L) (any, error) {
 	if obj == nil {
 		return nil, errors.New("codebase: invoke on nil object")
 	}
-	v := reflect.ValueOf(obj)
-	m := v.MethodByName(method)
-	if !m.IsValid() {
-		return nil, fmt.Errorf("codebase: %T has no method %q", obj, method)
+	recv := reflect.ValueOf(obj)
+	key := methodKey{recv.Type(), method}
+	v, ok := methods.Load(key)
+	if !ok {
+		m, found := key.t.MethodByName(method)
+		if !found {
+			return nil, fmt.Errorf("codebase: %T has no method %q", obj, method)
+		}
+		if m.Type.IsVariadic() {
+			return nil, fmt.Errorf("codebase: variadic method %q not supported", method)
+		}
+		v, _ = methods.LoadOrStore(key, m)
 	}
-	mt := m.Type()
-	in, err := buildArgs(mt, method, args)
-	if err != nil {
-		return nil, err
+	m := v.(reflect.Method)
+	// in[0] is the receiver; args fill in[first:].
+	in := make([]reflect.Value, m.Type.NumIn())
+	in[0] = recv
+	first := 1
+	if len(in) > 1 && m.Type.In(1) == reflect.TypeFor[L]() {
+		in[1] = reflect.ValueOf(lead())
+		first = 2
 	}
-	out := m.Call(in)
-	return splitResults(method, out)
-}
-
-// buildArgs converts args to the method's parameter types.
-func buildArgs(mt reflect.Type, method string, args []any) ([]reflect.Value, error) {
-	want := mt.NumIn()
-	if mt.IsVariadic() {
-		return nil, fmt.Errorf("codebase: variadic method %q not supported", method)
+	if first+len(args) != len(in) {
+		return nil, fmt.Errorf("codebase: method %q takes %d parameters, got %d", method, len(in)-1, first-1+len(args))
 	}
-	if len(args) != want {
-		return nil, fmt.Errorf("codebase: method %q takes %d parameters, got %d", method, want, len(args))
-	}
-	in := make([]reflect.Value, want)
-	for i, a := range args {
-		pt := mt.In(i)
+	for i := first; i < len(in); i++ {
+		pt, a := m.Type.In(i), args[i-first]
 		if a == nil {
 			switch pt.Kind() {
 			case reflect.Ptr, reflect.Interface, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func:
 				in[i] = reflect.Zero(pt)
 				continue
 			default:
-				return nil, fmt.Errorf("codebase: nil argument %d for non-nilable parameter %s of %q", i, pt, method)
+				return nil, fmt.Errorf("codebase: nil argument %d for non-nilable parameter %s of %q", i-1, pt, method)
 			}
 		}
 		av := reflect.ValueOf(a)
@@ -71,11 +85,22 @@ func buildArgs(mt reflect.Type, method string, args []any) ([]reflect.Value, err
 		case av.Type().ConvertibleTo(pt) && convertSafe(av.Type(), pt):
 			in[i] = av.Convert(pt)
 		default:
-			return nil, fmt.Errorf("codebase: argument %d of %q is %s, want %s", i, method, av.Type(), pt)
+			return nil, fmt.Errorf("codebase: argument %d of %q is %s, want %s", i-1, method, av.Type(), pt)
 		}
 	}
-	return in, nil
+	return splitResults(method, m.Func.Call(in))
 }
+
+type methodKey struct {
+	t    reflect.Type
+	name string
+}
+
+// methods memoizes MethodByName per (receiver type, method name): each
+// pair is resolved once, into its func and its parameter types.  Only
+// methods that exist are stored: names arrive off the wire, and a miss
+// must not grow the table.
+var methods sync.Map // methodKey -> reflect.Method
 
 // convertSafe permits only numeric-to-numeric conversions, avoiding
 // surprising string/byte-slice coercions.

@@ -69,6 +69,13 @@ func (t *Table) SlowGet(ctx *Ctx, k string) int {
 	return t.Data[k]
 }
 
+// SlowJoin is a stalled two-argument read whose result names both
+// arguments, so a reader handed another call's result notices.
+func (t *Table) SlowJoin(ctx *Ctx, a, b string) string {
+	ctx.P.Sleep(20 * time.Millisecond)
+	return a + "|" + b
+}
+
 func (t *Table) Keys() []string {
 	out := make([]string, 0, len(t.Data))
 	for k := range t.Data {

@@ -81,13 +81,6 @@ func (a *App) placementCandidates(p sched.Proc, comp virtarch.Component, constr 
 	return nas.SelectNodes(p, a.rt.st, a.world.dirNode, opts)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // newRef allocates the next handle of this application for class.
 func (a *App) newRef(class string) Ref {
 	a.mu.Lock()
@@ -111,17 +104,18 @@ func (a *App) entry(id uint64) (*objEntry, error) {
 	return e, nil
 }
 
-// locate returns the object's handle and current host, read together
-// under the table lock: migration, re-homing and promotion rewrite the
-// location while other sessions of the application keep invoking.
-func (a *App) locate(id uint64) (Ref, string, error) {
+// route reads an own handle's table row: the handle, its current host
+// and replica set, read together under the table lock — migration,
+// re-homing and promotion rewrite them while other sessions of the
+// application keep invoking.
+func (a *App) route(id uint64) (route, error) {
 	e, err := a.entry(id)
 	if err != nil {
-		return Ref{}, "", err
+		return route{}, err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return e.ref, e.location, nil
+	return route{app: a, ref: e.ref, loc: e.location, set: e.rset()}, nil
 }
 
 // Ref returns the object's first-order handle for passing to other
@@ -145,8 +139,8 @@ func (o *Object) Class() string {
 
 // NodeName returns the node currently hosting the object.
 func (o *Object) NodeName() (string, error) {
-	_, loc, err := o.app.locate(o.id)
-	return loc, err
+	r, err := o.app.route(o.id)
+	return r.loc, err
 }
 
 // Node returns the hosting node as an architecture component, for
@@ -170,14 +164,9 @@ func (o *Object) AInvoke(p sched.Proc, method string, args ...any) (*Handle, err
 	if _, err := o.app.entry(o.id); err != nil {
 		return nil, err
 	}
-	h := newHandle(o.app.world.s)
-	// "One thread for every asynchronous method invocation in order to
-	// overcome blocking Java/RMI" (§5.2).
-	o.app.world.s.Spawn(fmt.Sprintf("ainvoke:%s/%d.%s", o.app.id, o.id, method), func(wp sched.Proc) {
-		res, err := o.app.invokeObject(wp, o.id, method, args, trace.SpanAsync, "", "")
-		h.deliver(res, err)
-	})
-	return h, nil
+	return ainvoke(o.app.world.s, func(p sched.Proc) (any, error) {
+		return o.app.invokeObject(p, o.id, method, args, trace.SpanAsync, "", "")
+	}), nil
 }
 
 // OInvoke is the one-sided invocation of §4.5: no result, no completion
@@ -185,107 +174,35 @@ func (o *Object) AInvoke(p sched.Proc, method string, args ...any) (*Handle, err
 // one-sided call racing a migration of the target may be dropped, just
 // as the paper's oinvoke gives the caller nothing to detect it with.
 func (o *Object) OInvoke(p sched.Proc, method string, args ...any) error {
-	ref, loc, err := o.app.locate(o.id)
+	r, err := o.app.route(o.id)
 	if err != nil {
 		return err
 	}
-	sr := o.app.rt.beginSpan(0, trace.SpanOneway, ref, method)
-	req := invokeReq{App: ref.App, ID: ref.ID, Method: method, Args: args, Span: sr.span.ID}
+	sr := o.app.rt.beginSpan(0, trace.SpanOneway, r.ref, method)
+	req := invokeReq{App: r.ref.App, ID: r.ref.ID, Method: method, Args: args, Span: sr.span.ID}
 	body, err := rmi.Marshal(req)
 	if err != nil {
 		return err
 	}
-	err = o.app.rt.st.Post(p, loc, PubService, "invoke", body)
+	err = o.app.rt.st.Post(p, r.loc, PubService, "invoke", body)
 	// A one-sided span has no service/wire decomposition: the caller only
 	// observes the local post.
-	sr.finish(loc, 0, 0, err)
+	sr.finish(r.loc, 0, 0, err)
 	return err
 }
 
-// invokeObject performs a synchronous invocation with migration-aware
-// retry: while the object is migrating (busy) or has just moved, the
-// caller blocks-and-retries — matching the paper's blocking RMI, which
-// simply waits out a migration — re-reading the location from this very
-// table (our own migrations update it).  The total wait is bounded by
-// invokeTimeout, like any other invocation.  The whole operation is
-// recorded as one span of the given kind; failed attempts and backoff
-// show up as retry time, each one also cause-linked as its own retry
-// span.  class, when set, enrolls the span in the SLO engine's
-// per-class accounting.
+// invokeObject performs a synchronous invocation through the
+// application's own handle, recorded as one span of the given kind.
+// class, when set, enrolls it in admission and SLO accounting.
 func (a *App) invokeObject(p sched.Proc, id uint64, method string, args []any, kind trace.SpanKind, shard, class string) (any, error) {
-	first, err := a.entry(id)
+	r, err := a.route(id)
 	if err != nil {
 		return nil, err
 	}
-	sr := a.rt.beginSpan(0, kind, first.ref, method)
+	sr := a.rt.beginSpan(0, kind, r.ref, method)
 	sr.span.Shard = shard
 	sr.span.Class = class
-	var lastErr error
-	var loc string
-	var avoid map[string]bool // replica members that deflected or timed out
-	deadline := p.Sched().Now() + invokeTimeout
-	backoff := 2 * time.Millisecond
-	for p.Sched().Now() < deadline {
-		e, err := a.entry(id)
-		if err != nil {
-			sr.finish(loc, 0, 0, err)
-			return nil, err
-		}
-		a.mu.Lock()
-		loc = e.location
-		set := e.rset()
-		a.mu.Unlock()
-		// A declared read on a replicated object routes to the nearest
-		// live set member; writes (and everything on unreplicated objects)
-		// target the primary location.
-		target := loc
-		read := !set.Empty() && set.IsRead(method)
-		if read {
-			if n, ok := a.world.routeRead(refKey(e.ref.App, e.ref.ID), a.rt.Node(), set, avoid); ok {
-				target = n
-			}
-		}
-		sr.beginAttempt()
-		resp, err := a.rt.invokeAt(p, target, e.ref, method, args, sr.span.ID, read, class)
-		if err == nil {
-			sr.span.Staleness = resp.Staleness
-			sr.span.Durability = resp.Durability
-			a.world.noteRead(read, resp)
-			sr.finish(target, resp.Service, resp.LeaseWait, nil)
-			return resp.Result, nil
-		}
-		lastErr = err
-		// Retryable: busy (migrating), moved (stale table entry — our own
-		// recovery updates it), stale (replica lost its primary; promotion
-		// repoints the set), and timed out (the host may have crashed;
-		// backing off lets detection and recovery repoint the entry).
-		if !rmi.IsRemote(err, errObjBusy) && !rmi.IsRemote(err, errObjMoved) &&
-			!rmi.IsRemote(err, errReplicaStale) && !errors.Is(err, rmi.ErrTimeout) {
-			sr.finish(target, 0, 0, err)
-			return nil, err
-		}
-		sr.noteRetry(target, err)
-		if read && target != loc {
-			// Fail over to another set member right away; once the whole
-			// set has been tried, back off and start over against the
-			// (by then repaired) table entry.
-			if avoid == nil {
-				avoid = make(map[string]bool)
-			}
-			avoid[target] = true
-			if len(avoid) < len(set.Members()) {
-				continue
-			}
-			avoid = nil
-		}
-		p.Sleep(backoff)
-		if backoff < 50*time.Millisecond {
-			backoff *= 2
-		}
-	}
-	err = fmt.Errorf("core: invocation of %q never caught up with migration: %w", method, lastErr)
-	sr.finish(loc, 0, 0, err)
-	return nil, err
+	return a.rt.invokeSync(p, sr, r, args)
 }
 
 // Free releases the object (§4.4: "an object if no longer needed should
@@ -337,21 +254,17 @@ type handleMsg struct {
 	err error
 }
 
-func newHandle(s sched.Sched) *Handle {
-	return &Handle{q: s.NewQueue("result-handle")}
+// ainvoke runs call on a proc of its own — "one thread for every
+// asynchronous method invocation in order to overcome blocking
+// Java/RMI" (§5.2) — and returns the handle its outcome lands on.
+func ainvoke(s sched.Sched, call func(p sched.Proc) (any, error)) *Handle {
+	h := &Handle{q: s.NewQueue("result-handle")}
+	s.Spawn("ainvoke", func(p sched.Proc) {
+		res, err := call(p)
+		h.q.Put(handleMsg{res: res, err: err}, 0)
+	})
+	return h
 }
-
-// NewHandle returns an unresolved handle for layers that build their own
-// asynchronous invocations (the public RemoteRef API).
-func NewHandle(s sched.Sched) *Handle { return newHandle(s) }
-
-func (h *Handle) deliver(res any, err error) {
-	h.q.Put(handleMsg{res: res, err: err}, 0)
-}
-
-// Deliver resolves the handle with a result or error; exactly one
-// Deliver per handle.
-func (h *Handle) Deliver(res any, err error) { h.deliver(res, err) }
 
 // IsReady reports whether the result has arrived (handle.isReady).
 func (h *Handle) IsReady() bool {
@@ -473,12 +386,12 @@ func (a *App) migrateEntry(p sched.Proc, e *objEntry, dest string) error {
 // Store saves the object to external storage under key ("" lets JRS
 // generate one) and returns the key (§4.7).
 func (o *Object) Store(p sched.Proc, key string) (string, error) {
-	ref, loc, err := o.app.locate(o.id)
+	r, err := o.app.route(o.id)
 	if err != nil {
 		return "", err
 	}
-	body := rmi.MustMarshal(storeReq{App: ref.App, ID: ref.ID, Key: key})
-	resp, err := o.app.rt.st.Call(p, loc, PubService, "store", body, time.Minute)
+	body := rmi.MustMarshal(storeReq{App: r.ref.App, ID: r.ref.ID, Key: key})
+	resp, err := o.app.rt.st.Call(p, r.loc, PubService, "store", body, time.Minute)
 	if err != nil {
 		return "", err
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"time"
 
 	"sync"
@@ -33,10 +32,9 @@ type Runtime struct {
 	// without DurabilityOptions): the write-ahead log front and media.
 	dur *durState
 
-	mu        sync.Mutex
-	hosted    map[objKey]*hostedObj
-	locCache  map[objKey]string      // last known location of foreign objects
-	rsetCache map[objKey]replica.Set // last known replica sets of foreign objects
+	mu       sync.Mutex
+	hosted   map[objKey]*hostedObj
+	refCache map[objKey]route // last known location and replica set of foreign objects
 }
 
 type objKey struct {
@@ -109,20 +107,19 @@ func (c *Ctx) Compute(flops float64) {
 // call's span parents to the span executing this method, so causality
 // chains survive the hop.
 func (c *Ctx) Invoke(ref Ref, method string, args []any) (any, error) {
-	return c.RT.InvokeRefTraced(c.P, c.Span, trace.SpanSync, ref, method, args)
+	return c.RT.invokeRef(c.P, c.Span, trace.SpanSync, ref, method, args)
 }
 
 // newRuntime wires a node runtime; the station must not be started yet.
 func newRuntime(w *World, st *rmi.Station, agent *nas.Agent, mach *simnet.Machine) *Runtime {
 	rt := &Runtime{
-		world:     w,
-		st:        st,
-		agent:     agent,
-		store:     codebase.NewStore(w.registry),
-		mach:      mach,
-		hosted:    make(map[objKey]*hostedObj),
-		locCache:  make(map[objKey]string),
-		rsetCache: make(map[objKey]replica.Set),
+		world:    w,
+		st:       st,
+		agent:    agent,
+		store:    codebase.NewStore(w.registry),
+		mach:     mach,
+		hosted:   make(map[objKey]*hostedObj),
+		refCache: make(map[objKey]route),
 	}
 	st.Register(PubService, rt.handlePub)
 	return rt
@@ -161,8 +158,7 @@ func (rt *Runtime) Compute(p sched.Proc, flops float64) {
 func (rt *Runtime) Crash() {
 	rt.mu.Lock()
 	rt.hosted = make(map[objKey]*hostedObj)
-	rt.locCache = make(map[objKey]string)
-	rt.rsetCache = make(map[objKey]replica.Set)
+	rt.refCache = make(map[objKey]route)
 	rt.mu.Unlock()
 	rt.agent.SetObjects(0)
 }
@@ -351,8 +347,6 @@ func (rt *Runtime) bind(inst any) {
 		ra.BindRuntime(rt)
 	}
 }
-
-var ctxType = reflect.TypeOf((*Ctx)(nil))
 
 // invoke executes a method on a hosted object and reports the scheduler
 // time the method body ran (the span's service component).  Invocations
@@ -556,18 +550,13 @@ func (rt *Runtime) refuseShedClass(req invokeReq, where string) error {
 }
 
 // execMethod runs one method body on an instance, with Ctx injection and
-// the per-invocation trace/metrics bookkeeping.
+// the per-invocation trace/metrics bookkeeping.  Methods may declare
+// *core.Ctx as their first parameter to access the execution context.
 func (rt *Runtime) execMethod(p sched.Proc, inst any, req invokeReq) (any, time.Duration, error) {
-	args := req.Args
-	// Methods may declare *core.Ctx as their first parameter to access
-	// the execution context.
-	if m := reflect.ValueOf(inst).MethodByName(req.Method); m.IsValid() {
-		if t := m.Type(); t.NumIn() > 0 && t.In(0) == ctxType {
-			args = append([]any{&Ctx{P: p, RT: rt, Span: req.Span}}, args...)
-		}
-	}
 	watch := sched.StartWatch(rt.world.s)
-	res, err := codebase.Invoke(inst, req.Method, args)
+	res, err := codebase.InvokeLead(inst, req.Method, req.Args, func() *Ctx {
+		return &Ctx{P: p, RT: rt, Span: req.Span}
+	})
 	service := watch.Elapsed()
 	rt.world.emit(trace.Event{Kind: trace.ObjInvoked, Node: rt.Node(),
 		App: req.App, Obj: req.ID, Detail: req.Method})
@@ -862,51 +851,112 @@ func (s *spanRec) finish(target string, service, leaseWait time.Duration, err er
 // is cached; when a call misses (the object migrated), the location is
 // re-resolved through the origin AppOA (Fig. 4) and the cache updated.
 func (rt *Runtime) InvokeRef(p sched.Proc, ref Ref, method string, args []any) (any, error) {
-	return rt.InvokeRefTraced(p, 0, trace.SpanSync, ref, method, args)
+	return rt.invokeRef(p, 0, trace.SpanSync, ref, method, args)
 }
 
-// InvokeRefTraced is InvokeRef with explicit span lineage: parent is the
+// AInvokeRef is the asynchronous InvokeRef (§4.5).
+func (rt *Runtime) AInvokeRef(ref Ref, method string, args []any) *Handle {
+	return ainvoke(rt.world.s, func(p sched.Proc) (any, error) {
+		return rt.invokeRef(p, 0, trace.SpanAsync, ref, method, args)
+	})
+}
+
+// invokeRef is InvokeRef with explicit span lineage: parent is the
 // caller's span id (0 for a root call) and kind records how the caller
-// issued the invocation (the async flavor runs this on a dedicated proc).
-//
-// For replicated objects the locate response carries the replica set;
-// it is cached alongside the location, and invocations of declared read
-// methods are routed to the nearest live member (writes keep targeting
-// the primary).  A member that deflects or times out is avoided on the
-// retry, so reads fail over across the set.
-func (rt *Runtime) InvokeRefTraced(p sched.Proc, parent uint64, kind trace.SpanKind, ref Ref, method string, args []any) (any, error) {
-	key := objKey{ref.App, ref.ID}
+// issued the invocation.
+func (rt *Runtime) invokeRef(p sched.Proc, parent uint64, kind trace.SpanKind, ref Ref, method string, args []any) (any, error) {
 	rt.mu.Lock()
-	loc, cached := rt.locCache[key]
-	set := rt.rsetCache[key]
+	r := rt.refCache[objKey{ref.App, ref.ID}]
 	rt.mu.Unlock()
-	if !cached {
-		loc = ref.Origin // first guess: objects often live near their app
+	r.ref = ref
+	if r.loc == "" {
+		r.loc = ref.Origin // first guess: objects often live near their app
 	}
-	sr := rt.beginSpan(parent, kind, ref, method)
+	return rt.invokeSync(p, rt.beginSpan(parent, kind, ref, method), r, args)
+}
+
+// route is where a handle's next invocation attempt goes.  It comes
+// from the calling application's own table row (app set) or, for a
+// foreign Ref, from this runtime's cache.
+type route struct {
+	app *App
+	ref Ref
+	loc string
+	set replica.Set
+}
+
+// reroute re-resolves a route after a miss.  An own handle re-reads its
+// table row.  A foreign Ref asks the origin AppOA where the object lives
+// now and what its replica set is (Fig. 4).
+func (rt *Runtime) reroute(p sched.Proc, r route) (route, error) {
+	if r.app != nil {
+		return r.app.route(r.ref.ID)
+	}
+	body, err := rt.st.Call(p, r.ref.Origin, r.ref.appService(), "locate",
+		rmi.MustMarshal(locateReq{ID: r.ref.ID}), 5*time.Second)
+	var resp locateResp
+	if err == nil {
+		err = rmi.Unmarshal(body, &resp)
+	}
+	if err == nil && !resp.OK {
+		err = errors.New(errObjUnknown)
+	}
+	if err != nil {
+		return r, fmt.Errorf("oas: relocating %s/%d: %w", r.ref.App, r.ref.ID, err)
+	}
+	key := objKey{r.ref.App, r.ref.ID}
+	rt.mu.Lock()
+	c := rt.refCache[key]
+	c.set = resp.RSet
+	rt.refCache[key] = c
+	rt.mu.Unlock()
+	r.loc, r.set = resp.Node, resp.RSet
+	return r, nil
+}
+
+// invokeSync performs the invocation sr records through r.  While the
+// object is busy (migrating), moved, stale (lost its primary), unknown,
+// or its host timed out, the caller retries — the paper's blocking RMI
+// simply waits out a migration — and re-resolves r after every miss,
+// for at most invokeTimeout.  Failed attempts and backoff are the span's
+// retry time, each also cause-linked as its own retry span.
+//
+// A declared read on a replicated object goes to the nearest live set
+// member; one that misses is avoided and the next tried at once, until
+// the whole set has been tried.  Other misses back off on busy and
+// timeout, and on the rest only when the source cannot be asked: the own
+// table row is repaired by migration, recovery and promotion, so
+// re-reading it at once would return the same row.
+func (rt *Runtime) invokeSync(p sched.Proc, sr *spanRec, r route, args []any) (any, error) {
+	method := sr.span.Method
 	var lastErr error
-	var avoid map[string]bool
+	var avoid map[string]bool // replica members that deflected or timed out
 	deadline := p.Sched().Now() + invokeTimeout
 	backoff := 2 * time.Millisecond
 	for p.Sched().Now() < deadline {
-		target := loc
-		read := !set.Empty() && set.IsRead(method)
+		target := r.loc
+		read := !r.set.Empty() && r.set.IsRead(method)
 		if read {
-			if n, ok := rt.world.routeRead(refKey(ref.App, ref.ID), rt.Node(), set, avoid); ok {
+			if n, ok := rt.world.routeRead(refKey(r.ref.App, r.ref.ID), rt.Node(), r.set, avoid); ok {
 				target = n
 			}
 		}
 		sr.beginAttempt()
-		resp, err := rt.invokeAt(p, target, ref, method, args, sr.span.ID, read, "")
+		resp, err := rt.invokeAt(p, target, r.ref, method, args, sr.span.ID, read, sr.span.Class)
 		if err == nil {
-			rt.mu.Lock()
-			rt.locCache[key] = loc
-			if !resp.RSet.Empty() {
-				// The primary served us and told us about its replica set;
-				// route subsequent declared reads through it.
-				rt.rsetCache[key] = resp.RSet
+			if r.app == nil {
+				key := objKey{r.ref.App, r.ref.ID}
+				rt.mu.Lock()
+				c := rt.refCache[key]
+				c.loc = r.loc
+				if !resp.RSet.Empty() {
+					// The primary served us and told us about its replica
+					// set; route subsequent declared reads through it.
+					c.set = resp.RSet
+				}
+				rt.refCache[key] = c
+				rt.mu.Unlock()
 			}
-			rt.mu.Unlock()
 			sr.span.Staleness = resp.Staleness
 			sr.span.Durability = resp.Durability
 			rt.world.noteRead(read, resp)
@@ -914,42 +964,38 @@ func (rt *Runtime) InvokeRefTraced(p sched.Proc, parent uint64, kind trace.SpanK
 			return resp.Result, nil
 		}
 		lastErr = err
-		if !rmi.IsRemote(err, errObjMoved) && !rmi.IsRemote(err, errObjBusy) &&
-			!rmi.IsRemote(err, errObjUnknown) && !rmi.IsRemote(err, errReplicaStale) &&
-			!errors.Is(err, rmi.ErrTimeout) {
+		busy := rmi.IsRemote(err, errObjBusy) || errors.Is(err, rmi.ErrTimeout)
+		if !busy && !rmi.IsRemote(err, errObjMoved) && !rmi.IsRemote(err, errReplicaStale) &&
+			!rmi.IsRemote(err, errObjUnknown) {
 			sr.finish(target, 0, 0, err)
 			return nil, err
 		}
 		sr.noteRetry(target, err)
-		if read && target != loc {
-			// The read replica deflected or is unreachable: fail over to
-			// another member right away; the re-locate below refreshes
-			// the set (a crashed member disappears from it).
+		wait := busy || r.app != nil
+		if read && target != r.loc {
 			if avoid == nil {
 				avoid = make(map[string]bool)
 			}
 			avoid[target] = true
-		} else if rmi.IsRemote(err, errObjBusy) || errors.Is(err, rmi.ErrTimeout) {
-			// Migration in progress: block-and-retry (the paper's RMI
-			// simply waits), with bounded backoff.  A timed-out call gets
-			// the same treatment: the host may have crashed, and backing
-			// off gives failure detection and recovery time to relocate
-			// the object before the next locate.
+			if len(avoid) < len(r.set.Members()) {
+				wait = false
+			} else {
+				avoid = nil
+			}
+		}
+		if wait {
 			p.Sleep(backoff)
 			if backoff < 50*time.Millisecond {
 				backoff *= 2
 			}
 		}
-		newLoc, newSet, err2 := rt.locate(p, ref)
-		if err2 != nil {
-			err2 = fmt.Errorf("oas: relocating %s/%d: %w", ref.App, ref.ID, err2)
-			sr.finish(target, 0, 0, err2)
-			return nil, err2
+		if r, err = rt.reroute(p, r); err != nil {
+			sr.finish(target, 0, 0, err)
+			return nil, err
 		}
-		loc, set = newLoc, newSet
 	}
-	err := fmt.Errorf("oas: invocation kept missing migrating object: %w", lastErr)
-	sr.finish(loc, 0, 0, err)
+	err := fmt.Errorf("core: invocation of %q never caught up with migration: %w", method, lastErr)
+	sr.finish(r.loc, 0, 0, err)
 	return nil, err
 }
 
@@ -998,32 +1044,6 @@ const invokeTimeout = 10 * time.Minute
 // changed, and by the forwarding-penalty benchmark).
 func (rt *Runtime) ForgetLocation(ref Ref) {
 	rt.mu.Lock()
-	delete(rt.locCache, objKey{ref.App, ref.ID})
-	delete(rt.rsetCache, objKey{ref.App, ref.ID})
+	delete(rt.refCache, objKey{ref.App, ref.ID})
 	rt.mu.Unlock()
-}
-
-// locate asks the origin AppOA where the object currently lives (Fig. 4)
-// and what its replica set is (empty for unreplicated objects).
-func (rt *Runtime) locate(p sched.Proc, ref Ref) (string, replica.Set, error) {
-	body, err := rt.st.Call(p, ref.Origin, ref.appService(), "locate",
-		rmi.MustMarshal(locateReq{ID: ref.ID}), 5*time.Second)
-	if err != nil {
-		return "", replica.Set{}, err
-	}
-	var resp locateResp
-	if err := rmi.Unmarshal(body, &resp); err != nil {
-		return "", replica.Set{}, err
-	}
-	if !resp.OK {
-		return "", replica.Set{}, errors.New(errObjUnknown)
-	}
-	rt.mu.Lock()
-	if resp.RSet.Empty() {
-		delete(rt.rsetCache, objKey{ref.App, ref.ID})
-	} else {
-		rt.rsetCache[objKey{ref.App, ref.ID}] = resp.RSet
-	}
-	rt.mu.Unlock()
-	return resp.Node, resp.RSet, nil
 }

@@ -24,6 +24,7 @@ import (
 	"jsymphony/internal/metrics"
 	"jsymphony/internal/nas"
 	"jsymphony/internal/replica"
+	"jsymphony/internal/rmi"
 	"jsymphony/internal/sched"
 	"jsymphony/internal/shard"
 	"jsymphony/internal/trace"
@@ -356,12 +357,22 @@ func (g *ShardGroup) InvokeClass(p sched.Proc, class, key, method string, args .
 	return g.coalesce(p, owner, obj, method, args, class)
 }
 
+// AInvokeClass is the asynchronous InvokeClass (§4.5).
+func (g *ShardGroup) AInvokeClass(class, key, method string, args ...any) *Handle {
+	return ainvoke(g.app.world.s, func(p sched.Proc) (any, error) {
+		return g.InvokeClass(p, class, key, method, args...)
+	})
+}
+
 // coalesce is the singleflight read path: the first caller for a
 // (shard, method, args) tuple becomes the leader and performs the
 // invocation; callers arriving while it is in flight park on queues and
 // receive the leader's result without issuing an RMI of their own.
 func (g *ShardGroup) coalesce(p sched.Proc, owner string, obj *Object, method string, args []any, class string) (any, error) {
-	fkey := fmt.Sprintf("%s\x00%s\x00%v", owner, method, args)
+	// Key on the arguments' canonical encoding: a printed form would
+	// merge calls whose arguments print alike ("a b","c" and "a","b c";
+	// 1 and "1").
+	fkey := owner + "\x00" + method + "\x00" + string(rmi.AppendArgs(nil, args))
 	g.mu.Lock()
 	if f, ok := g.flights[fkey]; ok {
 		q := g.app.world.s.NewQueue("shard-coalesce")

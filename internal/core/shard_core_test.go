@@ -226,7 +226,7 @@ func TestShardCoalescingSingleflight(t *testing.T) {
 	simWorld(t, func(w *World, a *App, p sched.Proc) {
 		loadTable(t, a, p)
 		g, err := a.NewShardGroup(p, "tbl", "Table", ShardSpec{
-			Shards: 2, Reads: []string{"Get", "SlowGet"},
+			Shards: 2, Reads: []string{"Get", "SlowGet", "SlowJoin"},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -261,6 +261,28 @@ func TestShardCoalescingSingleflight(t *testing.T) {
 		}
 		if coalesced > readers-1 {
 			t.Fatalf("coalesced = %d, more than the %d possible followers", coalesced, readers-1)
+		}
+		// Concurrent reads whose arguments print alike are different
+		// calls: each reader gets its own result.
+		pairs := [][2]string{{"a b", "c"}, {"a", "b c"}}
+		joined := w.Sched().NewQueue("coalesce-pairs")
+		for _, pr := range pairs {
+			pr := pr
+			w.Sched().Spawn("join-reader", func(p sched.Proc) {
+				got, err := g.Invoke(p, "hot", "SlowJoin", pr[0], pr[1])
+				if err != nil {
+					got = err.Error()
+				}
+				joined.Put([2]any{pr, got}, 0)
+			})
+		}
+		for range pairs {
+			v, _ := p.Recv(joined)
+			r := v.([2]any)
+			pr := r[0].([2]string)
+			if want := pr[0] + "|" + pr[1]; r[1] != want {
+				t.Fatalf("SlowJoin%q = %v, want %q", pr, r[1], want)
+			}
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"jsymphony/internal/core"
 	"jsymphony/internal/nas"
 	"jsymphony/internal/sched"
-	"jsymphony/internal/trace"
 	"jsymphony/internal/virtarch"
 )
 
@@ -355,14 +354,7 @@ func (r *RemoteRef) SInvoke(method string, args ...any) (any, error) {
 
 // AInvoke performs an asynchronous invocation through the handle.
 func (r *RemoteRef) AInvoke(method string, args ...any) (*ResultHandle, error) {
-	h := newWrappedHandle(r.js)
-	app := r.js.app
-	ref := r.ref
-	app.World().Sched().Spawn("ainvoke-ref", func(p sched.Proc) {
-		res, err := app.Runtime().InvokeRefTraced(p, 0, trace.SpanAsync, ref, method, args)
-		h.h.Deliver(res, err)
-	})
-	return h, nil
+	return &ResultHandle{h: r.js.app.Runtime().AInvokeRef(r.ref, method, args), js: r.js}, nil
 }
 
 // With rebinds the object handle to another session of the same
@@ -378,11 +370,6 @@ func (o *Object) With(js *JS) *Object {
 type ResultHandle struct {
 	h  *core.Handle
 	js *JS
-}
-
-// newWrappedHandle builds an unresolved handle bound to a session.
-func newWrappedHandle(js *JS) *ResultHandle {
-	return &ResultHandle{h: core.NewHandle(js.app.World().Sched()), js: js}
 }
 
 // IsReady reports whether the result has arrived ("handle.isReady()").
@@ -439,13 +426,7 @@ func (g *ShardGroup) AInvoke(key, method string, args ...any) *ResultHandle {
 
 // AInvokeClass is the asynchronous variant of InvokeClass.
 func (g *ShardGroup) AInvokeClass(class, key, method string, args ...any) *ResultHandle {
-	h := newWrappedHandle(g.js)
-	cg := g.g
-	g.js.app.World().Sched().Spawn("ainvoke-shard:"+cg.Name(), func(p sched.Proc) {
-		res, err := cg.InvokeClass(p, class, key, method, args...)
-		h.h.Deliver(res, err)
-	})
-	return h
+	return &ResultHandle{h: g.g.AInvokeClass(class, key, method, args...), js: g.js}
 }
 
 // SetAdmission installs (or replaces) the group's admission policy:
