@@ -1,10 +1,5 @@
 package vclock
 
-import (
-	"fmt"
-	"time"
-)
-
 // Mailbox is a delayed-delivery message queue in virtual time.  Put
 // schedules a message to become visible after a delay (modelling network
 // latency plus transmission time); Get blocks the calling actor until a
@@ -13,9 +8,9 @@ import (
 type Mailbox struct {
 	c       *Clock
 	name    string
-	ready   []any    // delivered, not yet consumed (FIFO)
-	waiters []*Actor // actors blocked in Get, FIFO
-	pending int      // scheduled deliveries not yet fired
+	ready   fifo[any]    // delivered, not yet consumed
+	waiters fifo[*Actor] // actors blocked in Get
+	pending int          // scheduled deliveries not yet fired
 	closed  bool
 }
 
@@ -29,7 +24,7 @@ func NewMailbox(c *Clock, name string) *Mailbox {
 func (m *Mailbox) Len() int {
 	m.c.mu.Lock()
 	defer m.c.mu.Unlock()
-	return len(m.ready)
+	return m.ready.len()
 }
 
 // InFlight reports the number of scheduled, not-yet-delivered messages.
@@ -56,7 +51,7 @@ func (m *Mailbox) Put(v any, delay Duration) {
 	m.pending++
 	c.schedule(c.now+Time(delay), func() {
 		m.pending--
-		m.ready = append(m.ready, v)
+		m.ready.push(v)
 		m.wakeOneLocked()
 	})
 }
@@ -72,7 +67,7 @@ func (m *Mailbox) Close() {
 	}
 	m.closed = true
 	// Wake everyone so they can observe the close.
-	for len(m.waiters) > 0 {
+	for m.waiters.len() > 0 {
 		m.wakeOneLocked()
 	}
 }
@@ -80,22 +75,8 @@ func (m *Mailbox) Close() {
 // wakeOneLocked pops the first waiter, if any, and makes it runnable.
 // Caller holds the clock lock.
 func (m *Mailbox) wakeOneLocked() {
-	if len(m.waiters) == 0 {
-		return
-	}
-	a := m.waiters[0]
-	m.waiters = m.waiters[1:]
-	m.c.wakeActor(a)
-}
-
-// removeWaiterLocked deletes a from the waiter list if present.  Caller
-// holds the clock lock.
-func (m *Mailbox) removeWaiterLocked(a *Actor) {
-	for i, w := range m.waiters {
-		if w == a {
-			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
-			return
-		}
+	if m.waiters.len() > 0 {
+		m.c.wakeActor(m.waiters.pop())
 	}
 }
 
@@ -106,27 +87,22 @@ func (a *Actor) Get(m *Mailbox) (v any, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if len(m.ready) > 0 {
-			v = m.popLocked()
-			return v, true
+		if m.ready.len() > 0 {
+			return m.ready.pop(), true
 		}
 		if m.closed && m.pending == 0 {
 			return nil, false
 		}
-		m.waiters = append(m.waiters, a)
-		a.state = "receiving on mailbox " + m.name
-		c.blockActor(a)
-		c.mu.Unlock()
-		<-a.wake
-		c.mu.Lock()
-		c.checkDeadLocked()
-		a.state = "running"
+		m.waiters.push(a)
+		a.state, a.box = receiving, m
+		c.blockLocked(a)
 	}
 }
 
 // GetTimeout is Get with a virtual-time deadline.  ok is false if the
 // timeout elapsed (or the mailbox closed and drained) before a message
-// became deliverable.
+// became deliverable.  A deadline that did not fire leaves the timer
+// heap when GetTimeout returns.
 func (a *Actor) GetTimeout(m *Mailbox, d Duration) (v any, ok bool) {
 	c := a.c
 	c.mu.Lock()
@@ -137,48 +113,31 @@ func (a *Actor) GetTimeout(m *Mailbox, d Duration) (v any, ok bool) {
 	deadline := c.now + Time(d)
 	var timer *event
 	for {
-		if len(m.ready) > 0 {
-			if timer != nil {
-				timer.canceled = true
-			}
-			return m.popLocked(), true
+		if m.ready.len() > 0 {
+			c.cancel(timer)
+			return m.ready.pop(), true
 		}
 		if m.closed && m.pending == 0 {
-			if timer != nil {
-				timer.canceled = true
-			}
+			c.cancel(timer)
 			return nil, false
 		}
 		if c.now >= deadline {
 			return nil, false
 		}
-		if timer == nil || timer.canceled {
+		if timer == nil {
 			timer = c.schedule(deadline, func() {
 				// Only wake if still waiting; the waiter removes
 				// itself from m.waiters on its own wake path.
-				m.removeWaiterLocked(a)
+				m.waiters.remove(a)
 				c.wakeActor(a)
 			})
 		}
-		m.waiters = append(m.waiters, a)
-		a.state = fmt.Sprintf("receiving on mailbox %s (timeout at %v)", m.name, time.Duration(deadline))
-		c.blockActor(a)
-		c.mu.Unlock()
-		<-a.wake
-		c.mu.Lock()
-		c.checkDeadLocked()
-		a.state = "running"
+		m.waiters.push(a)
+		a.state, a.box, a.until = receivingTimed, m, deadline
+		c.blockLocked(a)
 		// We may have been woken by a delivery while the timer is still
-		// pending, or by the timer while still in the waiter list (not
-		// possible: the timer removes us), or by Close.  Clean both up.
-		m.removeWaiterLocked(a)
+		// pending (it leaves the heap on return), by the timer, or by
+		// Close.  Make sure we are off the waiter list.
+		m.waiters.remove(a)
 	}
-}
-
-// popLocked removes and returns the first ready message.  Caller holds
-// the clock lock and has checked len(m.ready) > 0.
-func (m *Mailbox) popLocked() any {
-	v := m.ready[0]
-	m.ready = m.ready[1:]
-	return v
 }

@@ -250,17 +250,63 @@ func TestMultipleReceivers(t *testing.T) {
 	}
 }
 
+// TestDeadlockDetection pins the deadlock panic and the dump text of
+// every actor state.  Only a receiver without a deadline can be part of
+// a real deadlock (every other state has an event pending), so the other
+// rows take the dump while the adopted main actor holds the run token.
 func TestDeadlockDetection(t *testing.T) {
-	c := New()
-	box := NewMailbox(c, "box")
-	a := c.Adopt("stuck")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("deadlocked Get did not panic")
-		}
-		// The clock is poisoned after a deadlock; do not reuse it.
-	}()
-	a.Get(box) // no sender, no events: deadlock
+	dump := func(c *Clock) string {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.dumpLocked()
+	}
+	for _, row := range []struct {
+		name string
+		run  func(c *Clock, main *Actor, box *Mailbox) string
+		want string
+	}{
+		{"deadlocked", func(c *Clock, main *Actor, box *Mailbox) (msg string) {
+			main.Sleep(5 * time.Millisecond)
+			defer func() { msg, _ = recover().(string) }()
+			main.Get(box) // no sender, no events: deadlock
+			return "deadlocked Get did not panic"
+		}, "vclock: deadlock — all actors blocked with no pending events\nat virtual time 5ms:\n" +
+			`  actor "main": receiving on mailbox box`},
+		{"sleeping", func(c *Clock, main *Actor, box *Mailbox) string {
+			c.Spawn("x", func(x *Actor) { x.Sleep(time.Second) })
+			main.Sleep(0)
+			return dump(c)
+		}, "at virtual time 0s:\n" + `  actor "main": running` + "\n" + `  actor "x": sleeping until 1s`},
+		{"receiving", func(c *Clock, main *Actor, box *Mailbox) string {
+			c.Spawn("x", func(x *Actor) { x.Get(box) })
+			main.Sleep(time.Millisecond)
+			return dump(c)
+		}, "at virtual time 1ms:\n" + `  actor "main": running` + "\n" + `  actor "x": receiving on mailbox box`},
+		{"receiving with timeout", func(c *Clock, main *Actor, box *Mailbox) string {
+			c.Spawn("x", func(x *Actor) { x.GetTimeout(box, 2*time.Second) })
+			main.Sleep(0)
+			return dump(c)
+		}, "at virtual time 0s:\n" + `  actor "main": running` + "\n" + `  actor "x": receiving on mailbox box (timeout at 2s)`},
+		{"starting", func(c *Clock, main *Actor, box *Mailbox) string {
+			c.Spawn("x", func(*Actor) {})
+			return dump(c)
+		}, "at virtual time 0s:\n" + `  actor "main": running` + "\n" + `  actor "x": starting`},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			c := New()
+			box := NewMailbox(c, "box")
+			main := c.Adopt("main")
+			if got := row.run(c, main, box); got != row.want {
+				t.Fatalf("got\n%s\nwant\n%s", got, row.want)
+			}
+			if c.dead {
+				return // poisoned: do not reuse
+			}
+			box.Close()
+			main.Done()
+			c.Run()
+		})
+	}
 }
 
 func TestPingPongTiming(t *testing.T) {

@@ -1,3 +1,6 @@
+// iter.Pull, which runs spawned actors as coroutines, arrived in Go 1.23.
+//go:build go1.23
+
 // Package vclock is a virtual-time discrete-event kernel.
 //
 // The paper evaluates JavaSymphony on a non-dedicated heterogeneous
@@ -37,11 +40,35 @@
 // it, so actors spawned during setup queue in spawn order and none runs
 // (and no event order is decided) until that goroutine calls Adopt and
 // enters the simulation itself, or calls Run and waits for it.
+//
+// # How the token passes
+//
+// A spawned actor is a coroutine (iter.Pull), not a goroutine of its
+// own: passing it the token is a direct switch on the current thread,
+// which never goes through the Go scheduler.  Coroutines are resumed by
+// a dispatcher — the goroutine of Run, or of an adopted actor while that
+// actor is blocked — which runs the queued actors in FIFO order until
+// its own actor is next in line.  When the head of the queue is another
+// adopted actor, the dispatcher hands the token over through that
+// actor's channel and waits for it to come back.  An actor that is
+// already next in line when it blocks keeps the token and switches
+// nothing.  Done of an adopted actor dispatches whatever is queued
+// before it returns, so the last adopted actor's Done may run the tail
+// of the simulation.
+//
+// A panic (or runtime.Goexit) in a spawned actor surfaces from the
+// goroutine that resumed it: Run, or the blocking kernel call of the
+// adopted actor that was dispatching.  So does a deadlock.
+//
+// The coroutine of an actor whose function returned parks in a
+// per-clock pool, and the next Spawn reuses it, grown stack included.
+// Run stops the parked coroutines before it returns.
 package vclock
 
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 	"sync"
@@ -59,10 +86,10 @@ type Duration = time.Duration
 // event is one entry in the timer heap.  fire runs with the clock lock
 // held and must not block.
 type event struct {
-	when     Time
-	seq      uint64 // insertion order; breaks ties deterministically
-	fire     func()
-	canceled bool
+	when  Time
+	seq   uint64 // insertion order; breaks ties deterministically
+	fire  func()
+	index int // position in the heap; -1 once fired or removed
 }
 
 type eventHeap []*event
@@ -74,13 +101,21 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *eventHeap) Push(x any) {
+	ev := x.(*event)
+	ev.index = len(*h)
+	*h = append(*h, ev)
+}
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
+	ev.index = -1
 	*h = old[:n-1]
 	return ev
 }
@@ -91,9 +126,10 @@ type Clock struct {
 	now      Time
 	seq      uint64
 	runnable int
-	held     bool     // run token reserved for the setup goroutine, until Adopt or Run
-	cur      *Actor   // actor currently holding the run token
-	runq     []*Actor // runnable actors awaiting the run token, FIFO
+	held     bool         // run token reserved for the setup goroutine, until Adopt or Run
+	busy     bool         // some goroutine holds the run token: running an actor, or dispatching
+	runq     fifo[*Actor] // runnable actors awaiting the run token
+	idle     []*Actor     // parked coroutines of retired spawned actors, for Spawn to reuse
 	actors   map[*Actor]struct{}
 	timers   eventHeap
 	wg       sync.WaitGroup
@@ -109,7 +145,7 @@ type Clock struct {
 // the Go scheduler, and an early actor cannot block on a mailbox before
 // the actor that will feed it is registered.
 func New() *Clock {
-	return &Clock{held: true, actors: make(map[*Actor]struct{})}
+	return &Clock{held: true, busy: true, actors: make(map[*Actor]struct{})}
 }
 
 // Now returns the current virtual time.
@@ -126,14 +162,36 @@ func (c *Clock) Actors() int {
 	return len(c.actors)
 }
 
+// state is what an actor is doing, for the deadlock dump.
+type state uint8
+
+const (
+	running state = iota
+	starting
+	sleeping       // until
+	receiving      // on box
+	receivingTimed // on box, until
+)
+
 // Actor is a goroutine enrolled in the simulation.  All methods must be
 // called from the goroutine that owns the actor.
 type Actor struct {
-	c       *Clock
-	name    string
-	wake    chan struct{}
-	state   string // diagnostic: what the actor is currently doing
-	waiting bool   // true while blocked; guards against double wake
+	c    *Clock
+	name string
+	wake chan struct{} // adopted actors: the run token, handed over by another goroutine
+
+	// Spawned actors: the function, and the coroutine that runs it.
+	fn     func(*Actor)
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+
+	// What the actor is doing, formatted only by a deadlock dump.
+	state state
+	box   *Mailbox
+	until Time
+
+	waiting bool // true while blocked; guards against double wake
 	done    bool
 }
 
@@ -152,7 +210,7 @@ func (a *Actor) Now() Time { return a.c.Now() }
 func (c *Clock) Hold() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.held = true
+	c.held, c.busy = true, true
 }
 
 // Adopt enrolls the calling goroutine as an actor.  The caller must call
@@ -160,98 +218,125 @@ func (c *Clock) Hold() {
 // (see New), the reservation is converted into this actor's run token;
 // otherwise the caller may block until the token reaches it.
 func (c *Clock) Adopt(name string) *Actor {
-	a := &Actor{c: c, name: name, wake: make(chan struct{}, 1), state: "running"}
+	a := &Actor{c: c, name: name, wake: make(chan struct{}, 1)}
 	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		panic("vclock: clock is poisoned after a deadlock")
-	}
-	c.actors[a] = struct{}{}
-	c.runnable++
-	c.wg.Add(1)
+	defer c.mu.Unlock()
+	c.enrollLocked(a)
 	if c.held {
 		c.held = false
-		c.cur = a
-		c.mu.Unlock()
 		return a
 	}
-	if c.cur == nil && len(c.runq) == 0 {
-		c.cur = a
+	a.state = starting
+	c.runq.push(a)
+	if c.busy {
 		c.mu.Unlock()
-		return a
+		<-a.wake // from the dispatcher that reaches a
+		c.mu.Lock()
+		c.checkDeadLocked()
+	} else {
+		c.busy = true
+		c.dispatchLocked(a)
 	}
-	a.state = "starting"
-	c.runq = append(c.runq, a)
-	c.mu.Unlock()
-	a.await()
 	return a
 }
 
-// Spawn starts fn on a new goroutine enrolled as an actor.  The actor is
-// registered before Spawn returns, so virtual time cannot advance past
-// the spawn point before fn begins; fn itself runs only once the actor
-// is granted the run token.  The actor is automatically retired when fn
+// Spawn starts fn as a new actor.  The actor is registered before Spawn
+// returns, so virtual time cannot advance past the spawn point before fn
+// begins; fn itself runs only once the actor is granted the run token.
+// With every earlier actor retired, nobody dispatches: the actor waits
+// for the next Run or Adopt.  It is retired automatically when fn
 // returns.
 func (c *Clock) Spawn(name string, fn func(*Actor)) {
-	a := &Actor{c: c, name: name, wake: make(chan struct{}, 1), state: "starting"}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	var a *Actor
+	if n := len(c.idle); n > 0 {
+		a, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		a = &Actor{c: c}
+	}
+	c.enrollLocked(a)
+	if a.resume == nil {
+		a.resume, a.stop = iter.Pull(a.body)
+	}
+	a.name, a.fn, a.state, a.done = name, fn, starting, false
+	c.runq.push(a)
+}
+
+// body is a spawned actor's coroutine.  It runs one actor function per
+// Spawn and parks in between, until Run stops it.
+func (a *Actor) body(yield func(struct{}) bool) {
+	a.yield = yield
+	for {
+		a.fn(a)
+		a.fn = nil
+		func() {
+			a.c.mu.Lock()
+			defer a.c.mu.Unlock()
+			a.c.retireLocked(a)
+		}()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// enrollLocked registers a new runnable actor.  Caller holds the lock.
+func (c *Clock) enrollLocked(a *Actor) {
 	if c.dead {
-		c.mu.Unlock()
 		panic("vclock: clock is poisoned after a deadlock")
 	}
 	c.actors[a] = struct{}{}
 	c.runnable++
 	c.wg.Add(1)
-	c.runq = append(c.runq, a)
-	c.dispatchLocked()
-	c.mu.Unlock()
-	go func() {
-		defer a.Done()
-		a.await()
-		fn(a)
-	}()
 }
 
-// await blocks until the actor is granted the run token.
-func (a *Actor) await() {
-	<-a.wake
-	c := a.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.checkDeadLocked()
-	a.state = "running"
-}
-
-// Done retires the actor.  Further use of the actor is a bug.
-func (a *Actor) Done() {
-	c := a.c
-	c.mu.Lock()
+// retireLocked removes a from the simulation.  Caller holds the lock.
+func (c *Clock) retireLocked(a *Actor) {
 	if a.done {
-		c.mu.Unlock()
 		panic("vclock: Done called twice on actor " + a.name)
 	}
 	a.done = true
 	delete(c.actors, a)
 	c.runnable--
-	if c.cur == a {
-		c.cur = nil
-	}
-	c.dispatchLocked()
 	c.maybeAdvance()
-	c.mu.Unlock()
+}
+
+// Done retires the adopted actor, then runs whatever is queued for the
+// run token until the token goes to another adopted actor or nothing is
+// left to run.  Further use of the actor is a bug.
+func (a *Actor) Done() {
+	c := a.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.retireLocked(a)
+	c.dispatchLocked(nil)
 	c.wg.Done()
 }
 
 // Run blocks the calling (non-actor) goroutine until every actor has
-// retired.  It is the usual way for a test or main function to wait for a
-// simulation to finish.  If nobody adopted the run token reserved by New,
-// Run releases it first: the queued actors start in spawn order.
+// retired, running queued actors itself while nobody else holds the run
+// token.  It is the usual way for a test or main function to drive a
+// simulation to the end.  If nobody adopted the run token reserved by
+// New, Run takes it: the queued actors start in spawn order.  Before it
+// returns, Run stops the coroutines parked for reuse.
 func (c *Clock) Run() {
-	c.mu.Lock()
-	c.held = false
-	c.dispatchLocked()
-	c.mu.Unlock()
+	func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.held || !c.busy {
+			c.held, c.busy = false, true
+			c.dispatchLocked(nil)
+		}
+	}()
 	c.wg.Wait()
+	c.mu.Lock()
+	idle := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	for _, a := range idle {
+		a.stop()
+	}
 }
 
 // Sleep advances the actor d units of virtual time.  Negative durations
@@ -260,19 +345,13 @@ func (c *Clock) Run() {
 func (a *Actor) Sleep(d Duration) {
 	c := a.c
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if d < 0 {
 		d = 0
 	}
-	when := c.now + Time(d)
-	a.state = fmt.Sprintf("sleeping until %v", time.Duration(when))
-	c.schedule(when, func() { c.wakeActor(a) })
-	c.blockActor(a)
-	c.mu.Unlock()
-	<-a.wake
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.checkDeadLocked()
-	a.state = "running"
+	a.state, a.until = sleeping, c.now+Time(d)
+	c.schedule(a.until, func() { c.wakeActor(a) })
+	c.blockLocked(a)
 }
 
 // checkDeadLocked panics with the deadlock diagnostic if the clock has
@@ -295,6 +374,14 @@ func (c *Clock) schedule(when Time, fire func()) *event {
 	return ev
 }
 
+// cancel removes ev from the timer heap unless it already fired.  Caller
+// holds the lock.
+func (c *Clock) cancel(ev *event) {
+	if ev != nil && ev.index >= 0 {
+		heap.Remove(&c.timers, ev.index)
+	}
+}
+
 // wakeActor marks a as runnable, queueing it for the run token.  A wake
 // of an actor that is not blocked (e.g. a mailbox delivery and a timeout
 // firing at the same virtual instant) is a no-op.  Caller holds the
@@ -305,61 +392,100 @@ func (c *Clock) wakeActor(a *Actor) {
 	}
 	a.waiting = false
 	c.runnable++
-	c.runq = append(c.runq, a)
-	c.dispatchLocked()
+	c.runq.push(a)
 }
 
-// dispatchLocked hands the run token to the next queued actor, if the
-// token is free.  On a poisoned clock it instead releases every queued
-// actor so each can observe the deadlock diagnostic.  Caller holds the
-// lock.
-func (c *Clock) dispatchLocked() {
-	if c.dead {
-		for _, a := range c.runq {
-			a.wake <- struct{}{}
-		}
-		c.runq = nil
-		return
-	}
-	if c.held || c.cur != nil || len(c.runq) == 0 {
-		return
-	}
-	a := c.runq[0]
-	c.runq = c.runq[1:]
-	c.cur = a
-	a.wake <- struct{}{}
-}
-
-// blockActor records that a stopped running, passes the run token on,
-// and advances the clock if it was the last runnable actor.  Caller
-// holds the lock; the caller must release it and receive on a.wake
-// afterwards.
-func (c *Clock) blockActor(a *Actor) {
+// blockLocked records that a stopped running, advances the clock if a
+// was the last runnable actor, and passes the run token on.  It returns
+// once a holds the token again.  Caller holds the lock.
+func (c *Clock) blockLocked(a *Actor) {
 	a.waiting = true
 	c.runnable--
-	if c.cur == a {
-		c.cur = nil
-	}
-	c.dispatchLocked()
 	c.maybeAdvance()
+	switch {
+	case !c.dead && c.runq.len() > 0 && c.runq.peek() == a:
+		c.runq.pop() // next in line already: keep the token
+		a.state = running
+	case a.wake != nil:
+		c.dispatchLocked(a)
+	default:
+		c.mu.Unlock()
+		a.yield(struct{}{}) // back to the dispatcher that resumed a
+		c.mu.Lock()
+	}
+	c.checkDeadLocked()
+}
+
+// dispatchLocked runs queued actors on the calling goroutine, which holds
+// the run token, in FIFO order: a spawned actor is resumed here until it
+// blocks or returns.  It returns once me, a blocked adopted actor, holds
+// the token again; for me == nil (Run, Done), once the token went to an
+// adopted actor or nothing is left to run.  On a poisoned clock it
+// releases every queued adopted actor to observe the deadlock and panics
+// with the diagnostic.  Caller holds the lock.
+func (c *Clock) dispatchLocked(me *Actor) {
+	for {
+		if c.dead {
+			wake := c.runq.rest()
+			c.runq = fifo[*Actor]{}
+			c.mu.Unlock()
+			for _, a := range wake {
+				if a.wake != nil && a != me {
+					a.wake <- struct{}{}
+				}
+			}
+			c.mu.Lock()
+			panic(c.deadMsg)
+		}
+		// A blocked me leaves the queue non-empty: maybeAdvance has
+		// woken someone or poisoned the clock.
+		if me == nil && c.runq.len() == 0 {
+			c.busy = false
+			return
+		}
+		a := c.runq.pop()
+		a.state = running
+		switch {
+		case a == me:
+			return
+		case a.wake != nil:
+			c.mu.Unlock()
+			a.wake <- struct{}{}
+			if me != nil {
+				<-me.wake
+			}
+			c.mu.Lock()
+			return
+		}
+		c.resumeLocked(a)
+		if a.done {
+			c.idle = append(c.idle, a)
+			c.wg.Done()
+		}
+	}
+}
+
+// resumeLocked runs the spawned actor a until it blocks or returns, with
+// the lock released.  The lock is retaken even if a panics.  Caller holds
+// the lock.
+func (c *Clock) resumeLocked(a *Actor) {
+	c.mu.Unlock()
+	defer c.mu.Lock()
+	a.resume()
 }
 
 // maybeAdvance advances virtual time while nothing is runnable.  Caller
 // holds the lock.
 //
 // If no event is pending the simulation is deadlocked: the clock is
-// poisoned and every blocked actor is woken so that it can panic with the
-// diagnostic from its own blocking primitive (panicking here, inside an
-// arbitrary actor's stack with the lock held, would wedge the rest).
+// poisoned and every blocked actor is queued, so that the dispatcher
+// panics with the diagnostic and each blocked adopted actor panics from
+// its own blocking primitive.
 func (c *Clock) maybeAdvance() {
 	if c.dead {
 		return
 	}
 	for c.runnable == 0 && len(c.actors) > 0 {
-		// Discard canceled events.
-		for len(c.timers) > 0 && c.timers[0].canceled {
-			heap.Pop(&c.timers)
-		}
 		if len(c.timers) == 0 {
 			c.dead = true
 			c.deadMsg = "vclock: deadlock — all actors blocked with no pending events\n" + c.dumpLocked()
@@ -376,10 +502,7 @@ func (c *Clock) maybeAdvance() {
 		// Fire every event scheduled for this instant, in insertion
 		// order, before re-checking runnability.
 		for len(c.timers) > 0 && c.timers[0].when == c.now {
-			ev := heap.Pop(&c.timers).(*event)
-			if !ev.canceled {
-				ev.fire()
-			}
+			heap.Pop(&c.timers).(*event).fire()
 		}
 	}
 }
@@ -388,8 +511,23 @@ func (c *Clock) maybeAdvance() {
 func (c *Clock) dumpLocked() string {
 	lines := make([]string, 0, len(c.actors))
 	for a := range c.actors {
-		lines = append(lines, fmt.Sprintf("  actor %q: %s", a.name, a.state))
+		lines = append(lines, fmt.Sprintf("  actor %q: %s", a.name, a.describe()))
 	}
 	sort.Strings(lines)
 	return fmt.Sprintf("at virtual time %v:\n%s", time.Duration(c.now), strings.Join(lines, "\n"))
+}
+
+// describe renders what a is doing.  Caller holds the lock.
+func (a *Actor) describe() string {
+	switch a.state {
+	case starting:
+		return "starting"
+	case sleeping:
+		return fmt.Sprintf("sleeping until %v", time.Duration(a.until))
+	case receiving:
+		return "receiving on mailbox " + a.box.name
+	case receivingTimed:
+		return fmt.Sprintf("receiving on mailbox %s (timeout at %v)", a.box.name, time.Duration(a.until))
+	}
+	return "running"
 }
