@@ -110,7 +110,7 @@ func (w *World) Register(homeNode string) (*App, error) {
 		objs:        make(map[uint64]*objEntry),
 		shardGroups: make(map[string]*ShardGroup),
 	}
-	rt.st.Register("oas.app:"+id, a.handle)
+	rt.st.Register("oas.app:"+id, appMethods.Serve(a))
 
 	w.mu.Lock()
 	w.apps = append(w.apps, a)
@@ -174,26 +174,20 @@ func (a *App) Unregister(p sched.Proc) {
 	a.world.emit(trace.Event{Kind: trace.AppUnregistered, Node: a.rt.Node(), App: a.id})
 }
 
-// handle serves the AppOA service ("locate": where does object ID live?).
-func (a *App) handle(p sched.Proc, from, method string, body []byte) ([]byte, error) {
-	switch method {
-	case "locate":
-		var req locateReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		a.mu.Lock()
-		e, ok := a.objs[req.ID]
-		resp := locateResp{}
-		if ok && !e.freed {
-			resp.Node = e.location
-			resp.OK = true
-			resp.RSet = e.rset()
-		}
-		a.mu.Unlock()
-		return rmi.MustMarshal(resp), nil
+// appMethods is the AppOA service table (DESIGN.md §15).
+var appMethods = rmi.Methods[*App]{"locate": rmi.Typed((*App).locate)}
+
+// locate serves the AppOA service: where does object req.ID live?
+func (a *App) locate(_ sched.Proc, req locateReq) (locateResp, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	resp := locateResp{}
+	if e, ok := a.objs[req.ID]; ok && !e.freed {
+		resp.Node = e.location
+		resp.OK = true
+		resp.RSet = e.rset()
 	}
-	return nil, fmt.Errorf("oas: appoa has no method %q", method)
+	return resp, nil
 }
 
 // Allocator returns the application's virtual-architecture allocator —

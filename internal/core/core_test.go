@@ -11,6 +11,7 @@ import (
 	"jsymphony/internal/codebase"
 	"jsymphony/internal/nas"
 	"jsymphony/internal/params"
+	"jsymphony/internal/rmi"
 	"jsymphony/internal/sched"
 	"jsymphony/internal/simnet"
 	"jsymphony/internal/virtarch"
@@ -26,6 +27,9 @@ func (c *Counter) Add(x int) int     { c.N += x; return c.N }
 func (c *Counter) Get() int          { return c.N }
 func (c *Counter) SetLabel(s string) { c.Label = s }
 func (c *Counter) Boom() error       { return errors.New("counter exploded") }
+
+// Pipe returns a value the codec cannot put on the wire.
+func (c *Counter) Pipe() chan int { return make(chan int) }
 
 // Where reports the hosting node via the execution context.
 func (c *Counter) Where(ctx *Ctx) string { return ctx.Node() }
@@ -622,3 +626,51 @@ func TestLocalFastPath(t *testing.T) {
 }
 
 func fmtNodes(w *World) string { return fmt.Sprint(w.Nodes()) }
+
+// TestUnencodableResultFailsTheCall: a remote call of a method whose
+// result the codec cannot encode fails with the codec's error, and the
+// serving node goes on serving.  A same-node call never encodes the
+// result, so it gets the value.
+func TestUnencodableResultFailsTheCall(t *testing.T) {
+	simWorld(t, func(w *World, a *App, p sched.Proc) {
+		host, _ := virtarch.NewNamedNode(a.Allocator(p), w.Nodes()[1])
+		obj, err := a.NewObject(p, "Counter", host, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := obj.Ref()
+		other := w.MustRuntime(w.Nodes()[3])
+		if _, err := other.InvokeRef(p, ref, "Pipe", nil); err == nil || !strings.Contains(err.Error(), "rmi: codec") {
+			t.Fatalf("remote Pipe: err = %v, want the rmi: codec error", err)
+		}
+		if res, err := other.InvokeRef(p, ref, "Add", []any{2}); err != nil || res.(int) != 2 {
+			t.Fatalf("Add after the failed call = %v, %v", res, err)
+		}
+		if res, err := w.MustRuntime(w.Nodes()[1]).InvokeRef(p, ref, "Pipe", nil); err != nil {
+			t.Fatalf("same-node Pipe = %v, %v", res, err)
+		} else if _, ok := res.(chan int); !ok {
+			t.Fatalf("same-node Pipe returned %T", res)
+		}
+	})
+}
+
+// TestNoMethodText: each of the six services answers a method its table
+// lacks with the one rmi text.
+func TestNoMethodText(t *testing.T) {
+	simWorld(t, func(w *World, a *App, p sched.Proc) {
+		const want = `rmi: no method "nosuch"`
+		node := w.Nodes()[2]
+		for _, c := range []struct{ node, service string }{
+			{node, PubService},
+			{a.Home(), "oas.app:" + a.ID()},
+			{w.dirNode, StaticService},
+			{w.dirNode, "oas.app:" + staticApp},
+			{w.dirNode, nas.DirService},
+			{node, nas.AgentService},
+		} {
+			if _, err := a.rt.st.Call(p, c.node, c.service, "nosuch", nil, time.Second); !rmi.IsRemote(err, want) {
+				t.Errorf("%s on %s: err = %v, want the remote error %q", c.service, c.node, err, want)
+			}
+		}
+	})
+}

@@ -300,7 +300,7 @@ func (rt *Runtime) durFailWaiters() {
 
 // makeDurable handles the "durable" pub method: mark a hosted object
 // durable and log its current state as the baseline record.
-func (rt *Runtime) makeDurable(req durableReq) error {
+func (rt *Runtime) makeDurable(_ sched.Proc, req durableReq) error {
 	if rt.dur == nil {
 		return errors.New(errNoDurability)
 	}

@@ -390,16 +390,8 @@ func (o *Object) Store(p sched.Proc, key string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	body := rmi.MustMarshal(storeReq{App: r.ref.App, ID: r.ref.ID, Key: key})
-	resp, err := o.app.rt.st.Call(p, r.loc, PubService, "store", body, time.Minute)
-	if err != nil {
-		return "", err
-	}
-	var k string
-	if err := rmi.Unmarshal(resp, &k); err != nil {
-		return "", err
-	}
-	return k, nil
+	return rmi.Ask[string](p, o.app.rt.st, r.loc, PubService, "store",
+		storeReq{App: r.ref.App, ID: r.ref.ID, Key: key}, time.Minute)
 }
 
 // Load re-materializes a stored object as a fresh JSObj of this

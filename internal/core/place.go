@@ -41,16 +41,6 @@ func (a *App) InstallPlacementHints(h *place.Hints) {
 	a.world.reg.Gauge("js_place_groups").Set(float64(len(h.Groups)))
 }
 
-// PlacementHints returns the installed hints, or nil.
-func (a *App) PlacementHints() *place.Hints {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.place == nil {
-		return nil
-	}
-	return a.place.hints
-}
-
 // NewObjectTagged creates an object of the given class at a tagged
 // creation site — the hint-aware creation path of DESIGN.md §14.  site
 // and idx identify the instance in the workload's static affinity

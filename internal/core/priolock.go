@@ -7,21 +7,23 @@ import (
 	"jsymphony/internal/sched"
 )
 
-// prioLock is procLock's priority-aware sibling, used for the replicated
-// primary's write fan lock.  Waiters park on per-level queues and unlock
-// hands the token to the lowest-level waiter first (FIFO within a
-// level), so with admission ranks mapped onto levels a gold write
-// admitted to the mailbox overtakes queued bronze instead of aging
-// behind it — the write queue enforces the same priority order as the
-// mailbox bound (DESIGN.md §12).  Level 0 is the control plane and all
-// unranked traffic, which preserves the old FIFO behaviour when no
-// admission policy is installed.
+// prioLock is a mutex usable while its holder performs blocking RMI in
+// virtual time.  A contender blocks *inside* the simulation (p.Recv on a
+// sched.Queue), not on a raw channel or sync.Mutex, so the kernel sees
+// it as quiescent, keeps advancing virtual time for the holder's RMI,
+// and hands the token back deterministically.
 //
-// Like procLock, a contender blocks inside the simulation (p.Recv on a
-// sched.Queue), so the kernel keeps advancing virtual time for the
-// holder's RMI and hands the run token back deterministically.
+// Waiters park on per-level queues and unlock hands the token to the
+// lowest-level waiter first (FIFO within a level).  The replicated
+// primary's write fan lock maps admission ranks onto levels, so a gold
+// write admitted to the mailbox overtakes queued bronze instead of
+// aging behind it — the write queue enforces the same priority order as
+// the mailbox bound (DESIGN.md §12).  Level 0 is the control plane and
+// all unranked traffic; a lock only ever taken at level 0 (the static
+// manager, replica lease renewal) is a plain FIFO mutex.
 type prioLock struct {
-	s sched.Sched
+	s    sched.Sched
+	name string // prefix of the hand-off queues' names
 
 	mu      sync.Mutex
 	held    bool
@@ -29,7 +31,7 @@ type prioLock struct {
 	qs      []sched.Queue // one handoff queue per level, grown lazily
 }
 
-func newPrioLock(s sched.Sched) *prioLock { return &prioLock{s: s} }
+func newPrioLock(s sched.Sched, name string) *prioLock { return &prioLock{s: s, name: name} }
 
 // lock acquires the token, parking at the given priority level
 // (0 = most important) while another proc holds it.
@@ -43,7 +45,7 @@ func (l *prioLock) lock(p sched.Proc, level int) {
 		return
 	}
 	for len(l.qs) <= level {
-		l.qs = append(l.qs, l.s.NewQueue(fmt.Sprintf("replica.fan.L%d", len(l.qs))))
+		l.qs = append(l.qs, l.s.NewQueue(fmt.Sprintf("%s.L%d", l.name, len(l.qs))))
 		l.waiting = append(l.waiting, 0)
 	}
 	l.waiting[level]++

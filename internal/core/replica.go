@@ -44,7 +44,7 @@ type replState struct {
 	primary    string        // node to renew leases from
 	leaseUntil time.Duration // strong mode: reads allowed until this instant
 	asOf       time.Duration // primary clock when the held state was captured
-	renew      *procLock     // serializes lease renewals (replica side)
+	renew      *prioLock     // serializes lease renewals (replica side)
 
 	// Primary role.
 	peers     []string        // replica nodes, sorted
@@ -91,7 +91,7 @@ func refKey(app string, id uint64) string { return fmt.Sprintf("%s/%d", app, id)
 // node currently holding a replica clears its replica role while keeping
 // its version, so update ordering stays monotonic across the promotion.
 // An empty peer set removes the replication state entirely.
-func (rt *Runtime) replicaConfigure(req replicaConfigureReq) error {
+func (rt *Runtime) replicaConfigure(_ sched.Proc, req replicaConfigureReq) error {
 	key := objKey{req.App, req.ID}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -109,7 +109,7 @@ func (rt *Runtime) replicaConfigure(req replicaConfigureReq) error {
 		h.repl = rs
 	}
 	if rs.fan == nil {
-		rs.fan = newPrioLock(rt.world.s)
+		rs.fan = newPrioLock(rt.world.s, "replica.fan")
 	}
 	rs.isReplica = false
 	rs.primary = ""
@@ -152,7 +152,7 @@ func (rt *Runtime) replicaAuthRenew(req replicaAuthRenewReq) error {
 // counted, not propagated — renewal has always been best-effort, and a
 // moved object simply stops being renewed on this node.  Returns how
 // many grants took effect.
-func (rt *Runtime) replicaAuthBatch(b rmi.Batch) (int, error) {
+func (rt *Runtime) replicaAuthBatch(_ sched.Proc, b rmi.Batch) (int, error) {
 	applied := 0
 	for i := 0; i < b.Len(); i++ {
 		var req replicaAuthRenewReq
@@ -193,7 +193,7 @@ func (rt *Runtime) replicaApply(p sched.Proc, req replicaUpdateReq) error {
 	h, ok := rt.hosted[key]
 	if !ok {
 		h = &hostedObj{ref: req.Ref, instance: inst, repl: &replState{
-			isReplica: true, renew: newProcLock(rt.world.s),
+			isReplica: true, renew: newPrioLock(rt.world.s, "replica.renew"),
 		}}
 		rt.hosted[key] = h
 	}
@@ -242,16 +242,18 @@ func (rt *Runtime) replicaApply(p sched.Proc, req replicaUpdateReq) error {
 // replicaDrop discards a replica instance (set shrank, object freed).
 // Only replica-role copies are dropped: a stray drop must never destroy
 // a primary.
-func (rt *Runtime) replicaDrop(key objKey) {
+func (rt *Runtime) replicaDrop(_ sched.Proc, req replicaDropReq) error {
+	key := objKey{req.App, req.ID}
 	rt.mu.Lock()
 	h, ok := rt.hosted[key]
 	if !ok || h.repl == nil || !h.repl.isReplica {
 		rt.mu.Unlock()
-		return
+		return nil
 	}
 	delete(rt.hosted, key)
 	rt.mu.Unlock()
 	rt.updateObjectGauge()
+	return nil
 }
 
 // replicaSnapshot returns the local copy's state and version: the AppOA
@@ -259,7 +261,8 @@ func (rt *Runtime) replicaDrop(key objKey) {
 // survivor by comparing replica versions.  On a primary the fan lock is
 // held so the state is not captured mid-write; on a replica the served
 // instance is immutable, so the swap pointer alone is enough.
-func (rt *Runtime) replicaSnapshot(p sched.Proc, key objKey) (replicaSnapshotResp, error) {
+func (rt *Runtime) replicaSnapshot(p sched.Proc, req replicaSnapshotReq) (replicaSnapshotResp, error) {
+	key := objKey{req.App, req.ID}
 	rt.mu.Lock()
 	h, ok := rt.hosted[key]
 	if !ok {
@@ -294,7 +297,8 @@ func (rt *Runtime) replicaSnapshot(p sched.Proc, key objKey) (replicaSnapshotRes
 
 // replicaRenew serves a lease renewal at the primary: fresh state, the
 // current version, and a new lease window.
-func (rt *Runtime) replicaRenew(p sched.Proc, key objKey) (replicaRenewResp, error) {
+func (rt *Runtime) replicaRenew(p sched.Proc, req replicaRenewReq) (replicaRenewResp, error) {
+	key := objKey{req.App, req.ID}
 	rt.mu.Lock()
 	h, ok := rt.hosted[key]
 	rs := (*replState)(nil)
@@ -370,7 +374,7 @@ func (rt *Runtime) invokeAtReplica(p sched.Proc, h *hostedObj, req invokeReq) (i
 // hitting an expired lease coalesce onto one renewal.
 func (rt *Runtime) renewLease(p sched.Proc, h *hostedObj) error {
 	rs := h.repl
-	rs.renew.lock(p)
+	rs.renew.lock(p, 0)
 	defer rs.renew.unlock()
 	rt.mu.Lock()
 	now := rt.world.s.Now()
@@ -382,13 +386,9 @@ func (rt *Runtime) renewLease(p sched.Proc, h *hostedObj) error {
 	primary := rs.primary
 	curVersion := rs.version
 	rt.mu.Unlock()
-	body := rmi.MustMarshal(replicaRenewReq{App: ref.App, ID: ref.ID})
-	respBody, err := rt.st.Call(p, primary, PubService, "replicaRenew", body, replicaCallTimeout)
+	resp, err := rmi.Ask[replicaRenewResp](p, rt.st, primary, PubService, "replicaRenew",
+		replicaRenewReq{App: ref.App, ID: ref.ID}, replicaCallTimeout)
 	if err != nil {
-		return err
-	}
-	var resp replicaRenewResp
-	if err := rmi.Unmarshal(respBody, &resp); err != nil {
 		return err
 	}
 	var inst any

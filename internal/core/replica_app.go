@@ -271,16 +271,8 @@ func (a *App) renewAuthorityBatched(p sched.Proc, targets []*objEntry) {
 
 // memberSnapshot fetches a member's current state + version.
 func (a *App) memberSnapshot(p sched.Proc, node string, ref Ref) (replicaSnapshotResp, error) {
-	body := rmi.MustMarshal(replicaSnapshotReq{App: ref.App, ID: ref.ID})
-	respBody, err := a.rt.st.Call(p, node, PubService, "replicaSnapshot", body, replicaCallTimeout)
-	if err != nil {
-		return replicaSnapshotResp{}, err
-	}
-	var resp replicaSnapshotResp
-	if err := rmi.Unmarshal(respBody, &resp); err != nil {
-		return replicaSnapshotResp{}, err
-	}
-	return resp, nil
+	return rmi.Ask[replicaSnapshotResp](p, a.rt.st, node, PubService, "replicaSnapshot",
+		replicaSnapshotReq{App: ref.App, ID: ref.ID}, replicaCallTimeout)
 }
 
 // seedMembers ships a snapshot to each listed node and returns the nodes

@@ -121,8 +121,27 @@ func newRuntime(w *World, st *rmi.Station, agent *nas.Agent, mach *simnet.Machin
 		hosted:   make(map[objKey]*hostedObj),
 		refCache: make(map[objKey]route),
 	}
-	st.Register(PubService, rt.handlePub)
+	st.Register(PubService, pubMethods.Serve(rt))
 	return rt
+}
+
+// pubMethods is the PubService table (DESIGN.md §15).
+var pubMethods = rmi.Methods[*Runtime]{
+	"create":           rmi.Void((*Runtime).create),
+	"invoke":           rmi.Typed((*Runtime).invoke),
+	"migrateOut":       rmi.Void((*Runtime).migrateOut),
+	"migrateIn":        rmi.Void((*Runtime).migrateIn),
+	"free":             rmi.Void((*Runtime).freeTraced),
+	"store":            rmi.Typed((*Runtime).persist),
+	"load":             rmi.Void((*Runtime).loadStored),
+	"loadCodebase":     rmi.Void((*Runtime).loadCodebase),
+	"replicaConfigure": rmi.Void((*Runtime).replicaConfigure),
+	"replicaUpdate":    rmi.Void((*Runtime).replicaApply),
+	"durable":          rmi.Void((*Runtime).makeDurable),
+	"replicaAuthBatch": rmi.Typed((*Runtime).replicaAuthBatch),
+	"replicaDrop":      rmi.Void((*Runtime).replicaDrop),
+	"replicaSnapshot":  rmi.Typed((*Runtime).replicaSnapshot),
+	"replicaRenew":     rmi.Typed((*Runtime).replicaRenew),
 }
 
 // Node returns the runtime's node name.
@@ -190,134 +209,9 @@ func (rt *Runtime) updateObjectGauge() {
 	rt.agent.SetObjects(n)
 }
 
-// handlePub dispatches PubService methods.
-func (rt *Runtime) handlePub(p sched.Proc, from, method string, body []byte) ([]byte, error) {
-	switch method {
-	case "create":
-		var req createReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, rt.create(req.Ref)
-	case "invoke":
-		var req invokeReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		resp, err := rt.invoke(p, req)
-		if err != nil {
-			return nil, err
-		}
-		return rmi.MustMarshal(resp), nil
-	case "migrateOut":
-		var req migrateOutReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, rt.migrateOut(p, req)
-	case "migrateIn":
-		var req migrateInReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, rt.migrateIn(req)
-	case "free":
-		var req freeReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		rt.freeTraced(objKey{req.App, req.ID})
-		return nil, nil
-	case "store":
-		var req storeReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		key, err := rt.persist(p, req)
-		if err != nil {
-			return nil, err
-		}
-		return rmi.MustMarshal(key), nil
-	case "load":
-		var req loadReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, rt.loadStored(req)
-	case "loadCodebase":
-		var req codebaseReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		newBytes, err := rt.store.Load(req.Classes...)
-		if err == nil {
-			rt.world.emit(trace.Event{
-				Kind: trace.CodebaseLoaded, Node: rt.Node(),
-				Detail: fmt.Sprintf("%d classes, %d new bytes", len(req.Classes), newBytes),
-			})
-		}
-		return nil, err
-	case "replicaConfigure":
-		var req replicaConfigureReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, rt.replicaConfigure(req)
-	case "replicaUpdate":
-		var req replicaUpdateReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, rt.replicaApply(p, req)
-	case "durable":
-		var req durableReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, rt.makeDurable(req)
-	case "replicaAuthBatch":
-		var b rmi.Batch
-		if err := rmi.Unmarshal(body, &b); err != nil {
-			return nil, err
-		}
-		applied, err := rt.replicaAuthBatch(b)
-		if err != nil {
-			return nil, err
-		}
-		return rmi.MustMarshal(applied), nil
-	case "replicaDrop":
-		var req replicaDropReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		rt.replicaDrop(objKey{req.App, req.ID})
-		return nil, nil
-	case "replicaSnapshot":
-		var req replicaSnapshotReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		resp, err := rt.replicaSnapshot(p, objKey{req.App, req.ID})
-		if err != nil {
-			return nil, err
-		}
-		return rmi.MustMarshal(resp), nil
-	case "replicaRenew":
-		var req replicaRenewReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		resp, err := rt.replicaRenew(p, objKey{req.App, req.ID})
-		if err != nil {
-			return nil, err
-		}
-		return rmi.MustMarshal(resp), nil
-	}
-	return nil, fmt.Errorf("oas: puboa has no method %q", method)
-}
-
-// create instantiates an object of ref's class on this node.
-func (rt *Runtime) create(ref Ref) error {
+// create instantiates an object of req.Ref's class on this node.
+func (rt *Runtime) create(_ sched.Proc, req createReq) error {
+	ref := req.Ref
 	inst, err := rt.store.New(ref.Class)
 	if err != nil {
 		return err
@@ -624,7 +518,7 @@ func (rt *Runtime) materialize(class string, state []byte) (any, error) {
 
 // migrateIn is the PubOA's one install: pa2's side of a migration, and
 // equally the landing of a stored, checkpointed or WAL-replayed image.
-func (rt *Runtime) migrateIn(req migrateInReq) error {
+func (rt *Runtime) migrateIn(_ sched.Proc, req migrateInReq) error {
 	inst, err := rt.materialize(req.Ref.Class, req.State)
 	if err != nil {
 		return err
@@ -701,7 +595,8 @@ func (rt *Runtime) free(key objKey) {
 
 // freeTraced drops a hosted object and records it (explicit frees; the
 // removal half of a migration is part of the migration event instead).
-func (rt *Runtime) freeTraced(key objKey) {
+func (rt *Runtime) freeTraced(_ sched.Proc, req freeReq) error {
+	key := objKey{req.App, req.ID}
 	var tombVer uint64
 	tomb := false
 	if rt.dur != nil {
@@ -718,6 +613,7 @@ func (rt *Runtime) freeTraced(key objKey) {
 		_, _ = rt.durAppend(nil, wal.Record{Kind: wal.KindDelete, Key: durObjKey(key.app, key.id), Ver: tombVer}, false)
 	}
 	rt.world.emit(trace.Event{Kind: trace.ObjFreed, Node: rt.Node(), App: key.app, Obj: key.id})
+	return nil
 }
 
 // persist stores a quiescent object's state under req.Key (paper §4.7).
@@ -755,7 +651,7 @@ func (rt *Runtime) persist(p sched.Proc, req storeReq) (string, error) {
 
 // loadStored re-materializes a stored object on this node under a fresh
 // ref.
-func (rt *Runtime) loadStored(req loadReq) error {
+func (rt *Runtime) loadStored(p sched.Proc, req loadReq) error {
 	rec, err := rt.world.storage.Get(req.Key)
 	if err != nil {
 		return err
@@ -763,11 +659,23 @@ func (rt *Runtime) loadStored(req loadReq) error {
 	if rec.Class != req.Ref.Class {
 		return fmt.Errorf("oas: stored object %q has class %s, expected %s", req.Key, rec.Class, req.Ref.Class)
 	}
-	if err := rt.migrateIn(migrateInReq{Ref: req.Ref, State: rec.State}); err != nil {
+	if err := rt.migrateIn(p, migrateInReq{Ref: req.Ref, State: rec.State}); err != nil {
 		return err
 	}
 	rt.world.emit(trace.Event{Kind: trace.ObjLoaded, Node: rt.Node(), App: req.Ref.App, Obj: req.Ref.ID, Detail: req.Key})
 	return nil
+}
+
+// loadCodebase loads req.Classes into this node's class store.
+func (rt *Runtime) loadCodebase(_ sched.Proc, req codebaseReq) error {
+	newBytes, err := rt.store.Load(req.Classes...)
+	if err == nil {
+		rt.world.emit(trace.Event{
+			Kind: trace.CodebaseLoaded, Node: rt.Node(),
+			Detail: fmt.Sprintf("%d classes, %d new bytes", len(req.Classes), newBytes),
+		})
+	}
+	return err
 }
 
 // spanRec accumulates one invocation's span across retry attempts; it is
@@ -892,12 +800,8 @@ func (rt *Runtime) reroute(p sched.Proc, r route) (route, error) {
 	if r.app != nil {
 		return r.app.route(r.ref.ID)
 	}
-	body, err := rt.st.Call(p, r.ref.Origin, r.ref.appService(), "locate",
-		rmi.MustMarshal(locateReq{ID: r.ref.ID}), 5*time.Second)
-	var resp locateResp
-	if err == nil {
-		err = rmi.Unmarshal(body, &resp)
-	}
+	resp, err := rmi.Ask[locateResp](p, rt.st, r.ref.Origin, r.ref.appService(), "locate",
+		locateReq{ID: r.ref.ID}, 5*time.Second)
 	if err == nil && !resp.OK {
 		err = errors.New(errObjUnknown)
 	}
@@ -1018,19 +922,7 @@ func (rt *Runtime) invokeAt(p sched.Proc, loc string, ref Ref, method string, ar
 		return resp, nil
 	}
 	rt.world.reg.Counter("js_core_remote_invokes_total").Inc()
-	body, err := rmi.Marshal(req)
-	if err != nil {
-		return invokeResp{}, err
-	}
-	respBody, err := rt.st.Call(p, loc, PubService, "invoke", body, invokeTimeout)
-	if err != nil {
-		return invokeResp{}, err
-	}
-	var resp invokeResp
-	if err := rmi.Unmarshal(respBody, &resp); err != nil {
-		return invokeResp{}, err
-	}
-	return resp, nil
+	return rmi.Ask[invokeResp](p, rt.st, loc, PubService, "invoke", req, invokeTimeout)
 }
 
 // invokeTimeout bounds one remote method execution.  Long-running

@@ -41,81 +41,48 @@ type staticResp struct {
 // staticManager runs on the directory node.
 type staticManager struct {
 	rt      *Runtime
-	mu      *procLock
+	mu      *prioLock
 	seq     uint64
 	byClass map[string]staticResp
 	byID    map[uint64]string // object id -> current node
 }
-
-// procLock is a mutex usable while its holder performs blocking RMI in
-// virtual time.  It is built on a sched.Queue holding a single token
-// rather than on a raw channel or sync.Mutex, so a contending proc
-// blocks *inside* the simulation: the kernel sees it as quiescent, keeps
-// advancing virtual time for the holder's RMI, and hands the run token
-// back deterministically.
-type procLock struct{ q sched.Queue }
-
-func newProcLock(s sched.Sched) *procLock {
-	l := &procLock{q: s.NewQueue("static.lock")}
-	l.q.Put(struct{}{}, 0)
-	return l
-}
-
-func (l *procLock) lock(p sched.Proc) { p.Recv(l.q) }
-func (l *procLock) unlock()           { l.q.Put(struct{}{}, 0) }
 
 // installStaticManager registers the static services on the directory
 // node's runtime.
 func installStaticManager(rt *Runtime) *staticManager {
 	m := &staticManager{
 		rt:      rt,
-		mu:      newProcLock(rt.world.s),
+		mu:      newPrioLock(rt.world.s, "static.lock"),
 		byClass: make(map[string]staticResp),
 		byID:    make(map[uint64]string),
 	}
-	rt.st.Register(StaticService, m.handle)
-	rt.st.Register("oas.app:"+staticApp, m.handleLocate)
+	rt.st.Register(StaticService, staticMethods.Serve(m))
+	rt.st.Register("oas.app:"+staticApp, staticLocateMethods.Serve(m))
 	return m
 }
 
-func (m *staticManager) handle(p sched.Proc, from, method string, body []byte) ([]byte, error) {
-	switch method {
-	case "resolve":
-		var req staticReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		resp, err := m.resolve(p, req.Class)
-		if err != nil {
-			return nil, err
-		}
-		return rmi.MustMarshal(resp), nil
-	}
-	return nil, fmt.Errorf("oas: static manager has no method %q", method)
+// The static manager's two service tables (DESIGN.md §15).
+var (
+	staticMethods       = rmi.Methods[*staticManager]{"resolve": rmi.Typed((*staticManager).resolve)}
+	staticLocateMethods = rmi.Methods[*staticManager]{"locate": rmi.Typed((*staticManager).locate)}
+)
+
+// locate answers where the static instance with req.ID lives.
+func (m *staticManager) locate(p sched.Proc, req locateReq) (locateResp, error) {
+	m.mu.lock(p, 0)
+	node, ok := m.byID[req.ID]
+	m.mu.unlock()
+	return locateResp{Node: node, OK: ok}, nil
 }
 
-func (m *staticManager) handleLocate(p sched.Proc, from, method string, body []byte) ([]byte, error) {
-	switch method {
-	case "locate":
-		var req locateReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		m.mu.lock(p)
-		node, ok := m.byID[req.ID]
-		m.mu.unlock()
-		return rmi.MustMarshal(locateResp{Node: node, OK: ok}), nil
-	}
-	return nil, fmt.Errorf("oas: static locator has no method %q", method)
-}
-
-// resolve returns the class's static instance, creating it on the best
-// node that has the class loaded if this is the first use.
-func (m *staticManager) resolve(p sched.Proc, class string) (staticResp, error) {
+// resolve returns the static instance of req.Class, creating it on the
+// best node that has the class loaded if this is the first use.
+func (m *staticManager) resolve(p sched.Proc, req staticReq) (staticResp, error) {
+	class := req.Class
 	if _, ok := m.rt.world.registry.Lookup(class); !ok {
 		return staticResp{}, fmt.Errorf("oas: unknown class %q", class)
 	}
-	m.mu.lock(p)
+	m.mu.lock(p, 0)
 	defer m.mu.unlock()
 	if resp, ok := m.byClass[class]; ok {
 		return resp, nil
@@ -152,14 +119,7 @@ func (m *staticManager) resolve(p sched.Proc, class string) (staticResp, error) 
 // first use anywhere in the installation) and returns its first-order
 // handle.
 func (a *App) StaticRef(p sched.Proc, class string) (Ref, error) {
-	body, err := a.rt.st.Call(p, a.world.dirNode, StaticService, "resolve",
-		rmi.MustMarshal(staticReq{Class: class}), 10*time.Second)
-	if err != nil {
-		return Ref{}, err
-	}
-	var resp staticResp
-	if err := rmi.Unmarshal(body, &resp); err != nil {
-		return Ref{}, err
-	}
-	return resp.Ref, nil
+	resp, err := rmi.Ask[staticResp](p, a.rt.st, a.world.dirNode, StaticService, "resolve",
+		staticReq{Class: class}, 10*time.Second)
+	return resp.Ref, err
 }

@@ -95,8 +95,28 @@ func NewAgent(st *rmi.Station, sampler Sampler, cfg Config, dirNode string) *Age
 		history: NewHistory(DefaultHistoryDepth),
 	}
 	a.latest = sampler.Sample(0)
-	st.Register(AgentService, a.handle)
+	serve := agentMethods.Serve(a)
+	st.Register(AgentService, func(p sched.Proc, from, method string, body []byte) ([]byte, error) {
+		if !a.sampler.Alive() {
+			// A dead machine answers nothing: stall past any caller timeout
+			// so in-memory transports behave like the dropped-packet fabric.
+			p.Sleep(a.cfg.FailTimeout * 16)
+			return nil, errNodeDown
+		}
+		return serve(p, from, method, body)
+	})
 	return a
+}
+
+// agentMethods is the AgentService table (DESIGN.md §15); NewAgent puts
+// the dead-node guard in front of it.
+var agentMethods = rmi.Methods[*Agent]{
+	"ping": func(*Agent, sched.Proc, []byte) ([]byte, error) { return nil, nil },
+	"get":  func(a *Agent, _ sched.Proc, _ []byte) ([]byte, error) { return rmi.Marshal(a.Latest()) },
+	"getAgg": rmi.Typed(func(a *Agent, _ sched.Proc, comp string) (aggMsg, error) {
+		snap, ok := a.Agg(comp)
+		return aggMsg{Component: comp, Snap: snap, OK: ok}, nil
+	}),
 }
 
 // Node returns the agent's node name.
@@ -216,44 +236,12 @@ func (a *Agent) monitor(p sched.Proc, gen int) {
 // the transport itself does not drop traffic (the in-memory one).
 var errNodeDown = errors.New("nas: node down")
 
-// handle serves the AgentService RMI methods.
-func (a *Agent) handle(p sched.Proc, from, method string, body []byte) ([]byte, error) {
-	if !a.sampler.Alive() {
-		// A dead machine answers nothing: stall past any caller timeout
-		// so in-memory transports behave like the dropped-packet fabric.
-		p.Sleep(a.cfg.FailTimeout * 16)
-		return nil, errNodeDown
-	}
-	switch method {
-	case "ping":
-		return nil, nil
-	case "get":
-		return rmi.MustMarshal(a.Latest()), nil
-	case "getAgg":
-		var comp string
-		if err := rmi.Unmarshal(body, &comp); err != nil {
-			return nil, err
-		}
-		snap, ok := a.Agg(comp)
-		return rmi.MustMarshal(aggMsg{Component: comp, Snap: snap, OK: ok}), nil
-	}
-	return nil, fmt.Errorf("nas: agent has no method %q", method)
-}
-
 // FetchSnapshot retrieves another node's latest snapshot over RMI.
 func (a *Agent) FetchSnapshot(p sched.Proc, node string) (params.Snapshot, error) {
 	if node == a.Node() {
 		return a.Latest(), nil
 	}
-	body, err := a.st.Call(p, node, AgentService, "get", nil, a.cfg.CallTimeout)
-	if err != nil {
-		return nil, err
-	}
-	var snap params.Snapshot
-	if err := rmi.Unmarshal(body, &snap); err != nil {
-		return nil, err
-	}
-	return snap, nil
+	return rmi.Ask[params.Snapshot](p, a.st, node, AgentService, "get", nil, a.cfg.CallTimeout)
 }
 
 // FetchAgg retrieves a component aggregate from its manager node.
@@ -265,12 +253,8 @@ func (a *Agent) FetchAgg(p sched.Proc, node, component string) (params.Snapshot,
 		}
 		return snap, nil
 	}
-	body, err := a.st.Call(p, node, AgentService, "getAgg", rmi.MustMarshal(component), a.cfg.CallTimeout)
+	m, err := rmi.Ask[aggMsg](p, a.st, node, AgentService, "getAgg", component, a.cfg.CallTimeout)
 	if err != nil {
-		return nil, err
-	}
-	var m aggMsg
-	if err := rmi.Unmarshal(body, &m); err != nil {
 		return nil, err
 	}
 	if !m.OK {

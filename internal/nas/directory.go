@@ -62,99 +62,47 @@ type selectResp struct {
 	Nodes []string
 }
 
-// listResp carries the directory contents for shell display.
-type listResp struct {
-	Nodes []string
-	Snaps []params.Snapshot
-}
-
 // NewDirectory registers the DirService on st.
 func NewDirectory(st *rmi.Station, cfg Config) *Directory {
 	d := &Directory{st: st, cfg: cfg.withDefaults(),
 		entries: make(map[string]*dirEntry), rsets: make(map[string]RSetInfo)}
-	st.Register(DirService, d.handle)
+	st.Register(DirService, dirMethods.Serve(d))
 	return d
+}
+
+// dirMethods is the DirService table (DESIGN.md §15).
+var dirMethods = rmi.Methods[*Directory]{
+	"report": rmi.Void((*Directory).report),
+	"select": rmi.Typed(func(d *Directory, p sched.Proc, req selectReq) (selectResp, error) {
+		nodes, err := d.selectNodes(req, p.Sched().Now())
+		return selectResp{Nodes: nodes}, err
+	}),
+	"release": rmi.Void(func(d *Directory, _ sched.Proc, nodes []string) error {
+		d.Release(nodes...)
+		return nil
+	}),
+	"rsetPut": rmi.Void((*Directory).putRSet),
+	"rsetDel": rmi.Void((*Directory).delRSet),
 }
 
 // Node returns the directory's host node.
 func (d *Directory) Node() string { return d.st.Node() }
 
-// handle serves DirService methods.
-func (d *Directory) handle(p sched.Proc, from, method string, body []byte) ([]byte, error) {
-	switch method {
-	case "report":
-		var m reportMsg
-		if err := rmi.Unmarshal(body, &m); err != nil {
-			return nil, err
-		}
-		d.report(m.Node, m.Snap, p.Sched().Now())
-		return nil, nil
-	case "select":
-		var req selectReq
-		if err := rmi.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		nodes, err := d.selectNodes(req, p.Sched().Now())
-		if err != nil {
-			return nil, err
-		}
-		return rmi.MustMarshal(selectResp{Nodes: nodes}), nil
-	case "release":
-		var nodes []string
-		if err := rmi.Unmarshal(body, &nodes); err != nil {
-			return nil, err
-		}
-		d.Release(nodes...)
-		return nil, nil
-	case "remove":
-		var node string
-		if err := rmi.Unmarshal(body, &node); err != nil {
-			return nil, err
-		}
-		d.Remove(node)
-		return nil, nil
-	case "list":
-		nodes, snaps := d.listAll()
-		return rmi.MustMarshal(listResp{Nodes: nodes, Snaps: snaps}), nil
-	case "rsetPut":
-		var info RSetInfo
-		if err := rmi.Unmarshal(body, &info); err != nil {
-			return nil, err
-		}
-		d.putRSet(info)
-		return nil, nil
-	case "rsetDel":
-		var key string
-		if err := rmi.Unmarshal(body, &key); err != nil {
-			return nil, err
-		}
-		d.delRSet(key)
-		return nil, nil
-	}
-	return nil, fmt.Errorf("nas: directory has no method %q", method)
-}
-
 // report ingests one agent report.
-func (d *Directory) report(node string, snap params.Snapshot, now time.Duration) {
+func (d *Directory) report(p sched.Proc, m reportMsg) error {
+	now := p.Sched().Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e := d.entries[node]
+	e := d.entries[m.Node]
 	if e == nil {
 		e = &dirEntry{}
-		d.entries[node] = e
+		d.entries[m.Node] = e
 	} else if d.reg != nil {
 		d.reg.Histogram("js_nas_report_gap_us", nil).ObserveDuration(now - e.seen)
 	}
-	e.snap = snap
+	e.snap = m.Snap
 	e.seen = now
-}
-
-// Remove deletes a node from the installation (JS-Shell "remove node",
-// or failure cleanup).
-func (d *Directory) Remove(node string) {
-	d.mu.Lock()
-	delete(d.entries, node)
-	d.mu.Unlock()
+	return nil
 }
 
 // Release decrements reservation counts for nodes freed by applications.
@@ -210,21 +158,6 @@ func (d *Directory) Snapshot(node string) (params.Snapshot, bool) {
 		return nil, false
 	}
 	return e.snap.Clone(), true
-}
-
-func (d *Directory) listAll() ([]string, []params.Snapshot) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	nodes := make([]string, 0, len(d.entries))
-	for n := range d.entries {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	snaps := make([]params.Snapshot, len(nodes))
-	for i, n := range nodes {
-		snaps[i] = d.entries[n].snap.Clone()
-	}
-	return nodes, snaps
 }
 
 // selectNodes implements the allocation policy.  Candidates must be
@@ -332,15 +265,8 @@ func SelectNodes(p sched.Proc, st *rmi.Station, dirNode string, opts SelectOpts)
 		SpreadOver: opts.Spread,
 		NoReserve:  !opts.Reserve,
 	}
-	body, err := st.Call(p, dirNode, DirService, "select", rmi.MustMarshal(req), 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	var resp selectResp
-	if err := rmi.Unmarshal(body, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Nodes, nil
+	resp, err := rmi.Ask[selectResp](p, st, dirNode, DirService, "select", req, 5*time.Second)
+	return resp.Nodes, err
 }
 
 // ReleaseNodes is the client-side release call.

@@ -627,7 +627,6 @@ func TestMessagesRoundTrip(t *testing.T) {
 		selectReq{N: 2, Constr: params.Wire{{Param: "idle", Op: params.GE, Want: params.Float(50)}},
 			Exclude: []string{"n0"}, Name: "n3", Among: []string{"n3", "n4"}, SpreadOver: true, NoReserve: true},
 		selectResp{Nodes: []string{"n3", "n4"}},
-		listResp{Nodes: []string{"n1"}, Snaps: []params.Snapshot{snap}},
 		RSetInfo{Key: "app/1", Primary: "n1", Replicas: []string{"n2"}, Mode: "strong", Lease: time.Second},
 	} {
 		body, err := rmi.Marshal(in)

@@ -27,17 +27,19 @@ type RSetInfo struct {
 }
 
 // putRSet upserts one record.
-func (d *Directory) putRSet(info RSetInfo) {
+func (d *Directory) putRSet(_ sched.Proc, info RSetInfo) error {
 	d.mu.Lock()
 	d.rsets[info.Key] = info
 	d.mu.Unlock()
+	return nil
 }
 
 // delRSet removes one record (absent keys are not an error).
-func (d *Directory) delRSet(key string) {
+func (d *Directory) delRSet(_ sched.Proc, key string) error {
 	d.mu.Lock()
 	delete(d.rsets, key)
 	d.mu.Unlock()
+	return nil
 }
 
 // ReplicaSets returns the registered sets sorted by key.

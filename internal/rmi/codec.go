@@ -38,9 +38,22 @@ var ErrCodec = errors.New("rmi: codec")
 //     registration — the receiver names the type it decodes into — but
 //     a value inside an interface (a []any argument) does, as Java
 //     requires Serializable classes on the classpath.
-func Marshal(v any) ([]byte, error) {
+//
+// A value that cannot be encoded (an unregistered type inside an any,
+// a channel, a func) fails with ErrCodec; it never panics.
+func Marshal(v any) (out []byte, err error) {
+	defer func() {
+		// A layout encoder has no error return, so an unencodable value
+		// inside an any panics there with an ErrCodec error (encAny).
+		if r := recover(); r != nil {
+			e, ok := r.(error)
+			if !ok || !errors.Is(e, ErrCodec) {
+				panic(r)
+			}
+			out, err = nil, e
+		}
+	}()
 	buf := wire.Buffers.Get()
-	var err error
 	if canAppendValue(v) {
 		buf, err = appendValue(append(buf, FormatValue), v)
 	} else if w, rv := wireOf(v); w != nil {
@@ -51,7 +64,7 @@ func Marshal(v any) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: marshal: %w", ErrCodec, err)
 	}
-	out := make([]byte, len(buf))
+	out = make([]byte, len(buf))
 	copy(out, buf)
 	wire.Buffers.Put(buf)
 	return out, nil

@@ -318,8 +318,8 @@ func decBytes(d *wire.Dec, v reflect.Value, _ int)   { v.SetBytes(d.BytesCopy())
 func decBytesAlias(d *wire.Dec, v reflect.Value, _ int) { v.SetBytes(d.Bytes()) }
 
 // encAny and decAny carry an any as one tagged value naming its own
-// type.  A value outside the vocabulary that is not registered panics,
-// as in AppendArgs.
+// type.  A value outside the vocabulary that is not registered panics
+// with an ErrCodec error, which Marshal returns (AppendArgs panics on).
 func encAny(buf []byte, v reflect.Value) []byte {
 	out, err := appendValue(buf, v.Interface())
 	if err != nil {

@@ -19,6 +19,8 @@
 //   - Station: the per-node protocol engine — service registration,
 //     reflection-free dispatch to handler functions, request/response
 //     matching, timeouts, and wire statistics.
+//   - Methods, Typed, Void, Ask: a service's typed method table and
+//     its stub (methods.go), the skeleton and stub Java/RMI generates.
 //
 // Everything above this package (agents, virtual architectures, the
 // object system) addresses peers only by node name through a Station.

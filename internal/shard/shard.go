@@ -91,23 +91,6 @@ func (r *Ring) Add(member string) {
 	sortPoints(r.points)
 }
 
-// Remove takes member's virtual nodes off the ring.  Its keys fall to
-// the next point clockwise; keys owned by other members do not move.
-func (r *Ring) Remove(member string) {
-	if !r.Has(member) {
-		return
-	}
-	i := sort.SearchStrings(r.members, member)
-	r.members = append(r.members[:i], r.members[i+1:]...)
-	kept := r.points[:0]
-	for _, pt := range r.points {
-		if pt.member != member {
-			kept = append(kept, pt)
-		}
-	}
-	r.points = kept
-}
-
 // Owner returns the member owning key: the member of the first ring
 // point at or clockwise of hash(key).  Returns "" on an empty ring.
 func (r *Ring) Owner(key string) string {

@@ -365,9 +365,6 @@ type Log struct {
 // NewLog opens a volatile log front over m.
 func NewLog(m *Media) *Log { return &Log{m: m} }
 
-// Media returns the underlying stable medium.
-func (l *Log) Media() *Media { return l.m }
-
 // Append buffers one record for the next group commit.
 func (l *Log) Append(r Record) {
 	l.pend = append(l.pend, r)
