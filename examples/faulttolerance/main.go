@@ -44,7 +44,11 @@ func main() {
 		}
 
 		// Kill the domain manager's machine.  It also manages its
-		// cluster and site, so all three roles must cascade to backups.
+		// cluster and site (only a site manager can be a domain
+		// manager), so all three roles must cascade to backups.
+		if sm, _ := h.SiteManager(0); sm != mgr {
+			panic("domain manager " + mgr + " does not manage site 0")
+		}
 		victim, _ := env.World().Fabric().ByName(mgr)
 		victim.Kill()
 		fmt.Printf("\n*** killed %s ***\n\n", mgr)

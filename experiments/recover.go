@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"jsymphony"
-	"jsymphony/internal/trace"
 	"jsymphony/workloads/kv"
 )
 
@@ -70,7 +69,7 @@ type RecoverCrash struct {
 	RecoveredOK  int    // objects reading back exactly their acked state
 	Mismatched   int    // objects reading back a wrong value (must be 0)
 	ReadErrors   int    // objects unreachable after recovery (must be 0)
-	RecoverySpan int    // ObjRecovered trace events observed
+	RecoverySpan int    // objects re-homed by recovery (js_core_recovered_total)
 	Replays      uint64 // WAL replays across the cluster
 	TornBytes    uint64 // bytes truncated at the torn tail during replay
 }
@@ -226,7 +225,7 @@ func recoverCrash(cfg RecoverConfig) RecoverCrash {
 				res.RecoveredOK++
 			}
 		}
-		res.RecoverySpan = len(env.World().Trace().Filter(trace.ObjRecovered))
+		res.RecoverySpan = int(env.World().Metrics().Counter("js_core_recovered_total").Value())
 		for _, st := range env.WALStatus() {
 			res.Replays += st.Replays
 			res.TornBytes += st.TornBytes
@@ -485,6 +484,9 @@ func (res RecoverResult) Claims() ([]string, bool) {
 	check(c.Replays >= 1 && c.VictimHosted > 0,
 		"recovery replayed the WAL (%d replays) for the %d objects the victim hosted",
 		c.Replays, c.VictimHosted)
+	check(c.RecoverySpan > 0,
+		"recovery re-homed %d objects after the crash (%d hosted by the victim)",
+		c.RecoverySpan, c.VictimHosted)
 	check(r.LostByWAL == 0 && r.LostObjects == 0 && r.WALValue == r.FinalValue,
 		"whole-cluster restart: log replay restores the ledger at %d, every acked write present",
 		r.WALValue)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"jsymphony"
-	"jsymphony/internal/trace"
 	"jsymphony/workloads/matmul"
 )
 
@@ -79,7 +78,7 @@ func Recovery(cfg RecoveryConfig) RecoveryResult {
 				panic(fmt.Sprintf("experiments: recovery N=%d nodes=%d: %v", cfg.N, cfg.Nodes, err))
 			}
 		})
-		return st.Elapsed, len(env.World().Trace().Filter(trace.ObjRecovered)), st.C
+		return st.Elapsed, int(env.World().Metrics().Counter("js_core_recovered_total").Value()), st.C
 	}
 
 	base, _, baseC := run(nil)

@@ -234,17 +234,12 @@ func (ja *jrsAllocator) Free(nodes []string) {
 // automatic migration.  Component agg keys are assigned positionally.
 func (a *App) ActivateVA(comp virtarch.Component, constr *params.Constraints, notify func(nas.Event)) *nas.Hierarchy {
 	notify = a.traceNASEvents(a.armRecovery(notify))
-	domain := domainOf(comp)
-	topoSrc := domain.Topology()
-	topo := make(nas.Topology, len(topoSrc))
-	for i := range topoSrc {
-		topo[i] = topoSrc[i]
-	}
+	domain := comp.Domain()
 	agents := make(map[string]*nas.Agent)
 	for _, rtName := range a.world.Nodes() {
 		agents[rtName] = a.world.MustRuntime(rtName).agent
 	}
-	h := nas.NewHierarchy(agents, topo, a.world.nasCfg, notify)
+	h := nas.NewHierarchy(agents, domain.Topology(), a.world.nasCfg, notify)
 	// Assign aggregation keys positionally so getSysParam on components
 	// resolves to the right manager aggregate.
 	domain.SetAggKey(nas.DomainKey)
@@ -279,21 +274,6 @@ func (a *App) traceNASEvents(notify func(nas.Event)) func(nas.Event) {
 			notify(e)
 		}
 	}
-}
-
-// domainOf lifts any component to its enclosing domain.
-func domainOf(comp virtarch.Component) *virtarch.Domain {
-	switch c := comp.(type) {
-	case *virtarch.Domain:
-		return c
-	case *virtarch.Site:
-		return c.Domain()
-	case *virtarch.Cluster:
-		return c.Domain()
-	case *virtarch.Node:
-		return c.Domain()
-	}
-	panic(fmt.Sprintf("core: unknown component type %T", comp))
 }
 
 // hierarchyFor finds the activated hierarchy covering a component key.

@@ -718,6 +718,7 @@ func (a *App) restoreDurObj(p sched.Proc, oldApp string, or durObjRec, snap *wal
 	}
 	a.world.emit(trace.Event{Kind: trace.ObjRecovered, Node: node, App: a.id, Obj: ref.ID,
 		Detail: fmt.Sprintf("wal restore of %s/%d", oldApp, or.ID)})
+	a.world.reg.Counter("js_core_recovered_total").Inc()
 	return obj, nil
 }
 

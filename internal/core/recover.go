@@ -271,6 +271,7 @@ func (a *App) rehome(p sched.Proc, e *objEntry, deadNode string, walSnap func() 
 		}
 		a.rt.ForgetLocation(e.ref) // home-node caches point at the dead node
 		a.world.emit(trace.Event{Kind: trace.ObjRecovered, Node: node, App: e.ref.App, Obj: e.ref.ID, Detail: img.via + "from " + deadNode})
+		a.world.reg.Counter("js_core_recovered_total").Inc()
 		return true
 	}
 	a.world.emit(trace.Event{Kind: objLost, Node: deadNode, App: e.ref.App, Obj: e.ref.ID, Detail: cause})

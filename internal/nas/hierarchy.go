@@ -2,7 +2,7 @@ package nas
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"jsymphony/internal/params"
@@ -89,83 +89,81 @@ type Hierarchy struct {
 	cfg    Config
 	notify func(Event)
 
-	mu         sync.Mutex
-	topo       Topology
-	clusterMgr map[[2]int]string
-	siteMgr    map[int]string
-	domainMgr  string
-	gens       map[string]int
-	stopped    bool
+	mu      sync.Mutex
+	roles   []role         // clusters by (site, cluster), then sites, then the domain
+	index   map[string]int // component key -> position in roles
+	stopped bool
+}
+
+// role is one managed component: a cluster, a site or the domain.  key,
+// up and cluster never change after NewHierarchy; members, mgr and gen
+// are guarded by mu.
+type role struct {
+	key     string
+	up      int      // position of the role above; -1 for the domain
+	cluster bool     // the children are member nodes, not roles
+	members []string // a cluster's nodes, in order
+	mgr     string   // "" while no node can hold the role
+	gen     int      // bumped whenever mgr changes or the hierarchy stops
 }
 
 // NewHierarchy wires a hierarchy over the given per-node agents.  notify
 // (may be nil) receives failure and takeover events.
 func NewHierarchy(agents map[string]*Agent, topo Topology, cfg Config, notify func(Event)) *Hierarchy {
-	h := &Hierarchy{
-		agents:     agents,
-		cfg:        cfg.withDefaults(),
-		notify:     notify,
-		topo:       topo.Clone(),
-		clusterMgr: make(map[[2]int]string),
-		siteMgr:    make(map[int]string),
-		gens:       make(map[string]int),
+	h := &Hierarchy{agents: agents, cfg: cfg.withDefaults(), notify: notify, index: make(map[string]int)}
+	add := func(r role) {
+		h.index[r.key] = len(h.roles)
+		h.roles = append(h.roles, r)
 	}
-	for s, site := range h.topo {
+	clusters := 0
+	for _, site := range topo {
+		clusters += len(site)
+	}
+	for s, site := range topo {
 		for c, cl := range site {
-			if len(cl) > 0 {
-				h.clusterMgr[[2]int{s, c}] = cl[0]
-			}
-		}
-		if len(site) > 0 && len(site[0]) > 0 {
-			h.siteMgr[s] = site[0][0]
+			add(role{key: ClusterKey(s, c), up: clusters + s, cluster: true, members: append([]string(nil), cl...)})
 		}
 	}
-	if len(h.topo) > 0 && len(h.topo[0]) > 0 && len(h.topo[0][0]) > 0 {
-		h.domainMgr = h.topo[0][0][0]
+	for s := range topo {
+		add(role{key: SiteKey(s), up: clusters + len(topo)})
+	}
+	add(role{key: DomainKey, up: -1})
+	for i := range h.roles {
+		h.roles[i].mgr = h.electLocked(i)
 	}
 	return h
 }
 
-// Start spawns every manager process, in sorted component order so the
-// proc registration sequence is a pure function of the topology.
+// electLocked picks role i's manager by the paper's promotion rule: a
+// cluster's first member (its pre-designated backup once the manager is
+// gone), else the first manager among the roles below (§5.1: "Only a
+// cluster manager can be a site manager and only a site manager can be
+// a domain manager").  Caller holds mu.
+func (h *Hierarchy) electLocked(i int) string {
+	if r := &h.roles[i]; r.cluster {
+		if len(r.members) > 0 {
+			return r.members[0]
+		}
+		return ""
+	}
+	for j := range h.roles {
+		if h.roles[j].up == i && h.roles[j].mgr != "" {
+			return h.roles[j].mgr
+		}
+	}
+	return ""
+}
+
+// Start spawns every manager process in role order, so the proc
+// registration sequence is a pure function of the topology.
 func (h *Hierarchy) Start() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, sc := range sortedClusterKeys(h.clusterMgr) {
-		h.spawnClusterLocked(sc[0], sc[1], h.clusterMgr[sc])
-	}
-	for _, s := range sortedSiteKeys(h.siteMgr) {
-		h.spawnSiteLocked(s, h.siteMgr[s])
-	}
-	if h.domainMgr != "" {
-		h.spawnDomainLocked(h.domainMgr)
-	}
-}
-
-// sortedClusterKeys returns the cluster-manager map's keys in
-// (site, cluster) order.
-func sortedClusterKeys(m map[[2]int]string) [][2]int {
-	keys := make([][2]int, 0, len(m))
-	for sc := range m {
-		keys = append(keys, sc)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	for i := range h.roles {
+		if h.roles[i].mgr != "" {
+			h.spawnLocked(i)
 		}
-		return keys[i][1] < keys[j][1]
-	})
-	return keys
-}
-
-// sortedSiteKeys returns the site-manager map's keys in ascending order.
-func sortedSiteKeys(m map[int]string) []int {
-	keys := make([]int, 0, len(m))
-	for s := range m {
-		keys = append(keys, s)
 	}
-	sort.Ints(keys)
-	return keys
 }
 
 // Stop retires all manager processes at their next tick.
@@ -173,68 +171,57 @@ func (h *Hierarchy) Stop() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.stopped = true
-	for k := range h.gens {
-		h.gens[k]++
+	for i := range h.roles {
+		h.roles[i].gen++
 	}
 }
 
 // ClusterManager returns the manager node of cluster (site, c).
 func (h *Hierarchy) ClusterManager(site, c int) (string, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	m, ok := h.clusterMgr[[2]int{site, c}]
-	return m, ok
+	return h.ManagerOf(ClusterKey(site, c))
 }
 
 // SiteManager returns the manager node of the site.
-func (h *Hierarchy) SiteManager(site int) (string, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	m, ok := h.siteMgr[site]
-	return m, ok
-}
+func (h *Hierarchy) SiteManager(site int) (string, bool) { return h.ManagerOf(SiteKey(site)) }
 
 // DomainManager returns the domain manager node.
 func (h *Hierarchy) DomainManager() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.domainMgr
+	m, _ := h.ManagerOf(DomainKey)
+	return m
 }
 
 // ManagerOf resolves a component key to its manager node.
 func (h *Hierarchy) ManagerOf(component string) (string, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if component == DomainKey {
-		return h.domainMgr, h.domainMgr != ""
+	i, ok := h.index[component]
+	if !ok {
+		return "", false
 	}
-	var s, c int
-	if n, _ := fmt.Sscanf(component, "cluster:%d:%d", &s, &c); n == 2 {
-		m, ok := h.clusterMgr[[2]int{s, c}]
-		return m, ok
-	}
-	if n, _ := fmt.Sscanf(component, "site:%d", &s); n == 1 {
-		m, ok := h.siteMgr[s]
-		return m, ok
-	}
-	return "", false
+	m := h.roles[i].mgr
+	return m, m != ""
 }
 
 // Members returns the current nodes of a cluster.
 func (h *Hierarchy) Members(site, c int) []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if site >= len(h.topo) || c >= len(h.topo[site]) {
+	i, ok := h.index[ClusterKey(site, c)]
+	if !ok {
 		return nil
 	}
-	return append([]string(nil), h.topo[site][c]...)
+	return h.members(i)
 }
 
-// Topo returns a copy of the current (post-failure) topology.
-func (h *Hierarchy) Topo() Topology {
+func (h *Hierarchy) members(i int) []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.topo.Clone()
+	return append([]string(nil), h.roles[i].members...)
+}
+
+// manager returns role i's current manager, "" if it has none.
+func (h *Hierarchy) manager(i int) string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.roles[i].mgr
 }
 
 // emit delivers an event outside the lock.
@@ -247,77 +234,94 @@ func (h *Hierarchy) emit(evs []Event) {
 	}
 }
 
-// genOK reports whether the proc generation is still current.
-func (h *Hierarchy) genOK(key string, gen int) bool {
+// genOK reports whether the proc generation of role i is still current.
+func (h *Hierarchy) genOK(i, gen int) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return !h.stopped && h.gens[key] == gen
+	return !h.stopped && h.roles[i].gen == gen
 }
 
 // ---------------------------------------------------------------------
 // Manager processes.
 
-// spawnClusterLocked starts the cluster manager proc and, when the
-// cluster has a second node, the paper's pre-designated backup manager:
-// a watchdog on that node which examines the manager each period and
-// takes over its roles when it stops responding (§5.1: "a backup
-// manager within the same hierarchy releases the manager and takes
-// over").  Caller holds mu.
-func (h *Hierarchy) spawnClusterLocked(s, c int, mgr string) {
-	key := ClusterKey(s, c)
-	gen := h.gens[key]
+// spawnLocked starts role i's manager proc and, for a cluster with a
+// second node, the paper's pre-designated backup manager: a watchdog on
+// that node which examines the manager each period and takes over its
+// roles when it stops responding (§5.1: "a backup manager within the
+// same hierarchy releases the manager and takes over").  Caller holds
+// mu.
+func (h *Hierarchy) spawnLocked(i int) {
+	r := &h.roles[i]
+	mgr, gen := r.mgr, r.gen
 	ag := h.agents[mgr]
 	if ag == nil {
 		return
 	}
-	ag.Station().Sched().Spawn(fmt.Sprintf("nas.mgr:%s@%s", key, mgr), func(p sched.Proc) {
-		h.runCluster(p, s, c, mgr, key, gen)
+	ag.Station().Sched().Spawn(fmt.Sprintf("nas.mgr:%s@%s", r.key, mgr), func(p sched.Proc) {
+		h.run(p, i, mgr, gen)
 	})
-	members := h.topo[s][c]
-	var backup string
-	for _, n := range members {
-		if n != mgr {
-			backup = n
-			break
-		}
-	}
-	bag := h.agents[backup]
-	if bag == nil {
+	if !r.cluster {
 		return
 	}
-	bag.Station().Sched().Spawn(fmt.Sprintf("nas.backup:%s@%s", key, backup), func(p sched.Proc) {
-		h.runBackup(p, bag, mgr, key, gen)
-	})
+	for _, backup := range r.members {
+		if backup == mgr {
+			continue
+		}
+		if bag := h.agents[backup]; bag != nil {
+			bag.Station().Sched().Spawn(fmt.Sprintf("nas.backup:%s@%s", r.key, backup), func(p sched.Proc) {
+				h.runBackup(p, bag, i, mgr, gen)
+			})
+		}
+		return
+	}
 }
 
 // runBackup is the backup manager's watchdog loop.
-func (h *Hierarchy) runBackup(p sched.Proc, ag *Agent, mgr, key string, gen int) {
-	for {
-		if !h.genOK(key, gen) || !ag.Alive() {
-			return
-		}
+func (h *Hierarchy) runBackup(p sched.Proc, ag *Agent, i int, mgr string, gen int) {
+	for h.genOK(i, gen) && ag.Alive() {
 		p.Sleep(h.cfg.MonitorPeriod)
-		if !h.genOK(key, gen) || !ag.Alive() {
+		if !h.genOK(i, gen) || !ag.Alive() {
 			return
 		}
 		if !ag.Ping(p, mgr) {
-			h.managerNodeFailed(mgr)
+			h.release(mgr, true)
 			return // reassignment bumped the generation
 		}
 	}
 }
 
-func (h *Hierarchy) runCluster(p sched.Proc, s, c int, mgr, key string, gen int) {
+// run is the manager loop of role i: each period it polls the children,
+// publishes their average under the role's key, and examines the
+// manager above.
+func (h *Hierarchy) run(p sched.Proc, i int, mgr string, gen int) {
 	ag := h.agents[mgr]
-	for {
-		if !h.genOK(key, gen) || !ag.Alive() {
-			return
+	r := &h.roles[i]
+	for h.genOK(i, gen) && ag.Alive() {
+		snaps, failed := h.poll(p, ag, i, mgr)
+		if r.cluster || len(snaps) > 0 {
+			ag.SetAgg(r.key, params.Average(snaps...))
 		}
-		// Poll every member; the manager reads itself locally (NA and
-		// PubOA share a JVM in the paper).
-		var snaps []params.Snapshot
-		var failed []string
-		for _, n := range h.Members(s, c) {
+		for _, n := range failed {
+			h.release(n, true)
+		}
+		if r.up >= 0 {
+			if above := h.manager(r.up); above != "" && above != mgr && !ag.Ping(p, above) {
+				h.release(above, true)
+			}
+		}
+		p.Sleep(h.cfg.MonitorPeriod)
+	}
+}
+
+// poll gathers one tick's child snapshots.  A cluster manager fetches
+// every member's snapshot, reading its own locally (NA and PubOA share a
+// JVM in the paper), and returns the members that did not answer.  A
+// site or domain manager fetches the aggregate that each child's current
+// manager publishes; a child manager that fails the fetch is declared
+// failed only if it fails a ping too.
+func (h *Hierarchy) poll(p sched.Proc, ag *Agent, i int, mgr string) (snaps []params.Snapshot, failed []string) {
+	if h.roles[i].cluster {
+		for _, n := range h.members(i) {
 			if n == mgr {
 				snaps = append(snaps, ag.Latest())
 				continue
@@ -329,241 +333,72 @@ func (h *Hierarchy) runCluster(p sched.Proc, s, c int, mgr, key string, gen int)
 			}
 			snaps = append(snaps, snap)
 		}
-		ag.SetAgg(key, params.Average(snaps...))
-		for _, n := range failed {
-			h.memberFailed(s, c, n)
-		}
-		// Upward examination: is my site manager still alive?
-		if sm, ok := h.SiteManager(s); ok && sm != mgr && !ag.Ping(p, sm) {
-			h.managerNodeFailed(sm)
-		}
-		p.Sleep(h.cfg.MonitorPeriod)
+		return snaps, failed
 	}
-}
-
-// spawnSiteLocked starts the site manager proc (caller holds mu).
-func (h *Hierarchy) spawnSiteLocked(s int, mgr string) {
-	key := SiteKey(s)
-	gen := h.gens[key]
-	ag := h.agents[mgr]
-	if ag == nil {
-		return
-	}
-	ag.Station().Sched().Spawn(fmt.Sprintf("nas.mgr:%s@%s", key, mgr), func(p sched.Proc) {
-		h.runSite(p, s, mgr, key, gen)
-	})
-}
-
-func (h *Hierarchy) runSite(p sched.Proc, s int, mgr, key string, gen int) {
-	ag := h.agents[mgr]
-	for {
-		if !h.genOK(key, gen) || !ag.Alive() {
-			return
+	for j := range h.roles {
+		if h.roles[j].up != i {
+			continue
 		}
-		var aggs []params.Snapshot
-		nClusters := len(h.Topo()[s])
-		for c := 0; c < nClusters; c++ {
-			cm, ok := h.ClusterManager(s, c)
-			if !ok {
-				continue
+		cm := h.manager(j)
+		if cm == "" {
+			continue
+		}
+		snap, err := ag.FetchAgg(p, cm, h.roles[j].key)
+		if err != nil {
+			if cm != mgr && !ag.Ping(p, cm) {
+				h.release(cm, true)
 			}
-			snap, err := ag.FetchAgg(p, cm, ClusterKey(s, c))
-			if err != nil {
-				if cm != mgr && !ag.Ping(p, cm) {
-					h.managerNodeFailed(cm)
-				}
-				continue
-			}
-			aggs = append(aggs, snap)
+			continue
 		}
-		if len(aggs) > 0 {
-			ag.SetAgg(key, params.Average(aggs...))
-		}
-		// Upward examination of the domain manager.
-		if dm := h.DomainManager(); dm != "" && dm != mgr && !ag.Ping(p, dm) {
-			h.managerNodeFailed(dm)
-		}
-		p.Sleep(h.cfg.MonitorPeriod)
+		snaps = append(snaps, snap)
 	}
-}
-
-// spawnDomainLocked starts the domain manager proc (caller holds mu).
-func (h *Hierarchy) spawnDomainLocked(mgr string) {
-	gen := h.gens[DomainKey]
-	ag := h.agents[mgr]
-	if ag == nil {
-		return
-	}
-	ag.Station().Sched().Spawn("nas.mgr:domain@"+mgr, func(p sched.Proc) {
-		h.runDomain(p, mgr, gen)
-	})
-}
-
-func (h *Hierarchy) runDomain(p sched.Proc, mgr string, gen int) {
-	ag := h.agents[mgr]
-	for {
-		if !h.genOK(DomainKey, gen) || !ag.Alive() {
-			return
-		}
-		var aggs []params.Snapshot
-		nSites := len(h.Topo())
-		for s := 0; s < nSites; s++ {
-			sm, ok := h.SiteManager(s)
-			if !ok {
-				continue
-			}
-			snap, err := ag.FetchAgg(p, sm, SiteKey(s))
-			if err != nil {
-				if sm != mgr && !ag.Ping(p, sm) {
-					h.managerNodeFailed(sm)
-				}
-				continue
-			}
-			aggs = append(aggs, snap)
-		}
-		if len(aggs) > 0 {
-			ag.SetAgg(DomainKey, params.Average(aggs...))
-		}
-		p.Sleep(h.cfg.MonitorPeriod)
-	}
+	return snaps, nil
 }
 
 // ---------------------------------------------------------------------
 // Failure handling and manager promotion.
 
-// memberFailed handles the death of a non-manager cluster member: "If a
-// non-manager ... node of a cluster failed, then the manager of this
-// cluster simply releases this node" (§5.1).
-func (h *Hierarchy) memberFailed(s, c int, node string) {
-	h.mu.Lock()
-	evs := h.removeMemberLocked(s, c, node)
-	h.mu.Unlock()
-	h.emit(evs)
-}
-
-// removeMemberLocked drops node from one cluster; caller holds mu.
-func (h *Hierarchy) removeMemberLocked(s, c int, node string) []Event {
-	if s >= len(h.topo) || c >= len(h.topo[s]) {
-		return nil
-	}
-	cl := h.topo[s][c]
-	for i, n := range cl {
-		if n == node {
-			h.topo[s][c] = append(cl[:i], cl[i+1:]...)
-			return []Event{{Kind: EventNodeFailed, Component: ClusterKey(s, c), Node: node}}
-		}
-	}
-	return nil
-}
-
-// managerNodeFailed handles the death of a node holding one or more
-// manager roles: the backup (next member of its cluster) takes over, and
-// higher-level roles cascade to the new cluster managers (§5.1 rule 2).
-func (h *Hierarchy) managerNodeFailed(node string) {
-	h.mu.Lock()
-	evs := h.reassignLocked(node, true)
-	h.mu.Unlock()
-	h.emit(evs)
-}
-
 // RemoveNode voluntarily releases a node (freeNode on a live node): same
 // role reassignment as a failure, but no failure event.
-func (h *Hierarchy) RemoveNode(node string) {
+func (h *Hierarchy) RemoveNode(node string) { h.release(node, false) }
+
+// release drops node from its cluster and re-elects every role it held,
+// bottom-up in role order.  A failed non-manager member is simply
+// released by its cluster (§5.1 rule 1); a failed manager's roles pass
+// to its cluster's backup and cascade upward (rule 2).
+func (h *Hierarchy) release(node string, failed bool) {
 	h.mu.Lock()
-	evs := h.reassignLocked(node, false)
+	evs := h.releaseLocked(node, failed)
 	h.mu.Unlock()
 	h.emit(evs)
 }
 
-// reassignLocked removes node everywhere and re-elects managers.  Caller
-// holds mu.
-func (h *Hierarchy) reassignLocked(node string, failed bool) []Event {
+func (h *Hierarchy) releaseLocked(node string, failed bool) []Event {
 	var evs []Event
 	found := false
-	for s := range h.topo {
-		for c := range h.topo[s] {
-			cl := h.topo[s][c]
-			for i, n := range cl {
-				if n != node {
-					continue
-				}
-				found = true
-				h.topo[s][c] = append(cl[:i], cl[i+1:]...)
-				if failed {
-					evs = append(evs, Event{Kind: EventNodeFailed, Component: ClusterKey(s, c), Node: node})
-				}
+	for i := range h.roles {
+		r := &h.roles[i]
+		if k := slices.Index(r.members, node); k >= 0 {
+			found = true
+			r.members = slices.Delete(r.members, k, k+1)
+			if failed {
+				evs = append(evs, Event{Kind: EventNodeFailed, Component: r.key, Node: node})
 			}
 		}
 	}
 	if !found {
 		return nil // already handled by a concurrent detection
 	}
-	// Re-elect any role the node held.  Iterate both manager maps in
-	// sorted key order: re-election mutates generations, spawns manager
-	// procs, and appends events, all of which must not depend on map
-	// iteration order.
-	for _, sc := range sortedClusterKeys(h.clusterMgr) {
-		mgr := h.clusterMgr[sc]
-		if mgr != node {
+	for i := range h.roles {
+		r := &h.roles[i]
+		if r.mgr != node {
 			continue
 		}
-		s, c := sc[0], sc[1]
-		key := ClusterKey(s, c)
-		h.gens[key]++
-		members := h.topo[s][c]
-		if len(members) == 0 {
-			delete(h.clusterMgr, sc)
-			continue
-		}
-		next := members[0] // the paper's pre-designated backup manager
-		h.clusterMgr[sc] = next
-		h.spawnClusterLocked(s, c, next)
-		evs = append(evs, Event{Kind: EventManagerChanged, Component: key, Node: next, Old: node})
-	}
-	for _, s := range sortedSiteKeys(h.siteMgr) {
-		mgr := h.siteMgr[s]
-		if mgr != node {
-			continue
-		}
-		key := SiteKey(s)
-		h.gens[key]++
-		next := h.firstClusterManagerLocked(s)
-		if next == "" {
-			delete(h.siteMgr, s)
-			continue
-		}
-		h.siteMgr[s] = next
-		h.spawnSiteLocked(s, next)
-		evs = append(evs, Event{Kind: EventManagerChanged, Component: key, Node: next, Old: node})
-	}
-	if h.domainMgr == node {
-		h.gens[DomainKey]++
-		next := ""
-		for s := range h.topo {
-			if m, ok := h.siteMgr[s]; ok {
-				next = m
-				break
-			}
-		}
-		h.domainMgr = next
-		if next != "" {
-			h.spawnDomainLocked(next)
-			evs = append(evs, Event{Kind: EventManagerChanged, Component: DomainKey, Node: next, Old: node})
+		r.gen++
+		if r.mgr = h.electLocked(i); r.mgr != "" {
+			h.spawnLocked(i)
+			evs = append(evs, Event{Kind: EventManagerChanged, Component: r.key, Node: r.mgr, Old: node})
 		}
 	}
 	return evs
-}
-
-// firstClusterManagerLocked picks the site's new manager from its cluster
-// managers (only a cluster manager can be a site manager).
-func (h *Hierarchy) firstClusterManagerLocked(s int) string {
-	if s >= len(h.topo) {
-		return ""
-	}
-	for c := range h.topo[s] {
-		if m, ok := h.clusterMgr[[2]int{s, c}]; ok {
-			return m
-		}
-	}
-	return ""
 }

@@ -427,6 +427,35 @@ func TestHierarchyVoluntaryRemove(t *testing.T) {
 	})
 }
 
+// TestHierarchyPromotionRule: every role is elected by one rule, at
+// start and after a release — a cluster's first member, else the first
+// manager among the roles below — so a site whose first cluster is empty
+// is still managed, and a role with no candidate is vacant.
+func TestHierarchyPromotionRule(t *testing.T) {
+	h := NewHierarchy(nil, Topology{{{}, {"a", "b"}}, {{"c"}}}, Config{}, nil)
+	managers := func() string {
+		var out []string
+		for _, k := range []string{ClusterKey(0, 0), ClusterKey(0, 1), ClusterKey(1, 0), SiteKey(0), SiteKey(1), DomainKey} {
+			m, _ := h.ManagerOf(k)
+			out = append(out, m)
+		}
+		return strings.Join(out, ",")
+	}
+	for _, step := range []struct{ remove, want string }{
+		{"", ",a,c,a,c,a"},
+		{"a", ",b,c,b,c,b"},
+		{"b", ",,c,,c,c"},
+		{"c", ",,,,,"},
+	} {
+		if step.remove != "" {
+			h.RemoveNode(step.remove)
+		}
+		if got := managers(); got != step.want {
+			t.Fatalf("after removing %q: managers %s, want %s", step.remove, got, step.want)
+		}
+	}
+}
+
 func TestTopologyHelpers(t *testing.T) {
 	topo := Topology{{{"a", "b"}, {"c"}}, {{"d"}}}
 	if got := topo.Nodes(); len(got) != 4 {

@@ -6,15 +6,19 @@
 // (getCluster/getSite/getDomain, getNode), and partially or fully
 // released (freeNode/freeCluster/freeSite/freeDomain).
 //
-// The invariant of §3 — "every node belongs to a unique (cluster, site,
-// domain) triple" — is enforced structurally: a node can be a member of
-// at most one cluster, and navigation from a standalone component lazily
-// materializes its implicit enclosing components.
+// The four levels are one nested tree, node ⊂ cluster ⊂ site ⊂ domain,
+// and share one body (tree); the paper-named methods in views.go are
+// views over it.  The invariant of §3 — "every node belongs to a unique
+// (cluster, site, domain) triple" — is enforced structurally: a
+// component is a member of at most one parent, and navigation from a
+// standalone component lazily materializes its implicit enclosing
+// components.
 package virtarch
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"jsymphony/internal/params"
@@ -35,7 +39,7 @@ type Allocator interface {
 // Errors returned by architecture operations.
 var (
 	ErrFreed     = errors.New("virtarch: component has been freed")
-	ErrOwned     = errors.New("virtarch: node already belongs to a cluster")
+	ErrOwned     = errors.New("virtarch: already a member of another component")
 	ErrNotMember = errors.New("virtarch: not a member of this component")
 	ErrRange     = errors.New("virtarch: index out of range")
 )
@@ -44,269 +48,265 @@ var (
 // and rare, so one lock keeps the linked structure trivially consistent.
 var mu sync.Mutex
 
-// Node is one allocated computing node.
-type Node struct {
-	name    string
+// Tree levels, leaf first.
+const (
+	nodeLevel = iota
+	clusterLevel
+	siteLevel
+	domainLevel
+)
+
+var levelNames = [...]string{"node", "cluster", "site", "domain"}
+
+// tree is the body of every component: a node (the leaf, named after
+// its host) or a cluster, site or domain holding the components one
+// level down.  Node, Cluster, Site and Domain are this type under the
+// paper's names.
+type tree struct {
 	alloc   Allocator
-	cluster *Cluster
+	level   int
+	name    string // host name (nodes only)
+	up      *tree  // enclosing component, nil until joined or materialized
+	members []*tree
 	freed   bool
+	aggKey  string // set when a JRS hierarchy is active
 }
 
-// NewNode requests an arbitrary node from JRS, optionally restricted by
-// constraints — the paper's "Node n1 = new Node()" / "new Node(constr)".
-func NewNode(a Allocator, constr *params.Constraints) (*Node, error) {
-	names, err := a.Alloc(1, "", constr, nil)
-	if err != nil {
-		return nil, err
+// label names the component in error texts.
+func (t *tree) label() string {
+	if t.level == nodeLevel {
+		return "node " + t.name
 	}
-	return &Node{name: names[0], alloc: a}, nil
+	return levelNames[t.level]
 }
 
-// NewNamedNode requests the node with the given host name — the paper's
-// "new Node(\"rachel\")".
-func NewNamedNode(a Allocator, name string) (*Node, error) {
-	names, err := a.Alloc(1, name, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Node{name: names[0], alloc: a}, nil
-}
-
-// adoptNode wraps an already-reserved node name (used by cluster/site/
-// domain bulk allocation).
-func adoptNode(a Allocator, name string) *Node {
-	return &Node{name: name, alloc: a}
-}
-
-// Name returns the physical host name.
-func (n *Node) Name() string { return n.name }
-
-// Freed reports whether the node has been released.
-func (n *Node) Freed() bool {
+// add inserts child as the last member (addNode/addCluster/addSite).
+// Re-adding a member is a no-op.
+func (t *tree) add(child *tree) error {
 	mu.Lock()
 	defer mu.Unlock()
-	return n.freed
-}
-
-// Cluster returns the node's cluster (getCluster), materializing an
-// implicit singleton cluster for a standalone node so the unique-triple
-// invariant always holds.
-func (n *Node) Cluster() *Cluster {
-	mu.Lock()
-	defer mu.Unlock()
-	if n.cluster == nil {
-		c := &Cluster{alloc: n.alloc}
-		c.nodes = []*Node{n}
-		n.cluster = c
-	}
-	return n.cluster
-}
-
-// Site returns the node's site (getSite).
-func (n *Node) Site() *Site { return n.Cluster().Site() }
-
-// Domain returns the node's domain (getDomain).
-func (n *Node) Domain() *Domain { return n.Cluster().Site().Domain() }
-
-// Free releases the node from the application (freeNode).
-func (n *Node) Free() {
-	mu.Lock()
-	if n.freed {
-		mu.Unlock()
-		return
-	}
-	n.freed = true
-	if c := n.cluster; c != nil {
-		c.removeLocked(n)
-	}
-	n.cluster = nil
-	a := n.alloc
-	mu.Unlock()
-	if a != nil {
-		a.Free([]string{n.name})
-	}
-}
-
-// Cluster is an ordered collection of nodes (paper: "several nodes can be
-// combined to form a cluster").
-type Cluster struct {
-	alloc  Allocator
-	nodes  []*Node
-	site   *Site
-	freed  bool
-	aggKey string // aggregation key assigned when a JRS hierarchy is active
-}
-
-// NewCluster allocates a cluster of n nodes satisfying constr — the
-// paper's "Cluster c1 = new Cluster(5, constr)".
-func NewCluster(a Allocator, n int, constr *params.Constraints) (*Cluster, error) {
-	names, err := a.Alloc(n, "", constr, nil)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{alloc: a}
-	for _, nm := range names {
-		node := adoptNode(a, nm)
-		node.cluster = c
-		c.nodes = append(c.nodes, node)
-	}
-	return c, nil
-}
-
-// NewEmptyCluster returns a cluster to be filled with AddNode — the
-// paper's "Cluster c2 = new Cluster()".
-func NewEmptyCluster(a Allocator) *Cluster { return &Cluster{alloc: a} }
-
-// AddNode inserts an individually allocated node (addNode).  A node can
-// belong to only one cluster.
-func (c *Cluster) AddNode(n *Node) error {
-	mu.Lock()
-	defer mu.Unlock()
-	if c.freed {
+	switch {
+	case t.freed:
 		return ErrFreed
-	}
-	if n.freed {
-		return fmt.Errorf("%w: node %s", ErrFreed, n.name)
-	}
-	if n.cluster != nil && n.cluster != c {
-		return fmt.Errorf("%w: node %s", ErrOwned, n.name)
-	}
-	if n.cluster == c {
+	case child.freed:
+		return fmt.Errorf("%w: %s", ErrFreed, child.label())
+	case child.up == t:
 		return nil
+	case child.up != nil:
+		return fmt.Errorf("%w: %s", ErrOwned, child.label())
 	}
-	n.cluster = c
-	c.nodes = append(c.nodes, n)
+	t.adoptLocked(child)
 	return nil
 }
 
-// NrNodes returns the current number of nodes (nrNodes).
-func (c *Cluster) NrNodes() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return len(c.nodes)
+// adoptLocked links child under t; caller holds mu (or owns both).
+func (t *tree) adoptLocked(child *tree) *tree {
+	child.up = t
+	t.members = append(t.members, child)
+	return child
 }
 
-// Node returns the i-th node, 0 <= i < NrNodes (getNode).
-func (c *Cluster) Node(i int) (*Node, error) {
+// at walks down path, one member index per level (getNode(2, 1)).
+func (t *tree) at(path ...int) (*tree, error) {
 	mu.Lock()
 	defer mu.Unlock()
-	if i < 0 || i >= len(c.nodes) {
-		return nil, fmt.Errorf("%w: node %d of %d", ErrRange, i, len(c.nodes))
+	for _, i := range path {
+		if i < 0 || i >= len(t.members) {
+			return nil, fmt.Errorf("%w: %s %d of %d", ErrRange, levelNames[t.level-1], i, len(t.members))
+		}
+		t = t.members[i]
 	}
-	return c.nodes[i], nil
+	return t, nil
 }
 
-// Nodes returns the current member nodes in order.
-func (c *Cluster) Nodes() []*Node {
+// list returns the current members in order.
+func (t *tree) list() []*tree {
 	mu.Lock()
 	defer mu.Unlock()
-	return append([]*Node(nil), c.nodes...)
+	return slices.Clone(t.members)
 }
 
-// NodeNames returns the member host names in order.
-func (c *Cluster) NodeNames() []string {
+// count returns how many components of the given level t holds.
+func (t *tree) count(level int) int {
 	mu.Lock()
 	defer mu.Unlock()
-	return c.nodeNamesLocked()
+	return t.countLocked(level)
 }
 
-func (c *Cluster) nodeNamesLocked() []string {
-	out := make([]string, len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = n.name
+func (t *tree) countLocked(level int) int {
+	if t.level == level {
+		return 1
+	}
+	n := 0
+	for _, m := range t.members {
+		n += m.countLocked(level)
+	}
+	return n
+}
+
+// nodeNames returns every live host name below t, in member order.
+func (t *tree) nodeNames() []string {
+	mu.Lock()
+	defer mu.Unlock()
+	return t.appendNamesLocked(nil)
+}
+
+func (t *tree) appendNamesLocked(out []string) []string {
+	if t.level == nodeLevel && !t.freed {
+		return append(out, t.name)
+	}
+	for _, m := range t.members {
+		out = m.appendNamesLocked(out)
 	}
 	return out
 }
 
-// FreeNodeAt releases the i-th node (freeNode(2)); remaining nodes are
-// renumbered.
-func (c *Cluster) FreeNodeAt(i int) error {
+// ancestor returns t's enclosing component at level, materializing an
+// implicit singleton parent at every level that has none
+// (getCluster/getSite/getDomain).
+func (t *tree) ancestor(level int) *tree {
 	mu.Lock()
-	if i < 0 || i >= len(c.nodes) {
-		mu.Unlock()
-		return fmt.Errorf("%w: node %d of %d", ErrRange, i, len(c.nodes))
-	}
-	n := c.nodes[i]
-	mu.Unlock()
-	n.Free()
-	return nil
-}
-
-// FreeNode releases a specific member (freeNode(n2)).
-func (c *Cluster) FreeNode(n *Node) error {
-	mu.Lock()
-	if n.cluster != c {
-		mu.Unlock()
-		return fmt.Errorf("%w: node %s", ErrNotMember, n.name)
-	}
-	mu.Unlock()
-	n.Free()
-	return nil
-}
-
-// removeLocked detaches n from the member list; caller holds mu.
-func (c *Cluster) removeLocked(n *Node) {
-	for i, m := range c.nodes {
-		if m == n {
-			c.nodes = append(c.nodes[:i], c.nodes[i+1:]...)
-			return
+	defer mu.Unlock()
+	for t.level < level {
+		if t.up == nil {
+			(&tree{alloc: t.alloc, level: t.level + 1}).adoptLocked(t)
 		}
+		t = t.up
 	}
+	return t
 }
 
-// Free releases the whole cluster and all its nodes (freeCluster).
-func (c *Cluster) Free() {
+// free releases t and everything below it, each node once and in member
+// order (freeNode/freeCluster/freeSite/freeDomain).
+func (t *tree) free() {
 	mu.Lock()
-	if c.freed {
+	if t.freed {
 		mu.Unlock()
 		return
 	}
-	c.freed = true
-	nodes := append([]*Node(nil), c.nodes...)
-	if s := c.site; s != nil {
-		s.removeLocked(c)
+	t.freed = true
+	members := slices.Clone(t.members)
+	if up := t.up; up != nil {
+		up.members = slices.DeleteFunc(up.members, func(m *tree) bool { return m == t })
 	}
-	c.site = nil
+	t.up = nil
 	mu.Unlock()
-	for _, n := range nodes {
-		n.Free()
+	if t.level == nodeLevel && t.alloc != nil {
+		t.alloc.Free([]string{t.name})
+	}
+	for _, m := range members {
+		m.free()
 	}
 }
 
-// Freed reports whether the cluster has been released.
-func (c *Cluster) Freed() bool {
-	mu.Lock()
-	defer mu.Unlock()
-	return c.freed
-}
-
-// Site returns the cluster's site (getSite), materializing an implicit
-// one for a standalone cluster.
-func (c *Cluster) Site() *Site {
-	mu.Lock()
-	defer mu.Unlock()
-	if c.site == nil {
-		s := &Site{alloc: c.alloc}
-		s.clusters = []*Cluster{c}
-		c.site = s
+// freeAt releases the i-th member (freeNode(2), freeCluster(1)).
+func (t *tree) freeAt(i int) error {
+	m, err := t.at(i)
+	if err != nil {
+		return err
 	}
-	return c.site
+	m.free()
+	return nil
 }
 
-// Domain returns the cluster's domain (getDomain).
-func (c *Cluster) Domain() *Domain { return c.Site().Domain() }
-
-// SetAggKey records the component key under which a JRS hierarchy
-// aggregates this cluster; the core package sets it on activation.
-func (c *Cluster) SetAggKey(k string) {
+// freeMember releases child if it is a member of t (freeNode(n2)).
+func (t *tree) freeMember(child *tree) error {
 	mu.Lock()
-	c.aggKey = k
+	owned := child.up == t
+	mu.Unlock()
+	if !owned {
+		return fmt.Errorf("%w: %s", ErrNotMember, child.label())
+	}
+	child.free()
+	return nil
+}
+
+// isFreed reports whether t has been released.
+func (t *tree) isFreed() bool {
+	mu.Lock()
+	defer mu.Unlock()
+	return t.freed
+}
+
+func (t *tree) setAggKey(k string) {
+	mu.Lock()
+	t.aggKey = k
 	mu.Unlock()
 }
 
-// AggKey returns the aggregation key ("" when not activated).
-func (c *Cluster) AggKey() string {
+func (t *tree) getAggKey() string {
 	mu.Lock()
 	defer mu.Unlock()
-	return c.aggKey
+	return t.aggKey
+}
+
+// allocate builds a component of the given level from a nested size
+// specification, sizes[site][cluster] nodes (a cluster reads
+// sizes[0][0], a site sizes[0]).  Each cluster's nodes come from one
+// Alloc that excludes everything reserved before it; a failed Alloc
+// releases those and fails the whole component.
+func allocate(a Allocator, level int, sizes [][]int, constr *params.Constraints) (*tree, error) {
+	root := &tree{alloc: a, level: level}
+	var reserved []string
+	for _, clusters := range sizes {
+		site := root
+		if level == domainLevel {
+			site = root.adoptLocked(&tree{alloc: a, level: siteLevel})
+		}
+		for _, n := range clusters {
+			names, err := a.Alloc(n, "", constr, reserved)
+			if err != nil {
+				if len(reserved) > 0 {
+					a.Free(reserved)
+				}
+				return nil, err
+			}
+			reserved = append(reserved, names...)
+			cluster := site
+			if level > clusterLevel {
+				cluster = site.adoptLocked(&tree{alloc: a, level: clusterLevel})
+			}
+			for _, name := range names {
+				cluster.adoptLocked(&tree{alloc: a, name: name})
+			}
+		}
+	}
+	return root, nil
+}
+
+// allocNode reserves one node: the named host, or any node satisfying
+// constr when name is "".
+func allocNode(a Allocator, name string, constr *params.Constraints) (*Node, error) {
+	names, err := a.Alloc(1, name, constr, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Node{alloc: a, name: names[0]}, nil
+}
+
+// Component is any virtual architecture element an object can be mapped
+// onto: a Node, Cluster, Site, or Domain (paper §4.4).
+type Component interface {
+	// NodeNames returns the candidate physical nodes of the component.
+	NodeNames() []string
+	// AggKey returns the NAS aggregation key, "" if not activated.
+	AggKey() string
+	// Domain returns the enclosing domain (getDomain); a Domain is its
+	// own.
+	Domain() *Domain
+}
+
+// view is the set of paper-named types over tree.
+type view interface {
+	*Node | *Cluster | *Site | *Domain
+}
+
+func viewOf[V view](t *tree, err error) (V, error) { return V(t), err }
+
+func viewsOf[V view](ts []*tree) []V {
+	out := make([]V, len(ts))
+	for i, t := range ts {
+		out[i] = V(t)
+	}
+	return out
 }

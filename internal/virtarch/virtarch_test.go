@@ -1,8 +1,10 @@
 package virtarch
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"reflect"
+	"slices"
 	"testing"
 
 	"jsymphony/internal/params"
@@ -229,187 +231,179 @@ func TestClusterFreeReleasesAll(t *testing.T) {
 	c.Free() // idempotent
 }
 
-func TestSiteConstruction(t *testing.T) {
-	a := newFakeAlloc(12)
-	s, err := NewSite(a, []int{2, 4, 5}, nil)
-	if err != nil {
-		t.Fatal(err)
+// levels lists, per container level, the paper-named methods TestLevels
+// drives by name: add, count, get and free a member, and a member's way
+// up.  Members are one level down, built by child; leaf names the
+// level's getNode and its multi-index frees.
+var levels = []struct {
+	name, add, count, at, freeAt, freeMember, up string
+	leaf                                         string
+	leafFrees                                    []string
+	paper                                        [][]int // the paper's example of this level (§4.2)
+	build                                        func(a *fakeAlloc, sizes [][]int) (any, error)
+	empty                                        func(a *fakeAlloc) any
+	child                                        func(a *fakeAlloc) any
+}{
+	{"cluster", "AddNode", "NrNodes", "Node", "FreeNodeAt", "FreeNode", "Cluster", "Node", []string{"FreeNodeAt"}, [][]int{{5}},
+		func(a *fakeAlloc, s [][]int) (any, error) { return NewCluster(a, s[0][0], nil) },
+		func(a *fakeAlloc) any { return NewEmptyCluster(a) },
+		func(a *fakeAlloc) any { n, _ := NewNode(a, nil); return n }},
+	{"site", "AddCluster", "NrClusters", "Cluster", "FreeClusterAt", "FreeCluster", "Site", "Node", []string{"FreeNode"}, [][]int{{2, 4, 5}},
+		func(a *fakeAlloc, s [][]int) (any, error) { return NewSite(a, s[0], nil) },
+		func(a *fakeAlloc) any { return NewEmptySite(a) },
+		func(a *fakeAlloc) any { c, _ := NewCluster(a, 1, nil); return c }},
+	{"domain", "AddSite", "NrSites", "Site", "FreeSiteAt", "FreeSite", "Domain", "Node", []string{"FreeNode", "FreeCluster"}, [][]int{{1, 3, 5}, {6, 4}},
+		func(a *fakeAlloc, s [][]int) (any, error) { return NewDomain(a, s, nil) },
+		func(a *fakeAlloc) any { return NewEmptyDomain(a) },
+		func(a *fakeAlloc) any { s, _ := NewSite(a, []int{1}, nil); return s }},
+}
+
+// call invokes a method by name.  A multi-index method (getNode(2, 1),
+// freeNode(1, 2, 3)) given one int gets index 0 for the levels below.
+func call(recv any, method string, args ...any) []any {
+	m := reflect.ValueOf(recv).MethodByName(method)
+	for len(args) < m.Type().NumIn() {
+		args = append(args, 0)
 	}
-	if s.NrClusters() != 3 || s.NrNodes() != 11 {
-		t.Fatalf("site = %d clusters, %d nodes", s.NrClusters(), s.NrNodes())
+	in := make([]reflect.Value, len(args))
+	for i, a := range args {
+		in[i] = reflect.ValueOf(a)
 	}
-	// Clusters hold distinct nodes.
-	seen := map[string]bool{}
-	for _, name := range s.NodeNames() {
-		if seen[name] {
-			t.Fatalf("node %s in two clusters", name)
+	var out []any
+	for _, v := range m.Call(in) {
+		out = append(out, v.Interface())
+	}
+	return out
+}
+
+func errOf(out []any) error { err, _ := out[len(out)-1].(error); return err }
+
+func names(c any) []string { return c.(Component).NodeNames() }
+
+func freed(c any) bool { return call(c, "Freed")[0].(bool) }
+
+// TestLevels runs one table of rows on Cluster, Site and Domain.  build
+// adds n members of one node each, so member i holds node i.
+func TestLevels(t *testing.T) {
+	for _, l := range levels {
+		count := func(p any) int { return call(p, l.count)[0].(int) }
+		up := func(c any) any { return call(c, l.up)[0] }
+		build := func(a *fakeAlloc, n int) any {
+			p := l.empty(a)
+			for i := 0; i < n; i++ {
+				call(p, l.add, l.child(a))
+			}
+			return p
 		}
-		seen[name] = true
-	}
-	// Both navigation alternatives of the paper.
-	c1, err := s.Cluster(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nA, err := c1.Node(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nB, err := s.Node(1, 2)
-	if err != nil || nA != nB {
-		t.Fatal("getNode alternatives disagree")
-	}
-	if c1.Site() != s {
-		t.Fatal("cluster site backref wrong")
-	}
-	// Over-allocation rolls back.
-	before := len(a.freed)
-	if _, err := NewSite(a, []int{1, 5}, nil); err == nil {
-		t.Fatal("oversized site allocated")
-	}
-	if len(a.freed) == before {
-		t.Fatal("failed site allocation did not roll back")
-	}
-}
-
-func TestSiteFreeVariants(t *testing.T) {
-	a := newFakeAlloc(12)
-	s, _ := NewSite(a, []int{2, 2, 2}, nil)
-	if err := s.FreeNode(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if s.NrNodes() != 5 {
-		t.Fatalf("NrNodes = %d", s.NrNodes())
-	}
-	if err := s.FreeClusterAt(0); err != nil {
-		t.Fatal(err)
-	}
-	if s.NrClusters() != 2 || s.NrNodes() != 3 {
-		t.Fatalf("after FreeClusterAt: %d clusters %d nodes", s.NrClusters(), s.NrNodes())
-	}
-	c, _ := s.Cluster(1)
-	if err := s.FreeCluster(c); err != nil {
-		t.Fatal(err)
-	}
-	if s.NrClusters() != 1 {
-		t.Fatalf("clusters = %d", s.NrClusters())
-	}
-	s.Free()
-	if !s.Freed() || s.NrClusters() != 0 {
-		t.Fatal("site free incomplete")
-	}
-}
-
-func TestSiteAddCluster(t *testing.T) {
-	a := newFakeAlloc(8)
-	c1, _ := NewCluster(a, 2, nil)
-	c2, _ := NewCluster(a, 2, nil)
-	s := NewEmptySite(a)
-	if err := s.AddCluster(c1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddCluster(c2); err != nil {
-		t.Fatal(err)
-	}
-	if s.NrClusters() != 2 {
-		t.Fatal("AddCluster lost one")
-	}
-	other := NewEmptySite(a)
-	if err := other.AddCluster(c1); err == nil {
-		t.Fatal("cluster added to two sites")
-	}
-	if err := s.AddCluster(c1); err != nil {
-		t.Fatal("re-add to own site must be no-op")
-	}
-}
-
-func TestDomainConstruction(t *testing.T) {
-	a := newFakeAlloc(20)
-	// The paper's example: {{1,3,5},{6,4}}.
-	d, err := NewDomain(a, [][]int{{1, 3, 5}, {6, 4}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NrSites() != 2 || d.NrClusters() != 5 || d.NrNodes() != 19 {
-		t.Fatalf("domain = %d sites %d clusters %d nodes", d.NrSites(), d.NrClusters(), d.NrNodes())
-	}
-	// Navigation alternatives.
-	nA, err := d.Node(0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	site0, _ := d.Site(0)
-	cl1, _ := site0.Cluster(1)
-	nB, _ := cl1.Node(2)
-	if nA != nB {
-		t.Fatal("navigation alternatives disagree")
-	}
-	if site0.Domain() != d || cl1.Domain() != d || nA.Domain() != d {
-		t.Fatal("domain backrefs wrong")
-	}
-	// Topology flattening.
-	topo := d.Topology()
-	if len(topo) != 2 || len(topo[0]) != 3 || len(topo[1]) != 2 {
-		t.Fatalf("topology shape wrong: %v", topo)
-	}
-	if len(topo[0][2]) != 5 || len(topo[1][0]) != 6 {
-		t.Fatalf("cluster sizes wrong: %v", topo)
-	}
-}
-
-func TestDomainFreeVariants(t *testing.T) {
-	a := newFakeAlloc(20)
-	d, _ := NewDomain(a, [][]int{{2, 2}, {2}}, nil)
-	if err := d.FreeNode(0, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if d.NrNodes() != 5 {
-		t.Fatalf("NrNodes = %d", d.NrNodes())
-	}
-	if err := d.FreeCluster(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if d.NrClusters() != 2 {
-		t.Fatalf("NrClusters = %d", d.NrClusters())
-	}
-	if err := d.FreeSiteAt(1); err != nil {
-		t.Fatal(err)
-	}
-	if d.NrSites() != 1 {
-		t.Fatalf("NrSites = %d", d.NrSites())
-	}
-	s0, _ := d.Site(0)
-	if err := d.FreeSite(s0); err != nil {
-		t.Fatal(err)
-	}
-	d.Free()
-	if !d.Freed() || d.NrNodes() != 0 {
-		t.Fatal("domain free incomplete")
-	}
-	// Every allocated node was eventually released.
-	sort.Strings(a.freed)
-	if len(a.freed) != 6 {
-		t.Fatalf("freed %d of 6 nodes: %v", len(a.freed), a.freed)
-	}
-}
-
-func TestDomainAddSite(t *testing.T) {
-	a := newFakeAlloc(10)
-	s1, _ := NewSite(a, []int{2}, nil)
-	s2, _ := NewSite(a, []int{2}, nil)
-	d := NewEmptyDomain(a)
-	if err := d.AddSite(s1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddSite(s2); err != nil {
-		t.Fatal(err)
-	}
-	if d.NrSites() != 2 {
-		t.Fatal("AddSite lost one")
-	}
-	other := NewEmptyDomain(a)
-	if err := other.AddSite(s1); err == nil {
-		t.Fatal("site added to two domains")
+		rows := map[string]func(t *testing.T, a *fakeAlloc){
+			"add": func(t *testing.T, a *fakeAlloc) {
+				p, other, c, gone := l.empty(a), l.empty(a), l.child(a), l.child(a)
+				if err := errOf(call(p, l.add, c)); err != nil || count(p) != 1 || up(c) != p {
+					t.Fatalf("fresh: %v, count %d", err, count(p))
+				}
+				if err := errOf(call(p, l.add, c)); err != nil || count(p) != 1 {
+					t.Fatalf("duplicate: %v, count %d", err, count(p))
+				}
+				if err := errOf(call(other, l.add, c)); !errors.Is(err, ErrOwned) || count(other) != 0 {
+					t.Fatalf("owned elsewhere: %v", err)
+				}
+				call(gone, "Free")
+				if err := errOf(call(p, l.add, gone)); !errors.Is(err, ErrFreed) {
+					t.Fatalf("freed child: %v", err)
+				}
+				call(p, "Free")
+				if err := errOf(call(p, l.add, l.child(a))); !errors.Is(err, ErrFreed) {
+					t.Fatalf("freed parent: %v", err)
+				}
+			},
+			"index": func(t *testing.T, a *fakeAlloc) {
+				p := build(a, 3)
+				for i := 0; i < 3; i++ {
+					m, n := call(p, l.at, i), call(p, l.leaf, i)
+					if errOf(m) != nil || errOf(n) != nil || up(m[0]) != p || n[0].(*Node).Name() != names(p)[i] {
+						t.Fatalf("member %d: %v, %v", i, m, n)
+					}
+				}
+				for _, i := range []int{-1, 3} {
+					if !errors.Is(errOf(call(p, l.at, i)), ErrRange) || !errors.Is(errOf(call(p, l.leaf, i)), ErrRange) {
+						t.Fatalf("index %d accepted", i)
+					}
+				}
+			},
+			"free-at": func(t *testing.T, a *fakeAlloc) {
+				p := build(a, 3)
+				m1, m2 := call(p, l.at, 1)[0], call(p, l.at, 2)[0]
+				if err := errOf(call(p, l.freeAt, 1)); err != nil || count(p) != 2 || !freed(m1) || call(p, l.at, 1)[0] != m2 {
+					t.Fatalf("freeAt(1): %v, count %d", err, count(p))
+				}
+				if err := errOf(call(p, l.freeAt, 2)); !errors.Is(err, ErrRange) {
+					t.Fatalf("freeAt(2) of 2: %v", err)
+				}
+				for _, free := range l.leafFrees {
+					q := build(a, 3)
+					all := names(q)
+					if err := errOf(call(q, free, 1)); err != nil || !slices.Equal(names(q), []string{all[0], all[2]}) {
+						t.Fatalf("%s(1): %v, left %v", free, err, names(q))
+					}
+					if err := errOf(call(q, free, 7)); !errors.Is(err, ErrRange) {
+						t.Fatalf("%s(7): %v", free, err)
+					}
+				}
+			},
+			"free-member": func(t *testing.T, a *fakeAlloc) {
+				p := build(a, 2)
+				m0 := call(p, l.at, 0)[0]
+				if err := errOf(call(p, l.freeMember, m0)); err != nil || count(p) != 1 || !freed(m0) {
+					t.Fatalf("member: %v, count %d", err, count(p))
+				}
+				for _, c := range []any{m0, l.child(a)} {
+					if err := errOf(call(p, l.freeMember, c)); !errors.Is(err, ErrNotMember) || count(p) != 1 {
+						t.Fatalf("non-member: %v", err)
+					}
+				}
+			},
+			"free-cascades": func(t *testing.T, a *fakeAlloc) {
+				p := build(a, 3)
+				all, members := names(p), []any{call(p, l.at, 0)[0], call(p, l.at, 1)[0], call(p, l.at, 2)[0]}
+				a.freed = nil
+				call(p, "Free")
+				call(p, "Free")
+				if !freed(p) || count(p) != 0 || !slices.Equal(a.freed, all) || !freed(members[0]) || !freed(members[2]) {
+					t.Fatalf("freed %v, want %v once each in member order", a.freed, all)
+				}
+			},
+			"implicit-parent": func(t *testing.T, a *fakeAlloc) {
+				c := l.child(a)
+				p := up(c)
+				if count(p) != 1 || up(c) != p || !slices.Equal(names(p), names(c)) {
+					t.Fatalf("implicit %s has %d members", l.name, count(p))
+				}
+			},
+			"sizes": func(t *testing.T, a *fakeAlloc) {
+				p, err := l.build(a, l.paper)
+				total := 0
+				for _, s := range l.paper {
+					for _, n := range s {
+						total += n
+					}
+				}
+				all := names(p)
+				slices.Sort(all)
+				if err != nil || len(slices.Compact(all)) != total {
+					t.Fatalf("%v: %v, nodes %v", l.paper, err, names(p))
+				}
+				if d, ok := p.(*Domain); ok && fmt.Sprint(d.NrClusters(), d.Topology()) != "5 [[[n00] [n01 n02 n03] [n04 n05 n06 n07 n08]] [[n09 n10 n11 n12 n13 n14] [n15 n16 n17 n18]]]" {
+					t.Fatalf("domain shape: %d clusters, %v", d.NrClusters(), d.Topology())
+				}
+				small := newFakeAlloc(total - 1)
+				if _, err := l.build(small, l.paper); err == nil || slices.ContainsFunc(small.pool, func(n string) bool { return small.reserved[n] > 0 }) {
+					t.Fatalf("oversized %s allocated or not rolled back: %v", l.name, err)
+				}
+			},
+		}
+		for _, name := range []string{"add", "index", "free-at", "free-member", "free-cascades", "implicit-parent", "sizes"} {
+			t.Run(l.name+"/"+name, func(t *testing.T) { rows[name](t, newFakeAlloc(20)) })
+		}
 	}
 }
 
