@@ -52,7 +52,7 @@ func TestStationAllocBudget(t *testing.T) {
 		ceiling      float64
 		run          func() float64
 	}{
-		{"Call on the simulated fabric", "rmi.call_fab_allocs", 27, func() float64 {
+		{"Call on the simulated fabric", "rmi.call_fab_allocs", 15, func() float64 {
 			c := vclock.New()
 			s := sched.Virtual(c)
 			fab := simnet.New(c, simnet.UniformCluster(simnet.Ultra10_300, 2), simnet.Idle, 1)

@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -25,10 +26,10 @@ func TestKernelAllocBudget(t *testing.T) {
 		perOp        float64 // kernel operations in one measured call
 		op           func(c *Clock, a *Actor, box *Mailbox) func()
 	}{
-		{"adopted Sleep", "vclock.sleep_allocs", 2, 1, func(c *Clock, a *Actor, box *Mailbox) func() {
+		{"adopted Sleep", "vclock.sleep_allocs", 0, 1, func(c *Clock, a *Actor, box *Mailbox) func() {
 			return func() { a.Sleep(time.Microsecond) }
 		}},
-		{"ping-pong, per hand-off", "vclock.switch_allocs", 2, 2, func(c *Clock, a *Actor, box *Mailbox) func() {
+		{"ping-pong, per hand-off", "vclock.switch_allocs", 0, 2, func(c *Clock, a *Actor, box *Mailbox) func() {
 			pong := NewMailbox(c, "pong")
 			c.Spawn("ponger", func(b *Actor) {
 				for {
@@ -44,19 +45,19 @@ func TestKernelAllocBudget(t *testing.T) {
 				a.Get(pong)
 			}
 		}},
-		{"Spawn of a no-op actor on a warm pool, then Sleep(0)", "vclock.spawn_ns", 2, 1, func(c *Clock, a *Actor, box *Mailbox) func() {
+		{"Spawn of a no-op actor on a warm pool, then Sleep(0)", "vclock.spawn_ns", 0, 1, func(c *Clock, a *Actor, box *Mailbox) func() {
 			return func() {
 				c.Spawn("child", func(*Actor) {})
 				a.Sleep(0)
 			}
 		}},
-		{"self Put+Get", "sched.virtual_putget_ns", 2, 1, func(c *Clock, a *Actor, box *Mailbox) func() {
+		{"self Put+Get", "sched.virtual_putget_ns", 0, 1, func(c *Clock, a *Actor, box *Mailbox) func() {
 			return func() {
 				box.Put(msg, 0)
 				a.Get(box)
 			}
 		}},
-		{"GetTimeout answered before its deadline", "none: the deadline every Station.Call arms", 4, 1, func(c *Clock, a *Actor, box *Mailbox) func() {
+		{"GetTimeout answered before its deadline", "none: the deadline every Station.Call arms", 0, 1, func(c *Clock, a *Actor, box *Mailbox) func() {
 			return func() {
 				box.Put(msg, time.Microsecond)
 				a.GetTimeout(box, time.Millisecond)
@@ -186,6 +187,47 @@ func twinScenario(jitter func()) []string {
 		trace = append(trace, fmt.Sprintf("%d timers left", len(c.timers)))
 	}
 	return trace
+}
+
+// TestDeadlinesSaturate checks that a deadline past the end of virtual
+// time saturates there instead of wrapping into the past: each row runs
+// at t = 1ms with a message Put for 5ms and reports what its adopted
+// actor saw.
+func TestDeadlinesSaturate(t *testing.T) {
+	const forever = Duration(math.MaxInt64)
+	for _, row := range []struct {
+		name string
+		op   func(a *Actor, box *Mailbox) string
+		want string
+	}{
+		{"GetTimeout(forever) waits for the Put", func(a *Actor, box *Mailbox) string {
+			v, ok := a.GetTimeout(box, forever)
+			return fmt.Sprintf("%v %v", v, ok)
+		}, "5ms m true"},
+		{"Sleep(forever) sleeps to the end of time", func(a *Actor, box *Mailbox) string {
+			a.Sleep(forever)
+			return fmt.Sprint(a.Now() == Time(math.MaxInt64))
+		}, "2562047h47m16.854775807s true"},
+		{"Put(forever) is not delivered at once", func(a *Actor, box *Mailbox) string {
+			box.Put("late", forever)
+			a.Get(box)
+			v, ok := a.GetTimeout(box, time.Second)
+			return fmt.Sprintf("%v %v", v, ok)
+		}, "1.005s <nil> false"},
+	} {
+		c := New()
+		box := NewMailbox(c, "box")
+		a := c.Adopt("main")
+		a.Sleep(time.Millisecond)
+		box.Put("m", 4*time.Millisecond)
+		got := row.op(a, box)
+		got = fmt.Sprintf("%v %s", time.Duration(a.Now()), got)
+		a.Done()
+		c.Run()
+		if got != row.want {
+			t.Errorf("%s: got %q, want %q", row.name, got, row.want)
+		}
+	}
 }
 
 // TestPerturbedTwin checks that a simulation is a function of its inputs

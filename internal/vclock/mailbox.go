@@ -45,15 +45,8 @@ func (m *Mailbox) Put(v any, delay Duration) {
 	if m.closed {
 		return
 	}
-	if delay < 0 {
-		delay = 0
-	}
 	m.pending++
-	c.schedule(c.now+Time(delay), func() {
-		m.pending--
-		m.ready.push(v)
-		m.wakeOneLocked()
-	})
+	c.schedule(c.newDelivery(m, v), c.after(delay))
 }
 
 // Close marks the mailbox closed.  Blocked and future Gets return ok ==
@@ -107,30 +100,21 @@ func (a *Actor) GetTimeout(m *Mailbox, d Duration) (v any, ok bool) {
 	c := a.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	deadline := c.now + Time(d)
-	var timer *event
+	deadline, timer := c.after(d), &a.deadline
+	defer c.cancel(timer)
 	for {
 		if m.ready.len() > 0 {
-			c.cancel(timer)
 			return m.ready.pop(), true
 		}
 		if m.closed && m.pending == 0 {
-			c.cancel(timer)
 			return nil, false
 		}
 		if c.now >= deadline {
 			return nil, false
 		}
-		if timer == nil {
-			timer = c.schedule(deadline, func() {
-				// Only wake if still waiting; the waiter removes
-				// itself from m.waiters on its own wake path.
-				m.waiters.remove(a)
-				c.wakeActor(a)
-			})
+		if timer.index < 0 {
+			timer.kind, timer.box = evTimeout, m
+			c.schedule(timer, deadline)
 		}
 		m.waiters.push(a)
 		a.state, a.box, a.until = receivingTimed, m, deadline

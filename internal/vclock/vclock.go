@@ -63,12 +63,30 @@
 // The coroutine of an actor whose function returned parks in a
 // per-clock pool, and the next Spawn reuses it, grown stack included.
 // Run stops the parked coroutines before it returns.
+//
+// # Who owns an event
+//
+// A timer-heap entry is a plain struct with a kind tag, not a closure,
+// and blocking allocates none:
+//
+//   - Each actor owns one deadline event, embedded in it and shared by
+//     Sleep (which wakes the actor) and GetTimeout (which takes the actor
+//     off the mailbox's waiters, then wakes it).  An actor has at most
+//     one of the two pending.  It leaves the heap when it fires, or when
+//     GetTimeout returns before its deadline.
+//   - A Put's delivery event is the clock's: it is taken from a per-clock
+//     free list, and goes back to the list, with its message cleared,
+//     as it fires.  The list never holds more events than the timer heap
+//     once held at the same time.
+//
+// Both kinds are touched only under the clock's lock.
 package vclock
 
 import (
 	"container/heap"
 	"fmt"
 	"iter"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -83,13 +101,29 @@ type Time int64
 // durations use the ordinary time package units.
 type Duration = time.Duration
 
-// event is one entry in the timer heap.  fire runs with the clock lock
-// held and must not block.
+// maxTime is the latest instant a deadline can name: a deadline that
+// lies further out saturates to it instead of wrapping into the past.
+const maxTime = Time(math.MaxInt64)
+
+// eventKind is what an event does when it fires.
+type eventKind uint8
+
+const (
+	evWake    eventKind = iota // a's Sleep is over
+	evDeliver                  // v becomes visible on box
+	evTimeout                  // a's GetTimeout on box expired
+)
+
+// event is one entry in the timer heap (see "Who owns an event").  It
+// fires with the clock lock held.
 type event struct {
 	when  Time
 	seq   uint64 // insertion order; breaks ties deterministically
-	fire  func()
-	index int // position in the heap; -1 once fired or removed
+	index int    // position in the heap; -1 once fired or removed
+	kind  eventKind
+	a     *Actor   // evWake, evTimeout
+	box   *Mailbox // evDeliver, evTimeout
+	v     any      // evDeliver
 }
 
 type eventHeap []*event
@@ -132,6 +166,7 @@ type Clock struct {
 	idle     []*Actor     // parked coroutines of retired spawned actors, for Spawn to reuse
 	actors   map[*Actor]struct{}
 	timers   eventHeap
+	free     []*event // fired delivery events, for Put to reuse
 	wg       sync.WaitGroup
 	dead     bool   // set on deadlock; poisons further use
 	deadMsg  string // diagnostic captured when the deadlock was detected
@@ -191,6 +226,8 @@ type Actor struct {
 	box   *Mailbox
 	until Time
 
+	deadline event // Sleep's wake-up or GetTimeout's expiry; index -1 when not pending
+
 	waiting bool // true while blocked; guards against double wake
 	done    bool
 }
@@ -219,6 +256,7 @@ func (c *Clock) Hold() {
 // otherwise the caller may block until the token reaches it.
 func (c *Clock) Adopt(name string) *Actor {
 	a := &Actor{c: c, name: name, wake: make(chan struct{}, 1)}
+	a.deadline = event{index: -1, a: a}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.enrollLocked(a)
@@ -254,6 +292,7 @@ func (c *Clock) Spawn(name string, fn func(*Actor)) {
 		a, c.idle = c.idle[n-1], c.idle[:n-1]
 	} else {
 		a = &Actor{c: c}
+		a.deadline = event{index: -1, a: a}
 	}
 	c.enrollLocked(a)
 	if a.resume == nil {
@@ -346,12 +385,23 @@ func (a *Actor) Sleep(d Duration) {
 	c := a.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	a.state, a.until = sleeping, c.now+Time(d)
-	c.schedule(a.until, func() { c.wakeActor(a) })
+	a.state, a.until = sleeping, c.after(d)
+	a.deadline.kind = evWake
+	c.schedule(&a.deadline, a.until)
 	c.blockLocked(a)
+}
+
+// after returns the instant d from now: negative durations count as
+// zero, and an instant past the end of time saturates to maxTime.
+// Caller holds the lock.
+func (c *Clock) after(d Duration) Time {
+	switch {
+	case d <= 0:
+		return c.now
+	case Time(d) > maxTime-c.now:
+		return maxTime
+	}
+	return c.now + Time(d)
 }
 
 // checkDeadLocked panics with the deadlock diagnostic if the clock has
@@ -363,22 +413,56 @@ func (c *Clock) checkDeadLocked() {
 	}
 }
 
-// schedule inserts an event.  Caller holds the lock.
-func (c *Clock) schedule(when Time, fire func()) *event {
+// schedule inserts ev, which is not pending, to fire at when.  Caller
+// holds the lock.
+func (c *Clock) schedule(ev *event, when Time) {
 	if when < c.now {
 		when = c.now
 	}
-	ev := &event{when: when, seq: c.seq, fire: fire}
+	ev.when, ev.seq = when, c.seq
 	c.seq++
 	heap.Push(&c.timers, ev)
+}
+
+// cancel removes ev from the timer heap unless it is not pending.
+// Caller holds the lock.
+func (c *Clock) cancel(ev *event) {
+	if ev.index >= 0 {
+		heap.Remove(&c.timers, ev.index)
+	}
+}
+
+// newDelivery returns a delivery event from the free list, or a new one.
+// Caller holds the lock.
+func (c *Clock) newDelivery(m *Mailbox, v any) *event {
+	var ev *event
+	if n := len(c.free); n > 0 {
+		ev, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		ev = &event{kind: evDeliver}
+	}
+	ev.box, ev.v = m, v
 	return ev
 }
 
-// cancel removes ev from the timer heap unless it already fired.  Caller
-// holds the lock.
-func (c *Clock) cancel(ev *event) {
-	if ev != nil && ev.index >= 0 {
-		heap.Remove(&c.timers, ev.index)
+// fire runs ev, which has just left the heap.  A delivery event goes
+// back to the free list.  Caller holds the lock.
+func (c *Clock) fire(ev *event) {
+	switch ev.kind {
+	case evWake:
+		c.wakeActor(ev.a)
+	case evTimeout:
+		// The waiter takes itself off the list on its own wake path
+		// too; a delivery may have woken it at this same instant.
+		ev.box.waiters.remove(ev.a)
+		c.wakeActor(ev.a)
+	case evDeliver:
+		m, v := ev.box, ev.v
+		ev.box, ev.v = nil, nil
+		c.free = append(c.free, ev)
+		m.pending--
+		m.ready.push(v)
+		m.wakeOneLocked()
 	}
 }
 
@@ -502,7 +586,7 @@ func (c *Clock) maybeAdvance() {
 		// Fire every event scheduled for this instant, in insertion
 		// order, before re-checking runnability.
 		for len(c.timers) > 0 && c.timers[0].when == c.now {
-			heap.Pop(&c.timers).(*event).fire()
+			c.fire(heap.Pop(&c.timers).(*event))
 		}
 	}
 }
