@@ -29,6 +29,7 @@ package rmi
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -154,11 +155,12 @@ type Handler func(p sched.Proc, from, method string, body []byte) ([]byte, error
 // inbound requests to registered services, and correlates responses to
 // outstanding calls.
 type Station struct {
-	s  sched.Sched
-	ep Endpoint
+	s         sched.Sched
+	ep        Endpoint
+	replyName string // every reply queue's name, "reply:<node>"
 
 	mu       sync.Mutex
-	services map[string]Handler
+	services map[string]service
 	pending  map[uint64]sched.Queue
 	nextID   uint64
 	closed   bool
@@ -192,17 +194,25 @@ type Station struct {
 	retryHook   func(to, service, method string) // nil unless SetRetryHook was called
 }
 
+// service is a registered handler and the name its procs run under,
+// "rmi:<node>/<service>".
+type service struct {
+	h    Handler
+	proc string
+}
+
 // NewStation wraps an endpoint.  Call Register for each service, then
 // Start.
 func NewStation(s sched.Sched, ep Endpoint) *Station {
 	return &Station{
-		s:        s,
-		ep:       ep,
-		services: make(map[string]Handler),
-		pending:  make(map[uint64]sched.Queue),
-		calls:    new(metrics.Counter),
-		retries:  new(metrics.Counter),
-		bytesOut: new(metrics.Counter),
+		s:         s,
+		ep:        ep,
+		replyName: "reply:" + ep.Node(),
+		services:  make(map[string]service),
+		pending:   make(map[uint64]sched.Queue),
+		calls:     new(metrics.Counter),
+		retries:   new(metrics.Counter),
+		bytesOut:  new(metrics.Counter),
 	}
 }
 
@@ -231,21 +241,21 @@ func (st *Station) Stats() StatsSnapshot {
 // Register installs h as the handler for the named service.  Services
 // may be registered at any time (applications attach their object agents
 // to an already-running node); registering a live name twice panics.
-func (st *Station) Register(service string, h Handler) {
+func (st *Station) Register(name string, h Handler) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, dup := st.services[service]; dup {
-		panic("rmi: duplicate service " + service)
+	if _, dup := st.services[name]; dup {
+		panic("rmi: duplicate service " + name)
 	}
-	st.services[service] = h
+	st.services[name] = service{h: h, proc: "rmi:" + st.Node() + "/" + name}
 }
 
 // Unregister removes a service; later requests to it fail with
 // ErrNoService.
-func (st *Station) Unregister(service string) {
+func (st *Station) Unregister(name string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	delete(st.services, service)
+	delete(st.services, name)
 }
 
 // Start spawns the dispatch loop.
@@ -328,11 +338,16 @@ func (st *Station) dispatch(p sched.Proc) {
 // serve runs the handler for one inbound request on its own proc — the
 // paper's "one thread for every asynchronous method invocation" (§5.2),
 // generalized to every request so a slow method never blocks the node.
+// The proc runs under the service's name, built once by Register.
 func (st *Station) serve(msg *Message) {
 	st.mu.Lock()
-	h := st.services[msg.Service]
+	svc, ok := st.services[msg.Service]
 	st.mu.Unlock()
-	st.s.Spawn(fmt.Sprintf("rmi:%s/%s.%s", st.Node(), msg.Service, msg.Method), func(p sched.Proc) {
+	if !ok {
+		svc.proc = "rmi:" + st.Node() + "/" + msg.Service
+	}
+	h := svc.h
+	st.s.Spawn(svc.proc, func(p sched.Proc) {
 		var body []byte
 		var err error
 		if h == nil {
@@ -388,7 +403,7 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 	pol := st.policy
 	st.nextID++
 	id := st.nextID
-	reply := st.s.NewQueue(fmt.Sprintf("reply:%s:%d", st.Node(), id))
+	reply := st.s.NewQueue(st.replyName)
 	st.pending[id] = reply
 	st.mu.Unlock()
 
@@ -415,7 +430,10 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 	if backoff <= 0 {
 		backoff = 2 * time.Millisecond
 	}
-	deadline := begin + timeout
+	deadline := time.Duration(math.MaxInt64) // a budget past the end of time saturates
+	if timeout < deadline-begin {
+		deadline = begin + timeout
+	}
 
 	var v any
 	var ok bool

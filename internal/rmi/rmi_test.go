@@ -3,6 +3,7 @@ package rmi
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -220,6 +221,31 @@ func TestCallTimeout(t *testing.T) {
 				}
 				if a.Stats().Timeouts != 1 {
 					t.Errorf("timeouts = %d, want 1", a.Stats().Timeouts)
+				}
+			})
+			w.join()
+		})
+	}
+}
+
+// TestCallUnboundedTimeout: a budget past the end of time saturates
+// instead of wrapping the call's deadline into the past, so a call that
+// starts after time zero retries a slow request until its response
+// arrives instead of giving up after the first attempt.
+func TestCallUnboundedTimeout(t *testing.T) {
+	for _, w := range worlds(t, 2) {
+		w := w
+		t.Run(w.name, func(t *testing.T) {
+			names := nodeNames(2)
+			a := newStation(t, w, names[0])
+			b := newStation(t, w, names[1])
+			a.SetPolicy(Policy{AttemptTimeout: 10 * time.Millisecond, Retries: 8, Backoff: 5 * time.Millisecond})
+			w.spawn("caller", func(p sched.Proc) {
+				defer a.Close()
+				defer b.Close()
+				p.Sleep(time.Millisecond)
+				if _, err := a.Call(p, names[1], "echo", "slow", nil, math.MaxInt64); err != nil {
+					t.Errorf("call with an unbounded budget: %v", err)
 				}
 			})
 			w.join()
