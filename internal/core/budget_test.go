@@ -61,11 +61,11 @@ func TestInvokeAllocBudget(t *testing.T) {
 			ceiling      float64
 			op           func()
 		}{
-			{"sinvoke", "core.sinvoke_allocs", 28, func() {
+			{"sinvoke", "core.sinvoke_allocs", 24, func() {
 				_, err := obj.SInvoke(p, "Ping")
 				check(err)
 			}},
-			{"ainvoke, then its result", "core.ainvoke_allocs", 39, func() {
+			{"ainvoke, then its result", "core.ainvoke_allocs", 35, func() {
 				h, err := obj.AInvoke(p, "Ping")
 				check(err)
 				_, err = h.Result(p)

@@ -52,7 +52,7 @@ func TestStationAllocBudget(t *testing.T) {
 		ceiling      float64
 		run          func() float64
 	}{
-		{"Call on the simulated fabric", "rmi.call_fab_allocs", 9, func() float64 {
+		{"Call on the simulated fabric", "rmi.call_fab_allocs", 5, func() float64 {
 			c := vclock.New()
 			s := sched.Virtual(c)
 			fab := simnet.New(c, simnet.UniformCluster(simnet.Ultra10_300, 2), simnet.Idle, 1)
@@ -64,7 +64,7 @@ func TestStationAllocBudget(t *testing.T) {
 			c.Run()
 			return got
 		}},
-		{"Call on the in-memory network", "rmi.call_mem_allocs", 13, func() float64 {
+		{"Call on the in-memory network", "rmi.call_mem_allocs", 11, func() float64 {
 			s := sched.Real()
 			st, closeAll := echoPair(s, NewMem(s, 0), "a", "b")
 			defer closeAll()

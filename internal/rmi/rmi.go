@@ -162,6 +162,7 @@ type Station struct {
 	mu       sync.Mutex
 	services map[string]service
 	pending  map[uint64]sched.Queue
+	replies  []sched.Queue // reply queues of calls that succeeded, for reuse
 	nextID   uint64
 	closed   bool
 	started  bool
@@ -403,7 +404,12 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 	pol := st.policy
 	st.nextID++
 	id := st.nextID
-	reply := st.s.NewQueue(st.replyName)
+	var reply sched.Queue
+	if n := len(st.replies); n > 0 {
+		reply, st.replies = st.replies[n-1], st.replies[:n-1]
+	} else {
+		reply = st.s.NewQueue(st.replyName)
+	}
 	st.pending[id] = reply
 	st.mu.Unlock()
 
@@ -502,6 +508,7 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 		}
 		return nil, fmt.Errorf("%w: %s.%s on %s after %v", ErrTimeout, service, method, to, timeout)
 	}
+	st.recycle(reply)
 	if m := st.metrics; m != nil {
 		elapsed := st.s.Now() - begin
 		m.callLatency.ObserveDuration(elapsed)
@@ -521,6 +528,23 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 		return nil, &RemoteError{Node: to, Msg: resp.Err}
 	}
 	return resp.Body, nil
+}
+
+// recycle returns the reply queue of a call that succeeded to the free
+// list.  That call's one response was put and consumed, and dispatch
+// deleted the call's pending entry before putting it, so nothing can
+// reach the queue again: no late response (dispatch finds no entry) and
+// no Close (it closes only queues still pending).  A queue of a call
+// that timed out, failed or met Close never comes here, because a late
+// response may still land in it.  An open station also means the queue
+// is not closed: Close marks the station closed, under st.mu, before it
+// closes any queue.
+func (st *Station) recycle(reply sched.Queue) {
+	st.mu.Lock()
+	if !st.closed {
+		st.replies = append(st.replies, reply)
+	}
+	st.mu.Unlock()
 }
 
 // Post performs a one-sided invocation: the message is sent and forgotten

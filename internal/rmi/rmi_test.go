@@ -554,3 +554,64 @@ func TestFabCallCostsVirtualTime(t *testing.T) {
 		t.Fatalf("simulated RTT = %v, want ~2-3ms", rtt)
 	}
 }
+
+// TestReplyQueueReuse pins when a call's reply queue goes back to the
+// station's free list: after a call whose one response was consumed,
+// and never after a call that timed out, or that met Close.  A response
+// may still land in the queue of a call that gave up (the dispatch loop
+// took the pending entry just before the caller did), so a queue
+// recycled on those paths could hand it to the next call.
+func TestReplyQueueReuse(t *testing.T) {
+	w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 2))
+	names := nodeNames(2)
+	a := newStation(t, w, names[0])
+	b := newStation(t, w, names[1])
+	pooled := func() int {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.replies)
+	}
+	w.spawn("caller", func(p sched.Proc) {
+		defer b.Close()
+		call := func(arg string, timeout time.Duration) (string, error) {
+			body, err := a.Call(p, names[1], "echo", "upper", MustMarshal(arg), timeout)
+			if err != nil {
+				return "", err
+			}
+			var s string
+			if err := Unmarshal(body, &s); err != nil {
+				t.Fatal(err)
+			}
+			return s, nil
+		}
+		if got, err := call("one", time.Second); got != "ONE" || err != nil {
+			t.Fatalf("first call: %q, %v", got, err)
+		}
+		if n := pooled(); n != 1 {
+			t.Fatalf("%d queues pooled after a call that succeeded, want 1", n)
+		}
+		if got, err := call("two", time.Microsecond); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("call with a budget shorter than a round trip: %q, %v; want a timeout", got, err)
+		}
+		if n := pooled(); n != 0 {
+			t.Fatalf("%d queues pooled after a call that timed out, want 0", n)
+		}
+		if got, err := call("three", time.Second); got != "THREE" || err != nil {
+			t.Fatalf("call after a timeout: %q, %v", got, err)
+		}
+		done := w.s.NewQueue("done")
+		w.spawn("closer", func(p sched.Proc) {
+			p.Sleep(time.Microsecond) // the call below is in flight
+			a.Close()
+			done.Put(true, 0)
+		})
+		if _, err := a.Call(p, names[1], "echo", "slow", nil, time.Second); !errors.Is(err, ErrClosed) {
+			t.Fatalf("call met Close: %v", err)
+		}
+		p.Recv(done)
+		if n := pooled(); n != 0 {
+			t.Fatalf("%d queues pooled after a call that met Close, want 0", n)
+		}
+	})
+	w.join()
+}
