@@ -35,6 +35,13 @@ type Runtime struct {
 	mu       sync.Mutex
 	hosted   map[objKey]*hostedObj
 	refCache map[objKey]route // last known location and replica set of foreign objects
+
+	// execMethod's two instruments, resolved on the first invocation
+	// that ends (not at start, so a family enters snapshots exactly when
+	// the node first runs a method).
+	invokeOnce  sync.Once
+	invocations *metrics.Counter
+	serviceUs   *metrics.Histogram
 }
 
 type objKey struct {
@@ -454,8 +461,12 @@ func (rt *Runtime) execMethod(p sched.Proc, inst any, req invokeReq) (any, time.
 	service := watch.Elapsed()
 	rt.world.emit(trace.Event{Kind: trace.ObjInvoked, Node: rt.Node(),
 		App: req.App, Obj: req.ID, Detail: req.Method})
-	rt.world.reg.Counter(metrics.Label("js_core_invocations_total", "node", rt.Node())).Inc()
-	rt.world.reg.Histogram(metrics.Label("js_core_invoke_service_us", "node", rt.Node()), nil).ObserveDuration(service)
+	rt.invokeOnce.Do(func() {
+		rt.invocations = rt.world.reg.Counter(metrics.Label("js_core_invocations_total", "node", rt.Node()))
+		rt.serviceUs = rt.world.reg.Histogram(metrics.Label("js_core_invoke_service_us", "node", rt.Node()), nil)
+	})
+	rt.invocations.Inc()
+	rt.serviceUs.ObserveDuration(service)
 	return res, service, err
 }
 
