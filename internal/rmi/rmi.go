@@ -530,15 +530,15 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 	return resp.Body, nil
 }
 
-// recycle returns the reply queue of a call that succeeded to the free
-// list.  That call's one response was put and consumed, and dispatch
-// deleted the call's pending entry before putting it, so nothing can
-// reach the queue again: no late response (dispatch finds no entry) and
-// no Close (it closes only queues still pending).  A queue of a call
-// that timed out, failed or met Close never comes here, because a late
-// response may still land in it.  An open station also means the queue
-// is not closed: Close marks the station closed, under st.mu, before it
-// closes any queue.
+// recycle returns the reply queue of a call that consumed its response
+// to the free list.  Dispatch deleted the call's pending entry before
+// putting that one response, so nothing can reach the queue again: not
+// a late duplicate (dispatch finds no entry) and not Close (it closes
+// only queues still pending).  A queue of a call that timed out, failed
+// to send or met Close never comes here, because a late response may
+// still land in it.  An open station also means the queue is not
+// closed: Close marks the station closed, under st.mu, before it closes
+// any queue.
 func (st *Station) recycle(reply sched.Queue) {
 	st.mu.Lock()
 	if !st.closed {

@@ -424,8 +424,8 @@ func (c *Clock) schedule(ev *event, when Time) {
 	heap.Push(&c.timers, ev)
 }
 
-// cancel removes ev from the timer heap unless it is not pending.
-// Caller holds the lock.
+// cancel takes ev out of the timer heap if it is pending.  Caller holds
+// the lock.
 func (c *Clock) cancel(ev *event) {
 	if ev.index >= 0 {
 		heap.Remove(&c.timers, ev.index)
