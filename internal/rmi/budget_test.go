@@ -6,39 +6,24 @@ import (
 
 	"jsymphony/internal/sched"
 	"jsymphony/internal/simnet"
-	"jsymphony/internal/vclock"
 )
 
-// echoPair starts two stations on net, each serving "echo" by returning
-// the request body, and returns the first and a function that closes
-// both.
-func echoPair(s sched.Sched, net Network, a, b string) (*Station, func()) {
-	var sts [2]*Station
-	for i, node := range []string{a, b} {
-		ep, err := net.Attach(node)
-		if err != nil {
-			panic(err)
-		}
-		sts[i] = NewStation(s, ep)
-		sts[i].Register("echo", func(_ sched.Proc, _, _ string, body []byte) ([]byte, error) { return body, nil })
-		sts[i].Start()
-	}
-	return sts[0], func() { sts[0].Close(); sts[1].Close() }
-}
-
 // TestStationAllocBudget pins the allocations of one synchronous call of
-// a 64-byte echo, both stations' work and the transport's included.
-// Each row names the BENCHMARK.json ledger row it mirrors; the ceiling
-// is this test's count, and a change that lowers a count lowers its
-// ceiling.
+// a 64-byte echo between two stations, both stations' work and the
+// transport's included.  Each row names the BENCHMARK.json ledger row
+// it mirrors; the ceiling is this test's count, and a change that
+// lowers a count lowers its ceiling.
 func TestStationAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
 	}
 	body := make([]byte, 64)
-	measure := func(st *Station, p sched.Proc, to string) float64 {
+	measure := func(w *world, p sched.Proc) float64 {
+		names := nodeNames(2)
+		a, b := newStation(t, w, names[0]), newStation(t, w, names[1])
+		defer func() { a.Close(); b.Close() }()
 		call := func() {
-			if _, err := st.Call(p, to, "echo", "ping", body, 10*time.Second); err != nil {
+			if _, err := a.Call(p, names[1], "echo", "ping", body, 10*time.Second); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -53,22 +38,16 @@ func TestStationAllocBudget(t *testing.T) {
 		run          func() float64
 	}{
 		{"Call on the simulated fabric", "rmi.call_fab_allocs", 5, func() float64 {
-			c := vclock.New()
-			s := sched.Virtual(c)
-			fab := simnet.New(c, simnet.UniformCluster(simnet.Ultra10_300, 2), simnet.Idle, 1)
-			st, closeAll := echoPair(s, NewFab(fab, DefaultCost), "node00", "node01")
-			p, done := sched.AdoptVirtual(s, "caller")
-			got := measure(st, p, "node01")
-			closeAll()
+			w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 2))
+			p, done := sched.AdoptVirtual(w.s, "caller")
+			got := measure(w, p)
 			done()
-			c.Run()
+			w.join()
 			return got
 		}},
 		{"Call on the in-memory network", "rmi.call_mem_allocs", 11, func() float64 {
-			s := sched.Real()
-			st, closeAll := echoPair(s, NewMem(s, 0), "a", "b")
-			defer closeAll()
-			return measure(st, sched.RealProc(s), "b")
+			w := realWorld("mem-real", func(s sched.Sched) Network { return NewMem(s, 0) })
+			return measure(w, sched.RealProc(w.s))
 		}},
 	} {
 		if got := row.run(); got > row.ceiling {
