@@ -49,6 +49,10 @@ func TestStationAllocBudget(t *testing.T) {
 			w := realWorld("mem-real", func(s sched.Sched) Network { return NewMem(s, 0) })
 			return measure(w, sched.RealProc(w.s))
 		}},
+		{"Call over loopback TCP", "rmi.call_tcp_allocs", 25, func() float64 {
+			w := realWorld("tcp-real", func(s sched.Sched) Network { return NewTCP(s) })
+			return measure(w, sched.RealProc(w.s))
+		}},
 	} {
 		if got := row.run(); got > row.ceiling {
 			t.Errorf("%s (%s): %.1f allocs, ceiling %.1f", row.name, row.ledger, got, row.ceiling)
