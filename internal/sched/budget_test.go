@@ -44,7 +44,7 @@ func TestSchedAllocBudget(t *testing.T) {
 			}
 			return got
 		}},
-		{"real queue Put and Recv", "sched.real_putget_ns", 1, func() float64 {
+		{"real queue Put and Recv", "sched.real_putget_ns", 0, func() float64 {
 			s := Real()
 			q, p := s.NewQueue("q"), RealProc(s)
 			var v any = 7
@@ -53,7 +53,7 @@ func TestSchedAllocBudget(t *testing.T) {
 				p.Recv(q)
 			})
 		}},
-		{"RecvTimeout on a reused real proc", "rmi.call_tcp_allocs", 4, func() float64 {
+		{"RecvTimeout on a reused real proc", "rmi.call_tcp_allocs", 3, func() float64 {
 			s := Real()
 			q, p := s.NewQueue("q"), RealProc(s)
 			var v any = 7

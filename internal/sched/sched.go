@@ -195,9 +195,16 @@ func (p *realProc) Sched() Sched { return p.s }
 // realQueue is an unbounded FIFO for real time.  A one-token notify
 // channel wakes blocked receivers; receivers loop, so lost or spurious
 // wakeups are harmless.
+//
+// The items reuse one backing array, as vclock's mailbox FIFO does:
+// items[head:] are queued, a pop clears its slot (a received message
+// is the receiver's alone to keep alive) and rewinds the array once it
+// drains, and a full array at least half popped is compacted instead
+// of grown.  A queue that drains between uses stops allocating.
 type realQueue struct {
 	mu     sync.Mutex
 	items  []any
+	head   int
 	closed bool
 	notify chan struct{}
 }
@@ -225,10 +232,29 @@ func (q *realQueue) deliver(v any) {
 		q.mu.Unlock()
 		return
 	}
+	if q.head > 0 && 2*q.head >= len(q.items) && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, v)
 	q.mu.Unlock()
 	q.wake()
 }
+
+// popLocked takes the oldest item.  The caller holds q.mu and has seen
+// lenLocked() > 0.
+func (q *realQueue) popLocked() any {
+	v := q.items[q.head]
+	q.items[q.head] = nil
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
+}
+
+func (q *realQueue) lenLocked() int { return len(q.items) - q.head }
 
 func (q *realQueue) wake() {
 	select {
@@ -247,7 +273,7 @@ func (q *realQueue) Close() {
 func (q *realQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return q.lenLocked()
 }
 
 // recv pops one item, blocking until one arrives, the queue closes, or
@@ -255,10 +281,9 @@ func (q *realQueue) Len() int {
 func (q *realQueue) recv(timeout <-chan time.Time) (any, bool) {
 	for {
 		q.mu.Lock()
-		if len(q.items) > 0 {
-			v := q.items[0]
-			q.items = q.items[1:]
-			rest := len(q.items)
+		if q.lenLocked() > 0 {
+			v := q.popLocked()
+			rest := q.lenLocked()
 			q.mu.Unlock()
 			if rest > 0 {
 				q.wake() // other receivers may be waiting
@@ -278,9 +303,8 @@ func (q *realQueue) recv(timeout <-chan time.Time) (any, bool) {
 		case <-timeout:
 			// One last race-free check before reporting timeout.
 			q.mu.Lock()
-			if len(q.items) > 0 {
-				v := q.items[0]
-				q.items = q.items[1:]
+			if q.lenLocked() > 0 {
+				v := q.popLocked()
 				q.mu.Unlock()
 				return v, true
 			}

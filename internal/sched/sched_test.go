@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -281,5 +282,71 @@ func TestRealDeliveryAfterCloseDropped(t *testing.T) {
 	p := RealProc(s)
 	if _, ok := p.RecvTimeout(q, 50*time.Millisecond); ok {
 		t.Fatal("delayed delivery on closed queue was not dropped")
+	}
+}
+
+// TestRealQueueReleasesReceived: a value taken off a real queue is the
+// receiver's alone, so once the receiver drops it the collector can
+// free it, even while the queue lives on holding later messages.
+func TestRealQueueReleasesReceived(t *testing.T) {
+	s := Real()
+	q, p := s.NewQueue("q"), RealProc(s)
+	freed := make(chan struct{})
+	func() {
+		big := &[1 << 16]byte{}
+		runtime.SetFinalizer(big, func(*[1 << 16]byte) { close(freed) })
+		q.Put(big, 0)
+		q.Put("later", 0)
+		if v, ok := p.Recv(q); !ok || v != any(big) {
+			t.Fatalf("Recv = %v, %v", v, ok)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(q)
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	t.Fatal("a received value stayed reachable from its queue")
+}
+
+// TestRealQueueOrder drives a real queue through patterns that rewind
+// its ring (drained to empty) and compact it (refilled while partly
+// drained): every row must come out in FIFO order, with Len right after
+// each partial drain.
+func TestRealQueueOrder(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		steps [][2]int // {puts, recvs}
+	}{
+		{"drain to empty, twice", [][2]int{{3, 3}, {3, 3}}},
+		{"partial drains", [][2]int{{5, 2}, {0, 1}, {4, 3}, {0, 3}}},
+		{"refill while half drained", [][2]int{{4, 3}, {1, 0}, {6, 2}, {0, 6}}},
+		{"grow past the ring", [][2]int{{2, 1}, {64, 30}, {8, 43}}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := Real()
+			q, p := s.NewQueue("q"), RealProc(s)
+			next, want := 0, 0
+			for i, st := range row.steps {
+				for k := 0; k < st[0]; k++ {
+					q.Put(next, 0)
+					next++
+				}
+				for k := 0; k < st[1]; k++ {
+					v, ok := p.Recv(q)
+					if !ok || v.(int) != want {
+						t.Fatalf("step %d: Recv = %v, %v, want %d", i, v, ok, want)
+					}
+					want++
+				}
+				if got := q.Len(); got != next-want {
+					t.Fatalf("step %d: Len = %d, want %d", i, got, next-want)
+				}
+			}
+		})
 	}
 }
