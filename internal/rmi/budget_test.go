@@ -49,7 +49,7 @@ func TestStationAllocBudget(t *testing.T) {
 			w := realWorld("mem-real", func(s sched.Sched) Network { return NewMem(s, 0) })
 			return measure(w, sched.RealProc(w.s))
 		}},
-		{"Call over loopback TCP", "rmi.call_tcp_allocs", 22, func() float64 {
+		{"Call over loopback TCP", "rmi.call_tcp_allocs", 14, func() float64 {
 			w := realWorld("tcp-real", func(s sched.Sched) Network { return NewTCP(s) })
 			return measure(w, sched.RealProc(w.s))
 		}},

@@ -220,5 +220,5 @@ func decodeWire(data []byte, v any) error {
 	if rv.Kind() != reflect.Pointer || rv.IsNil() || rv.Type().Elem() != w.l.t {
 		return fmt.Errorf("%w: a %v body into %T", wire.ErrCorrupt, w.l.t, v)
 	}
-	return decodeLayout(w.l, data[1:], rv.Elem(), 0)
+	return w.decode(data, rv.Elem())
 }

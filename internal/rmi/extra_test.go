@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,28 +116,77 @@ func TestCloseIsIdempotentAndStopsDispatch(t *testing.T) {
 	}
 }
 
-// TestReadFrameChecks: a TCP frame decodes into the message it framed,
-// and a frame whose kind is out of range, overflows Kind's byte or
-// carries another struct's tag fails as corrupt.
-func TestReadFrameChecks(t *testing.T) {
-	frame := func(body []byte) *bufio.Reader {
-		return bufio.NewReader(bytes.NewReader(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)))
-	}
-	in := Message{From: "a", To: "b", Kind: KindOneWay, ID: 3, Body: []byte("x")}
-	body := msgWire.encode(nil, reflect.ValueOf(in))
-	if got, err := readFrame(frame(body)); err != nil || !reflect.DeepEqual(*got, in) {
-		t.Fatalf("valid frame: %+v, %v", got, err)
-	}
+// frameReader frames body as the TCP transport does: a big-endian
+// length, then the bytes.
+func frameReader(body []byte) *bufio.Reader {
+	return bufio.NewReader(bytes.NewReader(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)))
+}
+
+// frameCase is a named TCP frame body.
+type frameCase struct {
+	name string
+	body []byte
+}
+
+// frameCases is a valid TCP frame body, the message it encodes, and
+// named corrupt variants of it: a kind out of range, a kind that
+// overflows Kind's byte, and another struct's tag or none at all.
+func frameCases() (in Message, body []byte, bad []frameCase) {
+	in = Message{From: "a", To: "b", Kind: KindOneWay, ID: 3, Service: "echo", Method: "ping", Body: []byte("x")}
+	body = msgWire.encode(nil, reflect.ValueOf(in))
 	const kindAt = 5 // tag, "a", "b"
-	for name, bad := range map[string][]byte{
-		"kind 0":      append(append(body[:kindAt:kindAt], 0), body[kindAt+1:]...),
-		"kind 300":    append(append(body[:kindAt:kindAt], 0xac, 0x02), body[kindAt+1:]...),
-		"batch tag":   append([]byte{tagBatch}, body[1:]...),
-		"no such tag": append([]byte{0x7f}, body[1:]...),
-	} {
-		if _, err := readFrame(frame(bad)); !errors.Is(err, wire.ErrCorrupt) {
-			t.Errorf("%s: %v, want wire.ErrCorrupt", name, err)
+	return in, body, []frameCase{
+		{"kind 0", append(append(body[:kindAt:kindAt], 0), body[kindAt+1:]...)},
+		{"kind 300", append(append(body[:kindAt:kindAt], 0xac, 0x02), body[kindAt+1:]...)},
+		{"batch tag", append([]byte{tagBatch}, body[1:]...)},
+		{"no such tag", append([]byte{0x7f}, body[1:]...)},
+	}
+}
+
+// TestReadFrameChecks: a TCP frame decodes into the message it framed,
+// with or without a header table, and a frame whose kind is out of
+// range, overflows Kind's byte or carries another struct's tag fails as
+// corrupt.
+func TestReadFrameChecks(t *testing.T) {
+	in, body, bad := frameCases()
+	names := new(headerNames)
+	for _, tab := range []*headerNames{nil, names, names} {
+		if got, err := readFrame(frameReader(body), tab); err != nil || !reflect.DeepEqual(*got, in) {
+			t.Fatalf("valid frame: %+v, %v", got, err)
 		}
+	}
+	for _, c := range bad {
+		if _, err := readFrame(frameReader(c.body), names); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: %v, want wire.ErrCorrupt", c.name, err)
+		}
+	}
+}
+
+// TestHeaderNamesBounded: a connection's header table stops growing at
+// its bound, strings past the bound or too long to keep still decode
+// exactly, and a kept string is handed out again rather than rebuilt.
+func TestHeaderNamesBounded(t *testing.T) {
+	names := new(headerNames)
+	long := strings.Repeat("s", maxHeaderNameLen+1)
+	for i := 0; i < 3*maxHeaderNames; i++ {
+		in := Message{From: fmt.Sprintf("node%04d", i), To: "b", Kind: KindRequest, Service: long, Method: "m"}
+		got, err := readFrame(frameReader(msgWire.encode(nil, reflect.ValueOf(in))), names)
+		if err != nil || !reflect.DeepEqual(*got, in) {
+			t.Fatalf("frame %d: %+v, %v", i, got, err)
+		}
+	}
+	if len(names.m) != maxHeaderNames {
+		t.Fatalf("table holds %d strings, bound %d", len(names.m), maxHeaderNames)
+	}
+	if _, kept := names.m[long]; kept {
+		t.Error("table kept a string longer than its bound")
+	}
+	body := msgWire.encode(nil, reflect.ValueOf(Message{From: "node0000", To: "b", Kind: KindRequest}))
+	if allocs := testing.AllocsPerRun(100, func() {
+		d := wire.NewDec(body[1:])
+		names.read(&d)
+	}); allocs != 0 {
+		t.Errorf("reading a kept string: %.1f allocs, want 0", allocs)
 	}
 }
 

@@ -3,6 +3,7 @@ package rmi
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -153,6 +154,45 @@ func FuzzWireDecode(f *testing.F) {
 		if len(data) > 0 {
 			var mm Message
 			check("prefix", Unmarshal(data[:len(data)/2], &mm))
+		}
+	})
+}
+
+// FuzzReadFrame feeds arbitrary frame bodies through readFrame with one
+// header table shared across inputs, as a connection shares its table.
+// Each input must fail with a typed error, or decode to the message
+// msgWire's own decode gives without a table; the two decoders must
+// agree on which inputs are valid; and the table never outgrows its
+// bound.
+func FuzzReadFrame(f *testing.F) {
+	_, body, bad := frameCases()
+	f.Add(body)
+	for _, c := range bad {
+		f.Add(c.body)
+	}
+	names := new(headerNames)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, err := readFrame(frameReader(body), names)
+		want := new(Message)
+		wantErr := msgWire.decode(body, reflect.ValueOf(want).Elem())
+		if wantErr == nil && (want.Kind < KindRequest || want.Kind > KindOneWay) {
+			wantErr = wire.ErrCorrupt
+		}
+		switch {
+		case err != nil && !errors.Is(err, wire.ErrCorrupt) && !errors.Is(err, wire.ErrTruncated):
+			t.Fatalf("untyped error: %v", err)
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("readFrame: %v; msgWire: %v", err, wantErr)
+		case err == nil && !reflect.DeepEqual(got, want):
+			t.Fatalf("readFrame %+v, msgWire %+v", got, want)
+		}
+		if len(names.m) > maxHeaderNames {
+			t.Fatalf("header table holds %d strings, bound %d", len(names.m), maxHeaderNames)
+		}
+		for s := range names.m {
+			if len(s) > maxHeaderNameLen {
+				t.Fatalf("header table kept a %d-byte string, bound %d", len(s), maxHeaderNameLen)
+			}
 		}
 	})
 }

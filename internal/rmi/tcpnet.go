@@ -95,8 +95,8 @@ func (c *tcpConn) writeFrame(msg *Message) error {
 // readFrame reads one frame and decodes it into a fresh message: the
 // one place a Message comes from outside bytes, so the one place its
 // Kind is checked.  The frame is the message's own, and Body aliases
-// it.
-func readFrame(r *bufio.Reader) (*Message, error) {
+// it.  The header strings come from names (nil interns nothing).
+func readFrame(r *bufio.Reader, names *headerNames) (*Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -109,14 +109,74 @@ func readFrame(r *bufio.Reader) (*Message, error) {
 	if _, err := io.ReadFull(r, frame); err != nil {
 		return nil, err
 	}
-	msg := new(Message)
-	if err := msgWire.decode(frame, reflect.ValueOf(msg).Elem()); err != nil {
+	return decodeFrame(frame, names)
+}
+
+// decodeFrame decodes msgWire's encoding of a Message, field by field
+// in the layout's order, without reflection.  FuzzReadFrame holds it to
+// msgWire's own decode.
+func decodeFrame(frame []byte, names *headerNames) (*Message, error) {
+	d := wire.NewDec(frame)
+	if tag := d.Byte(); d.Err() == nil && tag != tagMessage {
+		return nil, fmt.Errorf("%w: struct tag 0x%02x, want 0x%02x", wire.ErrCorrupt, tag, tagMessage)
+	}
+	msg := &Message{From: names.read(&d), To: names.read(&d)}
+	k := d.Uvarint()
+	if d.Err() == nil && (k < uint64(KindRequest) || k > uint64(KindOneWay)) {
+		return nil, fmt.Errorf("%w: message kind %d", wire.ErrCorrupt, k)
+	}
+	msg.Kind = Kind(k)
+	msg.ID = d.Uvarint()
+	msg.Service, msg.Method = names.read(&d), names.read(&d)
+	msg.Body = d.Bytes()
+	if pad := d.Varint(); int64(int(pad)) == pad {
+		msg.Pad = int(pad)
+	} else {
+		d.Fail(fmt.Errorf("%w: pad %d overflows int", wire.ErrCorrupt, pad))
+	}
+	msg.Err = d.String()
+	msg.Idem = d.Bool()
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	if msg.Kind < KindRequest || msg.Kind > KindOneWay {
-		return nil, fmt.Errorf("%w: message kind %d", wire.ErrCorrupt, msg.Kind)
-	}
 	return msg, nil
+}
+
+// Bounds of a connection's header table: how many strings it keeps, and
+// the longest it keeps.
+const (
+	maxHeaderNames   = 256
+	maxHeaderNameLen = 64
+)
+
+// headerNames interns the header strings of one connection's frames —
+// From, To, Service and Method, a small vocabulary on any one link — so
+// a warm connection decodes them without allocating.  It holds at most
+// maxHeaderNames strings of at most maxHeaderNameLen bytes; any other
+// string decodes fresh, as without a table.  Only the connection's read
+// loop touches it.
+type headerNames struct{ m map[string]string }
+
+// read decodes one length-prefixed string through the table.
+func (t *headerNames) read(d *wire.Dec) string {
+	b := d.Bytes()
+	if len(b) == 0 {
+		return ""
+	}
+	if t == nil || len(b) > maxHeaderNameLen {
+		return string(b)
+	}
+	if s, ok := t.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(t.m) < maxHeaderNames {
+		if t.m == nil {
+			t.m = make(map[string]string)
+		}
+		t.m[s] = s
+	}
+	return s
 }
 
 type tcpEndpoint struct {
@@ -147,8 +207,9 @@ func (ep *tcpEndpoint) acceptLoop() {
 func (ep *tcpEndpoint) readLoop(c net.Conn) {
 	defer c.Close()
 	r := bufio.NewReader(c)
+	names := new(headerNames)
 	for {
-		msg, err := readFrame(r)
+		msg, err := readFrame(r, names)
 		if err != nil {
 			return
 		}
