@@ -133,7 +133,12 @@ func WrapMailbox(m *vclock.Mailbox) Queue { return &virtualQueue{m: m} }
 
 type realSched struct{ epoch time.Time }
 
-type realProc struct{ s *realSched }
+// realProc is a goroutine's proc.  Its one timer serves every
+// RecvTimeout: armed by Reset, and left stopped with an empty channel.
+type realProc struct {
+	s     *realSched
+	timer *time.Timer
+}
 
 // Real returns a Sched running in real time.
 //
@@ -175,19 +180,31 @@ func (p *realProc) Sleep(d time.Duration) {
 }
 
 func (p *realProc) Recv(q Queue) (any, bool) {
-	return q.(*realQueue).recv(nil)
+	v, ok, _ := q.(*realQueue).recv(nil)
+	return v, ok
 }
 
-// RecvTimeout arms a wall-clock timer for the deadline.
+// RecvTimeout arms the proc's wall-clock timer for the deadline.  The
+// module's timer channels are asynchronous (go.mod says go 1.22): a
+// tick that fired unconsumed stays in the channel across a Reset, so a
+// receive that did not consume the tick stops the timer and drains the
+// tick that Stop came too late for.
 //
 //jsvet:allow walltime real scheduler: deadlines ride the wall clock
 func (p *realProc) RecvTimeout(q Queue, d time.Duration) (any, bool) {
 	if d < 0 {
 		d = 0
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	return q.(*realQueue).recv(t.C)
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		p.timer.Reset(d)
+	}
+	v, ok, ticked := q.(*realQueue).recv(p.timer.C)
+	if !ticked && !p.timer.Stop() {
+		<-p.timer.C
+	}
+	return v, ok
 }
 
 func (p *realProc) Sched() Sched { return p.s }
@@ -232,14 +249,19 @@ func (q *realQueue) deliver(v any) {
 		q.mu.Unlock()
 		return
 	}
+	q.pushLocked(v)
+	q.mu.Unlock()
+	q.wake()
+}
+
+// pushLocked appends v.  The caller holds q.mu.
+func (q *realQueue) pushLocked(v any) {
 	if q.head > 0 && 2*q.head >= len(q.items) && len(q.items) == cap(q.items) {
 		n := copy(q.items, q.items[q.head:])
 		clear(q.items[n:])
 		q.items, q.head = q.items[:n], 0
 	}
 	q.items = append(q.items, v)
-	q.mu.Unlock()
-	q.wake()
 }
 
 // popLocked takes the oldest item.  The caller holds q.mu and has seen
@@ -277,25 +299,26 @@ func (q *realQueue) Len() int {
 }
 
 // recv pops one item, blocking until one arrives, the queue closes, or
-// timeout fires (when non-nil).
-func (q *realQueue) recv(timeout <-chan time.Time) (any, bool) {
+// timeout fires (when non-nil).  ticked reports that recv consumed the
+// timeout's tick.
+func (q *realQueue) recv(timeout <-chan time.Time) (v any, ok, ticked bool) {
 	for {
 		q.mu.Lock()
 		if q.lenLocked() > 0 {
-			v := q.popLocked()
+			v = q.popLocked()
 			rest := q.lenLocked()
 			q.mu.Unlock()
 			if rest > 0 {
 				q.wake() // other receivers may be waiting
 			}
-			return v, true
+			return v, true, false
 		}
 		if q.closed {
 			q.mu.Unlock()
 			// Cascade so every other blocked receiver observes the
 			// close too (the notify channel holds a single token).
 			q.wake()
-			return nil, false
+			return nil, false, false
 		}
 		q.mu.Unlock()
 		select {
@@ -304,12 +327,12 @@ func (q *realQueue) recv(timeout <-chan time.Time) (any, bool) {
 			// One last race-free check before reporting timeout.
 			q.mu.Lock()
 			if q.lenLocked() > 0 {
-				v := q.popLocked()
+				v = q.popLocked()
 				q.mu.Unlock()
-				return v, true
+				return v, true, true
 			}
 			q.mu.Unlock()
-			return nil, false
+			return nil, false, true
 		}
 	}
 }

@@ -350,3 +350,53 @@ func TestRealQueueOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestRecvTimeoutReusesTimer runs timed receives in sequence on one real
+// proc, which serves them all with one timer: one that times out, one
+// whose message lands just as its deadline passes, so that the tick
+// fires and is not consumed, and a long one, which must neither return
+// before its deadline from that stale tick nor miss the message that
+// ends it.  After every receive the timer's channel must be empty.
+func TestRecvTimeoutReusesTimer(t *testing.T) {
+	s := Real()
+	q, p := s.NewQueue("q"), RealProc(s)
+	rq := q.(*realQueue)
+	const short, long = time.Millisecond, 20 * time.Millisecond
+	drained := func(round int, what string) {
+		if n := len(p.(*realProc).timer.C); n != 0 {
+			t.Fatalf("round %d, %s: %d stale ticks left in the timer", round, what, n)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if v, ok := p.RecvTimeout(q, short); ok {
+			t.Fatalf("round %d: empty queue gave %v", i, v)
+		}
+		drained(i, "timeout")
+
+		// The receive waits for the queue's lock while its deadline
+		// passes; the message is in the queue when it gets the lock.
+		rq.mu.Lock()
+		go func() {
+			time.Sleep(5 * short)
+			rq.pushLocked(i)
+			rq.mu.Unlock()
+		}()
+		if v, ok := p.RecvTimeout(q, short); !ok || v.(int) != i {
+			t.Fatalf("round %d: message at the deadline: %v, %v", i, v, ok)
+		}
+		drained(i, "message at the deadline")
+
+		start := s.Now()
+		if v, ok := p.RecvTimeout(q, long); ok {
+			t.Fatalf("round %d: long receive on an empty queue gave %v", i, v)
+		}
+		if waited := s.Now() - start; waited < long {
+			t.Fatalf("round %d: long receive timed out after %v, deadline %v", i, waited, long)
+		}
+		q.Put("late", long/4)
+		if v, ok := p.RecvTimeout(q, long); !ok || v.(string) != "late" {
+			t.Fatalf("round %d: long receive: %v, %v", i, v, ok)
+		}
+		drained(i, "long receive")
+	}
+}
