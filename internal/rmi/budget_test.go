@@ -37,7 +37,7 @@ func TestStationAllocBudget(t *testing.T) {
 		ceiling      float64
 		run          func() float64
 	}{
-		{"Call on the simulated fabric", "rmi.call_fab_allocs", 5, func() float64 {
+		{"Call on the simulated fabric", "rmi.call_fab_allocs", 4, func() float64 {
 			w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 2))
 			p, done := sched.AdoptVirtual(w.s, "caller")
 			got := measure(w, p)
@@ -45,11 +45,11 @@ func TestStationAllocBudget(t *testing.T) {
 			w.join()
 			return got
 		}},
-		{"Call on the in-memory network", "rmi.call_mem_allocs", 5, func() float64 {
+		{"Call on the in-memory network", "rmi.call_mem_allocs", 4, func() float64 {
 			w := realWorld("mem-real", func(s sched.Sched) Network { return NewMem(s, 0) })
 			return measure(w, sched.RealProc(w.s))
 		}},
-		{"Call over loopback TCP", "rmi.call_tcp_allocs", 11, func() float64 {
+		{"Call over loopback TCP", "rmi.call_tcp_allocs", 10, func() float64 {
 			w := realWorld("tcp-real", func(s sched.Sched) Network { return NewTCP(s) })
 			return measure(w, sched.RealProc(w.s))
 		}},

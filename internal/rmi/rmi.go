@@ -163,6 +163,7 @@ type Station struct {
 	services map[string]service
 	pending  map[uint64]sched.Queue
 	replies  []sched.Queue // reply queues of calls that succeeded, for reuse
+	requests []*request    // runners of requests whose procs have started, for reuse
 	nextID   uint64
 	closed   bool
 	started  bool
@@ -343,41 +344,68 @@ func (st *Station) dispatch(p sched.Proc) {
 func (st *Station) serve(msg *Message) {
 	st.mu.Lock()
 	svc, ok := st.services[msg.Service]
+	var r *request
+	if n := len(st.requests); n > 0 {
+		r, st.requests = st.requests[n-1], st.requests[:n-1]
+	} else {
+		r = &request{st: st}
+		r.run = r.serve
+	}
+	r.h, r.msg = svc.h, msg
 	st.mu.Unlock()
 	if !ok {
 		svc.proc = "rmi:" + st.Node() + "/" + msg.Service
 	}
-	h := svc.h
-	st.s.Spawn(svc.proc, func(p sched.Proc) {
-		var body []byte
-		var err error
-		if h == nil {
-			err = ErrNoService
-		} else {
-			body, err = h(p, msg.From, msg.Method, msg.Body)
-		}
-		if msg.Kind == KindOneWay {
-			return
-		}
-		resp := &Message{
-			From:    st.Node(),
-			To:      msg.From,
-			Kind:    KindResponse,
-			ID:      msg.ID,
-			Service: msg.Service,
-			Method:  msg.Method,
-			Body:    body,
-		}
-		if err != nil {
-			resp.Err = err.Error()
-		}
-		if msg.Idem {
-			st.dedupStore(msg, resp)
-		}
-		st.bytesOut.Add(int64(resp.wireSize()))
-		// Best effort: the caller times out if the response is lost.
-		_ = st.ep.Send(p, msg.From, resp)
-	})
+	st.s.Spawn(svc.proc, r.run)
+}
+
+// request carries one inbound request to the proc that serves it.  A
+// station keeps a free list of them: serve takes one, and it goes back
+// as its proc starts, so the list never holds more runners than
+// requests were once waiting for their procs at the same time.  run is
+// the runner's serve method, bound once.
+type request struct {
+	st  *Station
+	h   Handler
+	msg *Message
+	run func(sched.Proc)
+}
+
+func (r *request) serve(p sched.Proc) {
+	st, h, msg := r.st, r.h, r.msg
+	r.h, r.msg = nil, nil
+	st.mu.Lock()
+	st.requests = append(st.requests, r)
+	st.mu.Unlock()
+
+	var body []byte
+	var err error
+	if h == nil {
+		err = ErrNoService
+	} else {
+		body, err = h(p, msg.From, msg.Method, msg.Body)
+	}
+	if msg.Kind == KindOneWay {
+		return
+	}
+	resp := &Message{
+		From:    st.Node(),
+		To:      msg.From,
+		Kind:    KindResponse,
+		ID:      msg.ID,
+		Service: msg.Service,
+		Method:  msg.Method,
+		Body:    body,
+	}
+	if err != nil {
+		resp.Err = err.Error()
+	}
+	if msg.Idem {
+		st.dedupStore(msg, resp)
+	}
+	st.bytesOut.Add(int64(resp.wireSize()))
+	// Best effort: the caller times out if the response is lost.
+	_ = st.ep.Send(p, msg.From, resp)
 }
 
 // Call performs a synchronous invocation of service.method on node `to`

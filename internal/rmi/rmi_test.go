@@ -615,3 +615,44 @@ func TestReplyQueueReuse(t *testing.T) {
 	})
 	w.join()
 }
+
+// TestRequestRunnersBounded: a station serves every request through a
+// runner from its free list, and a runner goes back as its proc starts,
+// so the list holds no more runners than requests once waited for
+// their procs together: one after calls made one at a time, and no more
+// than a burst's size after a burst of one-way posts.
+func TestRequestRunnersBounded(t *testing.T) {
+	w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 2))
+	names := nodeNames(2)
+	a := newStation(t, w, names[0])
+	b := newStation(t, w, names[1])
+	runners := func() int {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.requests)
+	}
+	w.spawn("caller", func(p sched.Proc) {
+		defer func() { a.Close(); b.Close() }()
+		for i := 0; i < 50; i++ {
+			if _, err := a.Call(p, names[1], "echo", "ping", nil, time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := runners(); n != 1 {
+			t.Fatalf("%d runners after calls made one at a time, want 1", n)
+		}
+		const burst = 20
+		for i := 0; i < burst; i++ {
+			if err := a.Post(p, names[1], "echo", "ping", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := a.Call(p, names[1], "echo", "ping", nil, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if n := runners(); n < 1 || n > burst+1 {
+			t.Fatalf("%d runners after a burst of %d posts, want 1 to %d", n, burst, burst+1)
+		}
+	})
+	w.join()
+}
