@@ -61,17 +61,17 @@ func TestInvokeAllocBudget(t *testing.T) {
 			ceiling      float64
 			op           func()
 		}{
-			{"sinvoke", "core.sinvoke_allocs", 17, func() {
+			{"sinvoke", "core.sinvoke_allocs", 15, func() {
 				_, err := obj.SInvoke(p, "Ping")
 				check(err)
 			}},
-			{"ainvoke, then its result", "core.ainvoke_allocs", 28, func() {
+			{"ainvoke, then its result", "core.ainvoke_allocs", 24, func() {
 				h, err := obj.AInvoke(p, "Ping")
 				check(err)
 				_, err = h.Result(p)
 				check(err)
 			}},
-			{"oinvoke", "core.oinvoke_allocs", 12, func() {
+			{"oinvoke", "core.oinvoke_allocs", 10, func() {
 				check(obj.OInvoke(p, "Nop"))
 			}},
 		} {

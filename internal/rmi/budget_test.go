@@ -37,7 +37,7 @@ func TestStationAllocBudget(t *testing.T) {
 		ceiling      float64
 		run          func() float64
 	}{
-		{"Call on the simulated fabric", "rmi.call_fab_allocs", 4, func() float64 {
+		{"Call on the simulated fabric", "rmi.call_fab_allocs", 2, func() float64 {
 			w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 2))
 			p, done := sched.AdoptVirtual(w.s, "caller")
 			got := measure(w, p)

@@ -22,7 +22,7 @@ func TestSchedAllocBudget(t *testing.T) {
 		ceiling      float64
 		run          func() float64
 	}{
-		{"virtual Spawn, beyond the kernel's own", "vclock.spawn_ns", 1, func() float64 {
+		{"virtual Spawn, beyond the kernel's own", "vclock.spawn_ns", 0, func() float64 {
 			c := vclock.New()
 			s := Virtual(c)
 			a := c.Adopt("main")

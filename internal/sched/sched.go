@@ -22,7 +22,10 @@ import (
 )
 
 // Proc is a schedulable execution context.  Methods must be called from
-// the goroutine that owns the Proc.
+// the goroutine that owns the Proc.  The proc Spawn hands its function
+// is pooled: once the function returns, the scheduler may hand the same
+// proc to another function, so it must not be used, or kept for use,
+// after that.
 type Proc interface {
 	// Sleep suspends the proc for d.
 	Sleep(d time.Duration)
@@ -64,11 +67,20 @@ type Sched interface {
 // ---------------------------------------------------------------------
 // Virtual implementation over vclock.
 
-type virtualSched struct{ c *vclock.Clock }
+type virtualSched struct {
+	c    *vclock.Clock
+	mu   sync.Mutex
+	free []*virtualProc // procs whose functions returned, for Spawn to reuse
+}
 
+// virtualProc is a proc on a vclock actor.  A spawned one is pooled: it
+// goes back to its scheduler's free list when its function returns, so
+// the list never holds more procs than were once live at the same time.
 type virtualProc struct {
-	s *virtualSched
-	a *vclock.Actor
+	s   *virtualSched
+	a   *vclock.Actor
+	fn  func(Proc)          // the spawned function, until it starts
+	run func(*vclock.Actor) // the proc's body method, bound once
 }
 
 type virtualQueue struct{ m *vclock.Mailbox }
@@ -77,7 +89,28 @@ type virtualQueue struct{ m *vclock.Mailbox }
 func Virtual(c *vclock.Clock) Sched { return &virtualSched{c: c} }
 
 func (s *virtualSched) Spawn(name string, fn func(Proc)) {
-	s.c.Spawn(name, func(a *vclock.Actor) { fn(&virtualProc{s: s, a: a}) })
+	s.mu.Lock()
+	var p *virtualProc
+	if n := len(s.free); n > 0 {
+		p, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		p = &virtualProc{s: s}
+		p.run = p.body
+	}
+	s.mu.Unlock()
+	p.fn = fn
+	s.c.Spawn(name, p.run)
+}
+
+// body runs a spawned proc's function on actor a, then frees the proc.
+func (p *virtualProc) body(a *vclock.Actor) {
+	fn := p.fn
+	p.a, p.fn = a, nil
+	fn(p)
+	p.a = nil
+	p.s.mu.Lock()
+	p.s.free = append(p.s.free, p)
+	p.s.mu.Unlock()
 }
 
 func (s *virtualSched) NewQueue(name string) Queue {

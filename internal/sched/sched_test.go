@@ -400,3 +400,39 @@ func TestRecvTimeoutReusesTimer(t *testing.T) {
 		drained(i, "long receive")
 	}
 }
+
+// TestSpawnPoolsVirtualProcs: a virtual proc goes back to its scheduler
+// when its function returns, and the next Spawn takes it again, so the
+// pool never holds more procs than were once live together.
+func TestSpawnPoolsVirtualProcs(t *testing.T) {
+	c := vclock.New()
+	s := Virtual(c).(*virtualSched)
+	main, done := s.Adopt("main")
+	defer c.Run()
+	defer done()
+	seen := map[Proc]bool{}
+	for i := 0; i < 3; i++ {
+		s.Spawn("sleeper", func(p Proc) {
+			seen[p] = true
+			p.Sleep(time.Millisecond)
+		})
+	}
+	main.Sleep(2 * time.Millisecond)
+	if len(s.free) != 3 || len(seen) != 3 {
+		t.Fatalf("%d pooled after 3 live procs (%d distinct), want 3", len(s.free), len(seen))
+	}
+	for i := 0; i < 10; i++ {
+		s.Spawn("one at a time", func(p Proc) {
+			if !seen[p] {
+				t.Error("Spawn made a proc while the pool held some")
+			}
+			if Actor(p) == nil {
+				t.Error("a pooled proc has no actor")
+			}
+		})
+		main.Sleep(0)
+	}
+	if len(s.free) != 3 {
+		t.Fatalf("%d pooled after procs one at a time, want 3", len(s.free))
+	}
+}
