@@ -141,17 +141,6 @@ func (w *wireType) encode(buf []byte, v reflect.Value) []byte {
 	return w.l.enc(append(buf, w.tag), v)
 }
 
-// decode decodes a tag-first body, exactly, into v (addressable).
-func (w *wireType) decode(data []byte, v reflect.Value) error {
-	if len(data) == 0 {
-		return wire.ErrTruncated
-	}
-	if data[0] != w.tag {
-		return fmt.Errorf("%w: struct tag 0x%02x, want 0x%02x", wire.ErrCorrupt, data[0], w.tag)
-	}
-	return decodeLayout(w.l, data[1:], v, 0)
-}
-
 // The registration table: RegisterWire fills it at init and it is only
 // read afterwards, so Marshal and Unmarshal take no lock.
 var (
@@ -220,5 +209,5 @@ func decodeWire(data []byte, v any) error {
 	if rv.Kind() != reflect.Pointer || rv.IsNil() || rv.Type().Elem() != w.l.t {
 		return fmt.Errorf("%w: a %v body into %T", wire.ErrCorrupt, w.l.t, v)
 	}
-	return w.decode(data, rv.Elem())
+	return decodeLayout(w.l, data[1:], rv.Elem(), 0)
 }

@@ -144,14 +144,14 @@ func frameCases() (in Message, body []byte, bad []frameCase) {
 }
 
 // TestReadFrameChecks: a TCP frame decodes into the message it framed,
-// with or without a header table, and a frame whose kind is out of
+// through a cold header table and a warm one, and a frame whose kind is out of
 // range, overflows Kind's byte or carries another struct's tag fails as
 // corrupt.
 func TestReadFrameChecks(t *testing.T) {
 	in, body, bad := frameCases()
-	names := new(headerNames)
-	for _, tab := range []*headerNames{nil, names, names} {
-		if got, err := readFrame(frameReader(body), tab); err != nil || !reflect.DeepEqual(*got, in) {
+	names := headerNames{}
+	for range 2 { // a cold table, then a warm one
+		if got, err := readFrame(frameReader(body), names); err != nil || !reflect.DeepEqual(*got, in) {
 			t.Fatalf("valid frame: %+v, %v", got, err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestReadFrameChecks(t *testing.T) {
 // its bound, strings past the bound or too long to keep still decode
 // exactly, and a kept string is handed out again rather than rebuilt.
 func TestHeaderNamesBounded(t *testing.T) {
-	names := new(headerNames)
+	names := headerNames{}
 	long := strings.Repeat("s", maxHeaderNameLen+1)
 	for i := 0; i < 3*maxHeaderNames; i++ {
 		in := Message{From: fmt.Sprintf("node%04d", i), To: "b", Kind: KindRequest, Service: long, Method: "m"}
@@ -175,10 +175,10 @@ func TestHeaderNamesBounded(t *testing.T) {
 			t.Fatalf("frame %d: %+v, %v", i, got, err)
 		}
 	}
-	if len(names.m) != maxHeaderNames {
-		t.Fatalf("table holds %d strings, bound %d", len(names.m), maxHeaderNames)
+	if len(names) != maxHeaderNames {
+		t.Fatalf("table holds %d strings, bound %d", len(names), maxHeaderNames)
 	}
-	if _, kept := names.m[long]; kept {
+	if _, kept := names[long]; kept {
 		t.Error("table kept a string longer than its bound")
 	}
 	body := msgWire.encode(nil, reflect.ValueOf(Message{From: "node0000", To: "b", Kind: KindRequest}))

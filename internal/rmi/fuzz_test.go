@@ -160,8 +160,8 @@ func FuzzWireDecode(f *testing.F) {
 
 // FuzzReadFrame feeds arbitrary frame bodies through readFrame with one
 // header table shared across inputs, as a connection shares its table.
-// Each input must fail with a typed error, or decode to the message
-// msgWire's own decode gives without a table; the two decoders must
+// Each input must fail with a typed error, or decode to the message the
+// reflective layout decode gives without a table; the two decoders must
 // agree on which inputs are valid; and the table never outgrows its
 // bound.
 func FuzzReadFrame(f *testing.F) {
@@ -170,11 +170,11 @@ func FuzzReadFrame(f *testing.F) {
 	for _, c := range bad {
 		f.Add(c.body)
 	}
-	names := new(headerNames)
+	names := headerNames{}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, err := readFrame(frameReader(body), names)
 		want := new(Message)
-		wantErr := msgWire.decode(body, reflect.ValueOf(want).Elem())
+		wantErr := decodeWire(body, want)
 		if wantErr == nil && (want.Kind < KindRequest || want.Kind > KindOneWay) {
 			wantErr = wire.ErrCorrupt
 		}
@@ -186,10 +186,10 @@ func FuzzReadFrame(f *testing.F) {
 		case err == nil && !reflect.DeepEqual(got, want):
 			t.Fatalf("readFrame %+v, msgWire %+v", got, want)
 		}
-		if len(names.m) > maxHeaderNames {
-			t.Fatalf("header table holds %d strings, bound %d", len(names.m), maxHeaderNames)
+		if len(names) > maxHeaderNames {
+			t.Fatalf("header table holds %d strings, bound %d", len(names), maxHeaderNames)
 		}
-		for s := range names.m {
+		for s := range names {
 			if len(s) > maxHeaderNameLen {
 				t.Fatalf("header table kept a %d-byte string, bound %d", len(s), maxHeaderNameLen)
 			}

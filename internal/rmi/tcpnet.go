@@ -95,8 +95,8 @@ func (c *tcpConn) writeFrame(msg *Message) error {
 // readFrame reads one frame and decodes it into a fresh message: the
 // one place a Message comes from outside bytes, so the one place its
 // Kind is checked.  The frame is the message's own, and Body aliases
-// it.  The header strings come from names (nil interns nothing).
-func readFrame(r *bufio.Reader, names *headerNames) (*Message, error) {
+// it.  The header strings come from names.
+func readFrame(r *bufio.Reader, names headerNames) (*Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -114,8 +114,8 @@ func readFrame(r *bufio.Reader, names *headerNames) (*Message, error) {
 
 // decodeFrame decodes msgWire's encoding of a Message, field by field
 // in the layout's order, without reflection.  FuzzReadFrame holds it to
-// msgWire's own decode.
-func decodeFrame(frame []byte, names *headerNames) (*Message, error) {
+// the layout's own decode.
+func decodeFrame(frame []byte, names headerNames) (*Message, error) {
 	d := wire.NewDec(frame)
 	if tag := d.Byte(); d.Err() == nil && tag != tagMessage {
 		return nil, fmt.Errorf("%w: struct tag 0x%02x, want 0x%02x", wire.ErrCorrupt, tag, tagMessage)
@@ -153,28 +153,21 @@ const (
 // From, To, Service and Method, a small vocabulary on any one link — so
 // a warm connection decodes them without allocating.  It holds at most
 // maxHeaderNames strings of at most maxHeaderNameLen bytes; any other
-// string decodes fresh, as without a table.  Only the connection's read
-// loop touches it.
-type headerNames struct{ m map[string]string }
+// string decodes fresh.  Only the connection's read loop touches it.
+type headerNames map[string]string
 
 // read decodes one length-prefixed string through the table.
-func (t *headerNames) read(d *wire.Dec) string {
+func (t headerNames) read(d *wire.Dec) string {
 	b := d.Bytes()
 	if len(b) == 0 {
 		return ""
 	}
-	if t == nil || len(b) > maxHeaderNameLen {
-		return string(b)
-	}
-	if s, ok := t.m[string(b)]; ok {
+	if s, ok := t[string(b)]; ok {
 		return s
 	}
 	s := string(b)
-	if len(t.m) < maxHeaderNames {
-		if t.m == nil {
-			t.m = make(map[string]string)
-		}
-		t.m[s] = s
+	if len(b) <= maxHeaderNameLen && len(t) < maxHeaderNames {
+		t[s] = s
 	}
 	return s
 }
@@ -207,7 +200,7 @@ func (ep *tcpEndpoint) acceptLoop() {
 func (ep *tcpEndpoint) readLoop(c net.Conn) {
 	defer c.Close()
 	r := bufio.NewReader(c)
-	names := new(headerNames)
+	names := headerNames{}
 	for {
 		msg, err := readFrame(r, names)
 		if err != nil {
