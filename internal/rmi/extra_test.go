@@ -144,9 +144,9 @@ func frameCases() (in Message, body []byte, bad []frameCase) {
 }
 
 // TestReadFrameChecks: a TCP frame decodes into the message it framed,
-// through a cold header table and a warm one, and a frame whose kind is out of
-// range, overflows Kind's byte or carries another struct's tag fails as
-// corrupt.
+// through a cold header table and a warm one, and a frame whose kind is
+// out of range, overflows Kind's byte or carries another struct's tag
+// fails as corrupt.
 func TestReadFrameChecks(t *testing.T) {
 	in, body, bad := frameCases()
 	names := headerNames{}

@@ -182,9 +182,9 @@ func FuzzReadFrame(f *testing.F) {
 		case err != nil && !errors.Is(err, wire.ErrCorrupt) && !errors.Is(err, wire.ErrTruncated):
 			t.Fatalf("untyped error: %v", err)
 		case (err == nil) != (wantErr == nil):
-			t.Fatalf("readFrame: %v; msgWire: %v", err, wantErr)
+			t.Fatalf("readFrame: %v; decodeWire: %v", err, wantErr)
 		case err == nil && !reflect.DeepEqual(got, want):
-			t.Fatalf("readFrame %+v, msgWire %+v", got, want)
+			t.Fatalf("readFrame %+v, decodeWire %+v", got, want)
 		}
 		if len(names) > maxHeaderNames {
 			t.Fatalf("header table holds %d strings, bound %d", len(names), maxHeaderNames)
