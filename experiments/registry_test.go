@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -102,6 +103,39 @@ func TestReadmeNamesEveryExperiment(t *testing.T) {
 	for _, e := range Registry {
 		if !bytes.Contains(text, []byte("-experiment "+e.Name)) {
 			t.Errorf("README.md quick start lacks `jsbench -experiment %s`", e.Name)
+		}
+	}
+}
+
+// TestNothingNamesAMissingExperiment checks the registry in the other
+// direction: every `jsbench -experiment NAME` in the docs names an entry
+// (or "all"), and every committed BENCH_*.json is some entry's artifact,
+// so a retired experiment leaves neither a command nor a file behind.
+func TestNothingNamesAMissingExperiment(t *testing.T) {
+	names, artifacts := map[string]bool{"all": true}, map[string]bool{}
+	for _, e := range Registry {
+		names[e.Name] = true
+		artifacts[e.Artifact] = true
+	}
+	cmd := regexp.MustCompile(`jsbench\s+-experiment\s+(\w+)`)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"} {
+		text, err := os.ReadFile(filepath.Join("..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cmd.FindAllSubmatch(text, -1) {
+			if !names[string(m[1])] {
+				t.Errorf("%s names `jsbench -experiment %s`, which is not registered", doc, m[1])
+			}
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !artifacts[filepath.Base(f)] {
+			t.Errorf("%s is no registered experiment's artifact", filepath.Base(f))
 		}
 	}
 }
