@@ -193,23 +193,6 @@ func TestInvokeErrors(t *testing.T) {
 	}
 }
 
-// TestInvokeAllocCeiling bounds what one no-argument invocation costs
-// once its method has been resolved.
-func TestInvokeAllocCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	w := &widget{}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := Invoke(w, "Count", nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 3 {
-		t.Fatalf("Invoke(Count) = %.1f allocs, want <= 3", allocs)
-	}
-}
-
 func TestInvokeNumericConversion(t *testing.T) {
 	// A caller's argument may be another integer width than the
 	// parameter; Invoke must convert to the parameter type.

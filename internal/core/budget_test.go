@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"jsymphony/internal/codebase"
+	"jsymphony/internal/replica"
+	"jsymphony/internal/rmi"
 	"jsymphony/internal/sched"
 	"jsymphony/internal/simnet"
 	"jsymphony/internal/virtarch"
@@ -18,12 +20,41 @@ type budgetPinger struct{ N int }
 func (b *budgetPinger) Ping() int { b.N++; return b.N }
 func (b *budgetPinger) Nop()      {}
 
-// TestInvokeAllocBudget pins the allocations of a remote invocation on
-// a two-node simulated world under night load: every allocation on the
-// path, the caller's, the serving node's and the background NAS
-// traffic's, counted per call.  Each row names the BENCHMARK.json ledger
-// row it mirrors; the ceiling is this test's count, and a change that
-// lowers a count lowers its ceiling.
+// encodes pins v's encoded size exactly and returns the allocations of
+// one rmi.Marshal.  v arrives as an any, as a body sent through the
+// station does, so the count holds no boxing at this call.
+func encodes(t *testing.T, v any, size int) func() float64 {
+	return func() float64 {
+		if got := len(rmi.MustMarshal(v)); got != size {
+			t.Errorf("%T encodes to %d bytes, want %d", v, got, size)
+		}
+		return testing.AllocsPerRun(100, func() { rmi.MustMarshal(v) })
+	}
+}
+
+// decodes returns the allocations of one rmi.Unmarshal of v's encoding
+// into a fresh target: the target plus its strings, arguments and
+// result.  State aliases the body it came in.
+func decodes(t *testing.T, v any, fresh func() any) func() float64 {
+	return func() float64 {
+		body := rmi.MustMarshal(v)
+		return testing.AllocsPerRun(100, func() {
+			if err := rmi.Unmarshal(body, fresh()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestInvokeAllocBudget is the package's allocation budget: a remote
+// invocation on a two-node simulated world under night load, every
+// allocation on the path, the caller's, the serving node's and the
+// background NAS traffic's, counted per call; and the encode and decode
+// of the busiest protocol bodies, filled, and of a replica set under
+// its tag, whose encoded sizes it pins exactly.  Each row names the
+// BENCHMARK.json ledger row it mirrors, where one exists; the ceiling
+// is this test's count, and a change that lowers a count lowers its
+// ceiling.
 func TestInvokeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
@@ -56,34 +87,59 @@ func TestInvokeAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		invoke := func(op func()) func() float64 {
+			return func() float64 {
+				for i := 0; i < 100; i++ { // warm: caches, pools, grown queues
+					op()
+				}
+				got := testing.AllocsPerRun(2000, op)
+				p.Sleep(10 * time.Millisecond) // one-sided calls land
+				return got
+			}
+		}
+		set := replica.Set{
+			Primary: "n02", Replicas: []string{"n04", "n05"},
+			Mode: replica.Strong, Lease: 250 * time.Millisecond,
+			Reads: []string{"Get", "Sum"},
+		}
+		req, resp, update := filled(invokeReq{}), filled(invokeResp{}), filled(replicaUpdateReq{})
 		for _, row := range []struct {
 			name, ledger string
 			ceiling      float64
-			op           func()
+			run          func() float64
 		}{
-			{"sinvoke", "core.sinvoke_allocs", 15, func() {
+			{"sinvoke", "core.sinvoke_allocs", 15, invoke(func() {
 				_, err := obj.SInvoke(p, "Ping")
 				check(err)
-			}},
-			{"ainvoke, then its result", "core.ainvoke_allocs", 24, func() {
+			})},
+			{"ainvoke, then its result", "core.ainvoke_allocs", 24, invoke(func() {
 				h, err := obj.AInvoke(p, "Ping")
 				check(err)
 				_, err = h.Result(p)
 				check(err)
-			}},
-			{"oinvoke", "core.oinvoke_allocs", 10, func() {
+			})},
+			{"oinvoke", "core.oinvoke_allocs", 10, invoke(func() {
 				check(obj.OInvoke(p, "Nop"))
-			}},
+			})},
+			{"invokeReq encode", "", 1, encodes(t, req, 44)},
+			{"invokeReq decode", "", 10, decodes(t, req, func() any { return new(invokeReq) })},
+			// The map result sorts its keys in a scratch slice.
+			{"invokeResp encode", "", 2, encodes(t, resp, 53)},
+			{"invokeResp decode", "", 11, decodes(t, resp, func() any { return new(invokeResp) })},
+			{"replicaUpdateReq encode", "", 1, encodes(t, update, 39)},
+			{"replicaUpdateReq decode", "", 6, decodes(t, update, func() any { return new(replicaUpdateReq) })},
+			// Under its tag: as a named layout, rmi alone would spend 49 B.
+			{"replicaSet encode", "", 1, encodes(t, set, 36)},
+			{"replicaSet decode", "", 9, decodes(t, set, func() any { return new(replica.Set) })},
 		} {
-			for i := 0; i < 100; i++ { // warm: caches, pools, grown queues
-				row.op()
+			name := row.name
+			if row.ledger != "" {
+				name += " (" + row.ledger + ")"
 			}
-			got := testing.AllocsPerRun(2000, row.op)
-			p.Sleep(10 * time.Millisecond) // one-sided calls land
-			if got > row.ceiling {
-				t.Errorf("%s (%s): %.1f allocs, ceiling %.1f", row.name, row.ledger, got, row.ceiling)
+			if got := row.run(); got > row.ceiling {
+				t.Errorf("%s: %.1f allocs, ceiling %.1f", name, got, row.ceiling)
 			} else {
-				t.Logf("%s (%s): %.1f allocs, ceiling %.1f", row.name, row.ledger, got, row.ceiling)
+				t.Logf("%s: %.1f allocs, ceiling %.1f", name, got, row.ceiling)
 			}
 		}
 		a.Unregister(p)

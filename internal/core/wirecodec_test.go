@@ -136,38 +136,6 @@ func TestWireGolden(t *testing.T) {
 	}
 }
 
-// TestWireAllocCeiling pins the allocations of the three busiest
-// protocol bodies, filled, at the counts the hand-written schemas had:
-// one per encode (the returned buffer) and, per decode, the target plus
-// its strings, arguments and result.  State aliases the body it came
-// in, as it always did.
-func TestWireAllocCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime randomly bypasses sync.Pool puts, so allocation budgets do not hold under it")
-	}
-	for _, c := range []struct {
-		zero     any
-		enc, dec float64
-	}{
-		{invokeReq{}, 1, 10},
-		{invokeResp{}, 2, 11}, // the map result sorts its keys in a scratch slice
-		{replicaUpdateReq{}, 1, 6},
-	} {
-		in, typ := filled(c.zero), reflect.TypeOf(c.zero)
-		body := rmi.MustMarshal(in)
-		if got := testing.AllocsPerRun(100, func() { rmi.MustMarshal(in) }); got > c.enc {
-			t.Errorf("%s encode: %.1f allocs/op, want <= %.0f", typ.Name(), got, c.enc)
-		}
-		if got := testing.AllocsPerRun(100, func() {
-			if err := rmi.Unmarshal(body, reflect.New(typ).Interface()); err != nil {
-				t.Fatal(err)
-			}
-		}); got > c.dec {
-			t.Errorf("%s decode: %.1f allocs/op, want <= %.0f", typ.Name(), got, c.dec)
-		}
-	}
-}
-
 // layoutBodies are the core bodies without a struct tag: they cross the
 // wire and the disk as named layouts.
 func layoutBodies() []any {

@@ -1,6 +1,7 @@
 package rmi
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,11 +9,39 @@ import (
 	"jsymphony/internal/simnet"
 )
 
-// TestStationAllocBudget pins the allocations of one synchronous call of
-// a 64-byte echo between two stations, both stations' work and the
-// transport's included.  Each row names the BENCHMARK.json ledger row
-// it mirrors; the ceiling is this test's count, and a change that
-// lowers a count lowers its ceiling.
+// encodes pins v's encoded size exactly and returns the allocations of
+// one Marshal.  v arrives as an any, as a protocol body's fields do, so
+// the count holds no boxing at this call.
+func encodes(t *testing.T, v any, size int) func() float64 {
+	return func() float64 {
+		if got := len(MustMarshal(v)); got != size {
+			t.Errorf("%T encodes to %d bytes, want %d", v, got, size)
+		}
+		return testing.AllocsPerRun(100, func() { MustMarshal(v) })
+	}
+}
+
+// decodes returns the allocations of one Unmarshal of v's encoding into
+// a fresh target: the target, its strings and whatever the body does
+// not alias.
+func decodes(t *testing.T, v any, fresh func() any) func() float64 {
+	return func() float64 {
+		body := MustMarshal(v)
+		return testing.AllocsPerRun(100, func() {
+			if err := Unmarshal(body, fresh()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestStationAllocBudget is the package's allocation budget: one
+// synchronous call of a 64-byte echo between two stations, both
+// stations' work and the transport's included; the encode and decode of
+// representative bodies, whose encoded sizes it pins exactly; and the
+// layout codec on a flat struct.  Each row names the BENCHMARK.json
+// ledger row it mirrors, where one exists; the ceiling is this test's
+// count, and a change that lowers a count lowers its ceiling.
 func TestStationAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
@@ -32,6 +61,39 @@ func TestStationAllocBudget(t *testing.T) {
 		}
 		return testing.AllocsPerRun(2000, call)
 	}
+
+	// The representative bodies: a request with a 96-byte body, a
+	// control-plane batch, a mixed argument vector and a bulk float32
+	// operand block.
+	var msg any = benchMessage()
+	var batch Batch
+	for i := 0; i < 16; i++ {
+		batch.MustAppend(&Message{
+			From: "n00", To: "n01", Kind: KindOneWay, ID: uint64(i),
+			Service: "oas.pub", Method: "replicaAuthRenew",
+		})
+	}
+	var args any = benchArgs()
+	operands := make([]float32, 4096)
+	for i := range operands {
+		operands[i] = 1.0 / float32(i+1)
+	}
+	// A layout reads a flat struct, and a []any field whether or not its
+	// struct is addressable, through reflect accessors that allocate
+	// nothing beyond the buffer.
+	flat := layoutFlat{I: 1, S: "s", ID: "id"}
+	withArgs := struct {
+		N    int
+		Args []any
+	}{N: 1, Args: []any{7, "s", true, 2.5}}
+	layoutEncodes := func(v reflect.Value) func() float64 {
+		return func() float64 {
+			l, _ := layoutOf(v.Type())
+			buf := make([]byte, 0, 256)
+			return testing.AllocsPerRun(100, func() { buf = l.enc(buf[:0], v) })
+		}
+	}
+
 	for _, row := range []struct {
 		name, ledger string
 		ceiling      float64
@@ -53,11 +115,28 @@ func TestStationAllocBudget(t *testing.T) {
 			w := realWorld("tcp-real", func(s sched.Sched) Network { return NewTCP(s) })
 			return measure(w, sched.RealProc(w.s))
 		}},
+		{"message encode", "wire.msg_enc_allocs", 1, encodes(t, msg, 128)},
+		{"message decode", "wire.msg_dec_allocs", 5, decodes(t, msg, func() any { return new(Message) })},
+		{"batch16 encode", "", 1, encodes(t, batch, 677)},
+		{"batch16 decode", "", 1, decodes(t, batch, func() any { return new(Batch) })},
+		{"args encode", "", 1, encodes(t, args, 33)},
+		{"args decode", "", 8, decodes(t, args, func() any { return new([]any) })},
+		{"float32x4096 encode", "", 1, encodes(t, operands, 16388)},
+		{"float32x4096 decode", "", 3, decodes(t, operands, func() any { return new([]float32) })},
+		{"flat struct layout encode", "", 0, layoutEncodes(reflect.ValueOf(&flat).Elem())},
+		{"[]any field layout encode, struct by value", "", 0, layoutEncodes(reflect.ValueOf(withArgs))},
+		{"[]any field layout encode, struct addressed", "", 0, layoutEncodes(reflect.ValueOf(&withArgs).Elem())},
+		// The target and its one multi-byte string; the cursor is pooled.
+		{"flat struct decode", "", 2, decodes(t, &flat, func() any { return new(layoutFlat) })},
 	} {
+		name := row.name
+		if row.ledger != "" {
+			name += " (" + row.ledger + ")"
+		}
 		if got := row.run(); got > row.ceiling {
-			t.Errorf("%s (%s): %.1f allocs, ceiling %.1f", row.name, row.ledger, got, row.ceiling)
+			t.Errorf("%s: %.1f allocs, ceiling %.1f", name, got, row.ceiling)
 		} else {
-			t.Logf("%s (%s): %.1f allocs, ceiling %.1f", row.name, row.ledger, got, row.ceiling)
+			t.Logf("%s: %.1f allocs, ceiling %.1f", name, got, row.ceiling)
 		}
 	}
 }

@@ -196,48 +196,6 @@ func TestLayoutMapOrder(t *testing.T) {
 	}
 }
 
-// TestLayoutFlatAllocs: a flat struct read through reflect accessors
-// allocates nothing beyond the buffer, and neither does a []any field,
-// whether its struct is addressable or was passed by value.  A decode
-// allocates the target and its one multi-byte string: the cursor is
-// pooled, where a cursor of its own per decode cost a third.
-func TestLayoutFlatAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime perturbs allocation counts")
-	}
-	v := layoutFlat{I: 1, S: "s", ID: "id"}
-	l, _ := layoutOf(reflect.TypeOf(v))
-	buf := make([]byte, 0, 256)
-	type withArgs struct {
-		N    int
-		Args []any
-	}
-	w := withArgs{N: 1, Args: []any{7, "s", true, 2.5}}
-	lw, _ := layoutOf(reflect.TypeOf(w))
-	for name, c := range map[string]struct {
-		l *layout
-		v reflect.Value
-	}{
-		"flat":            {l, reflect.ValueOf(&v).Elem()},
-		"[]any by value":  {lw, reflect.ValueOf(w)},
-		"[]any addressed": {lw, reflect.ValueOf(&w).Elem()},
-	} {
-		if got := testing.AllocsPerRun(100, func() { buf = c.l.enc(buf[:0], c.v) }); got != 0 {
-			t.Errorf("%s encode: %.1f allocs/op, want 0", name, got)
-		}
-	}
-
-	body := MustMarshal(&v)
-	if got := testing.AllocsPerRun(100, func() {
-		var out layoutFlat
-		if err := Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-	}); got > 2 {
-		t.Errorf("flat struct decode: %.1f allocs/op, want <= 2", got)
-	}
-}
-
 // TestLayoutIntegerOverflow: an integer wider than its field fails as
 // corrupt instead of wrapping (300 into a uint8 would read back as 44).
 func TestLayoutIntegerOverflow(t *testing.T) {
