@@ -18,29 +18,6 @@ import (
 // manager").
 type Topology [][][]string
 
-// Clone deep-copies the topology.
-func (t Topology) Clone() Topology {
-	out := make(Topology, len(t))
-	for s, site := range t {
-		out[s] = make([][]string, len(site))
-		for c, cl := range site {
-			out[s][c] = append([]string(nil), cl...)
-		}
-	}
-	return out
-}
-
-// Nodes returns every node name in the topology.
-func (t Topology) Nodes() []string {
-	var out []string
-	for _, site := range t {
-		for _, cl := range site {
-			out = append(out, cl...)
-		}
-	}
-	return out
-}
-
 // Component keys used for aggregates and events.
 func ClusterKey(site, cluster int) string { return fmt.Sprintf("cluster:%d:%d", site, cluster) }
 func SiteKey(site int) string             { return fmt.Sprintf("site:%d", site) }

@@ -457,15 +457,6 @@ func TestHierarchyPromotionRule(t *testing.T) {
 }
 
 func TestTopologyHelpers(t *testing.T) {
-	topo := Topology{{{"a", "b"}, {"c"}}, {{"d"}}}
-	if got := topo.Nodes(); len(got) != 4 {
-		t.Fatalf("Nodes = %v", got)
-	}
-	cl := topo.Clone()
-	cl[0][0][0] = "x"
-	if topo[0][0][0] != "a" {
-		t.Fatal("Clone not deep")
-	}
 	if ClusterKey(1, 2) != "cluster:1:2" || SiteKey(3) != "site:3" {
 		t.Fatal("key format changed")
 	}
