@@ -123,16 +123,6 @@ var Registry = []Entry{
 			"(each placed workload twin-run: load-only vs committed co-location hints)",
 		Run: func(p Params) Result { return Place(defaultPlaceConfig(p.Seed)) },
 	},
-	{
-		Name: "wire", Artifact: "BENCH_wire.json",
-		Banner: "Wire — zero-alloc schema-aware codec vs the gob baseline\n" +
-			"(pooled binary wire path on the RMI hot path; DESIGN.md §15)",
-		Run: func(p Params) Result {
-			res := Wire(WireConfig{Seed: p.Seed})
-			res.Speed = MeasureWireSpeed()
-			return res
-		},
-	},
 }
 
 // encodeArtifact renders v the way every committed artifact is encoded:

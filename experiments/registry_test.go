@@ -54,23 +54,13 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("%s: committed artifact missing: %v", e.Name, err)
 		}
 		t.Run(e.Name, func(t *testing.T) {
-			// wire stays serial: testing.AllocsPerRun reads the process-wide
-			// malloc count, which a parallel neighbour pollutes.
-			if e.Name != "wire" {
-				t.Parallel()
-			}
+			t.Parallel()
 			run := reduced[e.Name]
 			if run == nil {
-				if testing.Short() && (e.Name == "place" || e.Name == "wire") {
+				if testing.Short() && e.Name == "place" {
 					t.Skip("full twin-run sweep in -short mode")
 				}
 				run = func(seed int64) Result { return e.Run(Params{Seed: seed}) }
-			}
-			if e.Name == "wire" && raceEnabled {
-				// The race runtime randomly bypasses sync.Pool puts, so
-				// AllocsPerRun counts are nondeterministic under it.  The
-				// plain test job and the CI artifact diff enforce this.
-				t.Skip("allocation counts are nondeterministic under the race detector")
 			}
 			render := func(seed int64) []byte {
 				b, err := encodeArtifact(run(seed))

@@ -23,9 +23,8 @@ import (
 // nothing beyond the buffer it fills.
 //
 // A Batch crosses the wire as its exported fields under its struct
-// tag, and the wire experiment's gob reference (experiments/wire.go)
-// encodes them too; treat them as internal.  A received envelope is
-// validated by its first Decode; decode into a zero Batch.
+// tag; treat them as internal.  A received envelope is validated by its
+// first Decode; decode into a zero Batch.
 type Batch struct {
 	Count uint   // number of items
 	Buf   []byte // uvarint length-prefixed item encodings, back to back
