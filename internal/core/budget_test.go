@@ -20,6 +20,16 @@ type budgetPinger struct{ N int }
 func (b *budgetPinger) Ping() int { b.N++; return b.N }
 func (b *budgetPinger) Nop()      {}
 
+// budgetRow is one ceiling of the package's allocation budget.  ledger
+// names the BENCHMARK.json ledger row it mirrors, where one exists; the
+// ceiling is the row's count, and a change that lowers a count lowers
+// its ceiling.
+type budgetRow struct {
+	name, ledger string
+	ceiling      float64
+	run          func() float64
+}
+
 // encodes pins v's encoded size exactly and returns the allocations of
 // one rmi.Marshal.  v arrives as an any, as a body sent through the
 // station does, so the count holds no boxing at this call.
@@ -46,16 +56,15 @@ func decodes(t *testing.T, v any, fresh func() any) func() float64 {
 	}
 }
 
-// TestInvokeAllocBudget is the package's allocation budget: a remote
-// invocation on a two-node simulated world under night load, every
-// allocation on the path, the caller's, the serving node's and the
-// background NAS traffic's, counted per call; and the encode and decode
-// of the busiest protocol bodies, filled, and of a replica set under
-// its tag, whose encoded sizes it pins exactly.  Each row names the
-// BENCHMARK.json ledger row it mirrors, where one exists; the ceiling
-// is this test's count, and a change that lowers a count lowers its
-// ceiling.
-func TestInvokeAllocBudget(t *testing.T) {
+// runInvokeBudget checks the rows of the package's allocation budget
+// filed under the running test's name.  The budget is one table, one
+// group of rows per test: a remote invocation on a two-node simulated
+// world under night load, every allocation on the path, the caller's,
+// the serving node's and the background NAS traffic's, counted per
+// call; and the encode and decode of the busiest protocol bodies,
+// filled, and of a replica set under its tag, whose encoded sizes it
+// pins exactly.
+func runInvokeBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
 	}
@@ -103,35 +112,40 @@ func TestInvokeAllocBudget(t *testing.T) {
 			Reads: []string{"Get", "Sum"},
 		}
 		req, resp, update := filled(invokeReq{}), filled(invokeResp{}), filled(replicaUpdateReq{})
-		for _, row := range []struct {
-			name, ledger string
-			ceiling      float64
-			run          func() float64
-		}{
-			{"sinvoke", "core.sinvoke_allocs", 15, invoke(func() {
-				_, err := obj.SInvoke(p, "Ping")
-				check(err)
-			})},
-			{"ainvoke, then its result", "core.ainvoke_allocs", 24, invoke(func() {
-				h, err := obj.AInvoke(p, "Ping")
-				check(err)
-				_, err = h.Result(p)
-				check(err)
-			})},
-			{"oinvoke", "core.oinvoke_allocs", 10, invoke(func() {
-				check(obj.OInvoke(p, "Nop"))
-			})},
-			{"invokeReq encode", "", 1, encodes(t, req, 44)},
-			{"invokeReq decode", "", 10, decodes(t, req, func() any { return new(invokeReq) })},
-			// The map result sorts its keys in a scratch slice.
-			{"invokeResp encode", "", 2, encodes(t, resp, 53)},
-			{"invokeResp decode", "", 11, decodes(t, resp, func() any { return new(invokeResp) })},
-			{"replicaUpdateReq encode", "", 1, encodes(t, update, 39)},
-			{"replicaUpdateReq decode", "", 6, decodes(t, update, func() any { return new(replicaUpdateReq) })},
-			// Under its tag: as a named layout, rmi alone would spend 49 B.
-			{"replicaSet encode", "", 1, encodes(t, set, 36)},
-			{"replicaSet decode", "", 9, decodes(t, set, func() any { return new(replica.Set) })},
-		} {
+		budget := map[string][]budgetRow{
+			"TestInvokeAllocBudget": {
+				{"sinvoke", "core.sinvoke_allocs", 15, invoke(func() {
+					_, err := obj.SInvoke(p, "Ping")
+					check(err)
+				})},
+				{"ainvoke, then its result", "core.ainvoke_allocs", 24, invoke(func() {
+					h, err := obj.AInvoke(p, "Ping")
+					check(err)
+					_, err = h.Result(p)
+					check(err)
+				})},
+				{"oinvoke", "core.oinvoke_allocs", 10, invoke(func() {
+					check(obj.OInvoke(p, "Nop"))
+				})},
+			},
+			"TestWireAllocCeiling": {
+				{"invokeReq encode", "", 1, encodes(t, req, 44)},
+				{"invokeReq decode", "", 10, decodes(t, req, func() any { return new(invokeReq) })},
+				// The map result sorts its keys in a scratch slice.
+				{"invokeResp encode", "", 2, encodes(t, resp, 53)},
+				{"invokeResp decode", "", 11, decodes(t, resp, func() any { return new(invokeResp) })},
+				{"replicaUpdateReq encode", "", 1, encodes(t, update, 39)},
+				{"replicaUpdateReq decode", "", 6, decodes(t, update, func() any { return new(replicaUpdateReq) })},
+				// Under its tag: as a named layout, rmi alone would spend 49 B.
+				{"replicaSet encode", "", 1, encodes(t, set, 36)},
+				{"replicaSet decode", "", 9, decodes(t, set, func() any { return new(replica.Set) })},
+			},
+		}
+		rows := budget[t.Name()]
+		if len(rows) == 0 {
+			t.Fatalf("the budget table has no rows for %s", t.Name())
+		}
+		for _, row := range rows {
 			name := row.name
 			if row.ledger != "" {
 				name += " (" + row.ledger + ")"
@@ -145,3 +159,13 @@ func TestInvokeAllocBudget(t *testing.T) {
 		a.Unregister(p)
 	})
 }
+
+// TestInvokeAllocBudget: sinvoke, ainvoke and oinvoke of a method that
+// takes no arguments, so that no row counts the boxing of an argument.
+func TestInvokeAllocBudget(t *testing.T) { runInvokeBudget(t) }
+
+// TestWireAllocCeiling: the busiest protocol bodies, filled, at the
+// counts the hand-written schemas had, one per encode (the returned
+// buffer) and, per decode, the target plus its strings, arguments and
+// result; and a replica set under its tag.
+func TestWireAllocCeiling(t *testing.T) { runInvokeBudget(t) }

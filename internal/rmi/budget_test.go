@@ -9,11 +9,43 @@ import (
 	"jsymphony/internal/simnet"
 )
 
+// budgetRow is one ceiling of the package's allocation budget.  ledger
+// names the BENCHMARK.json ledger row it mirrors, where one exists; the
+// ceiling is the row's count, and a change that lowers a count lowers
+// its ceiling.
+type budgetRow struct {
+	name, ledger string
+	ceiling      float64
+	run          func(t *testing.T) float64
+}
+
+// runBudget checks the rows budget files under the running test's name.
+func runBudget(t *testing.T, budget map[string][]budgetRow) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
+	}
+	rows := budget[t.Name()]
+	if len(rows) == 0 {
+		t.Fatalf("the budget table has no rows for %s", t.Name())
+	}
+	for _, row := range rows {
+		name := row.name
+		if row.ledger != "" {
+			name += " (" + row.ledger + ")"
+		}
+		if got := row.run(t); got > row.ceiling {
+			t.Errorf("%s: %.1f allocs, ceiling %.1f", name, got, row.ceiling)
+		} else {
+			t.Logf("%s: %.1f allocs, ceiling %.1f", name, got, row.ceiling)
+		}
+	}
+}
+
 // encodes pins v's encoded size exactly and returns the allocations of
 // one Marshal.  v arrives as an any, as a protocol body's fields do, so
 // the count holds no boxing at this call.
-func encodes(t *testing.T, v any, size int) func() float64 {
-	return func() float64 {
+func encodes(v any, size int) func(t *testing.T) float64 {
+	return func(t *testing.T) float64 {
 		if got := len(MustMarshal(v)); got != size {
 			t.Errorf("%T encodes to %d bytes, want %d", v, got, size)
 		}
@@ -24,8 +56,8 @@ func encodes(t *testing.T, v any, size int) func() float64 {
 // decodes returns the allocations of one Unmarshal of v's encoding into
 // a fresh target: the target, its strings and whatever the body does
 // not alias.
-func decodes(t *testing.T, v any, fresh func() any) func() float64 {
-	return func() float64 {
+func decodes(v any, fresh func() any) func(t *testing.T) float64 {
+	return func(t *testing.T) float64 {
 		body := MustMarshal(v)
 		return testing.AllocsPerRun(100, func() {
 			if err := Unmarshal(body, fresh()); err != nil {
@@ -35,33 +67,40 @@ func decodes(t *testing.T, v any, fresh func() any) func() float64 {
 	}
 }
 
-// TestStationAllocBudget is the package's allocation budget: one
-// synchronous call of a 64-byte echo between two stations, both
-// stations' work and the transport's included; the encode and decode of
-// representative bodies, whose encoded sizes it pins exactly; and the
-// layout codec on a flat struct.  Each row names the BENCHMARK.json
-// ledger row it mirrors, where one exists; the ceiling is this test's
-// count, and a change that lowers a count lowers its ceiling.
-func TestStationAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
-	}
+// callAllocs returns the allocations of one synchronous call of a
+// 64-byte echo between two stations of w, both stations' work and the
+// transport's included.
+func callAllocs(t *testing.T, w *world, p sched.Proc) float64 {
 	body := make([]byte, 64)
-	measure := func(w *world, p sched.Proc) float64 {
-		names := nodeNames(2)
-		a, b := newStation(t, w, names[0]), newStation(t, w, names[1])
-		defer func() { a.Close(); b.Close() }()
-		call := func() {
-			if _, err := a.Call(p, names[1], "echo", "ping", body, 10*time.Second); err != nil {
-				t.Fatal(err)
-			}
+	names := nodeNames(2)
+	a, b := newStation(t, w, names[0]), newStation(t, w, names[1])
+	defer func() { a.Close(); b.Close() }()
+	call := func() {
+		if _, err := a.Call(p, names[1], "echo", "ping", body, 10*time.Second); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 100; i++ { // warm: pools and grown queues
-			call()
-		}
-		return testing.AllocsPerRun(2000, call)
 	}
+	for i := 0; i < 100; i++ { // warm: pools and grown queues
+		call()
+	}
+	return testing.AllocsPerRun(2000, call)
+}
 
+// layoutEncodes returns the allocations of one layout encode of v into
+// a buffer with room to spare.
+func layoutEncodes(v reflect.Value) func(t *testing.T) float64 {
+	return func(t *testing.T) float64 {
+		l, _ := layoutOf(v.Type())
+		buf := make([]byte, 0, 256)
+		return testing.AllocsPerRun(100, func() { buf = l.enc(buf[:0], v) })
+	}
+}
+
+// stationBudget is the package's allocation budget, one group of rows
+// per test: a call between two stations on each network; the encode
+// and decode of representative bodies, whose encoded sizes it pins
+// exactly; and the layout codec on a flat struct.
+func stationBudget() map[string][]budgetRow {
 	// The representative bodies: a request with a 96-byte body, a
 	// control-plane batch, a mixed argument vector and a bulk float32
 	// operand block.
@@ -81,62 +120,61 @@ func TestStationAllocBudget(t *testing.T) {
 	// A layout reads a flat struct, and a []any field whether or not its
 	// struct is addressable, through reflect accessors that allocate
 	// nothing beyond the buffer.
-	flat := layoutFlat{I: 1, S: "s", ID: "id"}
-	withArgs := struct {
+	flat := &layoutFlat{I: 1, S: "s", ID: "id"}
+	withArgs := &struct {
 		N    int
 		Args []any
 	}{N: 1, Args: []any{7, "s", true, 2.5}}
-	layoutEncodes := func(v reflect.Value) func() float64 {
-		return func() float64 {
-			l, _ := layoutOf(v.Type())
-			buf := make([]byte, 0, 256)
-			return testing.AllocsPerRun(100, func() { buf = l.enc(buf[:0], v) })
-		}
-	}
 
-	for _, row := range []struct {
-		name, ledger string
-		ceiling      float64
-		run          func() float64
-	}{
-		{"Call on the simulated fabric", "rmi.call_fab_allocs", 2, func() float64 {
-			w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 2))
-			p, done := sched.AdoptVirtual(w.s, "caller")
-			got := measure(w, p)
-			done()
-			w.join()
-			return got
-		}},
-		{"Call on the in-memory network", "rmi.call_mem_allocs", 4, func() float64 {
-			w := realWorld("mem-real", func(s sched.Sched) Network { return NewMem(s, 0) })
-			return measure(w, sched.RealProc(w.s))
-		}},
-		{"Call over loopback TCP", "rmi.call_tcp_allocs", 10, func() float64 {
-			w := realWorld("tcp-real", func(s sched.Sched) Network { return NewTCP(s) })
-			return measure(w, sched.RealProc(w.s))
-		}},
-		{"message encode", "wire.msg_enc_allocs", 1, encodes(t, msg, 128)},
-		{"message decode", "wire.msg_dec_allocs", 5, decodes(t, msg, func() any { return new(Message) })},
-		{"batch16 encode", "", 1, encodes(t, batch, 677)},
-		{"batch16 decode", "", 1, decodes(t, batch, func() any { return new(Batch) })},
-		{"args encode", "", 1, encodes(t, args, 33)},
-		{"args decode", "", 8, decodes(t, args, func() any { return new([]any) })},
-		{"float32x4096 encode", "", 1, encodes(t, operands, 16388)},
-		{"float32x4096 decode", "", 3, decodes(t, operands, func() any { return new([]float32) })},
-		{"flat struct layout encode", "", 0, layoutEncodes(reflect.ValueOf(&flat).Elem())},
-		{"[]any field layout encode, struct by value", "", 0, layoutEncodes(reflect.ValueOf(withArgs))},
-		{"[]any field layout encode, struct addressed", "", 0, layoutEncodes(reflect.ValueOf(&withArgs).Elem())},
-		// The target and its one multi-byte string; the cursor is pooled.
-		{"flat struct decode", "", 2, decodes(t, &flat, func() any { return new(layoutFlat) })},
-	} {
-		name := row.name
-		if row.ledger != "" {
-			name += " (" + row.ledger + ")"
-		}
-		if got := row.run(); got > row.ceiling {
-			t.Errorf("%s: %.1f allocs, ceiling %.1f", name, got, row.ceiling)
-		} else {
-			t.Logf("%s: %.1f allocs, ceiling %.1f", name, got, row.ceiling)
-		}
+	return map[string][]budgetRow{
+		"TestStationAllocBudget": {
+			{"Call on the simulated fabric", "rmi.call_fab_allocs", 2, func(t *testing.T) float64 {
+				w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 2))
+				p, done := sched.AdoptVirtual(w.s, "caller")
+				got := callAllocs(t, w, p)
+				done()
+				w.join()
+				return got
+			}},
+			{"Call on the in-memory network", "rmi.call_mem_allocs", 4, func(t *testing.T) float64 {
+				w := realWorld("mem-real", func(s sched.Sched) Network { return NewMem(s, 0) })
+				return callAllocs(t, w, sched.RealProc(w.s))
+			}},
+			{"Call over loopback TCP", "rmi.call_tcp_allocs", 10, func(t *testing.T) float64 {
+				w := realWorld("tcp-real", func(s sched.Sched) Network { return NewTCP(s) })
+				return callAllocs(t, w, sched.RealProc(w.s))
+			}},
+		},
+		"TestWireAllocCeiling": {
+			{"message encode", "wire.msg_enc_allocs", 1, encodes(msg, 128)},
+			{"message decode", "wire.msg_dec_allocs", 5, decodes(msg, func() any { return new(Message) })},
+			{"batch16 encode", "", 1, encodes(batch, 677)},
+			{"batch16 decode", "", 1, decodes(batch, func() any { return new(Batch) })},
+			{"args encode", "", 1, encodes(args, 33)},
+			{"args decode", "", 8, decodes(args, func() any { return new([]any) })},
+			{"float32x4096 encode", "", 1, encodes(operands, 16388)},
+			{"float32x4096 decode", "", 3, decodes(operands, func() any { return new([]float32) })},
+		},
+		"TestLayoutFlatAllocs": {
+			{"flat struct layout encode", "", 0, layoutEncodes(reflect.ValueOf(flat).Elem())},
+			{"[]any field layout encode, struct by value", "", 0, layoutEncodes(reflect.ValueOf(*withArgs))},
+			{"[]any field layout encode, struct addressed", "", 0, layoutEncodes(reflect.ValueOf(withArgs).Elem())},
+			// The target and its one multi-byte string; the cursor is pooled.
+			{"flat struct decode", "", 2, decodes(flat, func() any { return new(layoutFlat) })},
+		},
 	}
 }
+
+// TestStationAllocBudget: one synchronous call of a 64-byte echo
+// between two stations on the simulated fabric, the in-memory network
+// and loopback TCP.
+func TestStationAllocBudget(t *testing.T) { runBudget(t, stationBudget()) }
+
+// TestWireAllocCeiling: one allocation per encode of the representative
+// bodies, the returned buffer, and a small fixed count per decode, the
+// target and its strings; the body aliases the input.
+func TestWireAllocCeiling(t *testing.T) { runBudget(t, stationBudget()) }
+
+// TestLayoutFlatAllocs: the layout codec on a flat struct and on a
+// []any field.
+func TestLayoutFlatAllocs(t *testing.T) { runBudget(t, stationBudget()) }
