@@ -3,7 +3,6 @@ package jsymphony
 import (
 	"time"
 
-	"jsymphony/internal/chaos"
 	"jsymphony/internal/core"
 	"jsymphony/internal/sched"
 )
@@ -93,9 +92,6 @@ func (e *Env) FlightRecorder() *FlightRecorder { return e.w.FlightRecorder() }
 // migration installation-wide — the JS-Shell toggle of §5.2.
 func (e *Env) SetAutoMigration(period time.Duration) { e.w.SetAutoMigration(period) }
 
-// SetDefaultConstraints installs JS-Shell default constraints.
-func (e *Env) SetDefaultConstraints(c *Constraints) { e.w.SetDefaultConstraints(c) }
-
 // Start launches the environment (stations and agents).  RunMain does
 // this automatically; real-time environments call it before Attach.
 func (e *Env) Start() { e.w.Start() }
@@ -109,9 +105,6 @@ func (e *Env) Start() { e.w.Start() }
 func (e *Env) InstallChaos(spec *ChaosSpec, seed int64) (*ChaosInjector, error) {
 	return e.w.InstallChaos(spec, seed)
 }
-
-// Chaos returns the installed injector, or nil.
-func (e *Env) Chaos() *chaos.Injector { return e.w.Chaos() }
 
 // SetRMIPolicy installs a retry/timeout/backoff policy on every node's
 // RMI station.  The zero policy restores the historical single-attempt
@@ -128,9 +121,6 @@ func (e *Env) SetRMIPolicy(pol RMIPolicy) { e.w.SetRMIPolicy(pol) }
 // Sheds are responses, not lost messages — the RMI layer never retries
 // them (see DESIGN.md §12).
 func (e *Env) SetInvokeQueueBound(n int) { e.w.SetInvokeQueueBound(n) }
-
-// InvokeQueueBound returns the current per-object bound (-1 = unbounded).
-func (e *Env) InvokeQueueBound() int { return e.w.InvokeQueueBound() }
 
 // WALStatus reports every durability-enabled node's write-ahead-log
 // media statistics (appends, flushes, checkpoints, torn bytes), in

@@ -2,9 +2,8 @@ package analysis
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,20 +11,25 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"jsymphony/internal/analysis/loader"
 )
 
 // TestSurface keeps the audited surface audited (DESIGN.md §5): every
 // js_* metric family in the code has a row in the naming table and every
 // row an emitter, and every function of the library has a reference
-// outside test files or a stated reason to exist without one.  It is
-// syntactic on purpose — go/parser only, names not types — and errs
-// toward silence: a method counts as referenced when any selector or
-// interface in non-test code carries its name.
+// outside test files or a stated reason to exist without one.  It
+// type-checks the root module and bench/ through the analysis loader, so
+// a reference is a use of that exact function — package, receiver type
+// and name — from a non-test file, outside the function's own body.
+// Another type's method, a struct field or a composite-literal key of
+// the same name is not one.  A method whose name an interface declares
+// counts as referenced, and so do the names the runtime calls.
 func TestSurface(t *testing.T) {
 	root := filepath.Join("..", "..")
-	files := parseRepo(t, root)
-	t.Run("families", func(t *testing.T) { checkFamilies(t, root, files) })
-	t.Run("functions", func(t *testing.T) { checkFunctions(t, files) })
+	pkgs := loadRepo(t, root)
+	t.Run("families", func(t *testing.T) { checkFamilies(t, root, pkgs) })
+	t.Run("functions", func(t *testing.T) { checkFunctions(t, root, pkgs) })
 }
 
 // keptUncalled lists the library functions that stay although nothing
@@ -38,8 +42,15 @@ var keptUncalled = func() map[string]string {
 		"jsymphony.JS.Wrap":          "makes a handle received from another application invocable (first-order handles, §4); jsplace models it",
 		"jsymphony.NewFileStorage":   "the only Storage that is actually external (paper §4.7); deployments pass it in EnvOptions",
 
+		"jsymphony.JS.ConstrHold":       "paper §4.6 API (constrHold: verify a constraint set against a component); user programs call it",
+		"jsymphony.RemoteRef.SInvoke":   "paper §4.5 synchronous invocation through a handle from JS.Wrap or JS.Static; user programs call it",
+		"jsymphony.RemoteRef.AInvoke":   "paper §4.5 asynchronous invocation through a handle from JS.Wrap or JS.Static; user programs call it",
+		"jsymphony.ShardGroup.Grow":     "DESIGN.md §10 rebalance and handoff (ring join); experiments drive the core method",
+		"jsymphony.ShardGroup.Evacuate": "DESIGN.md §10 rebalance and handoff (drain a node); experiments drive the core method",
+
 		"internal/analysis/analysistest.Run":  "fixture harness: the analyzers' tests are its callers by design",
-		"internal/core.App.LoadShardGroup":    "restore half of ShardGroup.Store (§4.7 for groups); TestRestoreConformance holds it to the other restore paths",
+		"internal/codebase.Registry.Names":    "observation hook: the codec round-trip test walks every registered class through it",
+		"internal/nas.Directory.ReplicaSets":  "observation hook: the replica and restore tests check the directory's mirror of each set (ROADMAP item 8)",
 		"internal/core.Runtime.Instance":      "observation hook: the chaos determinism tests compare hosted state across twin runs",
 		"internal/core.ShardGroup.Object":     "observation hook: the restore conformance tests reach a shard's member object through it",
 		"internal/metrics.Snapshot.WriteJSON": "documented exporter (README, DESIGN.md §5); the twin-run tests compare its bytes",
@@ -48,13 +59,15 @@ var keptUncalled = func() map[string]string {
 		"internal/vclock.Mailbox.InFlight":    "observation hook of the kernel's own tests",
 	}
 	// The paper's §4.2 virtual-architecture API, listed there by name:
-	// the constructors, add/free/count at every level, and whether a
-	// component was freed.
+	// the constructors, add/free/count at every level, the parent
+	// getters, and whether a component was freed.
 	for _, fn := range []string{"NewSite", "NewEmptySite", "NewEmptyDomain"} {
 		kept["jsymphony.JS."+fn] = "paper §4.2 virtual-architecture constructor (new Site, new Domain); user programs call it"
 	}
 	for _, fn := range []string{
 		"Cluster.Freed", "Node.Freed", "Site.Freed", "Domain.Freed",
+		"Node.Cluster", "Node.Site", "Cluster.Site",
+		"Cluster.FreeNode", "Domain.FreeNode", "Site.NrNodes", "Domain.NrNodes",
 		"Domain.AddSite", "Domain.FreeCluster", "Domain.FreeSite", "Domain.FreeSiteAt",
 		"Domain.NrClusters", "Domain.NrSites",
 		"Site.AddCluster", "Site.FreeCluster", "Site.NrClusters",
@@ -64,55 +77,33 @@ var keptUncalled = func() map[string]string {
 	return kept
 }()
 
-// srcFile is one parsed .go file, path relative to the repo root.
-type srcFile struct {
-	rel  string
-	test bool
-	ast  *ast.File
-}
-
-// dir is the file's package directory ("." for the root package).
-func (f srcFile) dir() string { return filepath.ToSlash(filepath.Dir(f.rel)) }
-
-// library reports whether the file declares audited surface: non-test
-// code of internal/... and the root package's API files.
-func (f srcFile) library() bool {
-	if f.test {
-		return false
-	}
-	return strings.HasPrefix(f.rel, "internal/") || f.rel == "env.go" || f.rel == "js.go" || f.rel == "alias.go"
-}
-
-func parseRepo(t *testing.T, root string) []srcFile {
+// loadRepo type-checks the non-test files of the root module and of
+// bench/, its own module, whose packages count as callers too.
+func loadRepo(t *testing.T, root string) []*loader.Package {
 	t.Helper()
-	var files []srcFile
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		files = append(files, srcFile{rel: filepath.ToSlash(rel), test: strings.HasSuffix(name, "_test.go"), ast: f})
-		return nil
-	})
+	cache := loader.NewCache()
+	pkgs, err := cache.Load(root, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return files
+	bench, err := cache.Load(filepath.Join(root, "bench"), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(pkgs, bench...)
+}
+
+// relFile is a file's path relative to the repo root, slash-separated.
+func relFile(root, name string) string {
+	abs, _ := filepath.Abs(root)
+	rel, _ := filepath.Rel(abs, name)
+	return filepath.ToSlash(rel)
+}
+
+// library reports whether a file declares audited surface: non-test
+// code of internal/... and the root package's API files.
+func library(rel string) bool {
+	return strings.HasPrefix(rel, "internal/") || rel == "env.go" || rel == "js.go" || rel == "alias.go"
 }
 
 var (
@@ -122,7 +113,7 @@ var (
 
 // checkFamilies holds the DESIGN.md §5 naming table against the js_*
 // string literals of non-test code.
-func checkFamilies(t *testing.T, root string, files []srcFile) {
+func checkFamilies(t *testing.T, root string, pkgs []*loader.Package) {
 	doc, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
 	if err != nil {
 		t.Fatal(err)
@@ -138,31 +129,34 @@ func checkFamilies(t *testing.T, root string, files []srcFile) {
 		}
 	}
 	emitted, reported := make(map[string]bool), make(map[string]bool)
-	for _, f := range files {
-		// bench/ is its own module with its own probe registry.
-		if f.test || strings.HasPrefix(f.rel, "bench/") {
-			continue
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			rel := relFile(root, p.Fset.File(f.Pos()).Name())
+			// bench/ is its own module with its own probe registry.
+			if strings.HasPrefix(rel, "bench/") {
+				continue
+			}
+			// Experiments and the shell name families to read them.
+			emitter := strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "internal/shell/")
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
+				}
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil || !familyLit.MatchString(name) {
+					return true
+				}
+				if emitter {
+					emitted[name] = true
+				}
+				if !rows[name] && !reported[name] {
+					reported[name] = true
+					t.Errorf("%s names %s, which has no row in the DESIGN.md §5 table", rel, name)
+				}
+				return true
+			})
 		}
-		// Experiments, the shell and bench/ name families to read them.
-		emitter := strings.HasPrefix(f.rel, "internal/") && !strings.HasPrefix(f.rel, "internal/shell/")
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			lit, ok := n.(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			name, err := strconv.Unquote(lit.Value)
-			if err != nil || !familyLit.MatchString(name) {
-				return true
-			}
-			if emitter {
-				emitted[name] = true
-			}
-			if !rows[name] && !reported[name] {
-				reported[name] = true
-				t.Errorf("%s names %s, which has no row in the DESIGN.md §5 table", f.rel, name)
-			}
-			return true
-		})
 	}
 	for name := range rows {
 		if !emitted[name] {
@@ -172,94 +166,16 @@ func checkFamilies(t *testing.T, root string, files []srcFile) {
 }
 
 // checkFunctions reports library functions with no reference outside
-// test files.  bench/, examples/, cmd/, experiments/ and workloads/
-// count as callers.
-func checkFunctions(t *testing.T, files []srcFile) {
-	sameDir := make(map[string]map[string]bool) // dir -> identifiers used in its non-test files
-	qualified := make(map[string]bool)          // "import/path.Name" selectors
-	selected := make(map[string]bool)           // names selected from anything, or declared by an interface
-	for _, f := range files {
-		if f.test {
-			continue
-		}
-		imports := make(map[string]string) // local name -> import path
-		for _, imp := range f.ast.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			local := path[strings.LastIndex(path, "/")+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = path
-		}
-		used := sameDir[f.dir()]
-		if used == nil {
-			used = make(map[string]bool)
-			sameDir[f.dir()] = used
-		}
-		declared := make(map[*ast.Ident]bool) // declaration names and selector fields: not references
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				declared[n.Name] = true
-			case *ast.SelectorExpr:
-				declared[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					// heap.Remove names a package's function, not a method.
-					qualified[imports[x.Name]+"."+n.Sel.Name] = true
-				} else {
-					selected[n.Sel.Name] = true
-				}
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						selected[name.Name] = true
-					}
-				}
-			case *ast.Ident:
-				if !declared[n] {
-					used[n.Name] = true
-				}
-			}
-			return true
-		})
-	}
-
+// test files, and keptUncalled entries that name something referenced
+// or gone.
+func checkFunctions(t *testing.T, root string, pkgs []*loader.Package) {
+	orphans := unreferenced(pkgs, func(name string) bool { return library(relFile(root, name)) })
 	seen := make(map[string]bool)
-	var orphans []string
-	for _, f := range files {
-		if !f.library() {
-			continue
-		}
-		for _, d := range f.ast.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Name.Name == "init" || fn.Name.Name == "main" {
-				continue
-			}
-			name, dir := fn.Name.Name, f.dir()
-			key, pkg := dir, "jsymphony/"+dir
-			if dir == "." {
-				key, pkg = "jsymphony", "jsymphony"
-			}
-			var referenced bool
-			if fn.Recv == nil {
-				key += "." + name
-				referenced = sameDir[dir][name] || qualified[pkg+"."+name]
-			} else {
-				key += "." + recvType(fn.Recv.List[0].Type) + "." + name
-				referenced = selected[name] || runtimeCalled[name]
-			}
-			if referenced {
-				continue
-			}
-			seen[key] = true
-			if keptUncalled[key] == "" {
-				orphans = append(orphans, key)
-			}
-		}
-	}
-	sort.Strings(orphans)
 	for _, key := range orphans {
-		t.Errorf("%s has no reference outside test files and no reason in keptUncalled", key)
+		seen[key] = true
+		if keptUncalled[key] == "" {
+			t.Errorf("%s has no reference outside test files and no reason in keptUncalled", key)
+		}
 	}
 	for key, reason := range keptUncalled {
 		if !seen[key] {
@@ -271,25 +187,98 @@ func checkFunctions(t *testing.T, files []srcFile) {
 	}
 }
 
+// unreferenced returns, sorted, the functions and methods declared in
+// the files whose names declares accepts and referenced nowhere in pkgs.  A
+// reference is a use of that exact object — package, receiver type and
+// name — outside the function's own body.  A method also counts as
+// referenced when an interface of pkgs has a method of its name, or
+// when the runtime calls that name.
+func unreferenced(pkgs []*loader.Package, declares func(name string) bool) []string {
+	used := make(map[string]bool)
+	inInterface := make(map[string]bool)
+	var decls []*types.Func
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			audited := declares(p.Fset.File(f.Pos()).Name())
+			for _, d := range f.Decls {
+				self := ""
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					fn := p.Info.Defs[fd.Name].(*types.Func)
+					self = funcKey(fn)
+					if audited && fd.Name.Name != "init" && fd.Name.Name != "main" {
+						decls = append(decls, fn)
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.Ident:
+						if fn, ok := p.Info.Uses[n].(*types.Func); ok && funcKey(fn) != self {
+							used[funcKey(fn)] = true
+						}
+					case *ast.InterfaceType:
+						if it, ok := p.Info.TypeOf(n).(*types.Interface); ok {
+							for i := 0; i < it.NumMethods(); i++ {
+								inInterface[it.Method(i).Name()] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	var orphans []string
+	for _, fn := range decls {
+		key := funcKey(fn)
+		method := fn.Type().(*types.Signature).Recv() != nil
+		if used[key] || method && (inInterface[fn.Name()] || runtimeCalled[fn.Name()]) {
+			continue
+		}
+		orphans = append(orphans, key)
+	}
+	sort.Strings(orphans)
+	return orphans
+}
+
+// TestSurfaceResolvesByType runs the function check over a fixture in
+// which every uncalled function shares its name with something used: a
+// method of another type, a struct field, a composite-literal key, or
+// the function itself inside its own body.
+func TestSurfaceResolvesByType(t *testing.T) {
+	pkgs, err := loader.Load("testdata", "./surface")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := unreferenced(pkgs, func(string) bool { return true })
+	want := []string{"fixtures/surface.Loop", "fixtures/surface.Meter.Size", "fixtures/surface.Reset", "fixtures/surface.Tape.Flush"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("unreferenced = %v, want %v", got, want)
+	}
+}
+
+// funcKey names a function "pkg.Name" and a method "pkg.Recv.Name",
+// with the module prefix trimmed from the package path.
+func funcKey(fn *types.Func) string {
+	fn = fn.Origin()
+	if fn.Pkg() == nil {
+		return "" // the universe's error.Error
+	}
+	key := strings.TrimPrefix(fn.Pkg().Path(), "jsymphony/")
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		rt := recv.Type()
+		if ptr, ok := rt.(*types.Pointer); ok {
+			rt = ptr.Elem()
+		}
+		if named, ok := rt.(*types.Named); ok {
+			key += "." + named.Obj().Name()
+		}
+	}
+	return key + "." + fn.Name()
+}
+
 // runtimeCalled are method names the Go runtime and standard library
 // call through their own interfaces.
 var runtimeCalled = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-}
-
-// recvType names a method's receiver type without star or type
-// parameters.
-func recvType(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.StarExpr:
-		return recvType(e.X)
-	case *ast.IndexExpr:
-		return recvType(e.X)
-	case *ast.IndexListExpr:
-		return recvType(e.X)
-	case *ast.Ident:
-		return e.Name
-	}
-	return "?"
 }

@@ -133,7 +133,7 @@ func TestChaosServeShedding(t *testing.T) {
 					if sc.fault != "" {
 						home := env.Nodes()[0]
 						victim := ""
-						for _, sh := range g.Info().Shards {
+						for _, sh := range groupInfo(env, "kv").Shards {
 							if sh.Node != home {
 								victim = sh.Node
 								break

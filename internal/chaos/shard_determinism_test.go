@@ -21,6 +21,17 @@ import (
 
 func shardTestKey(i int) string { return fmt.Sprintf("k%03d", i) }
 
+// groupInfo snapshots the named shard group — its shards and their
+// hosting — as the installation sees it.
+func groupInfo(env *jsymphony.Env, name string) jsymphony.ShardGroupInfo {
+	for _, a := range env.World().Apps() {
+		if g, ok := a.ShardGroup(name); ok {
+			return g.Info()
+		}
+	}
+	return jsymphony.ShardGroupInfo{}
+}
+
 // shardSpecN1 is the group spec every shard chaos scenario uses: three
 // shards, each with one strong read replica, so a crashed shard host
 // promotes instead of losing its key slice.
@@ -81,7 +92,7 @@ func verifyShardedKV(t *testing.T, env *jsymphony.Env, g *jsymphony.ShardGroup, 
 		}
 	}
 	resident := make(map[string]string) // key -> shard holding it
-	for _, si := range g.Info().Shards {
+	for _, si := range groupInfo(env, "kv").Shards {
 		inst, ok := env.World().MustRuntime(si.Node).Instance(si.Ref)
 		if !ok {
 			t.Fatalf("seed %d: shard %s has no instance on %s under %s", seed, si.Shard, si.Node, plan)

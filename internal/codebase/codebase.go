@@ -98,7 +98,6 @@ type Store struct {
 	registry *Registry
 	mu       sync.Mutex
 	loaded   map[string]bool
-	bytes    int64
 }
 
 // NewStore returns an empty store over the given registry.
@@ -121,29 +120,9 @@ func (s *Store) Load(names ...string) (newBytes int64, err error) {
 			continue
 		}
 		s.loaded[n] = true
-		s.bytes += int64(c.Size)
 		newBytes += int64(c.Size)
 	}
 	return newBytes, nil
-}
-
-// Bytes reports the modeled byte-code footprint of this node.
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
-// Classes returns the loaded class names, sorted.
-func (s *Store) Classes() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.loaded))
-	for n := range s.loaded {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ErrNotLoaded is the sentinel message for instantiation of a class that

@@ -79,16 +79,13 @@ func TestStoreLoadAccounting(t *testing.T) {
 	if err != nil || n != 2064 {
 		t.Fatalf("Load = %d, %v; want 2064 bytes", n, err)
 	}
-	if s.Bytes() != 2064 {
-		t.Fatalf("Bytes = %d", s.Bytes())
-	}
 	// Reloading is idempotent.
 	n, err = s.Load("Widget")
 	if err != nil || n != 0 {
 		t.Fatalf("reload = %d, %v; want 0 new bytes", n, err)
 	}
-	if got := s.Classes(); len(got) != 2 || got[0] != "Tiny" {
-		t.Fatalf("Classes = %v", got)
+	if len(s.loaded) != 2 || !s.loaded["Tiny"] || !s.loaded["Widget"] {
+		t.Fatalf("loaded = %v", s.loaded)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 )
 
-// Property: a store's Bytes() always equals the sum of the sizes of its
-// Classes(), under any sequence of loads and reloads.
+// Property: the bytes a store's loads report add up to the sum of the
+// sizes of its loaded classes, under any sequence of loads and reloads.
 func TestStoreBytesInvariant(t *testing.T) {
 	r := NewRegistry()
 	names := make([]string, 8)
@@ -20,18 +20,21 @@ func TestStoreBytesInvariant(t *testing.T) {
 	}
 	f := func(ops []byte) bool {
 		s := NewStore(r)
+		var loaded int64
 		for _, op := range ops {
-			if _, err := s.Load(names[int(op)%len(names)]); err != nil {
+			n, err := s.Load(names[int(op)%len(names)])
+			if err != nil {
 				return false
 			}
+			loaded += n
 			var sum int64
-			for _, c := range s.Classes() {
+			for c := range s.loaded {
 				sum += int64(sizes[c])
 			}
-			if s.Bytes() != sum {
+			if loaded != sum {
 				return false
 			}
-			for _, c := range s.Classes() {
+			for c := range s.loaded {
 				if _, err := s.New(c); err != nil {
 					return false
 				}

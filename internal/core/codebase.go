@@ -41,14 +41,6 @@ func (cb *Codebase) Add(class string) error {
 	return nil
 }
 
-// Classes returns the collected class names.
-func (cb *Codebase) Classes() []string {
-	return append([]string(nil), cb.classes...)
-}
-
-// Bytes returns the modeled archive size.
-func (cb *Codebase) Bytes() int { return cb.bytes }
-
 // Load ships the codebase to every node of the component
 // (codebase.load(node|cluster|site|domain)).  The archive bytes cross the
 // wire as message padding, so the simulation charges the real transfer

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,6 +79,18 @@ func (t *Table) SlowGet(ctx *Ctx, k string) int {
 func (t *Table) SlowJoin(ctx *Ctx, a, b string) string {
 	ctx.P.Sleep(20 * time.Millisecond)
 	return a + "|" + b
+}
+
+// tableInits is how many more InitBudgeted calls succeed; the shard
+// group failure tests set it.
+var tableInits atomic.Int32
+
+// InitBudgeted fails once tableInits is spent.
+func (t *Table) InitBudgeted() error {
+	if tableInits.Add(-1) < 0 {
+		return errors.New("init budget spent")
+	}
+	return nil
 }
 
 func (t *Table) Keys() []string {
@@ -200,8 +213,8 @@ func TestCreateInvokeState(t *testing.T) {
 		if _, err := obj.SInvoke(p, "NoSuchMethod"); err == nil {
 			t.Fatal("missing method accepted")
 		}
-		if obj.Class() != "Counter" {
-			t.Fatalf("Class = %q", obj.Class())
+		if ref, err := obj.Ref(); err != nil || ref.Class != "Counter" {
+			t.Fatalf("Ref = %+v, %v, want class Counter", ref, err)
 		}
 	})
 }
@@ -527,7 +540,7 @@ func TestWorldBasics(t *testing.T) {
 		}()
 		w.MustRuntime("ghost")
 	}()
-	if w.Directory() == nil || w.Storage() == nil || w.Registry() == nil {
+	if w.Directory() == nil || w.Storage() == nil || w.registry == nil {
 		t.Fatal("world accessors nil")
 	}
 	w.RunMain(func(p sched.Proc) {
@@ -575,8 +588,8 @@ func TestCodebaseAccounting(t *testing.T) {
 		if err := cb.Add("Heavy"); err != nil {
 			t.Fatal(err)
 		}
-		if cb.Bytes() != 1<<20 || len(cb.Classes()) != 1 {
-			t.Fatalf("codebase accounting: %d bytes, %v", cb.Bytes(), cb.Classes())
+		if cb.bytes != 1<<20 || len(cb.classes) != 1 {
+			t.Fatalf("codebase accounting: %d bytes, %v", cb.bytes, cb.classes)
 		}
 		if err := cb.Add("Ghost"); err == nil {
 			t.Fatal("unknown class added")
@@ -590,7 +603,7 @@ func TestCodebaseAccounting(t *testing.T) {
 		if after-before < 1<<20 {
 			t.Fatalf("jar transfer not accounted: %d bytes", after-before)
 		}
-		if _, err := w.MustRuntime(target).Store().New("Heavy"); err != nil {
+		if _, err := w.MustRuntime(target).store.New("Heavy"); err != nil {
 			t.Fatalf("class not loaded on target: %v", err)
 		}
 		cb.Free()

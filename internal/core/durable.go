@@ -417,10 +417,6 @@ func (w *World) WALStatus() []wal.Stats {
 	return out
 }
 
-// Durability returns the world's durability options (nil when the
-// subsystem is disabled).
-func (w *World) Durability() *DurabilityOptions { return w.durOpts }
-
 // ---------------------------------------------------------------------
 // app side: persist, manifest, recovery
 
@@ -454,8 +450,7 @@ type durGroupRec struct {
 	Spec   ShardSpec
 	Shards []string
 	// The ring and handoff parameters the group was built with (fixed:
-	// shard.DefaultVnodes and the handoff constants), as GroupRecord
-	// keeps them.
+	// shard.DefaultVnodes and the handoff constants).
 	Vnodes        int
 	KeysMethod    string
 	ExtractMethod string
@@ -762,7 +757,7 @@ func (a *App) restoreDurGroup(p sched.Proc, oldApp string, gr durGroupRec, objRe
 		}
 		lost = append(lost, gr.Shards[i])
 		return nil, nil
-	}, trace.ShardGroupCreated, "restored from WAL")
+	}, "restored from WAL")
 	return g, lost, err
 }
 

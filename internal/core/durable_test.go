@@ -1,9 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -383,10 +383,12 @@ func TestWALDeterminism(t *testing.T) {
 		t.Fatalf("node sets differ: %v vs %v", n1, n2)
 	}
 	for _, n := range n1 {
-		b1 := s1.Node(n).LogBytes()
-		b2 := s2.Node(n).LogBytes()
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("log of %s differs between twin runs (%d vs %d bytes)", n, len(b1), len(b2))
+		st1, st2 := s1.Node(n).Stats(), s2.Node(n).Stats()
+		if st1 != st2 {
+			t.Fatalf("log of %s differs between twin runs:\n%+v\n%+v", n, st1, st2)
+		}
+		if r1, r2 := s1.Node(n).Replay(), s2.Node(n).Replay(); !reflect.DeepEqual(r1, r2) {
+			t.Fatalf("replayed image of %s differs between twin runs", n)
 		}
 	}
 }
@@ -491,6 +493,12 @@ func TestDurableClusterRestart(t *testing.T) {
 			if err := g.Persist(p); err != nil {
 				t.Fatal(err)
 			}
+			// Grow once so the members are not the trivial 0..S-1 run:
+			// the restart must recover the real ring, and the name
+			// high-water mark.
+			if _, err := g.Grow(p, ""); err != nil {
+				t.Fatal(err)
+			}
 			keys := []string{"k1", "k2", "k3", "k4", "k5"}
 			owners := make(map[string]string)
 			for i, k := range keys {
@@ -579,6 +587,14 @@ func TestDurableClusterRestart(t *testing.T) {
 		// The recovered objects are fully live: writes keep flowing.
 		if got, err := c.SInvoke(p, "Add", 1); err != nil || got.(int) != before.counter+1 {
 			t.Fatalf("post-restart write = %v, %v", got, err)
+		}
+		// A post-restart Grow must not reuse a restored member's name.
+		sname, err := g.Grow(p, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(before.members, sname) {
+			t.Fatalf("grown shard reused restored member name %s", sname)
 		}
 	})
 }

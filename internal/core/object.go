@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"sync"
@@ -126,15 +125,6 @@ func (o *Object) Ref() (Ref, error) {
 		return Ref{}, err
 	}
 	return e.ref, nil
-}
-
-// Class returns the object's class name.
-func (o *Object) Class() string {
-	e, err := o.app.entry(o.id)
-	if err != nil {
-		return ""
-	}
-	return e.ref.Class
 }
 
 // NodeName returns the node currently hosting the object.
@@ -413,20 +403,4 @@ func (a *App) Load(p sched.Proc, key string, comp virtarch.Component, constr *pa
 		return obj, fmt.Errorf("core: load %q: %w", key, err)
 	}
 	return obj, nil
-}
-
-// Objects returns handles of all live objects of the application.
-func (a *App) Objects() []*Object {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]*Object, 0, len(a.objs))
-	for id, e := range a.objs {
-		if !e.freed {
-			out = append(out, &Object{app: a, id: id})
-		}
-	}
-	// The handle list is a caller-visible snapshot (shell listings,
-	// experiment sweeps); sort so it does not leak map order.
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
 }

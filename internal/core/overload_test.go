@@ -85,15 +85,15 @@ func TestInvokeQueueBoundTable(t *testing.T) {
 // every negative input means "unbounded" and reads back as -1.
 func TestInvokeQueueBoundNormalizesNegative(t *testing.T) {
 	simWorld(t, func(w *World, a *App, p sched.Proc) {
-		if got := w.InvokeQueueBound(); got != -1 {
+		if got := int(w.queueBound.Load()); got != -1 {
 			t.Fatalf("default bound = %d, want -1", got)
 		}
 		w.SetInvokeQueueBound(-7)
-		if got := w.InvokeQueueBound(); got != -1 {
+		if got := int(w.queueBound.Load()); got != -1 {
 			t.Fatalf("bound after SetInvokeQueueBound(-7) = %d, want -1", got)
 		}
 		w.SetInvokeQueueBound(3)
-		if got := w.InvokeQueueBound(); got != 3 {
+		if got := int(w.queueBound.Load()); got != 3 {
 			t.Fatalf("bound = %d, want 3", got)
 		}
 	})

@@ -230,10 +230,11 @@ func checkRestored(t *testing.T, w *World, a *App, p sched.Proc, s restoreSubjec
 
 func TestRestoreConformance(t *testing.T) {
 	sources := []struct {
-		name string
-		run  func(t *testing.T, shape string)
+		name   string
+		shapes []string
+		run    func(t *testing.T, shape string)
 	}{
-		{"checkpoint", func(t *testing.T, shape string) {
+		{"checkpoint", restoreShapes, func(t *testing.T, shape string) {
 			restoreWorld(t, 1, nil, nil, func(w *World, a *App, inj *chaos.Injector, p sched.Proc) {
 				defer a.Unregister(p)
 				a.EnableRecovery(200 * time.Millisecond)
@@ -243,7 +244,7 @@ func TestRestoreConformance(t *testing.T) {
 				checkRestored(t, w, a, p, s, shape, trace.ObjRecovered, "from ", dead)
 			})
 		}},
-		{"wal-same-handle", func(t *testing.T, shape string) {
+		{"wal-same-handle", restoreShapes, func(t *testing.T, shape string) {
 			restoreWorld(t, 1, nil, &DurabilityOptions{}, func(w *World, a *App, inj *chaos.Injector, p sched.Proc) {
 				s := makeSubject(t, a, p, shape, w.Nodes()[1], true)
 				// No settling: the write's ack is the durability guarantee.
@@ -251,7 +252,7 @@ func TestRestoreConformance(t *testing.T) {
 				checkRestored(t, w, a, p, s, shape, trace.ObjRecovered, "wal replay from ", dead)
 			})
 		}},
-		{"wal-restart", func(t *testing.T, shape string) {
+		{"wal-restart", restoreShapes, func(t *testing.T, shape string) {
 			stable := wal.NewStable(9)
 			var id uint64
 			restoreWorld(t, 9, nil, &DurabilityOptions{Stable: stable}, func(w *World, a *App, inj *chaos.Injector, p sched.Proc) {
@@ -279,7 +280,9 @@ func TestRestoreConformance(t *testing.T) {
 				checkRestored(t, w, a, p, s, shape, trace.ObjRecovered, "wal restore of ", nil)
 			})
 		}},
-		{"load", func(t *testing.T, shape string) {
+		// Storage holds single objects: a shard group is restored only
+		// from the WAL.
+		{"load", []string{"plain", "replicated"}, func(t *testing.T, shape string) {
 			restoreWorld(t, 1, nil, nil, func(w *World, a *App, inj *chaos.Injector, p sched.Proc) {
 				defer a.Unregister(p)
 				s := makeSubject(t, a, p, shape, w.Nodes()[1], false)
@@ -291,31 +294,20 @@ func TestRestoreConformance(t *testing.T) {
 				}
 				defer b.Unregister(p)
 				loadTable(t, b, p)
+				key, err := s.obj.Store(p, "img")
+				if err != nil {
+					t.Fatal(err)
+				}
 				var r restoreSubject
-				if shape == "shard-member" {
-					key, err := s.group.Store(p, "img")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if r.group, err = b.LoadShardGroup(p, key); err != nil {
-						t.Fatal(err)
-					}
-					r.obj, _ = r.group.Object(r.group.Owner("k"))
-				} else {
-					key, err := s.obj.Store(p, "img")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if r.obj, err = b.Load(p, key, nil, constraintNotNode(b.Home())); err != nil {
-						t.Fatal(err)
-					}
+				if r.obj, err = b.Load(p, key, nil, constraintNotNode(b.Home())); err != nil {
+					t.Fatal(err)
 				}
 				checkRestored(t, w, b, p, r, shape, trace.ObjLoaded, "", nil)
 			})
 		}},
 	}
 	for _, src := range sources {
-		for _, shape := range restoreShapes {
+		for _, shape := range src.shapes {
 			t.Run(src.name+"/"+shape, func(t *testing.T) { src.run(t, shape) })
 		}
 	}
@@ -474,37 +466,12 @@ func TestRecoverPlacementAndLoss(t *testing.T) {
 	}
 }
 
-// TestLoadShardGroupFreesMembersOnFailure: when member k of a stored
-// group cannot be loaded, members 0..k-1 must not stay hosted with no
-// group owning them.
-func TestLoadShardGroupFreesMembersOnFailure(t *testing.T) {
-	storage := NewMemStorage()
-	restoreWorld(t, 1, storage, nil, func(w *World, a *App, _ *chaos.Injector, p sched.Proc) {
+// TestNewShardGroupFreesMembersOnFailure: when member k of a new group
+// cannot be made, members 0..k-1 must not stay hosted with no group
+// owning them.
+func TestNewShardGroupFreesMembersOnFailure(t *testing.T) {
+	restoreWorld(t, 1, nil, nil, func(w *World, a *App, _ *chaos.Injector, p sched.Proc) {
 		defer a.Unregister(p)
-		g, err := a.NewShardGroup(p, "g", "Table", ShardSpec{
-			Shards: 3, Replication: &restorePolicy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		key, err := g.Store(p, "img")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := storage.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The last member's image goes missing: the first two load fine.
-		if err := storage.Delete(rec.Group.ShardKeys[2]); err != nil {
-			t.Fatal(err)
-		}
-		b, err := w.Register(w.Nodes()[2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer b.Unregister(p)
-		loadTable(t, b, p)
 		hosted := func() map[string]int {
 			out := make(map[string]int)
 			for _, n := range w.Nodes() {
@@ -512,34 +479,35 @@ func TestLoadShardGroupFreesMembersOnFailure(t *testing.T) {
 			}
 			return out
 		}
-		before := hosted()
-		if _, err := b.LoadShardGroup(p, key); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("LoadShardGroup with a missing member = %v, want ErrNotFound", err)
+		live := func() (n int) {
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			for _, e := range a.objs {
+				if !e.freed {
+					n++
+				}
+			}
+			return n
 		}
-		if n := len(b.Objects()); n != 0 {
-			t.Fatalf("failed LoadShardGroup left %d objects in the application's table", n)
+		spec := ShardSpec{Shards: 3, Replication: &restorePolicy, InitMethod: "InitBudgeted"}
+		before := hosted()
+		tableInits.Store(2) // the third member's init fails
+		if _, err := a.NewShardGroup(p, "g", "Table", spec); err == nil || !strings.Contains(err.Error(), "init budget spent") {
+			t.Fatalf("NewShardGroup with a failing member = %v, want the init error", err)
+		}
+		if n := live(); n != 0 {
+			t.Fatalf("failed NewShardGroup left %d objects in the application's table", n)
 		}
 		if after := hosted(); fmt.Sprint(after) != fmt.Sprint(before) {
-			t.Fatalf("failed LoadShardGroup leaked hosted objects:\nbefore %v\nafter  %v", before, after)
+			t.Fatalf("failed NewShardGroup leaked hosted objects:\nbefore %v\nafter  %v", before, after)
 		}
-		if _, ok := b.ShardGroup("g"); ok {
-			t.Fatal("failed LoadShardGroup registered the group")
+		if _, ok := a.ShardGroup("g"); ok {
+			t.Fatal("failed NewShardGroup registered the group")
 		}
-		// The name is free again: a retry with the image back succeeds.
-		if err := storage.Put(rec.Group.ShardKeys[2], mustGet(t, storage, rec.Group.ShardKeys[1])); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.LoadShardGroup(p, key); err != nil {
-			t.Fatalf("retry after restoring the image: %v", err)
+		// The name is free again: a retry with budget to spare succeeds.
+		tableInits.Store(3)
+		if _, err := a.NewShardGroup(p, "g", "Table", spec); err != nil {
+			t.Fatalf("retry with every init allowed: %v", err)
 		}
 	})
-}
-
-func mustGet(t *testing.T, s Storage, key string) PersistRecord {
-	t.Helper()
-	rec, err := s.Get(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
 }

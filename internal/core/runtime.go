@@ -160,12 +160,6 @@ func (rt *Runtime) Station() *rmi.Station { return rt.st }
 // Agent returns the node's network agent.
 func (rt *Runtime) Agent() *nas.Agent { return rt.agent }
 
-// Store returns the node's class store.
-func (rt *Runtime) Store() *codebase.Store { return rt.store }
-
-// World returns the owning world.
-func (rt *Runtime) World() *World { return rt.world }
-
 // Compute charges this node's CPU with flops (simulation only).
 func (rt *Runtime) Compute(p sched.Proc, flops float64) {
 	if rt.mach == nil {

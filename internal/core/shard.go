@@ -155,7 +155,7 @@ func (a *App) NewShardGroup(p sched.Proc, name, class string, spec ShardSpec) (*
 	}
 	return g.assemble(p, members, func(i int) (*Object, error) {
 		return g.makeShard(p, homes[i%len(homes)])
-	}, trace.ShardGroupCreated, fmt.Sprintf("of %s over %d nodes", class, len(homes)))
+	}, fmt.Sprintf("of %s over %d nodes", class, len(homes)))
 }
 
 // newShardGroup returns an empty, unregistered group; spec has its
@@ -171,15 +171,15 @@ func newShardGroup(a *App, name, class string, spec ShardSpec) *ShardGroup {
 	}
 }
 
-// assemble is how every shard group comes to exist, new, loaded from
-// Storage or restored from the WAL: it puts the named members on the
-// ring — member names, not placements, own the keys, so a restore under
-// the stored names reproduces key ownership exactly — with the object
-// member(i) yields for members[i], then registers the group and reports
-// it as "<name>: <n> shards <how>".  A nil object skips the member (the
-// caller accounts for it).  An error fails the whole group and frees
-// the members already materialized, since no group will own them.
-func (g *ShardGroup) assemble(p sched.Proc, members []string, member func(i int) (*Object, error), kind trace.Kind, how string) (*ShardGroup, error) {
+// assemble is how every shard group comes to exist, new or restored
+// from the WAL: it puts the named members on the ring — member names,
+// not placements, own the keys, so a restore under the logged names
+// reproduces key ownership exactly — with the object member(i) yields
+// for members[i], then registers the group and reports it as "<name>:
+// <n> shards <how>".  A nil object skips the member (the caller
+// accounts for it).  An error fails the whole group and frees the
+// members already made, since no group will own them.
+func (g *ShardGroup) assemble(p sched.Proc, members []string, member func(i int) (*Object, error), how string) (*ShardGroup, error) {
 	a := g.app
 	a.mu.Lock()
 	_, dup := a.shardGroups[g.name]
@@ -191,9 +191,6 @@ func (g *ShardGroup) assemble(p sched.Proc, members []string, member func(i int)
 		obj, err := member(i)
 		if err != nil {
 			// Best effort, like any free: a dead host has nothing left to drop.
-			if obj != nil {
-				_ = obj.Free(p) // Load hands back a usable object beside a replica-set error
-			}
 			for _, done := range g.ring.Members() {
 				_ = g.shards[done].Free(p)
 			}
@@ -215,7 +212,7 @@ func (g *ShardGroup) assemble(p sched.Proc, members []string, member func(i int)
 	a.shardGroups[g.name] = g
 	a.mu.Unlock()
 	a.world.reg.Gauge(metrics.Label("js_shard_shards", "group", g.name)).Set(float64(len(g.shards)))
-	a.world.emit(trace.Event{Kind: kind, Node: a.Home(), App: a.id,
+	a.world.emit(trace.Event{Kind: trace.ShardGroupCreated, Node: a.Home(), App: a.id,
 		Detail: fmt.Sprintf("%s: %d shards %s", g.name, len(g.shards), how)})
 	return g, nil
 }
@@ -284,9 +281,6 @@ func (g *ShardGroup) addShard(p sched.Proc, node string) (string, error) {
 	}
 	return sname, nil
 }
-
-// Name returns the group name.
-func (g *ShardGroup) Name() string { return g.name }
 
 // Shards returns the shard names in ring (sorted) order.
 func (g *ShardGroup) Shards() []string {
@@ -638,76 +632,4 @@ func (a *App) ShardGroup(name string) (*ShardGroup, bool) {
 	defer a.mu.Unlock()
 	g, ok := a.shardGroups[name]
 	return g, ok
-}
-
-// Store saves the whole group to external storage under key ("" derives
-// one from the group name) and returns the key — §4.7 extended to
-// groups.  Each member's state goes under "<key>/<member>" through the
-// standard object store path (replicated shards persist their policy
-// too), and the manifest under key itself records the ring membership
-// in ring order, so App.LoadShardGroup restores identical
-// consistent-hash key ownership.
-func (g *ShardGroup) Store(p sched.Proc, key string) (string, error) {
-	if key == "" {
-		key = fmt.Sprintf("jsgroup-%s-%s", g.app.id, g.name)
-	}
-	g.mu.Lock()
-	members := g.ring.Members()
-	vnodes := g.ring.Vnodes()
-	objs := make([]*Object, len(members))
-	for i, m := range members {
-		objs[i] = g.shards[m]
-	}
-	g.mu.Unlock()
-	gr := &GroupRecord{
-		Name: g.name, Class: g.class, Vnodes: vnodes,
-		Reads:         g.spec.Reads,
-		KeysMethod:    keysMethod,
-		ExtractMethod: extractMethod,
-		InstallMethod: installMethod,
-		Replication:   g.spec.Replication,
-		Members:       members,
-	}
-	for i, m := range members {
-		if objs[i] == nil {
-			return "", fmt.Errorf("core: shard group %s has no object for member %s", g.name, m)
-		}
-		sk, err := objs[i].Store(p, key+"/"+m)
-		if err != nil {
-			return "", fmt.Errorf("core: store shard %s: %w", m, err)
-		}
-		gr.ShardKeys = append(gr.ShardKeys, sk)
-	}
-	if err := g.app.world.storage.Put(key, PersistRecord{Class: g.class, Group: gr}); err != nil {
-		return "", err
-	}
-	g.app.world.emit(trace.Event{Kind: trace.ObjStored, Node: g.app.Home(), App: g.app.id,
-		Detail: fmt.Sprintf("group %s (%d shards) -> %q", g.name, len(members), key)})
-	return key, nil
-}
-
-// LoadShardGroup re-materializes a stored shard group.  The manifest's
-// member names go back on the ring verbatim — shard identity, not
-// placement, owns the keys — so every key hashes to the same member it
-// did in the stored group; each member's state loads through the
-// standard object load path, re-materializing per-shard replica sets
-// along the way.
-func (a *App) LoadShardGroup(p sched.Proc, key string) (*ShardGroup, error) {
-	rec, err := a.world.storage.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	gr := rec.Group
-	if gr == nil {
-		return nil, fmt.Errorf("core: stored object %q is not a shard group", key)
-	}
-	if len(gr.ShardKeys) != len(gr.Members) {
-		return nil, fmt.Errorf("core: stored group %q: %d members but %d shard keys", key, len(gr.Members), len(gr.ShardKeys))
-	}
-	g := newShardGroup(a, gr.Name, gr.Class, ShardSpec{
-		Shards: len(gr.Members), Replication: gr.Replication, Reads: gr.Reads,
-	}.withDefaults())
-	return g.assemble(p, gr.Members, func(i int) (*Object, error) {
-		return a.Load(p, gr.ShardKeys[i], nil, nil)
-	}, trace.ObjLoaded, fmt.Sprintf("restored from %q", key))
 }

@@ -26,28 +26,6 @@ type PersistRecord struct {
 	Class   string
 	State   []byte
 	Replica *replica.Policy
-	// Group is non-nil when the record is a shard-group manifest written
-	// by ShardGroup.Store: it carries the ring membership and per-member
-	// state keys that App.LoadShardGroup restores.
-	Group *GroupRecord
-}
-
-// GroupRecord captures a shard group's identity for external storage.
-// Members are the ring member *names* in ring order: consistent-hash
-// key ownership is a pure function of them, so restoring a group under
-// the same member names reproduces ownership exactly, no matter where
-// the restored shards are placed.
-type GroupRecord struct {
-	Name          string
-	Class         string
-	Vnodes        int
-	Reads         []string
-	KeysMethod    string
-	ExtractMethod string
-	InstallMethod string
-	Replication   *replica.Policy
-	Members       []string // ring member names, ring (sorted) order
-	ShardKeys     []string // parallel: storage key of each member's state
 }
 
 // Storage is the external storage persistent objects go to.
@@ -117,8 +95,9 @@ func (m *MemStorage) Keys() ([]string, error) {
 // in a format this codec does not define fails Get with rmi.ErrCodec
 // instead of decoding — in particular a .jsobj written by the retired
 // gob codec (unknown format tag 0x47).  A record's layout carries no
-// field names, so a record written before PersistRecord gained a field
-// fails the same way.
+// field names, so a record written before PersistRecord gained or lost
+// a field fails the same way — in particular one written while records
+// still ended in the shard-group manifest's nil flag.
 type FileStorage struct {
 	dir string
 	mu  sync.Mutex

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,7 +12,6 @@ import (
 
 	"jsymphony/internal/replica"
 	"jsymphony/internal/rmi"
-	"jsymphony/internal/sched"
 )
 
 // TestStorageContract drives all four Storage methods, success and
@@ -45,11 +45,6 @@ func TestStorageContract(t *testing.T) {
 					Class:   "Counter",
 					State:   []byte{1, 2, 3},
 					Replica: &replica.Policy{N: 2, Mode: replica.Eventual, Reads: []string{"Get"}, MinSync: 1},
-					Group: &GroupRecord{
-						Name: "g", Class: "Table", Vnodes: 8,
-						Members:   []string{"g#0", "g#1"},
-						ShardKeys: []string{"k/g#0", "k/g#1"},
-					},
 				}
 				if err := s.Put("k", rec); err != nil {
 					t.Fatal(err)
@@ -133,6 +128,19 @@ func TestFileStorageErrorPaths(t *testing.T) {
 	if _, err := fs.Get("old"); !errors.Is(err, rmi.ErrCodec) || !strings.Contains(err.Error(), "0x47") {
 		t.Fatalf("Get(gob-era record) = %v, want rmi.ErrCodec for format tag 0x47", err)
 	}
+	// PersistRecord{Class: "Counter", State: {1}} as written while the
+	// record still ended in the shard-group manifest's nil flag (the
+	// last byte): it fails, never decodes.
+	grouped, err := hex.DecodeString("561b12636f72652e506572736973745265636f72640c07436f756e74657201010000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "grouped.jsobj"), grouped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Get("grouped"); err == nil || errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(record with a trailing group flag) = %v, want a decode error", err)
+	}
 	// Directory gone: Put, Keys, and Get all surface I/O errors; the Get
 	// error is a miss (the file does not exist).
 	if err := os.RemoveAll(dir); err != nil {
@@ -147,107 +155,4 @@ func TestFileStorageErrorPaths(t *testing.T) {
 	if _, err := fs.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get on removed dir = %v, want ErrNotFound", err)
 	}
-}
-
-// TestShardGroupStoreRestoresRing is the regression test for group
-// persistence: a stored sharded group must re-materialize with
-// byte-identical ring membership — member names, not placement, own the
-// keys — so every key resolves to the shard holding its data.
-func TestShardGroupStoreRestoresRing(t *testing.T) {
-	simWorld(t, func(w *World, a *App, p sched.Proc) {
-		cb := a.NewCodebase()
-		if err := cb.Add("Table"); err != nil {
-			t.Fatal(err)
-		}
-		if err := cb.LoadNodes(p, w.Nodes()...); err != nil {
-			t.Fatal(err)
-		}
-		g, err := a.NewShardGroup(p, "t", "Table", ShardSpec{Shards: 3, Reads: []string{"Get", "Len"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Grow once so member indices are not the trivial 0..S-1 run:
-		// restore must recover the real ring, and the seq high-water mark.
-		if _, err := g.Grow(p, ""); err != nil {
-			t.Fatal(err)
-		}
-		keys := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
-		owners := make(map[string]string, len(keys))
-		for i, k := range keys {
-			if _, err := g.Invoke(p, k, "Put", k, 100+i); err != nil {
-				t.Fatal(err)
-			}
-			owners[k] = g.Owner(k)
-		}
-		storedMembers := g.Shards()
-		skey, err := g.Store(p, "group-backup")
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Restore into a second application (same world storage): the
-		// stored group is self-contained.
-		b, err := w.Register(w.Nodes()[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer b.Unregister(p)
-		cb2 := b.NewCodebase()
-		if err := cb2.Add("Table"); err != nil {
-			t.Fatal(err)
-		}
-		if err := cb2.LoadNodes(p, w.Nodes()...); err != nil {
-			t.Fatal(err)
-		}
-		g2, err := b.LoadShardGroup(p, skey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := g2.Shards(); !reflect.DeepEqual(got, storedMembers) {
-			t.Fatalf("restored ring %v, stored ring %v", got, storedMembers)
-		}
-		for i, k := range keys {
-			if own := g2.Owner(k); own != owners[k] {
-				t.Fatalf("key %q owned by %s after restore, was %s", k, own, owners[k])
-			}
-			v, err := g2.Invoke(p, k, "Get", k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.(int) != 100+i {
-				t.Fatalf("key %q = %v after restore, want %d", k, v, 100+i)
-			}
-		}
-		// A post-restore Grow must not collide with a restored member name.
-		sname, err := g2.Grow(p, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range storedMembers {
-			if sname == m {
-				t.Fatalf("grown shard reused restored member name %s", sname)
-			}
-		}
-	})
-}
-
-// TestLoadShardGroupRejectsNonGroup pins the manifest discrimination:
-// a plain object record is not loadable as a group.
-func TestLoadShardGroupRejectsNonGroup(t *testing.T) {
-	simWorld(t, func(w *World, a *App, p sched.Proc) {
-		obj, err := a.NewObject(p, "Counter", nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k, err := obj.Store(p, "plain")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.LoadShardGroup(p, k); err == nil {
-			t.Fatal("LoadShardGroup accepted a plain object record")
-		}
-		if _, err := a.LoadShardGroup(p, "no-such-key"); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("LoadShardGroup(absent) = %v, want ErrNotFound", err)
-		}
-	})
 }

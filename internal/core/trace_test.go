@@ -36,7 +36,15 @@ func TestTraceProtocolSequence(t *testing.T) {
 		}
 		_ = cp
 
-		all := w.Trace().ForObject(ref.App, ref.ID)
+		forObject := func(app string, id uint64) (out []trace.Event) {
+			for _, e := range w.Trace().Events() {
+				if e.App == app && e.Obj == id {
+					out = append(out, e)
+				}
+			}
+			return out
+		}
+		all := forObject(ref.App, ref.ID)
 		// The SInvoke above also lands in the log as an invocation event;
 		// the lifecycle assertions below look past those.
 		var invoked int
@@ -68,7 +76,7 @@ func TestTraceProtocolSequence(t *testing.T) {
 		}
 		// The loaded copy has its own created-by-load event.
 		cpRef, _ := cp.Ref()
-		cpEvs := w.Trace().ForObject(cpRef.App, cpRef.ID)
+		cpEvs := forObject(cpRef.App, cpRef.ID)
 		if len(cpEvs) == 0 || cpEvs[0].Kind != trace.ObjLoaded {
 			t.Fatalf("copy events = %v", cpEvs)
 		}

@@ -158,11 +158,7 @@ func layoutBodies() []any {
 			}},
 		},
 		PersistRecord{Class: "kv.Store", State: []byte{1, 2, 3}},
-		PersistRecord{Class: "kv.Store", State: []byte{4}, Replica: pol, Group: &GroupRecord{
-			Name: "g", Class: "kv.Store", Vnodes: 64, Reads: []string{"Get"},
-			KeysMethod: "Keys", ExtractMethod: "Extract", InstallMethod: "Install",
-			Replication: pol, Members: []string{"g/0"}, ShardKeys: []string{"k0"},
-		}},
+		PersistRecord{Class: "kv.Store", State: []byte{4}, Replica: pol},
 	}
 }
 

@@ -211,10 +211,6 @@ func (w *World) SetInvokeQueueBound(n int) {
 	w.queueBound.Store(int64(n))
 }
 
-// InvokeQueueBound returns the current per-object invoke-queue bound
-// (-1 = unbounded).
-func (w *World) InvokeQueueBound() int { return int(w.queueBound.Load()) }
-
 // markClassShed records that one admission controller started (on) or
 // stopped (off) shedding class.  Counted, not boolean: two groups
 // shedding "bronze" must both re-admit before hosts execute it again.
@@ -495,9 +491,6 @@ func (w *World) NASConfig() nas.Config {
 	}
 	return cfg
 }
-
-// Registry returns the class registry.
-func (w *World) Registry() *codebase.Registry { return w.registry }
 
 // Nodes returns all node names in attach order.
 func (w *World) Nodes() []string {

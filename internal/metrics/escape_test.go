@@ -114,41 +114,3 @@ func TestPrometheusHostileLabels(t *testing.T) {
 		t.Fatalf("control/invalid bytes were not sanitized:\n%s", out)
 	}
 }
-
-// TestQuantileEdgeCases covers the histogram-quantile satellite: empty
-// histograms, a single sample at p999, and overflow-only content.
-func TestQuantileEdgeCases(t *testing.T) {
-	empty := HistSnap{Bounds: []int64{10, 100}, Counts: []int64{0, 0, 0}}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if got := empty.Quantile(q); got != 0 {
-			t.Fatalf("empty quantile(%v) = %d, want 0", q, got)
-		}
-	}
-
-	single := HistSnap{Bounds: []int64{10, 100}, Counts: []int64{0, 1, 0}, Count: 1, Sum: 42}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if got := single.Quantile(q); got != 100 {
-			t.Fatalf("single-sample quantile(%v) = %d, want bucket bound 100", q, got)
-		}
-	}
-
-	// All mass in overflow: the estimate must not undershoot below the
-	// last bound, and uses the mean when that is larger.
-	over := HistSnap{Bounds: []int64{10}, Counts: []int64{0, 2}, Count: 2, Sum: 2000}
-	if got := over.Quantile(0.999); got != 1000 {
-		t.Fatalf("overflow quantile = %d, want mean 1000", got)
-	}
-
-	// No finite buckets at all.
-	bare := HistSnap{Counts: []int64{3}, Count: 3, Sum: 300}
-	if got := bare.Quantile(0.5); got != 100 {
-		t.Fatalf("bare quantile = %d, want mean 100", got)
-	}
-
-	// Sanity on a spread distribution: monotone in q.
-	h := HistSnap{Bounds: []int64{10, 100, 1000}, Counts: []int64{50, 40, 9, 1}, Count: 100, Sum: 5000}
-	p50, p99, p999 := h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999)
-	if p50 != 10 || p99 != 1000 || p999 > 1000 && p999 < p99 {
-		t.Fatalf("quantiles = %d %d %d", p50, p99, p999)
-	}
-}

@@ -19,7 +19,7 @@
 // inline in Prometheus form, e.g.
 //
 //	js_rmi_call_latency_us{node="rachel"}
-//	js_rmi_link_bytes{node="rachel",peer="monika"}
+//	js_shard_admission_sheds_total{group="kv",class="bronze"}
 //
 // Units: _us = scheduler-time microseconds, _bytes = bytes, _total = a
 // monotone count.  Label(name, k, v, ...) builds such a name.
@@ -232,11 +232,6 @@ var LatencyBuckets = []int64{
 	50, 100, 250, 500,
 	1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
 	1_000_000, 2_500_000, 5_000_000, 10_000_000,
-}
-
-// SizeBuckets are the default bounds for *_bytes histograms.
-var SizeBuckets = []int64{
-	64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20,
 }
 
 // Registry holds one installation's metrics, keyed by full (labeled)

@@ -145,44 +145,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) of the recorded
-// distribution from the bucket counts: the upper bound of the bucket
-// the rank falls in (the last finite bound for overflow observations,
-// or the mean when the histogram has no finite buckets).  An empty
-// histogram reports 0.  Being a pure function of the snapshot, the
-// estimate is deterministic.
-func (h HistSnap) Quantile(q float64) int64 {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := int64(q * float64(h.Count))
-	if float64(rank) < q*float64(h.Count) || rank == 0 {
-		rank++ // ceil, at least the first observation
-	}
-	if rank > h.Count {
-		rank = h.Count
-	}
-	cum := int64(0)
-	for i, n := range h.Counts {
-		cum += n
-		if cum >= rank {
-			if i < len(h.Bounds) {
-				return h.Bounds[i]
-			}
-			break
-		}
-	}
-	// Rank falls in the +Inf overflow bucket: the bounds cannot place
-	// it, so report the best upper estimate available.
-	if len(h.Bounds) > 0 {
-		if mean := h.Sum / h.Count; mean > h.Bounds[len(h.Bounds)-1] {
-			return mean
-		}
-		return h.Bounds[len(h.Bounds)-1]
-	}
-	return h.Sum / h.Count
-}
-
 // joinLabels appends extra to a label body.
 func joinLabels(body, extra string) string {
 	if body == "" {

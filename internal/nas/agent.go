@@ -125,9 +125,6 @@ func (a *Agent) Node() string { return a.st.Node() }
 // Station returns the agent's RMI station.
 func (a *Agent) Station() *rmi.Station { return a.st }
 
-// Config returns the agent's timing configuration.
-func (a *Agent) Config() Config { return a.cfg }
-
 // Alive reports node liveness.
 func (a *Agent) Alive() bool { return a.sampler.Alive() }
 

@@ -102,7 +102,7 @@ func TestSelectConstraintInteractions(t *testing.T) {
 // one node.name == <node> condition, so it composes with any user set.
 func TestColocationConstraintForm(t *testing.T) {
 	c := Colocation("n7")
-	list := c.List()
+	list := c.Wire()
 	if len(list) != 1 || list[0].Param != params.NodeName {
 		t.Fatalf("colocation set = %v", list)
 	}

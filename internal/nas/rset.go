@@ -1,11 +1,10 @@
 package nas
 
 // Replica-set registry: the directory mirrors each application's replica
-// sets (published by the AppOA whenever a set changes) so installation
-// tooling — the JS-Shell's "replicas" command in particular — can list
-// every replicated object without walking the applications.  The
-// authoritative copy stays with the owning AppOA; this is a display and
-// diagnostics view, keyed by the object's "<app>/<id>" string.
+// sets (published by the AppOA whenever a set changes), keyed by the
+// object's "<app>/<id>" string.  The authoritative copy stays with the
+// owning AppOA, and the JS-Shell's "replicas" command reads that copy;
+// only tests read the mirror.
 
 import (
 	"sort"

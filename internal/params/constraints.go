@@ -108,14 +108,6 @@ func (cs *Constraints) Len() int {
 	return len(cs.list)
 }
 
-// List returns a copy of the constraints.
-func (cs *Constraints) List() []Constraint {
-	if cs == nil {
-		return nil
-	}
-	return append([]Constraint(nil), cs.list...)
-}
-
 // Clone returns an independent copy of the set (nil-safe).
 func (cs *Constraints) Clone() *Constraints {
 	if cs == nil {

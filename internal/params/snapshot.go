@@ -27,9 +27,6 @@ func (s Snapshot) Get(id ID) (Value, bool) {
 	return v, ok
 }
 
-// Set stores v under id.
-func (s Snapshot) Set(id ID, v Value) { s[id] = v }
-
 // SetFloat stores a numeric parameter.
 func (s Snapshot) SetFloat(id ID, f float64) { s[id] = Float(f) }
 

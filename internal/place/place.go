@@ -74,19 +74,6 @@ func (h *Hints) MainGroup() (gid int, ok bool) {
 	return h.Lookup(MainSite, 0)
 }
 
-// Group returns the group with the given id.
-func (h *Hints) Group(gid int) (Group, bool) {
-	if h == nil {
-		return Group{}, false
-	}
-	for _, g := range h.Groups {
-		if g.ID == gid {
-			return g, true
-		}
-	}
-	return Group{}, false
-}
-
 // Normalize sorts groups and members into the canonical order Encode
 // relies on.
 func (h *Hints) Normalize() {

@@ -133,16 +133,6 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-// IsRead reports whether method is declared read-only by the policy.
-func (p Policy) IsRead(method string) bool {
-	for _, m := range p.Reads {
-		if m == method {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the policy the way the shell accepts it.
 func (p Policy) String() string {
 	s := fmt.Sprintf("n=%d mode=%s lease=%s reads=%s",

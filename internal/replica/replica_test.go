@@ -28,9 +28,6 @@ func TestPolicyDefaultsAndValidate(t *testing.T) {
 			t.Errorf("bad policy %d accepted: %+v", i, p)
 		}
 	}
-	if !p.IsRead("Get") || p.IsRead("Put") {
-		t.Fatal("IsRead misclassifies")
-	}
 }
 
 func TestSetMembers(t *testing.T) {

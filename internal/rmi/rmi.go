@@ -191,7 +191,7 @@ type Station struct {
 	dups     metrics.Counter // duplicate idempotent requests suppressed
 	stale    metrics.Counter // responses that arrived after their call gave up
 
-	metrics     *stationMetrics                  // nil unless SetMetrics was called
+	callLatency *metrics.Histogram               // js_rmi_call_latency_us{node}; nil unless SetMetrics was called
 	timeoutHook func(to, service, method string) // nil unless SetTimeoutHook was called
 	retryHook   func(to, service, method string) // nil unless SetRetryHook was called
 }
@@ -473,9 +473,6 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 	var ok bool
 	for attempt := 0; attempt < attempts; attempt++ {
 		st.bytesOut.Add(int64(msg.wireSize()))
-		if m := st.metrics; m != nil {
-			m.link(to).bytes.Observe(int64(msg.wireSize()))
-		}
 		if err := st.ep.Send(p, to, msg); err != nil {
 			st.mu.Lock()
 			delete(st.pending, id)
@@ -537,10 +534,8 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 		return nil, fmt.Errorf("%w: %s.%s on %s after %v", ErrTimeout, service, method, to, timeout)
 	}
 	st.recycle(reply)
-	if m := st.metrics; m != nil {
-		elapsed := st.s.Now() - begin
-		m.callLatency.ObserveDuration(elapsed)
-		m.link(to).latency.ObserveDuration(elapsed)
+	if h := st.callLatency; h != nil {
+		h.ObserveDuration(st.s.Now() - begin)
 	}
 	resp := v.(*Message)
 	if resp.Err != "" {
@@ -597,8 +592,5 @@ func (st *Station) Post(p sched.Proc, to, service, method string, body []byte) e
 	}
 	st.oneway.Inc()
 	st.bytesOut.Add(int64(msg.wireSize()))
-	if m := st.metrics; m != nil {
-		m.link(to).bytes.Observe(int64(msg.wireSize()))
-	}
 	return st.ep.Send(p, to, msg)
 }

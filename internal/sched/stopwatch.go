@@ -18,6 +18,3 @@ func StartWatch(s Sched) StopWatch {
 
 // Elapsed returns scheduler time since StartWatch.
 func (w StopWatch) Elapsed() time.Duration { return w.s.Now() - w.start }
-
-// Start returns the scheduler time the watch was started.
-func (w StopWatch) Start() time.Duration { return w.start }

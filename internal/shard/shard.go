@@ -56,9 +56,6 @@ func New(vnodes int) *Ring {
 // Vnodes returns the per-member virtual-node count.
 func (r *Ring) Vnodes() int { return r.vnodes }
 
-// Size returns the number of members.
-func (r *Ring) Size() int { return len(r.members) }
-
 // Members returns the member names in sorted order.  The slice is a
 // copy.
 func (r *Ring) Members() []string {

@@ -49,8 +49,8 @@ func TestRingEmptyAndMembership(t *testing.T) {
 	}
 	r.Add("s0")
 	r.Add("s0") // duplicate add is a no-op
-	if r.Size() != 1 || !r.Has("s0") {
-		t.Fatalf("size = %d, has(s0) = %v", r.Size(), r.Has("s0"))
+	if len(r.Members()) != 1 || !r.Has("s0") {
+		t.Fatalf("size = %d, has(s0) = %v", len(r.Members()), r.Has("s0"))
 	}
 	if got := r.Owner("k"); got != "s0" {
 		t.Fatalf("single-member ring owner = %q", got)
@@ -105,7 +105,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 		t.Errorf("grow moved %.1f%% of keys, want ~20%%", 100*frac)
 	}
 	// The clone must be independent: before is untouched.
-	if before.Has("s4") || before.Size() != 4 {
+	if before.Has("s4") || len(before.Members()) != 4 {
 		t.Fatal("Clone aliases the original ring")
 	}
 }

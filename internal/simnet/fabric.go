@@ -84,12 +84,6 @@ func New(c *vclock.Clock, specs []MachineSpec, profile LoadProfile, seed int64) 
 	return f
 }
 
-// Clock returns the fabric's virtual clock.
-func (f *Fabric) Clock() *vclock.Clock { return f.clock }
-
-// Profile returns the background-load profile in effect.
-func (f *Fabric) Profile() LoadProfile { return f.profile }
-
 // Machines returns all machines in inventory order.
 func (f *Fabric) Machines() []*Machine { return f.all }
 
@@ -230,9 +224,6 @@ func (m *Machine) Name() string { return m.spec.Name }
 
 // Index returns the machine's position in the fabric inventory.
 func (m *Machine) Index() int { return m.index }
-
-// Fabric returns the owning fabric.
-func (m *Machine) Fabric() *Fabric { return m.fab }
 
 // Inbox returns the machine's incoming-message mailbox.  The rmi layer
 // drains it.

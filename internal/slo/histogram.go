@@ -76,12 +76,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a scheduler-time duration in microseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Microseconds()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // Max returns the largest observed value (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }
 

@@ -15,8 +15,8 @@ func TestHistogramExact(t *testing.T) {
 	for v := int64(0); v < 32; v++ {
 		h.Observe(v)
 	}
-	if h.Count() != 32 || h.Max() != 31 {
-		t.Fatalf("count=%d max=%d", h.Count(), h.Max())
+	if h.count != 32 || h.Max() != 31 {
+		t.Fatalf("count=%d max=%d", h.count, h.Max())
 	}
 	if got := h.Quantile(0.5); got != 15 {
 		t.Fatalf("p50 = %d, want 15", got)
@@ -34,7 +34,7 @@ func TestHistogramEmpty(t *testing.T) {
 			t.Fatalf("empty quantile(%v) = %d", q, got)
 		}
 	}
-	if h.Max() != 0 || h.Count() != 0 {
+	if h.Max() != 0 || h.count != 0 {
 		t.Fatal("empty histogram not zeroed")
 	}
 }

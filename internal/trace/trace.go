@@ -155,11 +155,6 @@ func (l *Log) Filter(kind Kind) []Event {
 	return l.collect(func(e *Event) bool { return e.Kind == kind })
 }
 
-// ForObject returns retained events for one object, oldest-first.
-func (l *Log) ForObject(app string, obj uint64) []Event {
-	return l.collect(func(e *Event) bool { return e.App == app && e.Obj == obj })
-}
-
 // Len reports the number of retained events.
 func (l *Log) Len() int {
 	l.mu.Lock()

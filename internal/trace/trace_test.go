@@ -32,9 +32,6 @@ func TestLogBasics(t *testing.T) {
 	if got := l.Filter(ObjMigrated); len(got) != 1 || got[0].Detail != "a -> b" {
 		t.Fatalf("Filter = %v", got)
 	}
-	if got := l.ForObject("app:1", 1); len(got) != 2 {
-		t.Fatalf("ForObject = %v", got)
-	}
 	out := l.String()
 	for _, want := range []string{"obj.created", "obj.migrated", "node.failed", "app:1/1"} {
 		if !strings.Contains(out, want) {
@@ -126,7 +123,6 @@ func TestLogConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				_ = l.Events()
 				_ = l.Filter(ObjInvoked)
-				_ = l.ForObject("app:1", uint64(w))
 			}
 		}(w)
 	}

@@ -99,7 +99,7 @@ func twinScenario(jitter func()) []string {
 		j()
 		now := a.Now()
 		j()
-		trace = append(trace, fmt.Sprintf("%v %s %s", time.Duration(now), a.Name(), fmt.Sprintf(step, args...)))
+		trace = append(trace, fmt.Sprintf("%v %s %s", time.Duration(now), a.name, fmt.Sprintf(step, args...)))
 	}
 	for i := 0; i < 8; i++ {
 		c.Spawn(fmt.Sprintf("w%d", i), func(a *Actor) {

@@ -232,12 +232,6 @@ type Actor struct {
 	done    bool
 }
 
-// Name returns the actor's diagnostic name.
-func (a *Actor) Name() string { return a.name }
-
-// Clock returns the clock this actor belongs to.
-func (a *Actor) Clock() *Clock { return a.c }
-
 // Now returns the current virtual time.
 func (a *Actor) Now() Time { return a.c.Now() }
 

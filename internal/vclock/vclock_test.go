@@ -130,18 +130,6 @@ func TestDoubleDonePanics(t *testing.T) {
 	a.Done()
 }
 
-func TestActorAccessors(t *testing.T) {
-	c := New()
-	a := c.Adopt("x")
-	defer a.Done()
-	if a.Name() != "x" {
-		t.Errorf("Name = %q", a.Name())
-	}
-	if a.Clock() != c {
-		t.Error("Clock accessor wrong")
-	}
-}
-
 // Property: with a single actor, total virtual time equals the sum of its
 // sleeps, independent of how the durations are split.
 func TestSleepSumProperty(t *testing.T) {

@@ -31,7 +31,7 @@ func ackedHistory(t testing.TB) (log []byte, frames []int, after []ackedState) {
 		for k, e := range image {
 			snap[k] = e
 		}
-		after = append(after, ackedState{end: len(m.LogBytes()), image: snap})
+		after = append(after, ackedState{end: len(m.log), image: snap})
 	}
 	var first []Record
 	for i := 0; i < 5; i++ {
@@ -42,7 +42,7 @@ func ackedHistory(t testing.TB) (log []byte, frames []int, after []ackedState) {
 		Record{Kind: KindDelete, Key: "k0", Ver: 2})
 	commit(Record{Kind: KindUpdate, Key: "big", Ver: 1, Data: bytes.Repeat([]byte{0xD7}, 300)})
 
-	log = m.LogBytes()
+	log = append([]byte(nil), m.log...)
 	for off := 0; off < len(log); {
 		_, next, ok := readFrame(log, off)
 		if !ok {

@@ -219,9 +219,6 @@ func NewMedia(name string, seed uint64) *Media {
 	return &Media{name: name, seed: seed, base: make(map[string]Entry)}
 }
 
-// Name reports the node the medium belongs to.
-func (m *Media) Name() string { return m.name }
-
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	z := x
@@ -342,13 +339,6 @@ func (m *Media) Stats() Stats {
 		BaseKeys:        len(m.base),
 		BaseSeq:         m.baseSeq,
 	}
-}
-
-// LogBytes reports the raw log contents, for determinism tests.
-func (m *Media) LogBytes() []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]byte(nil), m.log...)
 }
 
 // Log is the volatile front of one medium: the pending group-commit

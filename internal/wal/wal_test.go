@@ -260,7 +260,7 @@ func TestStableDeterminism(t *testing.T) {
 			l.Flush()
 			m.Crash()
 			m.Replay()
-			logs = append(logs, m.LogBytes())
+			logs = append(logs, m.log)
 		}
 		return s.Nodes(), logs
 	}

@@ -18,9 +18,6 @@ type JS struct {
 	p   sched.Proc
 }
 
-// App exposes the underlying application for advanced use.
-func (js *JS) App() *core.App { return js.app }
-
 // Env returns the session's environment.
 func (js *JS) Env() *Env { return js.env }
 
@@ -171,9 +168,6 @@ func (cb *Codebase) LoadNodes(nodes ...string) error {
 	return cb.cb.LoadNodes(cb.js.p, nodes...)
 }
 
-// Bytes reports the modeled archive size.
-func (cb *Codebase) Bytes() int { return cb.cb.Bytes() }
-
 // Free releases the codebase ("codebase.free()").
 func (cb *Codebase) Free() { cb.cb.Free() }
 
@@ -288,11 +282,6 @@ func (o *Object) Replicate(pol ReplicaPolicy) error {
 	return o.o.Replicate(o.js.p, pol)
 }
 
-// ReplicaSets lists this application's materialized replica sets.
-func (js *JS) ReplicaSets() []ReplicaSetInfo {
-	return js.app.ReplicaSets()
-}
-
 // Free releases the object ("obj.free()", §4.4).
 func (o *Object) Free() error { return o.o.Free(o.js.p) }
 
@@ -317,9 +306,6 @@ func (o *Object) NodeName() (string, error) { return o.o.NodeName() }
 // ("obj.getNode()").
 func (o *Object) Node() (*Node, error) { return o.o.Node(o.js.p) }
 
-// Class returns the object's class name.
-func (o *Object) Class() string { return o.o.Class() }
-
 // RemoteRef is an invocable wrapper around a first-order handle —
 // either one received from another object/application or the handle of
 // a class's static instance.
@@ -342,9 +328,6 @@ func (js *JS) Static(class string) (*RemoteRef, error) {
 	}
 	return &RemoteRef{ref: ref, js: js}, nil
 }
-
-// Ref returns the underlying first-order handle.
-func (r *RemoteRef) Ref() Ref { return r.ref }
 
 // SInvoke performs a synchronous invocation through the handle,
 // transparently re-resolving the object's location if it has migrated.
@@ -400,9 +383,6 @@ func (js *JS) NewShardGroup(name, class string, spec ShardSpec) (*ShardGroup, er
 	}
 	return &ShardGroup{g: g, js: js}, nil
 }
-
-// ShardGroups lists the application's shard groups sorted by name.
-func (js *JS) ShardGroups() []ShardGroupInfo { return js.app.ShardGroups() }
 
 // Invoke routes a keyed invocation to the owning shard: writes go to
 // the shard primary, read-only methods ride the shard's replica router
@@ -467,17 +447,11 @@ func (g *ShardGroup) Heat(k int) []ShardHeat { return g.g.Heat(k) }
 // js_shard_key_heat{group,shard,key} gauges.
 func (g *ShardGroup) PublishHeat(k int) { g.g.PublishHeat(k) }
 
-// Name returns the group name.
-func (g *ShardGroup) Name() string { return g.g.Name() }
-
 // Owner returns the shard name owning a key.
 func (g *ShardGroup) Owner(key string) string { return g.g.Owner(key) }
 
 // Shards lists the shard names in ring order.
 func (g *ShardGroup) Shards() []string { return g.g.Shards() }
-
-// Info snapshots the group's shards, placements, and replica sets.
-func (g *ShardGroup) Info() ShardGroupInfo { return g.g.Info() }
 
 // With rebinds the group handle to another session of the same
 // application (a JS obtained from Spawn), like Object.With.

@@ -20,7 +20,12 @@ func TestFleetPlacementHintsParse(t *testing.T) {
 	if !ok {
 		t.Fatal("store not in any group")
 	}
-	g, _ := h.Group(gid)
+	var g jsymphony.PlacementGroup
+	for _, g = range h.Groups {
+		if g.ID == gid {
+			break
+		}
+	}
 	readers := 0
 	for _, m := range g.Members {
 		if m.Site == SiteReaders {
