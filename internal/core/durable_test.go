@@ -493,12 +493,6 @@ func TestDurableClusterRestart(t *testing.T) {
 			if err := g.Persist(p); err != nil {
 				t.Fatal(err)
 			}
-			// Grow once so the members are not the trivial 0..S-1 run:
-			// the restart must recover the real ring, and the name
-			// high-water mark.
-			if _, err := g.Grow(p, ""); err != nil {
-				t.Fatal(err)
-			}
 			keys := []string{"k1", "k2", "k3", "k4", "k5"}
 			owners := make(map[string]string)
 			for i, k := range keys {
@@ -588,12 +582,63 @@ func TestDurableClusterRestart(t *testing.T) {
 		if got, err := c.SInvoke(p, "Add", 1); err != nil || got.(int) != before.counter+1 {
 			t.Fatalf("post-restart write = %v, %v", got, err)
 		}
-		// A post-restart Grow must not reuse a restored member's name.
+	})
+}
+
+// TestShardGroupStoreRestoresRing is the regression test for group
+// persistence: a persisted sharded group that has grown must come back
+// from its logs with identical ring membership — member names, not
+// placement, own the keys — so every key resolves to the shard holding
+// its data, and a later Grow must not reuse a restored member's name.
+func TestShardGroupStoreRestoresRing(t *testing.T) {
+	stable := wal.NewStable(9)
+	keys := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
+	var stored []string
+	owners := make(map[string]string, len(keys))
+	restoreWorld(t, 9, nil, &DurabilityOptions{Stable: stable}, func(w *World, a *App, _ *chaos.Injector, p sched.Proc) {
+		g, err := a.NewShardGroup(p, "t", "Table", ShardSpec{Shards: 3, Reads: []string{"Get", "Len"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Persist(p); err != nil {
+			t.Fatal(err)
+		}
+		// Grow once so the members are not the trivial 0..S-1 run: the
+		// restore must recover the real ring, and the name high-water mark.
+		if _, err := g.Grow(p, ""); err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if _, err := g.Invoke(p, k, "Put", k, 100+i); err != nil {
+				t.Fatal(err)
+			}
+			owners[k] = g.Owner(k)
+		}
+		stored = g.Shards()
+		p.Sleep(100 * time.Millisecond) // settle the final group commit
+	})
+	restoreWorld(t, 10, nil, &DurabilityOptions{Stable: stable}, func(w *World, a *App, _ *chaos.Injector, p sched.Proc) {
+		recs, err := a.RecoverDurable(p)
+		if err != nil || len(recs) != 1 || len(recs[0].Groups) != 1 {
+			t.Fatalf("RecoverDurable = %+v, %v, want one manifest with one group", recs, err)
+		}
+		g := recs[0].Groups[0]
+		if got := g.Shards(); !reflect.DeepEqual(got, stored) {
+			t.Fatalf("restored ring %v, stored ring %v", got, stored)
+		}
+		for i, k := range keys {
+			if own := g.Owner(k); own != owners[k] {
+				t.Fatalf("key %q owned by %s after restore, was %s", k, own, owners[k])
+			}
+			if v, err := g.Invoke(p, k, "Get", k); err != nil || v.(int) != 100+i {
+				t.Fatalf("key %q = %v, %v after restore, want %d", k, v, err, 100+i)
+			}
+		}
 		sname, err := g.Grow(p, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if slices.Contains(before.members, sname) {
+		if slices.Contains(stored, sname) {
 			t.Fatalf("grown shard reused restored member name %s", sname)
 		}
 	})
