@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -22,8 +24,8 @@ func (b *budgetPinger) Nop()      {}
 
 // budgetRow is one ceiling of the package's allocation budget.  ledger
 // names the BENCHMARK.json ledger row it mirrors, where one exists; the
-// ceiling is the row's count, and a change that lowers a count lowers
-// its ceiling.
+// ceiling is the row's count (allocations, or bytes where the name says
+// so), and a change that lowers a count lowers its ceiling.
 type budgetRow struct {
 	name, ledger string
 	ceiling      float64
@@ -40,6 +42,20 @@ func encodes(t *testing.T, v any, size int) func() float64 {
 		}
 		return testing.AllocsPerRun(100, func() { rmi.MustMarshal(v) })
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for allocated bytes: the average
+// over runs calls of op, after one warm-up call, at GOMAXPROCS 1.
+func bytesPerRun(runs int, op func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // decodes returns the allocations of one rmi.Unmarshal of v's encoding
@@ -61,15 +77,17 @@ func decodes(t *testing.T, v any, fresh func() any) func() float64 {
 // group of rows per test: a remote invocation on a two-node simulated
 // world under night load, every allocation on the path, the caller's,
 // the serving node's and the background NAS traffic's, counted per
-// call; and the encode and decode of the busiest protocol bodies,
-// filled, and of a replica set under its tag, whose encoded sizes it
-// pins exactly.
+// call; a strong write to a replicated 340-key table and a read routed
+// to its replica, on the same world; and the encode and decode of the
+// busiest protocol bodies, filled, and of a replica set under its tag,
+// whose encoded sizes it pins exactly.
 func runInvokeBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
 	}
 	reg := codebase.NewRegistry()
 	reg.Register("Pinger", 2048, func() any { return &budgetPinger{} })
+	reg.Register("Table", 4096, func() any { return &Table{} })
 	w := NewSimWorld(simnet.UniformCluster(simnet.Ultra10_300, 2), simnet.Night, 1, Options{Registry: reg})
 	w.RunMain(func(p sched.Proc) {
 		a, err := w.Register(w.Nodes()[0])
@@ -77,8 +95,10 @@ func runInvokeBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		cb := a.NewCodebase()
-		if err := cb.Add("Pinger"); err != nil {
-			t.Fatal(err)
+		for _, class := range []string{"Pinger", "Table"} {
+			if err := cb.Add(class); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := cb.LoadNodes(p, w.Nodes()...); err != nil {
 			t.Fatal(err)
@@ -96,15 +116,38 @@ func runInvokeBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		invoke := func(op func()) func() float64 {
+		measure := func(count func(int, func()) float64, op func()) func() float64 {
 			return func() float64 {
 				for i := 0; i < 100; i++ { // warm: caches, pools, grown queues
 					op()
 				}
-				got := testing.AllocsPerRun(2000, op)
+				got := count(2000, op)
 				p.Sleep(10 * time.Millisecond) // one-sided calls land
 				return got
 			}
+		}
+		invoke := func(op func()) func() float64 { return measure(testing.AllocsPerRun, op) }
+		// The replicated table: 340 keys, as sim_serve's shards hold once
+		// touched, primary on the second node, its one strong replica on
+		// the first, where the caller runs.
+		var table *Object
+		replicated := func() *Object {
+			if table != nil {
+				return table
+			}
+			var err error
+			table, err = a.NewObject(p, "Table", node, nil)
+			check(err)
+			for i := 0; i < 340; i++ {
+				_, err := table.SInvoke(p, "Put", fmt.Sprintf("key%03d", i), i)
+				check(err)
+			}
+			check(table.Replicate(p, replica.Policy{N: 1, Mode: replica.Strong, Reads: []string{"Get"}}))
+			return table
+		}
+		write := func() {
+			_, err := replicated().SInvoke(p, "Put", "key007", 7)
+			check(err)
 		}
 		set := replica.Set{
 			Primary: "n02", Replicas: []string{"n04", "n05"},
@@ -126,6 +169,16 @@ func runInvokeBudget(t *testing.T) {
 				})},
 				{"oinvoke", "core.oinvoke_allocs", 10, invoke(func() {
 					check(obj.OInvoke(p, "Nop"))
+				})},
+				// One image encode per write: the undo image reuses the
+				// image the previous write shipped.  The table's image is
+				// 3013 B, and encoding it once more costs 2 allocations
+				// and about 9 KiB per write.
+				{"strong write to a replicated 340-key table", "replica.write_us", 386, invoke(write)},
+				{"strong write to a replicated 340-key table, bytes", "replica.write_us", 32000, measure(bytesPerRun, write)},
+				{"read routed to the table's replica", "", 16, invoke(func() {
+					_, err := replicated().SInvoke(p, "Get", "key007")
+					check(err)
 				})},
 			},
 			"TestWireAllocCeiling": {
@@ -151,9 +204,9 @@ func runInvokeBudget(t *testing.T) {
 				name += " (" + row.ledger + ")"
 			}
 			if got := row.run(); got > row.ceiling {
-				t.Errorf("%s: %.1f allocs, ceiling %.1f", name, got, row.ceiling)
+				t.Errorf("%s: %.1f, ceiling %.1f", name, got, row.ceiling)
 			} else {
-				t.Logf("%s: %.1f allocs, ceiling %.1f", name, got, row.ceiling)
+				t.Logf("%s: %.1f, ceiling %.1f", name, got, row.ceiling)
 			}
 		}
 		a.Unregister(p)

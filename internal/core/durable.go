@@ -317,22 +317,26 @@ func (rt *Runtime) makeDurable(_ sched.Proc, req durableReq) error {
 		h.durVer = 1
 	}
 	rt.mu.Unlock()
-	_, err := rt.durLogState(nil, h, false)
+	_, err := rt.durLogState(nil, h, nil, false)
 	return err
 }
 
 // durLogState logs the object's current state; with wait it blocks until
 // the record is on stable storage and returns the durability stall for
-// the span (see durAppend).
-func (rt *Runtime) durLogState(p sched.Proc, h *hostedObj, wait bool) (time.Duration, error) {
+// the span (see durAppend).  state is the instance's image when the
+// caller already holds it (a replicated write logs the image propagate
+// shipped), nil to encode it here.
+func (rt *Runtime) durLogState(p sched.Proc, h *hostedObj, state []byte, wait bool) (time.Duration, error) {
 	rt.mu.Lock()
 	inst := h.instance
 	ver := h.durVer
 	ref := h.ref
 	rt.mu.Unlock()
-	state, err := rmi.Marshal(inst)
-	if err != nil {
-		return 0, fmt.Errorf("oas: serialize for durability: %w", err)
+	if state == nil {
+		var err error
+		if state, err = rmi.Marshal(inst); err != nil {
+			return 0, fmt.Errorf("oas: serialize for durability: %w", err)
+		}
 	}
 	return rt.durAppend(p, wal.Record{
 		Kind: wal.KindUpdate, Key: durObjKey(ref.App, ref.ID), Ver: ver, Data: state,

@@ -52,6 +52,16 @@ type replState struct {
 	reads     map[string]bool // declared read-only methods
 	authUntil time.Duration   // write authority granted by the origin AppOA
 	minSync   int             // eventual mode: peers updated synchronously per write
+	// shipped is the image propagate last shipped, kept while the
+	// instance still encodes to it: the next sync write's undo image, a
+	// lease renewal's and a seed snapshot's state, and the WAL record of
+	// a replicated durable write reuse it instead of encoding the object
+	// again.  Set and used only under the fan lock; nil whenever the
+	// instance may differ from it.  A write clears it before it executes
+	// and, unless its own propagate set it, again when it finishes;
+	// rollback clears it; a migrated or promoted copy starts with it
+	// nil, since only propagate sets it and a replica never propagates.
+	shipped []byte
 
 	// Both roles.
 	version uint64 // monotonic update counter; survives promotion
@@ -284,13 +294,19 @@ func (rt *Runtime) replicaSnapshot(p sched.Proc, req replicaSnapshotReq) (replic
 	}
 	inst := h.instance
 	var version uint64
+	var state []byte
 	if h.repl != nil {
 		version = h.repl.version
+		if lockFan && h.repl == rs {
+			state = rs.shipped
+		}
 	}
 	rt.mu.Unlock()
-	state, err := rmi.Marshal(inst)
-	if err != nil {
-		return replicaSnapshotResp{}, fmt.Errorf("oas: serialize for replica seed: %w", err)
+	if state == nil {
+		var err error
+		if state, err = rmi.Marshal(inst); err != nil {
+			return replicaSnapshotResp{}, fmt.Errorf("oas: serialize for replica seed: %w", err)
+		}
 	}
 	return replicaSnapshotResp{State: state, Version: version}, nil
 }
@@ -314,12 +330,15 @@ func (rt *Runtime) replicaRenew(p sched.Proc, req replicaRenewReq) (replicaRenew
 	defer rs.fan.unlock()
 	rt.mu.Lock()
 	inst := h.instance
+	state := rs.shipped
 	version := rs.version
 	lease := rs.lease
 	rt.mu.Unlock()
-	state, err := rmi.Marshal(inst)
-	if err != nil {
-		return replicaRenewResp{}, fmt.Errorf("oas: serialize for lease renewal: %w", err)
+	if state == nil {
+		var err error
+		if state, err = rmi.Marshal(inst); err != nil {
+			return replicaRenewResp{}, fmt.Errorf("oas: serialize for lease renewal: %w", err)
+		}
 	}
 	return replicaRenewResp{State: state, Version: version, AsOf: rt.world.s.Now(), Lease: lease}, nil
 }
@@ -408,14 +427,15 @@ func (rt *Runtime) renewLease(p sched.Proc, h *hostedObj) error {
 	return nil
 }
 
-// propagate ships the primary's post-write state to every peer and
-// reports how many accepted it, and how many of those acceptances were
-// synchronous.  Called with the fan lock held, so version order equals
-// state order.  Strong mode fans out synchronously over the
-// exactly-once rmi path and drops a peer that stays unreachable through
-// the retry policy (the failure detector triggers the AppOA's repair);
-// eventual mode posts one-way updates and lets version ordering absorb
-// loss and reordering.  Under Eventual with MinSync: k, the fan-out
+// propagate ships the primary's post-write state to every peer, keeps
+// it as the shipped image, and returns how many peers accepted it
+// synchronously along with the image (nil if it could not be encoded).
+// Called with the fan lock held, so version order equals state order.
+// Strong mode fans out synchronously over the exactly-once rmi path
+// and drops a peer that stays unreachable through the retry policy (the
+// failure detector triggers the AppOA's repair); eventual mode posts
+// one-way updates and lets version ordering absorb loss and
+// reordering.  Under Eventual with MinSync: k, the fan-out
 // walks the sorted peers and uses the synchronous path until k have
 // confirmed (unreachable peers are dropped and the walk continues), so
 // the ack implies k durable copies; the rest get the one-way post.
@@ -425,7 +445,7 @@ func (rt *Runtime) renewLease(p sched.Proc, h *hostedObj) error {
 // causal DAG shows what a write set in motion (the time is already
 // inside the write span's service/wire, so the analyzer does not walk
 // cause edges for attribution).
-func (rt *Runtime) propagate(p sched.Proc, h *hostedObj, rs *replState, cause uint64) (delivered, syncDelivered int) {
+func (rt *Runtime) propagate(p sched.Proc, h *hostedObj, rs *replState, cause uint64) (syncDelivered int, state []byte) {
 	rt.mu.Lock()
 	inst := h.instance
 	rt.mu.Unlock()
@@ -433,9 +453,10 @@ func (rt *Runtime) propagate(p sched.Proc, h *hostedObj, rs *replState, cause ui
 	if err != nil {
 		rt.world.emit(trace.Event{Kind: trace.ReplicaDropped, Node: rt.Node(),
 			App: h.ref.App, Obj: h.ref.ID, Detail: "serialize: " + err.Error()})
-		return 0, 0
+		return 0, nil
 	}
 	rt.mu.Lock()
+	rs.shipped = state
 	rs.version++
 	now := rt.world.s.Now()
 	rs.asOf = now
@@ -486,9 +507,8 @@ func (rt *Runtime) propagate(p sched.Proc, h *hostedObj, rs *replState, cause ui
 		}
 		sp.Wire = rt.world.s.Now() - start
 		rt.world.observeSpan(sp)
-		delivered++
 	}
-	return delivered, syncDelivered
+	return syncDelivered, state
 }
 
 // rollbackWrite undoes a synchronous-fan-out write (strong, or eventual
@@ -503,6 +523,7 @@ func (rt *Runtime) rollbackWrite(h *hostedObj, rs *replState, undo []byte) error
 	}
 	rt.mu.Lock()
 	h.instance = inst
+	rs.shipped = nil
 	rs.version--
 	rt.mu.Unlock()
 	rt.world.reg.Counter("js_replica_write_aborts_total").Inc()

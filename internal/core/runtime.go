@@ -332,20 +332,24 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 			return invokeResp{}, errors.New(errObjMoved)
 		}
 	}
+	write := rs == nil || !rs.reads[req.Method]
 	// A write on a replicated primary holds the fan lock across
 	// execution and propagation: writes serialize with each other, and
 	// the state shipped to replicas is a consistent post-write snapshot
 	// whose version order matches apply order.
-	primaryWrite := rs != nil && len(rs.peers) > 0 && !rs.reads[req.Method]
+	primaryWrite := write && rs != nil && len(rs.peers) > 0
 	// A write whose ack promises synchronous copies — strong mode, or
 	// eventual with MinSync > 0 — must be undone if no peer receives it.
 	syncWrite := primaryWrite && (rs.mode == replica.Strong || rs.minSync > 0)
 	// A state-changing invocation on a durable object is WAL-logged
 	// before the ack; declared reads (durable or replica policy) skip
 	// the log.
-	durWrite := rt.dur != nil && h.durable && !h.durReads[req.Method]
-	if rs != nil && rs.reads[req.Method] {
-		durWrite = false
+	durWrite := write && rt.dur != nil && h.durable && !h.durReads[req.Method]
+	// A write clears the shipped image before it executes: under the fan
+	// lock below, or here if it runs without it (a primary with no
+	// peers), so a renewal or snapshot meanwhile encodes afresh.
+	if write && rs != nil && !primaryWrite {
+		rs.shipped = nil
 	}
 	var rset replica.Set
 	if rs != nil && len(rs.peers) > 0 {
@@ -361,11 +365,18 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 	inst := h.instance
 	rt.mu.Unlock()
 
+	var shipped []byte // the post-write image propagate shipped
 	defer func() {
 		rt.mu.Lock()
 		h.executing--
 		if ranked {
 			h.rankExec[rank]--
+		}
+		// Only the write that shipped the current image may leave one
+		// behind: a write without the fan lock, or under a replState
+		// that replaced its own, may have outdated another's.
+		if write && h.repl != nil && (shipped == nil || h.repl != rs) {
+			h.repl.shipped = nil
 		}
 		rt.mu.Unlock()
 	}()
@@ -391,13 +402,23 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 			// the protected classes during the ramp.
 			return invokeResp{}, rt.refuseShedClass(req, "dequeue")
 		}
-		if syncWrite {
+		// The image the last write shipped is this write's undo image;
+		// from here until propagate ships the new state the instance no
+		// longer encodes to it.  The instance is read again under the
+		// lock: a rollback while this write queued replaced it.
+		rt.mu.Lock()
+		inst = h.instance
+		undo = rs.shipped
+		rs.shipped = nil
+		rt.mu.Unlock()
+		if syncWrite && undo == nil {
 			undo, _ = rmi.Marshal(inst)
 		}
 	}
 	res, service, err := rt.execMethod(p, inst, req)
 	if primaryWrite && err == nil {
-		_, syncDelivered := rt.propagate(p, h, rs, req.Span)
+		var syncDelivered int
+		syncDelivered, shipped = rt.propagate(p, h, rs, req.Span)
 		if syncWrite && syncDelivered == 0 && undo != nil {
 			// No peer saw the write synchronously: acking it would claim
 			// durability the set cannot provide (and a fenced-off zombie
@@ -417,7 +438,7 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 			h.durVer++
 			rt.mu.Unlock()
 		}
-		stall, derr := rt.durLogState(p, h, true)
+		stall, derr := rt.durLogState(p, h, shipped, true)
 		if derr != nil {
 			// The write never reached stable storage (crash mid-commit).
 			// Deflect instead of acking: the caller's retry lands on the

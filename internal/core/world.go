@@ -71,6 +71,7 @@ type World struct {
 	spans   *trace.SpanLog
 	reg     *metrics.Registry
 	router  *replica.Router // nearest-replica read routing
+	metric  replica.Metric  // the router's view of fabric and directory
 	slo     *slo.Engine     // per-class latency objectives
 	durOpts *DurabilityOptions
 
@@ -186,6 +187,7 @@ func newWorld(s sched.Sched, opt Options) *World {
 		reg:      metrics.NewRegistry(),
 		router:   replica.NewRouter(),
 	}
+	w.metric = w.replicaMetric()
 	w.slo = slo.NewEngine(s.Now, slo.Options{OnBreach: w.onSLOBreach})
 	w.queueBound.Store(-1)
 	if opt.Durability != nil {
@@ -340,40 +342,42 @@ func (w *World) Metrics() *metrics.Registry { return w.reg }
 // copy.  ok is false when no routable member remains (the caller then
 // falls back to the primary location it already has).
 func (w *World) routeRead(key, origin string, set replica.Set, avoid map[string]bool) (string, bool) {
-	return w.router.Pick(key, origin, set.Members(), avoid, w.replicaMetric())
+	return w.router.Pick(key, origin, set.Members(), avoid, w.metric)
 }
 
 // replicaMetric adapts the fabric and the directory to the router's view
-// of the installation.  Real-time worlds have no fabric: distances
-// degrade to zero and the per-key rotation alone spreads reads.
+// of the installation; newWorld builds it once, before either exists, so
+// each callback looks them up when it runs.  Real-time worlds have no
+// fabric: distances degrade to zero and the per-key rotation alone
+// spreads reads.
 func (w *World) replicaMetric() replica.Metric {
-	m := replica.Metric{}
-	if w.fab != nil {
-		m.Latency = func(from, to string) time.Duration {
+	return replica.Metric{
+		Latency: func(from, to string) time.Duration {
+			if w.fab == nil {
+				return 0
+			}
 			a, okA := w.fab.ByName(from)
 			b, okB := w.fab.ByName(to)
 			if !okA || !okB {
 				return 0
 			}
 			return w.fab.Latency(a, b)
-		}
-		m.Bandwidth = func(from, to string) float64 {
+		},
+		Bandwidth: func(from, to string) float64 {
+			if w.fab == nil {
+				return 0
+			}
 			a, okA := w.fab.ByName(from)
 			b, okB := w.fab.ByName(to)
 			if !okA || !okB {
 				return 0
 			}
 			return w.fab.Bandwidth(a, b)
-		}
+		},
+		Alive: func(node string) bool {
+			return w.dir == nil || w.dir.Alive(node, w.s.Now())
+		},
 	}
-	if w.dir != nil {
-		live := make(map[string]bool)
-		for _, n := range w.dir.Nodes(w.s.Now()) {
-			live[n] = true
-		}
-		m.Alive = func(node string) bool { return live[node] }
-	}
-	return m
 }
 
 // noteRead records where a successful declared read was served, feeding

@@ -135,6 +135,15 @@ func (d *Directory) Nodes(now time.Duration) []string {
 	return out
 }
 
+// Alive reports whether node has reported recently enough at now: the
+// freshness rule of Nodes, for one node.
+func (d *Directory) Alive(node string, now time.Duration) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e, ok := d.entries[node]
+	return ok && d.fresh(e, now)
+}
+
 // DeadNodes returns known nodes that have gone silent.
 func (d *Directory) DeadNodes(now time.Duration) []string {
 	d.mu.Lock()

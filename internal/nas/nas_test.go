@@ -142,6 +142,15 @@ func TestDirectoryDetectsSilentNode(t *testing.T) {
 		if live := w.dir.Nodes(w.s.Now()); len(live) != 2 {
 			t.Fatalf("live = %v", live)
 		}
+		// Alive applies the same freshness rule to one node.
+		for i, want := range []bool{true, true, false} {
+			if got := w.dir.Alive(w.names[i], w.s.Now()); got != want {
+				t.Errorf("Alive(%s) = %v, want %v", w.names[i], got, want)
+			}
+		}
+		if w.dir.Alive("nosuch", w.s.Now()) {
+			t.Error("a node that never reported is alive")
+		}
 	})
 }
 
