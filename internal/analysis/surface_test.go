@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -106,63 +107,182 @@ func library(rel string) bool {
 	return strings.HasPrefix(rel, "internal/") || rel == "env.go" || rel == "js.go" || rel == "alias.go"
 }
 
-var (
-	familyLit = regexp.MustCompile(`^js_[a-z0-9]+_[a-z0-9_]+$`)
-	familyRow = regexp.MustCompile("^\\| `(js_[a-z0-9_]+)` \\|")
-)
+var familyLit = regexp.MustCompile(`^js_[a-z0-9]+_[a-z0-9_]+$`)
 
 // checkFamilies holds the DESIGN.md §5 naming table against the js_*
-// string literals of non-test code.
+// families of non-test code.  Experiments and the shell name families
+// to read them; bench/ is its own module with its own probe registry.
 func checkFamilies(t *testing.T, root string, pkgs []*loader.Package) {
 	doc, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make(map[string]bool)
+	emitter := func(rel string) bool {
+		return strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "internal/shell/")
+	}
+	var code []*loader.Package
+	for _, p := range pkgs {
+		if !strings.HasPrefix(relFile(root, p.Dir)+"/", "bench/") {
+			code = append(code, p)
+		}
+	}
+	for _, problem := range familyProblems(string(doc), root, code, emitter) {
+		t.Error(problem)
+	}
+}
+
+// family is what the naming table, or a family's resolve line, says
+// about one js_* family: kind, label keys and the emitting file.
+type family struct{ kind, labels, file string }
+
+// familyProblems compares the "## 5." naming table of doc with the
+// js_* literals of pkgs, whose files emitter (given paths relative to
+// root) tells apart from readers.  Every family named in code needs a
+// row, and every row an emitter.  A family is emitted at one line, its
+// resolve line: the literal is passed to a metrics.Registry method,
+// whose name gives the kind, directly or through metrics.Label, whose
+// literal keys are the labels.  The row's kind, labels and emitter file
+// must be the resolve line's.
+func familyProblems(doc, root string, pkgs []*loader.Package, emitter func(rel string) bool) []string {
+	rows := make(map[string]family)
 	in5 := false
-	for _, line := range strings.Split(string(doc), "\n") {
+	for _, line := range strings.Split(doc, "\n") {
 		if strings.HasPrefix(line, "## ") {
 			in5 = strings.HasPrefix(line, "## 5.")
 		}
-		if m := familyRow.FindStringSubmatch(line); m != nil && in5 {
-			rows[m[1]] = true
+		cols := strings.Split(line, "|")
+		if !in5 || len(cols) < 6 || !familyLit.MatchString(strings.Trim(cols[1], " `")) {
+			continue
 		}
+		labels := strings.TrimSpace(cols[3])
+		if i := strings.IndexByte(labels, '('); i >= 0 {
+			labels = strings.TrimSpace(labels[:i]) // a note on cardinality
+		}
+		if labels == "—" {
+			labels = ""
+		}
+		rows[strings.Trim(cols[1], " `")] = family{strings.TrimSpace(cols[2]), labels, strings.Trim(cols[4], " `")}
 	}
-	emitted, reported := make(map[string]bool), make(map[string]bool)
+	var problems []string
+	unlisted := make(map[string]bool)
+	sites := make(map[string][]string) // family -> emitter lines
+	code := make(map[string]family)    // family -> what its resolve line says
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			rel := relFile(root, p.Fset.File(f.Pos()).Name())
-			// bench/ is its own module with its own probe registry.
-			if strings.HasPrefix(rel, "bench/") {
-				continue
-			}
-			// Experiments and the shell name families to read them.
-			emitter := strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "internal/shell/")
+			labelVars := make(map[types.Object]*ast.CallExpr) // v := metrics.Label(...)
 			ast.Inspect(f, func(n ast.Node) bool {
-				lit, ok := n.(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					return true
+				if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+					if id, ok := as.Lhs[0].(*ast.Ident); ok && metricsCall(p, as.Rhs[0], "", "Label") {
+						labelVars[p.Info.ObjectOf(id)] = as.Rhs[0].(*ast.CallExpr)
+					}
 				}
-				name, err := strconv.Unquote(lit.Value)
-				if err != nil || !familyLit.MatchString(name) {
-					return true
-				}
-				if emitter {
-					emitted[name] = true
-				}
-				if !rows[name] && !reported[name] {
-					reported[name] = true
-					t.Errorf("%s names %s, which has no row in the DESIGN.md §5 table", rel, name)
+				return true
+			})
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					kind := ""
+					for _, k := range []string{"Counter", "Gauge", "Histogram"} {
+						if metricsCall(p, n, "Registry", k) || metricsCall(p, n, "Registry", k+"Handle") {
+							kind = strings.ToLower(k)
+						}
+					}
+					if kind == "" || len(n.Args) == 0 {
+						return true
+					}
+					arg := n.Args[0]
+					if id, ok := arg.(*ast.Ident); ok && labelVars[p.Info.ObjectOf(id)] != nil {
+						arg = labelVars[p.Info.ObjectOf(id)]
+					}
+					var keys []string
+					if call, ok := arg.(*ast.CallExpr); ok && metricsCall(p, call, "", "Label") && len(call.Args) > 0 {
+						arg = call.Args[0]
+						for i := 1; i < len(call.Args); i += 2 {
+							keys = append(keys, stringLit(call.Args[i]))
+						}
+					}
+					if name := stringLit(arg); familyLit.MatchString(name) && emitter(rel) {
+						code[name] = family{kind, strings.Join(keys, ", "), strings.TrimPrefix(rel, "internal/")}
+					}
+				case *ast.BasicLit:
+					name := stringLit(n)
+					if !familyLit.MatchString(name) {
+						return true
+					}
+					if emitter(rel) {
+						sites[name] = append(sites[name], fmt.Sprintf("%s:%d", rel, p.Fset.Position(n.Pos()).Line))
+					}
+					if _, ok := rows[name]; !ok && !unlisted[name] {
+						unlisted[name] = true
+						problems = append(problems, fmt.Sprintf("%s names %s, which has no row in the DESIGN.md §5 table", rel, name))
+					}
 				}
 				return true
 			})
 		}
 	}
-	for name := range rows {
-		if !emitted[name] {
-			t.Errorf("DESIGN.md §5 lists %s, which nothing under internal/ emits", name)
+	for name, row := range rows {
+		got, at := code[name], sites[name]
+		switch {
+		case len(at) == 0:
+			problems = append(problems, fmt.Sprintf("DESIGN.md §5 lists %s, which nothing under internal/ emits", name))
+		case len(at) > 1:
+			problems = append(problems, fmt.Sprintf("%s is emitted at %s: a family has one resolve line", name, strings.Join(at, ", ")))
+		case got.kind != row.kind:
+			problems = append(problems, fmt.Sprintf("%s: the table says %s, %s resolves a %q", name, row.kind, at[0], got.kind))
+		case got.labels != row.labels:
+			problems = append(problems, fmt.Sprintf("%s: the table says labels %q, %s resolves %q", name, row.labels, at[0], got.labels))
+		case got.file != row.file:
+			problems = append(problems, fmt.Sprintf("%s: the table says emitter %s, the resolve line is %s", name, row.file, at[0]))
 		}
 	}
+	sort.Strings(problems)
+	return problems
+}
+
+// metricsCall reports whether e calls the function name of a package
+// named metrics, or its method recv.name when recv is set.
+func metricsCall(p *loader.Package, e ast.Expr, recv, name string) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	var id *ast.Ident
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		id = fn
+	case *ast.SelectorExpr:
+		id = fn.Sel
+	}
+	fn, ok := p.Info.Uses[id].(*types.Func)
+	if !ok || fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Name() != "metrics" {
+		return false
+	}
+	r := fn.Type().(*types.Signature).Recv()
+	if r == nil {
+		return recv == ""
+	}
+	named, ok := types.Unalias(deref(r.Type())).(*types.Named)
+	return ok && named.Obj().Name() == recv
+}
+
+// deref strips one pointer.
+func deref(t types.Type) types.Type {
+	if ptr, ok := t.(*types.Pointer); ok {
+		return ptr.Elem()
+	}
+	return t
+}
+
+// stringLit is the value of a string literal, "" for anything else.
+func stringLit(e ast.Expr) string {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return ""
+	}
+	s, _ := strconv.Unquote(lit.Value)
+	return s
 }
 
 // checkFunctions reports library functions with no reference outside
@@ -253,6 +373,31 @@ func TestSurfaceResolvesByType(t *testing.T) {
 	want := []string{"fixtures/surface.Loop", "fixtures/surface.Meter.Size", "fixtures/surface.Reset", "fixtures/surface.Tape.Flush"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("unreferenced = %v, want %v", got, want)
+	}
+}
+
+// TestSurfaceChecksFamilies runs the families check over a fixture
+// whose table has a row of the wrong kind and a row of the wrong labels,
+// and whose code emits one family at two lines.  Each of its other
+// families matches its row, one of them resolved through a variable
+// that holds its metrics.Label name.
+func TestSurfaceChecksFamilies(t *testing.T) {
+	pkgs, err := loader.Load("testdata", "./families/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(filepath.Join("testdata", "families", "families.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := familyProblems(string(doc), "testdata", pkgs, func(string) bool { return true })
+	want := []string{
+		`js_fix_depth: the table says histogram, families/emit.go:20 resolves a "gauge"`,
+		`js_fix_latency_us: the table says labels "node", families/emit.go:21 resolves "peer"`,
+		`js_fix_retries_total is emitted at families/emit.go:34, families/emit.go:37: a family has one resolve line`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -92,8 +92,10 @@ type AdmissionState struct {
 
 // admission is one group's controller.
 type admission struct {
-	pol  AdmissionPolicy
-	rank map[string]int // class -> index in pol.Classes
+	pol   AdmissionPolicy
+	rank  map[string]int     // class -> index in pol.Classes
+	gauge *metrics.Gauge     // js_shard_admission_level of the group
+	shed  []*metrics.Counter // js_shard_admission_sheds_total by rank
 
 	mu      sync.Mutex
 	level   int
@@ -108,9 +110,12 @@ func (g *ShardGroup) SetAdmission(pol AdmissionPolicy) error {
 	if err := pol.validate(); err != nil {
 		return err
 	}
-	adm := &admission{pol: pol, rank: make(map[string]int, len(pol.Classes))}
+	reg := g.app.world.reg
+	adm := &admission{pol: pol, rank: make(map[string]int, len(pol.Classes)),
+		gauge: reg.GaugeHandle(metrics.Label("js_shard_admission_level", "group", g.name))}
 	for i, c := range pol.Classes {
 		adm.rank[c] = i
+		adm.shed = append(adm.shed, reg.CounterHandle(metrics.Label("js_shard_admission_sheds_total", "group", g.name, "class", c)))
 	}
 	g.mu.Lock()
 	old := g.adm
@@ -130,7 +135,7 @@ func (g *ShardGroup) SetAdmission(pol AdmissionPolicy) error {
 	// only same-or-higher-priority occupancy against a ranked class, so
 	// low classes saturating the slots cannot exclude the protected ones.
 	g.app.world.setClassRanks(pol.Classes)
-	g.app.world.reg.Gauge(metrics.Label("js_shard_admission_level", "group", g.name)).Set(0)
+	adm.gauge.Set(0)
 	return nil
 }
 
@@ -200,7 +205,7 @@ func (g *ShardGroup) admit(class, method string) error {
 			w.markClassShed(adm.pol.Classes[len(adm.pol.Classes)-prev], false)
 		}
 		adm.mu.Unlock()
-		w.reg.Gauge(metrics.Label("js_shard_admission_level", "group", g.name)).Set(float64(level))
+		adm.gauge.Set(float64(level))
 		w.emit(trace.Event{Kind: trace.AdmissionLevel, Node: g.app.Home(), App: g.app.id,
 			Detail: fmt.Sprintf("%s: level %d (max burn %.2f, shedding %v)", g.name, level, maxBurn, dropped)})
 		adm.mu.Lock()
@@ -216,7 +221,7 @@ func (g *ShardGroup) admit(class, method string) error {
 		return nil
 	}
 	err := fmt.Errorf("%w: class %s shed by %s admission (level %d)", rmi.ErrOverload, class, g.name, level)
-	w.reg.Counter(metrics.Label("js_shard_admission_sheds_total", "group", g.name, "class", class)).Inc()
+	adm.shed[rank].Inc()
 	// A router shed never reached a shard: the span has zero segments
 	// (Total 0, fully attributed) but carries the class and the error,
 	// feeding the class's SLO window as a miss.

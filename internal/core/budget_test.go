@@ -176,7 +176,9 @@ func runInvokeBudget(t *testing.T) {
 				// and about 9 KiB per write.
 				{"strong write to a replicated 340-key table", "replica.write_us", 386, invoke(write)},
 				{"strong write to a replicated 340-key table, bytes", "replica.write_us", 32000, measure(bytesPerRun, write)},
-				{"read routed to the table's replica", "", 16, invoke(func() {
+				// The replica counts the read on a handle its node resolved
+				// once, so no label is built per read.
+				{"read routed to the table's replica", "", 13, invoke(func() {
 					_, err := replicated().SInvoke(p, "Get", "key007")
 					check(err)
 				})},

@@ -76,6 +76,8 @@ type durState struct {
 	media    *wal.Media
 	waiters  []sched.Queue // parked until the covering flush syncs (true) or is lost (false)
 	lastCkpt time.Duration
+	// The node's js_wal_* handles, resolved with the state (addNode).
+	appends, checkpoints, checkpointBytes, flushes, flushBytes *metrics.Counter
 }
 
 // Durability errors.
@@ -181,8 +183,8 @@ func (rt *Runtime) durMaybeCheckpoint(p sched.Proc) {
 	applied := d.log.ApplyCheckpoint(plan)
 	d.mu.Unlock()
 	if applied {
-		rt.world.reg.Counter(metrics.Label("js_wal_checkpoints_total", "node", rt.Node())).Inc()
-		rt.world.reg.Counter(metrics.Label("js_wal_checkpoint_bytes_total", "node", rt.Node())).Add(int64(plan.Bytes))
+		d.checkpoints.Inc()
+		d.checkpointBytes.Add(int64(plan.Bytes))
 	}
 }
 
@@ -198,7 +200,7 @@ func (rt *Runtime) durAppend(p sched.Proc, rec wal.Record, wait bool) (time.Dura
 	if d == nil {
 		return 0, nil
 	}
-	rt.world.reg.Counter(metrics.Label("js_wal_appends_total", "node", rt.Node())).Inc()
+	d.appends.Inc()
 	if !wait {
 		d.mu.Lock()
 		d.log.Append(rec)
@@ -224,7 +226,7 @@ func (rt *Runtime) durAppend(p sched.Proc, rec wal.Record, wait bool) (time.Dura
 	d.mu.Unlock()
 	v, recvOK := p.Recv(q)
 	stall := watch.Elapsed()
-	rt.world.reg.Histogram("js_wal_commit_wait_us", nil).ObserveDuration(stall)
+	rt.world.walCommitWaitUs.ObserveDuration(stall)
 	if !recvOK {
 		return 0, errDurabilityLost
 	}
@@ -247,9 +249,9 @@ func (rt *Runtime) durChargeDisk(p sched.Proc, bytes int) {
 
 // noteFlush counts one completed group commit.
 func (rt *Runtime) noteFlush(t wal.FlushTicket) {
-	rt.world.reg.Counter(metrics.Label("js_wal_flushes_total", "node", rt.Node())).Inc()
-	rt.world.reg.Counter(metrics.Label("js_wal_flush_bytes_total", "node", rt.Node())).Add(int64(t.Bytes))
-	rt.world.reg.Histogram("js_wal_batch_records", nil).Observe(int64(t.Records))
+	rt.dur.flushes.Inc()
+	rt.dur.flushBytes.Add(int64(t.Bytes))
+	rt.world.walBatchRecords.Observe(int64(t.Records))
 }
 
 // durCrash models the node's durability state at crash time: pending
@@ -278,7 +280,7 @@ func (rt *Runtime) durRepair() {
 	rep := d.media.Replay()
 	d.mu.Unlock()
 	if rep.TornBytes > 0 {
-		rt.world.reg.Counter("js_wal_torn_bytes_total").Add(int64(rep.TornBytes))
+		rt.world.walTornBytes.Add(int64(rep.TornBytes))
 	}
 }
 
@@ -394,7 +396,7 @@ func (w *World) walReplayAll(p sched.Proc, charge *Runtime) *walSnapshot {
 			}
 		}
 		if rep.TornBytes > 0 {
-			w.reg.Counter("js_wal_torn_bytes_total").Add(int64(rep.TornBytes))
+			w.walTornBytes.Add(int64(rep.TornBytes))
 		}
 		for k, e := range rep.Entries {
 			if cur, ok := snap.entries[k]; !ok || e.Ver > cur.Ver {
@@ -402,7 +404,7 @@ func (w *World) walReplayAll(p sched.Proc, charge *Runtime) *walSnapshot {
 			}
 		}
 	}
-	w.reg.Histogram("js_wal_replay_us", nil).ObserveDuration(watch.Elapsed())
+	w.walReplayUs.ObserveDuration(watch.Elapsed())
 	return snap
 }
 
@@ -717,7 +719,7 @@ func (a *App) restoreDurObj(p sched.Proc, oldApp string, or durObjRec, snap *wal
 	}
 	a.world.emit(trace.Event{Kind: trace.ObjRecovered, Node: node, App: a.id, Obj: ref.ID,
 		Detail: fmt.Sprintf("wal restore of %s/%d", oldApp, or.ID)})
-	a.world.reg.Counter("js_core_recovered_total").Inc()
+	a.world.recovered.Inc()
 	return obj, nil
 }
 

@@ -38,7 +38,7 @@ func (a *App) InstallPlacementHints(h *place.Hints) {
 	if gid, ok := h.MainGroup(); ok {
 		a.place.nodes[gid] = a.rt.Node()
 	}
-	a.world.reg.Gauge("js_place_groups").Set(float64(len(h.Groups)))
+	a.world.placeGroups.Set(float64(len(h.Groups)))
 }
 
 // NewObjectTagged creates an object of the given class at a tagged
@@ -79,7 +79,7 @@ func (a *App) NewObjectTagged(p sched.Proc, site string, idx int, class string, 
 			gid, hinted = g, true
 			pinned = ps.nodes[g]
 		} else {
-			a.world.reg.Counter("js_place_misses_total").Inc()
+			a.world.placeMisses.Inc()
 		}
 	}
 	a.mu.Unlock()
@@ -111,15 +111,15 @@ func (a *App) NewObjectTagged(p sched.Proc, site string, idx int, class string, 
 		switch {
 		case pinned == "":
 			ps.nodes[gid] = chosen
-			a.world.reg.Counter("js_place_seeds_total").Inc()
+			a.world.placeSeeds.Inc()
 		case colocated && chosen == pinned:
-			a.world.reg.Counter("js_place_hits_total").Inc()
+			a.world.placeHits.Inc()
 		default:
 			// The pinned node refused or died between selection and
 			// creation: follow the object — later members of the group
 			// co-locate with the survivors, not with a ghost.
 			ps.nodes[gid] = chosen
-			a.world.reg.Counter("js_place_repins_total").Inc()
+			a.world.placeRepins.Inc()
 		}
 	}
 	a.mu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"jsymphony/internal/metrics"
 	"jsymphony/internal/nas"
 	"jsymphony/internal/params"
 	"jsymphony/internal/replica"
@@ -271,11 +270,11 @@ func (a *App) rehome(p sched.Proc, e *objEntry, deadNode string, walSnap func() 
 		}
 		a.rt.ForgetLocation(e.ref) // home-node caches point at the dead node
 		a.world.emit(trace.Event{Kind: trace.ObjRecovered, Node: node, App: e.ref.App, Obj: e.ref.ID, Detail: img.via + "from " + deadNode})
-		a.world.reg.Counter("js_core_recovered_total").Inc()
+		a.world.recovered.Inc()
 		return true
 	}
 	a.world.emit(trace.Event{Kind: objLost, Node: deadNode, App: e.ref.App, Obj: e.ref.ID, Detail: cause})
-	a.world.reg.Counter(metrics.Label("js_core_recovery_lost_total", "cause", cause)).Inc()
+	a.world.recoveryLost[cause].Inc()
 	return false
 }
 

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"time"
 
-	"jsymphony/internal/metrics"
 	"jsymphony/internal/replica"
 	"jsymphony/internal/rmi"
 	"jsymphony/internal/sched"
@@ -170,7 +169,7 @@ func (rt *Runtime) replicaAuthBatch(_ sched.Proc, b rmi.Batch) (int, error) {
 			return applied, fmt.Errorf("oas: decode auth batch item %d: %w", i, err)
 		}
 		if err := rt.replicaAuthRenew(req); err != nil {
-			rt.world.reg.Counter("js_replica_auth_batch_misses_total").Inc()
+			rt.world.authBatchMisses.Inc()
 			continue
 		}
 		applied++
@@ -384,7 +383,7 @@ func (rt *Runtime) invokeAtReplica(p sched.Proc, h *hostedObj, req invokeReq) (i
 	rt.mu.Lock()
 	h.executing--
 	rt.mu.Unlock()
-	rt.world.reg.Counter(metrics.Label("js_replica_reads_total", "node", rt.Node())).Inc()
+	rt.replicaReads.Inc()
 	return invokeResp{Result: res, Service: service, Staleness: staleness, LeaseWait: leaseWait, Replica: true}, err
 }
 
@@ -526,7 +525,7 @@ func (rt *Runtime) rollbackWrite(h *hostedObj, rs *replState, undo []byte) error
 	rs.shipped = nil
 	rs.version--
 	rt.mu.Unlock()
-	rt.world.reg.Counter("js_replica_write_aborts_total").Inc()
+	rt.world.writeAborts.Inc()
 	return nil
 }
 

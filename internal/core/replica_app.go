@@ -262,8 +262,8 @@ func (a *App) renewAuthorityBatched(p sched.Proc, targets []*objEntry) {
 		if batch.Len() == 0 {
 			continue
 		}
-		a.world.reg.Counter("js_replica_auth_batches_total").Inc()
-		a.world.reg.Counter("js_replica_auth_grants_total").Add(int64(batch.Len()))
+		a.world.authBatches.Inc()
+		a.world.authGrants.Add(int64(batch.Len()))
 		body := rmi.MustMarshal(batch)
 		_, _ = a.rt.st.Call(p, loc, PubService, "replicaAuthBatch", body, authGrantBudget)
 	}
@@ -436,8 +436,8 @@ func (a *App) promoteEntry(p sched.Proc, e *objEntry, deadNode string) bool {
 	a.rt.ForgetLocation(ref) // home-node caches now point at the dead node
 	a.world.emit(trace.Event{Kind: trace.ReplicaPromoted, Node: bestNode, App: a.id, Obj: ref.ID,
 		Detail: fmt.Sprintf("from %s at v%d", deadNode, bestVersion)})
-	a.world.reg.Counter("js_replica_promotions_total").Inc()
-	a.world.reg.Histogram("js_replica_promotion_us", nil).ObserveDuration(watch.Elapsed())
+	a.world.promotions.Inc()
+	a.world.promotionUs.ObserveDuration(watch.Elapsed())
 	_ = a.materializeReplicas(p, e, []string{deadNode})
 	a.publishRSet(p, e)
 	return true
@@ -548,7 +548,7 @@ func (a *App) cleanupZombies(p sched.Proc, node string) {
 		_, _ = a.rt.st.Call(p, node, PubService, "replicaDrop", drop, replicaCallTimeout)
 		a.world.emit(trace.Event{Kind: trace.ReplicaDropped, Node: node,
 			App: a.id, Obj: ref.ID, Detail: "post-heal zombie teardown"})
-		a.world.reg.Counter("js_replica_zombie_teardowns_total").Inc()
+		a.world.zombieTeardowns.Inc()
 	}
 }
 

@@ -36,12 +36,9 @@ type Runtime struct {
 	hosted   map[objKey]*hostedObj
 	refCache map[objKey]route // last known location and replica set of foreign objects
 
-	// execMethod's two instruments, resolved on the first invocation
-	// that ends (not at start, so a family enters snapshots exactly when
-	// the node first runs a method).
-	invokeOnce  sync.Once
-	invocations *metrics.Counter
-	serviceUs   *metrics.Histogram
+	// Handles of the per-node families, resolved in newRuntime.
+	invocations, sheds, classSheds, replicaReads *metrics.Counter
+	serviceUs                                    *metrics.Histogram
 }
 
 type objKey struct {
@@ -119,6 +116,7 @@ func (c *Ctx) Invoke(ref Ref, method string, args []any) (any, error) {
 
 // newRuntime wires a node runtime; the station must not be started yet.
 func newRuntime(w *World, st *rmi.Station, agent *nas.Agent, mach *simnet.Machine) *Runtime {
+	reg, node := w.reg, st.Node()
 	rt := &Runtime{
 		world:    w,
 		st:       st,
@@ -127,6 +125,12 @@ func newRuntime(w *World, st *rmi.Station, agent *nas.Agent, mach *simnet.Machin
 		mach:     mach,
 		hosted:   make(map[objKey]*hostedObj),
 		refCache: make(map[objKey]route),
+
+		invocations:  reg.CounterHandle(metrics.Label("js_core_invocations_total", "node", node)),
+		sheds:        reg.CounterHandle(metrics.Label("js_core_sheds_total", "node", node)),
+		classSheds:   reg.CounterHandle(metrics.Label("js_core_class_sheds_total", "node", node)),
+		replicaReads: reg.CounterHandle(metrics.Label("js_replica_reads_total", "node", node)),
+		serviceUs:    reg.HistogramHandle(metrics.Label("js_core_invoke_service_us", "node", node), nil),
 	}
 	st.Register(PubService, pubMethods.Serve(rt))
 	return rt
@@ -303,7 +307,7 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 			rt.world.emit(trace.Event{Kind: trace.OverloadShed, Node: rt.Node(),
 				App: req.App, Obj: req.ID,
 				Detail: fmt.Sprintf("%s: %d in flight (bound %d)", req.Method, occupied, bound)})
-			rt.world.reg.Counter(metrics.Label("js_core_sheds_total", "node", rt.Node())).Inc()
+			rt.sheds.Inc()
 			return invokeResp{}, fmt.Errorf("%w: %s/%d.%s on %s (%d in flight, bound %d)",
 				rmi.ErrOverload, req.App, req.ID, req.Method, rt.Node(), occupied, bound)
 		}
@@ -321,7 +325,7 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 		// every call is deflected until the AppOA renews the grant.
 		if rs.authorityLapsed(rt.world.s.Now()) {
 			rt.mu.Unlock()
-			rt.world.reg.Counter("js_replica_auth_rejects_total").Inc()
+			rt.world.authRejects.Inc()
 			return invokeResp{}, errors.New(errObjMoved)
 		}
 		// A strong-mode primary that dropped every peer as unreachable
@@ -460,7 +464,7 @@ func (rt *Runtime) refuseShedClass(req invokeReq, where string) error {
 	rt.world.emit(trace.Event{Kind: trace.OverloadShed, Node: rt.Node(),
 		App: req.App, Obj: req.ID,
 		Detail: fmt.Sprintf("%s: class %s shed at %s", req.Method, req.Class, where)})
-	rt.world.reg.Counter(metrics.Label("js_core_class_sheds_total", "node", rt.Node())).Inc()
+	rt.classSheds.Inc()
 	return fmt.Errorf("%w: class %s refused at %s (%s): shed by admission while in flight",
 		rmi.ErrOverload, req.Class, rt.Node(), where)
 }
@@ -476,10 +480,6 @@ func (rt *Runtime) execMethod(p sched.Proc, inst any, req invokeReq) (any, time.
 	service := watch.Elapsed()
 	rt.world.emit(trace.Event{Kind: trace.ObjInvoked, Node: rt.Node(),
 		App: req.App, Obj: req.ID, Detail: req.Method})
-	rt.invokeOnce.Do(func() {
-		rt.invocations = rt.world.reg.Counter(metrics.Label("js_core_invocations_total", "node", rt.Node()))
-		rt.serviceUs = rt.world.reg.Histogram(metrics.Label("js_core_invoke_service_us", "node", rt.Node()), nil)
-	})
 	rt.invocations.Inc()
 	rt.serviceUs.ObserveDuration(service)
 	return res, service, err
@@ -889,7 +889,12 @@ func (rt *Runtime) invokeSync(p sched.Proc, sr *spanRec, r route, args []any) (a
 			}
 			sr.span.Staleness = resp.Staleness
 			sr.span.Durability = resp.Durability
-			rt.world.noteRead(read, resp)
+			// Where a declared read was served (the replica-hit ratio).
+			if read && resp.Replica {
+				rt.world.readHits.Inc()
+			} else if read {
+				rt.world.readPrimary.Inc()
+			}
 			sr.finish(target, resp.Service, resp.LeaseWait, nil)
 			return resp.Result, nil
 		}
@@ -938,7 +943,7 @@ func (rt *Runtime) invokeAt(p sched.Proc, loc string, ref Ref, method string, ar
 	// The locality split every placement decision is judged by: a call
 	// whose target lives on the calling node skips the wire entirely.
 	if loc == rt.Node() {
-		rt.world.reg.Counter("js_core_local_invokes_total").Inc()
+		rt.world.localInvokes.Inc()
 		resp, err := rt.invoke(p, req)
 		if err != nil {
 			// Mirror the wire behaviour so retry logic sees the same
@@ -947,7 +952,7 @@ func (rt *Runtime) invokeAt(p sched.Proc, loc string, ref Ref, method string, ar
 		}
 		return resp, nil
 	}
-	rt.world.reg.Counter("js_core_remote_invokes_total").Inc()
+	rt.world.remoteInvokes.Inc()
 	return rmi.Ask[invokeResp](p, rt.st, loc, PubService, "invoke", req, invokeTimeout)
 }
 

@@ -104,6 +104,10 @@ type ShardGroup struct {
 	adm        *admission              // nil until SetAdmission
 	durable    bool                    // every shard is WAL-backed (Persist)
 	durReads   []string                // durable-read exclusions for new shards
+
+	// Handles of the per-group families, resolved in newShardGroup.
+	invokes, coalesced, rebalances, keysMoved, evacuations *metrics.Counter
+	shardCount                                             *metrics.Gauge
 }
 
 // flight is one in-flight coalescible read: the leader performs the
@@ -168,6 +172,13 @@ func newShardGroup(a *App, name, class string, spec ShardSpec) *ShardGroup {
 		reads:   methodSet(spec.Reads),
 		flights: make(map[string]*flight),
 		heat:    make(map[string]*heat.Sketch),
+
+		invokes:     a.world.reg.CounterHandle(metrics.Label("js_shard_invokes_total", "group", name)),
+		coalesced:   a.world.reg.CounterHandle(metrics.Label("js_shard_coalesced_total", "group", name)),
+		rebalances:  a.world.reg.CounterHandle(metrics.Label("js_shard_rebalances_total", "group", name)),
+		keysMoved:   a.world.reg.CounterHandle(metrics.Label("js_shard_keys_moved_total", "group", name)),
+		evacuations: a.world.reg.CounterHandle(metrics.Label("js_shard_evacuations_total", "group", name)),
+		shardCount:  a.world.reg.GaugeHandle(metrics.Label("js_shard_shards", "group", name)),
 	}
 }
 
@@ -211,7 +222,7 @@ func (g *ShardGroup) assemble(p sched.Proc, members []string, member func(i int)
 	a.mu.Lock()
 	a.shardGroups[g.name] = g
 	a.mu.Unlock()
-	a.world.reg.Gauge(metrics.Label("js_shard_shards", "group", g.name)).Set(float64(len(g.shards)))
+	g.shardCount.Set(float64(len(g.shards)))
 	a.world.emit(trace.Event{Kind: trace.ShardGroupCreated, Node: a.Home(), App: a.id,
 		Detail: fmt.Sprintf("%s: %d shards %s", g.name, len(g.shards), how)})
 	return g, nil
@@ -344,7 +355,7 @@ func (g *ShardGroup) InvokeClass(p sched.Proc, class, key, method string, args .
 	if err := g.admit(class, method); err != nil {
 		return nil, err
 	}
-	g.app.world.reg.Counter(metrics.Label("js_shard_invokes_total", "group", g.name)).Inc()
+	g.invokes.Inc()
 	if !isRead {
 		return g.app.invokeObject(p, obj.id, method, args, trace.SpanSync, owner, class)
 	}
@@ -372,7 +383,7 @@ func (g *ShardGroup) coalesce(p sched.Proc, owner string, obj *Object, method st
 		q := g.app.world.s.NewQueue("shard-coalesce")
 		f.waiters = append(f.waiters, q)
 		g.mu.Unlock()
-		g.app.world.reg.Counter(metrics.Label("js_shard_coalesced_total", "group", g.name)).Inc()
+		g.coalesced.Inc()
 		// A follower is still one finished request: it spends real time
 		// parked on the leader, so it feeds its own class's SLO
 		// accounting even though no span of its own crosses the wire.
@@ -462,10 +473,10 @@ func (g *ShardGroup) Grow(p sched.Proc, node string) (string, error) {
 	g.ring = after
 	shards := len(g.shards)
 	g.mu.Unlock()
-	g.app.world.reg.Counter(metrics.Label("js_shard_rebalances_total", "group", g.name)).Inc()
-	g.app.world.reg.Counter(metrics.Label("js_shard_keys_moved_total", "group", g.name)).Add(int64(moved))
-	g.app.world.reg.Histogram("js_shard_rebalance_us", nil).ObserveDuration(watch.Elapsed())
-	g.app.world.reg.Gauge(metrics.Label("js_shard_shards", "group", g.name)).Set(float64(shards))
+	g.rebalances.Inc()
+	g.keysMoved.Add(int64(moved))
+	g.app.world.rebalanceUs.ObserveDuration(watch.Elapsed())
+	g.shardCount.Set(float64(shards))
 	loc, _ := newObj.NodeName()
 	g.app.world.emit(trace.Event{Kind: trace.ShardRebalanced, Node: loc, App: g.app.id,
 		Detail: fmt.Sprintf("%s: +%s, %d keys handed off", g.name, sname, moved)})
@@ -502,7 +513,7 @@ func (g *ShardGroup) Evacuate(p sched.Proc, node string) error {
 		movedShards++
 	}
 	if movedShards > 0 {
-		g.app.world.reg.Counter(metrics.Label("js_shard_evacuations_total", "group", g.name)).Inc()
+		g.evacuations.Inc()
 		g.app.world.emit(trace.Event{Kind: trace.ShardEvacuated, Node: node, App: g.app.id,
 			Detail: fmt.Sprintf("%s: %d shards migrated off", g.name, movedShards)})
 	}

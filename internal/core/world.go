@@ -75,6 +75,15 @@ type World struct {
 	slo     *slo.Engine     // per-class latency objectives
 	durOpts *DurabilityOptions
 
+	// Handles of the unlabelled families and the loss causes (newWorld).
+	localInvokes, remoteInvokes, recovered, flightDumps, walTornBytes       *metrics.Counter
+	placeHits, placeMisses, placeRepins, placeSeeds, promotions             *metrics.Counter
+	authBatchMisses, authBatches, authGrants, authRejects, zombieTeardowns  *metrics.Counter
+	readHits, readPrimary, writeAborts                                      *metrics.Counter
+	placeGroups                                                             *metrics.Gauge
+	promotionUs, rebalanceUs, walBatchRecords, walCommitWaitUs, walReplayUs *metrics.Histogram
+	recoveryLost                                                            map[string]*metrics.Counter
+
 	// queueBound caps each hosted object's in-flight invocations
 	// (-1 = unbounded).  Atomic: the invoke hot path reads it on every
 	// request, and experiments flip it between runs.
@@ -175,6 +184,7 @@ func synthSampler(name string, i int) *nas.SynthSampler {
 }
 
 func newWorld(s sched.Sched, opt Options) *World {
+	reg := metrics.NewRegistry()
 	w := &World{
 		s:        s,
 		storage:  opt.Storage,
@@ -184,8 +194,37 @@ func newWorld(s sched.Sched, opt Options) *World {
 		defaults: opt.Default,
 		tracer:   trace.NewLog(trace.DefaultDepth),
 		spans:    trace.NewSpanLog(trace.DefaultSpanDepth),
-		reg:      metrics.NewRegistry(),
+		reg:      reg,
 		router:   replica.NewRouter(),
+
+		localInvokes:    reg.CounterHandle("js_core_local_invokes_total"),
+		remoteInvokes:   reg.CounterHandle("js_core_remote_invokes_total"),
+		recovered:       reg.CounterHandle("js_core_recovered_total"),
+		flightDumps:     reg.CounterHandle("js_flight_dumps_total"),
+		walTornBytes:    reg.CounterHandle("js_wal_torn_bytes_total"),
+		placeHits:       reg.CounterHandle("js_place_hits_total"),
+		placeMisses:     reg.CounterHandle("js_place_misses_total"),
+		placeRepins:     reg.CounterHandle("js_place_repins_total"),
+		placeSeeds:      reg.CounterHandle("js_place_seeds_total"),
+		promotions:      reg.CounterHandle("js_replica_promotions_total"),
+		authBatchMisses: reg.CounterHandle("js_replica_auth_batch_misses_total"),
+		authBatches:     reg.CounterHandle("js_replica_auth_batches_total"),
+		authGrants:      reg.CounterHandle("js_replica_auth_grants_total"),
+		authRejects:     reg.CounterHandle("js_replica_auth_rejects_total"),
+		zombieTeardowns: reg.CounterHandle("js_replica_zombie_teardowns_total"),
+		readHits:        reg.CounterHandle("js_replica_read_hits_total"),
+		readPrimary:     reg.CounterHandle("js_replica_read_primary_total"),
+		writeAborts:     reg.CounterHandle("js_replica_write_aborts_total"),
+		placeGroups:     reg.GaugeHandle("js_place_groups"),
+		promotionUs:     reg.HistogramHandle("js_replica_promotion_us", nil),
+		rebalanceUs:     reg.HistogramHandle("js_shard_rebalance_us", nil),
+		walBatchRecords: reg.HistogramHandle("js_wal_batch_records", nil),
+		walCommitWaitUs: reg.HistogramHandle("js_wal_commit_wait_us", nil),
+		walReplayUs:     reg.HistogramHandle("js_wal_replay_us", nil),
+		recoveryLost:    make(map[string]*metrics.Counter),
+	}
+	for _, cause := range []string{lostNoImage, lostStoreError, lostNoLiveNode} {
+		w.recoveryLost[cause] = reg.CounterHandle(metrics.Label("js_core_recovery_lost_total", "cause", cause))
 	}
 	w.metric = w.replicaMetric()
 	w.slo = slo.NewEngine(s.Now, slo.Options{OnBreach: w.onSLOBreach})
@@ -288,8 +327,7 @@ func (w *World) addNode(net rmi.Network, name string, mach *simnet.Machine, samp
 	first := w.dirNode == ""
 	if first {
 		w.dirNode = name
-		w.dir = nas.NewDirectory(st, w.nasCfg)
-		w.dir.SetMetrics(w.reg)
+		w.dir = nas.NewDirectory(st, w.nasCfg, w.reg)
 	}
 	agent := nas.NewAgent(st, sampler, w.nasCfg, w.dirNode)
 	rt := newRuntime(w, st, agent, mach)
@@ -297,7 +335,13 @@ func (w *World) addNode(net rmi.Network, name string, mach *simnet.Machine, samp
 		// One stable medium per node: it outlives crashes (and even this
 		// World — whole-cluster restart replays from the same Stable).
 		m := w.durOpts.Stable.Node(name)
-		rt.dur = &durState{log: wal.NewLog(m), media: m}
+		rt.dur = &durState{log: wal.NewLog(m), media: m,
+			appends:         w.reg.CounterHandle(metrics.Label("js_wal_appends_total", "node", name)),
+			checkpoints:     w.reg.CounterHandle(metrics.Label("js_wal_checkpoints_total", "node", name)),
+			checkpointBytes: w.reg.CounterHandle(metrics.Label("js_wal_checkpoint_bytes_total", "node", name)),
+			flushes:         w.reg.CounterHandle(metrics.Label("js_wal_flushes_total", "node", name)),
+			flushBytes:      w.reg.CounterHandle(metrics.Label("js_wal_flush_bytes_total", "node", name)),
+		}
 	}
 	if first {
 		// The directory node also hosts the static-object manager.
@@ -377,20 +421,6 @@ func (w *World) replicaMetric() replica.Metric {
 		Alive: func(node string) bool {
 			return w.dir == nil || w.dir.Alive(node, w.s.Now())
 		},
-	}
-}
-
-// noteRead records where a successful declared read was served, feeding
-// the replica-hit ratio the shell's metrics command shows (the span
-// carries how stale the state was).
-func (w *World) noteRead(read bool, resp invokeResp) {
-	if !read {
-		return
-	}
-	if resp.Replica {
-		w.reg.Counter("js_replica_read_hits_total").Inc()
-	} else {
-		w.reg.Counter("js_replica_read_primary_total").Inc()
 	}
 }
 
@@ -474,7 +504,7 @@ func (w *World) triggerFlightDump(reason string) {
 	w.flightMu.Unlock()
 	if rec != nil {
 		rec.Trigger(reason)
-		w.reg.Counter("js_flight_dumps_total").Inc()
+		w.flightDumps.Inc()
 	}
 }
 

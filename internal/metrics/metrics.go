@@ -22,12 +22,20 @@
 //	js_shard_admission_sheds_total{group="kv",class="bronze"}
 //
 // Units: _us = scheduler-time microseconds, _bytes = bytes, _total = a
-// monotone count.  Label(name, k, v, ...) builds such a name.
+// monotone count.
+//
+// Code emits through handles: each owner resolves a family's instrument
+// once, where its label values become known (CounterHandle, GaugeHandle,
+// HistogramHandle, with Label building the name), and a touch is atomic
+// operations on the handle.  A resolved series enters snapshots at its
+// first touch, Add(0) and Set(0) included.  Lookups by name (Counter,
+// Gauge, Histogram) export at once: readers and bench/ use them.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,7 +55,12 @@ func Label(name string, kv ...string) string {
 	if len(kv) == 0 {
 		return name
 	}
+	size := len(name) + 2
+	for _, s := range kv {
+		size += len(s) + 2 // '=' and ',' with a key, two quotes with a value
+	}
 	var b strings.Builder
+	b.Grow(size) // one allocation unless a value needs escapes
 	b.WriteString(name)
 	b.WriteByte('{')
 	for i := 0; i+1 < len(kv); i += 2 {
@@ -56,7 +69,8 @@ func Label(name string, kv ...string) string {
 		}
 		b.WriteString(kv[i])
 		b.WriteByte('=')
-		b.WriteString(strconv.Quote(kv[i+1]))
+		var q [64]byte
+		b.Write(strconv.AppendQuote(q[:0], kv[i+1]))
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -140,14 +154,14 @@ func promLabelValue(v string) string {
 	return b.String()
 }
 
-// promLabelBody re-renders a (Go-quoted) label body in Prometheus
-// escaping.  A body that fails to parse is passed through unchanged —
-// better a raw line than a dropped series.
-func promLabelBody(name string) string {
-	_, kv, err := ParseLabels(name)
+// promName splits a registry name into its base and its (Go-quoted)
+// label body re-rendered in Prometheus escaping.  A body that fails to
+// parse is passed through unchanged — better a raw line than a dropped
+// series.
+func promName(name string) (base, body string) {
+	base, kv, err := ParseLabels(name)
 	if err != nil {
-		_, body := splitName(name)
-		return body
+		return splitName(name)
 	}
 	var b strings.Builder
 	for i := 0; i+1 < len(kv); i += 2 {
@@ -159,21 +173,30 @@ func promLabelBody(name string) string {
 		b.WriteString(promLabelValue(kv[i+1]))
 		b.WriteByte('"')
 	}
-	return b.String()
+	return base, b.String()
 }
 
 // Counter is a monotonically increasing integer.
-type Counter struct{ v atomic.Int64 }
+type Counter struct {
+	v    atomic.Int64
+	live atomic.Bool // exported although it may be 0
+}
 
-// Add increments the counter by n (n < 0 is ignored).
+// Add increments the counter by n (n < 0 is ignored).  Add(0) still
+// exports the series.
 func (c *Counter) Add(n int64) {
 	if n > 0 {
 		c.v.Add(n)
+	} else {
+		c.live.Store(true)
 	}
 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
+
+// export puts the series in snapshots although it may record nothing.
+func (c *Counter) export() *Counter { c.live.Store(true); return c }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -181,10 +204,15 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is a last-write-wins float value (utilizations, staleness).
 // The value lives in an atomic word (IEEE 754 bits), so setters on the
 // hot path never contend on a lock.
-type Gauge struct{ bits atomic.Uint64 }
+type Gauge struct {
+	bits atomic.Uint64
+	live atomic.Bool // set at least once, or looked up by name
+}
 
 // Set overwrites the gauge.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)); g.live.Store(true) }
+
+func (g *Gauge) export() *Gauge { g.live.Store(true); return g }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -205,6 +233,7 @@ type Histogram struct {
 	counts []atomic.Int64 // len(bounds)+1; last is +Inf
 	count  atomic.Int64
 	sum    atomic.Int64
+	live   atomic.Bool // exported although it may be empty
 }
 
 // Observe records one value.
@@ -218,6 +247,8 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a scheduler-time duration in microseconds —
 // the unit of every *_us histogram.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Microseconds()) }
+
+func (h *Histogram) export() *Histogram { h.live.Store(true); return h }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
@@ -235,9 +266,7 @@ var LatencyBuckets = []int64{
 }
 
 // Registry holds one installation's metrics, keyed by full (labeled)
-// name.  All methods are safe for concurrent use; Counter/Gauge/
-// Histogram return the existing instrument when the name is registered
-// already, so call sites may re-resolve freely.
+// name.  All methods are safe for concurrent use.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -254,29 +283,32 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns (registering if needed) the named counter.
-func (r *Registry) Counter(name string) *Counter {
+// resolve returns m[name], registering mk() under name if it is unset.
+func resolve[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	if m[name] == nil {
+		m[name] = mk()
 	}
-	return c
+	return m[name]
 }
 
-// Gauge returns (registering if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+// CounterHandle returns the named counter, registering it if needed.
+// Its series enters snapshots at its first touch.
+func (r *Registry) CounterHandle(name string) *Counter {
+	return resolve(r, r.counters, name, func() *Counter { return new(Counter) })
 }
+
+// Counter looks the named counter up and exports its series at once.
+func (r *Registry) Counter(name string) *Counter { return r.CounterHandle(name).export() }
+
+// GaugeHandle is CounterHandle for gauges.
+func (r *Registry) GaugeHandle(name string) *Gauge {
+	return resolve(r, r.gauges, name, func() *Gauge { return new(Gauge) })
+}
+
+// Gauge is Counter for gauges.
+func (r *Registry) Gauge(name string) *Gauge { return r.GaugeHandle(name).export() }
 
 // DropGauge retires the named gauge: it leaves the registry and every
 // later snapshot.  A publisher of per-key series calls it for keys that
@@ -287,21 +319,20 @@ func (r *Registry) DropGauge(name string) {
 	r.mu.Unlock()
 }
 
-// Histogram returns (registering if needed) the named histogram.  The
-// bounds apply only on first registration; nil bounds default to
-// LatencyBuckets.
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		if bounds == nil {
-			bounds = LatencyBuckets
-		}
+// HistogramHandle is CounterHandle for histograms.  The bounds apply
+// only on first registration; nil bounds default to LatencyBuckets.
+func (r *Registry) HistogramHandle(name string, bounds []int64) *Histogram {
+	return resolve(r, r.histograms, name, func() *Histogram {
 		bs := append([]int64(nil), bounds...)
-		sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-		h = &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
-		r.histograms[name] = h
-	}
-	return h
+		if bounds == nil {
+			bs = append(bs, LatencyBuckets...)
+		}
+		slices.Sort(bs)
+		return &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
+	})
+}
+
+// Histogram is Counter for histograms; bounds as for HistogramHandle.
+func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+	return r.HistogramHandle(name, bounds).export()
 }

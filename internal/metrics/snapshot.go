@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -40,7 +41,8 @@ type Snapshot struct {
 	Histograms []HistSnap    `json:"histograms"`
 }
 
-// Snapshot captures the registry's current state, sorted by name.
+// Snapshot captures the registry's exported series, sorted by name:
+// those looked up by name and those whose handle was touched.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -50,12 +52,19 @@ func (r *Registry) Snapshot() Snapshot {
 		Histograms: make([]HistSnap, 0, len(r.histograms)),
 	}
 	for name, c := range r.counters {
-		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: c.Value()})
+		if v := c.Value(); v != 0 || c.live.Load() {
+			s.Counters = append(s.Counters, CounterSnap{Name: name, Value: v})
+		}
 	}
 	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.Value()})
+		if g.live.Load() {
+			s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.Value()})
+		}
 	}
 	for name, h := range r.histograms {
+		if h.count.Load() == 0 && !h.live.Load() {
+			continue
+		}
 		counts := make([]int64, len(h.counts))
 		for i := range h.counts {
 			counts[i] = h.counts[i].Load()
@@ -100,32 +109,19 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 // cannot carry, so series named after arbitrary application keys still
 // emit parseable lines.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
+	var b strings.Builder
 	for _, c := range s.Counters {
-		base, labels := splitName(c.Name)
-		if labels != "" {
-			labels = promLabelBody(c.Name)
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s%s %d\n", base, base, braced(labels), c.Value); err != nil {
-			return err
-		}
+		base, labels := promName(c.Name)
+		fmt.Fprintf(&b, "# TYPE %s counter\n%s%s %d\n", base, base, braced(labels), c.Value)
 	}
 	for _, g := range s.Gauges {
-		base, labels := splitName(g.Name)
-		if labels != "" {
-			labels = promLabelBody(g.Name)
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %g\n", base, base, braced(labels), g.Value); err != nil {
-			return err
-		}
+		base, labels := promName(g.Name)
+		fmt.Fprintf(&b, "# TYPE %s gauge\n%s%s %g\n", base, base, braced(labels), g.Value)
 	}
 	for _, h := range s.Histograms {
-		base, labels := splitName(h.Name)
-		if labels != "" {
-			labels = promLabelBody(h.Name)
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", base); err != nil {
-			return err
-		}
+		base, labels := promName(h.Name)
+		pre := strings.TrimPrefix(labels+",", ",") // the bucket's labels before le
+		fmt.Fprintf(&b, "# TYPE %s histogram\n", base)
 		cum := int64(0)
 		for i, n := range h.Counts {
 			cum += n
@@ -133,24 +129,12 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			if i < len(h.Bounds) {
 				le = fmt.Sprintf("%d", h.Bounds[i])
 			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", base, joinLabels(labels, `le="`+le+`"`), cum); err != nil {
-				return err
-			}
+			fmt.Fprintf(&b, "%s_bucket{%sle=%q} %d\n", base, pre, le, cum)
 		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %d\n%s_count%s %d\n",
-			base, braced(labels), h.Sum, base, braced(labels), h.Count); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%s_sum%s %d\n%s_count%s %d\n", base, braced(labels), h.Sum, base, braced(labels), h.Count)
 	}
-	return nil
-}
-
-// joinLabels appends extra to a label body.
-func joinLabels(body, extra string) string {
-	if body == "" {
-		return extra
-	}
-	return body + "," + extra
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // braced re-wraps a label body for series that keep the original labels.
@@ -170,18 +154,13 @@ func (h HistSnap) Format() string {
 		fmt.Fprintf(&b, " avg=%.1f", float64(h.Sum)/float64(h.Count))
 	}
 	b.WriteByte('\n')
-	max := int64(1)
-	for _, n := range h.Counts {
-		if n > max {
-			max = n
-		}
-	}
+	top := max(slices.Max(h.Counts), 1)
 	for i, n := range h.Counts {
 		le := "+Inf"
 		if i < len(h.Bounds) {
 			le = fmt.Sprintf("%d", h.Bounds[i])
 		}
-		bar := strings.Repeat("#", int(n*40/max))
+		bar := strings.Repeat("#", int(n*40/top))
 		fmt.Fprintf(&b, "  le %10s  %8d  %s\n", le, n, bar)
 	}
 	return b.String()

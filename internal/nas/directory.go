@@ -27,17 +27,7 @@ type Directory struct {
 	mu      sync.Mutex
 	entries map[string]*dirEntry
 	rsets   map[string]RSetInfo // replica sets by "<app>/<id>" (see rset.go)
-	reg     *metrics.Registry   // nil unless SetMetrics was called
-}
-
-// SetMetrics points the directory at a metrics registry.  Each agent
-// report feeds the cluster-wide js_nas_report_gap_us histogram with the
-// gap since the node's previous report — the age its parameters had
-// just before being replaced.
-func (d *Directory) SetMetrics(reg *metrics.Registry) {
-	d.mu.Lock()
-	d.reg = reg
-	d.mu.Unlock()
+	gap     *metrics.Histogram  // js_nas_report_gap_us
 }
 
 type dirEntry struct {
@@ -62,10 +52,14 @@ type selectResp struct {
 	Nodes []string
 }
 
-// NewDirectory registers the DirService on st.
-func NewDirectory(st *rmi.Station, cfg Config) *Directory {
+// NewDirectory registers the DirService on st.  Each agent report feeds
+// reg's cluster-wide js_nas_report_gap_us histogram with the gap since
+// the node's previous report — the age its parameters had just before
+// being replaced.
+func NewDirectory(st *rmi.Station, cfg Config, reg *metrics.Registry) *Directory {
 	d := &Directory{st: st, cfg: cfg.withDefaults(),
 		entries: make(map[string]*dirEntry), rsets: make(map[string]RSetInfo)}
+	d.gap = reg.HistogramHandle("js_nas_report_gap_us", nil)
 	st.Register(DirService, dirMethods.Serve(d))
 	return d
 }
@@ -97,8 +91,8 @@ func (d *Directory) report(p sched.Proc, m reportMsg) error {
 	if e == nil {
 		e = &dirEntry{}
 		d.entries[m.Node] = e
-	} else if d.reg != nil {
-		d.reg.Histogram("js_nas_report_gap_us", nil).ObserveDuration(now - e.seen)
+	} else {
+		d.gap.ObserveDuration(now - e.seen)
 	}
 	e.snap = m.Snap
 	e.seen = now

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"jsymphony/internal/metrics"
 	"jsymphony/internal/params"
 	"jsymphony/internal/rmi"
 	"jsymphony/internal/sched"
@@ -64,7 +65,7 @@ func bootSim(t *testing.T, specs []simnet.MachineSpec, profile simnet.LoadProfil
 		st := rmi.NewStation(s, ep)
 		w.stations[m.Name()] = st
 		if m.Name() == dirNode {
-			w.dir = NewDirectory(st, w.cfg)
+			w.dir = NewDirectory(st, w.cfg, metrics.NewRegistry())
 		}
 		w.agents[m.Name()] = NewAgent(st, SimSampler{M: m}, w.cfg, dirNode)
 	}
@@ -509,7 +510,7 @@ func TestRealTimeSmoke(t *testing.T) {
 		st := rmi.NewStation(s, ep)
 		stations[n] = st
 		if n == "alpha" {
-			dir = NewDirectory(st, cfg)
+			dir = NewDirectory(st, cfg, metrics.NewRegistry())
 		}
 		snap := params.Snapshot{
 			params.NodeName:   params.Text(n),

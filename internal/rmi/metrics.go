@@ -4,12 +4,9 @@ import "jsymphony/internal/metrics"
 
 // SetMetrics points the station at a registry: the exported wire
 // counters become the registry's instruments and the call latency
-// histogram starts recording.  Call before Start; a nil registry (the
-// default) records nothing outside the station.
+// histogram starts recording.  Call before Start; without it the
+// station records nothing outside itself.
 func (st *Station) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
 	node := st.Node()
 	st.calls = reg.Counter(metrics.Label("js_rmi_calls_total", "node", node))
 	st.retries = reg.Counter(metrics.Label("js_rmi_retries_total", "node", node))

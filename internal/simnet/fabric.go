@@ -43,9 +43,6 @@ type LinkPolicy struct {
 // refreshes the per-node js_simnet_util gauge, so "top"-style views see
 // what the monitoring agents see.
 func (f *Fabric) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
 	for _, m := range f.all {
 		m.mu.Lock()
 		m.utilGauge = reg.Gauge(metrics.Label("js_simnet_util", "node", m.spec.Name))
