@@ -1,6 +1,7 @@
 package rmi
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -117,6 +118,18 @@ func stationBudget() map[string][]budgetRow {
 	for i := range operands {
 		operands[i] = 1.0 / float32(i+1)
 	}
+	// A 340-key table, as sim_serve's shards hold once touched: encoded
+	// again unchanged, it reuses its sorted key order.
+	table := make(map[string]int, 340)
+	for i := 0; i < 340; i++ {
+		table[fmt.Sprintf("key%03d", i)] = i
+	}
+	var tableAny any = table
+	// A heartbeat-shaped map: 49 parameters under a named string key.
+	snap := make(layoutSnap, 49)
+	for i := 0; i < 49; i++ {
+		snap[layoutID(fmt.Sprintf("param.%02d", i))] = layoutVal{Kind: layoutKind(i % 2), Num: float64(i), Str: "sparc"[:i%6]}
+	}
 	// A layout reads a flat struct, and a []any field whether or not its
 	// struct is addressable, through reflect accessors that allocate
 	// nothing beyond the buffer.
@@ -154,11 +167,13 @@ func stationBudget() map[string][]budgetRow {
 			{"args decode", "", 8, decodes(args, func() any { return new([]any) })},
 			{"float32x4096 encode", "", 1, encodes(operands, 16388)},
 			{"float32x4096 decode", "", 3, decodes(operands, func() any { return new([]float32) })},
+			{"repeat encode of an unchanged 340-key map[string]int", "", 1, encodes(tableAny, 3000)},
 		},
 		"TestLayoutFlatAllocs": {
 			{"flat struct layout encode", "", 0, layoutEncodes(reflect.ValueOf(flat).Elem())},
 			{"[]any field layout encode, struct by value", "", 0, layoutEncodes(reflect.ValueOf(*withArgs))},
 			{"[]any field layout encode, struct addressed", "", 0, layoutEncodes(reflect.ValueOf(withArgs).Elem())},
+			{"49-entry map layout encode", "", 0, layoutEncodes(reflect.ValueOf(snap))},
 			// The target and its one multi-byte string; the cursor is pooled.
 			{"flat struct decode", "", 2, decodes(flat, func() any { return new(layoutFlat) })},
 		},

@@ -22,9 +22,13 @@ import (
 //     travel, and a decode leaves them untouched;
 //   - bools, integers, floats and strings, named or not, in the wire
 //     primitives (a time.Duration is an int64);
-//   - slices and maps: a count, then the elements; map entries are
-//     sorted by their encoded key, so the bytes are a function of the
-//     value.  Fixed arrays: the elements, no count;
+//   - slices and maps: a count, then the elements.  Map entries are
+//     sorted, so the bytes are a function of the value: a
+//     map[string]string, map[string]int or map[string]float64 (the
+//     vocabulary's maps, value.go) by key string, any other map by its
+//     encoded key, whose length prefix comes first.  So keys "b" and
+//     "aa" go aa, b in a map[string]int but b, aa in a map[ID]int.
+//     Fixed arrays: the elements, no count;
 //   - pointers: a 0 byte for nil, else a 1 byte and the pointee.
 //
 // A nested struct is its bare fields, whatever it is elsewhere: a Ref
@@ -189,7 +193,10 @@ func derive(t reflect.Type, building map[reflect.Type]*layout) (*layout, error) 
 		if err != nil {
 			return nil, err
 		}
-		l.enc = func(buf []byte, v reflect.Value) []byte { return appendMap(buf, v, kl, el) }
+		pool := &sync.Pool{New: func() any {
+			return &mapScratch{k: reflect.New(kl.t).Elem(), e: reflect.New(el.t).Elem()}
+		}}
+		l.enc = func(buf []byte, v reflect.Value) []byte { return appendMap(buf, v, kl, el, pool) }
 		l.dec = func(d *wire.Dec, v reflect.Value, depth int) { decMap(d, v, kl, el, depth) }
 	case reflect.Pointer:
 		el, err := derive(t.Elem(), building)
@@ -350,34 +357,45 @@ func decAnys(d *wire.Dec, v reflect.Value, depth int) {
 	*v.Addr().Interface().(*[]any) = decodeAnys(d, depth+1)
 }
 
+// mapScratch is what one encode of a map layout iterates with: a key
+// and an element of its types, and the entries' spans.  Each map layout
+// pools its own, so a map encode allocates nothing beyond its buffer.
+type mapScratch struct {
+	k, e    reflect.Value
+	entries []mapEntry
+}
+
+// mapEntry spans one encoded entry in appendMap's scratch.
+type mapEntry struct{ start, keyEnd, end int }
+
 // appendMap appends a count and the entries in encoded-key order: each
 // entry is encoded once into pooled scratch, then copied out sorted.
-func appendMap(buf []byte, v reflect.Value, kl, el *layout) []byte {
+func appendMap(buf []byte, v reflect.Value, kl, el *layout, pool *sync.Pool) []byte {
 	buf = wire.AppendUvarint(buf, uint64(v.Len()))
 	if v.Len() == 0 {
 		return buf
 	}
-	type entry struct{ start, keyEnd, end int }
-	entries := make([]entry, 0, v.Len())
+	ms := pool.Get().(*mapScratch)
+	entries := ms.entries[:0]
 	scratch := wire.Buffers.Get()
-	k := reflect.New(kl.t).Elem()
-	e := reflect.New(el.t).Elem()
 	for it := v.MapRange(); it.Next(); {
-		k.SetIterKey(it)
-		e.SetIterValue(it)
+		ms.k.SetIterKey(it)
+		ms.e.SetIterValue(it)
 		start := len(scratch)
-		scratch = kl.enc(scratch, k)
+		scratch = kl.enc(scratch, ms.k)
 		keyEnd := len(scratch)
-		scratch = el.enc(scratch, e)
-		entries = append(entries, entry{start, keyEnd, len(scratch)})
+		scratch = el.enc(scratch, ms.e)
+		entries = append(entries, mapEntry{start, keyEnd, len(scratch)})
 	}
-	slices.SortFunc(entries, func(a, b entry) int {
+	slices.SortFunc(entries, func(a, b mapEntry) int {
 		return bytes.Compare(scratch[a.start:a.keyEnd], scratch[b.start:b.keyEnd])
 	})
 	for _, en := range entries {
 		buf = append(buf, scratch[en.start:en.end]...)
 	}
 	wire.Buffers.Put(scratch)
+	ms.entries = entries
+	pool.Put(ms)
 	return buf
 }
 

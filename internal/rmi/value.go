@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"jsymphony/internal/rmi/wire"
@@ -266,13 +267,67 @@ func decFloat64s(d *wire.Dec) []float64 {
 	return out
 }
 
-// appendMapS appends a string-keyed map in sorted key order.
+// appendMapS appends a string-keyed map in sorted key order.  A map of
+// orderMinKeys or more keys reuses the order its last encode sorted,
+// once that order is proved to still be its key set (DESIGN.md §15).
 func appendMapS[V any](buf []byte, m map[string]V, appendV func([]byte, V) []byte) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(m)))
-	for _, k := range sortedKeys(m) {
-		buf = appendV(wire.AppendString(buf, k), m[k])
+	if len(m) < orderMinKeys {
+		out, _ := appendInOrder(buf, m, sortedKeys(m), appendV)
+		return out
 	}
-	return buf
+	addr := reflect.ValueOf(m).Pointer()
+	slot := orderSlot(addr)
+	// The remembered keys are distinct, so as many of them as m has
+	// keys, each found in m, are exactly m's key set.
+	if o := slot.Load(); o != nil && o.addr == addr && len(o.keys) == len(m) {
+		if out, ok := appendInOrder(buf, m, o.keys, appendV); ok {
+			return out
+		}
+	}
+	o := &keyOrder{addr, sortedKeys(m)}
+	slot.Store(o)
+	out, _ := appendInOrder(buf, m, o.keys, appendV)
+	return out
+}
+
+// appendInOrder appends m's entries under keys, in that order.  At the
+// first key m lacks it stops and reports false, and the caller keeps
+// its own buf.
+func appendInOrder[V any](buf []byte, m map[string]V, keys []string, appendV func([]byte, V) []byte) ([]byte, bool) {
+	for _, k := range keys {
+		v, ok := m[k]
+		if !ok {
+			return buf, false
+		}
+		buf = appendV(wire.AppendString(buf, k), v)
+	}
+	return buf, true
+}
+
+// The key-order cache: the sorted keys of the string-keyed maps encoded
+// last, one map per slot, the slot picked by the map's address.  A
+// slot's entry is immutable, so encoders share it through one atomic
+// load; a miss replaces it whole.  Smaller maps sort without it: they
+// are mostly fresh results, which would evict the long-lived images
+// that hit.
+const (
+	orderSlotBits = 6
+	orderMinKeys  = 16
+)
+
+var orders [1 << orderSlotBits]atomic.Pointer[keyOrder]
+
+// orderSlot is the slot of the map at addr: its address, Fibonacci
+// hashed, so maps of one size class spread over the table.
+func orderSlot(addr uintptr) *atomic.Pointer[keyOrder] {
+	return &orders[uint64(addr)*0x9E3779B97F4A7C15>>(64-orderSlotBits)]
+}
+
+// keyOrder is the sorted key set of the map at addr when it was encoded.
+type keyOrder struct {
+	addr uintptr
+	keys []string
 }
 
 func appendMapSS(buf []byte, m map[string]string) []byte {
