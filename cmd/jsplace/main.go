@@ -31,8 +31,6 @@ import (
 func main() {
 	var (
 		budget  = flag.Int("budget", 4, "node budget: maximum number of co-location groups")
-		fanout  = flag.Int("fanout", 8, "assumed fanout for creation loops without a constant bound")
-		trip    = flag.Int("trip", 8, "assumed trip count for loops without a constant bound")
 		check   = flag.Bool("check", false, "verify committed jsplace.json files are up to date; do not write")
 		outFlag = flag.String("o", "", "write hints to this file instead of <pkgdir>/jsplace.json (single package only)")
 		verbose = flag.Bool("v", false, "print the affinity graph for each analyzed package")
@@ -56,10 +54,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := affinity.Options{DefaultFanout: *fanout, DefaultTrip: *trip}
 	analyzed, drifted := 0, 0
 	for _, pkg := range pkgs {
-		g, ok, err := affinity.Analyze(pkg, opts)
+		g, ok, err := affinity.Analyze(pkg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jsplace: %s: %v\n", pkg.ImportPath, err)
 			os.Exit(2)

@@ -8,7 +8,7 @@
 // RemoteRefs, ctx.Invoke through first-order Refs inside hosted
 // methods), and accumulates edges weighted by syntactic loop depth:
 // an invocation nested in loops with constant bounds contributes the
-// product of the bounds; unknown bounds contribute Options.DefaultTrip.
+// product of the bounds; unknown bounds contribute defaultTrip.
 // Loops that *distribute* calls over a fleet (the loop variable indexes
 // the target) spread the weight across the instances instead of
 // multiplying it.
@@ -64,33 +64,20 @@ type Graph struct {
 	Edges    []Edge // canonical order (A before B in vertex order), sorted
 }
 
-// Options tunes the static estimates.
-type Options struct {
-	// DefaultFanout is the instance count assumed for a creation loop
-	// without a constant bound or //jsplace:fanout directive.
-	DefaultFanout int
-	// DefaultTrip is the iteration estimate for loops without an
-	// evident constant bound.
-	DefaultTrip int
-}
-
-func (o Options) withDefaults() Options {
-	if o.DefaultFanout <= 0 {
-		o.DefaultFanout = 8
-	}
-	if o.DefaultTrip <= 0 {
-		o.DefaultTrip = 8
-	}
-	return o
-}
+// The static estimates for bounds the source leaves open.  A creation
+// loop without a constant bound or //jsplace:fanout directive is taken
+// to make defaultFanout instances; a loop without an evident constant
+// bound is taken to run defaultTrip times.
+const (
+	defaultFanout = 8
+	defaultTrip   = 8
+)
 
 // Analyze extracts the affinity graph of one loaded package.  A package
 // without //jsplace:entry functions yields ok=false.
-func Analyze(pkg *loader.Package, opts Options) (*Graph, bool, error) {
-	opts = opts.withDefaults()
+func Analyze(pkg *loader.Package) (*Graph, bool, error) {
 	a := &analyzer{
 		pkg:    pkg,
-		opts:   opts,
 		sites:  make(map[string]*Site),
 		edges:  make(map[[2]Instance]int64),
 		fields: make(map[Instance]map[string]Instance),

@@ -22,7 +22,7 @@ func loadGraph(t *testing.T, pattern string) *Graph {
 	if len(pkgs) != 1 {
 		t.Fatalf("load %s: got %d packages, want 1", pattern, len(pkgs))
 	}
-	g, ok, err := Analyze(pkgs[0], Options{})
+	g, ok, err := Analyze(pkgs[0])
 	if err != nil {
 		t.Fatalf("analyze %s: %v", pattern, err)
 	}
@@ -89,7 +89,7 @@ func TestAnalyzeChain(t *testing.T) {
 }
 
 // The fleet fixture: the store ref flows to Reader.Run as an argument,
-// Run loops an unknown bound (DefaultTrip=8) calling a helper that the
+// Run loops an unknown bound (defaultTrip=8) calling a helper that the
 // fixed-point folds back into Run's summary.
 func TestAnalyzeFleet(t *testing.T) {
 	g := loadGraph(t, "./fleet")
@@ -115,7 +115,7 @@ func TestAnalyzeNoEntry(t *testing.T) {
 	if err != nil {
 		t.Skipf("shared fixtures unavailable: %v", err)
 	}
-	_, ok, err := Analyze(pkgs[0], Options{})
+	_, ok, err := Analyze(pkgs[0])
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestBuildHintsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load ./chain: %v", err)
 		}
-		g, ok, err := Analyze(pkgs[0], Options{})
+		g, ok, err := Analyze(pkgs[0])
 		if err != nil || !ok {
 			t.Fatalf("analyze ./chain: ok=%v err=%v", ok, err)
 		}

@@ -173,7 +173,7 @@ func (a *analyzer) scanCalls(n ast.Node, frames []loopFrame, pass passKind) {
 
 // forFrame estimates one for-loop's trip count and variable.
 func (a *analyzer) forFrame(st *ast.ForStmt) loopFrame {
-	f := loopFrame{trip: int64(a.opts.DefaultTrip)}
+	f := loopFrame{trip: defaultTrip}
 	if init, ok := st.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE && len(init.Lhs) == 1 {
 		if id, ok := init.Lhs[0].(*ast.Ident); ok {
 			f.v = a.pkg.Info.Defs[id]
@@ -195,7 +195,7 @@ func (a *analyzer) forFrame(st *ast.ForStmt) loopFrame {
 // rangeFrame estimates a range loop: ranging over a known fleet slice
 // binds the element variable to the per-iteration instance.
 func (a *analyzer) rangeFrame(st *ast.RangeStmt) (loopFrame, map[types.Object]absval) {
-	f := loopFrame{trip: int64(a.opts.DefaultTrip)}
+	f := loopFrame{trip: defaultTrip}
 	var keyObj types.Object
 	if id, ok := st.Key.(*ast.Ident); ok && id.Name != "_" {
 		keyObj = a.pkg.Info.Defs[id]
@@ -247,13 +247,6 @@ func (a *analyzer) handleAssign(st *ast.AssignStmt, frames []loopFrame, pass pas
 		}
 		a.bindLHS(st.Lhs[i], v, frames)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // bindLHS records what a variable or fleet-slice element now holds.
@@ -346,7 +339,7 @@ func (a *analyzer) registerTagged(call *ast.CallExpr, frames []loopFrame) absval
 			}
 		}
 	}
-	a.ensureSite(tag, class, a.opts.DefaultFanout, call.Pos())
+	a.ensureSite(tag, class, defaultFanout, call.Pos())
 	return absval{}
 }
 
@@ -402,7 +395,7 @@ func (a *analyzer) creationFanout(pos token.Pos, fr loopFrame) int {
 	if fr.exact && fr.trip > 0 {
 		return int(fr.trip)
 	}
-	return a.opts.DefaultFanout
+	return defaultFanout
 }
 
 func (a *analyzer) ensureSite(tag, class string, fanout int, pos token.Pos) {

@@ -5,17 +5,16 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
-	"strings"
 
 	"jsymphony/internal/analysis/loader"
 )
 
 // analyzer holds all state of one package analysis.
 type analyzer struct {
-	pkg  *loader.Package
-	opts Options
-	err  error
+	pkg *loader.Package
+	err error
 
 	classes map[*types.Named]string // registered class type -> class name
 	methods map[*types.Named]map[string]*types.Func
@@ -54,58 +53,6 @@ type sumStore struct {
 type summary struct {
 	invokes []sumInvoke
 	stores  []sumStore
-}
-
-func (s *summary) key() string {
-	var b strings.Builder
-	for _, iv := range s.invokes {
-		fmt_sref(&b, iv.target)
-		b.WriteString(iv.method)
-		b.WriteByte(':')
-		b.WriteString(fmtInt(iv.mult))
-		b.WriteByte(';')
-	}
-	b.WriteByte('|')
-	for _, st := range s.stores {
-		b.WriteString(st.field)
-		b.WriteByte('=')
-		b.WriteString(fmtInt(int64(st.param)))
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-func fmt_sref(b *strings.Builder, r sref) {
-	if r.param >= 0 {
-		b.WriteByte('p')
-		b.WriteString(fmtInt(int64(r.param)))
-	} else {
-		b.WriteByte('f')
-		b.WriteString(r.field)
-	}
-	b.WriteByte('.')
-}
-
-func fmtInt(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // ---------------------------------------------------------------------
@@ -284,7 +231,7 @@ func (a *analyzer) summarize() {
 		changed := false
 		for _, fn := range a.declIdx {
 			s := a.buildSummary(fn)
-			if s.key() != a.sums[fn].key() {
+			if old := a.sums[fn]; !slices.Equal(s.invokes, old.invokes) || !slices.Equal(s.stores, old.stores) {
 				a.sums[fn] = s
 				changed = true
 			}
@@ -479,7 +426,7 @@ func (a *analyzer) walkWithLoops(body *ast.BlockStmt, mult int64, cb func(n ast.
 				walk(s.Body, mult*a.tripOf(s))
 				return false
 			case *ast.RangeStmt:
-				walk(s.Body, mult*int64(a.opts.DefaultTrip))
+				walk(s.Body, mult*defaultTrip)
 				return false
 			}
 			if x != nil {
@@ -503,5 +450,5 @@ func (a *analyzer) tripOf(st *ast.ForStmt) int64 {
 			}
 		}
 	}
-	return int64(a.opts.DefaultTrip)
+	return defaultTrip
 }

@@ -50,7 +50,7 @@ type objEntry struct {
 	constr   *params.Constraints // creation constraints (may be nil)
 	freed    bool
 	pol      *replica.Policy // non-nil once Replicate was applied
-	replicas []string        // current read-replica nodes, sorted
+	replicas []string        // current read-replica nodes, sorted; replaced, never written in place
 	durable  bool            // WAL-backed: survives crashes via log replay
 	durReads []string        // methods durability treats as reads (no logging)
 
@@ -69,14 +69,15 @@ type objEntry struct {
 	fenced []string
 }
 
-// rset builds the entry's advertised replica set.  Caller holds a.mu.
+// rset builds the entry's advertised replica set, sharing the member
+// list as it lies.  Caller holds a.mu.
 func (e *objEntry) rset() replica.Set {
 	if e.pol == nil || len(e.replicas) == 0 {
 		return replica.Set{}
 	}
 	return replica.Set{
 		Primary:  e.location,
-		Replicas: append([]string(nil), e.replicas...),
+		Replicas: e.replicas,
 		Mode:     e.pol.Mode,
 		Lease:    e.pol.Lease,
 		Reads:    e.pol.Reads,

@@ -19,6 +19,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -314,7 +315,7 @@ func (rt *Runtime) makeDurable(_ sched.Proc, req durableReq) error {
 		return errors.New(errObjMoved)
 	}
 	h.durable = true
-	h.durReads = methodSet(req.Reads)
+	h.durReads = readList(req.Reads)
 	if h.durVer == 0 {
 		h.durVer = 1
 	}
@@ -345,24 +346,14 @@ func (rt *Runtime) durLogState(p sched.Proc, h *hostedObj, state []byte, wait bo
 	}, wait)
 }
 
-// sortedMethods returns the map's keys sorted, for deterministic wire
-// encoding.
-func sortedMethods(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// methodSet is sortedMethods' inverse: the lookup form of a method list.
-func methodSet(methods []string) map[string]bool {
-	set := make(map[string]bool, len(methods))
-	for _, m := range methods {
-		set[m] = true
-	}
-	return set
+// readList renders a set of read methods in its one host-side form:
+// sorted and deduplicated, built once where the set is declared and
+// never written after, so it is shared, sent as it lies and tested with
+// slices.Contains.
+func readList(methods []string) []string {
+	out := slices.Clone(methods)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ---------------------------------------------------------------------

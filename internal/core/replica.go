@@ -20,6 +20,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -45,12 +46,13 @@ type replState struct {
 	asOf       time.Duration // primary clock when the held state was captured
 	renew      *prioLock     // serializes lease renewals (replica side)
 
-	// Primary role.
-	peers     []string        // replica nodes, sorted
-	fan       *prioLock       // serializes writes + propagation (primary side), admission-priority order
-	reads     map[string]bool // declared read-only methods
-	authUntil time.Duration   // write authority granted by the origin AppOA
-	minSync   int             // eventual mode: peers updated synchronously per write
+	// Primary role.  peers and reads are replaced whole, never written
+	// in place, so a Set or Policy built from them shares them as they lie.
+	peers     []string      // replica nodes, sorted
+	fan       *prioLock     // serializes writes + propagation (primary side), admission-priority order
+	reads     []string      // declared read-only methods (readList form)
+	authUntil time.Duration // write authority granted by the origin AppOA
+	minSync   int           // eventual mode: peers updated synchronously per write
 	// shipped is the image propagate last shipped, kept while the
 	// instance still encodes to it: the next sync write's undo image, a
 	// lease renewal's and a seed snapshot's state, and the WAL record of
@@ -66,29 +68,6 @@ type replState struct {
 	version uint64 // monotonic update counter; survives promotion
 	mode    replica.Mode
 	lease   time.Duration
-}
-
-// policySnapshot reconstructs the policy from primary-side state (for
-// persistence).  Caller holds Runtime.mu.
-func (rs *replState) policySnapshot() *replica.Policy {
-	reads := make([]string, 0, len(rs.reads))
-	for m := range rs.reads {
-		reads = append(reads, m)
-	}
-	sort.Strings(reads)
-	return &replica.Policy{N: len(rs.peers), Mode: rs.mode, Lease: rs.lease, Reads: reads, MinSync: rs.minSync}
-}
-
-// setSnapshot renders the primary-side state as a wire Set.  Caller
-// holds Runtime.mu.
-func (rs *replState) setSnapshot(node string) replica.Set {
-	return replica.Set{
-		Primary:  node,
-		Replicas: append([]string(nil), rs.peers...),
-		Mode:     rs.mode,
-		Lease:    rs.lease,
-		Reads:    rs.policySnapshot().Reads,
-	}
 }
 
 // refKey is the stable string identity of an object used for routing
@@ -129,11 +108,11 @@ func (rt *Runtime) replicaConfigure(_ sched.Proc, req replicaConfigureReq) error
 	rs.lease = req.Lease
 	rs.authUntil = req.AuthUntil
 	rs.minSync = req.MinSync
-	rs.reads = methodSet(req.Reads)
+	rs.reads = readList(req.Reads)
 	if h.durable {
 		// Promotion path: the new primary inherits the policy's read set
 		// as its durable-read exclusions, so reads never stall on fsync.
-		h.durReads = methodSet(req.Reads)
+		h.durReads = rs.reads
 	}
 	return nil
 }
@@ -267,18 +246,51 @@ func (rt *Runtime) replicaDrop(_ sched.Proc, req replicaDropReq) error {
 
 // replicaSnapshot returns the local copy's state and version: the AppOA
 // seeds new replicas from the primary's snapshot and elects the freshest
-// survivor by comparing replica versions.  On a primary the fan lock is
-// held so the state is not captured mid-write; on a replica the served
-// instance is immutable, so the swap pointer alone is enough.
+// survivor by comparing replica versions.
 func (rt *Runtime) replicaSnapshot(p sched.Proc, req replicaSnapshotReq) (replicaSnapshotResp, error) {
-	key := objKey{req.App, req.ID}
+	state, version, err := rt.captureState(p, objKey{req.App, req.ID}, nil)
+	return replicaSnapshotResp{State: state, Version: version}, err
+}
+
+// replicaRenew serves a lease renewal at the primary: fresh state, the
+// current version, and a new lease window.  Only a primary whose write
+// authority holds may renew.
+func (rt *Runtime) replicaRenew(p sched.Proc, req replicaRenewReq) (replicaRenewResp, error) {
+	var lease time.Duration
+	state, version, err := rt.captureState(p, objKey{req.App, req.ID}, func(rs *replState) error {
+		if rs == nil || rs.isReplica || rs.authorityLapsed(rt.world.s.Now()) {
+			return errors.New(errObjMoved)
+		}
+		lease = rs.lease
+		return nil
+	})
+	if err != nil {
+		return replicaRenewResp{}, err
+	}
+	return replicaRenewResp{State: state, Version: version, AsOf: rt.world.s.Now(), Lease: lease}, nil
+}
+
+// captureState returns the image and version of the hosted copy of key.
+// On a primary the fan lock is held so the state is not captured
+// mid-write; on a replica the served instance is immutable, so the swap
+// pointer alone is enough.  The image propagate last shipped stands in
+// for an encode only while h.repl is still the replState whose fan lock
+// is held.  check, when set, vets the current replState under
+// Runtime.mu, before the fan lock and again once it is held.
+func (rt *Runtime) captureState(p sched.Proc, key objKey, check func(*replState) error) ([]byte, uint64, error) {
 	rt.mu.Lock()
 	h, ok := rt.hosted[key]
 	if !ok {
 		rt.mu.Unlock()
-		return replicaSnapshotResp{}, errors.New(errObjMoved)
+		return nil, 0, errors.New(errObjMoved)
 	}
 	rs := h.repl
+	if check != nil {
+		if err := check(rs); err != nil {
+			rt.mu.Unlock()
+			return nil, 0, err
+		}
+	}
 	lockFan := rs != nil && !rs.isReplica && rs.fan != nil
 	rt.mu.Unlock()
 	if lockFan {
@@ -289,7 +301,13 @@ func (rt *Runtime) replicaSnapshot(p sched.Proc, req replicaSnapshotReq) (replic
 	h, ok = rt.hosted[key]
 	if !ok {
 		rt.mu.Unlock()
-		return replicaSnapshotResp{}, errors.New(errObjMoved)
+		return nil, 0, errors.New(errObjMoved)
+	}
+	if check != nil {
+		if err := check(h.repl); err != nil {
+			rt.mu.Unlock()
+			return nil, 0, err
+		}
 	}
 	inst := h.instance
 	var version uint64
@@ -304,42 +322,10 @@ func (rt *Runtime) replicaSnapshot(p sched.Proc, req replicaSnapshotReq) (replic
 	if state == nil {
 		var err error
 		if state, err = rmi.Marshal(inst); err != nil {
-			return replicaSnapshotResp{}, fmt.Errorf("oas: serialize for replica seed: %w", err)
+			return nil, 0, fmt.Errorf("oas: serialize replica state: %w", err)
 		}
 	}
-	return replicaSnapshotResp{State: state, Version: version}, nil
-}
-
-// replicaRenew serves a lease renewal at the primary: fresh state, the
-// current version, and a new lease window.
-func (rt *Runtime) replicaRenew(p sched.Proc, req replicaRenewReq) (replicaRenewResp, error) {
-	key := objKey{req.App, req.ID}
-	rt.mu.Lock()
-	h, ok := rt.hosted[key]
-	rs := (*replState)(nil)
-	if ok {
-		rs = h.repl
-	}
-	if !ok || rs == nil || rs.isReplica || rs.authorityLapsed(rt.world.s.Now()) {
-		rt.mu.Unlock()
-		return replicaRenewResp{}, errors.New(errObjMoved)
-	}
-	rt.mu.Unlock()
-	rs.fan.lock(p, 0)
-	defer rs.fan.unlock()
-	rt.mu.Lock()
-	inst := h.instance
-	state := rs.shipped
-	version := rs.version
-	lease := rs.lease
-	rt.mu.Unlock()
-	if state == nil {
-		var err error
-		if state, err = rmi.Marshal(inst); err != nil {
-			return replicaRenewResp{}, fmt.Errorf("oas: serialize for lease renewal: %w", err)
-		}
-	}
-	return replicaRenewResp{State: state, Version: version, AsOf: rt.world.s.Now(), Lease: lease}, nil
+	return state, version, nil
 }
 
 // invokeAtReplica serves an invocation arriving at a read replica.  Only
@@ -472,7 +458,7 @@ func (rt *Runtime) propagate(p sched.Proc, h *hostedObj, rs *replState, cause ui
 		req.Durable = true
 		req.DurVer = h.durVer
 	}
-	peers := append([]string(nil), rs.peers...)
+	peers := rs.peers
 	mode := rs.mode
 	needSync := len(peers)
 	if mode == replica.Eventual {
@@ -535,13 +521,7 @@ func (rt *Runtime) rollbackWrite(h *hostedObj, rs *replState, undo []byte) error
 // peer loses any election it could corrupt.
 func (rt *Runtime) dropPeer(h *hostedObj, rs *replState, peer string, cause error) {
 	rt.mu.Lock()
-	out := rs.peers[:0]
-	for _, n := range rs.peers {
-		if n != peer {
-			out = append(out, n)
-		}
-	}
-	rs.peers = out
+	rs.peers = slices.DeleteFunc(slices.Clone(rs.peers), func(n string) bool { return n == peer })
 	rt.mu.Unlock()
 	rt.world.emit(trace.Event{Kind: trace.ReplicaDropped, Node: peer,
 		App: h.ref.App, Obj: h.ref.ID, Detail: "unreachable from " + rt.Node() + ": " + cause.Error()})

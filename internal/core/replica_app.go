@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -87,7 +88,7 @@ func (a *App) materializeReplicas(p sched.Proc, e *objEntry, exclude []string) e
 	pol := *e.pol
 	loc := e.location
 	ref := e.ref
-	have := append([]string(nil), e.replicas...)
+	have := e.replicas
 	constr := e.constr
 	a.mu.Unlock()
 	want := pol.N - len(have)
@@ -129,31 +130,46 @@ func (a *App) materializeReplicas(p sched.Proc, e *objEntry, exclude []string) e
 	if len(ready) == 0 {
 		return fmt.Errorf("core: no replica node could load class %s", ref.Class)
 	}
-	// Register the peers first, then seed: a write racing the seed then
-	// creates the replica itself, and the older seed is version-skipped.
-	peers := append(have, ready...)
-	sort.Strings(peers)
-	if err := a.configurePrimary(p, e, loc, ref, pol, peers); err != nil {
-		return err
-	}
-	snap, err := a.memberSnapshot(p, loc, ref)
+	peers, err := a.seedSet(p, e, loc, ref, pol, have, ready, false)
 	if err != nil {
 		return err
-	}
-	seeded := a.seedMembers(p, ref, pol, loc, ready, snap, false)
-	if len(seeded) != len(ready) {
-		peers = append(have, seeded...)
-		sort.Strings(peers)
-		if len(peers) == 0 {
-			return fmt.Errorf("core: no replica of %s/%d could be seeded", ref.App, ref.ID)
-		}
-		_ = a.configurePrimary(p, e, loc, ref, pol, peers)
 	}
 	a.mu.Lock()
 	e.replicas = peers
 	a.mu.Unlock()
 	a.publishRSet(p, e)
 	return nil
+}
+
+// seedSet is the seeding sequence of a new or moved set.  It registers
+// have and fresh as the primary's peers first, then seeds fresh from the
+// primary's snapshot: a write racing the seed then creates the replica
+// itself, and the older seed is version-skipped.  If some of fresh could
+// not be seeded, the primary is re-configured to have plus those that
+// were.  It returns the primary's peers, a fresh sorted slice.  A
+// growing set (force unset) with no member at all is an error; a
+// re-seed after a move (force) shrinks to the members that took it,
+// possibly none.
+func (a *App) seedSet(p sched.Proc, e *objEntry, loc string, ref Ref, pol replica.Policy, have, fresh []string, force bool) ([]string, error) {
+	peers := slices.Concat(have, fresh)
+	sort.Strings(peers)
+	if err := a.configurePrimary(p, e, loc, ref, pol, peers); err != nil {
+		return nil, err
+	}
+	snap, err := a.memberSnapshot(p, loc, ref)
+	if err != nil {
+		return nil, err
+	}
+	seeded := a.seedMembers(p, ref, pol, loc, fresh, snap, force)
+	if len(seeded) != len(fresh) {
+		peers = slices.Concat(have, seeded)
+		sort.Strings(peers)
+		if len(peers) == 0 && !force {
+			return nil, fmt.Errorf("core: no replica of %s/%d could be seeded", ref.App, ref.ID)
+		}
+		_ = a.configurePrimary(p, e, loc, ref, pol, peers)
+	}
+	return peers, nil
 }
 
 // configurePrimary installs the fan-out state at the node hosting the
@@ -297,7 +313,7 @@ func (a *App) seedMembers(p sched.Proc, ref Ref, pol replica.Policy, primary str
 // by a new Replicate).  Best effort: dead members just stay gone.
 func (a *App) dropReplicas(p sched.Proc, e *objEntry) {
 	a.mu.Lock()
-	reps := append([]string(nil), e.replicas...)
+	reps := e.replicas
 	had := e.pol != nil
 	loc := e.location
 	ref := e.ref
@@ -324,21 +340,15 @@ func (a *App) reconfigureAfterMove(p sched.Proc, e *objEntry) {
 	pol := *e.pol
 	loc := e.location
 	ref := e.ref
-	peers := append([]string(nil), e.replicas...)
+	members := e.replicas
 	a.mu.Unlock()
-	if err := a.configurePrimary(p, e, loc, ref, pol, peers); err != nil {
-		return
-	}
-	snap, err := a.memberSnapshot(p, loc, ref)
+	peers, err := a.seedSet(p, e, loc, ref, pol, nil, members, true)
 	if err != nil {
 		return
 	}
-	seeded := a.seedMembers(p, ref, pol, loc, peers, snap, true)
-	if len(seeded) != len(peers) {
-		sort.Strings(seeded)
-		_ = a.configurePrimary(p, e, loc, ref, pol, seeded)
+	if len(peers) != len(members) {
 		a.mu.Lock()
-		e.replicas = seeded
+		e.replicas = peers
 		a.mu.Unlock()
 	}
 	a.publishRSet(p, e)
@@ -473,11 +483,10 @@ func (a *App) repairReplicaSets(p sched.Proc, deadNode string) {
 		pol := *e.pol
 		loc := e.location
 		ref := e.ref
-		peers := append([]string(nil), out...)
 		a.mu.Unlock()
 		a.world.emit(trace.Event{Kind: trace.ReplicaDropped, Node: deadNode,
 			App: a.id, Obj: ref.ID, Detail: "node failed"})
-		_ = a.configurePrimary(p, e, loc, ref, pol, peers)
+		_ = a.configurePrimary(p, e, loc, ref, pol, out)
 		_ = a.materializeReplicas(p, e, []string{deadNode})
 		a.publishRSet(p, e)
 	}
@@ -600,8 +609,8 @@ func (a *App) siteOf(node string) string {
 }
 
 // publishRSet mirrors the entry's current set into the installation
-// directory, where the shell's "replicas" command (and foreign tooling)
-// reads it.
+// directory's registry (nas.Directory.ReplicaSets); the shell's
+// "replicas" command reads App.ReplicaSets instead.
 func (a *App) publishRSet(p sched.Proc, e *objEntry) {
 	a.mu.Lock()
 	set := e.rset()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"sync"
@@ -71,7 +72,7 @@ type hostedObj struct {
 	// same state under the same version and crash replay can merge the
 	// media by max-Ver.
 	durable  bool
-	durReads map[string]bool // methods that do not mutate state
+	durReads []string // methods that do not mutate state (readList form)
 	durVer   uint64
 }
 
@@ -336,7 +337,7 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 			return invokeResp{}, errors.New(errObjMoved)
 		}
 	}
-	write := rs == nil || !rs.reads[req.Method]
+	write := rs == nil || !slices.Contains(rs.reads, req.Method)
 	// A write on a replicated primary holds the fan lock across
 	// execution and propagation: writes serialize with each other, and
 	// the state shipped to replicas is a consistent post-write snapshot
@@ -348,7 +349,7 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 	// A state-changing invocation on a durable object is WAL-logged
 	// before the ack; declared reads (durable or replica policy) skip
 	// the log.
-	durWrite := write && rt.dur != nil && h.durable && !h.durReads[req.Method]
+	durWrite := write && rt.dur != nil && h.durable && !slices.Contains(h.durReads, req.Method)
 	// A write clears the shipped image before it executes: under the fan
 	// lock below, or here if it runs without it (a primary with no
 	// peers), so a renewal or snapshot meanwhile encodes afresh.
@@ -357,7 +358,7 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 	}
 	var rset replica.Set
 	if rs != nil && len(rs.peers) > 0 {
-		rset = rs.setSnapshot(rt.Node())
+		rset = replica.Set{Primary: rt.Node(), Replicas: rs.peers, Mode: rs.mode, Lease: rs.lease, Reads: rs.reads}
 	}
 	h.executing++
 	if ranked {
@@ -507,7 +508,7 @@ func (rt *Runtime) migrateOut(p sched.Proc, req migrateOutReq) error {
 	rt.mu.Lock()
 	if rt.dur != nil && h.durable {
 		mreq.Durable = true
-		mreq.DurReads = sortedMethods(h.durReads)
+		mreq.DurReads = h.durReads
 		tombVer = h.durVer + 1
 		mreq.DurVer = h.durVer + 2
 	}
@@ -553,7 +554,7 @@ func (rt *Runtime) migrateIn(_ sched.Proc, req migrateInReq) error {
 	ho := &hostedObj{ref: req.Ref, instance: inst}
 	if req.Durable {
 		ho.durable = true
-		ho.durReads = methodSet(req.DurReads)
+		ho.durReads = readList(req.DurReads)
 		ho.durVer = req.DurVer
 	}
 	rt.mu.Lock()
@@ -665,7 +666,7 @@ func (rt *Runtime) persist(p sched.Proc, req storeReq) (string, error) {
 	// object to a single copy.
 	rt.mu.Lock()
 	if rs := h.repl; rs != nil && !rs.isReplica && len(rs.peers) > 0 {
-		rec.Replica = rs.policySnapshot()
+		rec.Replica = &replica.Policy{N: len(rs.peers), Mode: rs.mode, Lease: rs.lease, Reads: rs.reads, MinSync: rs.minSync}
 	}
 	rt.mu.Unlock()
 	if err := rt.world.storage.Put(k, rec); err != nil {
@@ -912,7 +913,7 @@ func (rt *Runtime) invokeSync(p sched.Proc, sr *spanRec, r route, args []any) (a
 				avoid = make(map[string]bool)
 			}
 			avoid[target] = true
-			if len(avoid) < len(r.set.Members()) {
+			if len(avoid) < 1+len(r.set.Replicas) { // the primary and its replicas
 				wait = false
 			} else {
 				avoid = nil

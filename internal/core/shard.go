@@ -17,6 +17,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -97,7 +98,7 @@ type ShardGroup struct {
 	ring       *shard.Ring
 	shards     map[string]*Object // shard name -> object handle
 	seq        int                // next shard index (names survive removals)
-	reads      map[string]bool
+	reads      []string
 	flights    map[string]*flight      // in-flight coalescible reads
 	heat       map[string]*heat.Sketch // shard name -> per-key heat sketch
 	heatSeries map[string]bool         // js_shard_key_heat series the last PublishHeat left alive
@@ -169,7 +170,7 @@ func newShardGroup(a *App, name, class string, spec ShardSpec) *ShardGroup {
 		app: a, name: name, class: class, spec: spec,
 		ring:    shard.New(shard.DefaultVnodes),
 		shards:  make(map[string]*Object),
-		reads:   methodSet(spec.Reads),
+		reads:   readList(spec.Reads),
 		flights: make(map[string]*flight),
 		heat:    make(map[string]*heat.Sketch),
 
@@ -337,7 +338,7 @@ func (g *ShardGroup) InvokeClass(p sched.Proc, class, key, method string, args .
 	g.mu.Lock()
 	owner := g.ring.Owner(key)
 	obj := g.shards[owner]
-	isRead := g.reads[method]
+	isRead := slices.Contains(g.reads, method)
 	if sk := g.heat[owner]; sk != nil {
 		sk.Touch(key)
 	}
@@ -608,7 +609,7 @@ func (g *ShardGroup) Info() ShardGroupInfo {
 			si.Node, _ = o.NodeName()
 			if e, err := o.app.entry(o.id); err == nil {
 				o.app.mu.Lock()
-				si.Replicas = append([]string(nil), e.replicas...)
+				si.Replicas = e.replicas
 				o.app.mu.Unlock()
 			}
 		}

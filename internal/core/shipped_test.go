@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -79,6 +81,12 @@ func checkShipped(t *testing.T, w *World, step string) int {
 // fails after mutating, a write in flight across a peer drop and
 // repair, a partition that forces zero-delivery rollback, promotion and
 // migration.
+// After every step it also hands out each object's replica set from
+// the AppOA's table (App.route, App.locate) and from the primary
+// (invokeResp.RSet), and checks that every set handed out so far still
+// equals a deep copy taken when it was handed out: the sets share their
+// slices with the state they were built from, which is replaced whole
+// and never written in place.
 func TestReplicaShippedImageProperty(t *testing.T) {
 	reg := testRegistry()
 	reg.Register("Tally", 4096, func() any { return &Tally{} })
@@ -174,6 +182,40 @@ func TestReplicaShippedImageProperty(t *testing.T) {
 				}
 			}
 			return in
+		}
+		// handed keeps every replica set handed out so far, beside a deep
+		// copy taken when it was handed out.
+		type handedSet struct {
+			from      string
+			set, copy replica.Set
+		}
+		var handed []handedSet
+		keep := func(from string, set replica.Set) {
+			c := set
+			c.Replicas, c.Reads = slices.Clone(set.Replicas), slices.Clone(set.Reads)
+			handed = append(handed, handedSet{from, set, c})
+		}
+		// handOut samples o's set from the three places that hand it out.
+		handOut := func(step string, o *Object) {
+			r, err := a.route(o.id)
+			must(step, err)
+			keep(step+": route", r.set)
+			resp, err := a.locate(p, locateReq{ID: o.id})
+			must(step, err)
+			keep(step+": locate", resp.RSet)
+			loc, rt, _ := primary(o)
+			ref, _ := o.Ref()
+			// A primary that has no peer left answers without a set.
+			if got, err := rt.invoke(p, invokeReq{App: ref.App, ID: ref.ID, Method: "Get", Args: []any{"k0"}}); err == nil {
+				keep(step+": invoke on "+loc, got.RSet)
+			}
+		}
+		checkHanded := func(step string) {
+			for _, h := range handed {
+				if !reflect.DeepEqual(h.set, h.copy) {
+					t.Errorf("%s: the set handed out at %s changed after it left: %+v, was %+v", step, h.from, h.set, h.copy)
+				}
+			}
 		}
 		seq := 0
 		next := func() (string, int) { seq++; return fmt.Sprintf("k%d", rng.Intn(40)), seq }
@@ -332,6 +374,10 @@ func TestReplicaShippedImageProperty(t *testing.T) {
 				must(step, o.Migrate(p, vn, nil))
 			}
 			check(step)
+			for _, o := range objs {
+				handOut(step, o)
+			}
+			checkHanded(step)
 		}
 		if aborts := w.Metrics().Counter("js_replica_write_aborts_total").Value(); aborts == 0 {
 			t.Error("no write was rolled back")
@@ -342,6 +388,6 @@ func TestReplicaShippedImageProperty(t *testing.T) {
 		if kept < len(schedule) {
 			t.Errorf("a shipped image was kept %d times over %d steps: the property was barely exercised", kept, len(schedule))
 		}
-		t.Logf("%d steps, a shipped image kept %d times", len(schedule), kept)
+		t.Logf("%d steps, a shipped image kept %d times, %d replica sets handed out", len(schedule), kept, len(handed))
 	})
 }

@@ -386,7 +386,7 @@ func (w *World) Metrics() *metrics.Registry { return w.reg }
 // copy.  ok is false when no routable member remains (the caller then
 // falls back to the primary location it already has).
 func (w *World) routeRead(key, origin string, set replica.Set, avoid map[string]bool) (string, bool) {
-	return w.router.Pick(key, origin, set.Members(), avoid, w.metric)
+	return w.router.Pick(key, origin, set, avoid, w.metric)
 }
 
 // replicaMetric adapts the fabric and the directory to the router's view

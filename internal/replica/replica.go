@@ -146,7 +146,9 @@ func (p Policy) String() string {
 // Set is the materialized replica set of one object: where the primary
 // and the replicas currently live, plus the routing-relevant slice of
 // the policy.  Sets cross the wire (directory registration, locate
-// responses), so all fields are exported.
+// responses), so all fields are exported.  A Set handed out shares its
+// slices with the state it was built from, which replaces them whole
+// and never writes them in place; a holder must not write them either.
 type Set struct {
 	Primary  string        // node hosting the writable copy
 	Replicas []string      // nodes hosting read replicas (sorted)
@@ -157,16 +159,6 @@ type Set struct {
 
 // Empty reports whether the set describes an unreplicated object.
 func (s Set) Empty() bool { return len(s.Replicas) == 0 }
-
-// Members returns primary plus replicas, primary first, replicas in
-// their stored (sorted) order.
-func (s Set) Members() []string {
-	out := make([]string, 0, len(s.Replicas)+1)
-	if s.Primary != "" {
-		out = append(out, s.Primary)
-	}
-	return append(out, s.Replicas...)
-}
 
 // IsRead reports whether method is declared read-only by the set.
 func (s Set) IsRead(method string) bool {

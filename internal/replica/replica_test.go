@@ -30,11 +30,29 @@ func TestPolicyDefaultsAndValidate(t *testing.T) {
 	}
 }
 
+// members returns a Set whose members are nodes: the first is the
+// primary, the rest its replicas.
+func members(nodes ...string) Set {
+	if len(nodes) == 0 {
+		return Set{}
+	}
+	return Set{Primary: nodes[0], Replicas: nodes[1:]}
+}
+
 func TestSetMembers(t *testing.T) {
+	// The members a router picks among are the primary and the replicas.
 	s := Set{Primary: "node01", Replicas: []string{"node02", "node03"}, Reads: []string{"Get"}}
-	want := []string{"node01", "node02", "node03"}
-	if got := s.Members(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Members() = %v, want %v", got, want)
+	r := NewRouter()
+	var got []string
+	for i := 0; i < 3; i++ {
+		n, _ := r.Pick("k", "o", s, nil, Metric{})
+		got = append(got, n)
+	}
+	if want := []string{"node01", "node02", "node03"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("members picked = %v, want %v", got, want)
+	}
+	if n, ok := r.Pick("k", "o", Set{Replicas: []string{"node02"}}, nil, Metric{}); !ok || n != "node02" {
+		t.Fatalf("a set without a primary picked %q ok=%v, want node02", n, ok)
 	}
 	if s.Empty() || !(Set{}).Empty() {
 		t.Fatal("Empty misreports")
@@ -72,7 +90,7 @@ func TestRouterNearestWins(t *testing.T) {
 	m := Metric{Latency: func(_, to string) time.Duration { return lat[to] }}
 	r := NewRouter()
 	for i := 0; i < 5; i++ {
-		got, ok := r.Pick("k", "origin", []string{"far", "near"}, nil, m)
+		got, ok := r.Pick("k", "origin", members("far", "near"), nil, m)
 		if !ok || got != "near" {
 			t.Fatalf("pick %d = %q ok=%v, want near", i, got, ok)
 		}
@@ -85,7 +103,7 @@ func TestRouterRoundRobinInNearestBucket(t *testing.T) {
 	r := NewRouter()
 	var got []string
 	for i := 0; i < 6; i++ {
-		n, ok := r.Pick("obj", "o", []string{"b", "c", "a"}, nil, Metric{})
+		n, ok := r.Pick("obj", "o", members("b", "c", "a"), nil, Metric{})
 		if !ok {
 			t.Fatal("no pick")
 		}
@@ -96,7 +114,7 @@ func TestRouterRoundRobinInNearestBucket(t *testing.T) {
 		t.Fatalf("rotation = %v, want %v", got, want)
 	}
 	// Independent keys rotate independently.
-	if n, _ := r.Pick("other", "o", []string{"b", "c", "a"}, nil, Metric{}); n != "a" {
+	if n, _ := r.Pick("other", "o", members("b", "c", "a"), nil, Metric{}); n != "a" {
 		t.Fatalf("fresh key starts at %q, want a", n)
 	}
 }
@@ -105,15 +123,15 @@ func TestRouterFilters(t *testing.T) {
 	alive := map[string]bool{"a": true, "b": true, "c": false}
 	m := Metric{Alive: func(n string) bool { return alive[n] }}
 	r := NewRouter()
-	n, ok := r.Pick("k", "o", []string{"a", "b", "c"}, map[string]bool{"a": true}, m)
+	n, ok := r.Pick("k", "o", members("a", "b", "c"), map[string]bool{"a": true}, m)
 	if !ok || n != "b" {
 		t.Fatalf("pick = %q ok=%v, want b (a avoided, c dead)", n, ok)
 	}
-	if _, ok := r.Pick("k", "o", []string{"c"}, nil, m); ok {
+	if _, ok := r.Pick("k", "o", members("c"), nil, m); ok {
 		t.Fatal("picked a dead node")
 	}
-	if _, ok := r.Pick("k", "o", nil, nil, m); ok {
-		t.Fatal("picked from empty candidates")
+	if _, ok := r.Pick("k", "o", Set{}, nil, m); ok {
+		t.Fatal("picked from an empty set")
 	}
 }
 
@@ -123,7 +141,7 @@ func TestRouterBandwidthTieBreak(t *testing.T) {
 	bw := map[string]float64{"thin": 1e6, "fat": 1e9}
 	m := Metric{Bandwidth: func(_, to string) float64 { return bw[to] }}
 	r := NewRouter()
-	if n, _ := r.Pick("k", "o", []string{"thin", "fat"}, nil, m); n != "fat" {
+	if n, _ := r.Pick("k", "o", members("thin", "fat"), nil, m); n != "fat" {
 		t.Fatalf("first pick = %q, want fat", n)
 	}
 }

@@ -31,18 +31,22 @@ type Router struct {
 // NewRouter returns an empty router.
 func NewRouter() *Router { return &Router{rr: make(map[string]uint64)} }
 
-// Pick chooses a read target for key (one object = one key) among
-// candidates, as seen from origin.  Nodes in avoid (may be nil) and
-// nodes the metric reports dead are skipped.  ok is false when nothing
-// survives the filters.
-func (r *Router) Pick(key, origin string, candidates []string, avoid map[string]bool, m Metric) (node string, ok bool) {
+// Pick chooses a read target for key (one object = one key) among the
+// members of set, its primary and its replicas, as seen from origin.
+// Nodes in avoid (may be nil) and nodes the metric reports dead are
+// skipped.  ok is false when nothing survives the filters.
+func (r *Router) Pick(key, origin string, set Set, avoid map[string]bool, m Metric) (node string, ok bool) {
 	type cand struct {
 		name string
 		lat  time.Duration
 		bw   float64
 	}
-	live := make([]cand, 0, len(candidates))
-	for _, c := range candidates {
+	live := make([]cand, 0, 1+len(set.Replicas))
+	for i := -1; i < len(set.Replicas); i++ {
+		c := set.Primary
+		if i >= 0 {
+			c = set.Replicas[i]
+		}
 		if c == "" || avoid[c] {
 			continue
 		}

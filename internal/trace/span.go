@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -131,21 +130,12 @@ func (s Span) String() string {
 // retention discipline.  NextID is safe to call from any proc; Record
 // stamps nothing — the caller owns the whole span.
 type SpanLog struct {
-	mu    sync.Mutex
-	cap   int
-	ring  []Span
-	next  int
-	count int
-	ids   atomic.Uint64
+	ring[Span]
+	ids atomic.Uint64
 }
 
 // NewSpanLog returns a span log retaining the last cap spans.
-func NewSpanLog(cap int) *SpanLog {
-	if cap < 1 {
-		cap = 1
-	}
-	return &SpanLog{cap: cap, ring: make([]Span, cap)}
-}
+func NewSpanLog(cap int) *SpanLog { return &SpanLog{ring: newRing[Span](cap)} }
 
 // NextID allocates a fresh span id (never 0).
 func (l *SpanLog) NextID() uint64 { return l.ids.Add(1) }
@@ -154,26 +144,7 @@ func (l *SpanLog) NextID() uint64 { return l.ids.Add(1) }
 func (l *SpanLog) Record(s Span) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.ring[l.next] = s
-	l.next = (l.next + 1) % l.cap
-	if l.count < l.cap {
-		l.count++
-	}
-}
-
-// collect walks the ring oldest-first under one lock acquisition.
-func (l *SpanLog) collect(match func(*Span) bool) []Span {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Span
-	start := l.next - l.count
-	for i := 0; i < l.count; i++ {
-		s := &l.ring[((start+i)%l.cap+l.cap)%l.cap]
-		if match == nil || match(s) {
-			out = append(out, *s)
-		}
-	}
-	return out
+	*l.push() = s
 }
 
 // Spans returns the retained spans oldest-first.
@@ -187,13 +158,6 @@ func (l *SpanLog) ForApp(app string) []Span {
 // ForObject returns retained spans for one object.
 func (l *SpanLog) ForObject(app string, obj uint64) []Span {
 	return l.collect(func(s *Span) bool { return s.App == app && s.Obj == obj })
-}
-
-// Len reports the number of retained spans.
-func (l *SpanLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.count
 }
 
 // DefaultSpanDepth is the number of spans a world retains.

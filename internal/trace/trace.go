@@ -95,23 +95,68 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// Log is a bounded ring of events.
-type Log struct {
+// ring is the bounded buffer behind Log and SpanLog: it retains the
+// last cap items pushed into it and walks them oldest-first.
+type ring[T any] struct {
 	mu    sync.Mutex
 	cap   int
-	ring  []Event
+	buf   []T
 	next  int
 	count int
-	seq   uint64
 }
 
-// NewLog returns a log retaining the last cap events.
-func NewLog(cap int) *Log {
+func newRing[T any](cap int) ring[T] {
 	if cap < 1 {
 		cap = 1
 	}
-	return &Log{cap: cap, ring: make([]Event, cap)}
+	return ring[T]{cap: cap, buf: make([]T, cap)}
 }
+
+// push returns the slot the newest item goes in, which holds the oldest
+// once the ring is full.  The caller stores into it in place: a span
+// passed through by value would be copied twice.  Caller holds r.mu.
+func (r *ring[T]) push() *T {
+	slot := &r.buf[r.next]
+	r.next = (r.next + 1) % r.cap
+	if r.count < r.cap {
+		r.count++
+	}
+	return slot
+}
+
+// collect walks the ring oldest-first under one lock acquisition and
+// returns the items accepted by match (nil matches everything).
+// Selective queries like Filter and ForObject avoid copying the whole
+// ring into an intermediate slice just to discard most of it.
+func (r *ring[T]) collect(match func(*T) bool) []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []T
+	start := r.next - r.count + r.cap
+	for i := 0; i < r.count; i++ {
+		v := &r.buf[(start+i)%r.cap]
+		if match == nil || match(v) {
+			out = append(out, *v)
+		}
+	}
+	return out
+}
+
+// Len reports the number of retained items.
+func (r *ring[T]) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.count
+}
+
+// Log is a bounded ring of events.
+type Log struct {
+	ring[Event]
+	seq uint64
+}
+
+// NewLog returns a log retaining the last cap events.
+func NewLog(cap int) *Log { return &Log{ring: newRing[Event](cap)} }
 
 // Emit records an event, stamping sequence number and keeping the ring
 // bounded.
@@ -120,29 +165,7 @@ func (l *Log) Emit(e Event) {
 	defer l.mu.Unlock()
 	l.seq++
 	e.Seq = l.seq
-	l.ring[l.next] = e
-	l.next = (l.next + 1) % l.cap
-	if l.count < l.cap {
-		l.count++
-	}
-}
-
-// collect walks the ring oldest-first under one lock acquisition and
-// returns the events accepted by match (nil matches everything).
-// Selective queries like Filter and ForObject avoid copying the whole
-// ring into an intermediate slice just to discard most of it.
-func (l *Log) collect(match func(*Event) bool) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Event
-	start := l.next - l.count
-	for i := 0; i < l.count; i++ {
-		e := &l.ring[((start+i)%l.cap+l.cap)%l.cap]
-		if match == nil || match(e) {
-			out = append(out, *e)
-		}
-	}
-	return out
+	*l.push() = e
 }
 
 // Events returns the retained events oldest-first.
@@ -153,13 +176,6 @@ func (l *Log) Events() []Event {
 // Filter returns retained events of one kind, oldest-first.
 func (l *Log) Filter(kind Kind) []Event {
 	return l.collect(func(e *Event) bool { return e.Kind == kind })
-}
-
-// Len reports the number of retained events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.count
 }
 
 // String renders the whole retained log.
