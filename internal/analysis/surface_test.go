@@ -52,6 +52,7 @@ var keptUncalled = func() map[string]string {
 		"internal/analysis/analysistest.Run":  "fixture harness: the analyzers' tests are its callers by design",
 		"internal/codebase.Registry.Names":    "observation hook: the codec round-trip test walks every registered class through it",
 		"internal/nas.Directory.ReplicaSets":  "observation hook: the replica and restore tests check the directory's mirror of each set (ROADMAP item 8)",
+		"internal/params.Count":               "observation hook: the catalog and sampler tests check the paper's \"close to 40\" parameters (§5.1) and that a sample covers them all",
 		"internal/core.Runtime.Instance":      "observation hook: the chaos determinism tests compare hosted state across twin runs",
 		"internal/core.ShardGroup.Object":     "observation hook: the restore conformance tests reach a shard's member object through it",
 		"internal/metrics.Snapshot.WriteJSON": "documented exporter (README, DESIGN.md §5); the twin-run tests compare its bytes",

@@ -332,7 +332,7 @@ func (a *App) componentSnapshot(p sched.Proc, comp virtarch.Component) (params.S
 	// Fallback: average fresh per-node snapshots.
 	names := comp.NodeNames()
 	if len(names) == 0 {
-		return nil, errors.New("core: component has no nodes")
+		return params.Snapshot{}, errors.New("core: component has no nodes")
 	}
 	var snaps []params.Snapshot
 	for _, n := range names {
@@ -343,7 +343,7 @@ func (a *App) componentSnapshot(p sched.Proc, comp virtarch.Component) (params.S
 		snaps = append(snaps, snap)
 	}
 	if len(snaps) == 0 {
-		return nil, errors.New("core: no component node responded")
+		return params.Snapshot{}, errors.New("core: no component node responded")
 	}
 	return params.Average(snaps...), nil
 }

@@ -69,7 +69,8 @@ func TestHierarchyGolden(t *testing.T) {
 				agg, ok := w.MustRuntime(mgr).Agent().Agg(k)
 				fmt.Fprintf(&got, "agg %s %v:", k, ok)
 				for _, id := range agg.IDs() {
-					fmt.Fprintf(&got, " %s=%s", id, agg[id])
+					v, _ := agg.Get(id)
+					fmt.Fprintf(&got, " %s=%s", id, v)
 				}
 				got.WriteByte('\n')
 			}

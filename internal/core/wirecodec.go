@@ -76,7 +76,7 @@ func init() {
 	for _, w := range wireTypes {
 		rmi.RegisterWire(w.tag, w.v)
 	}
-	for _, v := range []any{[]Ref(nil), params.Snapshot(nil)} {
+	for _, v := range []any{[]Ref(nil), params.Snapshot{}} {
 		rmi.RegisterType(v)
 	}
 }

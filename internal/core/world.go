@@ -168,18 +168,17 @@ func NewTCPWorld(nodeNames []string, opt Options) *World {
 
 // synthSampler fabricates plausible static metrics for real-time worlds.
 func synthSampler(name string, i int) *nas.SynthSampler {
-	snap := params.Snapshot{
-		params.NodeName:   params.Text(name),
-		params.OSName:     params.Text("linux"),
-		params.ArchType:   params.Text("amd64"),
-		params.Idle:       params.Float(95),
-		params.CPUSysLoad: params.Float(2),
-		params.AvailMem:   params.Float(1024),
-		params.TotalMem:   params.Float(2048),
-		params.SwapRatio:  params.Float(0.05),
-		params.PeakMFlops: params.Float(1000 + float64(i)),
-		params.PeakBandwd: params.Float(1000),
-	}
+	snap := params.NewSnapshot()
+	snap.SetText(params.NodeName, name)
+	snap.SetText(params.OSName, "linux")
+	snap.SetText(params.ArchType, "amd64")
+	snap.SetFloat(params.Idle, 95)
+	snap.SetFloat(params.CPUSysLoad, 2)
+	snap.SetFloat(params.AvailMem, 1024)
+	snap.SetFloat(params.TotalMem, 2048)
+	snap.SetFloat(params.SwapRatio, 0.05)
+	snap.SetFloat(params.PeakMFlops, 1000+float64(i))
+	snap.SetFloat(params.PeakBandwd, 1000)
 	return nas.NewSynthSampler(snap)
 }
 

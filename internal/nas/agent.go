@@ -190,7 +190,7 @@ func (a *Agent) Agg(component string) (params.Snapshot, bool) {
 	defer a.mu.Unlock()
 	s, ok := a.aggs[component]
 	if !ok {
-		return nil, false
+		return params.Snapshot{}, false
 	}
 	return s.Clone(), true
 }
@@ -246,16 +246,16 @@ func (a *Agent) FetchAgg(p sched.Proc, node, component string) (params.Snapshot,
 	if node == a.Node() {
 		snap, ok := a.Agg(component)
 		if !ok {
-			return nil, fmt.Errorf("nas: no aggregate for %q on %s", component, node)
+			return params.Snapshot{}, fmt.Errorf("nas: no aggregate for %q on %s", component, node)
 		}
 		return snap, nil
 	}
 	m, err := rmi.Ask[aggMsg](p, a.st, node, AgentService, "getAgg", component, a.cfg.CallTimeout)
 	if err != nil {
-		return nil, err
+		return params.Snapshot{}, err
 	}
 	if !m.OK {
-		return nil, fmt.Errorf("nas: no aggregate for %q on %s", component, node)
+		return params.Snapshot{}, fmt.Errorf("nas: no aggregate for %q on %s", component, node)
 	}
 	return m.Snap, nil
 }

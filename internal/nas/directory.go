@@ -158,7 +158,7 @@ func (d *Directory) Snapshot(node string) (params.Snapshot, bool) {
 	defer d.mu.Unlock()
 	e, ok := d.entries[node]
 	if !ok {
-		return nil, false
+		return params.Snapshot{}, false
 	}
 	return e.snap.Clone(), true
 }

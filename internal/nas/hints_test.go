@@ -19,7 +19,7 @@ func benchDir() *Directory {
 	d := &Directory{cfg: Config{}.withDefaults(),
 		entries: make(map[string]*dirEntry), rsets: make(map[string]RSetInfo)}
 	add := func(name string, idle, peak float64, reserved int) {
-		snap := params.Snapshot{}
+		snap := params.NewSnapshot()
 		snap.SetText(params.NodeName, name)
 		snap.SetFloat(params.Idle, idle)
 		snap.SetFloat(params.PeakMFlops, peak)
@@ -106,7 +106,7 @@ func TestColocationConstraintForm(t *testing.T) {
 	if len(list) != 1 || list[0].Param != params.NodeName {
 		t.Fatalf("colocation set = %v", list)
 	}
-	snap := params.Snapshot{}
+	snap := params.NewSnapshot()
 	snap.SetText(params.NodeName, "n7")
 	if !c.Eval(snap) {
 		t.Error("colocation constraint rejects its own node")

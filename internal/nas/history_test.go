@@ -17,7 +17,7 @@ func TestHistoryRing(t *testing.T) {
 		t.Fatal("new history not empty")
 	}
 	for i := 1; i <= 5; i++ {
-		h.Add(time.Duration(i)*time.Second, params.Snapshot{params.Idle: params.Float(float64(i * 10))})
+		h.Add(time.Duration(i)*time.Second, snapOf(params.Idle, params.Float(float64(i*10))))
 	}
 	// Capacity 3: entries 3, 4, 5 survive, oldest first.
 	if h.Len() != 3 {
@@ -38,7 +38,7 @@ func TestHistoryRing(t *testing.T) {
 
 func TestHistoryMissingParam(t *testing.T) {
 	h := NewHistory(4)
-	h.Add(time.Second, params.Snapshot{params.NodeName: params.Text("x")})
+	h.Add(time.Second, snapOf(params.NodeName, params.Text("x")))
 	if _, vals := h.Series(params.Idle); len(vals) != 0 {
 		t.Fatal("series found ghost values")
 	}
@@ -52,8 +52,8 @@ func TestHistoryMissingParam(t *testing.T) {
 
 func TestHistoryCapClamp(t *testing.T) {
 	h := NewHistory(0)
-	h.Add(0, params.Snapshot{params.Idle: params.Float(1)})
-	h.Add(0, params.Snapshot{params.Idle: params.Float(2)})
+	h.Add(0, snapOf(params.Idle, params.Float(1)))
+	h.Add(0, snapOf(params.Idle, params.Float(2)))
 	if h.Len() != 1 {
 		t.Fatalf("cap-0 history Len = %d, want 1 (clamped)", h.Len())
 	}
@@ -66,7 +66,7 @@ func TestHistoryOrderProperty(t *testing.T) {
 		cap := int(cap8%16) + 1
 		h := NewHistory(cap)
 		for i, v := range values {
-			h.Add(time.Duration(i), params.Snapshot{params.Idle: params.Float(v)})
+			h.Add(time.Duration(i), snapOf(params.Idle, params.Float(v)))
 		}
 		entries := h.Entries()
 		if len(entries) > cap {

@@ -1,6 +1,7 @@
 package nas
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"jsymphony/internal/metrics"
 	"jsymphony/internal/params"
 	"jsymphony/internal/rmi"
+	"jsymphony/internal/rmi/wire"
 	"jsymphony/internal/sched"
 	"jsymphony/internal/simnet"
 	"jsymphony/internal/vclock"
@@ -99,8 +101,8 @@ func TestAgentSampling(t *testing.T) {
 	w.run(func(p sched.Proc) {
 		p.Sleep(time.Second)
 		snap := w.agents[w.names[1]].Latest()
-		if len(snap) < 40 {
-			t.Errorf("snapshot has %d parameters, want >= 40", len(snap))
+		if len(snap.IDs()) < 40 {
+			t.Errorf("snapshot has %d parameters, want >= 40", len(snap.IDs()))
 		}
 		if v, ok := snap.Get(params.NodeName); !ok || v.Str != w.names[1] {
 			t.Errorf("node.name = %v", v)
@@ -123,8 +125,8 @@ func TestDirectoryCollectsReports(t *testing.T) {
 			t.Fatalf("directory sees %d nodes, want 4: %v", len(nodes), nodes)
 		}
 		snap, ok := w.dir.Snapshot(w.names[2])
-		if !ok || len(snap) < 40 {
-			t.Errorf("directory snapshot for %s: ok=%v len=%d", w.names[2], ok, len(snap))
+		if !ok || len(snap.IDs()) < 40 {
+			t.Errorf("directory snapshot for %s: ok=%v len=%d", w.names[2], ok, len(snap.IDs()))
 		}
 	})
 }
@@ -259,8 +261,8 @@ func TestFetchSnapshotAndPing(t *testing.T) {
 		p.Sleep(500 * time.Millisecond)
 		ag := w.agents[w.names[0]]
 		snap, err := ag.FetchSnapshot(p, w.names[1])
-		if err != nil || len(snap) < 40 {
-			t.Fatalf("fetch: %v len=%d", err, len(snap))
+		if err != nil || len(snap.IDs()) < 40 {
+			t.Fatalf("fetch: %v len=%d", err, len(snap.IDs()))
 		}
 		if !ag.Ping(p, w.names[1]) || !ag.Ping(p, w.names[0]) {
 			t.Error("ping of live nodes failed")
@@ -512,11 +514,7 @@ func TestRealTimeSmoke(t *testing.T) {
 		if n == "alpha" {
 			dir = NewDirectory(st, cfg, metrics.NewRegistry())
 		}
-		snap := params.Snapshot{
-			params.NodeName:   params.Text(n),
-			params.Idle:       params.Float(float64(50 + 10*i)),
-			params.PeakMFlops: params.Float(float64(100 * (i + 1))),
-		}
+		snap := snapOf(params.NodeName, params.Text(n), params.Idle, params.Float(float64(50+10*i)), params.PeakMFlops, params.Float(float64(100*(i+1))))
 		agents[n] = NewAgent(st, NewSynthSampler(snap), cfg, "alpha")
 	}
 	for _, st := range stations {
@@ -570,8 +568,8 @@ func TestSimSamplerFullCatalog(t *testing.T) {
 	fab := simnet.New(clk, simnet.PaperCluster(), simnet.Day, 3)
 	s := SimSampler{M: fab.Machine(0)}
 	snap := s.Sample(time.Second)
-	if len(snap) != params.Count() {
-		t.Errorf("SimSampler reports %d parameters, the catalog has %d", len(snap), params.Count())
+	if len(snap.IDs()) != params.Count() {
+		t.Errorf("SimSampler reports %d parameters, the catalog has %d", len(snap.IDs()), params.Count())
 	}
 	for _, id := range snap.IDs() {
 		if !params.IsValid(id) {
@@ -584,7 +582,7 @@ func TestSimSamplerFullCatalog(t *testing.T) {
 }
 
 func TestSynthSamplerSampleCopies(t *testing.T) {
-	sp := NewSynthSampler(params.Snapshot{params.Idle: params.Float(90)})
+	sp := NewSynthSampler(snapOf(params.Idle, params.Float(90)))
 	sp.Sample(0).SetFloat(params.Idle, 0)
 	if v, _ := sp.Sample(0).Get(params.Idle); v.Num != 90 {
 		t.Fatal("Sample returned shared snapshot")
@@ -649,7 +647,7 @@ func BenchmarkHierarchyRoundVirtual(b *testing.B) {
 // TestMessagesRoundTrip: every NAS body and the snapshot inside it come
 // back DeepEqual through rmi.Marshal/Unmarshal.
 func TestMessagesRoundTrip(t *testing.T) {
-	snap := params.Snapshot{"idle": params.Float(50), "name": params.Text("milena"), "cpus": params.Int(4)}
+	snap := snapOf(params.Idle, params.Float(50), params.NodeName, params.Text("milena"), params.NumCPUs, params.Int(4))
 	for _, in := range []any{
 		snap,
 		reportMsg{Node: "n1", Snap: snap},
@@ -671,4 +669,54 @@ func TestMessagesRoundTrip(t *testing.T) {
 			t.Errorf("%T round trip:\n in  %+v\n out %+v", in, in, out.Elem().Interface())
 		}
 	}
+
+	// A snapshot carries only cataloged parameters, each of its
+	// catalog kind: any other entry fails the decode as a codec error,
+	// alone or inside a report.
+	entry := func(id string, kind int64, str string) []byte {
+		b := wire.AppendUvarint(nil, 1)
+		b = wire.AppendString(b, id)
+		b = wire.AppendVarint(b, kind)
+		b = wire.AppendFloat64(b, 1)
+		return wire.AppendString(b, str)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"unknown parameter", entry("no.such.parameter", int64(params.Number), "")},
+		{"string in a numeric parameter", entry(string(params.Idle), int64(params.String), "high")},
+		{"number in a string parameter", entry(string(params.NodeName), int64(params.Number), "")},
+		{"kind outside the domain", entry(string(params.Idle), 7, "")},
+	} {
+		if err := rmi.Unmarshal(namedBody("params.Snapshot", c.payload), new(params.Snapshot)); !errors.Is(err, rmi.ErrCodec) {
+			t.Errorf("%s: snapshot decode = %v, want ErrCodec", c.name, err)
+		}
+		report := append(wire.AppendString(nil, "n1"), c.payload...)
+		if err := rmi.Unmarshal(namedBody("nas.reportMsg", report), new(reportMsg)); !errors.Is(err, rmi.ErrCodec) {
+			t.Errorf("%s: report decode = %v, want ErrCodec", c.name, err)
+		}
+	}
+}
+
+// namedBody frames a layout payload as rmi.Marshal frames a value of the
+// named type: the value format, the named-value tag, the name, then the
+// length-prefixed payload.
+func namedBody(name string, payload []byte) []byte {
+	b := append([]byte(nil), rmi.MustMarshal(params.Snapshot{})[:2]...)
+	return wire.AppendBytes(wire.AppendString(b, name), payload)
+}
+
+// snapOf builds a snapshot from id, value pairs.
+func snapOf(pairs ...any) params.Snapshot {
+	s := params.NewSnapshot()
+	for i := 0; i < len(pairs); i += 2 {
+		id, v := pairs[i].(params.ID), pairs[i+1].(params.Value)
+		if v.Kind == params.String {
+			s.SetText(id, v.Str)
+		} else {
+			s.SetFloat(id, v.Num)
+		}
+	}
+	return s
 }

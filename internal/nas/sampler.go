@@ -41,11 +41,11 @@ func (s SimSampler) Alive() bool { return s.M.Alive() }
 func (s SimSampler) Sample(now time.Duration) params.Snapshot {
 	spec := s.M.Spec()
 	d := s.M.Snapshot(vclock.Time(now))
-	snap := make(params.Snapshot, params.Count())
+	snap := params.NewSnapshot()
 
 	// Static.
 	snap.SetText(params.NodeName, spec.Name)
-	snap.SetText(params.IPAddress, "10.0.0."+itoa(s.M.Index()+1))
+	snap.SetText(params.IPAddress, ipAddr(s.M.Index()))
 	snap.SetText(params.OSName, "SunOS")
 	snap.SetText(params.OSVersion, spec.OS)
 	snap.SetText(params.ArchType, spec.Arch)
@@ -102,6 +102,23 @@ func (s SimSampler) Sample(now time.Duration) params.Snapshot {
 	snap.SetFloat(params.JSApps, 0)
 	snap.SetFloat(params.RMIRate, 0)
 	return snap
+}
+
+// ipAddrs are the first 255 machines' addresses, built once so that a
+// sample allocates only its snapshot.
+var ipAddrs = func() (ips [255]string) {
+	for i := range ips {
+		ips[i] = "10.0.0." + itoa(i+1)
+	}
+	return ips
+}()
+
+// ipAddr is machine i's address.
+func ipAddr(i int) string {
+	if i < len(ipAddrs) {
+		return ipAddrs[i]
+	}
+	return "10.0.0." + itoa(i+1)
 }
 
 func netType(mbps float64) string {

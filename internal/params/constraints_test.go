@@ -29,13 +29,7 @@ func paperConstraints(t *testing.T) *Constraints {
 }
 
 func goodSnapshot() Snapshot {
-	return Snapshot{
-		NodeName:   Text("rachel"),
-		CPUSysLoad: Float(5),
-		Idle:       Float(80),
-		AvailMem:   Float(128),
-		SwapRatio:  Float(0.1),
-	}
+	return snapOf(NodeName, Text("rachel"), CPUSysLoad, Float(5), Idle, Float(80), AvailMem, Float(128), SwapRatio, Float(0.1))
 }
 
 func TestPaperExample(t *testing.T) {
@@ -176,7 +170,7 @@ func TestAndIsConjunctionProperty(t *testing.T) {
 	f := func(idleMin, memMin, idle, mem float64) bool {
 		a := NewConstraints().MustSet(Idle, ">=", idleMin)
 		b := NewConstraints().MustSet(AvailMem, ">=", memMin)
-		s := Snapshot{Idle: Float(idle), AvailMem: Float(mem)}
+		s := snapOf(Idle, Float(idle), AvailMem, Float(mem))
 		return a.And(b).Eval(s) == (a.Eval(s) && b.Eval(s))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {

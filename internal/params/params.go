@@ -91,84 +91,91 @@ const (
 	Dynamic              // periodically re-sampled by network agents
 )
 
-// Info is the catalog metadata for one parameter.
+// Info is the catalog metadata for one parameter.  Units and
+// descriptions are the comments of the constant blocks above.
 type Info struct {
 	ID    ID
 	Kind  Kind
 	Class Class
-	Unit  string // human-readable unit, empty for strings
-	Doc   string // one-line description
 }
 
 // catalog holds the authoritative parameter table.  Order is stable and
-// mirrors the constant blocks above.
-var catalog = []Info{
-	{NodeName, String, Static, "", "machine host name"},
-	{IPAddress, String, Static, "", "primary IP address"},
-	{OSName, String, Static, "", "operating system name"},
-	{OSVersion, String, Static, "", "operating system release"},
-	{ArchType, String, Static, "", "architecture family"},
-	{CPUType, String, Static, "", "CPU model"},
-	{CPUClock, Number, Static, "MHz", "CPU clock rate"},
-	{NumCPUs, Number, Static, "", "number of processors"},
-	{PeakMFlops, Number, Static, "MFlop/s", "peak floating point rate"},
-	{TotalMem, Number, Static, "MB", "physical memory"},
-	{TotalSwap, Number, Static, "MB", "swap space"},
-	{NetType, String, Static, "", "network interface type"},
-	{PeakBandwd, Number, Static, "Mbit/s", "nominal link bandwidth"},
-	{RTVersion, String, Static, "", "runtime version"},
-	{JRSVersion, String, Static, "", "JRS software version"},
-	{DiskTotal, Number, Static, "MB", "local disk capacity"},
-	{SiteName, String, Static, "", "administrative site label"},
-	{SitePolicy, String, Static, "", "site usage policy"},
+// mirrors the constant blocks above; a parameter's index here is its
+// ordinal, its slot in a Snapshot, so the static parameters come first.
+var catalog = [...]Info{
+	{NodeName, String, Static},
+	{IPAddress, String, Static},
+	{OSName, String, Static},
+	{OSVersion, String, Static},
+	{ArchType, String, Static},
+	{CPUType, String, Static},
+	{CPUClock, Number, Static},
+	{NumCPUs, Number, Static},
+	{PeakMFlops, Number, Static},
+	{TotalMem, Number, Static},
+	{TotalSwap, Number, Static},
+	{NetType, String, Static},
+	{PeakBandwd, Number, Static},
+	{RTVersion, String, Static},
+	{JRSVersion, String, Static},
+	{DiskTotal, Number, Static},
+	{SiteName, String, Static},
+	{SitePolicy, String, Static},
 
-	{CPUUserLoad, Number, Dynamic, "%", "time in user mode"},
-	{CPUSysLoad, Number, Dynamic, "%", "time in system mode"},
-	{Idle, Number, Dynamic, "%", "idle time"},
-	{LoadAvg1, Number, Dynamic, "", "1-minute load average"},
-	{LoadAvg5, Number, Dynamic, "", "5-minute load average"},
-	{LoadAvg15, Number, Dynamic, "", "15-minute load average"},
-	{RunQueue, Number, Dynamic, "", "run-queue length"},
-	{AvailMem, Number, Dynamic, "MB", "unused physical memory"},
-	{UsedMem, Number, Dynamic, "MB", "used physical memory"},
-	{SwapRatio, Number, Dynamic, "", "used/total swap ratio"},
-	{AvailSwap, Number, Dynamic, "MB", "free swap"},
-	{NumProcesses, Number, Dynamic, "", "number of processes"},
-	{NumThreads, Number, Dynamic, "", "number of threads"},
-	{NumUsers, Number, Dynamic, "", "logged-in users"},
-	{CtxSwitches, Number, Dynamic, "/s", "context switches"},
-	{SysCalls, Number, Dynamic, "/s", "system calls"},
-	{Interrupts, Number, Dynamic, "/s", "interrupts"},
-	{PageIns, Number, Dynamic, "/s", "page-ins"},
-	{PageOuts, Number, Dynamic, "/s", "page-outs"},
-	{NetLatency, Number, Dynamic, "ms", "round-trip latency"},
-	{NetBandwidth, Number, Dynamic, "Mbit/s", "measured bandwidth"},
-	{NetPktsIn, Number, Dynamic, "/s", "packets received"},
-	{NetPktsOut, Number, Dynamic, "/s", "packets sent"},
-	{NetErrors, Number, Dynamic, "/s", "interface errors"},
-	{DiskReads, Number, Dynamic, "/s", "disk reads"},
-	{DiskWrites, Number, Dynamic, "/s", "disk writes"},
-	{DiskAvail, Number, Dynamic, "MB", "free disk space"},
-	{Uptime, Number, Dynamic, "s", "time since boot"},
-	{JSObjects, Number, Dynamic, "", "JavaSymphony objects hosted"},
-	{JSApps, Number, Dynamic, "", "JavaSymphony applications attached"},
-	{RMIRate, Number, Dynamic, "/s", "remote invocations served"},
+	{CPUUserLoad, Number, Dynamic},
+	{CPUSysLoad, Number, Dynamic},
+	{Idle, Number, Dynamic},
+	{LoadAvg1, Number, Dynamic},
+	{LoadAvg5, Number, Dynamic},
+	{LoadAvg15, Number, Dynamic},
+	{RunQueue, Number, Dynamic},
+	{AvailMem, Number, Dynamic},
+	{UsedMem, Number, Dynamic},
+	{SwapRatio, Number, Dynamic},
+	{AvailSwap, Number, Dynamic},
+	{NumProcesses, Number, Dynamic},
+	{NumThreads, Number, Dynamic},
+	{NumUsers, Number, Dynamic},
+	{CtxSwitches, Number, Dynamic},
+	{SysCalls, Number, Dynamic},
+	{Interrupts, Number, Dynamic},
+	{PageIns, Number, Dynamic},
+	{PageOuts, Number, Dynamic},
+	{NetLatency, Number, Dynamic},
+	{NetBandwidth, Number, Dynamic},
+	{NetPktsIn, Number, Dynamic},
+	{NetPktsOut, Number, Dynamic},
+	{NetErrors, Number, Dynamic},
+	{DiskReads, Number, Dynamic},
+	{DiskWrites, Number, Dynamic},
+	{DiskAvail, Number, Dynamic},
+	{Uptime, Number, Dynamic},
+	{JSObjects, Number, Dynamic},
+	{JSApps, Number, Dynamic},
+	{RMIRate, Number, Dynamic},
 }
 
-var byID = func() map[ID]Info {
-	m := make(map[ID]Info, len(catalog))
-	for _, in := range catalog {
+// nParams is the catalog size.  A Snapshot's presence bitmap is one
+// uint64, so a catalog of more than 64 parameters does not compile.
+const nParams = len(catalog)
+
+var _ [64 - nParams]struct{}
+
+// byID maps each parameter to its ordinal.
+var byID = func() map[ID]int {
+	m := make(map[ID]int, nParams)
+	for o, in := range &catalog {
 		if _, dup := m[in.ID]; dup {
 			panic(fmt.Sprintf("params: duplicate catalog entry %q", in.ID))
 		}
-		m[in.ID] = in
+		m[in.ID] = o
 	}
 	return m
 }()
 
 // Count reports the catalog size ("close to 40" in the paper; this
 // implementation ships 49).
-func Count() int { return len(catalog) }
+func Count() int { return nParams }
 
 // IsValid reports whether id names a cataloged parameter.
 func IsValid(id ID) bool {

@@ -1,7 +1,9 @@
 package params
 
 import (
-	"sort"
+	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -10,36 +12,86 @@ import (
 // snapshots; managers average them across their children (paper §5.1:
 // "system parameters for clusters, sites, and domains are averaged across
 // the contained nodes").
-type Snapshot map[ID]Value
+//
+// A snapshot is dense: one Value slot per catalog entry, indexed by the
+// parameter's ordinal, and a presence bitmap.  Copies share storage, as
+// copies of a map do.  The zero Snapshot is empty and read-only, as a
+// nil map is; NewSnapshot, Clone and Average return writable ones.
+type Snapshot struct{ d *slots }
 
-// Clone returns an independent copy.
+type slots struct {
+	has uint64 // bit o set: parameter o is present
+	v   [nParams]Value
+}
+
+// sortedOrd lists the ordinals in sorted-ID order, the order IDs and
+// String report.
+var sortedOrd = func() (ord [nParams]uint8) {
+	for o := range ord {
+		ord[o] = uint8(o)
+	}
+	slices.SortFunc(ord[:], func(a, b uint8) int { return strings.Compare(string(catalog[a].ID), string(catalog[b].ID)) })
+	return ord
+}()
+
+// NewSnapshot returns an empty, writable snapshot.
+func NewSnapshot() Snapshot { return Snapshot{new(slots)} }
+
+// Clone returns an independent, writable copy.
 func (s Snapshot) Clone() Snapshot {
-	out := make(Snapshot, len(s))
-	for k, v := range s {
-		out[k] = v
+	out := NewSnapshot()
+	if s.d != nil {
+		*out.d = *s.d
 	}
 	return out
 }
 
 // Get returns the value for id and whether it is present.
 func (s Snapshot) Get(id ID) (Value, bool) {
-	v, ok := s[id]
-	return v, ok
+	o, ok := byID[id]
+	if !ok || s.d == nil || s.d.has&(1<<o) == 0 {
+		return Value{}, false
+	}
+	return s.d.v[o], true
 }
 
 // SetFloat stores a numeric parameter.
-func (s Snapshot) SetFloat(id ID, f float64) { s[id] = Float(f) }
+func (s Snapshot) SetFloat(id ID, f float64) { s.set(id, Float(f)) }
 
 // SetText stores a string parameter.
-func (s Snapshot) SetText(id ID, str string) { s[id] = Text(str) }
+func (s Snapshot) SetText(id ID, str string) { s.set(id, Text(str)) }
+
+// set stores v under id.  A parameter outside the catalog, a value of
+// the wrong kind, or a write to the zero Snapshot is a programming
+// error, as a write to a nil map is, and panics naming the parameter.
+func (s Snapshot) set(id ID, v Value) {
+	o, ok := byID[id]
+	switch {
+	case !ok:
+		panic(fmt.Sprintf("params: %q is not a cataloged parameter", id))
+	case catalog[o].Kind != v.Kind:
+		panic(fmt.Sprintf("params: %s holds a %s, not a %s", id, kindNames[catalog[o].Kind], kindNames[v.Kind]))
+	case s.d == nil:
+		panic(fmt.Sprintf("params: %s set in the zero Snapshot", id))
+	}
+	s.d.has |= 1 << o
+	s.d.v[o] = v
+}
+
+var kindNames = [...]string{Number: "number", String: "string"}
 
 // IDs returns the present parameter ids in sorted order.
 func (s Snapshot) IDs() []ID {
-	out := make([]ID, 0, len(s))
-	for k := range s {
-		out = append(out, k)
+	var has uint64
+	if s.d != nil {
+		has = s.d.has
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]ID, 0, bits.OnesCount64(has))
+	for _, o := range sortedOrd {
+		if has&(1<<o) != 0 {
+			out = append(out, catalog[o].ID)
+		}
+	}
 	return out
 }
 
@@ -48,9 +100,10 @@ func (s Snapshot) IDs() []ID {
 func (s Snapshot) String() string {
 	var b strings.Builder
 	for _, id := range s.IDs() {
+		v, _ := s.Get(id)
 		b.WriteString(string(id))
 		b.WriteString(" = ")
-		b.WriteString(s[id].String())
+		b.WriteString(v.String())
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -58,51 +111,50 @@ func (s Snapshot) String() string {
 
 // Average combines node snapshots into one aggregate snapshot for a
 // cluster, site, or domain.  Numeric parameters are arithmetic means over
-// the snapshots that carry them.  String parameters keep their value only
-// if every contributing snapshot agrees; otherwise they are dropped, since
-// an "average host name" is meaningless and a constraint over a
-// non-uniform string parameter must not match the aggregate.
+// the snapshots that carry them, summed in the order of snaps.  String
+// parameters keep their value only if every contributing snapshot agrees;
+// otherwise they are dropped, since an "average host name" is meaningless
+// and a constraint over a non-uniform string parameter must not match the
+// aggregate.
 //
 // Average(nil) and Average() return an empty snapshot.
 func Average(snaps ...Snapshot) Snapshot {
-	out := make(Snapshot)
-	if len(snaps) == 0 {
-		return out
-	}
-	type acc struct {
-		sum   float64
-		n     int
-		str   string
-		sOK   bool // string seen and consistent so far
-		sSeen bool
-	}
-	accs := make(map[ID]*acc)
-	for _, snap := range snaps {
-		for id, v := range snap {
-			a := accs[id]
-			if a == nil {
-				a = &acc{sOK: true}
-				accs[id] = a
-			}
-			if v.Kind == Number {
-				a.sum += v.Num
-				a.n++
-				continue
-			}
-			if !a.sSeen {
-				a.str, a.sSeen = v.Str, true
-			} else if a.str != v.Str {
-				a.sOK = false
+	out := NewSnapshot()
+	var (
+		n             [nParams]int
+		seen, differs uint64 // string parameters seen, and seen to differ
+	)
+	acc := &out.d.v
+	for _, s := range snaps {
+		if s.d == nil {
+			continue
+		}
+		for has := s.d.has; has != 0; has &= has - 1 {
+			o := bits.TrailingZeros64(has)
+			v := &s.d.v[o]
+			switch {
+			case v.Kind == Number:
+				acc[o].Num += v.Num
+				n[o]++
+			case seen&(1<<o) == 0:
+				acc[o].Str = v.Str
+				seen |= 1 << o
+			case acc[o].Str != v.Str:
+				differs |= 1 << o
 			}
 		}
 	}
-	for id, a := range accs {
+	for o := range acc {
 		switch {
-		case a.n > 0:
-			out[id] = Float(a.sum / float64(a.n))
-		case a.sSeen && a.sOK:
-			out[id] = Text(a.str)
+		case n[o] > 0:
+			acc[o] = Float(acc[o].Num / float64(n[o]))
+		case seen&^differs&(1<<o) != 0:
+			acc[o] = Text(acc[o].Str)
+		default:
+			acc[o] = Value{}
+			continue
 		}
+		out.d.has |= 1 << o
 	}
 	return out
 }

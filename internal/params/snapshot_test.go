@@ -8,7 +8,7 @@ import (
 )
 
 func TestSnapshotBasics(t *testing.T) {
-	s := make(Snapshot)
+	s := NewSnapshot()
 	s.SetFloat(Idle, 80)
 	s.SetText(NodeName, "rachel")
 	if v, ok := s.Get(Idle); !ok || v.Num != 80 {
@@ -23,7 +23,7 @@ func TestSnapshotBasics(t *testing.T) {
 }
 
 func TestSnapshotClone(t *testing.T) {
-	s := make(Snapshot)
+	s := NewSnapshot()
 	s.SetFloat(Idle, 80)
 	c := s.Clone()
 	c.SetFloat(Idle, 10)
@@ -33,7 +33,7 @@ func TestSnapshotClone(t *testing.T) {
 }
 
 func TestSnapshotIDsSorted(t *testing.T) {
-	s := Snapshot{Idle: Float(1), AvailMem: Float(2), NodeName: Text("n")}
+	s := snapOf(Idle, Float(1), AvailMem, Float(2), NodeName, Text("n"))
 	ids := s.IDs()
 	for i := 1; i < len(ids); i++ {
 		if ids[i-1] >= ids[i] {
@@ -43,7 +43,7 @@ func TestSnapshotIDsSorted(t *testing.T) {
 }
 
 func TestSnapshotString(t *testing.T) {
-	s := Snapshot{Idle: Float(50), NodeName: Text("milena")}
+	s := snapOf(Idle, Float(50), NodeName, Text("milena"))
 	out := s.String()
 	if !strings.Contains(out, "cpu.idle = 50") || !strings.Contains(out, "node.name = milena") {
 		t.Fatalf("String output missing entries:\n%s", out)
@@ -51,36 +51,36 @@ func TestSnapshotString(t *testing.T) {
 }
 
 func TestAverageNumeric(t *testing.T) {
-	a := Snapshot{Idle: Float(100), AvailMem: Float(10)}
-	b := Snapshot{Idle: Float(50), AvailMem: Float(30)}
-	c := Snapshot{Idle: Float(0)}
+	a := snapOf(Idle, Float(100), AvailMem, Float(10))
+	b := snapOf(Idle, Float(50), AvailMem, Float(30))
+	c := snapOf(Idle, Float(0))
 	avg := Average(a, b, c)
-	if got := avg[Idle].Num; got != 50 {
+	if got := at(avg, Idle).Num; got != 50 {
 		t.Errorf("avg idle = %v, want 50", got)
 	}
 	// AvailMem present in only two snapshots: averaged over those two.
-	if got := avg[AvailMem].Num; got != 20 {
+	if got := at(avg, AvailMem).Num; got != 20 {
 		t.Errorf("avg mem = %v, want 20", got)
 	}
 }
 
 func TestAverageStrings(t *testing.T) {
-	a := Snapshot{OSName: Text("Solaris"), NodeName: Text("a")}
-	b := Snapshot{OSName: Text("Solaris"), NodeName: Text("b")}
+	a := snapOf(OSName, Text("Solaris"), NodeName, Text("a"))
+	b := snapOf(OSName, Text("Solaris"), NodeName, Text("b"))
 	avg := Average(a, b)
-	if avg[OSName].Str != "Solaris" {
-		t.Errorf("uniform string parameter should survive averaging, got %v", avg[OSName])
+	if at(avg, OSName).Str != "Solaris" {
+		t.Errorf("uniform string parameter should survive averaging, got %v", at(avg, OSName))
 	}
-	if _, ok := avg[NodeName]; ok {
+	if _, ok := avg.Get(NodeName); ok {
 		t.Error("non-uniform string parameter must be dropped from aggregate")
 	}
 }
 
 func TestAverageEmpty(t *testing.T) {
-	if got := Average(); len(got) != 0 {
+	if got := Average(); len(got.IDs()) != 0 {
 		t.Fatalf("Average() = %v, want empty", got)
 	}
-	if got := Average(Snapshot{}); len(got) != 0 {
+	if got := Average(Snapshot{}); len(got.IDs()) != 0 {
 		t.Fatalf("Average(empty) = %v, want empty", got)
 	}
 }
@@ -92,13 +92,13 @@ func TestAverageIdempotent(t *testing.T) {
 		if math.IsNaN(idle) || math.IsNaN(mem) {
 			return true
 		}
-		s := Snapshot{Idle: Float(idle), AvailMem: Float(mem)}
+		s := snapOf(Idle, Float(idle), AvailMem, Float(mem))
 		snaps := make([]Snapshot, int(n%8)+1)
 		for i := range snaps {
 			snaps[i] = s
 		}
 		avg := Average(snaps...)
-		return closeEnough(avg[Idle].Num, idle) && closeEnough(avg[AvailMem].Num, mem)
+		return closeEnough(at(avg, Idle).Num, idle) && closeEnough(at(avg, AvailMem).Num, mem)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -121,9 +121,9 @@ func TestAverageBounded(t *testing.T) {
 			// accumulated sum cannot overflow or catastrophically cancel.
 			v = math.Mod(v, 1e9)
 			lo, hi = math.Min(lo, v), math.Max(hi, v)
-			snaps[i] = Snapshot{Idle: Float(v)}
+			snaps[i] = snapOf(Idle, Float(v))
 		}
-		got := Average(snaps...)[Idle].Num
+		got := at(Average(snaps...), Idle).Num
 		const eps = 1e-9
 		span := math.Max(1, math.Max(math.Abs(lo), math.Abs(hi)))
 		return got >= lo-eps*span && got <= hi+eps*span
@@ -144,8 +144,8 @@ func BenchmarkAverage13Nodes(b *testing.B) {
 	// The paper's cluster size: averaging 13 full node snapshots.
 	snaps := make([]Snapshot, 13)
 	for i := range snaps {
-		s := make(Snapshot, Count())
-		for _, in := range catalog {
+		s := NewSnapshot()
+		for _, in := range &catalog {
 			if in.Kind == Number {
 				s.SetFloat(in.ID, float64(i))
 			} else {
@@ -158,4 +158,19 @@ func BenchmarkAverage13Nodes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Average(snaps...)
 	}
+}
+
+// snapOf builds a snapshot from id, value pairs.
+func snapOf(pairs ...any) Snapshot {
+	s := NewSnapshot()
+	for i := 0; i < len(pairs); i += 2 {
+		s.set(pairs[i].(ID), pairs[i+1].(Value))
+	}
+	return s
+}
+
+// at returns id's value in s, the zero Value when absent.
+func at(s Snapshot, id ID) Value {
+	v, _ := s.Get(id)
+	return v
 }

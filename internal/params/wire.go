@@ -1,0 +1,90 @@
+package params
+
+import (
+	"bytes"
+	"fmt"
+	"math/bits"
+	"slices"
+
+	"jsymphony/internal/rmi/wire"
+)
+
+// The wire form of a Snapshot is the one the RMI layout codec gives a
+// map[ID]Value: a count, then each present parameter as its ID (a wire
+// string) and its Value's fields (Kind, Num, Str).  Entries go in
+// encoded-key order, as the layout codec sorts any map: the key's
+// length prefix first, then its bytes, so "cpu.sys" goes before
+// "cpu.arch".  That is not the sorted-ID order of IDs and String, so
+// the two permutations are built here once.  The rmi package finds the
+// codec through AppendWire and DecodeWire, wherever a Snapshot travels.
+
+// wireKey holds each parameter's ID as encoded on the wire; wireOrd
+// lists the ordinals in the order of those bytes.
+var wireKey, wireOrd = func() (key [nParams][]byte, ord [nParams]uint8) {
+	for o := range ord {
+		key[o] = wire.AppendString(nil, string(catalog[o].ID))
+		ord[o] = uint8(o)
+	}
+	slices.SortFunc(ord[:], func(a, b uint8) int { return bytes.Compare(key[a], key[b]) })
+	return key, ord
+}()
+
+// AppendWire appends the snapshot's wire form to buf.
+func (s Snapshot) AppendWire(buf []byte) []byte {
+	if s.d == nil {
+		return wire.AppendUvarint(buf, 0)
+	}
+	buf = wire.AppendUvarint(buf, uint64(bits.OnesCount64(s.d.has)))
+	for _, o := range wireOrd {
+		if s.d.has&(1<<o) == 0 {
+			continue
+		}
+		v := &s.d.v[o]
+		buf = append(buf, wireKey[o]...)
+		buf = wire.AppendVarint(buf, int64(v.Kind))
+		buf = wire.AppendFloat64(buf, v.Num)
+		buf = wire.AppendString(buf, v.Str)
+	}
+	return buf
+}
+
+// DecodeWire reads a snapshot's wire form off d into s.  Entries may
+// come in any order, and a repeated parameter keeps its last value.  A
+// parameter outside the catalog, or a value of the wrong kind, fails d
+// as corrupt; a count of zero decodes as the zero Snapshot.
+func (s *Snapshot) DecodeWire(d *wire.Dec) {
+	n := d.Uvarint()
+	if d.Err() != nil {
+		return
+	}
+	if n > uint64(d.Remaining()) {
+		d.Fail(fmt.Errorf("%w: count %d exceeds %d remaining bytes", wire.ErrTruncated, n, d.Remaining()))
+		return
+	}
+	if n == 0 {
+		*s = Snapshot{}
+		return
+	}
+	out := NewSnapshot()
+	for ; n > 0; n-- {
+		key := d.Bytes()
+		kind := Kind(d.Varint())
+		num := d.Float64()
+		str := d.String()
+		if d.Err() != nil {
+			return
+		}
+		o, ok := byID[ID(key)]
+		if !ok {
+			d.Fail(fmt.Errorf("%w: %q is not a cataloged parameter", wire.ErrCorrupt, key))
+			return
+		}
+		if kind != catalog[o].Kind {
+			d.Fail(fmt.Errorf("%w: %s holds a %s, not kind %d", wire.ErrCorrupt, catalog[o].ID, kindNames[catalog[o].Kind], kind))
+			return
+		}
+		out.d.has |= 1 << o
+		out.d.v[o] = Value{Kind: kind, Num: num, Str: str}
+	}
+	*s = out
+}

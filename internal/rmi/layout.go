@@ -98,6 +98,10 @@ func derive(t reflect.Type, building map[reflect.Type]*layout) (*layout, error) 
 	}
 	l := &layout{t: t}
 	building[t] = l
+	if t.Implements(wireAppenderType) && reflect.PointerTo(t).Implements(wireCodecType) {
+		l.enc, l.dec = encCodec, decCodec
+		return l, nil
+	}
 	switch t {
 	case reflect.TypeFor[[]int]():
 		l.enc, l.dec = typed(appendInts, decInts)
@@ -240,6 +244,32 @@ func derive(t reflect.Type, building map[reflect.Type]*layout) (*layout, error) 
 		return nil, fmt.Errorf("%v has no encoding", t)
 	}
 	return l, nil
+}
+
+// wireCodec is a type that carries its own wire form: AppendWire on the
+// value, DecodeWire on the pointer (params.Snapshot).  Its layout is
+// those two methods, wherever the type travels: a body, a struct field,
+// an element of a []any.  A decode error goes on the cursor (Fail).
+type wireCodec interface {
+	wireAppender
+	DecodeWire(*wire.Dec)
+}
+
+type wireAppender interface{ AppendWire([]byte) []byte }
+
+var (
+	wireAppenderType = reflect.TypeFor[wireAppender]()
+	wireCodecType    = reflect.TypeFor[wireCodec]()
+)
+
+// encCodec boxes the value, which allocates nothing for a pointer-shaped
+// type such as params.Snapshot, addressable or not.
+func encCodec(buf []byte, v reflect.Value) []byte {
+	return v.Interface().(wireAppender).AppendWire(buf)
+}
+
+func decCodec(d *wire.Dec, v reflect.Value, _ int) {
+	v.Addr().Interface().(wireCodec).DecodeWire(d)
 }
 
 // field is one exported struct field and its layout.

@@ -24,10 +24,10 @@ func newFakeAlloc(n int) *fakeAlloc {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("n%02d", i)
 		a.pool = append(a.pool, name)
-		a.snaps[name] = params.Snapshot{
-			params.NodeName: params.Text(name),
-			params.Idle:     params.Float(float64(100 - i)),
-		}
+		snap := params.NewSnapshot()
+		snap.SetText(params.NodeName, name)
+		snap.SetFloat(params.Idle, float64(100-i))
+		a.snaps[name] = snap
 	}
 	return a
 }
