@@ -31,7 +31,6 @@ type App struct {
 	objs        map[uint64]*objEntry
 	vas         []*appVA
 	done        bool
-	autoPeriod  time.Duration
 	autoGen     int
 	ckptPeriod  time.Duration
 	ckptGen     int

@@ -31,7 +31,6 @@ func (a *App) setAutoPeriod(period time.Duration) {
 	}
 	a.autoGen++
 	gen := a.autoGen
-	a.autoPeriod = period
 	a.mu.Unlock()
 	if period <= 0 {
 		return
@@ -45,7 +44,6 @@ func (a *App) setAutoPeriod(period time.Duration) {
 func (a *App) stopEngine() {
 	a.mu.Lock()
 	a.autoGen++
-	a.autoPeriod = 0
 	a.mu.Unlock()
 }
 

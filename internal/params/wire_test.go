@@ -1,0 +1,136 @@
+package params
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"jsymphony/internal/rmi"
+	"jsymphony/internal/rmi/wire"
+)
+
+// TestSnapshotOrders pins the snapshot's two permutations of the
+// catalog.  IDs and String go in sorted-ID order.  The wire goes in the
+// order of the encoded keys, as the layout codec sorts a map's entries:
+// sorting by wire.AppendString bytes here keeps that true even for an
+// ID of 128 bytes or more, whose two-byte length prefix does not sort
+// by length.  On today's catalog the two orders differ.
+func TestSnapshotOrders(t *testing.T) {
+	ids := make([]ID, nParams)
+	for o, in := range &catalog {
+		ids[o] = in.ID
+	}
+	byString := append([]ID(nil), ids...)
+	sort.Slice(byString, func(i, j int) bool { return byString[i] < byString[j] })
+	byWire := append([]ID(nil), ids...)
+	sort.Slice(byWire, func(i, j int) bool {
+		return bytes.Compare(wire.AppendString(nil, string(byWire[i])), wire.AppendString(nil, string(byWire[j]))) < 0
+	})
+	gotString, gotWire := make([]ID, nParams), make([]ID, nParams)
+	for i := range sortedOrd {
+		gotString[i], gotWire[i] = catalog[sortedOrd[i]].ID, catalog[wireOrd[i]].ID
+	}
+	if !reflect.DeepEqual(gotString, byString) {
+		t.Errorf("sorted-ID order = %v, want %v", gotString, byString)
+	}
+	if !reflect.DeepEqual(gotWire, byWire) {
+		t.Errorf("wire order = %v, want %v", gotWire, byWire)
+	}
+	if reflect.DeepEqual(byString, byWire) {
+		t.Error("the wire order equals the sorted-ID order on this catalog; the test no longer tells them apart")
+	}
+	full := NewSnapshot()
+	for _, in := range &catalog {
+		setAny(full, in, 1)
+	}
+	if got := full.IDs(); !reflect.DeepEqual(got, byString) {
+		t.Errorf("IDs() = %v, want sorted-ID order", got)
+	}
+}
+
+// TestSnapshotWireMatchesMapLayout: for random subsets of the catalog,
+// a snapshot's wire form is byte for byte the layout codec's encoding
+// of the same entries as a map[ID]Value, and decodes back to the same
+// snapshot from it.
+func TestSnapshotWireMatchesMapLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 500; round++ {
+		s, m := NewSnapshot(), map[ID]Value{}
+		for _, in := range &catalog {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			setAny(s, in, rng.Intn(1000))
+			m[in.ID], _ = s.Get(in.ID)
+		}
+		want := layoutPayload(t, m)
+		if got := s.AppendWire(nil); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: snapshot wire form\n %x\nmap layout\n %x", round, got, want)
+		}
+		var back Snapshot
+		d := wire.NewDec(want)
+		back.DecodeWire(&d)
+		if err := d.Finish(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(m) == 0 {
+			s = Snapshot{} // count 0 decodes as the zero Snapshot, as an empty map decodes nil
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Fatalf("round %d: decoded %v, want %v", round, back, s)
+		}
+	}
+}
+
+// setAny sets parameter in to a value of its kind derived from x, so
+// string parameters carry strings of varied length.
+func setAny(s Snapshot, in Info, x int) {
+	if in.Kind == String {
+		s.SetText(in.ID, "sparc-ultra"[:x%12])
+		return
+	}
+	s.SetFloat(in.ID, float64(x)/7)
+}
+
+// layoutPayload returns the layout payload rmi.Marshal gives m: the
+// body minus its value-format tag, named-value tag and type name.
+func layoutPayload(t *testing.T, m map[ID]Value) []byte {
+	d := wire.NewDec(rmi.MustMarshal(m))
+	d.Byte()
+	d.Byte()
+	d.Bytes()
+	payload := d.Bytes()
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// TestSnapshotSetPanics: writing outside the catalog, the wrong kind,
+// or into the zero Snapshot is a programming error that names the
+// parameter.
+func TestSnapshotSetPanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		id   ID
+		set  func()
+	}{
+		{"unknown parameter", "no.such.parameter", func() { NewSnapshot().SetFloat("no.such.parameter", 1) }},
+		{"text in a numeric parameter", Idle, func() { NewSnapshot().SetText(Idle, "high") }},
+		{"number in a string parameter", NodeName, func() { NewSnapshot().SetFloat(NodeName, 1) }},
+		{"zero Snapshot", Idle, func() { Snapshot{}.SetFloat(Idle, 1) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), string(c.id)) {
+					t.Errorf("%s: panic %v, want one naming %s", c.name, r, c.id)
+				}
+			}()
+			c.set()
+		}()
+	}
+}

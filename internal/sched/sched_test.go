@@ -362,6 +362,11 @@ func TestRecvTimeoutReusesTimer(t *testing.T) {
 	q, p := s.NewQueue("q"), RealProc(s)
 	rq := q.(*realQueue)
 	const short, long = time.Millisecond, 20 * time.Millisecond
+	// The last receive only has to show that a late message is not
+	// missed, so its deadline is lateSlack times the put's delay: an
+	// oversubscribed CPU cannot end it before the put lands.  The long
+	// receive before it keeps the exact check on the stale tick.
+	const lateDelay, lateSlack = long / 4, 400
 	drained := func(round int, what string) {
 		if n := len(p.(*realProc).timer.C); n != 0 {
 			t.Fatalf("round %d, %s: %d stale ticks left in the timer", round, what, n)
@@ -393,8 +398,8 @@ func TestRecvTimeoutReusesTimer(t *testing.T) {
 		if waited := s.Now() - start; waited < long {
 			t.Fatalf("round %d: long receive timed out after %v, deadline %v", i, waited, long)
 		}
-		q.Put("late", long/4)
-		if v, ok := p.RecvTimeout(q, long); !ok || v.(string) != "late" {
+		q.Put("late", lateDelay)
+		if v, ok := p.RecvTimeout(q, lateSlack*lateDelay); !ok || v.(string) != "late" {
 			t.Fatalf("round %d: long receive: %v, %v", i, v, ok)
 		}
 		drained(i, "long receive")

@@ -19,7 +19,6 @@ import (
 type Histogram struct {
 	counts   []int64 // grown on demand to the highest used index
 	count    int64
-	sum      int64
 	min, max int64 // exact extremes (min only valid when count > 0)
 }
 
@@ -64,7 +63,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.counts[idx]++
 	h.count++
-	h.sum += v
 	if h.count == 1 || v < h.min {
 		h.min = v
 	}
