@@ -29,7 +29,9 @@ import (
 //     encoded key, whose length prefix comes first.  So keys "b" and
 //     "aa" go aa, b in a map[string]int but b, aa in a map[ID]int.
 //     Fixed arrays: the elements, no count;
-//   - pointers: a 0 byte for nil, else a 1 byte and the pointee.
+//   - pointers: a 0 byte for nil, else a 1 byte and the pointee;
+//   - a type that codes itself (wireCodec, params.Snapshot): its own
+//     AppendWire and DecodeWire, checked before any of the above.
 //
 // A nested struct is its bare fields, whatever it is elsewhere: a Ref
 // inside a request carries no tag of its own.
