@@ -176,14 +176,15 @@ func runInvokeBudget(t *testing.T) {
 				// its buffer: the key set is unchanged, so the encode
 				// reuses its sorted key order.
 				// The write's replica set shares the primary's member and
-				// read lists instead of copying them.
-				{"strong write to a replicated 340-key table", "replica.write_us", 380, invoke(write)},
-				{"strong write to a replicated 340-key table, bytes", "replica.write_us", 25000, measure(bytesPerRun, write)},
+				// read lists instead of copying them, and the replica
+				// decodes the image's 340 keys into one backing.
+				{"strong write to a replicated 340-key table", "replica.write_us", 39, invoke(write)},
+				{"strong write to a replicated 340-key table, bytes", "replica.write_us", 24200, measure(bytesPerRun, write)},
 				// The replica counts the read on a handle its node resolved
 				// once, so no label is built per read; the route shares the
 				// table row's member list and the router reads the set in
-				// place.
-				{"read routed to the table's replica", "", 11, invoke(func() {
+				// place, sorting its candidates on the stack.
+				{"read routed to the table's replica", "", 6, invoke(func() {
 					_, err := replicated().SInvoke(p, "Get", "key007")
 					check(err)
 				})},
@@ -193,12 +194,12 @@ func runInvokeBudget(t *testing.T) {
 				{"invokeReq decode", "", 10, decodes(t, req, func() any { return new(invokeReq) })},
 				// The map result sorts its keys in a scratch slice.
 				{"invokeResp encode", "", 2, encodes(t, resp, 53)},
-				{"invokeResp decode", "", 11, decodes(t, resp, func() any { return new(invokeResp) })},
+				{"invokeResp decode", "", 9, decodes(t, resp, func() any { return new(invokeResp) })},
 				{"replicaUpdateReq encode", "", 1, encodes(t, update, 39)},
 				{"replicaUpdateReq decode", "", 6, decodes(t, update, func() any { return new(replicaUpdateReq) })},
 				// Under its tag: as a named layout, rmi alone would spend 49 B.
 				{"replicaSet encode", "", 1, encodes(t, set, 36)},
-				{"replicaSet decode", "", 9, decodes(t, set, func() any { return new(replica.Set) })},
+				{"replicaSet decode", "", 7, decodes(t, set, func() any { return new(replica.Set) })},
 			},
 		}
 		rows := budget[t.Name()]

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"jsymphony/internal/replica"
@@ -72,7 +73,10 @@ type replState struct {
 
 // refKey is the stable string identity of an object used for routing
 // rotation and the directory's replica-set registry.
-func refKey(app string, id uint64) string { return fmt.Sprintf("%s/%d", app, id) }
+func refKey(app string, id uint64) string {
+	var b [64]byte
+	return string(strconv.AppendUint(append(append(b[:0], app...), '/'), id, 10))
+}
 
 // replicaConfigure installs or refreshes primary-side replication state
 // on the hosting node.  It is also the promotion step: configuring a

@@ -34,6 +34,60 @@ type SimSampler struct {
 // Alive implements Sampler.
 func (s SimSampler) Alive() bool { return s.M.Alive() }
 
+// The slots of the parameters a sample sets, resolved once, so that a
+// sample looks no ID up.
+var (
+	slotNodeName     = params.SlotOf(params.NodeName)
+	slotIPAddress    = params.SlotOf(params.IPAddress)
+	slotOSName       = params.SlotOf(params.OSName)
+	slotOSVersion    = params.SlotOf(params.OSVersion)
+	slotArchType     = params.SlotOf(params.ArchType)
+	slotCPUType      = params.SlotOf(params.CPUType)
+	slotCPUClock     = params.SlotOf(params.CPUClock)
+	slotNumCPUs      = params.SlotOf(params.NumCPUs)
+	slotPeakMFlops   = params.SlotOf(params.PeakMFlops)
+	slotTotalMem     = params.SlotOf(params.TotalMem)
+	slotTotalSwap    = params.SlotOf(params.TotalSwap)
+	slotNetType      = params.SlotOf(params.NetType)
+	slotPeakBandwd   = params.SlotOf(params.PeakBandwd)
+	slotRTVersion    = params.SlotOf(params.RTVersion)
+	slotJRSVersion   = params.SlotOf(params.JRSVersion)
+	slotDiskTotal    = params.SlotOf(params.DiskTotal)
+	slotSiteName     = params.SlotOf(params.SiteName)
+	slotSitePolicy   = params.SlotOf(params.SitePolicy)
+	slotCPUUserLoad  = params.SlotOf(params.CPUUserLoad)
+	slotCPUSysLoad   = params.SlotOf(params.CPUSysLoad)
+	slotIdle         = params.SlotOf(params.Idle)
+	slotLoadAvg1     = params.SlotOf(params.LoadAvg1)
+	slotLoadAvg5     = params.SlotOf(params.LoadAvg5)
+	slotLoadAvg15    = params.SlotOf(params.LoadAvg15)
+	slotRunQueue     = params.SlotOf(params.RunQueue)
+	slotAvailMem     = params.SlotOf(params.AvailMem)
+	slotUsedMem      = params.SlotOf(params.UsedMem)
+	slotSwapRatio    = params.SlotOf(params.SwapRatio)
+	slotAvailSwap    = params.SlotOf(params.AvailSwap)
+	slotNumProcesses = params.SlotOf(params.NumProcesses)
+	slotNumThreads   = params.SlotOf(params.NumThreads)
+	slotNumUsers     = params.SlotOf(params.NumUsers)
+	slotCtxSwitches  = params.SlotOf(params.CtxSwitches)
+	slotSysCalls     = params.SlotOf(params.SysCalls)
+	slotInterrupts   = params.SlotOf(params.Interrupts)
+	slotPageIns      = params.SlotOf(params.PageIns)
+	slotPageOuts     = params.SlotOf(params.PageOuts)
+	slotNetLatency   = params.SlotOf(params.NetLatency)
+	slotNetBandwidth = params.SlotOf(params.NetBandwidth)
+	slotNetPktsIn    = params.SlotOf(params.NetPktsIn)
+	slotNetPktsOut   = params.SlotOf(params.NetPktsOut)
+	slotNetErrors    = params.SlotOf(params.NetErrors)
+	slotDiskReads    = params.SlotOf(params.DiskReads)
+	slotDiskWrites   = params.SlotOf(params.DiskWrites)
+	slotDiskAvail    = params.SlotOf(params.DiskAvail)
+	slotUptime       = params.SlotOf(params.Uptime)
+	slotJSObjects    = params.SlotOf(params.JSObjects)
+	slotJSApps       = params.SlotOf(params.JSApps)
+	slotRMIRate      = params.SlotOf(params.RMIRate)
+)
+
 // Sample implements Sampler: static parameters come from the machine
 // spec, dynamic ones from the simulated OS state, and the remaining
 // catalog entries are synthesized as plausible functions of utilization
@@ -44,63 +98,63 @@ func (s SimSampler) Sample(now time.Duration) params.Snapshot {
 	snap := params.NewSnapshot()
 
 	// Static.
-	snap.SetText(params.NodeName, spec.Name)
-	snap.SetText(params.IPAddress, ipAddr(s.M.Index()))
-	snap.SetText(params.OSName, "SunOS")
-	snap.SetText(params.OSVersion, spec.OS)
-	snap.SetText(params.ArchType, spec.Arch)
-	snap.SetText(params.CPUType, spec.Model)
-	snap.SetFloat(params.CPUClock, spec.ClockMHz)
-	snap.SetFloat(params.NumCPUs, 1)
-	snap.SetFloat(params.PeakMFlops, spec.MFlops)
-	snap.SetFloat(params.TotalMem, spec.MemMB)
-	snap.SetFloat(params.TotalSwap, spec.SwapMB)
-	snap.SetText(params.NetType, netType(spec.LinkMbps))
-	snap.SetFloat(params.PeakBandwd, spec.LinkMbps)
-	snap.SetText(params.RTVersion, "go-jsymphony")
-	snap.SetText(params.JRSVersion, "1.0")
-	snap.SetFloat(params.DiskTotal, 4096)
+	snap.SetAt(slotNodeName, params.Text(spec.Name))
+	snap.SetAt(slotIPAddress, params.Text(ipAddr(s.M.Index())))
+	snap.SetAt(slotOSName, params.Text("SunOS"))
+	snap.SetAt(slotOSVersion, params.Text(spec.OS))
+	snap.SetAt(slotArchType, params.Text(spec.Arch))
+	snap.SetAt(slotCPUType, params.Text(spec.Model))
+	snap.SetAt(slotCPUClock, params.Float(spec.ClockMHz))
+	snap.SetAt(slotNumCPUs, params.Float(1))
+	snap.SetAt(slotPeakMFlops, params.Float(spec.MFlops))
+	snap.SetAt(slotTotalMem, params.Float(spec.MemMB))
+	snap.SetAt(slotTotalSwap, params.Float(spec.SwapMB))
+	snap.SetAt(slotNetType, params.Text(netType(spec.LinkMbps)))
+	snap.SetAt(slotPeakBandwd, params.Float(spec.LinkMbps))
+	snap.SetAt(slotRTVersion, params.Text("go-jsymphony"))
+	snap.SetAt(slotJRSVersion, params.Text("1.0"))
+	snap.SetAt(slotDiskTotal, params.Float(4096))
 	site := spec.Site
 	if site == "" {
 		site = "vienna" // the paper's installation is a single site
 	}
-	snap.SetText(params.SiteName, site)
-	snap.SetText(params.SitePolicy, "shared")
+	snap.SetAt(slotSiteName, params.Text(site))
+	snap.SetAt(slotSitePolicy, params.Text("shared"))
 
 	// Dynamic, derived from the simulated OS.
 	util := d.Util
 	idle := (1 - util) * 100
-	snap.SetFloat(params.CPUUserLoad, util*85)
-	snap.SetFloat(params.CPUSysLoad, util*15)
-	snap.SetFloat(params.Idle, idle)
-	snap.SetFloat(params.LoadAvg1, util*2)
-	snap.SetFloat(params.LoadAvg5, util*1.6)
-	snap.SetFloat(params.LoadAvg15, util*1.2)
-	snap.SetFloat(params.RunQueue, math.Round(util*3))
-	snap.SetFloat(params.AvailMem, d.AvailMem)
-	snap.SetFloat(params.UsedMem, spec.MemMB-d.AvailMem)
-	snap.SetFloat(params.SwapRatio, 0.05+0.5*util)
-	snap.SetFloat(params.AvailSwap, spec.SwapMB*(1-(0.05+0.5*util)))
-	snap.SetFloat(params.NumProcesses, 40+math.Round(util*60))
-	snap.SetFloat(params.NumThreads, 120+math.Round(util*200))
-	snap.SetFloat(params.NumUsers, math.Round(d.Load*3))
-	snap.SetFloat(params.CtxSwitches, 200+util*4000)
-	snap.SetFloat(params.SysCalls, 500+util*9000)
-	snap.SetFloat(params.Interrupts, 100+util*1500)
-	snap.SetFloat(params.PageIns, util*50)
-	snap.SetFloat(params.PageOuts, util*30)
-	snap.SetFloat(params.NetLatency, latencyMS(spec.LinkMbps))
-	snap.SetFloat(params.NetBandwidth, spec.LinkMbps*(1-0.3*util))
-	snap.SetFloat(params.NetPktsIn, 50+util*900)
-	snap.SetFloat(params.NetPktsOut, 50+util*900)
-	snap.SetFloat(params.NetErrors, 0)
-	snap.SetFloat(params.DiskReads, util*80)
-	snap.SetFloat(params.DiskWrites, util*40)
-	snap.SetFloat(params.DiskAvail, 4096*0.6)
-	snap.SetFloat(params.Uptime, now.Seconds())
-	snap.SetFloat(params.JSObjects, float64(d.Sharers)) // refined by the OAS layer
-	snap.SetFloat(params.JSApps, 0)
-	snap.SetFloat(params.RMIRate, 0)
+	snap.SetAt(slotCPUUserLoad, params.Float(util*85))
+	snap.SetAt(slotCPUSysLoad, params.Float(util*15))
+	snap.SetAt(slotIdle, params.Float(idle))
+	snap.SetAt(slotLoadAvg1, params.Float(util*2))
+	snap.SetAt(slotLoadAvg5, params.Float(util*1.6))
+	snap.SetAt(slotLoadAvg15, params.Float(util*1.2))
+	snap.SetAt(slotRunQueue, params.Float(math.Round(util*3)))
+	snap.SetAt(slotAvailMem, params.Float(d.AvailMem))
+	snap.SetAt(slotUsedMem, params.Float(spec.MemMB-d.AvailMem))
+	snap.SetAt(slotSwapRatio, params.Float(0.05+0.5*util))
+	snap.SetAt(slotAvailSwap, params.Float(spec.SwapMB*(1-(0.05+0.5*util))))
+	snap.SetAt(slotNumProcesses, params.Float(40+math.Round(util*60)))
+	snap.SetAt(slotNumThreads, params.Float(120+math.Round(util*200)))
+	snap.SetAt(slotNumUsers, params.Float(math.Round(d.Load*3)))
+	snap.SetAt(slotCtxSwitches, params.Float(200+util*4000))
+	snap.SetAt(slotSysCalls, params.Float(500+util*9000))
+	snap.SetAt(slotInterrupts, params.Float(100+util*1500))
+	snap.SetAt(slotPageIns, params.Float(util*50))
+	snap.SetAt(slotPageOuts, params.Float(util*30))
+	snap.SetAt(slotNetLatency, params.Float(latencyMS(spec.LinkMbps)))
+	snap.SetAt(slotNetBandwidth, params.Float(spec.LinkMbps*(1-0.3*util)))
+	snap.SetAt(slotNetPktsIn, params.Float(50+util*900))
+	snap.SetAt(slotNetPktsOut, params.Float(50+util*900))
+	snap.SetAt(slotNetErrors, params.Float(0))
+	snap.SetAt(slotDiskReads, params.Float(util*80))
+	snap.SetAt(slotDiskWrites, params.Float(util*40))
+	snap.SetAt(slotDiskAvail, params.Float(4096*0.6))
+	snap.SetAt(slotUptime, params.Float(now.Seconds()))
+	snap.SetAt(slotJSObjects, params.Float(float64(d.Sharers))) // refined by the OAS layer
+	snap.SetAt(slotJSApps, params.Float(0))
+	snap.SetAt(slotRMIRate, params.Float(0))
 	return snap
 }
 

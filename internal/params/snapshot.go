@@ -56,23 +56,35 @@ func (s Snapshot) Get(id ID) (Value, bool) {
 }
 
 // SetFloat stores a numeric parameter.
-func (s Snapshot) SetFloat(id ID, f float64) { s.set(id, Float(f)) }
+func (s Snapshot) SetFloat(id ID, f float64) { s.SetAt(SlotOf(id), Float(f)) }
 
 // SetText stores a string parameter.
-func (s Snapshot) SetText(id ID, str string) { s.set(id, Text(str)) }
+func (s Snapshot) SetText(id ID, str string) { s.SetAt(SlotOf(id), Text(str)) }
 
-// set stores v under id.  A parameter outside the catalog, a value of
-// the wrong kind, or a write to the zero Snapshot is a programming
-// error, as a write to a nil map is, and panics naming the parameter.
-func (s Snapshot) set(id ID, v Value) {
+// Slot is a parameter's ordinal, its place in a Snapshot.  A writer that
+// sets the same parameters over and over resolves their slots once with
+// SlotOf and stores through SetAt, which looks no ID up.
+type Slot uint8
+
+// SlotOf returns id's slot.  An ID outside the catalog is a programming
+// error and panics naming it.
+func SlotOf(id ID) Slot {
 	o, ok := byID[id]
-	switch {
-	case !ok:
+	if !ok {
 		panic(fmt.Sprintf("params: %q is not a cataloged parameter", id))
-	case catalog[o].Kind != v.Kind:
-		panic(fmt.Sprintf("params: %s holds a %s, not a %s", id, kindNames[catalog[o].Kind], kindNames[v.Kind]))
+	}
+	return Slot(o)
+}
+
+// SetAt stores v in slot o.  A value of the wrong kind, or a write to
+// the zero Snapshot, is a programming error, as a write to a nil map
+// is, and panics naming the parameter.
+func (s Snapshot) SetAt(o Slot, v Value) {
+	switch in := &catalog[o]; {
+	case in.Kind != v.Kind:
+		panic(fmt.Sprintf("params: %s holds a %s, not a %s", in.ID, kindNames[in.Kind], kindNames[v.Kind]))
 	case s.d == nil:
-		panic(fmt.Sprintf("params: %s set in the zero Snapshot", id))
+		panic(fmt.Sprintf("params: %s set in the zero Snapshot", in.ID))
 	}
 	s.d.has |= 1 << o
 	s.d.v[o] = v

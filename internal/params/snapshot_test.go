@@ -164,7 +164,7 @@ func BenchmarkAverage13Nodes(b *testing.B) {
 func snapOf(pairs ...any) Snapshot {
 	s := NewSnapshot()
 	for i := 0; i < len(pairs); i += 2 {
-		s.set(pairs[i].(ID), pairs[i+1].(Value))
+		s.SetAt(SlotOf(pairs[i].(ID)), pairs[i+1].(Value))
 	}
 	return s
 }

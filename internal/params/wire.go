@@ -51,7 +51,13 @@ func (s Snapshot) AppendWire(buf []byte) []byte {
 // DecodeWire reads a snapshot's wire form off d into s.  Entries may
 // come in any order, and a repeated parameter keeps its last value.  A
 // parameter outside the catalog, or a value of the wrong kind, fails d
-// as corrupt; a count of zero decodes as the zero Snapshot.
+// as corrupt; a count of zero decodes as the zero Snapshot.  The text
+// values share one allocation (wire.Strs).
+//
+// Every encoder emits wire order, so each key is first sought among the
+// parameters after the last one found, in that order, which skips the
+// absent ones.  A key that is not there (out of order, repeated or
+// unknown) is looked up by ID, and so is every key after it.
 func (s *Snapshot) DecodeWire(d *wire.Dec) {
 	n := d.Uvarint()
 	if d.Err() != nil {
@@ -65,16 +71,33 @@ func (s *Snapshot) DecodeWire(d *wire.Dec) {
 		*s = Snapshot{}
 		return
 	}
+	var strs wire.Strs
+	c := *d
+	for range n {
+		c.Bytes()
+		c.Varint()
+		c.Float64()
+		strs.Measure(&c)
+	}
+	strs.Alloc(&c)
 	out := NewSnapshot()
+	next := 0 // the wire position after the last key found in order
 	for ; n > 0; n-- {
 		key := d.Bytes()
 		kind := Kind(d.Varint())
 		num := d.Float64()
-		str := d.String()
+		str := d.StringIn(&strs)
 		if d.Err() != nil {
 			return
 		}
-		o, ok := byID[ID(key)]
+		o, ok := -1, false
+		for ; next < nParams && !ok; next++ {
+			o = int(wireOrd[next])
+			ok = string(key) == string(catalog[o].ID)
+		}
+		if !ok {
+			o, ok = byID[ID(key)]
+		}
 		if !ok {
 			d.Fail(fmt.Errorf("%w: %q is not a cataloged parameter", wire.ErrCorrupt, key))
 			return

@@ -2,6 +2,7 @@ package params
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -111,8 +112,8 @@ func layoutPayload(t *testing.T, m map[ID]Value) []byte {
 }
 
 // TestSnapshotSetPanics: writing outside the catalog, the wrong kind,
-// or into the zero Snapshot is a programming error that names the
-// parameter.
+// or into the zero Snapshot, by ID or by slot, is a programming error
+// that names the parameter.
 func TestSnapshotSetPanics(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -123,6 +124,9 @@ func TestSnapshotSetPanics(t *testing.T) {
 		{"text in a numeric parameter", Idle, func() { NewSnapshot().SetText(Idle, "high") }},
 		{"number in a string parameter", NodeName, func() { NewSnapshot().SetFloat(NodeName, 1) }},
 		{"zero Snapshot", Idle, func() { Snapshot{}.SetFloat(Idle, 1) }},
+		{"slot of an unknown parameter", "no.such.parameter", func() { SlotOf("no.such.parameter") }},
+		{"text in a numeric slot", Idle, func() { NewSnapshot().SetAt(SlotOf(Idle), Text("high")) }},
+		{"slot of the zero Snapshot", NodeName, func() { Snapshot{}.SetAt(SlotOf(NodeName), Text("n")) }},
 	} {
 		func() {
 			defer func() {
@@ -132,5 +136,90 @@ func TestSnapshotSetPanics(t *testing.T) {
 			}()
 			c.set()
 		}()
+	}
+}
+
+// TestSnapshotDecodeAnyOrder: entries in a random order, some repeated,
+// decode as a map's entries would, each parameter keeping its last
+// value; a parameter outside the catalog or of the wrong kind fails as
+// corrupt after any number of in-order entries.
+func TestSnapshotDecodeAnyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	entry := func(buf []byte, o int, v Value) []byte {
+		buf = wire.AppendString(buf, string(catalog[o].ID))
+		buf = wire.AppendVarint(buf, int64(v.Kind))
+		buf = wire.AppendFloat64(buf, v.Num)
+		return wire.AppendString(buf, v.Str)
+	}
+	for round := 0; round < 500; round++ {
+		n := 1 + rng.Intn(2*nParams)
+		want := NewSnapshot()
+		buf := wire.AppendUvarint(nil, uint64(n))
+		for i := 0; i < n; i++ {
+			o := rng.Intn(nParams)
+			if rng.Intn(2) == 0 {
+				o = int(wireOrd[i%nParams]) // runs in wire order, with repeats
+			}
+			v := Float(float64(rng.Intn(100)))
+			if catalog[o].Kind == String {
+				v = Text("sparc-ultra"[:rng.Intn(12)])
+			}
+			want.SetAt(Slot(o), v)
+			buf = entry(buf, o, v)
+		}
+		var got Snapshot
+		d := wire.NewDec(buf)
+		got.DecodeWire(&d)
+		if err := d.Finish(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: decoded\n%v\nwant\n%v", round, got, want)
+		}
+	}
+	for _, c := range []struct {
+		name, key string
+		kind      Kind
+		want      string
+	}{
+		{"unknown parameter", "no.such.parameter", Number, `"no.such.parameter" is not a cataloged parameter`},
+		{"wrong kind", string(NodeName), Number, "node.name holds a string, not kind 0"},
+	} {
+		buf := wire.AppendUvarint(nil, 4)
+		for i := 0; i < 3; i++ {
+			buf = entry(buf, int(wireOrd[i]), Value{Kind: catalog[wireOrd[i]].Kind})
+		}
+		buf = wire.AppendString(buf, c.key)
+		buf = wire.AppendVarint(buf, int64(c.kind))
+		buf = wire.AppendFloat64(buf, 0)
+		buf = wire.AppendString(buf, "")
+		var got Snapshot
+		d := wire.NewDec(buf)
+		got.DecodeWire(&d)
+		if err := d.Err(); !errors.Is(err, wire.ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want corrupt naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestSnapshotDecodeDoesNotAlias: the decoded text values are copies;
+// overwriting the body leaves the snapshot equal to the one encoded.
+func TestSnapshotDecodeDoesNotAlias(t *testing.T) {
+	want := NewSnapshot()
+	for o, in := range &catalog {
+		setAny(want, in, o)
+	}
+	body := want.AppendWire(nil)
+	var got Snapshot
+	d := wire.NewDec(body)
+	got.DecodeWire(&d)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = 0xff
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded\n%v\nwant\n%v", got, want)
 	}
 }

@@ -145,3 +145,24 @@ func TestRouterBandwidthTieBreak(t *testing.T) {
 		t.Fatalf("first pick = %q, want fat", n)
 	}
 }
+
+// TestRouterAllocBudget: a pick among a primary and two replicas, with
+// every metric set, sorts its candidates on the stack and allocates
+// nothing (ROADMAP item 11's ratchet rule: a change that lowers a
+// count lowers its ceiling).
+func TestRouterAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
+	}
+	r := NewRouter()
+	set := members("n02", "n04", "n05")
+	m := Metric{
+		Latency:   func(from, to string) time.Duration { return time.Millisecond },
+		Bandwidth: func(from, to string) float64 { return 100 },
+		Alive:     func(string) bool { return true },
+	}
+	const ceiling = 0
+	if got := testing.AllocsPerRun(100, func() { r.Pick("app/7", "n01", set, nil, m) }); got > ceiling {
+		t.Errorf("Router.Pick: %.1f allocs, ceiling %d", got, ceiling)
+	}
+}

@@ -1,7 +1,8 @@
 package replica
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
@@ -41,7 +42,8 @@ func (r *Router) Pick(key, origin string, set Set, avoid map[string]bool, m Metr
 		lat  time.Duration
 		bw   float64
 	}
-	live := make([]cand, 0, 1+len(set.Replicas))
+	var room [8]cand // a set of up to 8 members sorts on the stack
+	live := room[:0]
 	for i := -1; i < len(set.Replicas); i++ {
 		c := set.Primary
 		if i >= 0 {
@@ -65,14 +67,14 @@ func (r *Router) Pick(key, origin string, set Set, avoid map[string]bool, m Metr
 	if len(live) == 0 {
 		return "", false
 	}
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].lat != live[j].lat {
-			return live[i].lat < live[j].lat
+	slices.SortFunc(live, func(a, b cand) int {
+		if c := cmp.Compare(a.lat, b.lat); c != 0 {
+			return c
 		}
-		if live[i].bw != live[j].bw {
-			return live[i].bw > live[j].bw
+		if c := cmp.Compare(b.bw, a.bw); c != 0 {
+			return c
 		}
-		return live[i].name < live[j].name
+		return cmp.Compare(a.name, b.name)
 	})
 	// The nearest bucket: everything tied with the front-runner on
 	// latency.  Rotate inside it so equidistant replicas share the load.

@@ -168,6 +168,9 @@ func stationBudget() map[string][]budgetRow {
 			{"float32x4096 encode", "", 1, encodes(operands, 16388)},
 			{"float32x4096 decode", "", 3, decodes(operands, func() any { return new([]float32) })},
 			{"repeat encode of an unchanged 340-key map[string]int", "", 1, encodes(tableAny, 3000)},
+			// The target, the map (its header, directory, table and
+			// groups) and one backing for all 340 keys.
+			{"340-key map[string]int decode", "", 6, decodes(tableAny, func() any { return new(any) })},
 		},
 		"TestLayoutFlatAllocs": {
 			{"flat struct layout encode", "", 0, layoutEncodes(reflect.ValueOf(flat).Elem())},

@@ -336,16 +336,25 @@ func appendMapSS(buf []byte, m map[string]string) []byte {
 
 // The map decoders are written out, not generic over a func value: a
 // *wire.Dec handed to a func value escapes, and the cursor of every
-// DecodeArgs caller would move to the heap with it.
+// DecodeArgs caller would move to the heap with it.  Each cuts its
+// strings from one allocation: a pre-scan on a copy of the cursor
+// measures them first (wire.Strs).
 func decMapSS(d *wire.Dec) map[string]string {
 	n := decLen(d)
 	if n == 0 {
 		return nil
 	}
+	var s wire.Strs
+	c := *d
+	for range n {
+		s.Measure(&c)
+		s.Measure(&c)
+	}
+	s.Alloc(&c)
 	out := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
-		out[k] = d.String()
+	for range n {
+		k := d.StringIn(&s)
+		out[k] = d.StringIn(&s)
 	}
 	return out
 }
@@ -358,9 +367,16 @@ func decMapSI(d *wire.Dec) map[string]int {
 	if n == 0 {
 		return nil
 	}
+	var s wire.Strs
+	c := *d
+	for range n {
+		s.Measure(&c)
+		c.Varint()
+	}
+	s.Alloc(&c)
 	out := make(map[string]int, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
+	for range n {
+		k := d.StringIn(&s)
 		out[k] = int(d.Varint())
 	}
 	return out
@@ -374,9 +390,16 @@ func decMapSF(d *wire.Dec) map[string]float64 {
 	if n == 0 {
 		return nil
 	}
+	var s wire.Strs
+	c := *d
+	for range n {
+		s.Measure(&c)
+		c.Float64()
+	}
+	s.Alloc(&c)
 	out := make(map[string]float64, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
+	for range n {
+		k := d.StringIn(&s)
 		out[k] = d.Float64()
 	}
 	return out

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -171,8 +172,19 @@ func (d *Dec) Byte() byte {
 	return b
 }
 
-// Uvarint reads an unsigned LEB128 integer.
+// Uvarint reads an unsigned LEB128 integer.  A one-byte value, the
+// common case of every length and count, is read inline.
 func (d *Dec) Uvarint() uint64 {
+	if d.err == nil && d.off < len(d.buf) && d.buf[d.off] < 0x80 {
+		v := d.buf[d.off]
+		d.off++
+		return uint64(v)
+	}
+	return d.uvarint()
+}
+
+// uvarint is Uvarint past its one-byte case.
+func (d *Dec) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -237,17 +249,14 @@ func (d *Dec) Float32() float32 {
 }
 
 // length reads a length/count prefix and bounds it by what could
-// possibly remain (each counted unit costs at least min bytes), so a
+// possibly remain (each counted unit costs at least one byte), so a
 // corrupted prefix can never provoke a giant allocation.
-func (d *Dec) length(min int) int {
+func (d *Dec) length() int {
 	v := d.Uvarint()
 	if d.err != nil {
 		return 0
 	}
-	if min < 1 {
-		min = 1
-	}
-	if v > uint64(d.Remaining()/min) {
+	if v > uint64(d.Remaining()) {
 		d.Fail(fmt.Errorf("%w: length %d exceeds %d remaining bytes", ErrTruncated, v, d.Remaining()))
 		return 0
 	}
@@ -256,7 +265,7 @@ func (d *Dec) length(min int) int {
 
 // String reads a length-prefixed string.
 func (d *Dec) String() string {
-	n := d.length(1)
+	n := d.length()
 	if d.err != nil || n == 0 {
 		return ""
 	}
@@ -265,11 +274,64 @@ func (d *Dec) String() string {
 	return s
 }
 
+// Strs cuts the strings of one container, a map's keys and values or a
+// string slice, from one exactly sized allocation.  The decoder reads
+// the container twice.  The pre-scan runs on a copy of its cursor
+// (c := *d), hands each string to Measure and ends with Alloc; the real
+// pass then reads each string with d.StringIn.  A pre-scan that failed
+// leaves s off, and the real pass fails at the same byte with the same
+// error.  Fewer than two strings longer than one byte also leave s off,
+// because Go allocates nothing for an empty or a one-byte string: off,
+// StringIn is String.
+//
+// strings.Builder never rewrites the bytes it has handed out, and after
+// Alloc's Grow the real pass's writes fit, so each string is a view of
+// the one backing without unsafe.  Any string cut from it keeps the
+// whole backing alive: one surviving key pins the string bytes of the
+// container it came in, no more.
+type Strs struct {
+	b            strings.Builder
+	total, multi int // bytes measured; strings measured longer than one byte
+}
+
+// Measure reads one string off the pre-scan cursor c and counts it.
+func (s *Strs) Measure(c *Dec) {
+	n := len(c.Bytes())
+	s.total += n
+	if n > 1 {
+		s.multi++
+	}
+}
+
+// Alloc ends the pre-scan on c: unless it failed, or fewer than two
+// strings need their own allocation, it makes the one backing that every
+// measured string fits.
+func (s *Strs) Alloc(c *Dec) {
+	if c.err == nil && s.multi > 1 {
+		s.b.Grow(s.total)
+	}
+}
+
+// StringIn reads a length-prefixed string as a view of s's backing, or
+// as String does while s is off.
+func (d *Dec) StringIn(s *Strs) string {
+	if s.b.Cap() == 0 {
+		return d.String()
+	}
+	b := d.Bytes()
+	if len(b) == 0 {
+		return ""
+	}
+	start := s.b.Len()
+	s.b.Write(b)
+	return s.b.String()[start:]
+}
+
 // Bytes reads a length-prefixed byte slice.  The result aliases the
 // input buffer (zero copy); length 0 decodes as nil.  Callers that
 // outlive the buffer must copy.
 func (d *Dec) Bytes() []byte {
-	n := d.length(1)
+	n := d.length()
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -287,15 +349,22 @@ func (d *Dec) BytesCopy() []byte {
 	return append([]byte(nil), b...)
 }
 
-// Strings reads a count-prefixed string slice; count 0 decodes as nil.
+// Strings reads a count-prefixed string slice, its strings cut from one
+// allocation (Strs); count 0 decodes as nil.
 func (d *Dec) Strings() []string {
-	n := d.length(1)
+	n := d.length()
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	var s Strs
+	c := *d
+	for range n {
+		s.Measure(&c)
+	}
+	s.Alloc(&c)
 	out := make([]string, n)
 	for i := range out {
-		out[i] = d.String()
+		out[i] = d.StringIn(&s)
 	}
 	if d.err != nil {
 		return nil

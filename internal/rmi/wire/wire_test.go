@@ -207,3 +207,46 @@ func TestPoolGiantDoesNotPoisonHighWater(t *testing.T) {
 		t.Fatalf("steady-state Get/Put after giant allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestStringsShareOneBacking: a string slice decodes into its slice and
+// one backing for its strings, unless fewer than two of them are longer
+// than one byte, which Go copies for free.  Every prefix of the
+// encoding fails as the per-string decode would, at the same byte.
+func TestStringsShareOneBacking(t *testing.T) {
+	for _, c := range []struct {
+		in     []string
+		allocs float64
+	}{
+		{[]string{"alpha", "", "b", "gamma", "delta"}, 2},
+		{[]string{"alpha", "b", "c"}, 2},
+		{[]string{"a", "", "c"}, 1},
+		{[]string{"n04", "n05"}, 2},
+	} {
+		buf := AppendStrings(nil, c.in)
+		d := NewDec(buf)
+		got := d.Strings()
+		if err := d.Finish(); err != nil || len(got) != len(c.in) {
+			t.Fatalf("%q: got %q, %v", c.in, got, err)
+		}
+		for i := range got {
+			if got[i] != c.in[i] {
+				t.Fatalf("%q: got %q", c.in, got)
+			}
+		}
+		if !raceEnabled {
+			if n := testing.AllocsPerRun(100, func() { d := NewDec(buf); d.Strings() }); n != c.allocs {
+				t.Errorf("%q: %.1f allocs, want %.1f", c.in, n, c.allocs)
+			}
+		}
+		for cut := 0; cut < len(buf); cut++ {
+			d, ref := NewDec(buf[:cut]), NewDec(buf[:cut])
+			d.Strings()
+			for n := ref.length(); n > 0 && ref.Err() == nil; n-- {
+				_ = ref.String()
+			}
+			if !errors.Is(d.Err(), ErrTruncated) || d.Err().Error() != ref.Err().Error() || d.off != ref.off {
+				t.Fatalf("%q cut at %d: %v at %d, per-string %v at %d", c.in, cut, d.Err(), d.off, ref.Err(), ref.off)
+			}
+		}
+	}
+}
