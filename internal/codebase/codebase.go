@@ -130,14 +130,23 @@ func (s *Store) Load(names ...string) (newBytes int64, err error) {
 // matched by string across the RMI boundary.
 const ErrNotLoaded = "class not loaded on node"
 
-// New instantiates the named class, failing if it has not been loaded
-// onto this node.
-func (s *Store) New(name string) (any, error) {
+// Loaded fails, with the error New would return, unless the named class
+// has been loaded onto this node.
+func (s *Store) Loaded(name string) error {
 	s.mu.Lock()
 	ok := s.loaded[name]
 	s.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%s: %q", ErrNotLoaded, name)
+		return fmt.Errorf("%s: %q", ErrNotLoaded, name)
+	}
+	return nil
+}
+
+// New instantiates the named class, failing if it has not been loaded
+// onto this node.
+func (s *Store) New(name string) (any, error) {
+	if err := s.Loaded(name); err != nil {
+		return nil, err
 	}
 	c, found := s.registry.Lookup(name)
 	if !found {

@@ -78,7 +78,9 @@ func decodes(t *testing.T, v any, fresh func() any) func() float64 {
 // world under night load, every allocation on the path, the caller's,
 // the serving node's and the background NAS traffic's, counted per
 // call; a strong write to a replicated 340-key table and a read routed
-// to its replica, on the same world; and the encode and decode of the
+// to its replica, on the same world, updates applied at that replica
+// followed by one read there, and one tick of the authority renewer
+// over three replicated primaries; and the encode and decode of the
 // busiest protocol bodies, filled, and of a replica set under its tag,
 // whose encoded sizes it pins exactly.
 func runInvokeBudget(t *testing.T) {
@@ -149,6 +151,53 @@ func runInvokeBudget(t *testing.T) {
 			_, err := replicated().SInvoke(p, "Put", "key007", 7)
 			check(err)
 		}
+		// pendingThenRead applies pendingUpdates updates of the table's
+		// image at its replica, as the replicaUpdate handler does, then
+		// serves one read there.
+		const pendingUpdates = 4
+		var (
+			pendingReq  replicaUpdateReq
+			pendingRead invokeReq
+		)
+		replicaRT := w.MustRuntime(w.Nodes()[0])
+		pendingThenRead := func() {
+			if pendingReq.State == nil {
+				ref, err := replicated().Ref()
+				check(err)
+				image, _, err := w.MustRuntime(w.Nodes()[1]).captureState(p, objKey{ref.App, ref.ID}, nil)
+				check(err)
+				pendingReq = replicaUpdateReq{Ref: ref, State: image, Lease: time.Second, Mode: replica.Strong, Primary: w.Nodes()[1]}
+				pendingRead = invokeReq{App: ref.App, ID: ref.ID, Method: "Get", Args: []any{"key007"}, Read: true}
+			}
+			for i := 0; i < pendingUpdates; i++ {
+				replicaRT.mu.Lock()
+				pendingReq.Version = replicaRT.hosted[objKey{pendingReq.Ref.App, pendingReq.Ref.ID}].repl.version + 1
+				replicaRT.mu.Unlock()
+				pendingReq.AsOf = w.Sched().Now()
+				check(replicaRT.replicaApply(p, pendingReq))
+			}
+			resp, err := replicaRT.invoke(p, pendingRead)
+			check(err)
+			if resp.Result != 7 {
+				t.Fatalf("replica read after %d updates: %v, want 7", pendingUpdates, resp.Result)
+			}
+		}
+		// Three replicated primaries, the table among them, for one tick
+		// of the authority renewer.
+		var renewal authRenewal
+		renewTick := func() {
+			if renewal.targets == nil {
+				replicated()
+				for i := 0; i < 2; i++ {
+					o, err := a.NewObject(p, "Table", node, nil)
+					check(err)
+					check(o.Replicate(p, replica.Policy{N: 1, Mode: replica.Strong, Reads: []string{"Get"}}))
+				}
+			}
+			if !a.renewAuthority(p, &renewal) || len(renewal.targets) != 3 {
+				t.Fatalf("renewal tick over %d primaries, want 3", len(renewal.targets))
+			}
+		}
 		set := replica.Set{
 			Primary: "n02", Replicas: []string{"n04", "n05"},
 			Mode: replica.Strong, Lease: 250 * time.Millisecond,
@@ -177,9 +226,9 @@ func runInvokeBudget(t *testing.T) {
 				// reuses its sorted key order.
 				// The write's replica set shares the primary's member and
 				// read lists instead of copying them, and the replica
-				// decodes the image's 340 keys into one backing.
-				{"strong write to a replicated 340-key table", "replica.write_us", 39, invoke(write)},
-				{"strong write to a replicated 340-key table, bytes", "replica.write_us", 24200, measure(bytesPerRun, write)},
+				// keeps the image undecoded until a read needs it.
+				{"strong write to a replicated 340-key table", "replica.write_us", 33, invoke(write)},
+				{"strong write to a replicated 340-key table, bytes", "replica.write_us", 8500, measure(bytesPerRun, write)},
 				// The replica counts the read on a handle its node resolved
 				// once, so no label is built per read; the route shares the
 				// table row's member list and the router reads the set in
@@ -188,6 +237,15 @@ func runInvokeBudget(t *testing.T) {
 					_, err := replicated().SInvoke(p, "Get", "key007")
 					check(err)
 				})},
+				// The updates decode nothing; the read decodes the last
+				// image once (the target, the map's 4 and one backing for
+				// its keys) and executes on it.  A decode per update
+				// would add 6 allocations each.
+				{"4 updates applied, then one replica read", "", 9, invoke(pendingThenRead)},
+				// One replicaAuthBatch RMI carrying three grants; the
+				// renewer's targets, groups and batch buffer are reused
+				// from tick to tick.
+				{"authority renewal tick over three primaries", "", 19, invoke(renewTick)},
 			},
 			"TestWireAllocCeiling": {
 				{"invokeReq encode", "", 1, encodes(t, req, 44)},

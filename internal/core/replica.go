@@ -14,8 +14,9 @@ package core
 //     concurrently; a read method declared in the policy must therefore
 //     not mutate the instance.
 //   - On a replica, an update never mutates the served instance: the
-//     new state is decoded into a fresh instance which is swapped in
-//     under the runtime mutex.  In-flight reads keep the old snapshot.
+//     new image replaces the copy's state under the runtime mutex and
+//     the first read that needs it decodes it into a fresh instance
+//     (Runtime.live).  In-flight reads keep the old snapshot.
 
 import (
 	"errors"
@@ -174,17 +175,19 @@ func (rs *replState) authorityLapsed(now time.Duration) bool {
 // at-least-once resends and the eventual mode's unordered one-way posts:
 // state can never roll backwards.  Force bypasses the version check for
 // re-seeds after migration, where the primary's counter restarts.
+// The image is kept as it arrived, aliasing the request body, and
+// decoded only when something needs the instance: most images are
+// replaced by the next update before any read arrives.
 func (rt *Runtime) replicaApply(p sched.Proc, req replicaUpdateReq) error {
 	key := objKey{req.Ref.App, req.Ref.ID}
-	inst, err := rt.materialize(req.Ref.Class, req.State)
-	if err != nil {
-		return err // e.g. class not loaded here: the AppOA picks someone else
+	if err := rt.store.Loaded(req.Ref.Class); err != nil {
+		return err // the AppOA picks someone else
 	}
 	now := rt.world.s.Now()
 	rt.mu.Lock()
 	h, ok := rt.hosted[key]
 	if !ok {
-		h = &hostedObj{ref: req.Ref, instance: inst, repl: &replState{
+		h = &hostedObj{ref: req.Ref, repl: &replState{
 			isReplica: true, renew: newPrioLock(rt.world.s, "replica.renew"),
 		}}
 		rt.hosted[key] = h
@@ -201,7 +204,7 @@ func (rt *Runtime) replicaApply(p sched.Proc, req replicaUpdateReq) error {
 		rt.mu.Unlock()
 		return nil
 	}
-	h.instance = inst
+	h.instance, h.image = nil, req.State
 	rs.version = req.Version
 	rs.asOf = req.AsOf
 	rs.mode = req.Mode
@@ -277,7 +280,8 @@ func (rt *Runtime) replicaRenew(p sched.Proc, req replicaRenewReq) (replicaRenew
 // captureState returns the image and version of the hosted copy of key.
 // On a primary the fan lock is held so the state is not captured
 // mid-write; on a replica the served instance is immutable, so the swap
-// pointer alone is enough.  The image propagate last shipped stands in
+// pointer alone is enough.  A pending image is returned as it lies, with
+// no decode and no encode; the image propagate last shipped stands in
 // for an encode only while h.repl is still the replState whose fan lock
 // is held.  check, when set, vets the current replState under
 // Runtime.mu, before the fan lock and again once it is held.
@@ -313,21 +317,18 @@ func (rt *Runtime) captureState(p sched.Proc, key objKey, check func(*replState)
 			return nil, 0, err
 		}
 	}
-	inst := h.instance
+	inst, state := h.instance, h.image
 	var version uint64
-	var state []byte
 	if h.repl != nil {
 		version = h.repl.version
-		if lockFan && h.repl == rs {
+		if state == nil && lockFan && h.repl == rs {
 			state = rs.shipped
 		}
 	}
 	rt.mu.Unlock()
-	if state == nil {
-		var err error
-		if state, err = rmi.Marshal(inst); err != nil {
-			return nil, 0, fmt.Errorf("oas: serialize replica state: %w", err)
-		}
+	state, err := encoded(inst, state)
+	if err != nil {
+		return nil, 0, fmt.Errorf("oas: serialize replica state: %w", err)
 	}
 	return state, version, nil
 }
@@ -361,8 +362,11 @@ func (rt *Runtime) invokeAtReplica(p sched.Proc, h *hostedObj, req invokeReq) (i
 			return invokeResp{}, errors.New(errReplicaStale)
 		}
 	}
+	inst, err := rt.live(h)
+	if err != nil {
+		return invokeResp{}, err
+	}
 	rt.mu.Lock()
-	inst := h.instance
 	var staleness time.Duration
 	if rs.mode == replica.Eventual {
 		staleness = rt.world.s.Now() - rs.asOf
@@ -378,8 +382,9 @@ func (rt *Runtime) invokeAtReplica(p sched.Proc, h *hostedObj, req invokeReq) (i
 }
 
 // renewLease refreshes this replica's strong-mode lease from the
-// primary, applying the returned state if it is newer.  Concurrent reads
-// hitting an expired lease coalesce onto one renewal.
+// primary, keeping the returned state as the pending image if its
+// version differs.  Concurrent reads hitting an expired lease coalesce
+// onto one renewal.
 func (rt *Runtime) renewLease(p sched.Proc, h *hostedObj) error {
 	rs := h.repl
 	rs.renew.lock(p, 0)
@@ -399,15 +404,9 @@ func (rt *Runtime) renewLease(p sched.Proc, h *hostedObj) error {
 	if err != nil {
 		return err
 	}
-	var inst any
-	if resp.Version != curVersion {
-		if inst, err = rt.materialize(ref.Class, resp.State); err != nil {
-			return err
-		}
-	}
 	rt.mu.Lock()
-	if inst != nil {
-		h.instance = inst
+	if resp.Version != curVersion {
+		h.instance, h.image = nil, resp.State
 		rs.version = resp.Version
 	}
 	rs.asOf = resp.AsOf
@@ -436,9 +435,9 @@ func (rt *Runtime) renewLease(p sched.Proc, h *hostedObj) error {
 // cause edges for attribution).
 func (rt *Runtime) propagate(p sched.Proc, h *hostedObj, rs *replState, cause uint64) (syncDelivered int, state []byte) {
 	rt.mu.Lock()
-	inst := h.instance
+	inst, image := h.instance, h.image
 	rt.mu.Unlock()
-	state, err := rmi.Marshal(inst)
+	state, err := encoded(inst, image)
 	if err != nil {
 		rt.world.emit(trace.Event{Kind: trace.ReplicaDropped, Node: rt.Node(),
 			App: h.ref.App, Obj: h.ref.ID, Detail: "serialize: " + err.Error()})
@@ -511,7 +510,7 @@ func (rt *Runtime) rollbackWrite(h *hostedObj, rs *replState, undo []byte) error
 		return err
 	}
 	rt.mu.Lock()
-	h.instance = inst
+	h.instance, h.image = inst, nil
 	rs.shipped = nil
 	rs.version--
 	rt.mu.Unlock()

@@ -7,6 +7,7 @@ package core
 // at replicas, fanning out writes — lives in replica.go.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -205,6 +206,7 @@ func (a *App) ensureAuthRenewer() {
 	a.authOn = true
 	a.mu.Unlock()
 	a.world.s.Spawn("oas.authlease:"+a.id, func(p sched.Proc) {
+		var r authRenewal
 		for {
 			p.Sleep(authPeriod)
 			a.world.mu.Lock()
@@ -215,22 +217,47 @@ func (a *App) ensureAuthRenewer() {
 				// app whose objects outlive the world): stop renewing.
 				return
 			}
-			a.mu.Lock()
-			if a.done {
-				a.mu.Unlock()
+			if !a.renewAuthority(p, &r) {
 				return
 			}
-			var targets []*objEntry
-			for _, e := range a.objs {
-				if !e.freed && e.pol != nil && !e.promoting && len(e.replicas) > 0 {
-					targets = append(targets, e)
-				}
-			}
-			a.mu.Unlock()
-			sort.Slice(targets, func(i, j int) bool { return targets[i].ref.ID < targets[j].ref.ID })
-			a.renewAuthorityBatched(p, targets)
 		}
 	})
+}
+
+// authRenewal is the renewer proc's scratch, reused from tick to tick:
+// the entries to renew, sorted by ID, their grouping by primary node,
+// and the batch being filled.
+type authRenewal struct {
+	targets []*objEntry
+	groups  []authGroup
+	batch   rmi.Batch
+}
+
+// authGroup is the renewal targets whose primary is on one node.
+type authGroup struct {
+	loc     string
+	entries []*objEntry
+}
+
+// renewAuthority is one tick of the renewer: it renews every replicated
+// entry's primary in ID order and reports false once the application
+// is unregistered.
+func (a *App) renewAuthority(p sched.Proc, r *authRenewal) bool {
+	a.mu.Lock()
+	if a.done {
+		a.mu.Unlock()
+		return false
+	}
+	r.targets = r.targets[:0]
+	for _, e := range a.objs {
+		if !e.freed && e.pol != nil && !e.promoting && len(e.replicas) > 0 {
+			r.targets = append(r.targets, e)
+		}
+	}
+	a.mu.Unlock()
+	slices.SortFunc(r.targets, func(x, y *objEntry) int { return cmp.Compare(x.ref.ID, y.ref.ID) })
+	a.renewAuthorityBatched(p, r)
+	return true
 }
 
 // renewAuthorityBatched groups the renewal targets by primary node and
@@ -242,11 +269,12 @@ func (a *App) ensureAuthRenewer() {
 // per node per tick, whatever M is.  Best effort like before: a batch
 // that cannot be delivered simply lets those primaries run out and
 // self-fence.  Horizons move before the send, never on its outcome — a
-// failed call may still have delivered the request.
-func (a *App) renewAuthorityBatched(p sched.Proc, targets []*objEntry) {
-	groups := make(map[string][]*objEntry)
-	var order []string // nodes in first-appearance (= entry ID) order
-	for _, e := range targets {
+// failed call may still have delivered the request.  Nodes go in the
+// order of their first target; an installation has a few of them, so a
+// linear scan finds a target's group.
+func (a *App) renewAuthorityBatched(p sched.Proc, r *authRenewal) {
+	groups := r.groups[:0]
+	for _, e := range r.targets {
 		a.mu.Lock()
 		skip := e.freed || e.pol == nil || e.promoting
 		loc := e.location
@@ -254,16 +282,24 @@ func (a *App) renewAuthorityBatched(p sched.Proc, targets []*objEntry) {
 		if skip {
 			continue
 		}
-		if _, ok := groups[loc]; !ok {
-			order = append(order, loc)
+		i := slices.IndexFunc(groups, func(g authGroup) bool { return g.loc == loc })
+		if i < 0 {
+			i = len(groups)
+			if i < cap(groups) {
+				groups = groups[:i+1] // keeps the entries' backing from an earlier tick
+			} else {
+				groups = append(groups, authGroup{})
+			}
+			groups[i].loc, groups[i].entries = loc, groups[i].entries[:0]
 		}
-		groups[loc] = append(groups[loc], e)
+		groups[i].entries = append(groups[i].entries, e)
 	}
-	for _, loc := range order {
-		var batch rmi.Batch
-		for _, e := range groups[loc] {
+	r.groups = groups
+	for _, g := range groups {
+		r.batch = rmi.Batch{Buf: r.batch.Buf[:0]}
+		for _, e := range g.entries {
 			a.mu.Lock()
-			if e.freed || e.pol == nil || e.promoting || e.location != loc {
+			if e.freed || e.pol == nil || e.promoting || e.location != g.loc {
 				a.mu.Unlock()
 				continue
 			}
@@ -273,15 +309,15 @@ func (a *App) renewAuthorityBatched(p sched.Proc, targets []*objEntry) {
 				e.authHorizon = until
 			}
 			a.mu.Unlock()
-			batch.MustAppend(replicaAuthRenewReq{App: ref.App, ID: ref.ID, Until: until})
+			r.batch.MustAppend(replicaAuthRenewReq{App: ref.App, ID: ref.ID, Until: until})
 		}
-		if batch.Len() == 0 {
+		if r.batch.Len() == 0 {
 			continue
 		}
 		a.world.authBatches.Inc()
-		a.world.authGrants.Add(int64(batch.Len()))
-		body := rmi.MustMarshal(batch)
-		_, _ = a.rt.st.Call(p, loc, PubService, "replicaAuthBatch", body, authGrantBudget)
+		a.world.authGrants.Add(int64(r.batch.Len()))
+		body := rmi.MustMarshal(r.batch)
+		_, _ = a.rt.st.Call(p, g.loc, PubService, "replicaAuthBatch", body, authGrantBudget)
 	}
 }
 

@@ -51,8 +51,14 @@ type objKey struct {
 // where it came from, and the in-flight method bookkeeping that delays
 // migration and persistence.
 type hostedObj struct {
-	ref       Ref
-	instance  any
+	ref      Ref
+	instance any
+	// image is the state a replica was shipped and has not decoded yet:
+	// the primary's own encoding, kept as it arrived.  While it is set,
+	// instance is nil; the first reader that needs the instance decodes
+	// it (live) and drops it, and a reader that needs bytes uses it as
+	// it lies (encoded).  Only replicaApply and renewLease set it.
+	image     []byte
 	executing int
 	// rankExec counts the in-flight invocations per admission rank
 	// (index = position in the policy's Classes list, 0 = most
@@ -196,15 +202,60 @@ func (rt *Runtime) Objects() int {
 }
 
 // Instance returns the live instance of a hosted object, for tests and
-// the shell's inspection commands.
+// the shell's inspection commands.  A replica decodes the image it was
+// shipped here if nothing has read it yet; one that does not decode
+// reports false.
 func (rt *Runtime) Instance(ref Ref) (any, bool) {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	h, ok := rt.hosted[objKey{ref.App, ref.ID}]
+	rt.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	return h.instance, true
+	inst, err := rt.live(h)
+	return inst, err == nil
+}
+
+// live returns h's instance, decoding the image h still holds, if any.
+// Called without Runtime.mu.
+func (rt *Runtime) live(h *hostedObj) (any, error) {
+	rt.mu.Lock()
+	inst, image := h.instance, h.image
+	rt.mu.Unlock()
+	return rt.decoded(h, inst, image)
+}
+
+// decoded finishes live for a caller that read h's instance and image
+// under Runtime.mu itself.  A pending image is decoded outside the lock
+// (materialize runs the class's own code) and installed unless a newer
+// one replaced it meanwhile; the caller uses what it decoded either
+// way, the state that was current when it looked.  An image that does
+// not decode fails the caller with materialize's "oas: deserialize"
+// error and stays pending.
+func (rt *Runtime) decoded(h *hostedObj, inst any, image []byte) (any, error) {
+	if image == nil {
+		return inst, nil
+	}
+	inst, err := rt.materialize(h.ref.Class, image)
+	if err != nil {
+		return nil, err
+	}
+	rt.mu.Lock()
+	if len(h.image) > 0 && len(image) > 0 && &h.image[0] == &image[0] {
+		h.instance, h.image = inst, nil
+	}
+	rt.mu.Unlock()
+	return inst, nil
+}
+
+// encoded returns the image of a copy's state read under Runtime.mu: a
+// pending image as it lies, since it is the primary's own encoding of
+// that state, or else the instance encoded afresh.
+func encoded(inst any, image []byte) ([]byte, error) {
+	if image != nil {
+		return image, nil
+	}
+	return rmi.Marshal(inst)
 }
 
 // updateObjectGauge feeds the jrs.objects parameter to the node's agent.
@@ -367,7 +418,7 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 		}
 		h.rankExec[rank]++
 	}
-	inst := h.instance
+	inst, image := h.instance, h.image
 	rt.mu.Unlock()
 
 	var shipped []byte // the post-write image propagate shipped
@@ -412,13 +463,19 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 		// longer encodes to it.  The instance is read again under the
 		// lock: a rollback while this write queued replaced it.
 		rt.mu.Lock()
-		inst = h.instance
+		inst, image = h.instance, h.image
 		undo = rs.shipped
 		rs.shipped = nil
 		rt.mu.Unlock()
-		if syncWrite && undo == nil {
-			undo, _ = rmi.Marshal(inst)
-		}
+	}
+	// A promoted replica decodes the image it was shipped at its first
+	// invocation.
+	inst, err := rt.decoded(h, inst, image)
+	if err != nil {
+		return invokeResp{}, err
+	}
+	if syncWrite && undo == nil {
+		undo, _ = rmi.Marshal(inst)
 	}
 	res, service, err := rt.execMethod(p, inst, req)
 	if primaryWrite && err == nil {
@@ -495,7 +552,10 @@ func (rt *Runtime) migrateOut(p sched.Proc, req migrateOutReq) error {
 	if err != nil {
 		return err
 	}
-	state, err := rmi.Marshal(h.instance)
+	rt.mu.Lock()
+	inst, image := h.instance, h.image
+	rt.mu.Unlock()
+	state, err := encoded(inst, image)
 	if err != nil {
 		rt.releaseMigrating(key)
 		return fmt.Errorf("oas: serialize for migration: %w", err)
@@ -528,9 +588,9 @@ func (rt *Runtime) migrateOut(p sched.Proc, req migrateOutReq) error {
 }
 
 // materialize turns a serialized image back into a bound instance of
-// class on this node: every path that receives object bytes (migration,
-// load, WAL replay, replica seed and update, lease renewal, write
-// rollback) comes through here.
+// class on this node: every path that installs received object bytes
+// (migration, load, WAL replay, write rollback) comes through here, and
+// so does the first read of a replica's pending image (decoded).
 func (rt *Runtime) materialize(class string, state []byte) (any, error) {
 	inst, err := rt.store.New(class)
 	if err != nil {
@@ -652,7 +712,10 @@ func (rt *Runtime) persist(p sched.Proc, req storeReq) (string, error) {
 		return "", err
 	}
 	defer rt.releaseMigrating(key)
-	state, err := rmi.Marshal(h.instance)
+	rt.mu.Lock()
+	inst, image := h.instance, h.image
+	rt.mu.Unlock()
+	state, err := encoded(inst, image)
 	if err != nil {
 		return "", fmt.Errorf("oas: serialize for store: %w", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"jsymphony/internal/rmi/wire"
@@ -151,8 +150,8 @@ func TestMapOrderCacheProperty(t *testing.T) {
 
 // TestMapOrderCacheConcurrent: GOMAXPROCS goroutines encode at once,
 // each a map of its own that it mutates between encodes, and maps they
-// all share: among them two live maps of one size that share a slot of
-// the key-order cache, so each evicts the other's order.
+// all share: among them more live maps than the key-order cache has
+// entries, so each evicts another's order.
 func TestMapOrderCacheConcurrent(t *testing.T) {
 	fill := func(m map[string]int, prefix string, n int) map[string]int {
 		for i := 0; i < n; i++ {
@@ -161,17 +160,8 @@ func TestMapOrderCacheConcurrent(t *testing.T) {
 		return m
 	}
 	shared := []map[string]int{fill(map[string]int{}, "s", 340), fill(map[string]int{}, "t", 20)}
-	// Maps stay live in seen until two share a slot; 65 maps over 64
-	// slots always do.
-	seen := map[*atomic.Pointer[keyOrder]]map[string]int{}
-	for {
-		m := fill(map[string]int{}, fmt.Sprint("c", len(seen), "."), 48)
-		slot := orderSlot(reflect.ValueOf(m).Pointer())
-		if other, ok := seen[slot]; ok {
-			shared = append(shared, other, m)
-			break
-		}
-		seen[slot] = m
+	for i := 0; i <= orderEntries; i++ {
+		shared = append(shared, fill(map[string]int{}, fmt.Sprint("c", i, "."), 48))
 	}
 	want := make([][]byte, len(shared))
 	for i, m := range shared {
@@ -202,4 +192,34 @@ func TestMapOrderCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestMapOrderCacheRoundRobin: eight maps of 48 keys, allocated back to
+// back so that they lie at one stride in the heap, are encoded in turn.
+// After the first round every encode is a hit and costs its buffer
+// alone, the one allocation of the budget's repeat-encode row, wherever
+// the maps lie: a hit depends on how many maps were encoded since, not
+// on their addresses.
+func TestMapOrderCacheRoundRobin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own account, so allocation counts do not hold under it")
+	}
+	const n = 8
+	maps := make([]any, n)
+	for i := range maps {
+		m := make(map[string]int, 48)
+		for k := 0; k < 48; k++ {
+			m[fmt.Sprintf("m%d.%02d", i, k)] = k
+		}
+		maps[i] = m
+	}
+	round := func() {
+		for _, m := range maps {
+			MustMarshal(m)
+		}
+	}
+	round()
+	if got := testing.AllocsPerRun(20, round); got > n {
+		t.Errorf("a round of %d encodes costs %.1f allocations, want %d: some map's order was sorted again", n, got, n)
+	}
 }

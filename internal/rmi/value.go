@@ -277,16 +277,16 @@ func appendMapS[V any](buf []byte, m map[string]V, appendV func([]byte, V) []byt
 		return out
 	}
 	addr := reflect.ValueOf(m).Pointer()
-	slot := orderSlot(addr)
+	entry := orderEntry(addr)
 	// The remembered keys are distinct, so as many of them as m has
 	// keys, each found in m, are exactly m's key set.
-	if o := slot.Load(); o != nil && o.addr == addr && len(o.keys) == len(m) {
+	if o := entry.Load(); o != nil && o.addr == addr && len(o.keys) == len(m) {
 		if out, ok := appendInOrder(buf, m, o.keys, appendV); ok {
 			return out
 		}
 	}
 	o := &keyOrder{addr, sortedKeys(m)}
-	slot.Store(o)
+	entry.Store(o)
 	out, _ := appendInOrder(buf, m, o.keys, appendV)
 	return out
 }
@@ -306,22 +306,32 @@ func appendInOrder[V any](buf []byte, m map[string]V, keys []string, appendV fun
 }
 
 // The key-order cache: the sorted keys of the string-keyed maps encoded
-// last, one map per slot, the slot picked by the map's address.  A
-// slot's entry is immutable, so encoders share it through one atomic
-// load; a miss replaces it whole.  Smaller maps sort without it: they
-// are mostly fresh results, which would evict the long-lived images
-// that hit.
+// last, in a small fully associative table.  An entry is immutable, so
+// encoders share it through one atomic load; a miss replaces it whole.
+// Whether a map hits depends only on how many other maps were encoded
+// since it, never on where the heap put it.  Smaller maps sort without
+// it: they are mostly fresh results, which would evict the long-lived
+// images that hit.
 const (
-	orderSlotBits = 6
-	orderMinKeys  = 16
+	orderEntries = 16
+	orderMinKeys = 16
 )
 
-var orders [1 << orderSlotBits]atomic.Pointer[keyOrder]
+var (
+	orders    [orderEntries]atomic.Pointer[keyOrder]
+	orderNext atomic.Uint32 // the entry the next new address takes, round robin
+)
 
-// orderSlot is the slot of the map at addr: its address, Fibonacci
-// hashed, so maps of one size class spread over the table.
-func orderSlot(addr uintptr) *atomic.Pointer[keyOrder] {
-	return &orders[uint64(addr)*0x9E3779B97F4A7C15>>(64-orderSlotBits)]
+// orderEntry is the entry that holds, or is to hold, the order of the
+// map at addr: the first entry remembering addr, else the next one in
+// round-robin order.
+func orderEntry(addr uintptr) *atomic.Pointer[keyOrder] {
+	for i := range orders {
+		if o := orders[i].Load(); o != nil && o.addr == addr {
+			return &orders[i]
+		}
+	}
+	return &orders[(orderNext.Add(1)-1)%orderEntries]
 }
 
 // keyOrder is the sorted key set of the map at addr when it was encoded.
