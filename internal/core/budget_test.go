@@ -243,9 +243,10 @@ func runInvokeBudget(t *testing.T) {
 				// would add 6 allocations each.
 				{"4 updates applied, then one replica read", "", 9, invoke(pendingThenRead)},
 				// One replicaAuthBatch RMI carrying three grants; the
-				// renewer's targets, groups and batch buffer are reused
-				// from tick to tick.
-				{"authority renewal tick over three primaries", "", 19, invoke(renewTick)},
+				// renewer's targets and batch buffer are reused from tick
+				// to tick, and the grouping by node is built afresh: its
+				// slice and the node's entry list, grown to three, cost 4.
+				{"authority renewal tick over three primaries", "", 23, invoke(renewTick)},
 			},
 			"TestWireAllocCeiling": {
 				{"invokeReq encode", "", 1, encodes(t, req, 44)},

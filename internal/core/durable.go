@@ -331,13 +331,13 @@ func (rt *Runtime) makeDurable(_ sched.Proc, req durableReq) error {
 // shipped), nil to encode it here.
 func (rt *Runtime) durLogState(p sched.Proc, h *hostedObj, state []byte, wait bool) (time.Duration, error) {
 	rt.mu.Lock()
-	inst, image := h.instance, h.image
+	inst := h.instance
 	ver := h.durVer
 	ref := h.ref
 	rt.mu.Unlock()
 	if state == nil {
 		var err error
-		if state, err = encoded(inst, image); err != nil {
+		if state, err = rmi.Marshal(inst); err != nil {
 			return 0, fmt.Errorf("oas: serialize for durability: %w", err)
 		}
 	}

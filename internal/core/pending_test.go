@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,8 +64,10 @@ func (l *Ledger) BindRuntime(rt *Runtime) {
 //     version installed there (Seq = version + the Seq at replication);
 //   - a snapshot of a replica that has not decoded its image returns the
 //     bytes the primary shipped for that version, and decodes nothing;
-//   - no installed image is decoded twice, and the promotion step, whose
-//     election and seeding read only images, decodes nothing;
+//   - no installed image is decoded twice; a promotion decodes exactly
+//     once if the elected copy still held an image, on that copy, and
+//     otherwise nothing (election and seeding read only images), and the
+//     promoted copy holds no image afterwards;
 //   - an update for a class not loaded on the receiving node fails the
 //     replicaUpdate RMI and installs nothing.
 func TestReplicaPendingImageProperty(t *testing.T) {
@@ -93,6 +98,7 @@ func pendingWalk(t *testing.T, seed int64) {
 	keys := map[string]objKey{}
 	decodes := map[install]int{}
 	total := 0
+	byNode := map[string]int{}
 	ledgerBound = func(rt *Runtime, l *Ledger) {
 		key, ok := keys[l.Name]
 		if !ok {
@@ -108,6 +114,7 @@ func pendingWalk(t *testing.T, seed int64) {
 			return
 		}
 		total++
+		byNode[rt.Node()]++
 		at := install{rt.Node(), first}
 		if decodes[at]++; decodes[at] > 1 {
 			t.Errorf("%s on %s: one installed image decoded %d times", l.Name, rt.Node(), decodes[at])
@@ -260,7 +267,7 @@ func pendingWalk(t *testing.T, seed int64) {
 			schedule = append(schedule, [2]int{rng.Intn(4), rng.Intn(len(objs))})
 		}
 		rng.Shuffle(len(schedule), func(i, j int) { schedule[i], schedule[j] = schedule[j], schedule[i] })
-		promoted := 0
+		promoted, pendingPromotions := 0, 0
 		for s, sk := range schedule {
 			kind, i := kinds[sk[0]], sk[1]
 			step := fmt.Sprintf("seed %d step %d (%s, %s)", seed, s, kind, pols[i].Mode)
@@ -340,13 +347,27 @@ func pendingWalk(t *testing.T, seed int64) {
 				must(step, a.configurePrimary(p, e, ploc, ref, pol, peers))
 			case "promote":
 				promoted++
-				victim, _ := set(i)
-				before := total
+				victim, reps := set(i)
+				pending := map[string]bool{}
+				for _, n := range reps {
+					_, _, image := copyOf(i, n)
+					pending[n] = image != nil
+				}
+				before, beforeAt := total, maps.Clone(byNode)
 				must(step, inj.Inject(chaos.Fault{Kind: chaos.Crash, Node: victim}))
-				awaitRelocation(t, w, p, objs[i], victim)
+				elected := awaitRelocation(t, w, p, objs[i], victim)
 				p.Sleep(500 * time.Millisecond) // the replacement member is seeded
-				if total != before {
-					t.Errorf("%s: election and seeding decoded %d images", step, total-before)
+				want := 0
+				if pending[elected] {
+					want = 1
+					pendingPromotions++
+				}
+				if got := byNode[elected] - beforeAt[elected]; got != want || total-before != want {
+					t.Errorf("%s: promoting %s (image pending: %v) decoded %d images there, %d in all; want %d",
+						step, elected, pending[elected], got, total-before, want)
+				}
+				if _, _, image := copyOf(i, elected); image != nil {
+					t.Errorf("%s: the promoted copy on %s still holds an image", step, elected)
 				}
 				must(step, inj.Inject(chaos.Fault{Kind: chaos.Restart, Node: victim}))
 				p.Sleep(time.Second) // the node reports in again
@@ -376,6 +397,100 @@ func pendingWalk(t *testing.T, seed int64) {
 		if total == 0 || reads == 0 || pendingSnaps == 0 {
 			t.Errorf("the walk decoded %d images, checked %d reads and %d snapshots of pending images: the property was barely exercised", total, reads, pendingSnaps)
 		}
-		t.Logf("seed %d: %d images decoded once each, %d replica reads and %d pending snapshots checked, %d promotions", seed, total, reads, pendingSnaps, promoted)
+		t.Logf("seed %d: %d images decoded once each, %d replica reads and %d pending snapshots checked, %d promotions (%d of a copy holding an image)",
+			seed, total, reads, pendingSnaps, promoted, pendingPromotions)
 	})
+}
+
+// SafeCounter is a counter safe for concurrent invocation, for the real-time
+// promotion test.
+type SafeCounter struct {
+	mu sync.Mutex
+	N  int
+}
+
+func (c *SafeCounter) Add() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.N++
+	return c.N
+}
+
+func (c *SafeCounter) Get() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.N
+}
+
+// TestReplicaPromotionRealTimeKeepsWrites promotes a replica that still
+// holds the image it was shipped while reads and writes arrive at it
+// concurrently, on the real-time scheduler where a decode can interleave
+// with other invocations.  The promoted copy serves without a
+// replication state, so its writes and reads take no fan lock.  Every
+// write it acknowledged must be in the final state: none may run on a
+// decoded copy that is then thrown away.
+func TestReplicaPromotionRealTimeKeepsWrites(t *testing.T) {
+	reg := codebase.NewRegistry()
+	reg.Register("SafeCounter", 4096, func() any { return &SafeCounter{} })
+	w := NewLocalWorld([]string{"a", "b"}, Options{Registry: reg})
+	w.Start()
+	p := sched.RealProc(w.Sched())
+	defer w.Shutdown(p)
+	rt := w.MustRuntime("b")
+	if _, err := rt.store.Load("SafeCounter"); err != nil {
+		t.Fatal(err)
+	}
+	const base, writers, readers, perWorker = 5, 4, 4, 25
+	image := rmi.MustMarshal(&SafeCounter{N: base})
+	for round := uint64(1); round <= 40; round++ {
+		ref := Ref{App: "rt", ID: round, Class: "SafeCounter"}
+		if err := rt.replicaApply(p, replicaUpdateReq{Ref: ref, State: image, Version: 1,
+			AsOf: w.Sched().Now(), Lease: time.Minute, Mode: replica.Strong, Primary: "a"}); err != nil {
+			t.Fatal(err)
+		}
+		var acked atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		invoke := func(method string, read bool) (any, error) {
+			resp, err := rt.invoke(sched.RealProc(w.Sched()), invokeReq{App: ref.App, ID: ref.ID, Method: method, Read: read})
+			return resp.Result, err
+		}
+		for n := 0; n < writers+readers; n++ {
+			wg.Add(1)
+			go func(write bool) {
+				defer wg.Done()
+				<-start
+				for k := 0; k < perWorker; k++ {
+					if !write {
+						if v, err := invoke("Get", true); err == nil && v.(int) < base {
+							t.Errorf("round %d: a read saw %d, below the shipped state %d", round, v, base)
+						}
+						continue
+					}
+					// A write that reaches the copy while it is still a
+					// replica is refused; only acknowledged ones count.
+					if _, err := invoke("Add", false); err == nil {
+						acked.Add(1)
+					}
+				}
+			}(n < writers)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := rt.replicaConfigure(nil, replicaConfigureReq{App: ref.App, ID: ref.ID}); err != nil {
+				t.Errorf("round %d: promotion: %v", round, err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+		inst, ok := rt.Instance(ref)
+		if !ok {
+			t.Fatalf("round %d: no instance", round)
+		}
+		if got, want := inst.(*SafeCounter).Get(), base+int(acked.Load()); got != want {
+			t.Fatalf("round %d: the promoted copy holds %d, want %d (%d acknowledged writes)", round, got, want, acked.Load())
+		}
+	}
 }

@@ -89,6 +89,19 @@ func (rt *Runtime) replicaConfigure(_ sched.Proc, req replicaConfigureReq) error
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	h, ok := rt.hosted[key]
+	// A replica that still holds the image it was shipped decodes it
+	// before it leaves the replica role, so only replicas ever hold one.
+	// The decode runs outside the lock; an update that lands meanwhile
+	// is decoded in turn.
+	for ok && h.image != nil {
+		rt.mu.Unlock()
+		_, err := rt.live(h)
+		rt.mu.Lock()
+		if err != nil {
+			return err
+		}
+		h, ok = rt.hosted[key]
+	}
 	if !ok {
 		return errors.New(errObjMoved)
 	}
@@ -326,9 +339,11 @@ func (rt *Runtime) captureState(p sched.Proc, key objKey, check func(*replState)
 		}
 	}
 	rt.mu.Unlock()
-	state, err := encoded(inst, state)
-	if err != nil {
-		return nil, 0, fmt.Errorf("oas: serialize replica state: %w", err)
+	if state == nil {
+		var err error
+		if state, err = rmi.Marshal(inst); err != nil {
+			return nil, 0, fmt.Errorf("oas: serialize replica state: %w", err)
+		}
 	}
 	return state, version, nil
 }
@@ -405,13 +420,18 @@ func (rt *Runtime) renewLease(p sched.Proc, h *hostedObj) error {
 		return err
 	}
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if !rs.isReplica {
+		// Promoted while the renewal was out: the copy is the primary
+		// now, and an answer from the old one must not clobber it.
+		return nil
+	}
 	if resp.Version != curVersion {
 		h.instance, h.image = nil, resp.State
 		rs.version = resp.Version
 	}
 	rs.asOf = resp.AsOf
 	rs.leaseUntil = resp.AsOf + resp.Lease
-	rt.mu.Unlock()
 	return nil
 }
 
@@ -435,9 +455,9 @@ func (rt *Runtime) renewLease(p sched.Proc, h *hostedObj) error {
 // cause edges for attribution).
 func (rt *Runtime) propagate(p sched.Proc, h *hostedObj, rs *replState, cause uint64) (syncDelivered int, state []byte) {
 	rt.mu.Lock()
-	inst, image := h.instance, h.image
+	inst := h.instance
 	rt.mu.Unlock()
-	state, err := encoded(inst, image)
+	state, err := rmi.Marshal(inst)
 	if err != nil {
 		rt.world.emit(trace.Event{Kind: trace.ReplicaDropped, Node: rt.Node(),
 			App: h.ref.App, Obj: h.ref.ID, Detail: "serialize: " + err.Error()})
@@ -510,7 +530,7 @@ func (rt *Runtime) rollbackWrite(h *hostedObj, rs *replState, undo []byte) error
 		return err
 	}
 	rt.mu.Lock()
-	h.instance, h.image = inst, nil
+	h.instance = inst
 	rs.shipped = nil
 	rs.version--
 	rt.mu.Unlock()

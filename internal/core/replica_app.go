@@ -225,11 +225,9 @@ func (a *App) ensureAuthRenewer() {
 }
 
 // authRenewal is the renewer proc's scratch, reused from tick to tick:
-// the entries to renew, sorted by ID, their grouping by primary node,
-// and the batch being filled.
+// the entries to renew, sorted by ID, and the batch being filled.
 type authRenewal struct {
 	targets []*objEntry
-	groups  []authGroup
 	batch   rmi.Batch
 }
 
@@ -273,7 +271,7 @@ func (a *App) renewAuthority(p sched.Proc, r *authRenewal) bool {
 // order of their first target; an installation has a few of them, so a
 // linear scan finds a target's group.
 func (a *App) renewAuthorityBatched(p sched.Proc, r *authRenewal) {
-	groups := r.groups[:0]
+	var groups []authGroup
 	for _, e := range r.targets {
 		a.mu.Lock()
 		skip := e.freed || e.pol == nil || e.promoting
@@ -285,16 +283,10 @@ func (a *App) renewAuthorityBatched(p sched.Proc, r *authRenewal) {
 		i := slices.IndexFunc(groups, func(g authGroup) bool { return g.loc == loc })
 		if i < 0 {
 			i = len(groups)
-			if i < cap(groups) {
-				groups = groups[:i+1] // keeps the entries' backing from an earlier tick
-			} else {
-				groups = append(groups, authGroup{})
-			}
-			groups[i].loc, groups[i].entries = loc, groups[i].entries[:0]
+			groups = append(groups, authGroup{loc: loc})
 		}
 		groups[i].entries = append(groups[i].entries, e)
 	}
-	r.groups = groups
 	for _, g := range groups {
 		r.batch = rmi.Batch{Buf: r.batch.Buf[:0]}
 		for _, e := range g.entries {

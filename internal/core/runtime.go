@@ -56,8 +56,10 @@ type hostedObj struct {
 	// image is the state a replica was shipped and has not decoded yet:
 	// the primary's own encoding, kept as it arrived.  While it is set,
 	// instance is nil; the first reader that needs the instance decodes
-	// it (live) and drops it, and a reader that needs bytes uses it as
-	// it lies (encoded).  Only replicaApply and renewLease set it.
+	// it (live) and drops it, and captureState returns it as it lies.
+	// Only replicaApply and renewLease set it, on a replica-role copy;
+	// replicaConfigure decodes it before the copy leaves that role, so
+	// every primary-side path reads instance directly.
 	image     []byte
 	executing int
 	// rankExec counts the in-flight invocations per admission rank
@@ -216,23 +218,20 @@ func (rt *Runtime) Instance(ref Ref) (any, bool) {
 	return inst, err == nil
 }
 
-// live returns h's instance, decoding the image h still holds, if any.
+// live returns h's instance.  A replica still holding the image it was
+// shipped decodes it here, outside Runtime.mu (materialize runs the
+// class's own code), and installs the copy unless a newer image replaced
+// that one meanwhile; the caller uses what it decoded either way, the
+// state that was current when it looked.  Only a replica holds an image
+// (replicaConfigure decodes it before promoting the copy), and replica
+// reads never mutate the instance, so a private copy serves them as
+// well as the installed one.  An image that does not decode fails the
+// caller with materialize's "oas: deserialize" error and stays pending.
 // Called without Runtime.mu.
 func (rt *Runtime) live(h *hostedObj) (any, error) {
 	rt.mu.Lock()
 	inst, image := h.instance, h.image
 	rt.mu.Unlock()
-	return rt.decoded(h, inst, image)
-}
-
-// decoded finishes live for a caller that read h's instance and image
-// under Runtime.mu itself.  A pending image is decoded outside the lock
-// (materialize runs the class's own code) and installed unless a newer
-// one replaced it meanwhile; the caller uses what it decoded either
-// way, the state that was current when it looked.  An image that does
-// not decode fails the caller with materialize's "oas: deserialize"
-// error and stays pending.
-func (rt *Runtime) decoded(h *hostedObj, inst any, image []byte) (any, error) {
 	if image == nil {
 		return inst, nil
 	}
@@ -241,21 +240,20 @@ func (rt *Runtime) decoded(h *hostedObj, inst any, image []byte) (any, error) {
 		return nil, err
 	}
 	rt.mu.Lock()
-	if len(h.image) > 0 && len(image) > 0 && &h.image[0] == &image[0] {
+	if sameImage(h.image, image) {
 		h.instance, h.image = inst, nil
 	}
 	rt.mu.Unlock()
 	return inst, nil
 }
 
-// encoded returns the image of a copy's state read under Runtime.mu: a
-// pending image as it lies, since it is the primary's own encoding of
-// that state, or else the instance encoded afresh.
-func encoded(inst any, image []byte) ([]byte, error) {
-	if image != nil {
-		return image, nil
+// sameImage reports whether cur is still the image b a decoder read:
+// the same backing array, or two empty images.
+func sameImage(cur, b []byte) bool {
+	if cur == nil || len(cur) != len(b) {
+		return false
 	}
-	return rmi.Marshal(inst)
+	return len(b) == 0 || &cur[0] == &b[0]
 }
 
 // updateObjectGauge feeds the jrs.objects parameter to the node's agent.
@@ -418,7 +416,7 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 		}
 		h.rankExec[rank]++
 	}
-	inst, image := h.instance, h.image
+	inst := h.instance
 	rt.mu.Unlock()
 
 	var shipped []byte // the post-write image propagate shipped
@@ -463,19 +461,13 @@ func (rt *Runtime) invoke(p sched.Proc, req invokeReq) (invokeResp, error) {
 		// longer encodes to it.  The instance is read again under the
 		// lock: a rollback while this write queued replaced it.
 		rt.mu.Lock()
-		inst, image = h.instance, h.image
+		inst = h.instance
 		undo = rs.shipped
 		rs.shipped = nil
 		rt.mu.Unlock()
-	}
-	// A promoted replica decodes the image it was shipped at its first
-	// invocation.
-	inst, err := rt.decoded(h, inst, image)
-	if err != nil {
-		return invokeResp{}, err
-	}
-	if syncWrite && undo == nil {
-		undo, _ = rmi.Marshal(inst)
+		if syncWrite && undo == nil {
+			undo, _ = rmi.Marshal(inst)
+		}
 	}
 	res, service, err := rt.execMethod(p, inst, req)
 	if primaryWrite && err == nil {
@@ -552,10 +544,7 @@ func (rt *Runtime) migrateOut(p sched.Proc, req migrateOutReq) error {
 	if err != nil {
 		return err
 	}
-	rt.mu.Lock()
-	inst, image := h.instance, h.image
-	rt.mu.Unlock()
-	state, err := encoded(inst, image)
+	state, err := rmi.Marshal(h.instance)
 	if err != nil {
 		rt.releaseMigrating(key)
 		return fmt.Errorf("oas: serialize for migration: %w", err)
@@ -590,7 +579,8 @@ func (rt *Runtime) migrateOut(p sched.Proc, req migrateOutReq) error {
 // materialize turns a serialized image back into a bound instance of
 // class on this node: every path that installs received object bytes
 // (migration, load, WAL replay, write rollback) comes through here, and
-// so does the first read of a replica's pending image (decoded).
+// so does a replica's pending image, at its first read or at promotion
+// (live).
 func (rt *Runtime) materialize(class string, state []byte) (any, error) {
 	inst, err := rt.store.New(class)
 	if err != nil {
@@ -712,10 +702,7 @@ func (rt *Runtime) persist(p sched.Proc, req storeReq) (string, error) {
 		return "", err
 	}
 	defer rt.releaseMigrating(key)
-	rt.mu.Lock()
-	inst, image := h.instance, h.image
-	rt.mu.Unlock()
-	state, err := encoded(inst, image)
+	state, err := rmi.Marshal(h.instance)
 	if err != nil {
 		return "", fmt.Errorf("oas: serialize for store: %w", err)
 	}

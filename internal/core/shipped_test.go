@@ -46,15 +46,6 @@ func (t *Tally) PutSlow(ctx *Ctx, k string, v int, k2 string, ms int) int {
 	return t.Put(k2, v)
 }
 
-// holds reports whether a hosted Tally maps k to v; a copy that holds
-// only the image it was shipped holds nothing yet.
-func holds(rt *Runtime, h *hostedObj, k string, v int) bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	t, ok := h.instance.(*Tally)
-	return ok && t.M[k] == v
-}
-
 // checkShipped fails the test if any hosted copy keeps a shipped image
 // that is not the encoding of its live instance, and returns how many
 // copies keep one.
@@ -268,8 +259,8 @@ func TestReplicaShippedImageProperty(t *testing.T) {
 				k, v := next()
 				h, err := o.AInvoke(p, "PutSlow", k, v, k+"'", 50)
 				must(step, err)
-				_, rt, ho := primary(o)
-				await(step, func() bool { return holds(rt, ho, k, v) })
+				_, _, ho := primary(o)
+				await(step, func() bool { return ho.instance.(*Tally).M[k] == v })
 				check(step + " mid-write")
 				_, err = h.Result(p)
 				must(step, err)
@@ -300,7 +291,7 @@ func TestReplicaShippedImageProperty(t *testing.T) {
 				k, v := next()
 				h, err := o.AInvoke(p, "PutSlow", k, v, k+"'", 200)
 				must(step, err)
-				await(step, func() bool { return holds(rt, ho, k, v) })
+				await(step, func() bool { return ho.instance.(*Tally).M[k] == v })
 				check(step + " bare mid-write")
 				repair(step, o)
 				k2, v2 := next()
@@ -316,8 +307,8 @@ func TestReplicaShippedImageProperty(t *testing.T) {
 				k, v := next()
 				h, err := o.AInvoke(p, "PutSlow", k, v, k+"'", 200)
 				must(step, err)
-				_, rt, ho := primary(o)
-				await(step, func() bool { return holds(rt, ho, k, v) })
+				_, _, ho := primary(o)
+				await(step, func() bool { return ho.instance.(*Tally).M[k] == v })
 				must(step, o.Replicate(p, pols[s[1]]))
 				k2, v2 := next()
 				_, err = o.SInvoke(p, "Put", k2, v2)
@@ -348,7 +339,7 @@ func TestReplicaShippedImageProperty(t *testing.T) {
 					// image from the cache, so none may leave the write in.
 					await(step, func() bool { return aborts.Value() > before })
 					p.Sleep(100 * time.Millisecond)
-					if _, rt, ho := primary(o); holds(rt, ho, k, v) {
+					if _, _, ho := primary(o); ho.instance.(*Tally).M[k] == v {
 						t.Errorf("%s: the rolled-back write is still in the instance", step)
 					}
 					check(step + " rolled back")
