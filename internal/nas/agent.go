@@ -8,6 +8,7 @@ import (
 
 	"jsymphony/internal/params"
 	"jsymphony/internal/rmi"
+	"jsymphony/internal/rmi/wire"
 	"jsymphony/internal/sched"
 )
 
@@ -54,7 +55,47 @@ const AgentService = "nas.agent"
 // reportMsg is the agent → directory periodic report.
 type reportMsg struct {
 	Node string
-	Snap params.Snapshot
+	Snap reportSnap
+}
+
+// reportSnap is a report's snapshot, in the wire form of a
+// params.Snapshot.  The agent sends snap.  The directory receives raw,
+// the snapshot's bytes checked by params.CheckWire and aliasing the
+// request body, and decodes them only when a query reads them
+// (dirEntry.view): most reports are replaced by the next one before
+// anything reads them.
+type reportSnap struct {
+	snap params.Snapshot
+	raw  []byte
+}
+
+// AppendWire appends the snapshot's wire form to buf: the bytes
+// received, or else those of snap.
+func (r reportSnap) AppendWire(buf []byte) []byte {
+	if r.raw != nil {
+		return append(buf, r.raw...)
+	}
+	return r.snap.AppendWire(buf)
+}
+
+// DecodeWire checks a snapshot's wire form off d and keeps its bytes.
+func (r *reportSnap) DecodeWire(d *wire.Dec) {
+	*r = reportSnap{raw: params.CheckWire(d)}
+}
+
+// decode returns the snapshot r holds, decoding received bytes.  They
+// passed the check, so a failure is a broken invariant and panics.
+func (r reportSnap) decode() params.Snapshot {
+	if r.raw == nil {
+		return r.snap
+	}
+	var s params.Snapshot
+	d := wire.NewDec(r.raw)
+	s.DecodeWire(&d)
+	if err := d.Finish(); err != nil {
+		panic(fmt.Sprintf("nas: a checked report fails to decode: %v", err))
+	}
+	return s
 }
 
 // aggMsg carries a component aggregate request/response.
@@ -221,7 +262,7 @@ func (a *Agent) monitor(p sched.Proc, gen int) {
 		a.history.Add(p.Sched().Now(), snap)
 		a.mu.Unlock()
 		if a.dirNode != "" {
-			body := rmi.MustMarshal(reportMsg{Node: a.Node(), Snap: snap})
+			body := rmi.MustMarshal(reportMsg{Node: a.Node(), Snap: reportSnap{snap: snap}})
 			// Report one-sided: the directory never answers reports.
 			_ = a.st.Post(p, a.dirNode, DirService, "report", body)
 		}

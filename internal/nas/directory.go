@@ -31,9 +31,19 @@ type Directory struct {
 }
 
 type dirEntry struct {
-	snap     params.Snapshot
+	snap     reportSnap    // the latest report's snapshot, decoded by view
 	seen     time.Duration // scheduler time of last report
 	reserved int           // allocations referencing this node
+}
+
+// view returns the entry's latest snapshot.  A report arrives as checked
+// bytes (reportSnap); the first read after it decodes them, once, and
+// a report that no query reads is never decoded.  Caller holds d.mu.
+func (e *dirEntry) view() params.Snapshot {
+	if e.snap.raw != nil {
+		e.snap = reportSnap{snap: e.snap.decode()}
+	}
+	return e.snap.snap
 }
 
 // selectReq is the wire form of an allocation query.
@@ -160,7 +170,7 @@ func (d *Directory) Snapshot(node string) (params.Snapshot, bool) {
 	if !ok {
 		return params.Snapshot{}, false
 	}
-	return e.snap.Clone(), true
+	return e.view().Clone(), true
 }
 
 // selectNodes implements the allocation policy.  Candidates must be
@@ -201,15 +211,16 @@ func (d *Directory) selectNodes(req selectReq, now time.Duration) ([]string, err
 		if req.Name != "" && name != req.Name {
 			continue
 		}
-		if !constr.Eval(e.snap) {
+		snap := e.view()
+		if !constr.Eval(snap) {
 			continue
 		}
 		c := cand{name: name}
 		idle := 100.0
-		if v, ok := e.snap.Get(params.Idle); ok {
+		if v, ok := snap.Get(params.Idle); ok {
 			idle = v.Num
 		}
-		if v, ok := e.snap.Get(params.PeakMFlops); ok {
+		if v, ok := snap.Get(params.PeakMFlops); ok {
 			c.speed = v.Num * idle / 100
 		} else {
 			c.speed = idle

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,15 +14,17 @@ import (
 	"jsymphony/internal/rmi/wire"
 )
 
-// FuzzSnapshotDecode throws arbitrary bytes at the snapshot decoder, as
-// a snapshot body, as a report body and as a bare snapshot payload:
-// success or a typed error, never a panic.  A
+// FuzzSnapshotDecode throws arbitrary bytes at the snapshot decoder and
+// at the report's check, as a snapshot body, as a report body and as a
+// bare snapshot payload: success or a typed error, never a panic.  A
 // snapshot that decodes re-encodes to bytes that decode to the same
 // snapshot, and holds only cataloged parameters of their catalog kind.
-// The seeds are the heartbeat golden's bodies and the bare payload of
-// its "get" reply.  They are over a kilobyte, so minimizing an input
-// that finds new coverage takes a while: a short run wants a small
-// -fuzzminimizetime.
+// A report whose snapshot is the bare payload passes its check exactly
+// when the payload decodes as a snapshot, and its checked bytes decode
+// later to that snapshot.  The seeds are the heartbeat golden's bodies
+// and the bare payload of its "get" reply.  They are over a kilobyte,
+// so minimizing an input that finds new coverage takes a while: a short
+// run wants a small -fuzzminimizetime.
 func FuzzSnapshotDecode(f *testing.F) {
 	golden, err := os.ReadFile("testdata/heartbeat_golden.txt")
 	if err != nil {
@@ -43,26 +46,39 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var snap params.Snapshot
-		var report reportMsg
-		for _, c := range []struct {
-			body []byte
-			into any
-		}{
-			{data, &snap}, {data, &report}, {namedBody("params.Snapshot", data), &snap},
-		} {
-			if err := rmi.Unmarshal(c.body, c.into); err != nil {
+		for _, into := range []any{new(params.Snapshot), new(reportMsg)} {
+			if err := rmi.Unmarshal(data, into); err != nil {
 				if !errors.Is(err, rmi.ErrCodec) {
-					t.Fatalf("%T: untyped decode error %v", c.into, err)
+					t.Fatalf("%T: untyped decode error %v", into, err)
 				}
 				continue
 			}
-			switch v := c.into.(type) {
+			switch v := into.(type) {
 			case *params.Snapshot:
 				checkSnapshot(t, *v)
 			case *reportMsg:
-				checkSnapshot(t, v.Snap)
+				checkSnapshot(t, v.Snap.decode())
 			}
+		}
+
+		var snap params.Snapshot
+		var report reportMsg
+		snapErr := rmi.Unmarshal(namedBody("params.Snapshot", data), &snap)
+		reportErr := rmi.Unmarshal(namedBody("nas.reportMsg", append(wire.AppendString(nil, "n1"), data...)), &report)
+		for _, err := range []error{snapErr, reportErr} {
+			if err != nil && !errors.Is(err, rmi.ErrCodec) {
+				t.Fatalf("untyped decode error %v", err)
+			}
+		}
+		if (snapErr == nil) != (reportErr == nil) {
+			t.Fatalf("snapshot decode: %v; report check: %v", snapErr, reportErr)
+		}
+		if snapErr != nil {
+			return
+		}
+		checkSnapshot(t, snap)
+		if got := report.Snap.decode(); !reflect.DeepEqual(got, snap) {
+			t.Fatalf("the report's checked bytes decode to\n%v\nnot\n%v", got, snap)
 		}
 	})
 }

@@ -36,7 +36,7 @@ func heartbeatBodies() []any {
 	snaps := heartbeatSnaps()
 	rmi.RegisterType(snaps[0])
 	return []any{
-		reportMsg{Node: "milena", Snap: snaps[0]},
+		reportMsg{Node: "milena", Snap: reportSnap{snap: snaps[0]}},
 		snaps[0],
 		[]any{snaps[0], 7},
 		aggMsg{Component: "cluster0", Snap: params.Average(snaps...), OK: true},

@@ -23,7 +23,7 @@ func benchDir() *Directory {
 		snap.SetText(params.NodeName, name)
 		snap.SetFloat(params.Idle, idle)
 		snap.SetFloat(params.PeakMFlops, peak)
-		d.entries[name] = &dirEntry{snap: snap, seen: time.Second, reserved: reserved}
+		d.entries[name] = &dirEntry{snap: reportSnap{snap: snap}, seen: time.Second, reserved: reserved}
 	}
 	add("n1", 90, 300, 0)
 	add("n2", 90, 100, 0)

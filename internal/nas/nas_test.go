@@ -1,6 +1,7 @@
 package nas
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -127,6 +128,61 @@ func TestDirectoryCollectsReports(t *testing.T) {
 		snap, ok := w.dir.Snapshot(w.names[2])
 		if !ok || len(snap.IDs()) < 40 {
 			t.Errorf("directory snapshot for %s: ok=%v len=%d", w.names[2], ok, len(snap.IDs()))
+		}
+	})
+}
+
+// TestDirectoryPendingReport: the directory keeps each report as checked
+// bytes and decodes them only when a query reads them.  After n reports
+// and one select, exactly one decode has happened, of the latest
+// report, and the select saw its values.  Each report's body is zeroed
+// once the next one replaces it, so a decode of a replaced report would
+// fail; the latest is zeroed after the select, so a second decode of it
+// would too, and later reads must find the one decoded snapshot.
+func TestDirectoryPendingReport(t *testing.T) {
+	w := bootSim(t, simnet.UniformCluster(simnet.Ultra10_300, 1), simnet.Idle)
+	w.run(func(p sched.Proc) {
+		const n = 5
+		entry := func() dirEntry {
+			w.dir.mu.Lock()
+			defer w.dir.mu.Unlock()
+			return *w.dir.entries["n9"]
+		}
+		var last []byte
+		for i := range n {
+			snap := snapOf(params.NodeName, params.Text("n9"), params.Idle, params.Int(i))
+			body := rmi.MustMarshal(reportMsg{Node: "n9", Snap: reportSnap{snap: snap}})
+			var m reportMsg
+			if err := rmi.Unmarshal(body, &m); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.dir.report(p, m); err != nil {
+				t.Fatal(err)
+			}
+			clear(last)
+			last = body
+		}
+		if e := entry(); e.snap.raw == nil || e.snap.snap != (params.Snapshot{}) {
+			t.Fatalf("%d reports and no read decoded a snapshot", n)
+		}
+		latest := selectReq{N: 1, Name: "n9", NoReserve: true,
+			Constr: params.NewConstraints().MustSet(params.Idle, ">=", n-1).Wire()}
+		if got, err := w.dir.selectNodes(latest, p.Sched().Now()); err != nil || len(got) != 1 || got[0] != "n9" {
+			t.Fatalf("select of the latest report's values = %v, %v", got, err)
+		}
+		decoded := entry().snap
+		if decoded.raw != nil || decoded.snap == (params.Snapshot{}) {
+			t.Fatalf("the select left the report undecoded")
+		}
+		clear(last)
+		if got, err := w.dir.selectNodes(latest, p.Sched().Now()); err != nil || len(got) != 1 {
+			t.Fatalf("second select = %v, %v", got, err)
+		}
+		if snap, ok := w.dir.Snapshot("n9"); !ok || !reflect.DeepEqual(snap, decoded.snap) {
+			t.Errorf("Snapshot = %v, %v; want the select's\n%v", snap, ok, decoded.snap)
+		}
+		if e := entry(); e.snap.snap != decoded.snap {
+			t.Errorf("a second read decoded the report again")
 		}
 	})
 }
@@ -645,12 +701,14 @@ func BenchmarkHierarchyRoundVirtual(b *testing.B) {
 }
 
 // TestMessagesRoundTrip: every NAS body and the snapshot inside it come
-// back DeepEqual through rmi.Marshal/Unmarshal.
+// back DeepEqual through rmi.Marshal/Unmarshal, and encode again to the
+// same body.  A report keeps its snapshot as checked bytes, so it is
+// compared through the snapshot those bytes decode to.
 func TestMessagesRoundTrip(t *testing.T) {
 	snap := snapOf(params.Idle, params.Float(50), params.NodeName, params.Text("milena"), params.NumCPUs, params.Int(4))
 	for _, in := range []any{
 		snap,
-		reportMsg{Node: "n1", Snap: snap},
+		reportMsg{Node: "n1", Snap: reportSnap{snap: snap}},
 		aggMsg{Component: "cluster0", Snap: snap, OK: true},
 		selectReq{N: 2, Constr: params.Wire{{Param: "idle", Op: params.GE, Want: params.Float(50)}},
 			Exclude: []string{"n0"}, Name: "n3", Among: []string{"n3", "n4"}, SpreadOver: true, NoReserve: true},
@@ -664,6 +722,12 @@ func TestMessagesRoundTrip(t *testing.T) {
 		out := reflect.New(reflect.TypeOf(in))
 		if err := rmi.Unmarshal(body, out.Interface()); err != nil {
 			t.Fatalf("%T: %v", in, err)
+		}
+		if again := rmi.MustMarshal(out.Elem().Interface()); !bytes.Equal(again, body) {
+			t.Errorf("%T encodes differently once decoded:\n %x\n %x", in, body, again)
+		}
+		if m, ok := out.Interface().(*reportMsg); ok {
+			m.Snap = reportSnap{snap: m.Snap.decode()}
 		}
 		if !reflect.DeepEqual(in, out.Elem().Interface()) {
 			t.Errorf("%T round trip:\n in  %+v\n out %+v", in, in, out.Elem().Interface())

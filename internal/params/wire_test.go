@@ -223,3 +223,51 @@ func TestSnapshotDecodeDoesNotAlias(t *testing.T) {
 		t.Errorf("decoded\n%v\nwant\n%v", got, want)
 	}
 }
+
+// TestCheckWire: CheckWire reads a snapshot's wire form and returns it as
+// an alias of the input, leaving what follows, and fails exactly where
+// DecodeWire fails, with the same error: on every cut of a good body
+// and on an entry outside the catalog or of the wrong kind.
+func TestCheckWire(t *testing.T) {
+	full := NewSnapshot()
+	for o, in := range &catalog {
+		setAny(full, in, o)
+	}
+	enc := full.AppendWire(nil)
+	body := append(append([]byte(nil), enc...), 0x7f)
+	d := wire.NewDec(body)
+	span := CheckWire(&d)
+	if d.Err() != nil || !bytes.Equal(span, enc) || &span[0] != &body[0] || d.Remaining() != 1 {
+		t.Fatalf("CheckWire = %d bytes, err %v, %d left; want the %d-byte snapshot, aliased, and 1 left",
+			len(span), d.Err(), d.Remaining(), len(enc))
+	}
+
+	var inputs [][]byte
+	for cut := range enc {
+		inputs = append(inputs, enc[:cut])
+	}
+	first := catalog[wireOrd[0]]
+	for _, c := range []struct {
+		key  string
+		kind Kind
+	}{{"no.such.parameter", Number}, {string(NodeName), Number}, {string(Idle), String}, {string(Idle), 7}} {
+		b := wire.AppendUvarint(nil, 2)
+		b = wire.AppendString(b, string(first.ID))
+		b = wire.AppendVarint(b, int64(first.Kind))
+		b = wire.AppendFloat64(b, 0)
+		b = wire.AppendString(b, "")
+		b = wire.AppendString(b, c.key)
+		b = wire.AppendVarint(b, int64(c.kind))
+		b = wire.AppendFloat64(b, 0)
+		inputs = append(inputs, wire.AppendString(b, ""))
+	}
+	for _, in := range inputs {
+		check, dec := wire.NewDec(in), wire.NewDec(in)
+		CheckWire(&check)
+		var s Snapshot
+		s.DecodeWire(&dec)
+		if check.Err() == nil || fmt.Sprint(check.Err()) != fmt.Sprint(dec.Err()) {
+			t.Fatalf("%x: CheckWire: %v; DecodeWire: %v", in, check.Err(), dec.Err())
+		}
+	}
+}

@@ -37,13 +37,15 @@ const tagBatch byte = 0x02
 func init() { RegisterWire(tagBatch, Batch{}) }
 
 // Append encodes v exactly like a message body (Marshal) and adds it to
-// the batch.
+// the batch.  The item is encoded once, into pooled scratch, and
+// copied into the buffer behind its length prefix.
 func (b *Batch) Append(v any) error {
-	item, err := Marshal(v)
+	item, err := appendMarshal(wire.Buffers.Get(), v)
 	if err != nil {
 		return err
 	}
 	b.Buf = wire.AppendBytes(b.Buf, item)
+	wire.Buffers.Put(item)
 	b.Count++
 	b.offs = nil
 	return nil

@@ -1,11 +1,13 @@
 package rmi
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"jsymphony/internal/rmi/wire"
 	"jsymphony/internal/sched"
 	"jsymphony/internal/simnet"
 )
@@ -118,6 +120,10 @@ func stationBudget() map[string][]budgetRow {
 	for i := range operands {
 		operands[i] = 1.0 / float32(i+1)
 	}
+	// A float vector body whose count claims 10⁶ elements and whose
+	// bytes hold enough for a count at one byte per element, too few
+	// for the elements.
+	claim := append(wire.AppendUvarint(nil, 1e6), make([]byte, 1e6)...)
 	// A 340-key table, as sim_serve's shards hold once touched: encoded
 	// again unchanged, it reuses its sorted key order.
 	table := make(map[string]int, 340)
@@ -167,6 +173,24 @@ func stationBudget() map[string][]budgetRow {
 			{"args decode", "", 8, decodes(args, func() any { return new([]any) })},
 			{"float32x4096 encode", "", 1, encodes(operands, 16388)},
 			{"float32x4096 decode", "", 3, decodes(operands, func() any { return new([]float32) })},
+			// A corrupt count fails before anything is allocated.  Each
+			// decoder is called directly, so the cursor stays on the stack.
+			{"float32 vector claiming 10⁶ elements in 10⁶ bytes, decode", "", 0, func(t *testing.T) float64 {
+				return testing.AllocsPerRun(10, func() {
+					d := wire.NewDec(claim)
+					if decFloat32s(&d) != nil || !errors.Is(d.Err(), wire.ErrTruncated) {
+						t.Fatalf("decode = %v, want wire.ErrTruncated", d.Err())
+					}
+				})
+			}},
+			{"float64 vector claiming 10⁶ elements in 10⁶ bytes, decode", "", 0, func(t *testing.T) float64 {
+				return testing.AllocsPerRun(10, func() {
+					d := wire.NewDec(claim)
+					if decFloat64s(&d) != nil || !errors.Is(d.Err(), wire.ErrTruncated) {
+						t.Fatalf("decode = %v, want wire.ErrTruncated", d.Err())
+					}
+				})
+			}},
 			{"repeat encode of an unchanged 340-key map[string]int", "", 1, encodes(tableAny, 3000)},
 			// The target, the map (its header, directory, table and
 			// groups) and one backing for all 340 keys.

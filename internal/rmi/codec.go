@@ -41,7 +41,19 @@ var ErrCodec = errors.New("rmi: codec")
 //
 // A value that cannot be encoded (an unregistered type inside an any,
 // a channel, a func) fails with ErrCodec; it never panics.
-func Marshal(v any) (out []byte, err error) {
+func Marshal(v any) ([]byte, error) {
+	buf, err := appendMarshal(wire.Buffers.Get(), v)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(buf))
+	copy(out, buf)
+	wire.Buffers.Put(buf)
+	return out, nil
+}
+
+// appendMarshal appends v's body, the bytes Marshal returns, to buf.
+func appendMarshal(buf []byte, v any) (out []byte, err error) {
 	defer func() {
 		// A layout encoder has no error return, so an unencodable value
 		// inside an any panics there with an ErrCodec error (encAny).
@@ -53,7 +65,6 @@ func Marshal(v any) (out []byte, err error) {
 			out, err = nil, e
 		}
 	}()
-	buf := wire.Buffers.Get()
 	if canAppendValue(v) {
 		buf, err = appendValue(append(buf, FormatValue), v)
 	} else if w, rv := wireOf(v); w != nil {
@@ -64,10 +75,7 @@ func Marshal(v any) (out []byte, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: marshal: %w", ErrCodec, err)
 	}
-	out = make([]byte, len(buf))
-	copy(out, buf)
-	wire.Buffers.Put(buf)
-	return out, nil
+	return buf, nil
 }
 
 // MustMarshal is Marshal for values whose encodability is a program

@@ -265,7 +265,9 @@ var (
 )
 
 // encCodec boxes the value, which allocates nothing for a pointer-shaped
-// type such as params.Snapshot, addressable or not.
+// type such as params.Snapshot, addressable or not, nor for a value that
+// is not addressable (a field of a body passed by value): reflect boxes
+// it without a copy.
 func encCodec(buf []byte, v reflect.Value) []byte {
 	return v.Interface().(wireAppender).AppendWire(buf)
 }

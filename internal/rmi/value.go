@@ -1,8 +1,11 @@
 package rmi
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -227,44 +230,69 @@ func decInt64s(d *wire.Dec) []int64 {
 	return out
 }
 
+// Float vectors are fixed-width: the count, then 4 or 8 little-endian
+// bytes per element, written in one grow and read with one bounds
+// check, which comes before the allocation, so a corrupt count costs
+// nothing.
+
 func appendFloat32s(buf []byte, x []float32) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(x)))
-	for _, e := range x {
-		buf = wire.AppendFloat32(buf, e)
+	n := len(buf)
+	buf = slices.Grow(buf, 4*len(x))[:n+4*len(x)]
+	for i, e := range x {
+		binary.LittleEndian.PutUint32(buf[n+4*i:], math.Float32bits(e))
 	}
 	return buf
 }
 
 func decFloat32s(d *wire.Dec) []float32 {
-	n := decLen(d)
-	if n == 0 {
+	b := decFixed(d, 4)
+	if b == nil {
 		return nil
 	}
-	out := make([]float32, n)
+	out := make([]float32, len(b)/4)
 	for i := range out {
-		out[i] = d.Float32()
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }
 
 func appendFloat64s(buf []byte, x []float64) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(x)))
-	for _, e := range x {
-		buf = wire.AppendFloat64(buf, e)
+	n := len(buf)
+	buf = slices.Grow(buf, 8*len(x))[:n+8*len(x)]
+	for i, e := range x {
+		binary.LittleEndian.PutUint64(buf[n+8*i:], math.Float64bits(e))
 	}
 	return buf
 }
 
 func decFloat64s(d *wire.Dec) []float64 {
-	n := decLen(d)
-	if n == 0 {
+	b := decFixed(d, 8)
+	if b == nil {
 		return nil
 	}
-	out := make([]float64, n)
+	out := make([]float64, len(b)/8)
 	for i := range out {
-		out[i] = d.Float64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
+}
+
+// decFixed reads the count of a vector of size-byte elements and
+// returns their bytes, aliasing the input; count 0 reads as nil.  A
+// count beyond the remaining bytes fails d as wire.ErrTruncated, which
+// allocates nothing.
+func decFixed(d *wire.Dec, size int) []byte {
+	n := d.Uvarint()
+	if d.Err() != nil || n == 0 {
+		return nil
+	}
+	if n > uint64(d.Remaining()/size) {
+		d.Fail(wire.ErrTruncated)
+		return nil
+	}
+	return d.Raw(int(n) * size)
 }
 
 // appendMapS appends a string-keyed map in sorted key order.  A map of

@@ -340,6 +340,24 @@ func (d *Dec) Bytes() []byte {
 	return b
 }
 
+// Raw reads the next n bytes as they lie, with no length prefix: a
+// fixed-width vector whose count the caller has read, or a span the
+// caller has checked on a copy of the cursor.  The result aliases the
+// input buffer.  Fewer than n remaining bytes fail d as ErrTruncated,
+// which allocates nothing.
+func (d *Dec) Raw(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n < 0 || n > d.Remaining() {
+		d.Fail(ErrTruncated)
+		return nil
+	}
+	b := d.buf[d.off : d.off+n : d.off+n]
+	d.off += n
+	return b
+}
+
 // BytesCopy reads a length-prefixed byte slice into fresh memory.
 func (d *Dec) BytesCopy() []byte {
 	b := d.Bytes()

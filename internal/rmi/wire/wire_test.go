@@ -104,6 +104,25 @@ func TestDecHugeLengthPrefix(t *testing.T) {
 	}
 }
 
+// TestDecRaw: Raw reads exactly n bytes, aliasing the input and capped
+// at them; more than remain fails as truncated and leaves nothing read.
+func TestDecRaw(t *testing.T) {
+	buf := []byte{1, 2, 3, 4, 5}
+	d := NewDec(buf)
+	got := d.Raw(3)
+	if string(got) != "\x01\x02\x03" || cap(got) != 3 || &got[0] != &buf[0] {
+		t.Fatalf("Raw(3) = %v (cap %d), want an alias of the first 3 bytes", got, cap(got))
+	}
+	if d.Raw(3) != nil || !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("Raw past the end: err = %v, want ErrTruncated", d.Err())
+	}
+	d = NewDec(buf)
+	d.Raw(5)
+	if err := d.Finish(); err != nil {
+		t.Fatalf("Raw of the whole input: %v", err)
+	}
+}
+
 func TestDecTrailingBytes(t *testing.T) {
 	buf := AppendUvarint(nil, 7)
 	buf = append(buf, 0xFF)

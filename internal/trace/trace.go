@@ -96,31 +96,38 @@ func (e Event) String() string {
 }
 
 // ring is the bounded buffer behind Log and SpanLog: it retains the
-// last cap items pushed into it and walks them oldest-first.
+// last cap items pushed into it and walks them oldest-first.  Its
+// buffer grows as items arrive, so a world that records few spans pays
+// for few, and wraps once it holds cap.
 type ring[T any] struct {
-	mu    sync.Mutex
-	cap   int
-	buf   []T
-	next  int
-	count int
+	mu   sync.Mutex
+	cap  int
+	buf  []T // the retained items; oldest at next once len(buf) is cap
+	next int // the slot the next push overwrites, once len(buf) is cap
 }
 
 func newRing[T any](cap int) ring[T] {
 	if cap < 1 {
 		cap = 1
 	}
-	return ring[T]{cap: cap, buf: make([]T, cap)}
+	return ring[T]{cap: cap}
 }
 
 // push returns the slot the newest item goes in, which holds the oldest
 // once the ring is full.  The caller stores into it in place: a span
 // passed through by value would be copied twice.  Caller holds r.mu.
 func (r *ring[T]) push() *T {
+	if n := len(r.buf); n < r.cap {
+		if n == cap(r.buf) {
+			grown := make([]T, n, min(max(2*n, 8), r.cap))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = r.buf[:n+1]
+		return &r.buf[n]
+	}
 	slot := &r.buf[r.next]
 	r.next = (r.next + 1) % r.cap
-	if r.count < r.cap {
-		r.count++
-	}
 	return slot
 }
 
@@ -132,9 +139,8 @@ func (r *ring[T]) collect(match func(*T) bool) []T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []T
-	start := r.next - r.count + r.cap
-	for i := 0; i < r.count; i++ {
-		v := &r.buf[(start+i)%r.cap]
+	for i := range r.buf {
+		v := &r.buf[(r.next+i)%len(r.buf)]
 		if match == nil || match(v) {
 			out = append(out, *v)
 		}
@@ -146,7 +152,7 @@ func (r *ring[T]) collect(match func(*T) bool) []T {
 func (r *ring[T]) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.count
+	return len(r.buf)
 }
 
 // Log is a bounded ring of events.

@@ -78,8 +78,9 @@ func TestEventString(t *testing.T) {
 	}
 }
 
-// Property: after any emission sequence, Events() is sorted by Seq and
-// bounded by the capacity.
+// Property: after any emission sequence, Events() is the last
+// min(emitted, capacity) events, sorted by Seq, whether the ring is
+// still growing or has wrapped.
 func TestLogOrderProperty(t *testing.T) {
 	f := func(kinds []uint8, cap8 uint8) bool {
 		cap := int(cap8%32) + 1
@@ -88,7 +89,10 @@ func TestLogOrderProperty(t *testing.T) {
 			l.Emit(Event{Kind: ObjCreated})
 		}
 		evs := l.Events()
-		if len(evs) > cap {
+		if len(evs) != min(len(kinds), cap) || l.Len() != len(evs) {
+			return false
+		}
+		if len(evs) > 0 && evs[len(evs)-1].Seq != uint64(len(kinds)) {
 			return false
 		}
 		for i := 1; i < len(evs); i++ {
