@@ -15,6 +15,7 @@ import (
 	"jsymphony/internal/rmi"
 	"jsymphony/internal/sched"
 	"jsymphony/internal/simnet"
+	"jsymphony/internal/vclock"
 	"jsymphony/internal/virtarch"
 )
 
@@ -397,6 +398,66 @@ func TestAInvokeParallelism(t *testing.T) {
 		if elapsed > 250*time.Millisecond {
 			t.Fatalf("parallel ainvoke took %v, want ~100-200ms", elapsed)
 		}
+	})
+}
+
+// TestAInvokeHandleManyWaiters: procs blocked in Result on one handle
+// all get its one outcome, result and error alike: the first to wake
+// takes the completion's token and each passes it on to the next (the
+// cascade Put).  A Result after the fact gets it too, and IsReady turns
+// true only once the completion is delivered.  Both schedulers.
+func TestAInvokeHandleManyWaiters(t *testing.T) {
+	const waiters = 5
+	boom := errors.New("boom")
+	type outcome struct {
+		res any
+		err error
+	}
+	run := func(t *testing.T, s sched.Sched, p sched.Proc) {
+		started, release, out := s.NewQueue("started"), s.NewQueue("release"), s.NewQueue("outcomes")
+		h := ainvoke(s, func(q sched.Proc) (any, error) {
+			q.Recv(release)
+			return "outcome", boom
+		})
+		for i := 0; i < waiters; i++ {
+			s.Spawn("waiter", func(q sched.Proc) {
+				started.Put(true, 0)
+				res, err := h.Result(q)
+				out.Put(outcome{res, err}, 0)
+			})
+		}
+		for i := 0; i < waiters; i++ {
+			p.Recv(started)
+		}
+		p.Sleep(time.Millisecond) // the waiters block in Result
+		if h.IsReady() {
+			t.Error("handle ready before its call returned")
+		}
+		release.Put(true, 0)
+		for i := 0; i < waiters; i++ {
+			v, _ := p.Recv(out)
+			if o := v.(outcome); o.res != "outcome" || !errors.Is(o.err, boom) {
+				t.Errorf("waiter %d got %v, %v; want outcome, boom", i, o.res, o.err)
+			}
+		}
+		if !h.IsReady() {
+			t.Error("handle not ready after its waiters returned")
+		}
+		if res, err := h.Result(p); res != "outcome" || !errors.Is(err, boom) {
+			t.Errorf("a later Result got %v, %v; want outcome, boom", res, err)
+		}
+	}
+	t.Run("virtual", func(t *testing.T) {
+		c := vclock.New()
+		s := sched.Virtual(c)
+		p, done := sched.AdoptVirtual(s, "main")
+		run(t, s, p)
+		done()
+		c.Run()
+	})
+	t.Run("real", func(t *testing.T) {
+		s := sched.Real()
+		run(t, s, sched.RealProc(s))
 	})
 }
 

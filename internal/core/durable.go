@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -71,11 +72,19 @@ func (d DurabilityOptions) withDefaults() DurabilityOptions {
 
 // durState is one node's durability engine: the log front plus the
 // writers parked on the next group commit.
+//
+// A parked writer waits on a single-use queue of its own, named
+// waitName.  The waiter list keeps its backing from one commit to the
+// next: a flush (or durFailWaiters) takes the list and leaves spare in
+// its place, and hands its own list back as spare only after its Puts,
+// cleared, so two releases racing never share a backing.
 type durState struct {
 	mu       sync.Mutex
 	log      *wal.Log
 	media    *wal.Media
 	waiters  []sched.Queue // parked until the covering flush syncs (true) or is lost (false)
+	spare    []sched.Queue // an empty backing for the next waiter list
+	waitName string        // the name of every waiter's queue
 	lastCkpt time.Duration
 	// The node's js_wal_* handles, resolved with the state (addNode).
 	appends, checkpoints, checkpointBytes, flushes, flushBytes *metrics.Counter
@@ -86,9 +95,19 @@ var errDurabilityLost = errors.New("oas: write lost before reaching stable stora
 
 const errNoDurability = "oas: durability not enabled"
 
-// durObjKey is the WAL key for one object's state records.
+// durObjKey is the WAL key for one object's state records.  A hosted
+// object keeps its own (hostedObj.walKey).
 func durObjKey(app string, id uint64) string {
-	return fmt.Sprintf("o:%s/%d", app, id)
+	return "o:" + app + "/" + strconv.FormatUint(id, 10)
+}
+
+// walKey is the object's WAL key, built at its first logged state and
+// kept.  The caller holds the runtime's lock.
+func (h *hostedObj) walKey() string {
+	if h.durKey == "" {
+		h.durKey = durObjKey(h.ref.App, h.ref.ID)
+	}
+	return h.durKey
 }
 
 // durManifestKey is the WAL key for an application's durable-object
@@ -141,8 +160,7 @@ func (rt *Runtime) durFlush(p sched.Proc) bool {
 	d := rt.dur
 	d.mu.Lock()
 	t, ok := d.log.Flush()
-	waiters := d.waiters
-	d.waiters = nil
+	waiters := d.takeWaitersLocked()
 	d.mu.Unlock()
 	synced := false
 	if ok {
@@ -154,10 +172,31 @@ func (rt *Runtime) durFlush(p sched.Proc) bool {
 			rt.noteFlush(t)
 		}
 	}
+	d.releaseWaiters(waiters, synced)
+	return synced
+}
+
+// takeWaitersLocked detaches the writers parked on the next commit and
+// leaves the spare backing in their place.  The caller holds d.mu and
+// wakes them with releaseWaiters.
+func (d *durState) takeWaitersLocked() []sched.Queue {
+	waiters := d.waiters
+	d.waiters, d.spare = d.spare, nil
+	return waiters
+}
+
+// releaseWaiters tells the writers taken by takeWaitersLocked whether
+// their commit synced, then keeps the list's backing as the spare.
+func (d *durState) releaseWaiters(waiters []sched.Queue, synced bool) {
 	for _, q := range waiters {
 		q.Put(synced, 0)
 	}
-	return synced
+	clear(waiters)
+	d.mu.Lock()
+	if cap(waiters) > cap(d.spare) {
+		d.spare = waiters[:0]
+	}
+	d.mu.Unlock()
 }
 
 // durMaybeCheckpoint folds the synced log prefix into the base image
@@ -220,7 +259,7 @@ func (rt *Runtime) durAppend(p sched.Proc, rec wal.Record, wait bool) (time.Dura
 		return watch.Elapsed(), nil
 	}
 	// Group commit: park on the daemon's next flush.
-	q := rt.world.s.NewQueue("oas.walwait:" + rt.Node())
+	q := rt.world.s.NewQueue(d.waitName)
 	d.mu.Lock()
 	d.log.Append(rec)
 	d.waiters = append(d.waiters, q)
@@ -293,12 +332,9 @@ func (rt *Runtime) durFailWaiters() {
 		return
 	}
 	d.mu.Lock()
-	waiters := d.waiters
-	d.waiters = nil
+	waiters := d.takeWaitersLocked()
 	d.mu.Unlock()
-	for _, q := range waiters {
-		q.Put(false, 0)
-	}
+	d.releaseWaiters(waiters, false)
 }
 
 // makeDurable handles the "durable" pub method: mark a hosted object
@@ -333,7 +369,7 @@ func (rt *Runtime) durLogState(p sched.Proc, h *hostedObj, state []byte, wait bo
 	rt.mu.Lock()
 	inst := h.instance
 	ver := h.durVer
-	ref := h.ref
+	key := h.walKey()
 	rt.mu.Unlock()
 	if state == nil {
 		var err error
@@ -342,7 +378,7 @@ func (rt *Runtime) durLogState(p sched.Proc, h *hostedObj, state []byte, wait bo
 		}
 	}
 	return rt.durAppend(p, wal.Record{
-		Kind: wal.KindUpdate, Key: durObjKey(ref.App, ref.ID), Ver: ver, Data: state,
+		Kind: wal.KindUpdate, Key: key, Ver: ver, Data: state,
 	}, wait)
 }
 

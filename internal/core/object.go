@@ -229,7 +229,11 @@ func (a *App) freeEntry(p sched.Proc, e *objEntry) error {
 	return err
 }
 
-// Handle is the future returned by AInvoke (§4.5).
+// Handle is the future returned by AInvoke (§4.5).  The outcome is
+// kept on the handle, and its queue carries only a zero-size token that
+// says it is there: the completion's, and each Result's cascade to the
+// next waiter.  got is set by the first Result that receives the token,
+// so IsReady turns true when the completion is delivered, not before.
 type Handle struct {
 	q  sched.Queue
 	mu sync.Mutex
@@ -239,10 +243,8 @@ type Handle struct {
 	err error
 }
 
-type handleMsg struct {
-	res any
-	err error
-}
+// handleReady is the token a handle's queue carries.
+type handleReady struct{}
 
 // ainvoke runs call on a proc of its own — "one thread for every
 // asynchronous method invocation in order to overcome blocking
@@ -251,7 +253,10 @@ func ainvoke(s sched.Sched, call func(p sched.Proc) (any, error)) *Handle {
 	h := &Handle{q: s.NewQueue("result-handle")}
 	s.Spawn("ainvoke", func(p sched.Proc) {
 		res, err := call(p)
-		h.q.Put(handleMsg{res: res, err: err}, 0)
+		h.mu.Lock()
+		h.res, h.err = res, err
+		h.mu.Unlock()
+		h.q.Put(handleReady{}, 0)
 	})
 	return h
 }
@@ -273,20 +278,19 @@ func (h *Handle) Result(p sched.Proc) (any, error) {
 		return h.res, h.err
 	}
 	h.mu.Unlock()
-	v, ok := p.Recv(h.q)
+	_, ok := p.Recv(h.q)
 	h.mu.Lock()
 	if !h.got {
 		if !ok {
 			h.mu.Unlock()
 			return nil, errors.New("core: result handle closed")
 		}
-		m := v.(handleMsg)
-		h.got, h.res, h.err = true, m.res, m.err
+		h.got = true
 	}
 	res, err := h.res, h.err
 	h.mu.Unlock()
 	// Cascade-wake any other proc blocked in Recv on the same handle.
-	h.q.Put(handleMsg{res: res, err: err}, 0)
+	h.q.Put(handleReady{}, 0)
 	return res, err
 }
 

@@ -226,11 +226,13 @@ func (rt *Runtime) replicaApply(p sched.Proc, req replicaUpdateReq) error {
 	if req.Mode == replica.Strong {
 		rs.leaseUntil = now + req.Lease
 	}
+	var walKey string
 	if req.Durable {
 		h.durable = true
 		if req.DurVer > h.durVer {
 			h.durVer = req.DurVer
 		}
+		walKey = h.walKey()
 	}
 	rt.mu.Unlock()
 	rt.updateObjectGauge()
@@ -239,7 +241,7 @@ func (rt *Runtime) replicaApply(p sched.Proc, req replicaUpdateReq) error {
 		// durable write acks only once this copy is on stable storage, so
 		// MinSync counts logged copies, not merely delivered ones.
 		if _, err := rt.durAppend(p, wal.Record{
-			Kind: wal.KindUpdate, Key: durObjKey(req.Ref.App, req.Ref.ID), Ver: req.DurVer, Data: req.State,
+			Kind: wal.KindUpdate, Key: walKey, Ver: req.DurVer, Data: req.State,
 		}, true); err != nil {
 			return fmt.Errorf("oas: replica durable log: %w", err)
 		}

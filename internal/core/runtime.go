@@ -82,6 +82,7 @@ type hostedObj struct {
 	durable  bool
 	durReads []string // methods that do not mutate state (readList form)
 	durVer   uint64
+	durKey   string // the WAL key, once built (walKey)
 }
 
 // Ctx gives application methods access to their execution context.  A

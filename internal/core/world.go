@@ -334,7 +334,7 @@ func (w *World) addNode(net rmi.Network, name string, mach *simnet.Machine, samp
 		// One stable medium per node: it outlives crashes (and even this
 		// World — whole-cluster restart replays from the same Stable).
 		m := w.durOpts.Stable.Node(name)
-		rt.dur = &durState{log: wal.NewLog(m), media: m,
+		rt.dur = &durState{log: wal.NewLog(m), media: m, waitName: "oas.walwait:" + name,
 			appends:         w.reg.CounterHandle(metrics.Label("js_wal_appends_total", "node", name)),
 			checkpoints:     w.reg.CounterHandle(metrics.Label("js_wal_checkpoints_total", "node", name)),
 			checkpointBytes: w.reg.CounterHandle(metrics.Label("js_wal_checkpoint_bytes_total", "node", name)),

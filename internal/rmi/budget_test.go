@@ -131,6 +131,9 @@ func stationBudget() map[string][]budgetRow {
 		table[fmt.Sprintf("key%03d", i)] = i
 	}
 	var tableAny any = table
+	// A map below the key-order cache's size, as the kv counter's table
+	// is on every durable write: its keys sort on the stack.
+	var smallAny any = map[string]int{"c": 3, "a": 1, "b": 2}
 	// A heartbeat-shaped map: 49 parameters under a named string key.
 	snap := make(layoutSnap, 49)
 	for i := 0; i < 49; i++ {
@@ -192,6 +195,7 @@ func stationBudget() map[string][]budgetRow {
 				})
 			}},
 			{"repeat encode of an unchanged 340-key map[string]int", "", 1, encodes(tableAny, 3000)},
+			{"encode of a 3-key map[string]int", "", 1, encodes(smallAny, 12)},
 			// The target, the map (its header, directory, table and
 			// groups) and one backing for all 340 keys.
 			{"340-key map[string]int decode", "", 6, decodes(tableAny, func() any { return new(any) })},

@@ -62,7 +62,7 @@ func (n *FabNetwork) Attach(node string) (Endpoint, error) {
 	ep := &fabEndpoint{
 		net:   n,
 		m:     m,
-		queue: sched.WrapMailbox(m.Inbox()),
+		queue: m.Inbox(),
 	}
 	n.eps[node] = ep
 	return ep, nil

@@ -296,12 +296,19 @@ func decFixed(d *wire.Dec, size int) []byte {
 }
 
 // appendMapS appends a string-keyed map in sorted key order.  A map of
-// orderMinKeys or more keys reuses the order its last encode sorted,
-// once that order is proved to still be its key set (DESIGN.md §15).
+// fewer than orderMinKeys keys sorts them on the stack; one of more
+// reuses the order its last encode sorted, once that order is proved
+// to still be its key set (DESIGN.md §15).
 func appendMapS[V any](buf []byte, m map[string]V, appendV func([]byte, V) []byte) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(m)))
 	if len(m) < orderMinKeys {
-		out, _ := appendInOrder(buf, m, sortedKeys(m), appendV)
+		var scratch [orderMinKeys]string
+		keys := scratch[:0]
+		for k := range m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		out, _ := appendInOrder(buf, m, keys, appendV)
 		return out
 	}
 	addr := reflect.ValueOf(m).Pointer()

@@ -8,8 +8,8 @@ import (
 )
 
 // TestSchedAllocBudget pins the scheduler's own allocations in steady
-// state: a virtual Spawn beyond the kernel's, a real queue's Put and
-// Recv, and a RecvTimeout on a real proc that has timed receives
+// state: a virtual Spawn beyond the kernel's, a single-use virtual
+// queue made, fed and drained, a real queue's Put and Recv, and a RecvTimeout on a real proc that has timed receives
 // before.  Each row names the BENCHMARK.json ledger row it feeds; the
 // ceiling is this test's count, and a change that lowers a count lowers
 // its ceiling.
@@ -43,6 +43,26 @@ func TestSchedAllocBudget(t *testing.T) {
 				t.Errorf("%d children ran, want %d", ran, want)
 			}
 			return got
+		}},
+		// A result handle's or a group-commit waiter's queue: the
+		// mailbox is the queue, and holds its first message and its
+		// first waiter inline.
+		{"NewQueue, Put, Recv of a single-use virtual queue", "sched.virtual_putget_ns", 1, func() float64 {
+			c := vclock.New()
+			s := Virtual(c)
+			p, done := AdoptVirtual(s, "main")
+			defer c.Run()
+			defer done()
+			var v any = 7
+			once := func() {
+				q := s.NewQueue("once")
+				q.Put(v, 0)
+				if got, ok := p.Recv(q); !ok || got != v {
+					t.Fatalf("Recv = %v, %v; want %v", got, ok, v)
+				}
+			}
+			once() // warm: the clock's free delivery event
+			return testing.AllocsPerRun(1000, once)
 		}},
 		{"real queue Put and Recv", "sched.real_putget_ns", 0, func() float64 {
 			s := Real()

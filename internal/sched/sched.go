@@ -11,7 +11,9 @@
 //
 // A Proc is a schedulable context (goroutine or vclock actor); a Queue is
 // an unbounded FIFO with optional delayed delivery (the hook transports
-// use to model network latency).
+// use to model network latency).  The virtual Queue is a *vclock.Mailbox
+// as it is, so a mailbox made elsewhere (a simnet machine's inbox) is
+// one too.
 package sched
 
 import (
@@ -83,8 +85,6 @@ type virtualProc struct {
 	run func(*vclock.Actor) // the proc's body method, bound once
 }
 
-type virtualQueue struct{ m *vclock.Mailbox }
-
 // Virtual returns a Sched running in virtual time on clock c.
 func Virtual(c *vclock.Clock) Sched { return &virtualSched{c: c} }
 
@@ -113,9 +113,7 @@ func (p *virtualProc) body(a *vclock.Actor) {
 	p.s.mu.Unlock()
 }
 
-func (s *virtualSched) NewQueue(name string) Queue {
-	return &virtualQueue{m: vclock.NewMailbox(s.c, name)}
-}
+func (s *virtualSched) NewQueue(name string) Queue { return vclock.NewMailbox(s.c, name) }
 
 func (s *virtualSched) Now() time.Duration { return time.Duration(s.c.Now()) }
 func (s *virtualSched) Virtual() bool      { return true }
@@ -127,18 +125,12 @@ func (s *virtualSched) Adopt(name string) (Proc, func()) {
 	return &virtualProc{s: s, a: a}, a.Done
 }
 
-func (p *virtualProc) Sleep(d time.Duration) { p.a.Sleep(d) }
-func (p *virtualProc) Recv(q Queue) (any, bool) {
-	return p.a.Get(q.(*virtualQueue).m)
-}
+func (p *virtualProc) Sleep(d time.Duration)    { p.a.Sleep(d) }
+func (p *virtualProc) Recv(q Queue) (any, bool) { return p.a.Get(q.(*vclock.Mailbox)) }
 func (p *virtualProc) RecvTimeout(q Queue, d time.Duration) (any, bool) {
-	return p.a.GetTimeout(q.(*virtualQueue).m, d)
+	return p.a.GetTimeout(q.(*vclock.Mailbox), d)
 }
 func (p *virtualProc) Sched() Sched { return p.s }
-
-func (q *virtualQueue) Put(v any, delay time.Duration) { q.m.Put(v, delay) }
-func (q *virtualQueue) Close()                         { q.m.Close() }
-func (q *virtualQueue) Len() int                       { return q.m.Len() }
 
 // Actor exposes the underlying vclock actor of a virtual proc, or nil
 // for a real proc.  Transports that charge simulated CPU need it.
@@ -155,11 +147,6 @@ func Actor(p Proc) *vclock.Actor {
 func AdoptVirtual(s Sched, name string) (Proc, func()) {
 	return s.(*virtualSched).Adopt(name)
 }
-
-// WrapMailbox adapts an existing vclock mailbox (for example a simnet
-// machine's inbox) into a Queue usable by virtual procs on the same
-// clock.
-func WrapMailbox(m *vclock.Mailbox) Queue { return &virtualQueue{m: m} }
 
 // ---------------------------------------------------------------------
 // Real implementation over goroutines and the wall clock.

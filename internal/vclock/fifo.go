@@ -2,7 +2,9 @@ package vclock
 
 // fifo is a queue that reuses its backing array: popping the last item
 // rewinds it, so a queue that drains between uses stops allocating, and
-// a full array at least half popped is compacted instead of grown.
+// a full array at least half popped is compacted instead of grown.  The
+// backing may start in its owner's memory (a mailbox's one-element
+// arrays): the first push past it moves the queue to the heap.
 type fifo[T comparable] struct {
 	items []T
 	head  int
@@ -13,7 +15,15 @@ func (q *fifo[T]) peek() T   { return q.items[q.head] }
 func (q *fifo[T]) rest() []T { return q.items[q.head:] }
 
 func (q *fifo[T]) push(v T) {
-	if q.head > 0 && 2*q.head >= len(q.items) && len(q.items) == cap(q.items) {
+	if len(q.items) == cap(q.items) {
+		if q.head == 0 || 2*q.head < len(q.items) {
+			// Grow.  The old backing may outlive the move (a mailbox's
+			// inline slot does), so it lets go of the queued items.
+			old := q.items
+			q.items = append(old, v)
+			clear(old[q.head:])
+			return
+		}
 		n := copy(q.items, q.items[q.head:])
 		clear(q.items[n:])
 		q.items, q.head = q.items[:n], 0

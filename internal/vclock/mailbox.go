@@ -5,6 +5,12 @@ package vclock
 // latency plus transmission time); Get blocks the calling actor until a
 // message is deliverable.  Messages delivered at distinct virtual times
 // are received in time order; ties are broken by Put order.
+//
+// A mailbox is sched's virtual Queue as it is.  Most mailboxes are
+// single-use (a result handle, a group-commit wait): one message, one
+// waiter.  So the first of each lives inside the mailbox, and its queue
+// moves to the heap only when a second arrives: such a wait costs the
+// one allocation of NewMailbox.
 type Mailbox struct {
 	c       *Clock
 	name    string
@@ -12,12 +18,18 @@ type Mailbox struct {
 	waiters fifo[*Actor] // actors blocked in Get
 	pending int          // scheduled deliveries not yet fired
 	closed  bool
+
+	firstReady  [1]any    // ready's backing until it holds two
+	firstWaiter [1]*Actor // waiters' backing until it holds two
 }
 
 // NewMailbox returns an empty mailbox on clock c.  The name is used in
 // deadlock diagnostics.
 func NewMailbox(c *Clock, name string) *Mailbox {
-	return &Mailbox{c: c, name: name}
+	m := &Mailbox{c: c, name: name}
+	m.ready.items = m.firstReady[:0]
+	m.waiters.items = m.firstWaiter[:0]
+	return m
 }
 
 // Len reports the number of deliverable (not in-flight) messages.

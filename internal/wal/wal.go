@@ -106,82 +106,111 @@ func appendFrame(dst []byte, r Record) []byte {
 	return dst
 }
 
-// readFrame decodes the frame at off.  Key and Data are copied so the
-// result stays valid when the underlying log is truncated or rewritten.
+// frame is one decoded frame whose key and data still lie in the log.
+type frame struct {
+	kind      Kind
+	ver       uint64
+	key, data []byte
+}
+
+// frameAt decodes the frame at off in place: its key and data alias b.
 // ok is false for a short, mangled, or checksum-failing frame.
-func readFrame(b []byte, off int) (Record, int, bool) {
+func frameAt(b []byte, off int) (frame, int, bool) {
 	const header = 1 + 1 + 8 + 4
 	if off+header > len(b) || b[off] != frameMagic {
-		return Record{}, 0, false
+		return frame{}, 0, false
 	}
 	kind := Kind(b[off+1])
 	if kind < KindBegin || kind > KindCheckpoint {
-		return Record{}, 0, false
+		return frame{}, 0, false
 	}
 	ver := binary.BigEndian.Uint64(b[off+2 : off+10])
 	keyLen := int(binary.BigEndian.Uint32(b[off+10 : off+14]))
 	p := off + header
 	if p+keyLen+4 > len(b) {
-		return Record{}, 0, false
+		return frame{}, 0, false
 	}
-	key := string(b[p : p+keyLen])
+	key := b[p : p+keyLen]
 	p += keyLen
 	dataLen := int(binary.BigEndian.Uint32(b[p : p+4]))
 	p += 4
 	if p+dataLen+4 > len(b) {
-		return Record{}, 0, false
+		return frame{}, 0, false
 	}
-	data := append([]byte(nil), b[p:p+dataLen]...)
+	data := b[p : p+dataLen]
 	p += dataLen
 	if binary.BigEndian.Uint32(b[p:p+4]) != crc32.ChecksumIEEE(b[off:p]) {
-		return Record{}, 0, false
+		return frame{}, 0, false
 	}
-	return Record{Kind: kind, Key: key, Ver: ver, Data: data}, p + 4, true
+	return frame{kind: kind, ver: ver, key: key, data: data}, p + 4, true
 }
 
 // foldBatches scans b, folding every complete Begin..Commit batch into
 // entries (updates overwrite, deletes remove).  It returns the batch
 // and record counts, the highest committed flush sequence, and the
 // offset of the first invalid frame (== len(b) when the log is clean).
+//
+// The scan works on frames in place.  It first finds each key's last
+// committed record, and only that record reaches entries, its key and
+// data copied there once, so the copies stay valid when the log is
+// truncated or rewritten: a fold of n records over k keys allocates for
+// k keys, not for n records.
 func foldBatches(b []byte, entries map[string]Entry) (batches, records int, maxSeq uint64, valid int) {
-	var batch []Record
-	inBatch := false
+	type survivor struct {
+		key string
+		f   frame
+	}
+	var (
+		last    []survivor         // each key's last committed record, in first-commit order
+		slot    = map[string]int{} // key -> its index in last
+		batch   []frame            // the open batch's records
+		inBatch bool
+	)
 	off := 0
 	for off < len(b) {
-		rec, next, ok := readFrame(b, off)
+		f, next, ok := frameAt(b, off)
 		if !ok {
 			break
 		}
-		switch rec.Kind {
+		switch f.kind {
 		case KindBegin:
 			inBatch = true
 			batch = batch[:0]
 		case KindUpdate, KindDelete:
 			if inBatch {
-				batch = append(batch, rec)
+				batch = append(batch, f)
 			}
 		case KindCommit:
 			if inBatch {
 				for _, r := range batch {
-					if r.Kind == KindDelete {
-						delete(entries, r.Key)
-					} else {
-						entries[r.Key] = Entry{Ver: r.Ver, Data: r.Data}
+					if i, ok := slot[string(r.key)]; ok {
+						last[i].f = r
+						continue
 					}
+					key := string(r.key)
+					slot[key] = len(last)
+					last = append(last, survivor{key, r})
 				}
 				batches++
 				records += len(batch)
-				if rec.Ver > maxSeq {
-					maxSeq = rec.Ver
+				if f.ver > maxSeq {
+					maxSeq = f.ver
 				}
 				inBatch = false
 			}
 		case KindCheckpoint:
-			if rec.Ver > maxSeq {
-				maxSeq = rec.Ver
+			if f.ver > maxSeq {
+				maxSeq = f.ver
 			}
 		}
 		off = next
+	}
+	for _, s := range last {
+		if s.f.kind == KindDelete {
+			delete(entries, s.key)
+		} else {
+			entries[s.key] = Entry{Ver: s.f.ver, Data: append([]byte(nil), s.f.data...)}
+		}
 	}
 	return batches, records, maxSeq, off
 }

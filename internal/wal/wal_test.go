@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// readFrame decodes the frame at off into a record of its own: key and
+// data are copied out of b.
+func readFrame(b []byte, off int) (Record, int, bool) {
+	f, next, ok := frameAt(b, off)
+	if !ok {
+		return Record{}, 0, false
+	}
+	return Record{Kind: f.kind, Key: string(f.key), Ver: f.ver, Data: append([]byte(nil), f.data...)}, next, true
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	recs := []Record{
 		{Kind: KindBegin, Ver: 7},
@@ -277,5 +287,56 @@ func TestStableDeterminism(t *testing.T) {
 	// Distinct nodes draw distinct tear streams.
 	if bytes.Equal(l1[0], l1[1]) {
 		t.Fatal("node01 and node02 media are identical; per-node seeds not applied")
+	}
+}
+
+// TestFoldAllocBudget pins the fold behind replay and PrepareCheckpoint
+// to what survives it: n records over k keys, each key rewritten many
+// times and some deleted on the way, allocate for the k keys, so a log
+// a hundred times longer costs the same.  The image is checked against
+// the history written.
+func TestFoldAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
+	}
+	// The ceiling is today's count for 8 keys: each survivor's key and
+	// data, the growth of the survivor list and of the batch scratch.
+	const keys, perBatch, ceiling = 8, 4, 22
+	fold := func(n int) float64 {
+		m := NewMedia("n", 1)
+		l := NewLog(m)
+		want := map[string]Entry{}
+		for i := 0; i < n; i++ {
+			r := Record{Kind: KindUpdate, Key: fmt.Sprintf("o:app/%d", i%keys), Ver: uint64(i + 1), Data: []byte(fmt.Sprint("state ", i))}
+			if i%7 == 3 {
+				r.Kind, r.Data = KindDelete, nil
+				delete(want, r.Key)
+			} else {
+				want[r.Key] = Entry{Ver: r.Ver, Data: r.Data}
+			}
+			l.Append(r)
+			if i%perBatch == perBatch-1 {
+				tk, _ := l.Flush()
+				l.Sync(tk)
+			}
+		}
+		got := map[string]Entry{}
+		if batches, records, _, valid := foldBatches(m.log, got); batches != n/perBatch || records != n || valid != len(m.log) {
+			t.Fatalf("fold of %d records: %d batches, %d records, valid %d of %d", n, batches, records, valid, len(m.log))
+		}
+		if !sameImage(got, want) {
+			t.Fatalf("fold of %d records: image %v, want %v", n, got, want)
+		}
+		return testing.AllocsPerRun(20, func() {
+			clear(got)
+			foldBatches(m.log, got)
+		})
+	}
+	short, long := fold(keys*perBatch*10), fold(keys*perBatch*1000)
+	if short > ceiling || long > short {
+		t.Errorf("fold of %d records over %d keys: %.1f allocs, of %d records: %.1f; ceiling %d, and no more for the longer log",
+			keys*perBatch*10, keys, short, keys*perBatch*1000, long, ceiling)
+	} else {
+		t.Logf("fold over %d keys: %.1f allocs for %d records, %.1f for %d", keys, short, keys*perBatch*10, long, keys*perBatch*1000)
 	}
 }
