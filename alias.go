@@ -145,8 +145,6 @@ type (
 	NASConfig = nas.Config
 	// NASEvent is a failure/takeover notification.
 	NASEvent = nas.Event
-	// RMICost parameterizes simulated RMI CPU overheads.
-	RMICost = rmi.CostModel
 	// RMIPolicy configures sync-call retry/timeout/backoff; the zero
 	// value is the historical single-attempt behavior.
 	RMIPolicy = rmi.Policy

@@ -56,11 +56,7 @@ func main() {
 
 	analyzed, drifted := 0, 0
 	for _, pkg := range pkgs {
-		g, ok, err := affinity.Analyze(pkg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jsplace: %s: %v\n", pkg.ImportPath, err)
-			os.Exit(2)
-		}
+		g, ok := affinity.Analyze(pkg)
 		if !ok {
 			continue // no //jsplace:entry — not a placed workload
 		}

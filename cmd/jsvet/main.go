@@ -87,7 +87,7 @@ func main() {
 	cwd, _ := os.Getwd()
 	found := 0
 	for _, pkg := range pkgs {
-		diags, err := analysis.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, selected)
+		diags, err := analysis.Run(pkg.Fset, pkg.Files, pkg.Info, selected)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jsvet: %s: %v\n", pkg.ImportPath, err)
 			os.Exit(2)

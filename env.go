@@ -20,11 +20,6 @@ type EnvOptions struct {
 	NAS NASConfig
 	// Storage backs persistent objects (default: in-memory).
 	Storage Storage
-	// Cost overrides the simulated RMI CPU cost model.
-	Cost RMICost
-	// Default installs JS-Shell default constraints applied to all
-	// automatic placement and migration decisions.
-	Default *Constraints
 	// Durability enables the per-node write-ahead log on simulated
 	// environments: objects marked Persist survive node crashes and
 	// whole-cluster restarts via log replay (DESIGN.md §13).  nil keeps
@@ -36,8 +31,6 @@ func (o EnvOptions) coreOptions() core.Options {
 	return core.Options{
 		NAS:        o.NAS,
 		Storage:    o.Storage,
-		Cost:       o.Cost,
-		Default:    o.Default,
 		Durability: o.Durability,
 	}
 }

@@ -75,7 +75,7 @@ const (
 
 // Analyze extracts the affinity graph of one loaded package.  A package
 // without //jsplace:entry functions yields ok=false.
-func Analyze(pkg *loader.Package) (*Graph, bool, error) {
+func Analyze(pkg *loader.Package) (*Graph, bool) {
 	a := &analyzer{
 		pkg:    pkg,
 		sites:  make(map[string]*Site),
@@ -87,7 +87,7 @@ func Analyze(pkg *loader.Package) (*Graph, bool, error) {
 	a.summarize()
 	entries := a.entryFuncs()
 	if len(entries) == 0 {
-		return nil, false, nil
+		return nil, false
 	}
 	// Pass A: creations and bindings; then B1: field stores; then B2:
 	// invocation edges.  Separate passes make the result independent of
@@ -101,10 +101,7 @@ func Analyze(pkg *loader.Package) (*Graph, bool, error) {
 	for _, e := range entries {
 		a.walkEntry(e, passEdges)
 	}
-	if a.err != nil {
-		return nil, false, a.err
-	}
-	return a.graph(), true, nil
+	return a.graph(), true
 }
 
 // graph freezes the accumulated state into canonical form.

@@ -22,10 +22,7 @@ func loadGraph(t *testing.T, pattern string) *Graph {
 	if len(pkgs) != 1 {
 		t.Fatalf("load %s: got %d packages, want 1", pattern, len(pkgs))
 	}
-	g, ok, err := Analyze(pkgs[0])
-	if err != nil {
-		t.Fatalf("analyze %s: %v", pattern, err)
-	}
+	g, ok := Analyze(pkgs[0])
 	if !ok {
 		t.Fatalf("analyze %s: no //jsplace:entry function found", pattern)
 	}
@@ -115,11 +112,7 @@ func TestAnalyzeNoEntry(t *testing.T) {
 	if err != nil {
 		t.Skipf("shared fixtures unavailable: %v", err)
 	}
-	_, ok, err := Analyze(pkgs[0])
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
-	}
-	if ok {
+	if _, ok := Analyze(pkgs[0]); ok {
 		t.Fatal("analyze reported ok for a package with no entry functions")
 	}
 }
@@ -134,9 +127,9 @@ func TestBuildHintsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load ./chain: %v", err)
 		}
-		g, ok, err := Analyze(pkgs[0])
-		if err != nil || !ok {
-			t.Fatalf("analyze ./chain: ok=%v err=%v", ok, err)
+		g, ok := Analyze(pkgs[0])
+		if !ok {
+			t.Fatalf("analyze ./chain: no //jsplace:entry function found")
 		}
 		h := BuildHints(g, 4)
 		runs = append(runs, place.Encode(h))

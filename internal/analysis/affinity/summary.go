@@ -14,7 +14,6 @@ import (
 // analyzer holds all state of one package analysis.
 type analyzer struct {
 	pkg *loader.Package
-	err error
 
 	classes map[*types.Named]string // registered class type -> class name
 	methods map[*types.Named]map[string]*types.Func

@@ -53,7 +53,6 @@ type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
 
 	allow *allowIndex
@@ -79,7 +78,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.TypesInfo.TypeOf(e) }
 
 // Run applies analyzers to one type-checked package and returns the
 // surviving (non-waived) diagnostics sorted by position.
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
+func Run(fset *token.FileSet, files []*ast.File, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
 	allow := buildAllowIndex(fset, files)
 	var out []Diagnostic
 	for _, a := range analyzers {
@@ -87,7 +86,6 @@ func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types
 			Analyzer:  a,
 			Fset:      fset,
 			Files:     files,
-			Pkg:       pkg,
 			TypesInfo: info,
 			allow:     allow,
 			out:       &out,

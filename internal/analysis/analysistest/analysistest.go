@@ -43,7 +43,7 @@ func Run(t *testing.T, testdataDir string, a *analysis.Analyzer, patterns ...str
 		t.Fatalf("no fixture packages matched %v under %s", patterns, testdataDir)
 	}
 	for _, pkg := range pkgs {
-		diags, err := analysis.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, []*analysis.Analyzer{a})
+		diags, err := analysis.Run(pkg.Fset, pkg.Files, pkg.Info, []*analysis.Analyzer{a})
 		if err != nil {
 			t.Fatalf("%s: %v", pkg.ImportPath, err)
 		}

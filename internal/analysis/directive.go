@@ -13,7 +13,6 @@ const directivePrefix = "//jsvet:allow"
 // findings it suppressed this run, so the driver can report waivers
 // that no longer waive anything.
 type directive struct {
-	Pos      token.Position
 	TokPos   token.Pos
 	Analyzer string // empty when malformed
 	Reason   string // empty when missing (malformed)
@@ -60,7 +59,7 @@ func (ix *allowIndex) allows(analyzer string, pos token.Position) bool {
 }
 
 // parseDirective parses one comment line; ok is false for non-directives.
-func parseDirective(text string, pos token.Position) (directive, bool) {
+func parseDirective(text string) (directive, bool) {
 	if !strings.HasPrefix(text, directivePrefix) {
 		return directive{}, false
 	}
@@ -69,7 +68,7 @@ func parseDirective(text string, pos token.Position) (directive, bool) {
 		return directive{}, false // //jsvet:allowother — not this directive
 	}
 	rest := strings.TrimSpace(tail)
-	d := directive{Pos: pos}
+	var d directive
 	if rest == "" {
 		return d, true // malformed: no analyzer
 	}
@@ -91,13 +90,13 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) *allowIndex {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				pos := fset.Position(c.Pos())
-				parsed, ok := parseDirective(c.Text, pos)
+				parsed, ok := parseDirective(c.Text)
 				if !ok {
 					continue
 				}
 				d := &parsed
 				d.TokPos = c.Pos()
+				pos := fset.Position(c.Pos())
 				ix.all = append(ix.all, d)
 				byPos[c.Pos()] = d
 				if d.Analyzer == "" {

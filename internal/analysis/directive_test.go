@@ -22,7 +22,7 @@ func TestParseDirective(t *testing.T) {
 		{"//jsvet:allowother", false, "", ""}, // no space: not the directive
 	}
 	for _, tc := range cases {
-		d, ok := parseDirective(tc.in, token.Position{})
+		d, ok := parseDirective(tc.in)
 		if ok != tc.isDir {
 			t.Errorf("%q: directive=%v, want %v", tc.in, ok, tc.isDir)
 			continue
@@ -62,7 +62,7 @@ func runDirective(t *testing.T, src string, ran []string) []Diagnostic {
 		t.Fatal(err)
 	}
 	checker := DirectiveChecker([]string{"fake"}, ran)
-	diags, err := Run(fset, []*ast.File{f}, nil, nil, []*Analyzer{fakeAnalyzer, checker})
+	diags, err := Run(fset, []*ast.File{f}, nil, []*Analyzer{fakeAnalyzer, checker})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDirectiveStaleSkipsUnranAnalyzers(t *testing.T) {
 		t.Fatal(err)
 	}
 	checker := DirectiveChecker([]string{"fake"}, nil)
-	diags, err := Run(fset, []*ast.File{f}, nil, nil, []*Analyzer{checker})
+	diags, err := Run(fset, []*ast.File{f}, nil, []*Analyzer{checker})
 	if err != nil {
 		t.Fatal(err)
 	}

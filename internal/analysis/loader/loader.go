@@ -46,7 +46,6 @@ type Package struct {
 	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
-	Types      *types.Package
 	Info       *types.Info
 }
 
@@ -183,8 +182,7 @@ func (c *Cache) Load(dir string, patterns ...string) ([]*Package, error) {
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		}
 		conf := types.Config{Importer: c.imp}
-		tpkg, err := conf.Check(t.ImportPath, c.fset, files, info)
-		if err != nil {
+		if _, err := conf.Check(t.ImportPath, c.fset, files, info); err != nil {
 			return nil, fmt.Errorf("type-check %s: %v", t.ImportPath, err)
 		}
 		pkgs = append(pkgs, &Package{
@@ -192,7 +190,6 @@ func (c *Cache) Load(dir string, patterns ...string) ([]*Package, error) {
 			Dir:        t.Dir,
 			Fset:       c.fset,
 			Files:      files,
-			Types:      tpkg,
 			Info:       info,
 		})
 	}

@@ -18,19 +18,29 @@ import (
 
 // TestSurface keeps the audited surface audited (DESIGN.md §5): every
 // js_* metric family in the code has a row in the naming table and every
-// row an emitter, and every function of the library has a reference
-// outside test files or a stated reason to exist without one.  It
-// type-checks the root module and bench/ through the analysis loader, so
-// a reference is a use of that exact function — package, receiver type
-// and name — from a non-test file, outside the function's own body.
-// Another type's method, a struct field or a composite-literal key of
-// the same name is not one.  A method whose name an interface declares
-// counts as referenced, and so do the names the runtime calls.
+// row an emitter, every function of the library has a reference outside
+// test files, and every field of the library is read and set outside
+// test files, or has a stated reason to exist without.  It type-checks
+// the root module and bench/ through the analysis loader, so a reference
+// is a use of that exact function — package, receiver type and name —
+// from a non-test file, outside the function's own body.  Another type's
+// method, a struct field or a composite-literal key of the same name is
+// not one.  A method whose name an interface declares counts as
+// referenced, and so do the names the runtime calls.  Fields are
+// resolved the same way; orphanFields states what reads and sets one.
 func TestSurface(t *testing.T) {
 	root := filepath.Join("..", "..")
 	pkgs := loadRepo(t, root)
+	library := func(name string) bool { return library(relFile(root, name)) }
 	t.Run("families", func(t *testing.T) { checkFamilies(t, root, pkgs) })
-	t.Run("functions", func(t *testing.T) { checkFunctions(t, root, pkgs) })
+	t.Run("functions", func(t *testing.T) {
+		checkKept(t, unreferenced(pkgs, library), keptUncalled, "keptUncalled", "has no reference outside test files", "is referenced or gone")
+	})
+	t.Run("fields", func(t *testing.T) {
+		unread, unset := orphanFields(pkgs, library)
+		checkKept(t, unread, keptUnread, "keptUnread", "is read nowhere outside test files", "is read or gone")
+		checkKept(t, unset, keptUnset, "keptUnset", "is set nowhere outside test files", "is set or gone")
+	})
 }
 
 // keptUncalled lists the library functions that stay although nothing
@@ -78,6 +88,53 @@ var keptUncalled = func() map[string]string {
 	}
 	return kept
 }()
+
+// keptUnread lists the library fields that stay although nothing outside
+// test files reads them, each with the reason.
+var keptUnread = map[string]string{
+	"internal/core.DurableRecovery.App":       "RecoverDurable returns one entry per restored application; App is how a caller tells them apart",
+	"internal/core.staticResp.Node":           "wire body of the static-method locate reply: dropping it moves bytes, so the first change that moves virtual time drops it (ROADMAP, Order)",
+	"internal/core.durGroupRec.Vnodes":        "persisted shard-group manifest: dropping it moves the WAL's bytes, so the first change that moves virtual time drops it (ROADMAP, Order)",
+	"internal/core.durGroupRec.KeysMethod":    "persisted shard-group manifest: dropping it moves the WAL's bytes, so the first change that moves virtual time drops it (ROADMAP, Order)",
+	"internal/core.durGroupRec.ExtractMethod": "persisted shard-group manifest: dropping it moves the WAL's bytes, so the first change that moves virtual time drops it (ROADMAP, Order)",
+	"internal/core.durGroupRec.InstallMethod": "persisted shard-group manifest: dropping it moves the WAL's bytes, so the first change that moves virtual time drops it (ROADMAP, Order)",
+	"internal/loadgen.Arrival.Client":         "its draw is part of the seeded arrival stream: dropping the field or the draw moves every serve and slo arrival",
+	"internal/nas.aggMsg.Component":           "wire body of the getAgg reply: dropping it moves bytes; ROADMAP item 16 stage 2 removes it",
+	"internal/nas.RSetInfo.Mode":              "wire body of the directory's replica-set mirror, which ROADMAP item 16 stage 2 deletes",
+	"internal/nas.RSetInfo.Primary":           "wire body of the directory's replica-set mirror, which ROADMAP item 16 stage 2 deletes",
+	"internal/nas.RSetInfo.Replicas":          "wire body of the directory's replica-set mirror, which ROADMAP item 16 stage 2 deletes",
+	"internal/nas.RSetInfo.Lease":             "wire body of the directory's replica-set mirror, which ROADMAP item 16 stage 2 deletes",
+	"internal/params.Info.Class":              "the paper's static/dynamic split (§4.2); ROADMAP item 16 stage 2 ships static parameters once by it",
+}
+
+// keptUnset lists the library fields that stay although nothing outside
+// test files sets them, each with the reason.
+var keptUnset = map[string]string{
+	"internal/analysis/loader.Cache.ListFn": "test seam: the loader's tests inject a counting or canned go list through it",
+	"internal/simnet.MachineSpec.DiskSeek":  "hardware description: the durability tests model a slow disk with it; zero means the default disk",
+	"internal/simnet.MachineSpec.DiskMBps":  "hardware description: the durability tests model a slow disk with it; zero means the default disk",
+}
+
+// checkKept fails each orphan that kept gives no reason for, and each
+// entry of kept that names no orphan.
+func checkKept(t *testing.T, orphans []string, kept map[string]string, name, orphaned, notOrphaned string) {
+	t.Helper()
+	seen := make(map[string]bool)
+	for _, key := range orphans {
+		seen[key] = true
+		if kept[key] == "" {
+			t.Errorf("%s %s and no reason in %s", key, orphaned, name)
+		}
+	}
+	for key, reason := range kept {
+		if !seen[key] {
+			t.Errorf("%s lists %s, which %s; drop the entry", name, key, notOrphaned)
+		}
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("%s[%s] carries no reason", name, key)
+		}
+	}
+}
 
 // loadRepo type-checks the non-test files of the root module and of
 // bench/, its own module, whose packages count as callers too.
@@ -284,28 +341,6 @@ func stringLit(e ast.Expr) string {
 	}
 	s, _ := strconv.Unquote(lit.Value)
 	return s
-}
-
-// checkFunctions reports library functions with no reference outside
-// test files, and keptUncalled entries that name something referenced
-// or gone.
-func checkFunctions(t *testing.T, root string, pkgs []*loader.Package) {
-	orphans := unreferenced(pkgs, func(name string) bool { return library(relFile(root, name)) })
-	seen := make(map[string]bool)
-	for _, key := range orphans {
-		seen[key] = true
-		if keptUncalled[key] == "" {
-			t.Errorf("%s has no reference outside test files and no reason in keptUncalled", key)
-		}
-	}
-	for key, reason := range keptUncalled {
-		if !seen[key] {
-			t.Errorf("keptUncalled lists %s, which is referenced or gone; drop the entry", key)
-		}
-		if strings.TrimSpace(reason) == "" {
-			t.Errorf("keptUncalled[%s] carries no reason", key)
-		}
-	}
 }
 
 // unreferenced returns, sorted, the functions and methods declared in

@@ -1,13 +1,17 @@
 package codebase
 
-import "testing"
+import (
+	"testing"
+
+	"jsymphony/internal/budget"
+)
 
 // TestInvokeAllocBudget pins what one invocation costs once its method
 // has been resolved.  Each row names the BENCHMARK.json ledger row it
 // mirrors; the ceiling is this test's count, and a change that lowers a
 // count lowers its ceiling.
 func TestInvokeAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if budget.RaceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
 	}
 	w := &widget{}

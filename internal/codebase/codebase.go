@@ -27,7 +27,6 @@ import (
 
 // Class describes one registered class.
 type Class struct {
-	Name    string     // fully qualified class name, e.g. "Matrix"
 	Size    int        // modeled .class/.jar contribution in bytes
 	Factory func() any // returns a new zero-value instance (a pointer)
 }
@@ -60,7 +59,7 @@ func (r *Registry) Register(name string, size int, factory func() any) {
 	if _, dup := r.classes[name]; dup {
 		panic("codebase: duplicate class " + name)
 	}
-	r.classes[name] = Class{Name: name, Size: size, Factory: factory}
+	r.classes[name] = Class{Size: size, Factory: factory}
 	rmi.RegisterType(factory())
 }
 

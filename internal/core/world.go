@@ -26,11 +26,9 @@ import (
 
 // Options tune a World.  The zero value gives sensible defaults.
 type Options struct {
-	NAS      nas.Config          // network agent timing
-	Storage  Storage             // persistent-object store (default in-memory)
-	Registry *codebase.Registry  // class registry (default codebase.Default)
-	Cost     rmi.CostModel       // simulated RMI CPU cost (default rmi.DefaultCost)
-	Default  *params.Constraints // JS-Shell default constraints for automatic decisions
+	NAS      nas.Config         // network agent timing
+	Storage  Storage            // persistent-object store (default in-memory)
+	Registry *codebase.Registry // class registry (default codebase.Default)
 	// Durability enables the per-node write-ahead log (internal/wal):
 	// objects marked durable survive node crashes and whole-cluster
 	// restarts via log replay.  nil keeps durability off.
@@ -43,9 +41,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Registry == nil {
 		o.Registry = codebase.Default
-	}
-	if o.Cost == (rmi.CostModel{}) {
-		o.Cost = rmi.DefaultCost
 	}
 	return o
 }
@@ -133,7 +128,7 @@ func NewSimWorld(specs []simnet.MachineSpec, profile simnet.LoadProfile, seed in
 	w.clk = clk
 	w.fab = fab
 	fab.Instrument(w.reg)
-	net := rmi.NewFab(fab, opt.Cost)
+	net := rmi.NewFab(fab, rmi.DefaultCost)
 	for _, m := range fab.Machines() {
 		w.addNode(net, m.Name(), m, nas.SimSampler{M: m})
 	}
@@ -190,7 +185,6 @@ func newWorld(s sched.Sched, opt Options) *World {
 		registry: opt.Registry,
 		nasCfg:   opt.NAS,
 		runtimes: make(map[string]*Runtime),
-		defaults: opt.Default,
 		tracer:   trace.NewLog(trace.DefaultDepth),
 		spans:    trace.NewSpanLog(trace.DefaultSpanDepth),
 		reg:      reg,

@@ -83,8 +83,6 @@ type Config struct {
 	Rate float64
 	// Ops is the number of arrivals to generate.
 	Ops int
-	// Start offsets the first arrival from the stream epoch.
-	Start time.Duration
 	// Alpha is the Pareto tail index of the interarrival gaps (> 1 so
 	// the mean exists; default 1.5 — markedly burstier than Poisson).
 	Alpha float64
@@ -183,7 +181,7 @@ func Generate(cfg Config) ([]Arrival, error) {
 	xm := (cfg.Alpha - 1) / cfg.Alpha
 
 	out := make([]Arrival, 0, cfg.Ops)
-	at := cfg.Start
+	var at time.Duration
 	for i := 0; i < cfg.Ops; i++ {
 		gap := xm * math.Pow(rng.Float64(), -1/cfg.Alpha)
 		if gap > cfg.MaxGap {
@@ -191,7 +189,7 @@ func Generate(cfg Config) ([]Arrival, error) {
 		}
 		mult := 1.0
 		if cfg.Trace != nil {
-			mult = cfg.Trace(at - cfg.Start)
+			mult = cfg.Trace(at)
 			if mult < 0.05 {
 				mult = 0.05
 			}

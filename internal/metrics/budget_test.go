@@ -3,6 +3,8 @@ package metrics
 import (
 	"testing"
 	"time"
+
+	"jsymphony/internal/budget"
 )
 
 // TestMetricsAllocBudget pins the cost of emitting: every touch of a
@@ -14,7 +16,7 @@ import (
 // count lowers its ceiling.  It also pins the export rule: a resolved
 // handle is not in a snapshot until its first touch.
 func TestMetricsAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if budget.RaceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
 	}
 	r := NewRegistry()

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"jsymphony/internal/budget"
 	"jsymphony/internal/rmi"
 	"jsymphony/internal/simnet"
 	"jsymphony/internal/vclock"
@@ -16,7 +17,7 @@ import (
 // the snapshot stays as checked bytes until a directory query reads it
 // (dirEntry.view).  The body's size is pinned exactly.
 func TestHeartbeatAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if budget.RaceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
 	}
 	fab := simnet.New(vclock.New(), simnet.PaperCluster(), simnet.Day, 1)

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"jsymphony/internal/budget"
 )
 
 func TestPolicyDefaultsAndValidate(t *testing.T) {
@@ -151,7 +153,7 @@ func TestRouterBandwidthTieBreak(t *testing.T) {
 // nothing (ROADMAP item 11's ratchet rule: a change that lowers a
 // count lowers its ceiling).
 func TestRouterAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if budget.RaceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
 	}
 	r := NewRouter()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"jsymphony/internal/budget"
 	"jsymphony/internal/rmi/wire"
 	"jsymphony/internal/sched"
 	"jsymphony/internal/simnet"
@@ -22,12 +23,12 @@ type budgetRow struct {
 	run          func(t *testing.T) float64
 }
 
-// runBudget checks the rows budget files under the running test's name.
-func runBudget(t *testing.T, budget map[string][]budgetRow) {
-	if raceEnabled {
+// runBudget checks the rows table files under the running test's name.
+func runBudget(t *testing.T, table map[string][]budgetRow) {
+	if budget.RaceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
 	}
-	rows := budget[t.Name()]
+	rows := table[t.Name()]
 	if len(rows) == 0 {
 		t.Fatalf("the budget table has no rows for %s", t.Name())
 	}

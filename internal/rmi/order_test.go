@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"jsymphony/internal/budget"
 	"jsymphony/internal/rmi/wire"
 )
 
@@ -201,7 +202,7 @@ func TestMapOrderCacheConcurrent(t *testing.T) {
 // the maps lie: a hit depends on how many maps were encoded since, not
 // on their addresses.
 func TestMapOrderCacheRoundRobin(t *testing.T) {
-	if raceEnabled {
+	if budget.RaceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation counts do not hold under it")
 	}
 	const n = 8

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"jsymphony/internal/budget"
 )
 
 func TestPrimitiveRoundTrip(t *testing.T) {
@@ -173,7 +175,7 @@ func TestPoolHighWater(t *testing.T) {
 }
 
 func TestPoolZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
+	if budget.RaceEnabled {
 		t.Skip("the race runtime randomly bypasses sync.Pool puts")
 	}
 	p := NewPool()
@@ -208,7 +210,7 @@ func TestPoolGiantDoesNotPoisonHighWater(t *testing.T) {
 	if b := p.Get(); cap(b) > poolMaxRetap {
 		t.Fatalf("Get cap = %d after giant put, want <= %d", cap(b), poolMaxRetap)
 	}
-	if raceEnabled {
+	if budget.RaceEnabled {
 		return // sync.Pool puts are randomly dropped under race
 	}
 	// Small traffic still pools at zero steady-state allocations.
@@ -252,7 +254,7 @@ func TestStringsShareOneBacking(t *testing.T) {
 				t.Fatalf("%q: got %q", c.in, got)
 			}
 		}
-		if !raceEnabled {
+		if !budget.RaceEnabled {
 			if n := testing.AllocsPerRun(100, func() { d := NewDec(buf); d.Strings() }); n != c.allocs {
 				t.Errorf("%q: %.1f allocs, want %.1f", c.in, n, c.allocs)
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"jsymphony/internal/budget"
 	"jsymphony/internal/vclock"
 )
 
@@ -14,7 +15,7 @@ import (
 // ceiling is this test's count, and a change that lowers a count lowers
 // its ceiling.
 func TestSchedAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if budget.RaceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
 	}
 	for _, row := range []struct {

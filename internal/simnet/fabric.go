@@ -429,7 +429,6 @@ func (m *Machine) Snapshot(t vclock.Time) SnapshotData {
 	load := m.BackgroundLoad(t)
 	m.mu.Lock()
 	sharers := m.active
-	alive := m.alive
 	utilGauge := m.utilGauge
 	m.mu.Unlock()
 	// JavaSymphony computations count toward utilization too.
@@ -441,7 +440,6 @@ func (m *Machine) Snapshot(t vclock.Time) SnapshotData {
 		utilGauge.Set(util)
 	}
 	return SnapshotData{
-		Alive:    alive,
 		Load:     load,
 		Util:     util,
 		Sharers:  sharers,
@@ -453,7 +451,6 @@ func (m *Machine) Snapshot(t vclock.Time) SnapshotData {
 // into a params.Snapshot.  Keeping the conversion out of simnet avoids a
 // dependency cycle and keeps this package purely physical.
 type SnapshotData struct {
-	Alive    bool
 	Load     float64 // background (owner) utilization 0..1
 	Util     float64 // total utilization incl. JavaSymphony work
 	Sharers  int     // concurrent Compute calls

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"jsymphony/internal/budget"
 )
 
 // TestKernelAllocBudget pins the allocations of the kernel's hot paths.
@@ -16,7 +18,7 @@ import (
 // Messages are boxed once up front, so no row counts the boxing of an
 // int into any (the ledger probes do).
 func TestKernelAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if budget.RaceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
 	}
 	var msg any = "m"

