@@ -384,7 +384,7 @@ func (o *Object) Store(p sched.Proc, key string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return rmi.Ask[string](p, o.app.rt.st, r.loc, PubService, "store",
+	return rmi.Ask[storeReq, string](p, o.app.rt.st, r.loc, PubService, "store",
 		storeReq{App: r.ref.App, ID: r.ref.ID, Key: key}, time.Minute)
 }
 

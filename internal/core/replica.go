@@ -416,7 +416,7 @@ func (rt *Runtime) renewLease(p sched.Proc, h *hostedObj) error {
 	primary := rs.primary
 	curVersion := rs.version
 	rt.mu.Unlock()
-	resp, err := rmi.Ask[replicaRenewResp](p, rt.st, primary, PubService, "replicaRenew",
+	resp, err := rmi.Ask[replicaRenewReq, replicaRenewResp](p, rt.st, primary, PubService, "replicaRenew",
 		replicaRenewReq{App: ref.App, ID: ref.ID}, replicaCallTimeout)
 	if err != nil {
 		return err

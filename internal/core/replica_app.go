@@ -301,7 +301,7 @@ func (a *App) renewAuthorityBatched(p sched.Proc, r *authRenewal) {
 				e.authHorizon = until
 			}
 			a.mu.Unlock()
-			r.batch.MustAppend(replicaAuthRenewReq{App: ref.App, ID: ref.ID, Until: until})
+			rmi.MustAppendTo(&r.batch, replicaAuthRenewReq{App: ref.App, ID: ref.ID, Until: until})
 		}
 		if r.batch.Len() == 0 {
 			continue
@@ -315,7 +315,7 @@ func (a *App) renewAuthorityBatched(p sched.Proc, r *authRenewal) {
 
 // memberSnapshot fetches a member's current state + version.
 func (a *App) memberSnapshot(p sched.Proc, node string, ref Ref) (replicaSnapshotResp, error) {
-	return rmi.Ask[replicaSnapshotResp](p, a.rt.st, node, PubService, "replicaSnapshot",
+	return rmi.Ask[replicaSnapshotReq, replicaSnapshotResp](p, a.rt.st, node, PubService, "replicaSnapshot",
 		replicaSnapshotReq{App: ref.App, ID: ref.ID}, replicaCallTimeout)
 }
 

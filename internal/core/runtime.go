@@ -878,7 +878,7 @@ func (rt *Runtime) reroute(p sched.Proc, r route) (route, error) {
 	if r.app != nil {
 		return r.app.route(r.ref.ID)
 	}
-	resp, err := rmi.Ask[locateResp](p, rt.st, r.ref.Origin, r.ref.appService(), "locate",
+	resp, err := rmi.Ask[locateReq, locateResp](p, rt.st, r.ref.Origin, r.ref.appService(), "locate",
 		locateReq{ID: r.ref.ID}, 5*time.Second)
 	if err == nil && !resp.OK {
 		err = errors.New(errObjUnknown)
@@ -1005,7 +1005,7 @@ func (rt *Runtime) invokeAt(p sched.Proc, loc string, ref Ref, method string, ar
 		return resp, nil
 	}
 	rt.world.remoteInvokes.Inc()
-	return rmi.Ask[invokeResp](p, rt.st, loc, PubService, "invoke", req, invokeTimeout)
+	return rmi.Ask[invokeReq, invokeResp](p, rt.st, loc, PubService, "invoke", req, invokeTimeout)
 }
 
 // invokeTimeout bounds one remote method execution.  Long-running

@@ -119,7 +119,7 @@ func (m *staticManager) resolve(p sched.Proc, req staticReq) (staticResp, error)
 // first use anywhere in the installation) and returns its first-order
 // handle.
 func (a *App) StaticRef(p sched.Proc, class string) (Ref, error) {
-	resp, err := rmi.Ask[staticResp](p, a.rt.st, a.world.dirNode, StaticService, "resolve",
+	resp, err := rmi.Ask[staticReq, staticResp](p, a.rt.st, a.world.dirNode, StaticService, "resolve",
 		staticReq{Class: class}, 10*time.Second)
 	return resp.Ref, err
 }

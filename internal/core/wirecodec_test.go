@@ -113,8 +113,8 @@ func goldenBodies() []any {
 	}
 	msg := filled(rmi.Message{}).(rmi.Message)
 	var batch rmi.Batch
-	batch.MustAppend(&msg)
-	batch.MustAppend(filled(locateReq{}))
+	rmi.MustAppendTo(&batch, &msg)
+	rmi.MustAppendTo(&batch, filled(locateReq{}))
 	ref := filled(Ref{}).(Ref)
 	return append(out, &msg, &rmi.Message{}, batch, []any{ref, 7}, []Ref{ref, {}})
 }

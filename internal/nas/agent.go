@@ -279,7 +279,16 @@ func (a *Agent) FetchSnapshot(p sched.Proc, node string) (params.Snapshot, error
 	if node == a.Node() {
 		return a.Latest(), nil
 	}
-	return rmi.Ask[params.Snapshot](p, a.st, node, AgentService, "get", nil, a.cfg.CallTimeout)
+	// "get" takes no body, so it is called raw.
+	out, err := a.st.Call(p, node, AgentService, "get", nil, a.cfg.CallTimeout)
+	if err != nil {
+		return params.Snapshot{}, err
+	}
+	var snap params.Snapshot
+	if err := rmi.Unmarshal(out, &snap); err != nil {
+		return params.Snapshot{}, err
+	}
+	return snap, nil
 }
 
 // FetchAgg retrieves a component aggregate from its manager node.
@@ -291,7 +300,7 @@ func (a *Agent) FetchAgg(p sched.Proc, node, component string) (params.Snapshot,
 		}
 		return snap, nil
 	}
-	m, err := rmi.Ask[aggMsg](p, a.st, node, AgentService, "getAgg", component, a.cfg.CallTimeout)
+	m, err := rmi.Ask[string, aggMsg](p, a.st, node, AgentService, "getAgg", component, a.cfg.CallTimeout)
 	if err != nil {
 		return params.Snapshot{}, err
 	}

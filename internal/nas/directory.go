@@ -279,7 +279,7 @@ func SelectNodes(p sched.Proc, st *rmi.Station, dirNode string, opts SelectOpts)
 		SpreadOver: opts.Spread,
 		NoReserve:  !opts.Reserve,
 	}
-	resp, err := rmi.Ask[selectResp](p, st, dirNode, DirService, "select", req, 5*time.Second)
+	resp, err := rmi.Ask[selectReq, selectResp](p, st, dirNode, DirService, "select", req, 5*time.Second)
 	return resp.Nodes, err
 }
 

@@ -36,11 +36,13 @@ const tagBatch byte = 0x02
 
 func init() { RegisterWire(tagBatch, Batch{}) }
 
-// Append encodes v exactly like a message body (Marshal) and adds it to
-// the batch.  The item is encoded once, into pooled scratch, and
-// copied into the buffer behind its length prefix.
-func (b *Batch) Append(v any) error {
-	item, err := appendMarshal(wire.Buffers.Get(), v)
+// AppendTo encodes v exactly like a message body (Marshal) and adds it
+// to b.  The item is encoded once, into pooled scratch, and copied into
+// the buffer behind its length prefix; a struct item is never boxed
+// into an any.  It is a function, not a method, because a method
+// cannot take a type parameter.
+func AppendTo[T any](b *Batch, v T) error {
+	item, err := appendAs(wire.Buffers.Get(), wireFor[T](), v)
 	if err != nil {
 		return err
 	}
@@ -51,10 +53,10 @@ func (b *Batch) Append(v any) error {
 	return nil
 }
 
-// MustAppend is Append for internal protocol structs whose
+// MustAppendTo is AppendTo for internal protocol structs whose
 // encodability is a program invariant.
-func (b *Batch) MustAppend(v any) {
-	if err := b.Append(v); err != nil {
+func MustAppendTo[T any](b *Batch, v T) {
+	if err := AppendTo(b, v); err != nil {
 		panic(err)
 	}
 }

@@ -20,7 +20,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		{App: "app-2", ID: 1, Until: 602},
 	}
 	for _, g := range want {
-		b.MustAppend(g)
+		MustAppendTo(&b, g)
 	}
 	if b.Len() != len(want) {
 		t.Fatalf("len = %d, want %d", b.Len(), len(want))
@@ -53,8 +53,8 @@ func TestBatchRoundTrip(t *testing.T) {
 // could provoke.
 func TestBatchValidatesLazily(t *testing.T) {
 	var good Batch
-	good.MustAppend("a")
-	good.MustAppend("b")
+	MustAppendTo(&good, "a")
+	MustAppendTo(&good, "b")
 	for name, b := range map[string]Batch{
 		"count past the items": {Count: 3, Buf: good.Buf},
 		"huge count":           {Count: 1 << 60, Buf: good.Buf},

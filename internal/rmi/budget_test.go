@@ -76,18 +76,79 @@ func decodes(v any, fresh func() any) func(t *testing.T) float64 {
 // transport's included.
 func callAllocs(t *testing.T, w *world, p sched.Proc) float64 {
 	body := make([]byte, 64)
+	return stationAllocs(t, w, func(a *Station, to string) error {
+		_, err := a.Call(p, to, "echo", "ping", body, 10*time.Second)
+		return err
+	})
+}
+
+// Flat protocol structs for the typed round trip: no field the decode
+// allocates for.
+type (
+	flatReq  struct{ A, B int64 }
+	flatResp struct {
+		Sum int64
+		OK  bool
+	}
+)
+
+const (
+	tagFlatReq  byte = 0xf1
+	tagFlatResp byte = 0xf2
+)
+
+func init() {
+	RegisterWire(tagFlatReq, flatReq{})
+	RegisterWire(tagFlatResp, flatResp{})
+}
+
+// typedMethods serves the typed round trip.
+var typedMethods = Methods[struct{}]{
+	"add": Typed(func(_ struct{}, _ sched.Proc, r flatReq) (flatResp, error) {
+		return flatResp{Sum: r.A + r.B, OK: true}, nil
+	}),
+}
+
+// typedAllocs returns the allocations of one Ask of a Typed method
+// between two stations of w, flat wire structs each way.
+func typedAllocs(t *testing.T, w *world, p sched.Proc) float64 {
+	return stationAllocs(t, w, func(a *Station, to string) error {
+		resp, err := Ask[flatReq, flatResp](p, a, to, "typed", "add", flatReq{A: 40, B: 2}, 10*time.Second)
+		if err == nil && resp != (flatResp{Sum: 42, OK: true}) {
+			err = fmt.Errorf("add = %+v", resp)
+		}
+		return err
+	})
+}
+
+// stationAllocs returns the allocations of one call between two
+// stations of w, each serving the echo service and typedMethods, both
+// stations' work and the transport's included.
+func stationAllocs(t *testing.T, w *world, call func(a *Station, to string) error) float64 {
 	names := nodeNames(2)
 	a, b := newStation(t, w, names[0]), newStation(t, w, names[1])
+	b.Register("typed", typedMethods.Serve(struct{}{}))
 	defer func() { a.Close(); b.Close() }()
-	call := func() {
-		if _, err := a.Call(p, names[1], "echo", "ping", body, 10*time.Second); err != nil {
+	run := func() {
+		if err := call(a, names[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 100; i++ { // warm: pools and grown queues
-		call()
+		run()
 	}
-	return testing.AllocsPerRun(2000, call)
+	return testing.AllocsPerRun(2000, run)
+}
+
+// onFabric runs measure on a caller adopted by a two-node simulated
+// fabric.
+func onFabric(t *testing.T, measure func(*testing.T, *world, sched.Proc) float64) float64 {
+	w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 2))
+	p, done := sched.AdoptVirtual(w.s, "caller")
+	got := measure(t, w, p)
+	done()
+	w.join()
+	return got
 }
 
 // layoutEncodes returns the allocations of one layout encode of v into
@@ -111,7 +172,7 @@ func stationBudget() map[string][]budgetRow {
 	var msg any = benchMessage()
 	var batch Batch
 	for i := 0; i < 16; i++ {
-		batch.MustAppend(&Message{
+		MustAppendTo(&batch, &Message{
 			From: "n00", To: "n01", Kind: KindOneWay, ID: uint64(i),
 			Service: "oas.pub", Method: "replicaAuthRenew",
 		})
@@ -152,12 +213,14 @@ func stationBudget() map[string][]budgetRow {
 	return map[string][]budgetRow{
 		"TestStationAllocBudget": {
 			{"Call on the simulated fabric", "rmi.call_fab_allocs", 2, func(t *testing.T) float64 {
-				w := fabWorld(simnet.UniformCluster(simnet.Ultra10_300, 2))
-				p, done := sched.AdoptVirtual(w.s, "caller")
-				got := callAllocs(t, w, p)
-				done()
-				w.join()
-				return got
+				return onFabric(t, callAllocs)
+			}},
+			// The raw Call above, plus the request's and the reply's
+			// encoded bodies.  The request decodes into the method's
+			// pooled scratch and the reply into the stub's, and neither
+			// struct is boxed into an any on the way out.
+			{"typed round trip (Ask + Typed) of flat wire structs on the simulated fabric", "", 4, func(t *testing.T) float64 {
+				return onFabric(t, typedAllocs)
 			}},
 			{"Call on the in-memory network", "rmi.call_mem_allocs", 4, func(t *testing.T) float64 {
 				w := realWorld("mem-real", func(s sched.Sched) Network { return NewMem(s, 0) })

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 
 	"jsymphony/internal/rmi/wire"
 )
@@ -41,8 +42,16 @@ var ErrCodec = errors.New("rmi: codec")
 //
 // A value that cannot be encoded (an unregistered type inside an any,
 // a channel, a func) fails with ErrCodec; it never panics.
-func Marshal(v any) ([]byte, error) {
-	buf, err := appendMarshal(wire.Buffers.Get(), v)
+//
+// The static type picks the path.  A registered protocol struct is
+// copied into its pooled scratch and encoded from there, so it is never
+// boxed into an any; every other type, an any included, is boxed and
+// framed by its dynamic type.  The bytes are the same.
+func Marshal[T any](v T) ([]byte, error) { return marshalAs(wireFor[T](), v) }
+
+// marshalAs is Marshal with T's registration already looked up.
+func marshalAs[T any](w *wireType, v T) ([]byte, error) {
+	buf, err := appendAs(wire.Buffers.Get(), w, v)
 	if err != nil {
 		return nil, err
 	}
@@ -52,19 +61,25 @@ func Marshal(v any) ([]byte, error) {
 	return out, nil
 }
 
-// appendMarshal appends v's body, the bytes Marshal returns, to buf.
+// appendAs appends v's body, the bytes Marshal returns, to buf: a
+// protocol struct (w, T's registration) from pooled scratch, anything
+// else (w nil) through an any.
+func appendAs[T any](buf []byte, w *wireType, v T) ([]byte, error) {
+	if w == nil {
+		return appendMarshal(buf, v)
+	}
+	s := w.scratch.Get().(*T)
+	*s = v
+	buf, err := appendWire(buf, w, reflect.ValueOf(s).Elem())
+	var zero T
+	*s = zero
+	w.scratch.Put(s)
+	return buf, err
+}
+
+// appendMarshal appends v's body, framed by its dynamic type, to buf.
 func appendMarshal(buf []byte, v any) (out []byte, err error) {
-	defer func() {
-		// A layout encoder has no error return, so an unencodable value
-		// inside an any panics there with an ErrCodec error (encAny).
-		if r := recover(); r != nil {
-			e, ok := r.(error)
-			if !ok || !errors.Is(e, ErrCodec) {
-				panic(r)
-			}
-			out, err = nil, e
-		}
-	}()
+	defer recoverCodec(&out, &err)
 	if canAppendValue(v) {
 		buf, err = appendValue(append(buf, FormatValue), v)
 	} else if w, rv := wireOf(v); w != nil {
@@ -78,14 +93,65 @@ func appendMarshal(buf []byte, v any) (out []byte, err error) {
 	return buf, nil
 }
 
+// appendWire appends the body of rv, a value of w's struct.
+func appendWire(buf []byte, w *wireType, rv reflect.Value) (out []byte, err error) {
+	defer recoverCodec(&out, &err)
+	return w.encode(append(buf, FormatWire), rv), nil
+}
+
+// recoverCodec, deferred by an encode, makes the ErrCodec panic of a
+// layout encoder, which has no error return (encAny: an unencodable
+// value inside an any), the encode's error.  Any other panic goes on.
+func recoverCodec(out *[]byte, err *error) {
+	if r := recover(); r != nil {
+		e, ok := r.(error)
+		if !ok || !errors.Is(e, ErrCodec) {
+			panic(r)
+		}
+		*out, *err = nil, e
+	}
+}
+
 // MustMarshal is Marshal for values whose encodability is a program
 // invariant (internal protocol structs).
-func MustMarshal(v any) []byte {
+func MustMarshal[T any](v T) []byte {
 	b, err := Marshal(v)
 	if err != nil {
 		panic(err)
 	}
 	return b
+}
+
+// unmarshalAs decodes body into a T as Unmarshal does.  A protocol
+// struct (w, T's registration) decodes into pooled scratch and is
+// returned by value.  The scratch is zeroed before it goes back: the
+// value is a shallow copy, sharing its slices' backing (and a []byte
+// field aliases body), so the scratch must drop them, not clear them.
+func unmarshalAs[T any](w *wireType, body []byte) (T, error) {
+	var zero T
+	if w == nil {
+		return unmarshalNew[T](body)
+	}
+	s := w.scratch.Get().(*T)
+	err := Unmarshal(body, s)
+	v := *s
+	*s = zero
+	w.scratch.Put(s)
+	if err != nil {
+		return zero, err
+	}
+	return v, nil
+}
+
+// unmarshalNew is unmarshalAs for a type with no scratch: the value it
+// decodes into moves to the heap.
+func unmarshalNew[T any](body []byte) (T, error) {
+	var v T
+	if err := Unmarshal(body, &v); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
 }
 
 // Unmarshal decodes data into v (a pointer), dispatching on the format
@@ -142,6 +208,9 @@ func RegisterType(v any) {
 type wireType struct {
 	tag byte
 	l   *layout
+	// scratch pools zeroed values of the struct, as *T: what a typed
+	// body is encoded from and decoded into (appendAs, unmarshalAs).
+	scratch sync.Pool
 }
 
 // encode appends the struct tag, then v's fields.
@@ -179,10 +248,37 @@ func registerWire(tag byte, v any) *wireType {
 		}
 	}
 	w := &wireType{tag: tag, l: &layout{t: t, fields: fields}}
+	w.scratch.New = func() any { return reflect.New(t).Interface() }
 	w.l.enc, w.l.dec = structCodec(fields)
 	wireTypes[t], wireTypes[reflect.PointerTo(t)] = w, w
 	wireTags[tag] = w
 	return w
+}
+
+// wireFor returns T's registration when T is a registered protocol
+// struct, else nil (a pointer to one included: it is not boxed anyway).
+// The table is only read after init, so the lookup takes no lock.
+func wireFor[T any]() *wireType {
+	t := reflect.TypeFor[T]()
+	if w := wireTypes[t]; w != nil && w.l.t == t {
+		return w
+	}
+	return nil
+}
+
+// lazyWire is a Method's lookup of T's registration, made at its first
+// call rather than when Typed builds the Method: a service's table is a
+// package-level value, initialized before the init functions that
+// register its protocol structs (RegisterWire), so the registration is
+// not there yet when the table is built.
+type lazyWire[T any] struct {
+	once sync.Once
+	w    *wireType
+}
+
+func (l *lazyWire[T]) get() *wireType {
+	l.once.Do(func() { l.w = wireFor[T]() })
+	return l.w
 }
 
 // wireOf returns v's registration and the struct value to encode, or

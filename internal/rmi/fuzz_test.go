@@ -75,8 +75,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 		// The batch envelope around both.
 		var batch Batch
-		batch.MustAppend(&in)
-		batch.MustAppend(vals)
+		MustAppendTo(&batch, &in)
+		MustAppendTo(&batch, vals)
 		encB, err := Marshal(batch)
 		if err != nil {
 			t.Fatalf("marshal batch: %v", err)
@@ -105,7 +105,7 @@ func FuzzWireDecode(f *testing.F) {
 	seedMsg, _ := Marshal(&Message{From: "a", To: "b", Kind: KindRequest, ID: 9, Service: "s", Method: "m", Body: []byte("xyz")})
 	f.Add(seedMsg)
 	var b Batch
-	b.MustAppend(&Message{Kind: KindResponse, ID: 1})
+	MustAppendTo(&b, &Message{Kind: KindResponse, ID: 1})
 	seedBatch, _ := Marshal(b)
 	f.Add(seedBatch)
 	seedVals, _ := Marshal([]any{int64(5), "hi", []float64{1.5}})

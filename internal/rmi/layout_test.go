@@ -98,7 +98,7 @@ func flatValue() layoutFlat {
 func deepValue() layoutDeep {
 	flat := flatValue()
 	var batch Batch
-	batch.MustAppend("item")
+	MustAppendTo(&batch, "item")
 	return layoutDeep{
 		Flat:    flat,
 		Flats:   []layoutFlat{flat, {S: "second"}},

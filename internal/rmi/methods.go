@@ -34,27 +34,35 @@ func (ms Methods[R]) Serve(r R) Handler {
 }
 
 // Typed makes f a Method: the request body decodes into a Req, and f's
-// result, encoded with Marshal, is the reply.  An undecodable request
-// or an unencodable result fails the call with ErrCodec's text.
+// result, encoded as Marshal encodes it, is the reply.  An undecodable
+// request or an unencodable result fails the call with ErrCodec's
+// text.  A struct request decodes into pooled scratch and f gets a
+// copy, so the scratch is free again once f has it; a struct result
+// encodes from scratch, unboxed.  "Struct" is a protocol struct
+// (RegisterWire) here and below; both types are looked up at the
+// method's first call (lazyWire).
 func Typed[R, Req, Resp any](f func(R, sched.Proc, Req) (Resp, error)) Method[R] {
+	var in lazyWire[Req]
+	var out lazyWire[Resp]
 	return func(r R, p sched.Proc, body []byte) ([]byte, error) {
-		var req Req
-		if err := Unmarshal(body, &req); err != nil {
+		req, err := unmarshalAs[Req](in.get(), body)
+		if err != nil {
 			return nil, err
 		}
 		resp, err := f(r, p, req)
 		if err != nil {
 			return nil, err
 		}
-		return Marshal(resp)
+		return marshalAs(out.get(), resp)
 	}
 }
 
 // Void is Typed for a method whose reply has no body.
 func Void[R, Req any](f func(R, sched.Proc, Req) error) Method[R] {
+	var in lazyWire[Req]
 	return func(r R, p sched.Proc, body []byte) ([]byte, error) {
-		var req Req
-		if err := Unmarshal(body, &req); err != nil {
+		req, err := unmarshalAs[Req](in.get(), body)
+		if err != nil {
 			return nil, err
 		}
 		return nil, f(r, p, req)
@@ -62,24 +70,20 @@ func Void[R, Req any](f func(R, sched.Proc, Req) error) Method[R] {
 }
 
 // Ask is the stub side of Typed: it calls service.method on node `to`
-// with req marshaled as the body (no body at all when req is nil) and
-// decodes the reply into a Resp.  A request that cannot be encoded
-// fails with ErrCodec before anything is sent.
-func Ask[Resp any](p sched.Proc, st *Station, to, service, method string, req any, timeout time.Duration) (Resp, error) {
-	var resp, zero Resp
-	var body []byte
-	if req != nil {
-		var err error
-		if body, err = Marshal(req); err != nil {
-			return zero, err
-		}
+// with req marshaled as the body and decodes the reply into a Resp, a
+// struct through pooled scratch.  A request that cannot be encoded
+// fails with ErrCodec before anything is sent.  Ask always sends a
+// body; a method that takes none is called raw (Station.Call with a nil
+// body), as it is served raw.
+func Ask[Req, Resp any](p sched.Proc, st *Station, to, service, method string, req Req, timeout time.Duration) (Resp, error) {
+	var zero Resp
+	body, err := Marshal(req)
+	if err != nil {
+		return zero, err
 	}
 	out, err := st.Call(p, to, service, method, body, timeout)
 	if err != nil {
 		return zero, err
 	}
-	if err := Unmarshal(out, &resp); err != nil {
-		return zero, err
-	}
-	return resp, nil
+	return unmarshalAs[Resp](wireFor[Resp](), out)
 }
